@@ -143,8 +143,9 @@ func BenchmarkAblationLPL(b *testing.B) { run(b, exp.AblationLPL) }
 func BenchmarkAblationSpatial(b *testing.B) { run(b, exp.AblationSpatial) }
 
 // BenchmarkQueryThroughput measures the async query engine end to end on
-// a 4-proxy deployment at 1 and 4 shards: each iteration submits a batch
-// of range queries spread over every mote and waits for all results.
+// a 4-proxy deployment at 1 and 4 shards: each iteration poses a
+// single-mote range spec per mote and window, all in flight at once, and
+// waits for every result.
 // With one shard a single worker settles every domain; with four the
 // domains advance concurrently, so queries/sec should scale with cores.
 func BenchmarkQueryThroughput(b *testing.B) {
@@ -175,27 +176,31 @@ func BenchmarkQueryThroughput(b *testing.B) {
 			n.Run(48 * time.Hour)
 
 			ids := n.MoteIDs()
-			qs := make([]query.Query, 0, 4*len(ids))
+			qs := make([]query.Spec, 0, 4*len(ids))
 			for qi := 0; qi < 4; qi++ {
 				for _, id := range ids {
 					t0 := simtime.Time(2+qi*9) * simtime.Hour
-					qs = append(qs, query.Query{
-						Type: query.Past, Mote: id,
+					qs = append(qs, query.Spec{
+						Type: query.Past, Select: query.SelectMotes(id),
 						T0: t0, T1: t0 + 6*simtime.Hour, Precision: 0.2,
 					})
 				}
 			}
+			client, ctx := n.Client(), context.Background()
+			streams := make([]*core.ResultStream, len(qs))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				chans, err := n.SubmitBatch(qs)
-				if err != nil {
-					b.Fatal(err)
+				for j, q := range qs {
+					if streams[j], err = client.Query(ctx, q); err != nil {
+						b.Fatal(err)
+					}
 				}
-				for _, ch := range chans {
-					if _, ok := <-ch; !ok {
+				for _, st := range streams {
+					if res, ok := st.Next(ctx); !ok || len(res.Results) != 1 {
 						b.Fatal("query never completed")
 					}
+					st.Close()
 				}
 			}
 			b.StopTimer()
@@ -366,13 +371,14 @@ func BenchmarkFreshnessBounds(b *testing.B) {
 					remote = append(remote, id)
 				}
 			}
+			client, ctx := n.Client(), context.Background()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, id := range remote {
-					q := query.Query{Type: query.Now, Mote: id, Precision: 2.0, MaxStaleness: bd.stale}
-					if _, err := n.ExecuteWait(q); err != nil {
-						b.Fatal(err)
+					q := query.Spec{Type: query.Now, Select: query.SelectMotes(id), Precision: 2.0, MaxStaleness: bd.stale}
+					if res, err := client.QueryOne(ctx, q); err != nil || len(res.Results) != 1 {
+						b.Fatalf("mote %d: %d results, err %v", id, len(res.Results), err)
 					}
 				}
 			}

@@ -4,9 +4,8 @@ package core
 //
 // A query.Spec targets a *set* of motes; the engine fans it out as one
 // command per owning simulation domain (not one per mote), each domain
-// worker folds its motes' answers — served through the same
-// store/replica/proxy path single queries use — into a query.Partial,
-// and a merge stage combines the per-domain partials into one answer
+// worker routes each of its motes once through the domain's store and
+// folds the answers into a query.Partial, and a merge stage combines the per-domain partials into one answer
 // with honest combined error bounds. An N-mote aggregate spanning any
 // number of domains therefore costs exactly one engine submission.
 //
@@ -48,68 +47,52 @@ func (n *Network) specTargets(spec query.Spec) (map[*shard][]radio.NodeID, error
 	return groups, nil
 }
 
-// gatherSpec runs on a shard worker: it issues every target mote's query
-// against the domain's unified store and folds the answers into one
-// RoundPartial, delivered on parts when the last answer lands. Answers
-// that need a mote rendezvous resolve while the worker settles (or
-// during the remaining chunks of an in-progress advance); the per-domain
-// pull coalescing applies across the motes of the round as usual.
-// When tr is non-nil the domain's store annotates every routing
-// decision onto it while the round's queries execute on this worker
-// (and, for answers that resolve later via rendezvous, when they land);
-// nil tr — the common case — adds one predictable branch per query.
-func gatherSpec(sh *shard, spec query.Spec, motes []radio.NodeID, parts chan<- query.RoundPartial, tr *obs.Trace) {
-	agg := spec.Type == query.Agg
-	if tr != nil {
-		sh.st.SetTrace(tr, sh.domain)
-		defer sh.st.SetTrace(nil, 0)
+// gatherSpec runs on a shard worker: it routes every target mote's query
+// through the domain's unified store — once per mote — and folds the
+// answers into one RoundPartial, handed to deliver (on this worker) when
+// the last answer lands. AGG motes whose spans the archive covers within
+// precision fold straight into the partial inside the store (aggregate
+// push-down: no Answer, no Result); everything else comes back through
+// the round's one callback. Answers that need a mote rendezvous resolve
+// while the worker settles (or during the remaining chunks of an
+// in-progress advance); the per-domain pull coalescing applies across
+// the motes of the round as usual. When tr is non-nil the store
+// annotates every routing decision onto it as it is made; nil tr — the
+// common case — adds one predictable branch per query.
+func gatherSpec(sh *shard, spec query.Spec, motes []radio.NodeID, tr *obs.Trace, deliver func(query.RoundPartial)) {
+	pq := &pendingQuery{
+		sp:        query.RoundPartial{Domain: sh.domain, Partial: query.NewPartialFor(spec)},
+		agg:       spec.Type == query.Agg,
+		remaining: len(motes),
+		issuing:   true,
+		deliver:   deliver,
 	}
-	sp := &query.RoundPartial{Domain: sh.domain, Partial: query.NewPartialFor(spec)}
-	// Aggregate push-down: motes whose spans the archive covers within
-	// precision fold straight into the partial (store.ExecuteFold) — no
-	// Answer materialization, no Result, no pending-query bookkeeping.
-	// Only the leftovers pay the proxy path below.
-	var fallback []radio.NodeID
-	if agg {
-		for _, m := range motes {
-			done, err := sh.st.ExecuteFold(spec.QueryFor(m), &sp.Partial)
-			switch {
-			case err != nil:
-				sp.Failed++
-			case done:
-			default:
-				fallback = append(fallback, m)
-			}
+	var fold *query.Partial
+	if pq.agg {
+		fold = &pq.sp.Partial
+	}
+	onAnswer := func(r query.Result) { pq.answer(sh, r) }
+	for _, m := range motes {
+		folded, err := sh.st.Execute(spec.QueryFor(m), fold, tr, onAnswer)
+		if err != nil {
+			pq.sp.Failed++
 		}
-	} else {
-		fallback = motes
+		if folded || err != nil {
+			pq.remaining--
+		}
 	}
-	if len(fallback) == 0 {
-		parts <- *sp
+	pq.issuing = false
+	for _, r := range pq.early {
+		pq.sp.Partial.ObserveResult(r)
+	}
+	pq.early = nil
+	if pq.remaining == 0 {
+		deliver(pq.sp)
 		return
 	}
-	remaining := len(fallback)
-	onDone := func(r query.Result, ok bool) {
-		switch {
-		case !ok:
-			sp.Failed++
-		case agg:
-			sp.Partial.ObserveResult(r)
-		default:
-			sp.Results = append(sp.Results, r)
-		}
-		remaining--
-		if remaining == 0 {
-			parts <- *sp
-		}
-	}
-	// One shared callback and a pendingQuery slab instead of a closure +
-	// allocation per mote.
-	pqs := make([]pendingQuery, len(fallback))
-	for i, m := range fallback {
-		pqs[i].fn = onDone
-		sh.submit(spec.QueryFor(m), &pqs[i])
-	}
+	// Rendezvous answers arrive as kernel events, none of which can run
+	// before this function returns: registering now loses nothing.
+	sh.pending[pq] = struct{}{}
 }
 
 // GatherLocal executes one bound round against the local domains owning
@@ -167,9 +150,10 @@ func (n *Network) GatherStart(spec query.Spec, motes []radio.NodeID, at simtime.
 	}
 	n.queriesSubmitted.Add(1)
 	parts := make(chan query.RoundPartial, len(runs))
+	deliver := func(p query.RoundPartial) { parts <- p }
 	for _, g := range runs {
 		s, ms := g.s, g.motes
-		fn := func(sh *shard) { gatherSpec(sh, spec, ms, parts, tr) }
+		fn := func(sh *shard) { gatherSpec(sh, spec, ms, tr, deliver) }
 		if at > 0 {
 			gather := fn
 			fn = func(sh *shard) {
@@ -274,13 +258,14 @@ func (n *Network) newSpecRound(spec query.Spec, groups map[*shard][]radio.NodeID
 	n.queriesSubmitted.Add(1)
 	spec = spec.BindWindow(at)
 	rs := &specRound{seq: seq, at: at, spec: spec, parts: make(chan query.RoundPartial, len(groups)), expect: len(groups)}
+	deliver := func(p query.RoundPartial) { rs.parts <- p }
 	for s, motes := range groups {
 		if s == self {
-			gatherSpec(s, spec, motes, rs.parts, tr)
+			gatherSpec(s, spec, motes, tr, deliver)
 			continue
 		}
 		s, motes := s, motes
-		if !s.enqueue(shardCmd{fn: func(sh *shard) { gatherSpec(sh, spec, motes, rs.parts, tr) }}) {
+		if !s.enqueue(shardCmd{fn: func(sh *shard) { gatherSpec(sh, spec, motes, tr, deliver) }}) {
 			rs.parts <- query.RoundPartial{
 				Domain: s.domain, Partial: query.NewPartialFor(spec), Failed: len(motes),
 			}
@@ -329,37 +314,23 @@ func (n *Network) SubmitSpec(ctx context.Context, spec query.Spec) (<-chan query
 	tr := obs.TraceFrom(ctx)
 	out := make(chan query.SetResult, 1)
 	if spec.Continuous == nil {
-		// A one-shot NOW spec naming a single mote is exactly a legacy
-		// Submit — route it there so it keeps the engine's wired-replica
-		// fast path (cross-domain NOW queries served from the replica
-		// mirror when it meets precision and freshness). Scatter rounds
+		// A one-shot NOW spec naming a single mote keeps the engine's
+		// wired-replica fast path (submitNow: cross-domain NOW queries
+		// served from the replica mirror when it meets precision and
+		// freshness). Scatter rounds
 		// execute at the owning domains instead: a set snapshot wants
 		// the authoritative data, and its per-domain partials cannot
 		// depend on another domain's replica decision. A traced query
 		// skips the bypass: the scatter path is the one that annotates
 		// each routing decision, and one query through it costs little.
 		if tr == nil && spec.Type == query.Now && len(groups) == 1 {
-			for _, motes := range groups {
+			for target, motes := range groups {
 				if len(motes) != 1 {
 					break
 				}
-				ch, err := n.Submit(spec.QueryFor(motes[0]))
-				if err != nil {
+				if err := n.submitNow(spec, target, motes, out); err != nil {
 					return nil, err
 				}
-				go func() {
-					defer close(out)
-					res := query.SetResult{At: n.Now()}
-					if r, ok := <-ch; ok {
-						res.Results = []query.Result{r}
-					} else {
-						res.Failed = 1
-					}
-					select {
-					case out <- res:
-					case <-ctx.Done():
-					}
-				}()
 				return out, nil
 			}
 		}
@@ -413,8 +384,12 @@ func (n *Network) SubmitSpec(ctx context.Context, spec query.Spec) (<-chan query
 	fired := 0   // nominal instants reached, skips included
 	var fire func(s *shard)
 	fire = func(s *shard) {
-		if ctx.Err() != nil {
+		select {
+		case <-ctx.Done():
 			return // cancelled: stop re-arming; the merge side is gone
+		case <-s.quit:
+			return // engine closed (this is its final drain): likewise
+		default:
 		}
 		if len(rounds) < cap(rounds) {
 			rounds <- n.newSpecRound(spec, groups, started, s.sim.Now(), s, nil)
@@ -452,6 +427,8 @@ func (n *Network) SubmitSpec(ctx context.Context, spec query.Spec) (<-chan query
 			case out <- res:
 			case <-ctx.Done():
 				return
+			case <-anchor.quit:
+				return
 			}
 		}
 	}()
@@ -484,9 +461,8 @@ type SpecSubmitter interface {
 }
 
 // Client is the user-facing query interface over a deployment: pose a
-// declarative query.Spec, receive a ResultStream. It replaces the bare
-// single-mote callback/channel APIs (Execute, Submit, ExecuteWait),
-// which remain as deprecated shims.
+// declarative query.Spec, receive a ResultStream. It is the only way to
+// pose a query; a question about one mote is a spec selecting one mote.
 type Client struct {
 	e SpecSubmitter
 }
@@ -541,8 +517,7 @@ func (c *Client) Query(ctx context.Context, spec query.Spec) (*ResultStream, err
 	return &ResultStream{ch: ch, cancel: cancel}, nil
 }
 
-// QueryOne poses a one-shot spec and blocks for its single result — the
-// Spec-era ExecuteWait.
+// QueryOne poses a one-shot spec and blocks for its single result.
 func (c *Client) QueryOne(ctx context.Context, spec query.Spec) (query.SetResult, error) {
 	if spec.Continuous != nil {
 		return query.SetResult{}, errors.New("core: QueryOne on a continuous spec (use Query)")

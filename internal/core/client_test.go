@@ -168,8 +168,8 @@ func TestSpecSelectors(t *testing.T) {
 }
 
 // TestSingleMoteNowSpecRidesReplica: a one-shot NOW spec naming one
-// mote must keep the legacy Submit path's wired-replica fast path —
-// cross-domain NOW queries served from the replica mirror.
+// mote must take the wired-replica fast path — cross-domain NOW queries
+// served from the replica mirror.
 func TestSingleMoteNowSpecRidesReplica(t *testing.T) {
 	n := buildSharded(t, 2, 2, 2, func(c *Config) { c.WiredFirstProxy = true })
 	if _, err := n.Bootstrap(36*time.Hour, 24, 1.0); err != nil {

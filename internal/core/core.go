@@ -284,7 +284,7 @@ func (l Layout) AllMotes() []radio.NodeID {
 // Sim, Medium, Index and Store alias shard 0's domain for compatibility
 // and single-domain introspection; touching them (or Proxies/Motes
 // elements) directly is only safe while the engine is quiescent — no
-// Run, Submit or ExecuteWait concurrently in flight.
+// Run or query concurrently in flight.
 type Network struct {
 	cfg Config
 	lay Layout
@@ -416,7 +416,7 @@ func (n *Network) buildShard(si, slot, pi0, count int) (*shard, error) {
 		return nil, err
 	}
 	ix := index.New(cfg.Seed + 1 + int64(si))
-	st := store.New(ix)
+	st := store.New(ix, si)
 	if cfg.StoreBackend == "flash" {
 		pol, err := store.ParseAgingPolicy(cfg.StoreAging)
 		if err != nil {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"presto/internal/gen"
 	"presto/internal/predict"
 	"presto/internal/query"
+	"presto/internal/radio"
 	"presto/internal/simtime"
 )
 
@@ -24,6 +27,20 @@ func tempTraces(t *testing.T, n, days int, eventsPerDay float64) []*gen.Trace {
 		t.Fatal(err)
 	}
 	return traces
+}
+
+// queryMote poses a one-shot NOW or PAST spec against a single mote
+// through the Client and returns that mote's result.
+func queryMote(n *Network, mote radio.NodeID, spec query.Spec) (query.Result, error) {
+	spec.Select = query.SelectMotes(mote)
+	res, err := n.Client().QueryOne(context.Background(), spec)
+	if err != nil {
+		return query.Result{}, err
+	}
+	if len(res.Results) != 1 {
+		return query.Result{}, fmt.Errorf("mote %d: query never completed", mote)
+	}
+	return res.Results[0], nil
 }
 
 func buildSmall(t *testing.T, mutate func(*Config)) *Network {
@@ -139,7 +156,7 @@ func TestQueriesThroughStore(t *testing.T) {
 	// NOW query on every mote via the unified store: the user never names
 	// a proxy.
 	for _, id := range n.MoteIDs() {
-		res, err := n.ExecuteWait(query.Query{Type: query.Now, Mote: id, Precision: 1.0})
+		res, err := queryMote(n, id, query.Spec{Type: query.Now, Precision: 1.0})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,17 +172,22 @@ func TestQueriesThroughStore(t *testing.T) {
 }
 
 func TestExecuteAsync(t *testing.T) {
+	// Query returns before the pull it needs has resolved; the result is
+	// on the stream after a later Run.
 	n := buildSmall(t, nil)
 	n.Start()
 	n.Run(4 * time.Hour)
-	done := false
-	err := n.Execute(query.Query{Type: query.Past, Mote: 1, T0: simtime.Hour, T1: 2 * simtime.Hour, Precision: 0.05}, func(query.Result) { done = true })
+	st, err := n.Client().Query(context.Background(), query.Spec{
+		Type: query.Past, Select: query.SelectMotes(1), T0: simtime.Hour, T1: 2 * simtime.Hour, Precision: 0.05,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer st.Close()
 	n.Run(time.Minute)
-	if !done {
-		t.Fatal("async query never completed")
+	res, ok := st.Next(context.Background())
+	if !ok || len(res.Results) != 1 {
+		t.Fatalf("async query never completed: ok=%v %+v", ok, res)
 	}
 }
 
@@ -274,7 +296,7 @@ func TestConcurrentQueries(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			id := n.MoteIDs()[i%4]
-			_, _ = n.ExecuteWait(query.Query{Type: query.Now, Mote: id, Precision: 2})
+			_, _ = queryMote(n, id, query.Spec{Type: query.Now, Precision: 2})
 		}(i)
 	}
 	wg.Wait()

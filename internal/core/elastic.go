@@ -6,7 +6,7 @@ package core
 // domains between live sites and re-admit restarted ones. Both
 // operations mutate routing topology (moteShard/proxyShard/shards) that
 // engine entry points read lock-free, so they require engine quiescence:
-// no Submit, Run, or stats call concurrently in flight. The cluster
+// no query, Run, or stats call concurrently in flight. The cluster
 // layer guarantees this by migrating only between advance leases, with
 // the coordinator's run loop held.
 

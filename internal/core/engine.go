@@ -10,17 +10,18 @@ package core
 // channels are the wired-replica bridge (radio.Bridge) and the engine's
 // command queues.
 //
-// Queries enter through Submit/SubmitBatch: the engine routes each query
-// to the shard owning its mote, the shard worker executes it against the
-// domain's unified store, and — when the query needs a mote rendezvous —
-// steps the domain's kernel until the answer resolves. Queries submitted
-// while a rendezvous is outstanding are picked up between steps, which is
-// what lets the proxy coalesce their pulls into the in-flight rendezvous.
-// ExecuteWait is a thin synchronous wrapper over Submit.
+// Queries enter through SubmitSpec (client.go) and nowhere else: the
+// engine hands each owning shard its share of the spec's motes as one
+// command, the shard worker executes them against the domain's unified
+// store, and — when a query needs a mote rendezvous — steps the domain's
+// kernel until the answer resolves. Commands arriving while a rendezvous
+// is outstanding are picked up between steps, which is what lets the
+// proxy coalesce their pulls into the in-flight rendezvous.
 
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,23 +44,42 @@ var ErrClosed = errors.New("core: network closed")
 // sample interval at the default 1-minute sampling).
 const bridgeDrainQuantum = 10 * time.Second
 
-// pendingQuery tracks one submitted query until its result is delivered.
-// Exactly one of ch/fn is set: the channel is buffered so an abandoned
-// Submit cannot wedge a worker; the callback form (scatter-gather
-// partials) runs on the worker with ok=false when the query can never
-// complete.
+// pendingQuery is one domain's share of a spec round: the fold of its
+// motes' answers, held by the worker from the moment gatherSpec routes
+// them until the last answer lands and the partial is delivered.
 type pendingQuery struct {
-	ch chan query.Result
-	fn func(query.Result, bool)
+	sp        query.RoundPartial
+	agg       bool
+	remaining int // motes whose answers have not landed
+	// issuing is set while gatherSpec is still routing the round's motes.
+	// An AGG answer the proxy gives synchronously meanwhile waits in early
+	// and is folded once routing is done: a round folds its archive-served
+	// motes first, then proxy answers as they land. Float sums depend on
+	// that order, and answers are compared bit for bit across commits
+	// (benchmark digests, experiment tables), so it is part of the contract.
+	issuing bool
+	early   []query.Result
+	deliver func(query.RoundPartial)
 }
 
-// fail reports the query as never completed.
-func (pq *pendingQuery) fail() {
-	if pq.fn != nil {
-		pq.fn(query.Result{}, false)
-		return
+// answer takes one mote's result from the store.
+func (pq *pendingQuery) answer(s *shard, r query.Result) {
+	switch {
+	case !pq.agg:
+		pq.sp.Results = append(pq.sp.Results, r)
+	case pq.issuing:
+		if pq.early == nil {
+			pq.early = make([]query.Result, 0, pq.remaining)
+		}
+		pq.early = append(pq.early, r)
+	default:
+		pq.sp.Partial.ObserveResult(r)
 	}
-	close(pq.ch)
+	pq.remaining--
+	if pq.remaining == 0 && !pq.issuing {
+		delete(s.pending, pq)
+		pq.deliver(pq.sp)
+	}
 }
 
 // shardCmd is one unit of work for a shard worker. fn runs on the
@@ -179,40 +199,14 @@ func (s *shard) settle() {
 	}
 }
 
-// failPending closes every outstanding result channel (receivers see a
-// closed channel and report the query as never completed) and fires
-// callback-style queries with ok=false.
+// failPending delivers every outstanding round with its unanswered motes
+// counted as failed.
 func (s *shard) failPending() {
 	for pq := range s.pending {
-		pq.fail()
+		pq.sp.Failed += pq.remaining
+		pq.deliver(pq.sp)
 	}
 	clear(s.pending)
-}
-
-// submit executes one query on the worker, registering it for settling.
-func (s *shard) submit(q query.Query, pq *pendingQuery) {
-	s.pending[pq] = struct{}{}
-	err := s.st.Execute(q, func(r query.Result) {
-		delete(s.pending, pq)
-		if pq.fn != nil {
-			pq.fn(r, true)
-			return
-		}
-		pq.ch <- r
-	})
-	if err != nil {
-		delete(s.pending, pq)
-		pq.fail()
-	}
-}
-
-// submitCB is submit for worker-side consumers: fn runs on the worker
-// exactly once — with the result, or with ok=false when the query can
-// never complete (wedged domain or shutdown). Scatter-gather partials
-// use it to fold per-mote answers into a domain-local aggregate without
-// a channel per mote.
-func (s *shard) submitCB(q query.Query, fn func(query.Result, bool)) {
-	s.submit(q, &pendingQuery{fn: fn})
 }
 
 // advance runs the domain forward by d. Multi-domain deployments chunk
@@ -316,12 +310,11 @@ func (n *Network) shardFor(m radio.NodeID) (*shard, error) {
 	return n.shards[si], nil
 }
 
-// Submit posts a query to the engine and returns a channel that yields
-// the result when it completes. The channel is closed without a value if
-// the query can never complete (wedged domain or engine shutdown). NOW
-// queries for motes in other domains are offered to the wired replica
-// first when one exists; everything the replica cannot answer within
-// precision is forwarded to the owning shard.
+// submitNow routes a one-shot NOW spec naming a single mote, delivering
+// its SetResult on out straight from the worker that resolves it. A mote
+// in another domain is offered to the wired replica first when one
+// exists; everything the replica cannot answer within precision is
+// forwarded to the owning shard.
 //
 // A query carrying a freshness bound (MaxStaleness > 0) bypasses the
 // replica entirely when the replica's snapshot cannot meet it: the
@@ -330,136 +323,43 @@ func (n *Network) shardFor(m radio.NodeID) (*shard, error) {
 // bridge traffic for the replica's domain also marks it stale. Bypassed
 // queries settle in the owning domain, where the managing proxy enforces
 // the bound end-to-end — paying a mote rendezvous if its own snapshot is
-// too old. This replaces the fixed bridge-drain-quantum guarantee with a
-// per-query bound.
-//
-// PAST and AGG queries always settle in the owning domain, where the
-// bound is enforced when the window tail overlaps "now" (T1 plus the
-// bound reaches the domain clock): the domain store refuses to serve the
-// span from an archive staler than the bound (RoutingStats.ArchiveStale)
-// and the managing proxy pulls the span rather than extrapolate the tail
-// from a stale model snapshot (proxy.QueryRangeBounded). Purely
-// historical windows are unaffected.
-func (n *Network) Submit(q query.Query) (<-chan query.Result, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	target, err := n.shardFor(q.Mote)
-	if err != nil {
-		return nil, err
-	}
+// too old.
+func (n *Network) submitNow(spec query.Spec, target *shard, motes []radio.NodeID, out chan<- query.SetResult) error {
 	n.queriesSubmitted.Add(1)
-	pq := &pendingQuery{ch: make(chan query.Result, 1)}
-	if n.replicaFirst && target.domain != 0 && q.Type == query.Now {
-		s0 := n.shards[0]
-		forward := func() {
-			if !target.enqueue(shardCmd{fn: func(ts *shard) { ts.submit(q, pq) }}) {
-				close(pq.ch) // owning shard shut down mid-forward
-			}
+	deliver := func(p query.RoundPartial) {
+		out <- query.SetResult{At: n.Now(), Results: p.Results, Failed: p.Failed} // buffered, and this is its only send
+		close(out)
+	}
+	atOwner := shardCmd{fn: func(ts *shard) { gatherSpec(ts, spec, motes, nil, deliver) }}
+	if !n.replicaFirst || target.domain == 0 {
+		if !target.enqueue(atOwner) {
+			return ErrClosed
 		}
-		ok := s0.enqueue(shardCmd{fn: func(s *shard) {
-			// The owning domain's clock, read lock-free at check time (not
-			// at Submit — the owner may advance while this query queues):
-			// the replica's mirrored data carries owning-domain timestamps,
-			// so this is the reference the staleness check needs.
-			ownerNow := target.sim.NowSnapshot()
-			if q.MaxStaleness > 0 &&
-				(s.bridge.PendingFor(0, q.Mote) > 0 || !s.wired.FreshWithin(q.Mote, ownerNow, q.MaxStaleness)) {
-				n.replicaBypassed.Add(1)
-				forward()
-				return
-			}
-			if a, ok := s.wired.QueryLocal(q.Mote, s.sim.Now(), q.Precision); ok {
-				n.replicaServed.Add(1)
-				pq.ch <- query.Result{Query: q, Answer: a}
-				return
-			}
-			forward()
-		}})
-		if !ok {
-			return nil, ErrClosed
+		return nil
+	}
+	ok := n.shards[0].enqueue(shardCmd{fn: func(s *shard) {
+		q := spec.QueryFor(motes[0])
+		// The owning domain's clock, read lock-free at check time (not
+		// at submission — the owner may advance while this query
+		// queues): the replica's mirrored data carries owning-domain
+		// timestamps, so this is the reference the staleness check needs.
+		ownerNow := target.sim.NowSnapshot()
+		if q.MaxStaleness > 0 &&
+			(s.bridge.PendingFor(0, q.Mote) > 0 || !s.wired.FreshWithin(q.Mote, ownerNow, q.MaxStaleness)) {
+			n.replicaBypassed.Add(1)
+		} else if a, ok := s.wired.QueryLocal(q.Mote, s.sim.Now(), q.Precision); ok {
+			n.replicaServed.Add(1)
+			deliver(query.RoundPartial{Results: []query.Result{{Query: q, Answer: a}}})
+			return
 		}
-		return pq.ch, nil
-	}
-	if !target.enqueue(shardCmd{fn: func(s *shard) { s.submit(q, pq) }}) {
-		return nil, ErrClosed
-	}
-	return pq.ch, nil
-}
-
-// SubmitBatch posts a set of queries at once, grouped so that each shard
-// issues its queries back-to-back before settling — concurrent cold
-// queries on the same mote deterministically share one archive
-// rendezvous. Result channels are returned in input order.
-func (n *Network) SubmitBatch(qs []query.Query) ([]<-chan query.Result, error) {
-	type item struct {
-		q  query.Query
-		pq *pendingQuery
-	}
-	chans := make([]<-chan query.Result, len(qs))
-	groups := make(map[*shard][]item)
-	for i, q := range qs {
-		if err := q.Validate(); err != nil {
-			return nil, fmt.Errorf("core: query %d: %w", i, err)
+		if !target.enqueue(atOwner) {
+			deliver(query.RoundPartial{Failed: 1}) // owning shard shut down mid-forward
 		}
-		target, err := n.shardFor(q.Mote)
-		if err != nil {
-			return nil, fmt.Errorf("core: query %d: %w", i, err)
-		}
-		pq := &pendingQuery{ch: make(chan query.Result, 1)}
-		chans[i] = pq.ch
-		groups[target] = append(groups[target], item{q: q, pq: pq})
-	}
-	n.queriesSubmitted.Add(uint64(len(qs)))
-	for target, items := range groups {
-		items := items
-		if !target.enqueue(shardCmd{fn: func(s *shard) {
-			for _, it := range items {
-				s.submit(it.q, it.pq)
-			}
-		}}) {
-			return nil, ErrClosed
-		}
-	}
-	return chans, nil
-}
-
-// ExecuteWait posts a query and blocks until it completes — the
-// synchronous convenience wrapper over Submit that legacy examples and
-// experiments use.
-//
-// Deprecated: pose a query.Spec through Client.QueryOne instead; a Spec
-// targeting one mote behaves identically and the same facade scales to
-// mote sets and continuous queries.
-func (n *Network) ExecuteWait(q query.Query) (query.Result, error) {
-	ch, err := n.Submit(q)
-	if err != nil {
-		return query.Result{}, err
-	}
-	r, ok := <-ch
+	}})
 	if !ok {
-		return query.Result{}, errors.New("core: query never completed (no pending events)")
-	}
-	return r, nil
-}
-
-// Execute posts a query against the unified store without settling: the
-// callback fires on the owning shard's worker, possibly during a later
-// Run if the query needs a mote round trip.
-//
-// Deprecated: the bare callback API predates the engine; use
-// Client.Query with a query.Spec (or Submit when channel semantics are
-// needed).
-func (n *Network) Execute(q query.Query, cb func(query.Result)) error {
-	target, err := n.shardFor(q.Mote)
-	if err != nil {
-		return err
-	}
-	var execErr error
-	if !target.call(func(s *shard) { execErr = s.st.Execute(q, cb) }) {
 		return ErrClosed
 	}
-	return execErr
+	return nil
 }
 
 // Run advances every shard's virtual time by d, concurrently.
@@ -504,7 +404,7 @@ func (n *Network) Now() simtime.Time {
 }
 
 // Close shuts down the shard workers. Outstanding queries fail (their
-// result channels close); subsequent engine calls return ErrClosed. Safe
+// motes count in SetResult.Failed); subsequent engine calls return ErrClosed. Safe
 // to call multiple times; networks abandoned without Close are reaped by
 // a finalizer.
 func (n *Network) Close() {
@@ -512,6 +412,10 @@ func (n *Network) Close() {
 		for _, s := range n.shards {
 			s.shutdown()
 		}
+		// A standing spec's re-arm event sits in the anchor kernel's queue
+		// and points back at n; the collector never frees a cycle through
+		// an object with a finalizer, so drop it now that its job is done.
+		runtime.SetFinalizer(n, nil)
 	})
 }
 

@@ -1,14 +1,19 @@
 package core
 
-// Tests for the sharded async query engine: pull coalescing, concurrent
-// submission across shards, the wired-replica bridge, and lifecycle.
+// Tests for the sharded async query engine: concurrent submission
+// across shards, the wired-replica bridge, and lifecycle. (Pull
+// coalescing is tested where it lives, in internal/proxy.)
 
 import (
+	"context"
+	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"presto/internal/gen"
 	"presto/internal/proxy"
 	"presto/internal/query"
 	"presto/internal/simtime"
@@ -36,86 +41,9 @@ func buildSharded(t *testing.T, proxies, motesPer, shards int, mutate func(*Conf
 	return n
 }
 
-func TestSubmitBatchCoalescesColdPulls(t *testing.T) {
-	// N concurrent tight-precision queries on one cold mote must pay
-	// exactly one archive rendezvous whose response fans out to all.
-	n := buildSharded(t, 1, 1, 1, nil)
-	n.Start()
-	n.Run(4 * time.Hour)
-
-	const N = 8
-	at := 2 * simtime.Hour
-	qs := make([]query.Query, N)
-	for i := range qs {
-		qs[i] = query.Query{Type: query.Past, Mote: 1, T0: at, T1: at, Precision: 0.01}
-	}
-	chans, err := n.SubmitBatch(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, ch := range chans {
-		res, ok := <-ch
-		if !ok {
-			t.Fatalf("query %d never completed", i)
-		}
-		if res.Answer.Source != proxy.FromPull {
-			t.Fatalf("query %d source %v, want pull", i, res.Answer.Source)
-		}
-		if _, ok := res.Answer.Value(); !ok {
-			t.Fatalf("query %d: no value", i)
-		}
-	}
-
-	ms, err := n.MoteStats(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ms.PullsServed != 1 {
-		t.Fatalf("mote served %d pulls for %d concurrent cold queries, want exactly 1", ms.PullsServed, N)
-	}
-	ps, err := n.ProxyStatsFor(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps.PullsIssued != 1 || ps.PullsCoalesced != N-1 {
-		t.Fatalf("proxy issued=%d coalesced=%d, want 1 and %d", ps.PullsIssued, ps.PullsCoalesced, N-1)
-	}
-}
-
-func TestQueuedPullsMergeIntoOneFollowUp(t *testing.T) {
-	// Two disjoint cold ranges: the second cannot join the first
-	// rendezvous, so it queues and issues as one merged follow-up —
-	// two rendezvous total, not three.
-	n := buildSharded(t, 1, 1, 1, nil)
-	n.Start()
-	n.Run(6 * time.Hour)
-	qs := []query.Query{
-		{Type: query.Past, Mote: 1, T0: simtime.Hour, T1: simtime.Hour, Precision: 0.01},
-		{Type: query.Past, Mote: 1, T0: 3 * simtime.Hour, T1: 3 * simtime.Hour, Precision: 0.01},
-		{Type: query.Past, Mote: 1, T0: 4 * simtime.Hour, T1: 4 * simtime.Hour, Precision: 0.01},
-	}
-	chans, err := n.SubmitBatch(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, ch := range chans {
-		if _, ok := <-ch; !ok {
-			t.Fatalf("query %d never completed", i)
-		}
-	}
-	ms, _ := n.MoteStats(1)
-	if ms.PullsServed != 2 {
-		t.Fatalf("mote served %d pulls, want 2 (first + merged follow-up)", ms.PullsServed)
-	}
-	ps, _ := n.ProxyStatsFor(1)
-	if ps.PullsQueued != 2 {
-		t.Fatalf("queued=%d, want 2", ps.PullsQueued)
-	}
-}
-
 func TestSubmitHammerAcrossShards(t *testing.T) {
-	// The -race workhorse: many goroutines submit against every shard
-	// while Run advances time concurrently.
+	// The -race workhorse: many goroutines pose single-mote specs
+	// against every shard while Run advances time concurrently.
 	n := buildSharded(t, 4, 2, 4, nil)
 	if n.Shards() != 4 {
 		t.Fatalf("shards=%d", n.Shards())
@@ -131,7 +59,7 @@ func TestSubmitHammerAcrossShards(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
 				id := ids[(g*7+i)%len(ids)]
-				res, err := n.ExecuteWait(query.Query{Type: query.Now, Mote: id, Precision: 2})
+				res, err := queryMote(n, id, query.Spec{Type: query.Now, Precision: 2})
 				if err != nil {
 					t.Errorf("mote %d: %v", id, err)
 					return
@@ -188,7 +116,7 @@ func TestWiredReplicaBridgeAcrossShards(t *testing.T) {
 
 	// Mote 3 lives in shard 1; its NOW queries should be answerable by
 	// the replica in shard 0 without touching shard 1.
-	res, err := n.ExecuteWait(query.Query{Type: query.Now, Mote: 3, Precision: 1.0})
+	res, err := queryMote(n, 3, query.Spec{Type: query.Now, Precision: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +147,7 @@ func TestWiredReplicaServesDataSingleDomain(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Run(2 * time.Hour)
-	res, err := n.ExecuteWait(query.Query{Type: query.Now, Mote: 3, Precision: 1.0})
+	res, err := queryMote(n, 3, query.Spec{Type: query.Now, Precision: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,8 +159,7 @@ func TestWiredReplicaServesDataSingleDomain(t *testing.T) {
 	if math.Abs(v-truth) > 1.5 {
 		t.Fatalf("replica answer %.3f vs truth %.3f", v, truth)
 	}
-	_, replicaRouted := n.Store.Stats()
-	if replicaRouted == 0 {
+	if n.Store.RoutingStats().ReplicaRouted == 0 {
 		t.Fatal("store did not route to the wired replica")
 	}
 }
@@ -243,38 +170,95 @@ func TestCloseRejectsFurtherWork(t *testing.T) {
 	n.Run(time.Hour)
 	n.Close()
 	n.Close() // idempotent
-	if _, err := n.Submit(query.Query{Type: query.Now, Mote: 1, Precision: 1}); err != ErrClosed {
-		t.Fatalf("Submit after Close: %v", err)
+	c, ctx := n.Client(), context.Background()
+	if _, err := c.Query(ctx, query.Spec{Type: query.Now, Select: query.SelectMotes(1), Precision: 1}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Query after Close: %v, want ErrClosed", err)
 	}
-	if _, err := n.ExecuteWait(query.Query{Type: query.Now, Mote: 1, Precision: 1}); err == nil {
-		t.Fatal("ExecuteWait after Close succeeded")
+	if _, err := queryMote(n, 1, query.Spec{Type: query.Past, T1: simtime.Hour, Precision: 1}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("QueryOne after Close: %v, want ErrClosed", err)
+	}
+}
+
+// hostStandingSpec builds a deployment, runs a standing spec on it,
+// closes it and returns holding no reference to it; freed closes when
+// the collector reclaims one of its traces. Its own frame (not
+// buildSharded, whose t.Cleanup would pin the network) so nothing in the
+// caller keeps the deployment reachable.
+//
+//go:noinline
+func hostStandingSpec(t *testing.T, freed chan struct{}) {
+	cfg := DefaultConfig()
+	cfg.Proxies = 2
+	cfg.MotesPerProxy = 1
+	cfg.Shards = 2
+	cfg.Traces = tempTraces(t, 2, 1, 0)
+	runtime.SetFinalizer(cfg.Traces[0], func(*gen.Trace) { close(freed) })
+	n, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Start()
+	st, err := n.Client().Query(context.Background(), query.Spec{
+		Type: query.Now, Precision: 2, Continuous: &query.Continuous{Every: 10 * time.Minute},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Run(time.Hour)
+	if _, ok := <-st.Results(); !ok {
+		t.Fatal("standing spec delivered no round")
+	}
+	n.Close()
+}
+
+func TestClosedNetworkIsCollected(t *testing.T) {
+	// A standing spec leaves its re-arm event in the anchor kernel's
+	// queue, pointing back at the Network: a cycle through an object with
+	// a finalizer, which the collector never frees. Close must break it.
+	freed := make(chan struct{})
+	hostStandingSpec(t, freed)
+	deadline := time.After(10 * time.Second)
+	for {
+		runtime.GC() // workers exit asynchronously after Close: poll
+		select {
+		case <-freed:
+			return
+		case <-deadline:
+			t.Fatal("a closed Network that hosted a standing spec was never collected")
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
 }
 
 func TestSubmitAsyncResult(t *testing.T) {
-	// Submit returns immediately; the result arrives on the channel.
+	// Query returns immediately; the result arrives on the stream once
+	// the worker has settled the pull.
 	n := buildSharded(t, 1, 2, 1, nil)
 	n.Start()
 	n.Run(3 * time.Hour)
-	ch, err := n.Submit(query.Query{Type: query.Past, Mote: 1, T0: simtime.Hour, T1: simtime.Hour, Precision: 0.01})
+	st, err := n.Client().Query(context.Background(), query.Spec{
+		Type: query.Past, Select: query.SelectMotes(1), T0: simtime.Hour, T1: simtime.Hour, Precision: 0.01,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, ok := <-ch
-	if !ok {
-		t.Fatal("query never completed")
+	defer st.Close()
+	res, ok := <-st.Results()
+	if !ok || len(res.Results) != 1 {
+		t.Fatalf("query never completed: ok=%v %+v", ok, res)
 	}
-	if res.Answer.Source != proxy.FromPull {
-		t.Fatalf("source %v", res.Answer.Source)
+	if src := res.Results[0].Answer.Source; src != proxy.FromPull {
+		t.Fatalf("source %v", src)
 	}
 }
 
 func TestSubmitUnknownMote(t *testing.T) {
 	n := buildSharded(t, 1, 1, 1, nil)
-	if _, err := n.Submit(query.Query{Type: query.Now, Mote: 99}); err == nil {
+	c, ctx := n.Client(), context.Background()
+	if _, err := c.Query(ctx, query.Spec{Type: query.Now, Select: query.SelectMotes(99)}); err == nil {
 		t.Fatal("unknown mote accepted")
 	}
-	if _, err := n.SubmitBatch([]query.Query{{Type: query.Now, Mote: 99}}); err == nil {
-		t.Fatal("unknown mote accepted in batch")
+	if _, err := c.Query(ctx, query.Spec{Type: query.Agg, Select: query.SelectMotes(1, 99), T1: simtime.Hour}); err == nil {
+		t.Fatal("unknown mote accepted in a set")
 	}
 }

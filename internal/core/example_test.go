@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -35,10 +36,13 @@ func Example() {
 	}
 	net.Run(12 * time.Hour)
 
-	res, err := net.ExecuteWait(query.Query{Type: query.Now, Mote: 1, Precision: 1.0})
+	set, err := net.Client().QueryOne(context.Background(), query.Spec{
+		Type: query.Now, Select: query.SelectMotes(1), Precision: 1.0,
+	})
 	if err != nil {
 		panic(err)
 	}
+	res := set.Results[0] // one result per selected mote
 	v, _ := res.Answer.Value()
 	truth, _ := net.Truth(1, res.Answer.DoneAt)
 	fmt.Printf("answered locally: %v, within precision: %v\n",

@@ -58,7 +58,7 @@ func TestLossyPullsRetryOrTimeout(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		n.Run(5 * time.Minute)
 		past := n.Now() - 2*simtime.Hour
-		res, err := n.ExecuteWait(query.Query{Type: query.Past, Mote: 1, T0: past, T1: past, Precision: 0.01})
+		res, err := queryMote(n, 1, query.Spec{Type: query.Past, T0: past, T1: past, Precision: 0.01})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func TestMoteDeathDegradesGracefully(t *testing.T) {
 	n.Motes[0].Stop()
 	n.Run(time.Hour)
 	// Loose-precision queries still answer from the model.
-	res, err := n.ExecuteWait(query.Query{Type: query.Now, Mote: 1, Precision: 1.0})
+	res, err := queryMote(n, 1, query.Spec{Type: query.Now, Precision: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestMoteDeathDegradesGracefully(t *testing.T) {
 		t.Fatal("no best-effort answer for dead mote")
 	}
 	// Tight-precision queries time out but complete.
-	res, err = n.ExecuteWait(query.Query{Type: query.Now, Mote: 1, Precision: 0.01})
+	res, err = queryMote(n, 1, query.Spec{Type: query.Now, Precision: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestMoteDeathDegradesGracefully(t *testing.T) {
 		t.Fatalf("dead-mote tight query source %v, want timeout", res.Answer.Source)
 	}
 	// Other motes are unaffected.
-	res, err = n.ExecuteWait(query.Query{Type: query.Now, Mote: 2, Precision: 1.0})
+	res, err = queryMote(n, 2, query.Spec{Type: query.Now, Precision: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestAutoRetrainSurvivesDeadMote(t *testing.T) {
 		t.Fatal("expected retrain failures for the dead mote (no fresh data)")
 	}
 	// Living motes keep working.
-	res, err := n.ExecuteWait(query.Query{Type: query.Now, Mote: 2, Precision: 1.0})
+	res, err := queryMote(n, 2, query.Spec{Type: query.Now, Precision: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}

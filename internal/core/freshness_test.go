@@ -8,6 +8,7 @@ package core
 // while both domain workers advance.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -61,8 +62,8 @@ func TestFreshnessBoundBypassesStaleReplica(t *testing.T) {
 
 	// Loose bound: the replica's mirror is well within a day, so the
 	// wired fast path must serve without touching the owning domain.
-	res, err := n.ExecuteWait(query.Query{
-		Type: query.Now, Mote: remote, Precision: 5, MaxStaleness: 24 * time.Hour,
+	res, err := queryMote(n, remote, query.Spec{
+		Type: query.Now, Precision: 5, MaxStaleness: 24 * time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -80,8 +81,8 @@ func TestFreshnessBoundBypassesStaleReplica(t *testing.T) {
 	// Tight bound: no snapshot can be one nanosecond old, so the replica
 	// is bypassed and the owning domain's proxy must pay a mote
 	// rendezvous rather than serve its own stale cache/model view.
-	res, err = n.ExecuteWait(query.Query{
-		Type: query.Now, Mote: remote, Precision: 5, MaxStaleness: time.Nanosecond,
+	res, err = queryMote(n, remote, query.Spec{
+		Type: query.Now, Precision: 5, MaxStaleness: time.Nanosecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -143,8 +144,8 @@ func TestFreshnessBoundSameDomainReplica(t *testing.T) {
 	n.Run(2 * time.Hour)
 
 	remote := radio.NodeID(motesPer + 1)
-	res, err := n.ExecuteWait(query.Query{
-		Type: query.Now, Mote: remote, Precision: 5, MaxStaleness: time.Nanosecond,
+	res, err := queryMote(n, remote, query.Spec{
+		Type: query.Now, Precision: 5, MaxStaleness: time.Nanosecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -158,8 +159,8 @@ func TestFreshnessBoundSameDomainReplica(t *testing.T) {
 	}
 
 	// And a loose bound serves from the replica's local view.
-	res, err = n.ExecuteWait(query.Query{
-		Type: query.Now, Mote: remote, Precision: 5, MaxStaleness: 24 * time.Hour,
+	res, err = queryMote(n, remote, query.Spec{
+		Type: query.Now, Precision: 5, MaxStaleness: 24 * time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -207,8 +208,8 @@ func TestFreshnessBoundPastTail(t *testing.T) {
 
 	// Unbounded tail query: the model's 25-degree bound satisfies the
 	// loose precision, so the proxy answers from its (stale) local view.
-	res, err := n.ExecuteWait(query.Query{
-		Type: query.Past, Mote: 1, T0: now - 30*simtime.Minute, T1: now, Precision: 30,
+	res, err := queryMote(n, 1, query.Spec{
+		Type: query.Past, T0: now - 30*simtime.Minute, T1: now, Precision: 30,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -222,8 +223,8 @@ func TestFreshnessBoundPastTail(t *testing.T) {
 
 	// The same window under a tight bound: the snapshot is hours old, so
 	// the proxy must pull instead of extrapolating the tail.
-	res, err = n.ExecuteWait(query.Query{
-		Type: query.Past, Mote: 1, T0: now - 30*simtime.Minute, T1: now, Precision: 30,
+	res, err = queryMote(n, 1, query.Spec{
+		Type: query.Past, T0: now - 30*simtime.Minute, T1: now, Precision: 30,
 		MaxStaleness: time.Second,
 	})
 	if err != nil {
@@ -246,8 +247,8 @@ func TestFreshnessBoundPastTail(t *testing.T) {
 	// A purely historical window (inside the streamed bootstrap) under the
 	// same tight bound: no overlap with now, so the archive serves as if
 	// unbounded.
-	res, err = n.ExecuteWait(query.Query{
-		Type: query.Past, Mote: 1, T0: 2 * simtime.Hour, T1: 4 * simtime.Hour, Precision: 0.5,
+	res, err = queryMote(n, 1, query.Spec{
+		Type: query.Past, T0: 2 * simtime.Hour, T1: 4 * simtime.Hour, Precision: 0.5,
 		MaxStaleness: time.Second,
 	})
 	if err != nil {
@@ -256,16 +257,17 @@ func TestFreshnessBoundPastTail(t *testing.T) {
 	if res.Answer.Source != proxy.FromArchive {
 		t.Fatalf("historical bounded query answered from %v, want archive", res.Answer.Source)
 	}
-	// AGG rides the same path.
-	res, err = n.ExecuteWait(query.Query{
-		Type: query.Agg, Agg: query.Mean, Mote: 1, T0: 2 * simtime.Hour, T1: 4 * simtime.Hour,
+	// AGG rides the same path: folded straight from the archive.
+	served := n.StoreStats().ArchiveServed
+	agg, err := n.Client().QueryOne(context.Background(), query.Spec{
+		Type: query.Agg, Agg: query.Mean, Select: query.SelectMotes(1), T0: 2 * simtime.Hour, T1: 4 * simtime.Hour,
 		Precision: 0.5, MaxStaleness: time.Second,
 	})
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || agg.Err != nil || agg.Count == 0 {
+		t.Fatalf("bounded AGG: %+v, err %v", agg, err)
 	}
-	if res.Answer.Source != proxy.FromArchive {
-		t.Fatalf("bounded AGG answered from %v, want archive", res.Answer.Source)
+	if got := n.StoreStats().ArchiveServed; got != served+1 {
+		t.Fatalf("bounded AGG not archive-served: ArchiveServed %d -> %d", served, got)
 	}
 }
 
@@ -321,8 +323,8 @@ func TestWaveletAgedArchiveConcurrentQueries(t *testing.T) {
 			for qi := 0; qi < 8; qi++ {
 				id := ids[(g+qi)%len(ids)]
 				t0 := simtime.Time(1+(g*8+qi)%8) * simtime.Hour
-				res, err := n.ExecuteWait(query.Query{
-					Type: query.Past, Mote: id, T0: t0, T1: t0 + simtime.Hour, Precision: 10,
+				res, err := queryMote(n, id, query.Spec{
+					Type: query.Past, T0: t0, T1: t0 + simtime.Hour, Precision: 10,
 				})
 				if err != nil {
 					errs <- err.Error()
@@ -393,9 +395,8 @@ func TestArchiveServesCoveredRange(t *testing.T) {
 			if _, err := n.Bootstrap(12*time.Hour, 24, 1.0); err != nil {
 				t.Fatal(err)
 			}
-			res, err := n.ExecuteWait(query.Query{
-				Type: query.Past, Mote: 1,
-				T0: 2 * simtime.Hour, T1: 6 * simtime.Hour, Precision: 0.5,
+			res, err := queryMote(n, 1, query.Spec{
+				Type: query.Past, T0: 2 * simtime.Hour, T1: 6 * simtime.Hour, Precision: 0.5,
 			})
 			if err != nil {
 				t.Fatal(err)

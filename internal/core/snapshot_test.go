@@ -79,12 +79,12 @@ func TestDomainSnapshotRestoreRoundTrip(t *testing.T) {
 	fresh.Run(11 * time.Minute)
 	for _, mid := range orig.MoteIDs() {
 		now := orig.Now()
-		q := query.Query{Type: query.Past, Mote: mid, T0: 0, T1: now, Precision: 0.5}
-		ra, err := orig.ExecuteWait(q)
+		q := query.Spec{Type: query.Past, T0: 0, T1: now, Precision: 0.5}
+		ra, err := queryMote(orig, mid, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := fresh.ExecuteWait(q)
+		rb, err := queryMote(fresh, mid, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,12 +183,12 @@ func TestAdoptDropDomain(t *testing.T) {
 	n.Run(9 * time.Minute)
 	twin.Run(9 * time.Minute)
 	for _, mid := range n.MoteIDs() {
-		q := query.Query{Type: query.Past, Mote: mid, T0: 0, T1: n.Now(), Precision: 0.5}
-		ra, err := n.ExecuteWait(q)
+		q := query.Spec{Type: query.Past, T0: 0, T1: n.Now(), Precision: 0.5}
+		ra, err := queryMote(n, mid, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := twin.ExecuteWait(q)
+		rb, err := queryMote(twin, mid, q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -66,7 +66,7 @@ func extrapolationCell(sc Scale, delta, precision float64) (e6Cell, error) {
 	for i := 0; i < queries; i++ {
 		// Random instant in the post-bootstrap window.
 		offset := simtime.Time(36*simtime.Hour) + simtime.Time(rng.Int63n(int64(47*simtime.Hour)))
-		res, err := n.ExecuteWait(query.Query{Type: query.Past, Mote: 1, T0: offset, T1: offset, Precision: precision})
+		res, err := queryMote(n, 1, query.Spec{Type: query.Past, T0: offset, T1: offset, Precision: precision})
 		if err != nil {
 			return e6Cell{}, err
 		}

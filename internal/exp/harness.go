@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"presto/internal/flash"
 	"presto/internal/gen"
 	"presto/internal/proxy"
+	"presto/internal/query"
 	"presto/internal/radio"
 	"presto/internal/simtime"
 )
@@ -154,4 +156,18 @@ func proxyViewRMSE(n *core.Network, mote radio.NodeID, t0, t1 simtime.Time) (flo
 		return 0, fmt.Errorf("exp: no answers for mote %d", mote)
 	}
 	return math.Sqrt(ss / float64(count)), nil
+}
+
+// queryMote poses a one-shot NOW or PAST spec against a single mote and
+// returns that mote's result.
+func queryMote(n *core.Network, mote radio.NodeID, spec query.Spec) (query.Result, error) {
+	spec.Select = query.SelectMotes(mote)
+	res, err := n.Client().QueryOne(context.Background(), spec)
+	if err != nil {
+		return query.Result{}, err
+	}
+	if len(res.Results) != 1 {
+		return query.Result{}, fmt.Errorf("exp: query on mote %d never completed", mote)
+	}
+	return res.Results[0], nil
 }

@@ -66,7 +66,7 @@ func latencyCell(sc Scale, traces []*gen.Trace, lpl time.Duration) (cacheL, pull
 	for i := 0; i < queries; i++ {
 		n.Run(time.Duration(1+rng.Intn(5)) * time.Minute)
 		// Cache/model path: precision >= delta.
-		res, err := n.ExecuteWait(query.Query{Type: query.Now, Mote: 1, Precision: 1.0})
+		res, err := queryMote(n, 1, query.Spec{Type: query.Now, Precision: 1.0})
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -76,7 +76,7 @@ func latencyCell(sc Scale, traces []*gen.Trace, lpl time.Duration) (cacheL, pull
 		if past < 0 {
 			past = 0
 		}
-		res, err = n.ExecuteWait(query.Query{Type: query.Past, Mote: 1, T0: past, T1: past, Precision: 0.05})
+		res, err = queryMote(n, 1, query.Spec{Type: query.Past, T0: past, T1: past, Precision: 0.05})
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -94,7 +94,7 @@ func latencyCell(sc Scale, traces []*gen.Trace, lpl time.Duration) (cacheL, pull
 	nd.Run(12 * time.Hour)
 	for i := 0; i < queries; i++ {
 		nd.Run(time.Duration(1+rng.Intn(5)) * time.Minute)
-		res, err := nd.ExecuteWait(query.Query{Type: query.Now, Mote: 1, Precision: 0})
+		res, err := queryMote(nd, 1, query.Spec{Type: query.Now, Precision: 0})
 		if err != nil {
 			return nil, nil, nil, err
 		}

@@ -76,7 +76,7 @@ func matchingCell(sc Scale, deadline time.Duration) ([]string, error) {
 	for i := 0; i < 20; i++ {
 		n.Run(time.Duration(30+rng.Intn(60)) * time.Minute)
 		past := n.Now() - simtime.Time(time.Duration(1+rng.Intn(120))*time.Minute)
-		res, err := n.ExecuteWait(query.Query{Type: query.Past, Mote: 1, T0: past, T1: past, Precision: 0.05})
+		res, err := queryMote(n, 1, query.Spec{Type: query.Past, T0: past, T1: past, Precision: 0.05})
 		if err != nil {
 			return nil, err
 		}

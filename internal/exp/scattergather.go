@@ -10,9 +10,9 @@ import (
 	"presto/internal/simtime"
 )
 
-// E14ScatterGather prices the declarative set-query path against the
-// legacy per-mote loop it replaces: "the mode of vibration across the
-// building" posed as one query.Spec costs a single engine submission —
+// E14ScatterGather prices a set-valued spec against the per-mote loop it
+// replaces: "the mode of vibration across the building" posed as one
+// N-mote query.Spec costs a single engine submission —
 // each owning domain computes a partial aggregate and a merge stage
 // combines them — where the loop pays one submission (and one
 // client-side round trip) per mote. The table reports both at 1 and 4
@@ -62,27 +62,33 @@ func scatterGatherRows(sc Scale, shards int) ([][]string, error) {
 	t0, t1 := now-3*simtime.Hour, now-simtime.Hour
 	ids := n.MoteIDs()
 
-	// Legacy loop: one engine submission per mote, flat-merged by hand.
+	// The loop: one single-mote spec (one engine submission) per mote,
+	// the per-mote means merged by hand, weighted by observation count.
+	c := n.Client()
+	spec := query.Spec{Type: query.Agg, T0: t0, T1: t1, Precision: 0.5, Agg: query.Mean}
 	before, _, _, _ := n.EngineStats()
-	flat := query.NewPartial(0.5)
+	var loopVal, loopBound float64
+	count := 0
 	for _, id := range ids {
-		res, err := n.ExecuteWait(query.Query{Type: query.Agg, Mote: id, T0: t0, T1: t1, Precision: 0.5, Agg: query.Mean})
+		one := spec
+		one.Select = query.SelectMotes(id)
+		res, err := c.QueryOne(context.Background(), one)
 		if err != nil {
 			return nil, err
 		}
-		flat.ObserveResult(res)
+		if res.Err != nil {
+			return nil, res.Err
+		}
+		loopVal += res.Value * float64(res.Count)
+		loopBound += res.ErrBound * float64(res.Count)
+		count += res.Count
 	}
 	mid, _, _, _ := n.EngineStats()
-	loopVal, loopBound, err := flat.Final(query.Mean)
-	if err != nil {
-		return nil, err
-	}
+	loopVal /= float64(count)
+	loopBound /= float64(count)
 
-	// Declarative spec: the same aggregate as one scatter-gather round.
-	c := n.Client()
-	res, err := c.QueryOne(context.Background(), query.Spec{
-		Type: query.Agg, T0: t0, T1: t1, Precision: 0.5, Agg: query.Mean,
-	})
+	// The same aggregate over all motes as one scatter-gather round.
+	res, err := c.QueryOne(context.Background(), spec)
 	if err != nil {
 		return nil, err
 	}

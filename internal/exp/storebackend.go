@@ -67,15 +67,15 @@ func storeBackendRow(sc Scale, backend string) ([]string, error) {
 	const queries = 60
 	for i := 0; i < queries; i++ {
 		id := ids[rng.Intn(len(ids))]
-		var q query.Query
+		var q query.Spec
 		if i%2 == 0 {
 			t0 := simtime.Time(2+rng.Intn(20)) * simtime.Hour
-			q = query.Query{Type: query.Past, Mote: id, T0: t0, T1: t0 + 4*simtime.Hour, Precision: 0.5}
+			q = query.Spec{Type: query.Past, T0: t0, T1: t0 + 4*simtime.Hour, Precision: 0.5}
 		} else {
 			at := simtime.Time(37+rng.Intn(20)) * simtime.Hour
-			q = query.Query{Type: query.Past, Mote: id, T0: at, T1: at, Precision: 0.5}
+			q = query.Spec{Type: query.Past, T0: at, T1: at, Precision: 0.5}
 		}
-		res, err := n.ExecuteWait(q)
+		res, err := queryMote(n, id, q)
 		if err != nil {
 			return nil, err
 		}

@@ -43,7 +43,7 @@ func Table1(sc Scale) (*Table, error) {
 		return buildNet(sc, 1, &preset, []*gen.Trace{tr}, 0)
 	}
 	nowLatency := func(n *core.Network, precision float64) (time.Duration, error) {
-		res, err := n.ExecuteWait(query.Query{Type: query.Now, Mote: 1, Precision: precision})
+		res, err := queryMote(n, 1, query.Spec{Type: query.Now, Precision: precision})
 		if err != nil {
 			return 0, err
 		}

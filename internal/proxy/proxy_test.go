@@ -147,6 +147,62 @@ func TestQueryTighterThanDeltaPulls(t *testing.T) {
 	}
 }
 
+func TestConcurrentColdPullsCoalesce(t *testing.T) {
+	// N back-to-back tight-precision queries on one cold mote must pay
+	// exactly one archive rendezvous whose response fans out to all.
+	r := newRig(t, nil, diurnalTrace(t, 2))
+	r.mote.Start()
+	r.sim.RunFor(4 * time.Hour)
+
+	const N = 8
+	at := 2 * simtime.Hour
+	answers := make([]Answer, 0, N)
+	for i := 0; i < N; i++ {
+		r.proxy.QueryRange(1, at, at, 0.01, func(a Answer) { answers = append(answers, a) })
+	}
+	r.sim.RunFor(time.Minute)
+	if len(answers) != N {
+		t.Fatalf("%d of %d queries completed", len(answers), N)
+	}
+	for i, a := range answers {
+		if a.Source != FromPull {
+			t.Fatalf("query %d source %v, want pull", i, a.Source)
+		}
+		if _, ok := a.Value(); !ok {
+			t.Fatalf("query %d: no value", i)
+		}
+	}
+	if served := r.mote.Stats().PullsServed; served != 1 {
+		t.Fatalf("mote served %d pulls for %d concurrent cold queries, want exactly 1", served, N)
+	}
+	if ps := r.proxy.Stats(); ps.PullsIssued != 1 || ps.PullsCoalesced != N-1 {
+		t.Fatalf("proxy issued=%d coalesced=%d, want 1 and %d", ps.PullsIssued, ps.PullsCoalesced, N-1)
+	}
+}
+
+func TestQueuedPullsMergeIntoOneFollowUp(t *testing.T) {
+	// Two disjoint cold ranges: the second cannot join the first
+	// rendezvous, so it queues and issues as one merged follow-up —
+	// two rendezvous total, not three.
+	r := newRig(t, nil, diurnalTrace(t, 2))
+	r.mote.Start()
+	r.sim.RunFor(6 * time.Hour)
+	done := 0
+	for _, at := range []simtime.Time{simtime.Hour, 3 * simtime.Hour, 4 * simtime.Hour} {
+		r.proxy.QueryRange(1, at, at, 0.01, func(Answer) { done++ })
+	}
+	r.sim.RunFor(time.Minute)
+	if done != 3 {
+		t.Fatalf("%d of 3 queries completed", done)
+	}
+	if served := r.mote.Stats().PullsServed; served != 2 {
+		t.Fatalf("mote served %d pulls, want 2 (first + merged follow-up)", served)
+	}
+	if queued := r.proxy.Stats().PullsQueued; queued != 2 {
+		t.Fatalf("queued=%d, want 2", queued)
+	}
+}
+
 func TestQueryRangeAssemblesEntries(t *testing.T) {
 	r := newRig(t, func(c *mote.Config) { c.Delta = 1.0 }, diurnalTrace(t, 2))
 	r.mote.Start()

@@ -144,44 +144,6 @@ type Result struct {
 // Latency returns the response time.
 func (r Result) Latency() time.Duration { return r.Answer.Latency() }
 
-// Execute runs a query against a proxy, invoking cb exactly once.
-//
-// Deprecated: Execute is the single-mote callback API kept for the store
-// routing layer and existing call sites. New code should pose a
-// query.Spec through core.Client, which adds mote sets, scatter-gather
-// aggregation and continuous queries on top of the same paths.
-func Execute(p *proxy.Proxy, q Query, cb func(Result)) error {
-	if err := q.Validate(); err != nil {
-		return err
-	}
-	switch q.Type {
-	case Now:
-		if q.MaxStaleness > 0 {
-			p.QueryNowBounded(q.Mote, q.Precision, q.MaxStaleness, func(a proxy.Answer) {
-				cb(Result{Query: q, Answer: a})
-			})
-			return nil
-		}
-		p.QueryNow(q.Mote, q.Precision, func(a proxy.Answer) {
-			cb(Result{Query: q, Answer: a})
-		})
-	case Past, Agg:
-		// QueryRangeBounded without a bound is exactly QueryRange; the
-		// bound only bites when the window tail overlaps "now".
-		p.QueryRangeBounded(q.Mote, q.T0, q.T1, q.Precision, q.MaxStaleness, func(a proxy.Answer) {
-			r := Result{Query: q, Answer: a}
-			if q.Type == Agg {
-				r.AggValue = Aggregate(q.Agg, a)
-				if len(a.Entries) == 0 {
-					r.Err = ErrEmptyAggregate
-				}
-			}
-			cb(r)
-		})
-	}
-	return nil
-}
-
 // Aggregate computes the operator over an answer's entries. The store uses
 // it to aggregate archive-served range answers without re-running the
 // proxy query path.

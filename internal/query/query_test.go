@@ -3,15 +3,9 @@ package query
 import (
 	"math"
 	"testing"
-	"time"
 
 	"presto/internal/cache"
-	"presto/internal/energy"
-	"presto/internal/flash"
-	"presto/internal/gen"
-	"presto/internal/mote"
 	"presto/internal/proxy"
-	"presto/internal/radio"
 	"presto/internal/simtime"
 )
 
@@ -82,94 +76,5 @@ func TestModeConstant(t *testing.T) {
 	a := proxy.Answer{Entries: []cache.Entry{{V: 7}, {V: 7}, {V: 7}}}
 	if got := Aggregate(Mode, a); got != 7 {
 		t.Errorf("constant mode=%v", got)
-	}
-}
-
-// End-to-end: execute all three query types against a real proxy+mote rig.
-func TestExecuteEndToEnd(t *testing.T) {
-	sim := simtime.New(1)
-	rcfg := radio.DefaultConfig()
-	rcfg.LossProb = 0
-	med, err := radio.NewMedium(sim, rcfg, energy.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := proxy.New(sim, med, proxy.DefaultConfig(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgGen := gen.DefaultTempConfig()
-	cfgGen.EventsPerDay = 0
-	traces, _ := gen.Temperature(cfgGen)
-	tr := traces[0]
-	mc := mote.DefaultConfig(1, 100)
-	mc.Flash = flash.Geometry{PageSize: 240, PagesPerBlock: 8, NumBlocks: 64}
-	mc.Delta = 1.0
-	m, err := mote.New(sim, med, energy.DefaultParams(), mc, func(ts simtime.Time) float64 { return tr.Value(ts) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Register(1, mc.SampleInterval, mc.Delta)
-	m.Start()
-	sim.RunFor(8 * time.Hour)
-
-	// NOW.
-	var nowRes Result
-	gotNow := false
-	if err := Execute(p, Query{Type: Now, Mote: 1, Precision: 1.5}, func(r Result) { nowRes = r; gotNow = true }); err != nil {
-		t.Fatal(err)
-	}
-	if !gotNow {
-		t.Fatal("NOW did not answer synchronously at loose precision")
-	}
-	v, ok := nowRes.Answer.Value()
-	if !ok || math.Abs(v-tr.Value(sim.Now())) > 1.6 {
-		t.Fatalf("NOW answer %v vs truth %v", v, tr.Value(sim.Now()))
-	}
-
-	// PAST with tight precision: requires a pull.
-	var pastRes Result
-	gotPast := false
-	q := Query{Type: Past, Mote: 1, T0: simtime.Hour, T1: 2 * simtime.Hour, Precision: 0.1}
-	if err := Execute(p, q, func(r Result) { pastRes = r; gotPast = true }); err != nil {
-		t.Fatal(err)
-	}
-	sim.RunFor(time.Minute)
-	if !gotPast {
-		t.Fatal("PAST never completed")
-	}
-	if len(pastRes.Answer.Entries) < 55 {
-		t.Fatalf("PAST entries %d", len(pastRes.Answer.Entries))
-	}
-	for _, e := range pastRes.Answer.Entries {
-		if math.Abs(e.V-tr.Value(e.T)) > 0.2 {
-			t.Fatalf("PAST entry at %v off by %v", e.T, math.Abs(e.V-tr.Value(e.T)))
-		}
-	}
-
-	// AGG mean over the same range.
-	var aggRes Result
-	gotAgg := false
-	qa := Query{Type: Agg, Mote: 1, T0: simtime.Hour, T1: 2 * simtime.Hour, Precision: 0.5, Agg: Mean}
-	if err := Execute(p, qa, func(r Result) { aggRes = r; gotAgg = true }); err != nil {
-		t.Fatal(err)
-	}
-	sim.RunFor(time.Minute)
-	if !gotAgg {
-		t.Fatal("AGG never completed")
-	}
-	var truthSum float64
-	n := 0
-	for tt := simtime.Hour; tt <= 2*simtime.Hour; tt += simtime.Minute {
-		truthSum += tr.Value(tt)
-		n++
-	}
-	if math.Abs(aggRes.AggValue-truthSum/float64(n)) > 0.5 {
-		t.Fatalf("AGG mean %v vs truth %v", aggRes.AggValue, truthSum/float64(n))
-	}
-
-	// Invalid query errors synchronously.
-	if err := Execute(p, Query{Type: Past, Mote: 1, T0: 5, T1: 1}, func(Result) {}); err == nil {
-		t.Fatal("invalid query accepted")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"presto/internal/cache"
-	"presto/internal/energy"
 	"presto/internal/proxy"
 	"presto/internal/radio"
 	"presto/internal/simtime"
@@ -165,38 +164,6 @@ func TestPartialEmptyAggregate(t *testing.T) {
 	}
 	if _, _, err := p.Final(AggKind(9)); err == nil || errors.Is(err, ErrEmptyAggregate) {
 		t.Fatalf("unknown kind: err=%v", err)
-	}
-}
-
-// TestExecuteFlagsEmptyAggregate pins the other half of the NaN bugfix:
-// an AGG result with no entries must carry ErrEmptyAggregate instead of
-// only a bare NaN. (Exercised through the proxy-free Answer path: an
-// unknown mote yields an empty answer.)
-func TestExecuteFlagsEmptyAggregate(t *testing.T) {
-	sim := simtime.New(1)
-	med, err := radio.NewMedium(sim, radio.DefaultConfig(), energy.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := proxy.New(sim, med, proxy.DefaultConfig(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res Result
-	got := false
-	q := Query{Type: Agg, Mote: 99, T0: 0, T1: simtime.Hour, Agg: Mean, Precision: 1}
-	if err := Execute(p, q, func(r Result) { res = r; got = true }); err != nil {
-		t.Fatal(err)
-	}
-	sim.RunFor(time.Minute)
-	if !got {
-		t.Fatal("AGG never completed")
-	}
-	if !errors.Is(res.Err, ErrEmptyAggregate) {
-		t.Fatalf("empty AGG Err=%v, want ErrEmptyAggregate", res.Err)
-	}
-	if !math.IsNaN(res.AggValue) {
-		t.Fatalf("empty AGG value %v, want NaN", res.AggValue)
 	}
 }
 

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -106,7 +107,7 @@ func TestArchiveAnswerNoDuplicateEntries(t *testing.T) {
 	// adjacent slots nearest to the same archived record; the answer must
 	// contain that record once, not once per slot.
 	ix := index.New(1)
-	st := New(ix)
+	st := New(ix, 0)
 	st.AdoptMote(1, 0, time.Minute)
 	base := 10 * simtime.Minute
 	must := func(err error) {
@@ -117,9 +118,9 @@ func TestArchiveAnswerNoDuplicateEntries(t *testing.T) {
 	must(st.Backend().Append(1, Record{T: base - simtime.Minute, V: 1}))
 	must(st.Backend().Append(1, Record{T: base + simtime.Minute/2, V: 2}))
 	var got *query.Result
-	err := st.Execute(query.Query{
+	_, err := st.Execute(query.Query{
 		Type: query.Past, Mote: 1, T0: base, T1: base + simtime.Minute, Precision: 0.1,
-	}, func(r query.Result) { got = &r })
+	}, nil, nil, func(r query.Result) { got = &r })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,6 +282,29 @@ func TestFlashBackendCompactionUnevenInterleave(t *testing.T) {
 	})
 }
 
+// moteLessRig is a store routing mote 1 (one-minute samples) to a proxy
+// that has registered it but has no mote on the medium: the archive is
+// whatever the test appends, and every pull the proxy pays times out.
+func moteLessRig(t *testing.T) (*simtime.Simulator, *proxy.Proxy, *Store) {
+	t.Helper()
+	sim := simtime.New(1)
+	rcfg := radio.DefaultConfig()
+	rcfg.LossProb = 0
+	med, err := radio.NewMedium(sim, rcfg, energy.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := New(index.New(1), 0)
+	p, err := proxy.New(sim, med, proxy.DefaultConfig(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.AddProxy(0, p, true)
+	p.Register(1, time.Minute, 1.0)
+	st.AdoptMote(1, 0, time.Minute)
+	return sim, p, st
+}
+
 func TestArchiveDeclinesStaleTail(t *testing.T) {
 	// A freshness-bounded PAST query whose window tail overlaps "now" must
 	// not be served from an archive whose newest record is staler than the
@@ -289,22 +313,7 @@ func TestArchiveDeclinesStaleTail(t *testing.T) {
 	// moved past the bound). The decline falls through to the proxy path,
 	// which pays the rendezvous (here: times out, as no real mote is
 	// attached).
-	sim := simtime.New(1)
-	rcfg := radio.DefaultConfig()
-	rcfg.LossProb = 0
-	med, err := radio.NewMedium(sim, rcfg, energy.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix := index.New(1)
-	st := New(ix)
-	p, err := proxy.New(sim, med, proxy.DefaultConfig(1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.AddProxy(0, p, true)
-	p.Register(1, time.Minute, 1.0)
-	st.AdoptMote(1, 0, time.Minute)
+	sim, p, st := moteLessRig(t)
 	// Archive minute records through 59, plus one at 59.5 min: the slot
 	// grid of [30m, 60m] is fully covered (slot 60 by the 59.5m record),
 	// but the archive's knowledge horizon is 59.5m.
@@ -321,10 +330,10 @@ func TestArchiveDeclinesStaleTail(t *testing.T) {
 	run := func(maxStale time.Duration) (query.Result, bool) {
 		var res query.Result
 		done := false
-		err := st.Execute(query.Query{
+		_, err := st.Execute(query.Query{
 			Type: query.Past, Mote: 1, T0: 30 * simtime.Minute, T1: 60 * simtime.Minute,
 			Precision: 1, MaxStaleness: maxStale,
-		}, func(r query.Result) { res = r; done = true })
+		}, nil, nil, func(r query.Result) { res = r; done = true })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,6 +373,76 @@ func TestArchiveDeclinesStaleTail(t *testing.T) {
 	}
 	if rs := st.RoutingStats(); rs.ArchiveStale != 1 || rs.ArchiveServed != 2 {
 		t.Fatalf("final routing stats %+v", rs)
+	}
+}
+
+func TestAggFoldConsultsArchiveOnce(t *testing.T) {
+	// An AGG mote routed with a fold target is routed once: when the
+	// archive serves it the records fold bit-identically to materializing
+	// the answer and observing it; when the archive declines — a span it
+	// cannot cover, or a stale tail — the same call goes on to the proxy,
+	// having read the backend once, not once for the fold attempt and
+	// again for the fallback.
+	sim, _, st := moteLessRig(t)
+	// Minute records 0..60 with minute 45 missing: [10m, 40m] is covered,
+	// [30m, 60m] passes the newest-record pre-check but has a hole.
+	for i := 0; i <= 60; i++ {
+		if i == 45 {
+			continue
+		}
+		r := Record{T: simtime.Time(i) * simtime.Minute, V: 20 + float64(i)/3, ErrBound: float64(i%4) / 10}
+		if err := st.Backend().Append(1, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sim.RunFor(61 * time.Minute)
+	agg := func(t0, t1 simtime.Time, stale time.Duration) query.Query {
+		return query.Query{Type: query.Agg, Agg: query.Mean, Mote: 1, T0: t0, T1: t1, Precision: 1, MaxStaleness: stale}
+	}
+
+	// Served: fold == materialize-then-observe, bit for bit.
+	covered := agg(10*simtime.Minute, 40*simtime.Minute, 0)
+	want := query.NewPartial(1)
+	if _, err := st.Execute(covered, nil, nil, want.ObserveResult); err != nil {
+		t.Fatal(err)
+	}
+	got := query.NewPartial(1)
+	folded, err := st.Execute(covered, &got, nil, func(query.Result) { t.Error("folded query also called back") })
+	if err != nil || !folded {
+		t.Fatalf("covered AGG: folded=%v err=%v", folded, err)
+	}
+	if want.Count != 31 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("fold %+v differs from materialized %+v", got, want)
+	}
+
+	// Declined for coverage: one range scan, then the proxy.
+	answers := 0
+	before := st.BackendStats()
+	fold := query.NewPartial(1)
+	folded, err = st.Execute(agg(30*simtime.Minute, 60*simtime.Minute, 0), &fold, nil, func(query.Result) { answers++ })
+	if err != nil || folded {
+		t.Fatalf("uncoverable AGG: folded=%v err=%v", folded, err)
+	}
+	if !reflect.DeepEqual(fold, query.NewPartial(1)) {
+		t.Fatalf("declined fold touched the partial: %+v", fold)
+	}
+	after := st.BackendStats()
+	if scans, latest := after.QueryRanges-before.QueryRanges, after.LatestReads-before.LatestReads; scans != 1 || latest != 1 {
+		t.Fatalf("declined AGG read the backend %d range scans / %d latest reads, want 1 / 1", scans, latest)
+	}
+
+	// Declined for a stale tail (newest record 60m, now 61m, bound 30s):
+	// counted once.
+	folded, err = st.Execute(agg(30*simtime.Minute, 61*simtime.Minute, 30*time.Second), &fold, nil, func(query.Result) { answers++ })
+	if err != nil || folded {
+		t.Fatalf("stale-tail AGG: folded=%v err=%v", folded, err)
+	}
+	if rs := st.RoutingStats(); rs.ArchiveStale != 1 || rs.Routed != 2 || rs.ArchiveServed != 2 {
+		t.Fatalf("routing stats %+v, want ArchiveStale 1, Routed 2, ArchiveServed 2", rs)
+	}
+	sim.RunFor(time.Hour) // no mote attached: the proxy's pulls time out
+	if answers != 2 {
+		t.Fatalf("declined queries answered %d times through the proxy, want 2", answers)
 	}
 }
 

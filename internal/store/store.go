@@ -51,26 +51,26 @@ type Store struct {
 	backend   Backend
 	intervals map[radio.NodeID]simtime.Time // per-mote sample interval
 
-	// scratch is the reusable record buffer for the aggregate push-down
-	// path (ExecuteFold); scratchVisit is the append closure bound once so
+	// scratch is the reusable record buffer for archive range reads;
+	// scratchVisit is the append closure bound once so
 	// the per-query ScanRange call allocates nothing. Stores are confined
 	// to their shard worker, so a single buffer suffices.
 	scratch      []Record
 	scratchVisit func(Record)
 
-	// tr is the trace of the query currently executing, set by the owning
-	// worker around Execute/ExecuteFold via SetTrace. Worker-confined like
-	// scratch; nil (the overwhelmingly common case) costs one branch.
-	tr       *obs.Trace
-	trDomain int
+	// domain is the global index of the simulation domain this store
+	// serves; routing decisions annotated onto a query's trace carry it.
+	domain int
 
 	rstats RoutingStats
 }
 
-// New creates a store over an index with an in-memory archive backend.
-func New(ix *index.Index) *Store {
+// New creates the store of global simulation domain `domain` over an
+// index, with an in-memory archive backend.
+func New(ix *index.Index, domain int) *Store {
 	s := &Store{
 		ix:        ix,
+		domain:    domain,
 		proxies:   make(map[index.ProxyID]*proxy.Proxy),
 		backend:   NewMemBackend(),
 		intervals: make(map[radio.NodeID]simtime.Time),
@@ -126,12 +126,6 @@ func (s *Store) AdoptMote(m radio.NodeID, id index.ProxyID, sampleInterval time.
 // Index exposes the underlying distributed index.
 func (s *Store) Index() *index.Index { return s.ix }
 
-// SetTrace installs (or, with nil, clears) the trace the next
-// Execute/ExecuteFold calls annotate their routing decisions into,
-// tagged with the caller's global domain index. Must be called from the
-// worker that owns this store, bracketing the query it traces.
-func (s *Store) SetTrace(tr *obs.Trace, domain int) { s.tr, s.trDomain = tr, domain }
-
 // routeKindFor maps a proxy answer source onto the trace vocabulary.
 func routeKindFor(src proxy.Source) obs.RouteKind {
 	switch src {
@@ -162,7 +156,12 @@ func (s *Store) replica(pid index.ProxyID) (*proxy.Proxy, bool) {
 	return rp, ok
 }
 
-// Execute routes and runs a query; cb fires exactly once.
+// Execute routes and runs one query. Its answer arrives exactly once:
+// through cb — synchronously, or later from the owning kernel when the
+// proxy pays a mote rendezvous — or, for an AGG query given a fold target
+// whose span the archive serves, folded straight into that partial
+// (folded=true, cb never called). tr, when non-nil, collects the routing
+// decision where it is made.
 //
 // NOW queries are offered to the managing proxy's wired replica first
 // (Section 5's low-latency replication) — unless the query carries a
@@ -171,18 +170,25 @@ func (s *Store) replica(pid index.ProxyID) (*proxy.Proxy, bool) {
 //
 // PAST and AGG queries are served from the domain's archive backend when
 // the archived records cover every sample slot of the span within the
-// requested precision; only uncovered spans reach the proxy query path.
-// A freshness bound applies to them too when the window tail overlaps
-// "now": an archive whose newest record for the mote is staler than
-// MaxStaleness declines (ArchiveStale), and the proxy path pays the
-// rendezvous (proxy.QueryRangeBounded).
-func (s *Store) Execute(q query.Query, cb func(query.Result)) error {
+// requested precision; only uncovered spans reach the proxy query path,
+// and the archive is consulted once either way. A freshness bound applies
+// to them too when the window tail overlaps "now": an archive whose
+// newest record for the mote is staler than MaxStaleness declines
+// (ArchiveStale), and the proxy path pays the rendezvous
+// (proxy.QueryRangeBounded).
+//
+// The fold is the aggregate push-down: the slot records go into the
+// partial in exactly the order entry materialization plus ObserveResult
+// would have produced, so the float accumulation is bit-identical —
+// without building an Answer or a Result. A declined or uncovered span
+// leaves the partial untouched.
+func (s *Store) Execute(q query.Query, fold *query.Partial, tr *obs.Trace, cb func(query.Result)) (folded bool, err error) {
 	pid, err := s.ix.ProxyFor(q.Mote)
 	if err != nil {
-		return err
+		return false, err
 	}
 	if err := q.Validate(); err != nil {
-		return err
+		return false, err
 	}
 	switch q.Type {
 	case query.Now:
@@ -190,46 +196,92 @@ func (s *Store) Execute(q query.Query, cb func(query.Result)) error {
 			s.rstats.ReplicaRouted++ // replica was tried (the routing decision)
 			if q.MaxStaleness > 0 && !rp.FreshWithin(q.Mote, rp.Now(), q.MaxStaleness) {
 				s.rstats.ReplicaStale++
-				s.tr.Route(int64(q.Mote), s.trDomain, obs.RouteStaleBypass)
+				tr.Route(int64(q.Mote), s.domain, obs.RouteStaleBypass)
 				break // snapshot too stale: fall through to the managing proxy
 			}
 			if a, ok := rp.QueryLocal(q.Mote, rp.Now(), q.Precision); ok {
-				s.tr.Route(int64(q.Mote), s.trDomain, obs.RouteReplicaHit)
+				tr.Route(int64(q.Mote), s.domain, obs.RouteReplicaHit)
 				cb(query.Result{Query: q, Answer: a})
-				return nil
+				return false, nil
 			}
 		}
 	case query.Past, query.Agg:
-		if a, ok := s.archiveAnswer(q, pid); ok {
-			s.rstats.ArchiveServed++
-			s.tr.Route(int64(q.Mote), s.trDomain, obs.RouteArchiveHit)
-			res := query.Result{Query: q, Answer: a}
-			if q.Type == query.Agg {
-				res.AggValue = query.Aggregate(q.Agg, a)
-				if len(a.Entries) == 0 {
-					res.Err = query.ErrEmptyAggregate
-				}
-			}
-			cb(res)
-			return nil
+		recs, step, ok := s.archiveRecords(q, pid, tr)
+		if !ok {
+			break
 		}
+		folding := fold != nil && q.Type == query.Agg
+		var a proxy.Answer
+		if folding {
+			// Coverage first, fold after: fold must stay untouched unless
+			// the whole span is covered, and a fold into a temporary merged
+			// after the fact would change the float accumulation order. The
+			// records are already in scratch, so the second walk is cache-hot.
+			ok = slotCover(recs, q.T0, q.T1, step, q.Precision, nil)
+		} else {
+			a, ok = s.archiveAnswer(q, pid, recs, step)
+		}
+		if !ok {
+			break
+		}
+		s.rstats.ArchiveServed++
+		tr.Route(int64(q.Mote), s.domain, obs.RouteArchiveHit)
+		if !folding {
+			cb(rangeResult(q, a))
+			return false, nil
+		}
+		slotCover(recs, q.T0, q.T1, step, q.Precision, func(r Record) {
+			fold.Observe(r.V, r.ErrBound)
+		})
+		return true, nil
 	}
 	p, ok := s.proxies[pid]
 	if !ok {
-		return fmt.Errorf("store: proxy %d not attached", pid)
+		return false, fmt.Errorf("store: proxy %d not attached", pid)
 	}
 	s.rstats.Routed++
-	if s.tr != nil {
-		// The proxy decides cache/model/rendezvous, possibly after a pull
-		// resolves; wrap cb so the decision lands on the trace when it is
-		// actually made. The closure allocates only on the traced path.
-		tr, dom, inner := s.tr, s.trDomain, cb
-		cb = func(r query.Result) {
-			tr.Route(int64(q.Mote), dom, routeKindFor(r.Answer.Source))
-			inner(r)
+	done := s.routeTraced(q, tr, cb) // assigned once: the closures below capture it by value
+	switch q.Type {
+	case query.Now:
+		// Without a bound QueryNowBounded is exactly QueryNow.
+		p.QueryNowBounded(q.Mote, q.Precision, q.MaxStaleness, func(a proxy.Answer) {
+			done(query.Result{Query: q, Answer: a})
+		})
+	case query.Past, query.Agg:
+		// QueryRangeBounded without a bound is exactly QueryRange; the
+		// bound only bites when the window tail overlaps "now".
+		p.QueryRangeBounded(q.Mote, q.T0, q.T1, q.Precision, q.MaxStaleness, func(a proxy.Answer) {
+			done(rangeResult(q, a))
+		})
+	}
+	return false, nil
+}
+
+// routeTraced wraps cb so the proxy's decision — cache, model or
+// rendezvous, possibly made only after a pull resolves — lands on the
+// trace when it is actually made. Untraced queries get cb back: the
+// wrapper allocates only on the traced path.
+func (s *Store) routeTraced(q query.Query, tr *obs.Trace, cb func(query.Result)) func(query.Result) {
+	if tr == nil {
+		return cb
+	}
+	return func(r query.Result) {
+		tr.Route(int64(q.Mote), s.domain, routeKindFor(r.Answer.Source))
+		cb(r)
+	}
+}
+
+// rangeResult completes a PAST/AGG query from its answer: an AGG carries
+// the computed aggregate, flagged when the window held no observations.
+func rangeResult(q query.Query, a proxy.Answer) query.Result {
+	res := query.Result{Query: q, Answer: a}
+	if q.Type == query.Agg {
+		res.AggValue = query.Aggregate(q.Agg, a)
+		if len(a.Entries) == 0 {
+			res.Err = query.ErrEmptyAggregate
 		}
 	}
-	return query.Execute(p, q, cb)
+	return res
 }
 
 // archiveRecords runs the archive-serving gates for a range query and,
@@ -238,7 +290,7 @@ func (s *Store) Execute(q query.Query, cb func(query.Result)) error {
 // through the allocating QueryRange. Returns ok=false when the archive
 // must decline (no backend, unknown interval, stale tail, uncoverable
 // span, or nothing archived).
-func (s *Store) archiveRecords(q query.Query, pid index.ProxyID) ([]Record, simtime.Time, bool) {
+func (s *Store) archiveRecords(q query.Query, pid index.ProxyID, tr *obs.Trace) ([]Record, simtime.Time, bool) {
 	if s.backend == nil {
 		return nil, 0, false
 	}
@@ -259,7 +311,7 @@ func (s *Store) archiveRecords(q query.Query, pid index.ProxyID) ([]Record, simt
 			if q.T1+simtime.Time(q.MaxStaleness) >= now {
 				if last, ok := s.backend.Latest(q.Mote); !ok || now-last.T > simtime.Time(q.MaxStaleness) {
 					s.rstats.ArchiveStale++
-					s.tr.Route(int64(q.Mote), s.trDomain, obs.RouteStaleBypass)
+					tr.Route(int64(q.Mote), s.domain, obs.RouteStaleBypass)
 					return nil, 0, false
 				}
 			}
@@ -343,15 +395,11 @@ func slotCover(recs []Record, t0, t1, step simtime.Time, precision float64, emit
 	return true
 }
 
-// archiveAnswer tries to satisfy a range query wholly from the archive
-// backend: it succeeds when every sample slot in [T0, T1] has an archived
+// archiveAnswer materializes a range query's answer from the archive's
+// candidate records: it succeeds when every sample slot in [T0, T1] has a
 // record within half a sample interval whose error bound meets the
 // precision.
-func (s *Store) archiveAnswer(q query.Query, pid index.ProxyID) (proxy.Answer, bool) {
-	recs, step, ok := s.archiveRecords(q, pid)
-	if !ok {
-		return proxy.Answer{}, false
-	}
+func (s *Store) archiveAnswer(q query.Query, pid index.ProxyID, recs []Record, step simtime.Time) (proxy.Answer, bool) {
 	var entries []cache.Entry
 	covered := slotCover(recs, q.T0, q.T1, step, q.Precision, func(r Record) {
 		entries = append(entries, cache.Entry{T: r.T, V: r.V, Source: cache.Pulled, ErrBound: r.ErrBound})
@@ -372,45 +420,6 @@ func (s *Store) archiveAnswer(q query.Query, pid index.ProxyID) (proxy.Answer, b
 	}, true
 }
 
-// ExecuteFold is the aggregate push-down fast path: when the archive can
-// serve an AGG query's whole span within precision, the slot records
-// fold straight into p — in exactly the order Execute's entry
-// materialization plus ObserveResult would have produced, so the float
-// accumulation is bit-identical — without building an Answer, a Result,
-// or a per-mote callback. done=false with a nil error means the archive
-// declined (and p is untouched): the caller must route the query through
-// Execute and pay the proxy path. A non-nil error is the same routing or
-// validation failure Execute would have returned.
-func (s *Store) ExecuteFold(q query.Query, p *query.Partial) (done bool, err error) {
-	pid, err := s.ix.ProxyFor(q.Mote)
-	if err != nil {
-		return false, err
-	}
-	if err := q.Validate(); err != nil {
-		return false, err
-	}
-	if q.Type != query.Agg {
-		return false, nil
-	}
-	recs, step, ok := s.archiveRecords(q, pid)
-	if !ok {
-		return false, nil
-	}
-	// Two passes: p must stay untouched unless the whole span is covered,
-	// and a fold into a temporary merged after the fact would change the
-	// float accumulation order. The records are already in scratch, so the
-	// second walk is cache-hot.
-	if !slotCover(recs, q.T0, q.T1, step, q.Precision, nil) {
-		return false, nil
-	}
-	slotCover(recs, q.T0, q.T1, step, q.Precision, func(r Record) {
-		p.Observe(r.V, r.ErrBound)
-	})
-	s.rstats.ArchiveServed++
-	s.tr.Route(int64(q.Mote), s.trDomain, obs.RouteArchiveHit)
-	return true, nil
-}
-
 // Detections returns the globally time-ordered detection stream in
 // [t0, t1] across all proxies.
 func (s *Store) Detections(t0, t1 simtime.Time) []index.Detection {
@@ -420,14 +429,6 @@ func (s *Store) Detections(t0, t1 simtime.Time) []index.Detection {
 // Publish adds a detection to the global index on behalf of a proxy.
 func (s *Store) Publish(d index.Detection) error {
 	return s.ix.PublishDetection(d)
-}
-
-// Stats reports the legacy routing counters: queries routed to managing
-// proxies, and queries offered to a wired replica (whether or not the
-// replica could answer within precision). See RoutingStats for the full
-// set.
-func (s *Store) Stats() (routed, replicaRouted uint64) {
-	return s.rstats.Routed, s.rstats.ReplicaRouted
 }
 
 // RoutingStats reports the store's routing and serving counters.

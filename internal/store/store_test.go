@@ -31,7 +31,7 @@ func newRig(t *testing.T) *rig {
 		t.Fatal(err)
 	}
 	ix := index.New(2)
-	st := New(ix)
+	st := New(ix, 0)
 	traces, _ := gen.Temperature(gen.DefaultTempConfig())
 	for pi := 0; pi < 2; pi++ {
 		pid := radio.NodeID(1000 + pi)
@@ -60,7 +60,7 @@ func TestRouting(t *testing.T) {
 	r := newRig(t)
 	for _, id := range []radio.NodeID{1, 2} {
 		done := false
-		err := r.st.Execute(query.Query{Type: query.Now, Mote: id, Precision: 2}, func(res query.Result) {
+		_, err := r.st.Execute(query.Query{Type: query.Now, Mote: id, Precision: 2}, nil, nil, func(res query.Result) {
 			done = true
 			if res.Answer.Mote != id {
 				t.Errorf("answer for wrong mote: %d", res.Answer.Mote)
@@ -74,15 +74,14 @@ func TestRouting(t *testing.T) {
 			t.Fatalf("query to mote %d never completed", id)
 		}
 	}
-	routed, replica := r.st.Stats()
-	if routed != 2 || replica != 0 {
-		t.Fatalf("routing stats %d/%d", routed, replica)
+	if rs := r.st.RoutingStats(); rs.Routed != 2 || rs.ReplicaRouted != 0 {
+		t.Fatalf("routing stats %+v", rs)
 	}
 }
 
 func TestUnknownMote(t *testing.T) {
 	r := newRig(t)
-	if err := r.st.Execute(query.Query{Type: query.Now, Mote: 99}, func(query.Result) {}); err == nil {
+	if _, err := r.st.Execute(query.Query{Type: query.Now, Mote: 99}, nil, nil, func(query.Result) {}); err == nil {
 		t.Fatal("unknown mote routed")
 	}
 }
@@ -92,14 +91,13 @@ func TestReplicaPreferred(t *testing.T) {
 	// Declare proxy 0 (wired) as replica of proxy 1 (wireless): queries
 	// for mote 2 now route to proxy 0. Proxy 0 does not manage mote 2,
 	// so the query returns empty — what matters here is the routing
-	// decision, which Stats exposes.
+	// decision, which RoutingStats exposes.
 	if err := r.st.Index().SetReplica(1, 0); err != nil {
 		t.Fatal(err)
 	}
-	r.st.Execute(query.Query{Type: query.Now, Mote: 2, Precision: 2}, func(query.Result) {})
-	_, replica := r.st.Stats()
-	if replica != 1 {
-		t.Fatalf("replica routing not used: %d", replica)
+	r.st.Execute(query.Query{Type: query.Now, Mote: 2, Precision: 2}, nil, nil, func(query.Result) {})
+	if rs := r.st.RoutingStats(); rs.ReplicaRouted != 1 {
+		t.Fatalf("replica routing not used: %+v", rs)
 	}
 }
 
