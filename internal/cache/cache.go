@@ -17,6 +17,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -109,20 +110,20 @@ func (s *Series) InsertBatch(es []Entry) {
 // At returns the entry nearest to t within maxGap, preferring the closest
 // timestamp and breaking ties toward the earlier entry.
 func (s *Series) At(t simtime.Time, maxGap time.Duration) (Entry, bool) {
-	if len(s.entries) == 0 {
+	return nearest(s.entries, s.find(t), t, maxGap)
+}
+
+// nearest picks between entries[i-1] and entries[i], where i is the index
+// of the first entry with T >= t.
+func nearest(entries []Entry, i int, t simtime.Time, maxGap time.Duration) (Entry, bool) {
+	if len(entries) == 0 {
 		return Entry{}, false
 	}
-	i := s.find(t)
-	best := -1
-	if i < len(s.entries) {
-		best = i
+	best := i
+	if i == len(entries) || (i > 0 && t-entries[i-1].T <= entries[i].T-t) {
+		best = i - 1
 	}
-	if i > 0 {
-		if best == -1 || t-s.entries[i-1].T <= s.entries[i].T-t {
-			best = i - 1
-		}
-	}
-	e := s.entries[best]
+	e := entries[best]
 	gap := e.T - t
 	if gap < 0 {
 		gap = -gap
@@ -131,6 +132,61 @@ func (s *Series) At(t simtime.Time, maxGap time.Duration) (Entry, bool) {
 		return Entry{}, false
 	}
 	return e, true
+}
+
+// Cursor reads a series along a query's ascending slot grid: At is
+// Series.At, Shared is the model's shared history, but the position in
+// the entries and the history window only ever move forward, so a window
+// of N slots costs O(N + entries) and allocates nothing. The times passed
+// to one cursor must not decrease, and the series must not change while
+// the cursor is in use.
+type Cursor struct {
+	entries []Entry
+	next    int // first entry with T >= the last time passed to At
+	seen    int // entries[:seen] have been offered to the shared window
+	limit   int
+	shared  []model.Record
+}
+
+// Cursor starts a walk at t0. The shared-history window holds at most
+// limit records and lives in buf, which the caller owns and may reuse
+// once the cursor is done (capacity >= limit keeps it off the heap).
+func (s *Series) Cursor(t0 simtime.Time, limit int, buf []model.Record) Cursor {
+	c := Cursor{entries: s.entries, next: s.find(t0), limit: limit, shared: buf[:0]}
+	c.seen = c.next
+	for i := c.next - 1; i >= 0 && len(c.shared) < limit; i-- {
+		if e := s.entries[i]; e.Source != Predicted {
+			c.shared = append(c.shared, model.Record{T: e.T, V: e.V})
+		}
+	}
+	slices.Reverse(c.shared)
+	return c
+}
+
+// At is Series.At for the next slot.
+func (c *Cursor) At(t simtime.Time, maxGap time.Duration) (Entry, bool) {
+	for c.next < len(c.entries) && c.entries[c.next].T < t {
+		c.next++
+	}
+	return nearest(c.entries, c.next, t, maxGap)
+}
+
+// Shared returns the last <= limit confirmed entries with T <= t as model
+// records, oldest first — the shared history a prediction at t keys off
+// (see internal/model). The slice is the cursor's buffer: it is
+// overwritten by the next call.
+func (c *Cursor) Shared(t simtime.Time) []model.Record {
+	for ; c.seen < len(c.entries) && c.entries[c.seen].T <= t; c.seen++ {
+		e := c.entries[c.seen]
+		if e.Source == Predicted || c.limit <= 0 {
+			continue
+		}
+		if len(c.shared) == c.limit {
+			c.shared = c.shared[:copy(c.shared, c.shared[1:])]
+		}
+		c.shared = append(c.shared, model.Record{T: e.T, V: e.V})
+	}
+	return c.shared
 }
 
 // Range returns entries with t0 <= T <= t1 in time order.
@@ -155,26 +211,6 @@ func (s *Series) LastConfirmed() (Entry, bool) {
 		}
 	}
 	return Entry{}, false
-}
-
-// ConfirmedBefore returns up to limit confirmed entries with T <= t as
-// model records (oldest first), for use as prediction shared history.
-func (s *Series) ConfirmedBefore(t simtime.Time, limit int) []model.Record {
-	if limit <= 0 {
-		return nil
-	}
-	var out []model.Record
-	hi := s.find(t + 1)
-	for i := hi - 1; i >= 0 && len(out) < limit; i-- {
-		if s.entries[i].Source != Predicted {
-			out = append(out, model.Record{T: s.entries[i].T, V: s.entries[i].V})
-		}
-	}
-	// Reverse to oldest-first.
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
-	return out
 }
 
 // ConfirmedRange returns confirmed entries in [t0, t1] as model records,

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"presto/internal/model"
 	"presto/internal/simtime"
 )
 
@@ -147,17 +148,22 @@ func TestConfirmedBefore(t *testing.T) {
 		}
 		s.Insert(Entry{T: simtime.Time(i) * simtime.Minute, V: float64(i), Source: src})
 	}
-	got := s.ConfirmedBefore(5*simtime.Minute, 10)
+	// The point-query use of the cursor: opened at t, asked once.
+	shared := func(t simtime.Time, limit int) []model.Record {
+		c := s.Cursor(t, limit, nil)
+		return c.Shared(t)
+	}
+	got := shared(5*simtime.Minute, 10)
 	// Confirmed at 1,3,5 -> oldest first.
 	if len(got) != 3 || got[0].V != 1 || got[2].V != 5 {
-		t.Fatalf("ConfirmedBefore=%+v", got)
+		t.Fatalf("Shared=%+v", got)
 	}
-	got = s.ConfirmedBefore(5*simtime.Minute, 2)
+	got = shared(5*simtime.Minute, 2)
 	if len(got) != 2 || got[0].V != 3 || got[1].V != 5 {
 		t.Fatalf("limit wrong: %+v", got)
 	}
-	if got := s.ConfirmedBefore(simtime.Hour, 0); got != nil {
-		t.Fatal("limit 0 should be nil")
+	if got := shared(simtime.Hour, 0); len(got) != 0 {
+		t.Fatalf("limit 0 should be empty, got %+v", got)
 	}
 }
 

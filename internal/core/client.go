@@ -28,64 +28,48 @@ import (
 	"presto/internal/simtime"
 )
 
-// specTargets resolves a spec's selector against the deployment and
-// groups the target motes by owning shard, preserving global mote order
-// within each group.
-func (n *Network) specTargets(spec query.Spec) (map[*shard][]radio.NodeID, error) {
-	targets := spec.Select.Resolve(n.MoteIDs())
+// resolveRuns resolves a spec's selector against the hosted motes and
+// groups the targets by owning shard (see groupRuns). The all-motes
+// selector is the cached id list itself — no copy per submission.
+func (n *Network) resolveRuns(spec query.Spec) ([]shardRun, error) {
+	targets := n.moteIDs
+	if len(spec.Select.Motes) > 0 || spec.Select.Where != nil {
+		targets = spec.Select.Resolve(targets)
+	}
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("core: %w", query.ErrNoMotes)
 	}
-	groups := make(map[*shard][]radio.NodeID)
-	for _, m := range targets {
-		s, err := n.shardFor(m)
-		if err != nil {
-			return nil, err
-		}
-		groups[s] = append(groups[s], m)
-	}
-	return groups, nil
+	return n.groupRuns(targets)
 }
 
-// gatherSpec runs on a shard worker: it routes every target mote's query
-// through the domain's unified store — once per mote — and folds the
-// answers into one RoundPartial, handed to deliver (on this worker) when
-// the last answer lands. AGG motes whose spans the archive covers within
-// precision fold straight into the partial inside the store (aggregate
-// push-down: no Answer, no Result); everything else comes back through
-// the round's one callback. Answers that need a mote rendezvous resolve
-// while the worker settles (or during the remaining chunks of an
-// in-progress advance); the per-domain pull coalescing applies across
-// the motes of the round as usual. When tr is non-nil the store
-// annotates every routing decision onto it as it is made; nil tr — the
-// common case — adds one predictable branch per query.
+// gatherSpec runs on a shard worker: it hands the round's motes to the
+// domain's unified store in one call and collects the answers into one
+// RoundPartial, handed to deliver (on this worker) when the last answer
+// lands. An AGG round gives the store its partial as the fold target
+// (aggregate push-down: archive and proxy alike fold each mote's entries
+// straight into it, in the order store.Execute documents); NOW and PAST
+// results come back through the round's one callback. Answers that need
+// a mote rendezvous resolve while the worker settles (or during the
+// remaining chunks of an in-progress advance); the per-domain pull
+// coalescing applies across the motes of the round as usual. When tr is
+// non-nil the store annotates every routing decision onto it as it is
+// made; nil tr — the common case — adds one predictable branch per mote.
 func gatherSpec(sh *shard, spec query.Spec, motes []radio.NodeID, tr *obs.Trace, deliver func(query.RoundPartial)) {
 	pq := &pendingQuery{
-		sp:        query.RoundPartial{Domain: sh.domain, Partial: query.NewPartialFor(spec)},
-		agg:       spec.Type == query.Agg,
-		remaining: len(motes),
-		issuing:   true,
+		sp:  query.RoundPartial{Domain: sh.domain, Partial: query.NewPartialFor(spec)},
+		agg: spec.Type == query.Agg,
+		// One hold beyond the motes', released below: answers given while
+		// the store is still routing must not deliver a half-routed round.
+		remaining: len(motes) + 1,
 		deliver:   deliver,
 	}
 	var fold *query.Partial
 	if pq.agg {
 		fold = &pq.sp.Partial
 	}
-	onAnswer := func(r query.Result) { pq.answer(sh, r) }
-	for _, m := range motes {
-		folded, err := sh.st.Execute(spec.QueryFor(m), fold, tr, onAnswer)
-		if err != nil {
-			pq.sp.Failed++
-		}
-		if folded || err != nil {
-			pq.remaining--
-		}
-	}
-	pq.issuing = false
-	for _, r := range pq.early {
-		pq.sp.Partial.ObserveResult(r)
-	}
-	pq.early = nil
+	failed := sh.st.Execute(spec, motes, fold, tr, func(r query.Result) { pq.answer(sh, r) })
+	pq.sp.Failed += failed
+	pq.remaining -= failed + 1
 	if pq.remaining == 0 {
 		deliver(pq.sp)
 		return
@@ -254,17 +238,17 @@ type specRound struct {
 // and snapshots that domain at the exact round instant — and every other
 // owning domain gets one command. Domains that cannot accept work
 // (engine closed) contribute a failed partial immediately.
-func (n *Network) newSpecRound(spec query.Spec, groups map[*shard][]radio.NodeID, seq int, at simtime.Time, self *shard, tr *obs.Trace) *specRound {
+func (n *Network) newSpecRound(spec query.Spec, runs []shardRun, seq int, at simtime.Time, self *shard, tr *obs.Trace) *specRound {
 	n.queriesSubmitted.Add(1)
 	spec = spec.BindWindow(at)
-	rs := &specRound{seq: seq, at: at, spec: spec, parts: make(chan query.RoundPartial, len(groups)), expect: len(groups)}
+	rs := &specRound{seq: seq, at: at, spec: spec, parts: make(chan query.RoundPartial, len(runs)), expect: len(runs)}
 	deliver := func(p query.RoundPartial) { rs.parts <- p }
-	for s, motes := range groups {
+	for _, g := range runs {
+		s, motes := g.s, g.motes
 		if s == self {
 			gatherSpec(s, spec, motes, tr, deliver)
 			continue
 		}
-		s, motes := s, motes
 		if !s.enqueue(shardCmd{fn: func(sh *shard) { gatherSpec(sh, spec, motes, tr, deliver) }}) {
 			rs.parts <- query.RoundPartial{
 				Domain: s.domain, Partial: query.NewPartialFor(spec), Failed: len(motes),
@@ -300,7 +284,7 @@ func (n *Network) SubmitSpec(ctx context.Context, spec query.Spec) (<-chan query
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	groups, err := n.specTargets(spec)
+	runs, err := n.resolveRuns(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -323,23 +307,18 @@ func (n *Network) SubmitSpec(ctx context.Context, spec query.Spec) (<-chan query
 		// depend on another domain's replica decision. A traced query
 		// skips the bypass: the scatter path is the one that annotates
 		// each routing decision, and one query through it costs little.
-		if tr == nil && spec.Type == query.Now && len(groups) == 1 {
-			for target, motes := range groups {
-				if len(motes) != 1 {
-					break
-				}
-				if err := n.submitNow(spec, target, motes, out); err != nil {
-					return nil, err
-				}
-				return out, nil
+		if tr == nil && spec.Type == query.Now && len(runs) == 1 && len(runs[0].motes) == 1 {
+			if err := n.submitNow(spec, runs[0].s, runs[0].motes, out); err != nil {
+				return nil, err
 			}
+			return out, nil
 		}
 		go func() {
 			defer close(out)
 			if tr != nil { // gate the Sprintf, not just the span: untraced rounds must not allocate
-				tr.Span("scatter", fmt.Sprintf("%d domains", len(groups)))
+				tr.Span("scatter", fmt.Sprintf("%d domains", len(runs)))
 			}
-			res := mergeRound(n.newSpecRound(spec, groups, 0, n.Now(), nil, tr))
+			res := mergeRound(n.newSpecRound(spec, runs, 0, n.Now(), nil, tr))
 			if tr != nil {
 				tr.Span("merge", fmt.Sprintf("%d results, %d failed", len(res.Results), res.Failed))
 			}
@@ -362,7 +341,7 @@ func (n *Network) SubmitSpec(ctx context.Context, spec query.Spec) (<-chan query
 	// still (no Run in flight) means no new rounds — no new data can
 	// exist either.
 	cont := *spec.Continuous
-	anchor := n.anchorShard(groups)
+	anchor := anchorShard(runs)
 	maxRounds := 0
 	if cont.Until > 0 {
 		// The rounds whose instants fall at or before the Until horizon.
@@ -392,7 +371,7 @@ func (n *Network) SubmitSpec(ctx context.Context, spec query.Spec) (<-chan query
 		default:
 		}
 		if len(rounds) < cap(rounds) {
-			rounds <- n.newSpecRound(spec, groups, started, s.sim.Now(), s, nil)
+			rounds <- n.newSpecRound(spec, runs, started, s.sim.Now(), s, nil)
 			started++
 		}
 		fired++
@@ -437,15 +416,14 @@ func (n *Network) SubmitSpec(ctx context.Context, spec query.Spec) (<-chan query
 
 // anchorShard picks the metronome domain for a continuous spec: the one
 // owning the lowest target mote id, so the choice is deterministic.
-func (n *Network) anchorShard(groups map[*shard][]radio.NodeID) *shard {
-	var anchor *shard
-	best := radio.NodeID(0)
-	for s, motes := range groups {
-		if anchor == nil || motes[0] < best {
-			anchor, best = s, motes[0]
+func anchorShard(runs []shardRun) *shard {
+	anchor := runs[0]
+	for _, g := range runs[1:] {
+		if g.motes[0] < anchor.motes[0] {
+			anchor = g
 		}
 	}
-	return anchor
+	return anchor.s
 }
 
 // ---------------------------------------------------------------------------

@@ -438,3 +438,82 @@ func TestSpecSubmitValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestAggRoundFoldOrder pins the order an AGG round folds in — the
+// contract store.Execute documents — one level above
+// store.TestAggFoldConsultsArchiveOnce: a domain whose three motes are
+// answered three ways (mote 3's delta makes it push every sample, so the
+// archive covers it; mote 2's delta meets the precision, so its proxy
+// answers on the spot from cache and model; mote 1's does not, so its
+// proxy pays a rendezvous — which times out, the mote being dead, and is
+// answered from the model) must fold archive → synchronous → rendezvous,
+// each mote's entries in time order, bit-identical to materialising the
+// same answers and observing them in that order — here the reverse of
+// mote order, so a fold in any other order shows in the float sums.
+// Every mote is routed and counted once.
+func TestAggRoundFoldOrder(t *testing.T) {
+	build := func() *Network {
+		n := buildSmall(t, func(c *Config) { c.Proxies, c.MotesPerProxy = 1, 3 })
+		t.Cleanup(n.Close)
+		// Trained seasonal models, so the extrapolated slots of motes 1
+		// and 2 are full-mantissa floats (wire values are float32: sums of
+		// those alone are exact in any order), then one push threshold
+		// per route.
+		models, err := n.Bootstrap(24*time.Hour, 48, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.shards[0].call(func(s *shard) {
+			for id, delta := range map[radio.NodeID]float64{1: 5, 3: 1e-9} {
+				if err := s.moteProxy[id].ShipModel(id, models[id], delta); err != nil {
+					t.Error(err)
+				}
+			}
+			s.motes[0].Stop()
+		})
+		n.Run(4 * time.Hour)
+		return n
+	}
+	spec := query.Spec{Type: query.Agg, Agg: query.Mean, T0: 25 * simtime.Hour, T1: 27 * simtime.Hour, Precision: 1}
+
+	// Reference: an identical deployment materialises the same window per
+	// mote (PAST routes exactly as AGG does).
+	ref := build()
+	past := spec
+	past.Type = query.Past
+	res, err := ref.Client().QueryOne(context.Background(), past)
+	if err != nil || len(res.Results) != 3 {
+		t.Fatalf("reference PAST: %d results, err %v", len(res.Results), err)
+	}
+	for i, want := range []string{"timeout", "cache", "archive"} { // res.Results is in mote order
+		if got := res.Results[i].Answer.Source.String(); got != want {
+			t.Fatalf("mote %d answered from %s, want %s — the round no longer mixes all three routes", i+1, got, want)
+		}
+	}
+	want, inMoteOrder := query.NewPartialFor(spec), query.NewPartialFor(spec)
+	for i := range res.Results {
+		want.ObserveResult(res.Results[2-i])
+		inMoteOrder.ObserveResult(res.Results[i])
+	}
+	if want.Sum == inMoteOrder.Sum {
+		t.Fatal("fold order does not show in this window's float sum: the test would pin nothing")
+	}
+
+	n := build()
+	parts, err := n.GatherLocal(spec, []radio.NodeID{1, 2, 3})
+	if err != nil || len(parts) != 1 || parts[0].Failed != 0 {
+		t.Fatalf("GatherLocal: %+v, err %v", parts, err)
+	}
+	got := parts[0].Partial
+	if got.Count != want.Count || got.Sum != want.Sum || got.SumErr != want.SumErr {
+		t.Fatalf("folded round count/sum/sumErr %d/%v/%v, materialised in documented order %d/%v/%v",
+			got.Count, got.Sum, got.SumErr, want.Count, want.Sum, want.SumErr)
+	}
+	for name, d := range map[string]*Network{"folded": n, "materialised": ref} {
+		rs, ps := d.StoreStats(), d.ProxyStats()
+		if rs.Routed != 2 || rs.ArchiveServed != 1 || ps.QueriesAnswered != 2 {
+			t.Errorf("%s round: routed %d, archive-served %d, proxy answers %d; want 2, 1, 2",
+				name, rs.Routed, rs.ArchiveServed, ps.QueriesAnswered)
+		}
+	}
+}

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -301,6 +302,11 @@ type Network struct {
 	moteHome   map[radio.NodeID]*mote.Mote
 	proxyShard map[int]int
 
+	// moteIDs caches the hosted mote ids, ascending — every all-motes spec
+	// targets it. Rebuilt, never edited, when the shard set changes
+	// (refreshViews), so rounds in flight may alias it.
+	moteIDs []radio.NodeID
+
 	bridge       *radio.Bridge
 	replicaFirst bool // multi-domain wired replica serving enabled
 
@@ -385,16 +391,7 @@ func Build(cfg Config) (*Network, error) {
 		return nil, fmt.Errorf("core: empty shard window [%d, %d)", first, first+count)
 	}
 
-	n.Sim = n.shards[0].sim
-	n.Medium = n.shards[0].medium
-	n.Index = n.shards[0].ix
-	n.Store = n.shards[0].st
-	for _, s := range n.shards {
-		n.Proxies = append(n.Proxies, s.proxies...)
-		n.Motes = append(n.Motes, s.motes...)
-	}
-	sort.Slice(n.Motes, func(i, j int) bool { return n.Motes[i].ID() < n.Motes[j].ID() })
-
+	n.refreshViews()
 	for _, s := range n.shards {
 		go s.loop()
 	}
@@ -857,13 +854,7 @@ func (n *Network) Trace(id radio.NodeID) (*gen.Trace, error) {
 }
 
 // MoteIDs lists all mote node ids in order.
-func (n *Network) MoteIDs() []radio.NodeID {
-	out := make([]radio.NodeID, len(n.Motes))
-	for i, m := range n.Motes {
-		out[i] = m.ID()
-	}
-	return out
-}
+func (n *Network) MoteIDs() []radio.NodeID { return slices.Clone(n.moteIDs) }
 
 // Detections returns the globally time-ordered detection stream in
 // [t0, t1] merged across every domain's index.

@@ -126,8 +126,9 @@ func (n *Network) HostsDomain(d int) bool {
 	return ok
 }
 
-// refreshViews rebuilds the aggregate Proxies/Motes slices and the
-// shard-0 aliases after the shard set changes.
+// refreshViews rebuilds the aggregate Proxies/Motes slices, the cached
+// mote-id list and the shard-0 aliases from the shard set: at Build and
+// whenever a domain is adopted or dropped.
 func (n *Network) refreshViews() {
 	var proxies []*proxy.Proxy
 	var motes []*mote.Mote
@@ -137,6 +138,10 @@ func (n *Network) refreshViews() {
 	}
 	sort.Slice(motes, func(i, j int) bool { return motes[i].ID() < motes[j].ID() })
 	n.Proxies, n.Motes = proxies, motes
+	n.moteIDs = make([]radio.NodeID, len(motes))
+	for i, m := range motes {
+		n.moteIDs[i] = m.ID()
+	}
 	if len(n.shards) > 0 {
 		n.Sim = n.shards[0].sim
 		n.Medium = n.shards[0].medium

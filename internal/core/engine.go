@@ -50,33 +50,19 @@ const bridgeDrainQuantum = 10 * time.Second
 type pendingQuery struct {
 	sp        query.RoundPartial
 	agg       bool
-	remaining int // motes whose answers have not landed
-	// issuing is set while gatherSpec is still routing the round's motes.
-	// An AGG answer the proxy gives synchronously meanwhile waits in early
-	// and is folded once routing is done: a round folds its archive-served
-	// motes first, then proxy answers as they land. Float sums depend on
-	// that order, and answers are compared bit for bit across commits
-	// (benchmark digests, experiment tables), so it is part of the contract.
-	issuing bool
-	early   []query.Result
-	deliver func(query.RoundPartial)
+	remaining int // motes whose answers have not landed (plus gatherSpec's hold while it routes)
+	deliver   func(query.RoundPartial)
 }
 
-// answer takes one mote's result from the store.
+// answer takes one mote's result from the store. An AGG mote's entries
+// are already in the partial — the store folded them where the answer was
+// made — so only its landing counts.
 func (pq *pendingQuery) answer(s *shard, r query.Result) {
-	switch {
-	case !pq.agg:
+	if !pq.agg {
 		pq.sp.Results = append(pq.sp.Results, r)
-	case pq.issuing:
-		if pq.early == nil {
-			pq.early = make([]query.Result, 0, pq.remaining)
-		}
-		pq.early = append(pq.early, r)
-	default:
-		pq.sp.Partial.ObserveResult(r)
 	}
 	pq.remaining--
-	if pq.remaining == 0 && !pq.issuing {
+	if pq.remaining == 0 {
 		delete(s.pending, pq)
 		pq.deliver(pq.sp)
 	}

@@ -37,6 +37,8 @@ func addProxyStats(dst *proxy.Stats, src proxy.Stats) {
 	dst.PullsTimedOut += src.PullsTimedOut
 	dst.StalenessPulls += src.StalenessPulls
 	dst.QueriesAnswered += src.QueriesAnswered
+	dst.RangeSlotsCached += src.RangeSlotsCached
+	dst.RangeSlotsPredicted += src.RangeSlotsPredicted
 	dst.ReplicaForwarded += src.ReplicaForwarded
 	dst.ReplicaAbsorbed += src.ReplicaAbsorbed
 	for i := range src.AnswersBySource {
@@ -56,6 +58,10 @@ func (n *Network) RegisterMetrics(reg *obs.Registry) {
 			obs.L("source", src.String()),
 			func() uint64 { return n.ProxyStats().AnswersBySource[src] })
 	}
+	reg.CounterFunc("presto_proxy_range_slots_total", "Range-answer slots by what filled them.",
+		obs.L("source", "cache"), func() uint64 { return n.ProxyStats().RangeSlotsCached })
+	reg.CounterFunc("presto_proxy_range_slots_total", "Range-answer slots by what filled them.",
+		obs.L("source", "model"), func() uint64 { return n.ProxyStats().RangeSlotsPredicted })
 	reg.CounterFunc("presto_proxy_pulls_total", "Mote rendezvous pulls issued.", nil,
 		func() uint64 { return n.ProxyStats().PullsIssued })
 	reg.CounterFunc("presto_proxy_pulls_timedout_total", "Rendezvous pulls that timed out.", nil,

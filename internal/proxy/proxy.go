@@ -110,6 +110,13 @@ func (a Answer) Value() (float64, bool) {
 	return a.Entries[0].V, true
 }
 
+// Fold receives a range answer's entries, in time order, in place of an
+// Answer carrying them: the aggregate push-down target. *query.Partial is
+// the one implementation (the proxy cannot import query).
+type Fold interface {
+	Observe(v, errBound float64)
+}
+
 // moteState is everything the proxy tracks per managed mote.
 type moteState struct {
 	id             radio.NodeID
@@ -185,6 +192,10 @@ type Stats struct {
 	StalenessPulls  uint64 // rendezvous forced by a per-query freshness bound
 	QueriesAnswered uint64
 	AnswersBySource [NumSources]uint64 // indexed by Source
+	// What range answers were made of, slot by slot: a range labelled
+	// FromCache is, on a value-driven deployment, mostly extrapolation.
+	RangeSlotsCached    uint64 // slots served from a cached entry
+	RangeSlotsPredicted uint64 // slots extrapolated from the model
 
 	ReplicaForwarded uint64 // messages copied out through the replica tap
 	ReplicaAbsorbed  uint64 // bridged messages applied to replica motes
@@ -204,6 +215,13 @@ type Proxy struct {
 
 	watches   []*watch
 	nextWatch WatchID
+
+	// Query scratch, reused across queries (a proxy is confined to its
+	// domain's worker): shared backs the model's shared-history window,
+	// slots holds the range being assembled until it is folded or copied
+	// out.
+	shared []model.Record
+	slots  []cache.Entry
 }
 
 // New attaches a proxy to the medium. Proxies are tethered: their radio is
@@ -217,10 +235,11 @@ func New(sim *simtime.Simulator, medium *radio.Medium, cfg Config) (*Proxy, erro
 		cfg.PullTimeout = 30 * time.Second
 	}
 	p := &Proxy{
-		cfg:   cfg,
-		sim:   sim,
-		motes: make(map[radio.NodeID]*moteState),
-		pulls: make(map[uint32]*inflightPull),
+		cfg:    cfg,
+		sim:    sim,
+		motes:  make(map[radio.NodeID]*moteState),
+		pulls:  make(map[uint32]*inflightPull),
+		shared: make([]model.Record, 0, cfg.SharedHistory),
 	}
 	var err error
 	p.ep, err = medium.Attach(cfg.ID, nil, 0, p.handle)
@@ -537,20 +556,22 @@ func (p *Proxy) pullPoint(st *moteState, t simtime.Time, issued simtime.Time, cb
 	}
 	p.pull(st, t0, t1, 0, func(recs []wire.Rec, errBound float64, timedOut bool) {
 		if timedOut {
-			shared := st.series.ConfirmedBefore(t, p.cfg.SharedHistory)
-			v := st.mdl.Predict(t, shared)
-			e := cache.Entry{T: t, V: v, Source: cache.Predicted, ErrBound: st.delta}
-			p.finish(cb, Answer{Mote: id, Entries: []cache.Entry{e}, Source: FromTimeout, IssuedAt: issued, DoneAt: p.sim.Now()})
+			p.finish(cb, Answer{Mote: id, Entries: []cache.Entry{p.predict(st, t)}, Source: FromTimeout, IssuedAt: issued, DoneAt: p.sim.Now()})
 			return
 		}
 		e, ok := st.series.At(t, maxGap)
 		if !ok {
-			e = cache.Entry{T: t, Source: cache.Predicted, ErrBound: st.delta}
-			shared := st.series.ConfirmedBefore(t, p.cfg.SharedHistory)
-			e.V = st.mdl.Predict(t, shared)
+			e = p.predict(st, t)
 		}
 		p.finish(cb, Answer{Mote: id, Entries: []cache.Entry{e}, Source: FromPull, IssuedAt: issued, DoneAt: p.sim.Now()})
 	})
+}
+
+// predict extrapolates one instant from the mote's model and the confirmed
+// history up to it; the push contract bounds the error by delta.
+func (p *Proxy) predict(st *moteState, t simtime.Time) cache.Entry {
+	c := st.series.Cursor(t, p.cfg.SharedHistory, p.shared)
+	return cache.Entry{T: t, V: st.mdl.Predict(t, c.Shared(t)), Source: cache.Predicted, ErrBound: st.delta}
 }
 
 // localAnswer tries the pull-free answer paths for one instant, in the
@@ -573,9 +594,7 @@ func (p *Proxy) localAnswer(st *moteState, t simtime.Time, precision float64) (c
 	// 2b. Extrapolate: the model plus the push contract bounds the error
 	// by delta wherever the mote has been silent.
 	if st.delta <= precision {
-		shared := st.series.ConfirmedBefore(t, p.cfg.SharedHistory)
-		v := st.mdl.Predict(t, shared)
-		e := cache.Entry{T: t, V: v, Source: cache.Predicted, ErrBound: st.delta}
+		e := p.predict(st, t)
 		st.series.Insert(e)
 		return e, FromModel, true
 	}
@@ -649,26 +668,36 @@ func (p *Proxy) QueryNowBounded(id radio.NodeID, precision float64, maxStale tim
 // QueryRange answers a PAST query over [t0, t1]: one entry per sample
 // interval, each within precision if at all possible. Gaps that the model
 // cannot cover within precision trigger a single archive pull for the
-// whole span.
-func (p *Proxy) QueryRange(id radio.NodeID, t0, t1 simtime.Time, precision float64, cb func(Answer)) {
+// whole span. Given a fold, the entries go into it when the answer is
+// made and the Answer handed to cb carries none.
+//
+// maxStale > 0 is a per-query freshness bound. It only bites when the
+// window's tail overlaps the staleness horizon (t1 + maxStale >= now):
+// such a query is partially "now-like", so a cache/model view whose
+// newest confirmed observation is older than maxStale is a stale snapshot
+// — the proxy pays an archive rendezvous over the span before answering,
+// exactly as QueryNowBounded does for NOW. Purely historical windows are
+// answered as if unbounded.
+func (p *Proxy) QueryRange(id radio.NodeID, t0, t1 simtime.Time, precision float64, maxStale time.Duration, fold Fold, cb func(Answer)) {
 	st, ok := p.motes[id]
-	issued := p.sim.Now()
+	now := p.sim.Now()
 	if !ok || t1 < t0 {
-		cb(Answer{Mote: id, IssuedAt: issued, DoneAt: issued})
+		cb(Answer{Mote: id, IssuedAt: now, DoneAt: now})
 		return
 	}
-	entries, allGood := p.assembleRange(st, t0, t1, precision)
-	if allGood {
-		p.finish(cb, Answer{Mote: id, Entries: entries, Source: FromCache, IssuedAt: issued, DoneAt: p.sim.Now()})
+	if maxStale > 0 && t1+simtime.Time(maxStale) >= now && !p.FreshWithin(id, now, maxStale) {
+		p.stats.StalenessPulls++
+	} else if predicted := p.assembleRange(st, t0, t1, precision); predicted == 0 || st.delta <= precision {
+		p.finishRange(st, FromCache, predicted, now, fold, cb)
 		return
 	}
-	p.pullRange(st, t0, t1, precision, issued, cb)
+	p.pullRange(st, t0, t1, precision, now, fold, cb)
 }
 
 // pullRange pays the archive rendezvous for a range query and answers
-// from the refined cache: the shared tail of QueryRange (cache/model miss)
-// and QueryRangeBounded (stale snapshot).
-func (p *Proxy) pullRange(st *moteState, t0, t1 simtime.Time, precision float64, issued simtime.Time, cb func(Answer)) {
+// from the refined cache: what QueryRange does on a cache/model miss or a
+// stale snapshot.
+func (p *Proxy) pullRange(st *moteState, t0, t1 simtime.Time, precision float64, issued simtime.Time, fold Fold, cb func(Answer)) {
 	// Lossy pull when the query precision allows it: quantize to half the
 	// precision budget, leaving the other half for sampling-offset error.
 	quantum := 0.0
@@ -686,57 +715,48 @@ func (p *Proxy) pullRange(st *moteState, t0, t1 simtime.Time, precision float64,
 		if timedOut {
 			src = FromTimeout
 		}
-		entries, _ := p.assembleRange(st, t0, t1, precision)
-		p.finish(cb, Answer{Mote: st.id, Entries: entries, Source: src, IssuedAt: issued, DoneAt: p.sim.Now()})
+		p.finishRange(st, src, p.assembleRange(st, t0, t1, precision), issued, fold, cb)
 	})
 }
 
-// QueryRangeBounded answers a PAST query under a per-query freshness
-// bound. The bound only bites when the window's tail overlaps the
-// staleness horizon (t1 + maxStale >= now): such a query is partially
-// "now-like", so a cache/model view whose newest confirmed observation is
-// older than maxStale is a stale snapshot — the proxy pays an archive
-// rendezvous over the span before answering, exactly as QueryNowBounded
-// does for NOW. Purely historical windows (t1 + maxStale < now) and
-// maxStale <= 0 behave exactly like QueryRange.
-func (p *Proxy) QueryRangeBounded(id radio.NodeID, t0, t1 simtime.Time, precision float64, maxStale time.Duration, cb func(Answer)) {
-	now := p.sim.Now()
-	st, ok := p.motes[id]
-	if !ok || t1 < t0 {
-		cb(Answer{Mote: id, IssuedAt: now, DoneAt: now})
-		return
-	}
-	if maxStale <= 0 || t1+simtime.Time(maxStale) < now || p.FreshWithin(id, now, maxStale) {
-		p.QueryRange(id, t0, t1, precision, cb)
-		return
-	}
-	p.stats.StalenessPulls++
-	p.pullRange(st, t0, t1, precision, now, cb)
-}
-
-// assembleRange builds one entry per sample interval over [t0, t1] from
-// cache + model, reporting whether every entry met the precision.
-func (p *Proxy) assembleRange(st *moteState, t0, t1 simtime.Time, precision float64) ([]cache.Entry, bool) {
+// assembleRange builds one entry per sample interval over [t0, t1] into
+// p.slots — from the cache where an entry sits within half a step and
+// meets the precision, from the model at bound delta elsewhere — and
+// returns how many slots it had to predict. One forward cursor serves
+// the whole window: no per-slot search, no allocation.
+func (p *Proxy) assembleRange(st *moteState, t0, t1 simtime.Time, precision float64) (predicted int) {
 	step := st.sampleInterval
 	if step <= 0 {
 		step = simtime.Minute
 	}
-	var out []cache.Entry
-	allGood := true
+	p.slots = p.slots[:0]
+	c := st.series.Cursor(t0, p.cfg.SharedHistory, p.shared)
 	for t := t0; t <= t1; t += step {
-		if e, ok := st.series.At(t, time.Duration(step)/2); ok && e.ErrBound <= precision {
-			out = append(out, e)
-			continue
+		e, ok := c.At(t, time.Duration(step)/2)
+		if !ok || e.ErrBound > precision {
+			e = cache.Entry{T: t, V: st.mdl.Predict(t, c.Shared(t)), Source: cache.Predicted, ErrBound: st.delta}
+			predicted++
 		}
-		shared := st.series.ConfirmedBefore(t, p.cfg.SharedHistory)
-		v := st.mdl.Predict(t, shared)
-		e := cache.Entry{T: t, V: v, Source: cache.Predicted, ErrBound: st.delta}
-		out = append(out, e)
-		if st.delta > precision {
-			allGood = false
+		p.slots = append(p.slots, e)
+	}
+	return predicted
+}
+
+// finishRange answers a range query with the slots assembleRange just
+// built: folded in place when the caller gave a fold target, else copied
+// out of the scratch once, at exact size.
+func (p *Proxy) finishRange(st *moteState, src Source, predicted int, issued simtime.Time, fold Fold, cb func(Answer)) {
+	a := Answer{Mote: st.id, Source: src, IssuedAt: issued, DoneAt: p.sim.Now()}
+	if fold == nil {
+		a.Entries = append(make([]cache.Entry, 0, len(p.slots)), p.slots...)
+	} else {
+		for _, e := range p.slots {
+			fold.Observe(e.V, e.ErrBound)
 		}
 	}
-	return out, allGood
+	p.stats.RangeSlotsPredicted += uint64(predicted)
+	p.stats.RangeSlotsCached += uint64(len(p.slots) - predicted)
+	p.finish(cb, a)
 }
 
 // insertPulled refines the cache with archive records.

@@ -158,7 +158,7 @@ func TestConcurrentColdPullsCoalesce(t *testing.T) {
 	at := 2 * simtime.Hour
 	answers := make([]Answer, 0, N)
 	for i := 0; i < N; i++ {
-		r.proxy.QueryRange(1, at, at, 0.01, func(a Answer) { answers = append(answers, a) })
+		r.proxy.QueryRange(1, at, at, 0.01, 0, nil, func(a Answer) { answers = append(answers, a) })
 	}
 	r.sim.RunFor(time.Minute)
 	if len(answers) != N {
@@ -189,7 +189,7 @@ func TestQueuedPullsMergeIntoOneFollowUp(t *testing.T) {
 	r.sim.RunFor(6 * time.Hour)
 	done := 0
 	for _, at := range []simtime.Time{simtime.Hour, 3 * simtime.Hour, 4 * simtime.Hour} {
-		r.proxy.QueryRange(1, at, at, 0.01, func(Answer) { done++ })
+		r.proxy.QueryRange(1, at, at, 0.01, 0, nil, func(Answer) { done++ })
 	}
 	r.sim.RunFor(time.Minute)
 	if done != 3 {
@@ -210,7 +210,7 @@ func TestQueryRangeAssemblesEntries(t *testing.T) {
 	t0, t1 := 2*simtime.Hour, 4*simtime.Hour
 	var ans Answer
 	done := false
-	r.proxy.QueryRange(1, t0, t1, 1.0, func(a Answer) { ans = a; done = true })
+	r.proxy.QueryRange(1, t0, t1, 1.0, 0, nil, func(a Answer) { ans = a; done = true })
 	if !done {
 		t.Fatal("loose-precision range query should answer synchronously")
 	}
@@ -234,7 +234,7 @@ func TestQueryRangePullRefines(t *testing.T) {
 	t0, t1 := 2*simtime.Hour, 3*simtime.Hour
 	var ans Answer
 	done := false
-	r.proxy.QueryRange(1, t0, t1, 0.2, func(a Answer) { ans = a; done = true })
+	r.proxy.QueryRange(1, t0, t1, 0.2, 0, nil, func(a Answer) { ans = a; done = true })
 	r.sim.RunFor(time.Minute)
 	if !done {
 		t.Fatal("range pull never completed")
@@ -333,7 +333,7 @@ func TestQueryUnknownMote(t *testing.T) {
 func TestQueryRangeInverted(t *testing.T) {
 	r := newRig(t, nil, diurnalTrace(t, 1))
 	done := false
-	r.proxy.QueryRange(1, simtime.Hour, 0, 1, func(a Answer) { done = true })
+	r.proxy.QueryRange(1, simtime.Hour, 0, 1, 0, nil, func(a Answer) { done = true })
 	if !done {
 		t.Fatal("inverted range should answer immediately")
 	}
@@ -418,5 +418,63 @@ func TestBatchedMoteFillsCache(t *testing.T) {
 	e, ok := s.At(90*simtime.Minute, time.Minute)
 	if !ok || e.Source != cache.Pushed {
 		t.Fatalf("entry %+v ok=%v", e, ok)
+	}
+}
+
+// sumFold is a Fold that keeps what a query.Partial's mean would.
+type sumFold struct {
+	n           int
+	sum, sumErr float64
+}
+
+func (f *sumFold) Observe(v, errBound float64) {
+	f.n++
+	f.sum += v
+	f.sumErr += errBound
+}
+
+// TestQueryRangeFoldAllocs pins range assembly's cost and its two ways
+// out: a 240-slot window over a sparse series (a push every ~20 slots, so
+// ~95% of the slots are extrapolated — the value-driven common case) is
+// allocation-free when folded and costs exactly the exact-size entries
+// slice when materialised, and the fold sees the same values in the same
+// order as the entries would have carried.
+func TestQueryRangeFoldAllocs(t *testing.T) {
+	r := newRig(t, func(c *mote.Config) { c.Delta = 1.0 }, diurnalTrace(t, 1))
+	s, _ := r.proxy.Series(1)
+	for i := 0; i < 240; i += 20 {
+		s.Insert(cache.Entry{T: simtime.Time(i) * simtime.Minute, V: 20 + float64(i)/7, Source: cache.Pushed})
+	}
+	t0, t1 := simtime.Time(0), 239*simtime.Minute
+
+	var ans Answer
+	keep := func(a Answer) { ans = a }
+	r.proxy.QueryRange(1, t0, t1, 1.0, 0, nil, keep) // first call sizes the scratch
+	if len(ans.Entries) != 240 || cap(ans.Entries) != 240 {
+		t.Fatalf("materialised %d entries in a slice of %d, want 240 at exact size", len(ans.Entries), cap(ans.Entries))
+	}
+	want := ans
+	var fold sumFold
+	r.proxy.QueryRange(1, t0, t1, 1.0, 0, &fold, keep)
+	if ans.Entries != nil || ans.Source != want.Source || ans.Mote != 1 {
+		t.Fatalf("folded answer %+v, want no entries and the materialised provenance", ans)
+	}
+	var ref sumFold
+	for _, e := range want.Entries {
+		ref.Observe(e.V, e.ErrBound)
+	}
+	if fold != ref {
+		t.Fatalf("fold %+v differs from folding the materialised entries %+v", fold, ref)
+	}
+	if st := r.proxy.Stats(); st.RangeSlotsCached != 2*12 || st.RangeSlotsPredicted != 2*228 || st.QueriesAnswered != 2 {
+		t.Fatalf("after two ranges: %d cached / %d predicted slots, %d answers; want 24 / 456 / 2",
+			st.RangeSlotsCached, st.RangeSlotsPredicted, st.QueriesAnswered)
+	}
+
+	if n := testing.AllocsPerRun(20, func() { r.proxy.QueryRange(1, t0, t1, 1.0, 0, &fold, keep) }); n != 0 {
+		t.Errorf("folded 240-slot range allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { r.proxy.QueryRange(1, t0, t1, 1.0, 0, nil, keep) }); n != 1 {
+		t.Errorf("materialised 240-slot range allocates %v times, want 1 (the entries slice)", n)
 	}
 }

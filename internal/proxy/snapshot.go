@@ -52,6 +52,8 @@ func (p *Proxy) Snapshot(w io.Writer) error {
 	}
 	e.U64(p.stats.ReplicaForwarded)
 	e.U64(p.stats.ReplicaAbsorbed)
+	e.U64(p.stats.RangeSlotsCached)
+	e.U64(p.stats.RangeSlotsPredicted)
 
 	e.Uvarint(uint64(len(ids)))
 	for _, id := range ids {
@@ -116,6 +118,8 @@ func (p *Proxy) Restore(r io.Reader) error {
 	}
 	p.stats.ReplicaForwarded = d.U64()
 	p.stats.ReplicaAbsorbed = d.U64()
+	p.stats.RangeSlotsCached = d.U64()
+	p.stats.RangeSlotsPredicted = d.U64()
 
 	n := d.Uvarint()
 	if d.Err() == nil && n != uint64(len(p.motes)) {

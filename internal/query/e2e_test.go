@@ -1,7 +1,7 @@
 package query_test
 
 // The query model end to end: every query type posed through the store's
-// routing — the one road from a Query to a proxy — against a real
+// routing — the one road from a Spec to a proxy — against a real
 // proxy+mote rig. An external test package, because the store imports
 // query.
 
@@ -63,11 +63,13 @@ func TestExecuteEndToEnd(t *testing.T) {
 	m.Start()
 	sim.RunFor(8 * time.Hour)
 
+	one := []radio.NodeID{1}
+
 	// NOW.
 	var nowRes query.Result
 	gotNow := false
-	if _, err := st.Execute(query.Query{Type: query.Now, Mote: 1, Precision: 1.5}, nil, nil, func(r query.Result) { nowRes = r; gotNow = true }); err != nil {
-		t.Fatal(err)
+	if failed := st.Execute(query.Spec{Type: query.Now, Precision: 1.5}, one, nil, nil, func(r query.Result) { nowRes = r; gotNow = true }); failed != 0 {
+		t.Fatalf("NOW: %d motes failed", failed)
 	}
 	if !gotNow {
 		t.Fatal("NOW did not answer synchronously at loose precision")
@@ -80,9 +82,9 @@ func TestExecuteEndToEnd(t *testing.T) {
 	// PAST with tight precision: requires a pull.
 	var pastRes query.Result
 	gotPast := false
-	q := query.Query{Type: query.Past, Mote: 1, T0: simtime.Hour, T1: 2 * simtime.Hour, Precision: 0.1}
-	if _, err := st.Execute(q, nil, nil, func(r query.Result) { pastRes = r; gotPast = true }); err != nil {
-		t.Fatal(err)
+	q := query.Spec{Type: query.Past, T0: simtime.Hour, T1: 2 * simtime.Hour, Precision: 0.1}
+	if failed := st.Execute(q, one, nil, nil, func(r query.Result) { pastRes = r; gotPast = true }); failed != 0 {
+		t.Fatalf("PAST: %d motes failed", failed)
 	}
 	sim.RunFor(time.Minute)
 	if !gotPast {
@@ -97,16 +99,25 @@ func TestExecuteEndToEnd(t *testing.T) {
 		}
 	}
 
-	// AGG mean over the same range.
+	// AGG mean over the same range: the entries go into the fold, the
+	// result that comes back carries none.
 	var aggRes query.Result
 	gotAgg := false
-	qa := query.Query{Type: query.Agg, Mote: 1, T0: simtime.Hour, T1: 2 * simtime.Hour, Precision: 0.5, Agg: query.Mean}
-	if _, err := st.Execute(qa, nil, nil, func(r query.Result) { aggRes = r; gotAgg = true }); err != nil {
-		t.Fatal(err)
+	qa := query.Spec{Type: query.Agg, T0: simtime.Hour, T1: 2 * simtime.Hour, Precision: 0.5, Agg: query.Mean}
+	fold := query.NewPartialFor(qa)
+	if failed := st.Execute(qa, one, &fold, nil, func(r query.Result) { aggRes = r; gotAgg = true }); failed != 0 {
+		t.Fatalf("AGG: %d motes failed", failed)
 	}
 	sim.RunFor(time.Minute)
 	if !gotAgg {
 		t.Fatal("AGG never completed")
+	}
+	if len(aggRes.Answer.Entries) != 0 || aggRes.Query.Mote != 1 {
+		t.Fatalf("folded AGG result %+v, want mote 1 and no entries", aggRes)
+	}
+	mean, _, err := fold.Final(query.Mean)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var truthSum float64
 	n := 0
@@ -114,37 +125,38 @@ func TestExecuteEndToEnd(t *testing.T) {
 		truthSum += tr.Value(tt)
 		n++
 	}
-	if math.Abs(aggRes.AggValue-truthSum/float64(n)) > 0.5 {
-		t.Fatalf("AGG mean %v vs truth %v", aggRes.AggValue, truthSum/float64(n))
+	if fold.Count != n || math.Abs(mean-truthSum/float64(n)) > 0.5 {
+		t.Fatalf("AGG mean %v over %d vs truth %v over %d", mean, fold.Count, truthSum/float64(n), n)
 	}
 
-	// Invalid query errors synchronously.
-	if _, err := st.Execute(query.Query{Type: query.Past, Mote: 1, T0: 5, T1: 1}, nil, nil, func(query.Result) {}); err == nil {
-		t.Fatal("invalid query accepted")
+	// An invalid spec fails every mote synchronously.
+	if failed := st.Execute(query.Spec{Type: query.Past, T0: 5, T1: 1}, one, nil, nil, func(query.Result) { t.Error("invalid spec answered") }); failed != 1 {
+		t.Fatalf("invalid spec: %d motes failed, want 1", failed)
 	}
 }
 
 // TestExecuteFlagsEmptyAggregate pins the other half of the NaN bugfix:
-// an AGG result with no entries must carry ErrEmptyAggregate instead of
-// only a bare NaN. (A mote the index routes but the proxy never
+// an AGG round that observed nothing must finish as ErrEmptyAggregate
+// instead of only a bare NaN. (A mote the index routes but the proxy never
 // registered yields an empty answer.)
 func TestExecuteFlagsEmptyAggregate(t *testing.T) {
 	sim, _, _, st := proxyStore(t)
 	st.AdoptMote(99, 0, time.Minute)
-	var res query.Result
 	got := false
-	q := query.Query{Type: query.Agg, Mote: 99, T0: 0, T1: simtime.Hour, Agg: query.Mean, Precision: 1}
-	if _, err := st.Execute(q, nil, nil, func(r query.Result) { res = r; got = true }); err != nil {
-		t.Fatal(err)
+	q := query.Spec{Type: query.Agg, T0: 0, T1: simtime.Hour, Agg: query.Mean, Precision: 1}
+	fold := query.NewPartialFor(q)
+	if failed := st.Execute(q, []radio.NodeID{99}, &fold, nil, func(query.Result) { got = true }); failed != 0 {
+		t.Fatalf("%d motes failed", failed)
 	}
 	sim.RunFor(time.Minute)
 	if !got {
 		t.Fatal("AGG never completed")
 	}
-	if !errors.Is(res.Err, query.ErrEmptyAggregate) {
-		t.Fatalf("empty AGG Err=%v, want ErrEmptyAggregate", res.Err)
+	v, _, err := fold.Final(q.Agg)
+	if !errors.Is(err, query.ErrEmptyAggregate) {
+		t.Fatalf("empty AGG err=%v, want ErrEmptyAggregate", err)
 	}
-	if !math.IsNaN(res.AggValue) {
-		t.Fatalf("empty AGG value %v, want NaN", res.AggValue)
+	if !math.IsNaN(v) {
+		t.Fatalf("empty AGG value %v, want NaN", v)
 	}
 }

@@ -13,8 +13,6 @@ package query
 import (
 	"errors"
 	"fmt"
-	"math"
-	"sort"
 	"time"
 
 	"presto/internal/proxy"
@@ -128,91 +126,15 @@ func (q Query) Validate() error {
 	return nil
 }
 
-// Result is a completed query.
+// Result is a completed per-mote query. An AGG round folds its motes'
+// entries into the round's Partial instead (see store.Execute), so an AGG
+// Result carries provenance and timing but no entries.
 type Result struct {
 	Query  Query
 	Answer proxy.Answer
-	// AggValue is the computed aggregate for Agg queries.
-	AggValue float64
-	// Err flags a query that completed without a usable answer — notably
-	// ErrEmptyAggregate when an Agg window held no observations (AggValue
-	// is NaN then; the flag makes the condition explicit instead of
-	// leaking a bare NaN).
+	// Err flags a query that completed without a usable answer.
 	Err error
 }
 
 // Latency returns the response time.
 func (r Result) Latency() time.Duration { return r.Answer.Latency() }
-
-// Aggregate computes the operator over an answer's entries. The store uses
-// it to aggregate archive-served range answers without re-running the
-// proxy query path.
-func Aggregate(kind AggKind, a proxy.Answer) float64 {
-	if len(a.Entries) == 0 {
-		return math.NaN()
-	}
-	switch kind {
-	case Min:
-		m := a.Entries[0].V
-		for _, e := range a.Entries[1:] {
-			if e.V < m {
-				m = e.V
-			}
-		}
-		return m
-	case Max:
-		m := a.Entries[0].V
-		for _, e := range a.Entries[1:] {
-			if e.V > m {
-				m = e.V
-			}
-		}
-		return m
-	case Mean:
-		var sum float64
-		for _, e := range a.Entries {
-			sum += e.V
-		}
-		return sum / float64(len(a.Entries))
-	case Mode:
-		return mode(a)
-	default:
-		return math.NaN()
-	}
-}
-
-// mode bins values at the answer's precision granularity and returns the
-// center of the most populated bin — the discrete mode of a continuous
-// signal, as a vibration scientist would want it.
-func mode(a proxy.Answer) float64 {
-	vals := make([]float64, len(a.Entries))
-	for i, e := range a.Entries {
-		vals[i] = e.V
-	}
-	sort.Float64s(vals)
-	lo, hi := vals[0], vals[len(vals)-1]
-	if hi == lo {
-		return lo
-	}
-	// Freedman–Diaconis-ish: ~sqrt(n) bins.
-	bins := int(math.Sqrt(float64(len(vals))))
-	if bins < 1 {
-		bins = 1
-	}
-	width := (hi - lo) / float64(bins)
-	counts := make([]int, bins)
-	for _, v := range vals {
-		b := int((v - lo) / width)
-		if b >= bins {
-			b = bins - 1
-		}
-		counts[b]++
-	}
-	best := 0
-	for i, c := range counts {
-		if c > counts[best] {
-			best = i
-		}
-	}
-	return lo + (float64(best)+0.5)*width
-}

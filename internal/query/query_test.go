@@ -1,11 +1,8 @@
 package query
 
 import (
-	"math"
 	"testing"
 
-	"presto/internal/cache"
-	"presto/internal/proxy"
 	"presto/internal/simtime"
 )
 
@@ -44,37 +41,5 @@ func TestStrings(t *testing.T) {
 	}
 	if AggKind(9).String() == "" {
 		t.Error("unknown agg")
-	}
-}
-
-func TestAggregateOperators(t *testing.T) {
-	a := proxy.Answer{Entries: []cache.Entry{
-		{V: 3}, {V: 1}, {V: 4}, {V: 1}, {V: 5}, {V: 1},
-	}}
-	if got := Aggregate(Min, a); got != 1 {
-		t.Errorf("min=%v", got)
-	}
-	if got := Aggregate(Max, a); got != 5 {
-		t.Errorf("max=%v", got)
-	}
-	if got := Aggregate(Mean, a); math.Abs(got-2.5) > 1e-12 {
-		t.Errorf("mean=%v", got)
-	}
-	// Mode: 1 occurs three times; the modal bin should sit near 1.
-	if got := Aggregate(Mode, a); math.Abs(got-1) > 1.5 {
-		t.Errorf("mode=%v, want near 1", got)
-	}
-	if !math.IsNaN(Aggregate(Mean, proxy.Answer{})) {
-		t.Error("empty aggregate should be NaN")
-	}
-	if !math.IsNaN(Aggregate(AggKind(9), a)) {
-		t.Error("unknown aggregate should be NaN")
-	}
-}
-
-func TestModeConstant(t *testing.T) {
-	a := proxy.Answer{Entries: []cache.Entry{{V: 7}, {V: 7}, {V: 7}}}
-	if got := Aggregate(Mode, a); got != 7 {
-		t.Errorf("constant mode=%v", got)
 	}
 }

@@ -185,6 +185,25 @@ func TestMetricszExposition(t *testing.T) {
 	if infBucket != count || count != 3 {
 		t.Fatalf("histogram +Inf=%v count=%v, want both 3", infBucket, count)
 	}
+
+	// A fleet AGG over an hour is 61 slots per mote, each counted by what
+	// filled it: a cached entry or the model. Value-driven motes push
+	// rarely, so both series move and together they account for every slot.
+	resp := postSpec(t, ts.URL, `{"type":"agg","agg":"mean","t0":"1h","t1":"2h","precision":2}`)
+	resp.Body.Close()
+	slots := map[string]float64{}
+	for _, line := range metricsFamilies(t, ts.URL)["presto_proxy_range_slots_total"] {
+		for _, src := range []string{"cache", "model"} {
+			if sp := strings.LastIndexByte(line, ' '); strings.Contains(line, `source="`+src+`"`) {
+				var v float64
+				fmt.Sscanf(line[sp+1:], "%g", &v)
+				slots[src] = v
+			}
+		}
+	}
+	if slots["cache"] == 0 || slots["model"] == 0 || slots["cache"]+slots["model"] != 4*61 {
+		t.Fatalf("presto_proxy_range_slots_total = %v, want both sources > 0 and 244 slots in all", slots)
+	}
 }
 
 // TestStatszSchemaStability pins the /statsz JSON wire schema: the

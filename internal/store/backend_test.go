@@ -118,11 +118,10 @@ func TestArchiveAnswerNoDuplicateEntries(t *testing.T) {
 	must(st.Backend().Append(1, Record{T: base - simtime.Minute, V: 1}))
 	must(st.Backend().Append(1, Record{T: base + simtime.Minute/2, V: 2}))
 	var got *query.Result
-	_, err := st.Execute(query.Query{
-		Type: query.Past, Mote: 1, T0: base, T1: base + simtime.Minute, Precision: 0.1,
-	}, nil, nil, func(r query.Result) { got = &r })
-	if err != nil {
-		t.Fatal(err)
+	if failed := st.Execute(query.Spec{
+		Type: query.Past, T0: base, T1: base + simtime.Minute, Precision: 0.1,
+	}, []radio.NodeID{1}, nil, nil, func(r query.Result) { got = &r }); failed != 0 {
+		t.Fatal("mote 1 failed to route")
 	}
 	if got == nil {
 		t.Fatal("query did not complete")
@@ -330,12 +329,11 @@ func TestArchiveDeclinesStaleTail(t *testing.T) {
 	run := func(maxStale time.Duration) (query.Result, bool) {
 		var res query.Result
 		done := false
-		_, err := st.Execute(query.Query{
-			Type: query.Past, Mote: 1, T0: 30 * simtime.Minute, T1: 60 * simtime.Minute,
+		if failed := st.Execute(query.Spec{
+			Type: query.Past, T0: 30 * simtime.Minute, T1: 60 * simtime.Minute,
 			Precision: 1, MaxStaleness: maxStale,
-		}, nil, nil, func(r query.Result) { res = r; done = true })
-		if err != nil {
-			t.Fatal(err)
+		}, []radio.NodeID{1}, nil, nil, func(r query.Result) { res = r; done = true }); failed != 0 {
+			t.Fatal("mote 1 failed to route")
 		}
 		return res, done
 	}
@@ -396,35 +394,45 @@ func TestAggFoldConsultsArchiveOnce(t *testing.T) {
 		}
 	}
 	sim.RunFor(61 * time.Minute)
-	agg := func(t0, t1 simtime.Time, stale time.Duration) query.Query {
-		return query.Query{Type: query.Agg, Agg: query.Mean, Mote: 1, T0: t0, T1: t1, Precision: 1, MaxStaleness: stale}
+	agg := func(t0, t1 simtime.Time, stale time.Duration) query.Spec {
+		return query.Spec{Type: query.Agg, Agg: query.Mean, T0: t0, T1: t1, Precision: 1, MaxStaleness: stale}
 	}
+	one := []radio.NodeID{1}
 
-	// Served: fold == materialize-then-observe, bit for bit.
+	// Served: fold == materialize-then-observe, bit for bit. (Without a
+	// fold target an AGG mote's entries come back like a PAST mote's.)
 	covered := agg(10*simtime.Minute, 40*simtime.Minute, 0)
 	want := query.NewPartial(1)
-	if _, err := st.Execute(covered, nil, nil, want.ObserveResult); err != nil {
-		t.Fatal(err)
+	if failed := st.Execute(covered, one, nil, nil, want.ObserveResult); failed != 0 {
+		t.Fatal("materialized AGG failed to route")
 	}
 	got := query.NewPartial(1)
-	folded, err := st.Execute(covered, &got, nil, func(query.Result) { t.Error("folded query also called back") })
-	if err != nil || !folded {
-		t.Fatalf("covered AGG: folded=%v err=%v", folded, err)
+	answers := 0
+	failed := st.Execute(covered, one, &got, nil, func(r query.Result) {
+		answers++
+		if len(r.Answer.Entries) != 0 || r.Answer.Source != proxy.FromArchive {
+			t.Errorf("folded result %+v, want archive provenance and no entries", r.Answer)
+		}
+	})
+	if failed != 0 || answers != 1 {
+		t.Fatalf("covered AGG: failed=%d answers=%d", failed, answers)
 	}
 	if want.Count != 31 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("fold %+v differs from materialized %+v", got, want)
 	}
 
-	// Declined for coverage: one range scan, then the proxy.
-	answers := 0
+	// Declined for coverage: one range scan, then the proxy, which answers
+	// this window on the spot from its model (delta meets the precision).
+	// The fold holds exactly the proxy's 31 predicted slots — none of the
+	// archive's records (bounds 0..0.3) leaked in before the hole was found.
+	answers = 0
 	before := st.BackendStats()
 	fold := query.NewPartial(1)
-	folded, err = st.Execute(agg(30*simtime.Minute, 60*simtime.Minute, 0), &fold, nil, func(query.Result) { answers++ })
-	if err != nil || folded {
-		t.Fatalf("uncoverable AGG: folded=%v err=%v", folded, err)
+	if failed := st.Execute(agg(30*simtime.Minute, 60*simtime.Minute, 0), one, &fold, nil, func(query.Result) { answers++ }); failed != 0 || answers != 1 {
+		t.Fatalf("uncoverable AGG: failed=%d answers=%d", failed, answers)
 	}
-	if !reflect.DeepEqual(fold, query.NewPartial(1)) {
-		t.Fatalf("declined fold touched the partial: %+v", fold)
+	if fold.Count != 31 || fold.SumErr != 31 {
+		t.Fatalf("declined fold holds more than the proxy's answer: %+v", fold)
 	}
 	after := st.BackendStats()
 	if scans, latest := after.QueryRanges-before.QueryRanges, after.LatestReads-before.LatestReads; scans != 1 || latest != 1 {
@@ -433,9 +441,8 @@ func TestAggFoldConsultsArchiveOnce(t *testing.T) {
 
 	// Declined for a stale tail (newest record 60m, now 61m, bound 30s):
 	// counted once.
-	folded, err = st.Execute(agg(30*simtime.Minute, 61*simtime.Minute, 30*time.Second), &fold, nil, func(query.Result) { answers++ })
-	if err != nil || folded {
-		t.Fatalf("stale-tail AGG: folded=%v err=%v", folded, err)
+	if failed := st.Execute(agg(30*simtime.Minute, 61*simtime.Minute, 30*time.Second), one, &fold, nil, func(query.Result) { answers++ }); failed != 0 || answers != 1 {
+		t.Fatalf("stale-tail AGG: failed=%d answers=%d before the rendezvous", failed, answers)
 	}
 	if rs := st.RoutingStats(); rs.ArchiveStale != 1 || rs.Routed != 2 || rs.ArchiveServed != 2 {
 		t.Fatalf("routing stats %+v, want ArchiveStale 1, Routed 2, ArchiveServed 2", rs)
@@ -443,6 +450,10 @@ func TestAggFoldConsultsArchiveOnce(t *testing.T) {
 	sim.RunFor(time.Hour) // no mote attached: the proxy's pulls time out
 	if answers != 2 {
 		t.Fatalf("declined queries answered %d times through the proxy, want 2", answers)
+	}
+	// The stale-tail window's 32 slots folded when its pull resolved.
+	if fold.Count != 63 {
+		t.Fatalf("proxy-answered motes folded %d entries, want 63", fold.Count)
 	}
 }
 

@@ -19,7 +19,6 @@
 package store
 
 import (
-	"fmt"
 	"time"
 
 	"presto/internal/cache"
@@ -57,6 +56,9 @@ type Store struct {
 	// to their shard worker, so a single buffer suffices.
 	scratch      []Record
 	scratchVisit func(Record)
+	// declined collects, per Execute call, the motes neither replica nor
+	// archive answered, for the proxy pass.
+	declined []declinedMote
 
 	// domain is the global index of the simulation domain this store
 	// serves; routing decisions annotated onto a query's trace carry it.
@@ -156,132 +158,123 @@ func (s *Store) replica(pid index.ProxyID) (*proxy.Proxy, bool) {
 	return rp, ok
 }
 
-// Execute routes and runs one query. Its answer arrives exactly once:
-// through cb — synchronously, or later from the owning kernel when the
-// proxy pays a mote rendezvous — or, for an AGG query given a fold target
-// whose span the archive serves, folded straight into that partial
-// (folded=true, cb never called). tr, when non-nil, collects the routing
-// decision where it is made.
+// declinedMote is a mote awaiting the proxy pass of an Execute call.
+type declinedMote struct {
+	mote radio.NodeID
+	p    *proxy.Proxy
+}
+
+// Execute routes one round of a spec: every mote in motes once, in two
+// passes. cb fires exactly once per mote that could be routed —
+// synchronously, or later from the owning kernel when the proxy pays a
+// mote rendezvous; motes that could not (unknown to the index, proxy not
+// attached, malformed spec) are counted in failed. tr, when non-nil,
+// collects each routing decision where it is made.
 //
-// NOW queries are offered to the managing proxy's wired replica first
-// (Section 5's low-latency replication) — unless the query carries a
-// freshness bound the replica's snapshot cannot meet, in which case it
-// falls through to the managing proxy, which can pay the mote rendezvous.
+// The first pass serves what never reaches a managing proxy. NOW motes
+// are offered to the managing proxy's wired replica (Section 5's
+// low-latency replication) — unless the spec carries a freshness bound the
+// replica's snapshot cannot meet. PAST and AGG motes are served from the
+// domain's archive backend when the archived records cover every sample
+// slot of the span within the requested precision; the archive is
+// consulted once per mote either way. A freshness bound applies to them
+// too when the window tail overlaps "now": an archive whose newest record
+// for the mote is staler than MaxStaleness declines (ArchiveStale).
 //
-// PAST and AGG queries are served from the domain's archive backend when
-// the archived records cover every sample slot of the span within the
-// requested precision; only uncovered spans reach the proxy query path,
-// and the archive is consulted once either way. A freshness bound applies
-// to them too when the window tail overlaps "now": an archive whose
-// newest record for the mote is staler than MaxStaleness declines
-// (ArchiveStale), and the proxy path pays the rendezvous
-// (proxy.QueryRangeBounded).
+// The second pass hands each declined mote to its managing proxy (cache /
+// model / mote rendezvous, bounds enforced by QueryNowBounded and
+// QueryRange).
 //
-// The fold is the aggregate push-down: the slot records go into the
-// partial in exactly the order entry materialization plus ObserveResult
-// would have produced, so the float accumulation is bit-identical —
-// without building an Answer or a Result. A declined or uncovered span
-// leaves the partial untouched.
-func (s *Store) Execute(q query.Query, fold *query.Partial, tr *obs.Trace, cb func(query.Result)) (folded bool, err error) {
-	pid, err := s.ix.ProxyFor(q.Mote)
-	if err != nil {
-		return false, err
+// fold is the aggregate push-down, given for AGG rounds and nil
+// otherwise: every mote's slot entries go straight into it — no entry slice, no Answer.Entries —
+// and cb receives a Result that carries provenance and timing only. The
+// fold order is a contract, because float sums depend on it and answers
+// are compared bit for bit across commits and across cluster layouts:
+// archive-served motes in mote order, then the proxies' synchronous
+// answers in mote order, then rendezvous answers as they land — each
+// mote's entries in time order, exactly as materializing them and calling
+// ObserveResult would. A mote the archive declines leaves the fold
+// untouched until its proxy answers.
+func (s *Store) Execute(spec query.Spec, motes []radio.NodeID, fold *query.Partial, tr *obs.Trace, cb func(query.Result)) (failed int) {
+	if spec.Validate() != nil {
+		return len(motes)
 	}
-	if err := q.Validate(); err != nil {
-		return false, err
-	}
-	switch q.Type {
-	case query.Now:
-		if rp, ok := s.replica(pid); ok {
-			s.rstats.ReplicaRouted++ // replica was tried (the routing decision)
-			if q.MaxStaleness > 0 && !rp.FreshWithin(q.Mote, rp.Now(), q.MaxStaleness) {
-				s.rstats.ReplicaStale++
-				tr.Route(int64(q.Mote), s.domain, obs.RouteStaleBypass)
-				break // snapshot too stale: fall through to the managing proxy
-			}
-			if a, ok := rp.QueryLocal(q.Mote, rp.Now(), q.Precision); ok {
-				tr.Route(int64(q.Mote), s.domain, obs.RouteReplicaHit)
-				cb(query.Result{Query: q, Answer: a})
-				return false, nil
-			}
+	s.declined = s.declined[:0]
+	for _, m := range motes {
+		pid, err := s.ix.ProxyFor(m)
+		if err != nil {
+			failed++
+			continue
 		}
-	case query.Past, query.Agg:
-		recs, step, ok := s.archiveRecords(q, pid, tr)
+		if s.serveDirect(spec.QueryFor(m), pid, fold, tr, cb) {
+			continue
+		}
+		p, ok := s.proxies[pid]
 		if !ok {
-			break
+			failed++
+			continue
 		}
-		folding := fold != nil && q.Type == query.Agg
-		var a proxy.Answer
-		if folding {
-			// Coverage first, fold after: fold must stay untouched unless
-			// the whole span is covered, and a fold into a temporary merged
-			// after the fact would change the float accumulation order. The
-			// records are already in scratch, so the second walk is cache-hot.
-			ok = slotCover(recs, q.T0, q.T1, step, q.Precision, nil)
+		s.declined = append(s.declined, declinedMote{mote: m, p: p})
+	}
+	if len(s.declined) == 0 {
+		return failed
+	}
+	// One closure per round, not per mote: the answer names its mote.
+	onAnswer := func(a proxy.Answer) {
+		tr.Route(int64(a.Mote), s.domain, routeKindFor(a.Source))
+		cb(query.Result{Query: spec.QueryFor(a.Mote), Answer: a})
+	}
+	var pfold proxy.Fold // stays a nil interface when fold is nil
+	if fold != nil {
+		pfold = fold
+	}
+	for _, d := range s.declined {
+		s.rstats.Routed++
+		if spec.Type == query.Now {
+			// Without a bound QueryNowBounded is exactly QueryNow.
+			d.p.QueryNowBounded(d.mote, spec.Precision, spec.MaxStaleness, onAnswer)
 		} else {
-			a, ok = s.archiveAnswer(q, pid, recs, step)
+			// The bound only bites when the window tail overlaps "now".
+			d.p.QueryRange(d.mote, spec.T0, spec.T1, spec.Precision, spec.MaxStaleness, pfold, onAnswer)
 		}
+	}
+	return failed
+}
+
+// serveDirect is Execute's first pass for one mote: the wired replica for
+// NOW, the archive for PAST/AGG. It reports whether the mote was answered.
+func (s *Store) serveDirect(q query.Query, pid index.ProxyID, fold *query.Partial, tr *obs.Trace, cb func(query.Result)) bool {
+	if q.Type == query.Now {
+		rp, ok := s.replica(pid)
 		if !ok {
-			break
+			return false
 		}
-		s.rstats.ArchiveServed++
-		tr.Route(int64(q.Mote), s.domain, obs.RouteArchiveHit)
-		if !folding {
-			cb(rangeResult(q, a))
-			return false, nil
+		s.rstats.ReplicaRouted++ // replica was tried (the routing decision)
+		if q.MaxStaleness > 0 && !rp.FreshWithin(q.Mote, rp.Now(), q.MaxStaleness) {
+			s.rstats.ReplicaStale++
+			tr.Route(int64(q.Mote), s.domain, obs.RouteStaleBypass)
+			return false // snapshot too stale: the managing proxy decides
 		}
-		slotCover(recs, q.T0, q.T1, step, q.Precision, func(r Record) {
-			fold.Observe(r.V, r.ErrBound)
-		})
-		return true, nil
+		a, ok := rp.QueryLocal(q.Mote, rp.Now(), q.Precision)
+		if !ok {
+			return false
+		}
+		tr.Route(int64(q.Mote), s.domain, obs.RouteReplicaHit)
+		cb(query.Result{Query: q, Answer: a})
+		return true
 	}
-	p, ok := s.proxies[pid]
+	recs, step, ok := s.archiveRecords(q, pid, tr)
 	if !ok {
-		return false, fmt.Errorf("store: proxy %d not attached", pid)
+		return false
 	}
-	s.rstats.Routed++
-	done := s.routeTraced(q, tr, cb) // assigned once: the closures below capture it by value
-	switch q.Type {
-	case query.Now:
-		// Without a bound QueryNowBounded is exactly QueryNow.
-		p.QueryNowBounded(q.Mote, q.Precision, q.MaxStaleness, func(a proxy.Answer) {
-			done(query.Result{Query: q, Answer: a})
-		})
-	case query.Past, query.Agg:
-		// QueryRangeBounded without a bound is exactly QueryRange; the
-		// bound only bites when the window tail overlaps "now".
-		p.QueryRangeBounded(q.Mote, q.T0, q.T1, q.Precision, q.MaxStaleness, func(a proxy.Answer) {
-			done(rangeResult(q, a))
-		})
+	a, ok := s.archiveAnswer(q, pid, recs, step, fold)
+	if !ok {
+		return false
 	}
-	return false, nil
-}
-
-// routeTraced wraps cb so the proxy's decision — cache, model or
-// rendezvous, possibly made only after a pull resolves — lands on the
-// trace when it is actually made. Untraced queries get cb back: the
-// wrapper allocates only on the traced path.
-func (s *Store) routeTraced(q query.Query, tr *obs.Trace, cb func(query.Result)) func(query.Result) {
-	if tr == nil {
-		return cb
-	}
-	return func(r query.Result) {
-		tr.Route(int64(q.Mote), s.domain, routeKindFor(r.Answer.Source))
-		cb(r)
-	}
-}
-
-// rangeResult completes a PAST/AGG query from its answer: an AGG carries
-// the computed aggregate, flagged when the window held no observations.
-func rangeResult(q query.Query, a proxy.Answer) query.Result {
-	res := query.Result{Query: q, Answer: a}
-	if q.Type == query.Agg {
-		res.AggValue = query.Aggregate(q.Agg, a)
-		if len(a.Entries) == 0 {
-			res.Err = query.ErrEmptyAggregate
-		}
-	}
-	return res
+	s.rstats.ArchiveServed++
+	tr.Route(int64(q.Mote), s.domain, obs.RouteArchiveHit)
+	cb(query.Result{Query: q, Answer: a})
+	return true
 }
 
 // archiveRecords runs the archive-serving gates for a range query and,
@@ -304,7 +297,7 @@ func (s *Store) archiveRecords(q query.Query, pid index.ProxyID, tr *obs.Trace) 
 	// about the tail yet, and the sample-slot coverage check below cannot
 	// see records that never arrived. If the archive's newest record for
 	// the mote is too old, decline — the managing proxy enforces the bound
-	// end to end (QueryRangeBounded pays the rendezvous).
+	// end to end (proxy.QueryRange pays the rendezvous).
 	if q.MaxStaleness > 0 {
 		if p, ok := s.proxies[pid]; ok {
 			now := p.Now()
@@ -395,16 +388,27 @@ func slotCover(recs []Record, t0, t1, step simtime.Time, precision float64, emit
 	return true
 }
 
-// archiveAnswer materializes a range query's answer from the archive's
-// candidate records: it succeeds when every sample slot in [T0, T1] has a
-// record within half a sample interval whose error bound meets the
-// precision.
-func (s *Store) archiveAnswer(q query.Query, pid index.ProxyID, recs []Record, step simtime.Time) (proxy.Answer, bool) {
+// archiveAnswer answers a range query from the archive's candidate
+// records: it succeeds when every sample slot in [T0, T1] has a record
+// within half a sample interval whose error bound meets the precision.
+// The slot records become the answer's entries, or go into fold when one
+// is given.
+func (s *Store) archiveAnswer(q query.Query, pid index.ProxyID, recs []Record, step simtime.Time, fold *query.Partial) (proxy.Answer, bool) {
 	var entries []cache.Entry
-	covered := slotCover(recs, q.T0, q.T1, step, q.Precision, func(r Record) {
+	emit := func(r Record) {
 		entries = append(entries, cache.Entry{T: r.T, V: r.V, Source: cache.Pulled, ErrBound: r.ErrBound})
-	})
-	if !covered {
+	}
+	if fold != nil {
+		// Coverage first, fold after: fold must stay untouched unless the
+		// whole span is covered, and a fold into a temporary merged after
+		// the fact would change the float accumulation order. The records
+		// are already in scratch, so the second walk is cache-hot.
+		if !slotCover(recs, q.T0, q.T1, step, q.Precision, nil) {
+			return proxy.Answer{}, false
+		}
+		emit = func(r Record) { fold.Observe(r.V, r.ErrBound) }
+	}
+	if !slotCover(recs, q.T0, q.T1, step, q.Precision, emit) {
 		return proxy.Answer{}, false
 	}
 	now := simtime.Time(0)

@@ -60,14 +60,14 @@ func TestRouting(t *testing.T) {
 	r := newRig(t)
 	for _, id := range []radio.NodeID{1, 2} {
 		done := false
-		_, err := r.st.Execute(query.Query{Type: query.Now, Mote: id, Precision: 2}, nil, nil, func(res query.Result) {
+		failed := r.st.Execute(query.Spec{Type: query.Now, Precision: 2}, []radio.NodeID{id}, nil, nil, func(res query.Result) {
 			done = true
-			if res.Answer.Mote != id {
-				t.Errorf("answer for wrong mote: %d", res.Answer.Mote)
+			if res.Answer.Mote != id || res.Query.Mote != id {
+				t.Errorf("answer for wrong mote: %d/%d", res.Answer.Mote, res.Query.Mote)
 			}
 		})
-		if err != nil {
-			t.Fatal(err)
+		if failed != 0 {
+			t.Fatalf("mote %d failed to route", id)
 		}
 		r.sim.RunFor(time.Minute)
 		if !done {
@@ -81,8 +81,14 @@ func TestRouting(t *testing.T) {
 
 func TestUnknownMote(t *testing.T) {
 	r := newRig(t)
-	if _, err := r.st.Execute(query.Query{Type: query.Now, Mote: 99}, nil, nil, func(query.Result) {}); err == nil {
-		t.Fatal("unknown mote routed")
+	// The known mote beside it still answers; only the stranger fails.
+	answered := 0
+	if failed := r.st.Execute(query.Spec{Type: query.Now, Precision: 2}, []radio.NodeID{99, 1}, nil, nil, func(query.Result) { answered++ }); failed != 1 {
+		t.Fatalf("unknown mote: %d failed, want 1", failed)
+	}
+	r.sim.RunFor(time.Minute)
+	if answered != 1 {
+		t.Fatalf("%d answers beside the unknown mote, want 1", answered)
 	}
 }
 
@@ -95,7 +101,7 @@ func TestReplicaPreferred(t *testing.T) {
 	if err := r.st.Index().SetReplica(1, 0); err != nil {
 		t.Fatal(err)
 	}
-	r.st.Execute(query.Query{Type: query.Now, Mote: 2, Precision: 2}, nil, nil, func(query.Result) {})
+	r.st.Execute(query.Spec{Type: query.Now, Precision: 2}, []radio.NodeID{2}, nil, nil, func(query.Result) {})
 	if rs := r.st.RoutingStats(); rs.ReplicaRouted != 1 {
 		t.Fatalf("replica routing not used: %+v", rs)
 	}
