@@ -1,7 +1,8 @@
 // Package presto_test holds the benchmark harness: one testing.B benchmark
-// per table and figure in the paper (DESIGN.md §4), each regenerating the
-// published rows/series via internal/exp and reporting the key scalar as a
-// custom benchmark metric. Run everything with:
+// per table and figure in the paper (the experiments exp.All lists; README
+// "Quick start" runs them), each regenerating the published rows/series
+// via internal/exp and reporting the key scalar as a custom benchmark
+// metric. Run everything with:
 //
 //	go test -bench=. -benchmem
 //

@@ -1,6 +1,6 @@
 // Command presto-bench regenerates every table and figure from the paper
-// (plus the derived experiments and ablations in DESIGN.md §4) and prints
-// them as aligned text tables.
+// (plus the derived experiments and ablations listed by exp.All) and
+// prints them as aligned text tables.
 //
 // Usage:
 //

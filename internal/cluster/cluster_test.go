@@ -221,8 +221,32 @@ func TestClusterPastResultsMatch(t *testing.T) {
 // TestClusterContinuousTrailing: a standing trailing-window aggregate
 // delivers one round per period during Run, each round re-evaluating
 // [now-d, now] — counts stay roughly constant instead of growing with
-// history, and Until closes the stream by itself.
+// history, and Until closes the stream by itself. The same spec on an
+// in-process build of the same deployment fires on the same round clock,
+// so every round is bit-identical to the cluster's.
 func TestClusterContinuousTrailing(t *testing.T) {
+	spec := query.Spec{
+		Type: query.Agg, Agg: query.Mean, Precision: 0.5,
+		Trailing:   time.Hour,
+		Continuous: &query.Continuous{Every: 30 * time.Minute, Until: 2 * time.Hour},
+	}
+	single, err := core.Build(testConfig(t, 4, 2, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	single.Start()
+	single.Run(2 * time.Hour)
+	ref, err := single.Client().Query(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single.Run(3 * time.Hour)
+	var want []query.SetResult
+	for res := range ref.Results() {
+		want = append(want, res)
+	}
+
 	co, shutdown := startCluster(t, NewLoopback(), testConfig(t, 4, 2, 4), 2)
 	defer shutdown()
 	ctx := context.Background()
@@ -233,11 +257,7 @@ func TestClusterContinuousTrailing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stream, err := co.Client().Query(ctx, query.Spec{
-		Type: query.Agg, Agg: query.Mean, Precision: 0.5,
-		Trailing:   time.Hour,
-		Continuous: &query.Continuous{Every: 30 * time.Minute, Until: 2 * time.Hour},
-	})
+	stream, err := co.Client().Query(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,10 +268,14 @@ func TestClusterContinuousTrailing(t *testing.T) {
 	for res := range stream.Results() {
 		rounds = append(rounds, res)
 	}
-	if len(rounds) != 4 {
-		t.Fatalf("delivered %d rounds, want 4 (Until/Every)", len(rounds))
+	if len(rounds) != 4 || len(want) != 4 {
+		t.Fatalf("delivered %d rounds (in-process %d), want 4 (Until/Every)", len(rounds), len(want))
 	}
 	for i, r := range rounds {
+		if w := want[i]; r.Seq != w.Seq || r.At != w.At || r.Value != w.Value || r.ErrBound != w.ErrBound || r.Count != w.Count {
+			t.Fatalf("round %d: cluster seq %d at %v = %v ± %v (n=%d), in-process seq %d at %v = %v ± %v (n=%d)",
+				i, r.Seq, r.At, r.Value, r.ErrBound, r.Count, w.Seq, w.At, w.Value, w.ErrBound, w.Count)
+		}
 		if r.Seq != i {
 			t.Fatalf("round %d has seq %d", i, r.Seq)
 		}

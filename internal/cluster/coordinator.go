@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -39,89 +41,6 @@ type Options struct {
 	Quantum time.Duration
 }
 
-// contStream is one standing query's coordinator-side state. next/seq
-// and the finished/aborted latches are guarded by Coordinator.mu; the
-// delivery goroutine owns out.
-type contStream struct {
-	spec   query.Spec
-	groups []siteTargets
-	// heads caches each remote group's encoded scatter head (spec sans
-	// window, plus resolved motes) so a standing spec's rounds resend
-	// only window bounds. Site-0 entries stay nil.
-	heads [][]byte
-	every simtime.Time
-	until simtime.Time // absolute horizon; 0 = unbounded
-	next  simtime.Time // next fire instant
-	seq   int
-	out   chan query.SetResult
-
-	// inflight hands each sealed batch's pending results — a 1-buffered
-	// channel its collector fills — to the delivery goroutine in fire
-	// order, so rounds reach out in sequence no matter how collectors
-	// finish. Its capacity bounds how far collection may lag the lease
-	// clock: when full, rounds are skipped (seqs stay dense) rather
-	// than stalling the cluster.
-	inflight chan chan []query.SetResult
-	stop     chan struct{} // closed by abort: cancellation or Close
-	ctx      context.Context
-	done     chan struct{} // closed when the delivery goroutine exits
-
-	finished bool // horizon reached; inflight closed
-	aborted  bool // stop closed
-}
-
-// finish seals the stream at its horizon: in-flight batches still
-// deliver, then out closes. Caller holds Coordinator.mu.
-func (st *contStream) finish() {
-	if !st.finished {
-		st.finished = true
-		close(st.inflight)
-	}
-}
-
-// abort tears the stream down without draining. Caller holds
-// Coordinator.mu.
-func (st *contStream) abort() {
-	if !st.aborted {
-		st.aborted = true
-		close(st.stop)
-	}
-}
-
-// deliver is the stream's delivery goroutine: it receives each batch's
-// pending-results channel in fire order and pushes the rounds to out,
-// so consumers see rounds in sequence even when collectors finish out
-// of order.
-func (st *contStream) deliver() {
-	defer close(st.done)
-	defer close(st.out)
-	for {
-		var pending chan []query.SetResult
-		select {
-		case p, ok := <-st.inflight:
-			if !ok {
-				return
-			}
-			pending = p
-		case <-st.stop:
-			return
-		}
-		var rounds []query.SetResult
-		select {
-		case rounds = <-pending:
-		case <-st.stop:
-			return
-		}
-		for _, res := range rounds {
-			select {
-			case st.out <- res:
-			case <-st.stop:
-				return
-			}
-		}
-	}
-}
-
 // siteTargets is one site's share of a spec's resolved motes.
 type siteTargets struct {
 	site  int // 0 = the coordinator's local window
@@ -154,10 +73,13 @@ type Coordinator struct {
 
 	runMu sync.Mutex // serializes Run (one lease-issuer at a time)
 
-	mu     sync.Mutex // guards vnow, conts, closed, stream latches, elasticity state
+	mu     sync.Mutex // guards vnow, closed, elasticity state
 	vnow   simtime.Time
-	conts  []*contStream
 	closed bool
+
+	// standing holds the continuous specs the lease loop fires; each
+	// stream's Route is its site grouping.
+	standing core.Streams[[]siteTargets]
 
 	// Elasticity state (guarded by mu; structural changes additionally
 	// hold runMu, so they happen only at lease boundaries).
@@ -393,12 +315,8 @@ func (co *Coordinator) Close() {
 	co.closeOnce.Do(func() {
 		co.mu.Lock()
 		co.closed = true
-		conts := co.conts
-		co.conts = nil
-		for _, st := range conts {
-			st.abort()
-		}
 		co.mu.Unlock()
+		co.standing.Close()
 		for _, l := range co.remotes() {
 			l.conn.Close()
 		}
@@ -485,20 +403,9 @@ func (co *Coordinator) Start(ctx context.Context) error {
 func (co *Coordinator) Run(ctx context.Context, d time.Duration) error {
 	co.runMu.Lock()
 	defer co.runMu.Unlock()
-	co.mu.Lock()
-	target := co.vnow + simtime.Time(d)
-	co.mu.Unlock()
-	for {
-		co.mu.Lock()
-		now := co.vnow
-		co.mu.Unlock()
-		if now >= target {
-			return nil
-		}
-		next := now + simtime.Time(co.opt.Quantum)
-		if next > target {
-			next = target
-		}
+	target := co.Now() + simtime.Time(d)
+	for now := co.Now(); now < target; now = co.Now() {
+		next := min(now+simtime.Time(co.opt.Quantum), target)
 		co.advanceAll(ctx, next)
 		co.mu.Lock()
 		co.vnow = next
@@ -508,6 +415,7 @@ func (co *Coordinator) Run(ctx context.Context, d time.Duration) error {
 			return ctx.Err()
 		}
 	}
+	return nil
 }
 
 // advanceAll issues one absolute lease to every site and the local
@@ -536,67 +444,24 @@ func (co *Coordinator) advanceAll(ctx context.Context, target simtime.Time) {
 	wg.Wait()
 }
 
-// roundBatch is one stream's set of rounds sealed by a single lease
-// step, bound for one scatter frame per site.
-type roundBatch struct {
-	st   *contStream
-	seq0 int
-	ats  []simtime.Time
-	res  chan []query.SetResult
-}
-
 // fireDue seals every continuous round whose instant has been reached
 // and launches its scatter without waiting for the answers: the local
 // gathers are enqueued and the remote frames sent before fireDue
 // returns (so they land ahead of the next lease on each connection),
 // while collection and merge run on a per-batch collector goroutine.
 func (co *Coordinator) fireDue() {
-	co.mu.Lock()
-	now := co.vnow
-	var batches []roundBatch
-	live := co.conts[:0]
-	for _, st := range co.conts {
-		if st.ctx.Err() != nil {
-			st.abort()
-			continue
+	for _, b := range co.standing.Due(co.Now()) {
+		bounds := make([]query.Spec, len(b.Rounds))
+		for k, r := range b.Rounds {
+			bounds[k] = b.Spec.BindWindow(r.At)
 		}
-		var ats []simtime.Time
-		for st.next <= now && (st.until == 0 || st.next <= st.until) {
-			ats = append(ats, st.next)
-			st.next += st.every
-		}
-		if len(ats) > 0 && len(st.inflight) < cap(st.inflight) {
-			res := make(chan []query.SetResult, 1)
-			st.inflight <- res
-			batches = append(batches, roundBatch{st: st, seq0: st.seq, ats: ats, res: res})
-			st.seq += len(ats)
-		}
-		// A full inflight buffer skipped the step's rounds (no scatter,
-		// no seq advance) — sequence numbers stay dense, as in-process.
-		if st.until > 0 && st.next > st.until {
-			st.finish()
-			continue
-		}
-		live = append(live, st)
+		sc := co.scatterRounds(b.Route, bounds, nil)
+		go func() {
+			for k, res := range co.collectBatch(b.Context(), bounds, b.Rounds, sc) {
+				b.Rounds[k].Deliver(res)
+			}
+		}()
 	}
-	co.conts = live
-	co.mu.Unlock()
-
-	for _, b := range batches {
-		co.launchBatch(b.st, b.seq0, b.ats, b.res)
-	}
-}
-
-func (co *Coordinator) removeStream(st *contStream) {
-	co.mu.Lock()
-	for i, s := range co.conts {
-		if s == st {
-			co.conts = append(co.conts[:i], co.conts[i+1:]...)
-			break
-		}
-	}
-	st.abort()
-	co.mu.Unlock()
 }
 
 func (co *Coordinator) nextSeq() uint64 { return co.seq.Add(1) }
@@ -640,34 +505,6 @@ func (co *Coordinator) resolveTargets(spec query.Spec) ([]siteTargets, error) {
 	return co.groupBySite(targets)
 }
 
-// localGather is the coordinator window's share of a batch: one pending
-// partials channel per round, enqueued on the shard queues before the
-// next lease can be issued.
-type localGather struct {
-	has    bool
-	motes  int
-	chans  []<-chan query.RoundPartial
-	expect []int
-	err    error
-}
-
-// gatherLocalRounds enqueues every round of a batch on the local
-// window. Gathers already enqueued when a later round fails keep
-// running into their own buffered channels and are dropped.
-func (co *Coordinator) gatherLocalRounds(bounds []query.Spec, motes []radio.NodeID, tr *obs.Trace) localGather {
-	lg := localGather{has: true, motes: len(motes),
-		chans: make([]<-chan query.RoundPartial, len(bounds)), expect: make([]int, len(bounds))}
-	for k := range bounds {
-		parts, expect, err := co.local.GatherStart(bounds[k], motes, 0, tr)
-		if err != nil {
-			lg.err = err
-			return lg
-		}
-		lg.chans[k], lg.expect[k] = parts, expect
-	}
-	return lg
-}
-
 // pendingSite is one remote site's in-flight share of a round batch.
 type pendingSite struct {
 	l     *siteLink
@@ -683,17 +520,18 @@ type pendingSite struct {
 }
 
 // sendScatter issues one site's scatter frame for a batch: the spec's
-// cached head plus this step's window(s). A single due round keeps the
-// plain one-round scatter frame; two or more pack into a batch frame.
-// A non-nil tr (one-shot rounds only) appends the protocol-v4 trace
-// section, asking the site to return its routing decisions.
-func (co *Coordinator) sendScatter(g siteTargets, head []byte, wins []query.RoundWindow, tr *obs.Trace) pendingSite {
-	buf := make([]byte, 0, len(head)+4+16*len(wins))
-	buf = append(buf, head...)
+// head (the spec sans window, plus the site's motes) and this step's
+// window(s). A single due round keeps the plain one-round scatter frame;
+// two or more pack into a batch frame. A non-nil tr (one-shot rounds
+// only) appends the protocol-v4 trace section, asking the site to return
+// its routing decisions.
+func (co *Coordinator) sendScatter(g siteTargets, bounds []query.Spec, tr *obs.Trace) pendingSite {
+	buf := make([]byte, 0, 48+2*len(g.motes)+4+16*len(bounds))
+	buf = query.AppendScatterHead(buf, bounds[0], g.motes)
 	kind := wire.FrameScatter
 	batch := false
-	if len(wins) == 1 {
-		buf = query.AppendScatterWindow(buf, wins[0].T0, wins[0].T1)
+	if len(bounds) == 1 {
+		buf = query.AppendScatterWindow(buf, bounds[0].T0, bounds[0].T1)
 		if tr != nil {
 			buf = query.AppendScatterTrace(buf, tr.ID())
 		}
@@ -701,7 +539,7 @@ func (co *Coordinator) sendScatter(g siteTargets, head []byte, wins []query.Roun
 		kind = wire.FrameScatterBatch
 		batch = true
 		tr = nil // batched rounds never carry trace context
-		buf = query.AppendScatterRounds(buf, wins)
+		buf = query.AppendScatterRounds(buf, windows(bounds))
 	}
 	l := co.siteFor(g.site)
 	p := pendingSite{l: l, site: g.site, motes: len(g.motes), seq: co.nextSeq(), batch: batch, tr: tr}
@@ -709,32 +547,45 @@ func (co *Coordinator) sendScatter(g siteTargets, head []byte, wins []query.Roun
 	return p
 }
 
-// launchBatch binds a batch's rounds, enqueues the local gathers, sends
-// one scatter frame per remote site, and leaves a collector goroutine
-// to assemble the answers. Everything that must order before the next
-// advance lease — local enqueue, remote sends — happens before return.
-func (co *Coordinator) launchBatch(st *contStream, seq0 int, ats []simtime.Time, res chan []query.SetResult) {
-	n := len(ats)
-	bounds := make([]query.Spec, n)
-	wins := make([]query.RoundWindow, n)
-	for k, at := range ats {
-		b := st.spec.BindWindow(at)
-		b.Continuous = nil
-		bounds[k] = b
-		wins[k] = query.RoundWindow{T0: b.T0, T1: b.T1}
-	}
-	var local localGather
-	pend := make([]pendingSite, 0, len(st.groups))
-	for gi, g := range st.groups {
-		if g.site == 0 {
-			local = co.gatherLocalRounds(bounds, g.motes, nil)
+// roundScatter is a batch of rounds in flight: the local window's
+// gathers (one partials channel per round) and each remote site's
+// pending reply.
+type roundScatter struct {
+	localMotes  int
+	localParts  []<-chan query.RoundPartial
+	localExpect []int
+	localErr    error
+	pend        []pendingSite
+}
+
+// scatterRounds enqueues the local window's gathers for a batch — one
+// round per spec in bounds, each bound at its round's instant — and sends
+// one scatter frame per remote site: all that must order before the next
+// advance lease; collectBatch assembles the answers. A non-nil tr
+// (one-shot rounds) collects each target mote's routing decision, locally
+// and across the wire.
+func (co *Coordinator) scatterRounds(groups []siteTargets, bounds []query.Spec, tr *obs.Trace) roundScatter {
+	sc := roundScatter{pend: make([]pendingSite, 0, len(groups))}
+	for _, g := range groups {
+		if g.site != 0 {
+			sc.pend = append(sc.pend, co.sendScatter(g, bounds, tr))
 			continue
 		}
-		pend = append(pend, co.sendScatter(g, st.heads[gi], wins, nil))
+		// Gathers already enqueued when a later round fails keep running
+		// into their own buffered channels and are dropped.
+		sc.localMotes = len(g.motes)
+		sc.localParts, sc.localExpect = make([]<-chan query.RoundPartial, len(bounds)), make([]int, len(bounds))
+		for k, bound := range bounds {
+			sc.localParts[k], sc.localExpect[k], sc.localErr = co.local.GatherStart(bound, g.motes, tr)
+			if sc.localErr != nil {
+				break
+			}
+		}
 	}
-	go func() {
-		res <- co.collectBatch(st.ctx, bounds, ats, seq0, local, pend)
-	}()
+	if tr != nil { // gate the Sprintf, not just the span: untraced rounds must not allocate
+		tr.Span("cluster-scatter", fmt.Sprintf("%d sites, %d remote", len(groups), len(sc.pend)))
+	}
+	return sc
 }
 
 // collectBatch waits for every site's share of a batch, merges each
@@ -742,41 +593,38 @@ func (co *Coordinator) launchBatch(st *contStream, seq0 int, ats []simtime.Time,
 // fire order. Sites that fail mid-batch contribute an explicit
 // SiteError and their motes count as Failed on every round — a partial
 // answer, never a hang.
-func (co *Coordinator) collectBatch(ctx context.Context, bounds []query.Spec, ats []simtime.Time, seq0 int, local localGather, pend []pendingSite) []query.SetResult {
-	n := len(bounds)
-	parts := make([][]query.RoundPartial, n)
+func (co *Coordinator) collectBatch(ctx context.Context, bounds []query.Spec, rounds []core.Round, sc roundScatter) []query.SetResult {
+	parts := make([][]query.RoundPartial, len(rounds))
 	var siteErrs []query.SiteError
 	failed := 0
-	if local.has {
-		if local.err != nil {
-			siteErrs = append(siteErrs, query.SiteError{Site: 0, Err: local.err})
-			failed += local.motes
-		} else {
-			for k := range parts {
-				for i := 0; i < local.expect[k]; i++ {
-					parts[k] = append(parts[k], <-local.chans[k])
-				}
+	if sc.localErr != nil {
+		siteErrs = append(siteErrs, query.SiteError{Site: 0, Err: sc.localErr})
+		failed += sc.localMotes
+	} else {
+		for k, ch := range sc.localParts { // none without a local group
+			for i := 0; i < sc.localExpect[k]; i++ {
+				parts[k] = append(parts[k], <-ch)
 			}
 		}
 	}
-	for _, p := range pend {
-		rounds, err := co.awaitScatter(ctx, bounds, p)
+	for _, p := range sc.pend {
+		got, err := co.awaitScatter(ctx, bounds, p)
 		if err != nil {
 			siteErrs = append(siteErrs, query.SiteError{Site: p.site, Err: err})
 			failed += p.motes
 			continue
 		}
-		for k := range rounds {
-			parts[k] = append(parts[k], rounds[k]...)
+		for k := range got {
+			parts[k] = append(parts[k], got[k]...)
 		}
 	}
-	sortSiteErrs(siteErrs)
-	results := make([]query.SetResult, n)
-	for k := range results {
-		r := query.MergeRounds(bounds[k], seq0+k, ats[k], parts[k])
-		r.Failed += failed
-		r.SiteErrs = siteErrs
-		results[k] = r
+	slices.SortFunc(siteErrs, func(a, b query.SiteError) int { return cmp.Compare(a.Site, b.Site) })
+	results := make([]query.SetResult, len(rounds))
+	for k, r := range rounds {
+		res := query.MergeRounds(bounds[k], r.Seq, r.At, parts[k])
+		res.Failed += failed
+		res.SiteErrs = siteErrs
+		results[k] = res
 	}
 	return results
 }
@@ -810,55 +658,16 @@ func (co *Coordinator) awaitScatter(ctx context.Context, bounds []query.Spec, p 
 		}
 		return [][]query.RoundPartial{parts}, nil
 	}
+	return query.DecodeRoundPartialsBatch(bounds[0], windows(bounds), body)
+}
+
+// windows lists a batch's per-round windows, as batch frames carry them.
+func windows(bounds []query.Spec) []query.RoundWindow {
 	wins := make([]query.RoundWindow, len(bounds))
 	for k, b := range bounds {
 		wins[k] = query.RoundWindow{T0: b.T0, T1: b.T1}
 	}
-	return query.DecodeRoundPartialsBatch(bounds[0], wins, body)
-}
-
-// sortSiteErrs orders site errors by site index (tiny, allocation-free).
-func sortSiteErrs(errs []query.SiteError) {
-	for i := 1; i < len(errs); i++ {
-		for j := i; j > 0 && errs[j].Site < errs[j-1].Site; j-- {
-			errs[j], errs[j-1] = errs[j-1], errs[j]
-		}
-	}
-}
-
-// scatterRound executes one one-shot round inline on the calling
-// goroutine: the spec is bound at the round instant, sent as exactly
-// one frame to each remote site holding targets, gathered locally for
-// the coordinator's own window, and the per-domain partials merged in
-// global domain order.
-func (co *Coordinator) scatterRound(ctx context.Context, spec query.Spec, groups []siteTargets, seq int, at simtime.Time) query.SetResult {
-	// An explain/slow-query trace rides the context. Local-window routing
-	// decisions annotate straight onto it (site 0); each traced remote
-	// scatter carries the trace id across the wire and grafts the site's
-	// route section back at collect.
-	tr := obs.TraceFrom(ctx)
-	bound := spec.BindWindow(at)
-	bound.Continuous = nil
-	bounds := []query.Spec{bound}
-	wins := []query.RoundWindow{{T0: bound.T0, T1: bound.T1}}
-	var local localGather
-	pend := make([]pendingSite, 0, len(groups))
-	for _, g := range groups {
-		if g.site == 0 {
-			local = co.gatherLocalRounds(bounds, g.motes, tr)
-			continue
-		}
-		head := query.AppendScatterHead(make([]byte, 0, 48+2*len(g.motes)), bound, g.motes)
-		pend = append(pend, co.sendScatter(g, head, wins, tr))
-	}
-	if tr != nil { // gate the Sprintf, not just the span: untraced rounds must not allocate
-		tr.Span("cluster-scatter", fmt.Sprintf("%d sites, %d remote", len(groups), len(pend)))
-	}
-	res := co.collectBatch(ctx, bounds, []simtime.Time{at}, seq, local, pend)[0]
-	if tr != nil {
-		tr.Span("cluster-merge", fmt.Sprintf("%d results, %d failed", len(res.Results), res.Failed))
-	}
-	return res
+	return wins
 }
 
 // SubmitSpec implements core.SpecSubmitter over the cluster: one-shot
@@ -887,7 +696,16 @@ func (co *Coordinator) SubmitSpec(ctx context.Context, spec query.Spec) (<-chan 
 		out := make(chan query.SetResult, 1)
 		go func() {
 			defer close(out)
-			res := co.scatterRound(ctx, spec, groups, 0, now)
+			// An explain/slow-query trace rides the context. Local-window
+			// routing decisions annotate straight onto it (site 0); each
+			// traced remote scatter carries the trace id across the wire
+			// and grafts the site's route section back at collect.
+			tr := obs.TraceFrom(ctx)
+			bounds := []query.Spec{spec.BindWindow(now)}
+			res := co.collectBatch(ctx, bounds, []core.Round{{At: now}}, co.scatterRounds(groups, bounds, tr))[0]
+			if tr != nil {
+				tr.Span("cluster-merge", fmt.Sprintf("%d results, %d failed", len(res.Results), res.Failed))
+			}
 			select {
 			case out <- res:
 			case <-ctx.Done():
@@ -896,44 +714,7 @@ func (co *Coordinator) SubmitSpec(ctx context.Context, spec query.Spec) (<-chan 
 		return out, nil
 	}
 
-	cont := *spec.Continuous
-	st := &contStream{
-		spec: spec, groups: groups,
-		every:    simtime.Time(cont.Every),
-		next:     now + simtime.Time(cont.Every),
-		out:      make(chan query.SetResult, 256),
-		inflight: make(chan chan []query.SetResult, 16),
-		stop:     make(chan struct{}),
-		ctx:      ctx,
-		done:     make(chan struct{}),
-	}
-	if cont.Until > 0 {
-		st.until = now + simtime.Time(cont.Until)
-		if st.next > st.until {
-			close(st.out)
-			close(st.done)
-			return st.out, nil
-		}
-	}
-	st.heads = make([][]byte, len(groups))
-	for gi, g := range groups {
-		if g.site != 0 {
-			st.heads[gi] = query.AppendScatterHead(make([]byte, 0, 48+2*len(g.motes)), spec, g.motes)
-		}
-	}
-	go st.deliver()
-	co.mu.Lock()
-	co.conts = append(co.conts, st)
-	co.mu.Unlock()
-	// Prompt leak-free cancellation even if Run is never called again.
-	go func() {
-		select {
-		case <-ctx.Done():
-			co.removeStream(st)
-		case <-st.done:
-		}
-	}()
-	return st.out, nil
+	return co.standing.Open(ctx, spec, groups, now)
 }
 
 // ---------------------------------------------------------------------------

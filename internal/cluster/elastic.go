@@ -205,8 +205,8 @@ func (co *Coordinator) MigrateDomain(ctx context.Context, d, toSite int) error {
 }
 
 // regroup recomputes the all-motes site grouping and every standing
-// stream's groups and cached scatter heads after an assignment change.
-// Caller holds runMu (no batch launch reads st.groups concurrently).
+// stream's Route after an assignment change.
+// Caller holds runMu (no batch launch reads a Route concurrently).
 func (co *Coordinator) regroup() error {
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -215,25 +215,19 @@ func (co *Coordinator) regroup() error {
 		return err
 	}
 	co.allGroups = groups
-	for _, st := range co.conts {
-		var g []siteTargets
-		if st.spec.Select.Motes == nil && st.spec.Select.Where == nil {
-			g = groups
-		} else {
-			targets := st.spec.Select.Resolve(co.lay.AllMotes())
-			if g, err = co.groupBySite(targets); err != nil {
-				return err
+	co.standing.Each(func(st *core.Stream[[]siteTargets]) {
+		if err != nil {
+			return
+		}
+		g := groups
+		if st.Spec.Select.Motes != nil || st.Spec.Select.Where != nil {
+			if g, err = co.groupBySite(st.Spec.Select.Resolve(co.lay.AllMotes())); err != nil {
+				return
 			}
 		}
-		heads := make([][]byte, len(g))
-		for gi, grp := range g {
-			if grp.site != 0 {
-				heads[gi] = query.AppendScatterHead(make([]byte, 0, 48+2*len(grp.motes)), st.spec, grp.motes)
-			}
-		}
-		st.groups, st.heads = g, heads
-	}
-	return nil
+		st.Route = g
+	})
+	return err
 }
 
 // ---------------------------------------------------------------------------
@@ -283,8 +277,8 @@ func (co *Coordinator) CheckpointDomains(ctx context.Context) (*Checkpoint, erro
 		DomainSite: append([]int(nil), co.domainSite...),
 		Blobs:      make([][]byte, co.lay.Shards),
 	}
-	for _, st := range co.conts {
-		spec := st.spec
+	co.standing.Each(func(st *core.Stream[[]siteTargets]) {
+		spec := st.Spec
 		if spec.Select.Where != nil {
 			// Predicates have no serial form; persist the resolved motes.
 			spec.Select = query.SelectMotes(spec.Select.Resolve(co.lay.AllMotes())...)
@@ -293,10 +287,11 @@ func (co *Coordinator) CheckpointDomains(ctx context.Context) (*Checkpoint, erro
 		if err != nil {
 			sj = nil // a spec that cannot serialize is recorded stateless
 		}
+		every, until, next, seq := st.Schedule()
 		ck.Streams = append(ck.Streams, StreamState{
-			SpecJSON: sj, Every: st.every, Until: st.until, Next: st.next, Seq: st.seq,
+			SpecJSON: sj, Every: every, Until: until, Next: next, Seq: seq,
 		})
-	}
+	})
 	co.mu.Unlock()
 
 	for d := 0; d < co.lay.Shards; d++ {

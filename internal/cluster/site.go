@@ -203,7 +203,7 @@ func (s *site) handle(f wire.Frame) error {
 		// what pins the round to the leased clock — then collect, encode
 		// and reply off the serve loop, so the loop can take the next
 		// lease while the round executes (lease pipelining's site half).
-		parts, expect, gerr := s.n.GatherStart(spec, motes, 0, tr)
+		parts, expect, gerr := s.n.GatherStart(spec, motes, tr)
 		if gerr != nil {
 			return s.reply(wire.FramePartials, f.Seq, nil, gerr)
 		}
@@ -219,7 +219,7 @@ func (s *site) handle(f wire.Frame) error {
 		for i, w := range wins {
 			spec := base
 			spec.T0, spec.T1 = w.T0, w.T1
-			parts, expect, gerr := s.n.GatherStart(spec, motes, 0, nil)
+			parts, expect, gerr := s.n.GatherStart(spec, motes, nil)
 			if gerr != nil {
 				// Gathers already enqueued keep running into their own
 				// buffered channels; the whole batch answers with the error.

@@ -9,18 +9,21 @@ package core
 // with honest combined error bounds. An N-mote aggregate spanning any
 // number of domains therefore costs exactly one engine submission.
 //
-// Continuous specs re-arm on the simulation clock: a self-re-arming
-// wakeup event on the anchor domain's kernel scatters a round at each
-// exact period instant, and a merge goroutine assembles the rounds in
-// order and pushes them down the stream. Multi-domain workers drain
-// their command queues at bounded virtual-time intervals while advancing
-// (see shard.advance), so the other domains' contributions to a round
-// execute in the middle of one long Run instead of piling up behind it.
+// Continuous specs fire on the same round clock a cluster coordinator
+// uses (standing.go): each Run seals the rounds due by its target
+// instant, every domain runs to each round's instant and gathers its
+// share there, and the domain delivering a round's last partial merges
+// it and hands it to the stream, which delivers the rounds in sequence.
+// A domain therefore gathers exactly where a cluster site does — after
+// every event at the instant has fired — whatever the goroutine timing.
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 
 	"presto/internal/obs"
 	"presto/internal/query"
@@ -89,14 +92,11 @@ func gatherSpec(sh *shard, spec query.Spec, motes []radio.NodeID, tr *obs.Trace,
 // not hosted by this process are an error, since the coordinator's
 // layout and the site's must agree.
 func (n *Network) GatherLocal(spec query.Spec, motes []radio.NodeID) ([]query.RoundPartial, error) {
-	parts, expect, err := n.GatherStart(spec, motes, 0, nil)
+	parts, expect, err := n.GatherStart(spec, motes, nil)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]query.RoundPartial, 0, expect)
-	for i := 0; i < expect; i++ {
-		out = append(out, <-parts)
-	}
+	out := collect(parts, expect)
 	query.SortRoundPartials(out)
 	return out, nil
 }
@@ -107,18 +107,14 @@ func (n *Network) GatherLocal(spec query.Spec, motes []radio.NodeID) ([]query.Ro
 // sort by Domain before merging). It is GatherLocal's non-blocking half:
 // the cluster coordinator uses it to enqueue a round's local gathers
 // before issuing the next advance lease, so the round executes while the
-// window advances instead of quiescing the engine.
-//
-// When at is ahead of a domain's clock, that domain's fold runs as a
-// kernel event at exactly that instant — a round scheduled mid-advance
-// executes at its nominal time, not wherever the worker happens to be.
-// at <= the domain clock (or zero) folds at the current clock, which is
-// the converged floor after an advance.
+// window advances instead of quiescing the engine. Each domain folds at
+// its clock when its worker picks the round up — after an advance lease,
+// the converged floor.
 //
 // A non-nil tr collects each target mote's routing decision as the
 // round executes — the cluster site threads the scatter frame's trace
 // context through here so the decisions ride back in the partials.
-func (n *Network) GatherStart(spec query.Spec, motes []radio.NodeID, at simtime.Time, tr *obs.Trace) (<-chan query.RoundPartial, int, error) {
+func (n *Network) GatherStart(spec query.Spec, motes []radio.NodeID, tr *obs.Trace) (<-chan query.RoundPartial, int, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, 0, err
 	}
@@ -132,29 +128,41 @@ func (n *Network) GatherStart(spec query.Spec, motes []radio.NodeID, at simtime.
 	if err != nil {
 		return nil, 0, err
 	}
+	return n.scatter(spec, runs, tr), len(runs), nil
+}
+
+// scatter enqueues one bound round on every owning domain and returns
+// the channel their partials arrive on, buffered to the domain count so
+// workers never block. A domain that cannot accept work (engine closed)
+// contributes a failed partial at once.
+func (n *Network) scatter(spec query.Spec, runs []shardRun, tr *obs.Trace) <-chan query.RoundPartial {
 	n.queriesSubmitted.Add(1)
 	parts := make(chan query.RoundPartial, len(runs))
 	deliver := func(p query.RoundPartial) { parts <- p }
 	for _, g := range runs {
-		s, ms := g.s, g.motes
-		fn := func(sh *shard) { gatherSpec(sh, spec, ms, tr, deliver) }
-		if at > 0 {
-			gather := fn
-			fn = func(sh *shard) {
-				if at > sh.sim.Now() {
-					sh.sim.ScheduleAt(at, func() { gather(sh) })
-					return
-				}
-				gather(sh)
-			}
-		}
-		if !s.enqueue(shardCmd{fn: fn}) {
-			parts <- query.RoundPartial{
-				Domain: s.domain, Partial: query.NewPartialFor(spec), Failed: len(ms),
-			}
+		motes := g.motes
+		if !g.s.enqueue(shardCmd{fn: func(sh *shard) { gatherSpec(sh, spec, motes, tr, deliver) }}) {
+			parts <- failedPartial(spec, g)
 		}
 	}
-	return parts, len(runs), nil
+	return parts
+}
+
+// collect blocks for a round's expect partials. Workers always deliver —
+// queries that can never complete fail instead of wedging — so it
+// terminates.
+func collect(parts <-chan query.RoundPartial, expect int) []query.RoundPartial {
+	out := make([]query.RoundPartial, 0, expect)
+	for i := 0; i < expect; i++ {
+		out = append(out, <-parts)
+	}
+	return out
+}
+
+// failedPartial is the share of a domain that cannot gather: all its
+// motes failed.
+func failedPartial(spec query.Spec, g shardRun) query.RoundPartial {
+	return query.RoundPartial{Domain: g.s.domain, Partial: query.NewPartialFor(spec), Failed: len(g.motes)}
 }
 
 // shardRun is one owning domain's slice of a round's target motes.
@@ -220,55 +228,64 @@ func (n *Network) groupRunsUnsorted(motes []radio.NodeID) ([]shardRun, error) {
 	return runs, nil
 }
 
-// specRound is one in-flight round of a spec: its sequence number, the
-// virtual instant it fired at, the spec as bound for this round (a
-// trailing window resolves to a fresh [at-d, at] each round), and the
-// channel its per-domain partials arrive on (buffered to the domain
-// count, so workers never block).
-type specRound struct {
-	seq    int
-	at     simtime.Time
-	spec   query.Spec
-	parts  chan query.RoundPartial
-	expect int
+// dueGather is one domain's share of a sealed standing round: run to the
+// round's instant, then gather motes into fold.
+type dueGather struct {
+	motes []radio.NodeID
+	fold  *roundFold
 }
 
-// newSpecRound allocates a round and scatters it: the calling shard (if
-// any) gathers inline — a continuous round fires on the anchor's kernel
-// and snapshots that domain at the exact round instant — and every other
-// owning domain gets one command. Domains that cannot accept work
-// (engine closed) contribute a failed partial immediately.
-func (n *Network) newSpecRound(spec query.Spec, runs []shardRun, seq int, at simtime.Time, self *shard, tr *obs.Trace) *specRound {
-	n.queriesSubmitted.Add(1)
-	spec = spec.BindWindow(at)
-	rs := &specRound{seq: seq, at: at, spec: spec, parts: make(chan query.RoundPartial, len(runs)), expect: len(runs)}
-	deliver := func(p query.RoundPartial) { rs.parts <- p }
-	for _, g := range runs {
-		s, motes := g.s, g.motes
-		if s == self {
-			gatherSpec(s, spec, motes, tr, deliver)
-			continue
-		}
-		if !s.enqueue(shardCmd{fn: func(sh *shard) { gatherSpec(sh, spec, motes, tr, deliver) }}) {
-			rs.parts <- query.RoundPartial{
-				Domain: s.domain, Partial: query.NewPartialFor(spec), Failed: len(motes),
+// roundFold collects one standing round's per-domain partials as the
+// domains deliver them; the domain delivering the last merges the round
+// (domain-ascending, so the fold is bit-identical to a cluster's
+// two-level merge of the same domains) and hands it to the stream.
+type roundFold struct {
+	spec      query.Spec // bound at the round's instant
+	round     Round
+	mu        sync.Mutex
+	parts     []query.RoundPartial
+	remaining int
+}
+
+func (f *roundFold) deliver(p query.RoundPartial) {
+	f.mu.Lock()
+	f.parts = append(f.parts, p)
+	f.remaining--
+	last := f.remaining == 0
+	f.mu.Unlock()
+	if last {
+		f.round.Deliver(query.MergeRounds(f.spec, f.round.Seq, f.round.At, f.parts))
+	}
+}
+
+// dueGathers seals the standing rounds due by target and lays them out
+// per hosted shard (indexed by slot; nil when none is due), each shard's
+// list in instant order and, within an instant, in stream order. A
+// round's share on a domain no longer hosted here fails at once.
+func (n *Network) dueGathers(target simtime.Time) [][]dueGather {
+	batches := n.standing.Due(target)
+	if len(batches) == 0 {
+		return nil
+	}
+	per := make([][]dueGather, len(n.shards))
+	for _, b := range batches {
+		for _, r := range b.Rounds {
+			n.queriesSubmitted.Add(1)
+			f := &roundFold{spec: b.Spec.BindWindow(r.At), round: r,
+				parts: make([]query.RoundPartial, 0, len(b.Route)), remaining: len(b.Route)}
+			for _, g := range b.Route {
+				if g.s.slot < len(n.shards) && n.shards[g.s.slot] == g.s {
+					per[g.s.slot] = append(per[g.s.slot], dueGather{motes: g.motes, fold: f})
+				} else {
+					f.deliver(failedPartial(f.spec, g))
+				}
 			}
 		}
 	}
-	return rs
-}
-
-// mergeRound blocks for every domain's partial and hands them to the
-// query package's merge stage (domain-ascending, so the fold is
-// bit-identical to a cluster's two-level merge of the same domains).
-// Workers always deliver — queries that can never complete fail their
-// callbacks instead of wedging — so this terminates.
-func mergeRound(rs *specRound) query.SetResult {
-	parts := make([]query.RoundPartial, 0, rs.expect)
-	for i := 0; i < rs.expect; i++ {
-		parts = append(parts, <-rs.parts)
+	for _, gs := range per {
+		slices.SortStableFunc(gs, func(a, b dueGather) int { return cmp.Compare(a.fold.round.At, b.fold.round.At) })
 	}
-	return query.MergeRounds(rs.spec, rs.seq, rs.at, parts)
+	return per
 }
 
 // SubmitSpec posts a declarative set query to the engine. The returned
@@ -294,136 +311,46 @@ func (n *Network) SubmitSpec(ctx context.Context, spec query.Spec) (<-chan query
 	if n.shards[0].isClosed() {
 		return nil, ErrClosed
 	}
+	if spec.Continuous != nil {
+		// Standing query: its rounds fire as Run (or RunUntilTime) reaches
+		// each period instant. Virtual time standing still means no new
+		// rounds — no new data can exist either.
+		return n.standing.Open(ctx, spec, runs, n.Now())
+	}
 	// An explain/slow-query trace rides the context; nil otherwise.
 	tr := obs.TraceFrom(ctx)
 	out := make(chan query.SetResult, 1)
-	if spec.Continuous == nil {
-		// A one-shot NOW spec naming a single mote keeps the engine's
-		// wired-replica fast path (submitNow: cross-domain NOW queries
-		// served from the replica mirror when it meets precision and
-		// freshness). Scatter rounds
-		// execute at the owning domains instead: a set snapshot wants
-		// the authoritative data, and its per-domain partials cannot
-		// depend on another domain's replica decision. A traced query
-		// skips the bypass: the scatter path is the one that annotates
-		// each routing decision, and one query through it costs little.
-		if tr == nil && spec.Type == query.Now && len(runs) == 1 && len(runs[0].motes) == 1 {
-			if err := n.submitNow(spec, runs[0].s, runs[0].motes, out); err != nil {
-				return nil, err
-			}
-			return out, nil
+	// A one-shot NOW spec naming a single mote keeps the engine's
+	// wired-replica fast path (submitNow: cross-domain NOW queries served
+	// from the replica mirror when it meets precision and freshness).
+	// Scatter rounds execute at the owning domains instead: a set snapshot
+	// wants the authoritative data, and its per-domain partials cannot
+	// depend on another domain's replica decision. A traced query skips
+	// the bypass: the scatter path is the one that annotates each routing
+	// decision, and one query through it costs little.
+	if tr == nil && spec.Type == query.Now && len(runs) == 1 && len(runs[0].motes) == 1 {
+		if err := n.submitNow(spec, runs[0].s, runs[0].motes, out); err != nil {
+			return nil, err
 		}
-		go func() {
-			defer close(out)
-			if tr != nil { // gate the Sprintf, not just the span: untraced rounds must not allocate
-				tr.Span("scatter", fmt.Sprintf("%d domains", len(runs)))
-			}
-			res := mergeRound(n.newSpecRound(spec, runs, 0, n.Now(), nil, tr))
-			if tr != nil {
-				tr.Span("merge", fmt.Sprintf("%d results, %d failed", len(res.Results), res.Failed))
-			}
-			select {
-			case out <- res:
-			case <-ctx.Done():
-			}
-		}()
 		return out, nil
-	}
-
-	// Standing query. The anchor domain's kernel (the one owning the
-	// lowest target mote) is the metronome: a self-re-arming wakeup event
-	// fires every spec period of virtual time and scatters a round at
-	// that exact instant — the anchor's own motes gather inline, other
-	// domains by command — so the round cadence tracks the simulation
-	// clock no matter how fast wall-clock Run outpaces the consumer. A
-	// merge goroutine assembles the rounds in order and delivers them
-	// with backpressure; kernels never block on it. Virtual time standing
-	// still (no Run in flight) means no new rounds — no new data can
-	// exist either.
-	cont := *spec.Continuous
-	anchor := anchorShard(runs)
-	maxRounds := 0
-	if cont.Until > 0 {
-		// The rounds whose instants fall at or before the Until horizon.
-		maxRounds = int(cont.Until / cont.Every)
-		if maxRounds == 0 {
-			close(out)
-			return out, nil
-		}
-	}
-	// In-flight rounds awaiting merge. The buffer bounds memory when the
-	// simulation sprints far ahead of the consumer; a full buffer skips
-	// rounds (keeping sequence numbers dense) rather than stalling any
-	// kernel. fire is the channel's only sender and runs on the anchor
-	// worker, so the length check makes its send non-blocking, and it can
-	// close the channel when a bounded stream's horizon passes — the
-	// merge side then terminates even if backpressure skipped rounds.
-	rounds := make(chan *specRound, 256)
-	started := 0 // rounds scattered (anchor-worker state)
-	fired := 0   // nominal instants reached, skips included
-	var fire func(s *shard)
-	fire = func(s *shard) {
-		select {
-		case <-ctx.Done():
-			return // cancelled: stop re-arming; the merge side is gone
-		case <-s.quit:
-			return // engine closed (this is its final drain): likewise
-		default:
-		}
-		if len(rounds) < cap(rounds) {
-			rounds <- n.newSpecRound(spec, runs, started, s.sim.Now(), s, nil)
-			started++
-		}
-		fired++
-		if maxRounds == 0 || fired < maxRounds {
-			s.sim.Schedule(cont.Every, func() { fire(s) })
-		} else {
-			close(rounds) // horizon reached: no further sends, ever
-		}
-	}
-	if !anchor.enqueue(shardCmd{fn: func(s *shard) {
-		s.sim.Schedule(cont.Every, func() { fire(s) })
-	}}) {
-		return nil, ErrClosed
 	}
 	go func() {
 		defer close(out)
-		for {
-			var rs *specRound
-			var ok bool
-			select {
-			case <-ctx.Done():
-				return
-			case <-anchor.quit:
-				return // engine closed: the stream dies with it
-			case rs, ok = <-rounds:
-				if !ok {
-					return // bounded stream: horizon passed, all rounds merged
-				}
-			}
-			res := mergeRound(rs)
-			select {
-			case out <- res:
-			case <-ctx.Done():
-				return
-			case <-anchor.quit:
-				return
-			}
+		if tr != nil { // gate the Sprintf, not just the span: untraced rounds must not allocate
+			tr.Span("scatter", fmt.Sprintf("%d domains", len(runs)))
+		}
+		at := n.Now()
+		bound := spec.BindWindow(at)
+		res := query.MergeRounds(bound, 0, at, collect(n.scatter(bound, runs, tr), len(runs)))
+		if tr != nil {
+			tr.Span("merge", fmt.Sprintf("%d results, %d failed", len(res.Results), res.Failed))
+		}
+		select {
+		case out <- res:
+		case <-ctx.Done():
 		}
 	}()
 	return out, nil
-}
-
-// anchorShard picks the metronome domain for a continuous spec: the one
-// owning the lowest target mote id, so the choice is deterministic.
-func anchorShard(runs []shardRun) *shard {
-	anchor := runs[0]
-	for _, g := range runs[1:] {
-		if g.motes[0] < anchor.motes[0] {
-			anchor = g
-		}
-	}
-	return anchor.s
 }
 
 // ---------------------------------------------------------------------------

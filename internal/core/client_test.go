@@ -8,6 +8,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -195,7 +196,7 @@ func TestSingleMoteNowSpecRidesReplica(t *testing.T) {
 	}
 }
 
-// TestContinuousDeliversDuringRun: a standing query re-arms on the
+// TestContinuousDeliversDuringRun: a standing query fires on the
 // simulation clock and pushes incremental results down the stream while
 // one long Run is still in flight.
 func TestContinuousDeliversDuringRun(t *testing.T) {
@@ -326,6 +327,78 @@ func TestContinuousCancelLeaksNothing(t *testing.T) {
 	// And the engine still answers: no waiters wedged in any domain.
 	if _, err := n.Client().QueryOne(context.Background(), query.Spec{Type: query.Now, Precision: 2}); err != nil {
 		t.Fatalf("engine wedged after cancel: %v", err)
+	}
+}
+
+// TestStandingRoundsReplay: standing rounds fire on the round clock, not
+// on goroutine timing. Four domains run a standing fleet NOW and a
+// trailing fleet AGG in ten-minute steps, each step followed by a
+// one-shot NOW under a 30 s staleness bound, which forces a rendezvous
+// and leaves that mote's domain ahead of the others. Two independent
+// builds must deliver the same rounds, every one at an exact multiple of
+// the period after the instant the specs were posed.
+func TestStandingRoundsReplay(t *testing.T) {
+	const every, steps = 10 * time.Minute, 12
+	replay := func() []string {
+		n := buildSharded(t, 4, 2, 4, func(c *Config) { c.WiredFirstProxy = false })
+		if _, err := n.Bootstrap(36*time.Hour, 24, 1.0); err != nil {
+			t.Fatal(err)
+		}
+		n.Run(time.Hour)
+		start := n.Now()
+		ctx := context.Background()
+		cont := &query.Continuous{Every: every, Until: steps * every}
+		var streams []*ResultStream
+		for _, spec := range []query.Spec{
+			{Type: query.Now, Precision: 2, Continuous: cont},
+			{Type: query.Agg, Agg: query.Mean, Trailing: time.Hour, Precision: 2, Continuous: cont},
+		} {
+			st, err := n.Client().Query(ctx, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			streams = append(streams, st)
+		}
+		for i := 0; i < steps; i++ {
+			n.Run(every)
+			if _, err := n.Client().QueryOne(ctx, query.Spec{
+				Type: query.Now, Select: query.SelectMotes(radio.NodeID(1 + i%8)),
+				Precision: 2, MaxStaleness: 30 * time.Second,
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n.ProxyStats().StalenessPulls == 0 {
+			t.Fatal("no one-shot NOW paid a rendezvous: no domain ran ahead")
+		}
+		var got []string
+		for si, st := range streams {
+			seq := 0
+			for r := range st.Results() {
+				if want := start + simtime.Time(r.Seq+1)*simtime.Time(every); r.Seq != seq || r.At != want {
+					t.Fatalf("stream %d: round %d delivered as seq %d at %v, want %v", si, seq, r.Seq, r.At, want)
+				}
+				if r.Failed != 0 {
+					t.Fatalf("stream %d round %d: %d motes failed", si, r.Seq, r.Failed)
+				}
+				line := fmt.Sprintf("%d/%d@%d %v±%v n=%d", si, r.Seq, r.At, r.Value, r.ErrBound, r.Count)
+				for _, res := range r.Results {
+					line += fmt.Sprintf(" %d:%v:%v", res.Query.Mote, res.Answer.Source, res.Answer.Entries)
+				}
+				got = append(got, line)
+				seq++
+			}
+			if seq != steps {
+				t.Fatalf("stream %d delivered %d rounds, want %d", si, seq, steps)
+			}
+		}
+		return got
+	}
+	a, b := replay(), replay()
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("round %d differs between two builds:\n%s\n%s", i, a[i], b[i])
+		}
 	}
 }
 

@@ -314,6 +314,13 @@ type Network struct {
 	started   bool
 	closeOnce sync.Once
 
+	// runMu serializes Run and RunUntilTime: one caller advances the clock
+	// at a time.
+	runMu sync.Mutex
+	// standing holds the continuous specs Run fires. A pointer, so its
+	// goroutines never keep an abandoned Network from its finalizer.
+	standing *Streams[[]shardRun]
+
 	queriesSubmitted atomic.Uint64
 	replicaServed    atomic.Uint64
 	replicaBypassed  atomic.Uint64 // replica skipped by a freshness bound
@@ -346,6 +353,7 @@ func Build(cfg Config) (*Network, error) {
 		moteShard:  make(map[radio.NodeID]int),
 		moteHome:   make(map[radio.NodeID]*mote.Mote),
 		proxyShard: make(map[int]int),
+		standing:   &Streams[[]shardRun]{},
 	}
 	// The bridge exists whenever the *global* deployment is multi-domain:
 	// a windowed build hosting a single domain still replicates over it —
@@ -626,7 +634,7 @@ func (n *Network) Bootstrap(trainFor time.Duration, bins int, delta float64) (ma
 				return
 			}
 		}
-		s.advance(trainFor)
+		s.advanceTo(s.sim.Now() + simtime.Time(trainFor))
 		// Phase 2: train, ship, switch to model-driven.
 		for _, m := range s.motes {
 			p := s.moteProxy[m.ID()]
@@ -642,7 +650,7 @@ func (n *Network) Bootstrap(trainFor time.Duration, bins int, delta float64) (ma
 			local[m.ID()] = mdl
 		}
 		// Let the model updates and config changes propagate.
-		s.advance(time.Minute)
+		s.advanceTo(s.sim.Now() + simtime.Time(time.Minute))
 		models[s.slot] = local
 	})
 	merged := make(map[radio.NodeID]model.Model, len(n.moteShard))

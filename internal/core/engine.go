@@ -195,28 +195,21 @@ func (s *shard) failPending() {
 	clear(s.pending)
 }
 
-// advance runs the domain forward by d. Multi-domain deployments chunk
-// the run at bounded virtual-time intervals, draining the bridge and
-// the command queue between chunks: replica traffic from other domains
-// keeps flowing during long runs, and scatter-gather commands from
-// other domains' continuous rounds execute near the virtual time they
-// fired instead of queueing behind the whole advance. Commands drained
-// here run between kernel chunks, when the kernel is not stepping, so
-// they may safely submit queries — any they leave pending settle during
-// the remaining chunks or in the worker's settle loop after the advance
-// command returns. Single-domain deployments run the span in one
-// unchunked RunUntil — there is no cross-domain traffic to interleave
-// (a continuous spec's rounds fire as kernel events on this very
-// domain), and chunking costs ~30% on long simulations.
-func (s *shard) advance(d time.Duration) {
-	s.advanceTo(s.sim.Now() + simtime.Time(d))
-}
-
 // advanceTo runs the domain forward to absolute virtual time target
 // (no-op for a domain already at or past it — e.g. one that ran ahead
-// settling queries). Cluster advance leases use the absolute form so
-// every domain in every process converges on the same clock regardless
-// of where each one currently stands.
+// settling queries), so every domain in every process converges on the
+// same clock regardless of where each one currently stands.
+// Multi-domain deployments chunk the run at bounded virtual-time
+// intervals, draining the bridge and the command queue between chunks:
+// replica traffic from other domains keeps flowing during long runs, and
+// queries posed meanwhile execute near the virtual time they were posed
+// instead of queueing behind the whole advance. Commands drained here
+// run between kernel chunks, when the kernel is not stepping, so they may
+// safely submit queries — any they leave pending settle during the
+// remaining chunks or in the worker's settle loop after the advance
+// command returns. Single-domain deployments run the span in one
+// unchunked RunUntil — there is no cross-domain traffic to interleave,
+// and chunking costs ~30% on long simulations.
 func (s *shard) advanceTo(target simtime.Time) {
 	for {
 		if s.bridge != nil {
@@ -348,18 +341,52 @@ func (n *Network) submitNow(spec query.Spec, target *shard, motes []radio.NodeID
 	return nil
 }
 
-// Run advances every shard's virtual time by d, concurrently.
+// Run advances every domain, concurrently, to Now()+d, firing the
+// standing specs' rounds due on the way (runTo). The target is absolute:
+// a domain that ran ahead settling a rendezvous stops there rather than
+// drifting further ahead. With one domain, Now() is that domain's clock.
+// The rounds are sealed when Run starts, so one Run spanning more rounds
+// of a stream than its buffer holds (256) skips the excess; step the
+// clock in shorter Runs to receive every round.
 func (n *Network) Run(d time.Duration) {
-	n.eachShard(func(s *shard) { s.advance(d) })
+	n.runMu.Lock()
+	defer n.runMu.Unlock()
+	n.runTo(n.Now() + simtime.Time(d))
 }
 
-// RunUntilTime advances every shard to absolute virtual time t; domains
-// already at or past t (having run ahead settling queries) are left
-// where they are. Cluster advance leases are issued in this form — every
-// site converges on the coordinator's lease target, which is what keeps
-// the distributed clocks within one lease quantum of each other.
+// RunUntilTime advances every shard to absolute virtual time t, firing
+// due standing rounds as Run does; domains already at or past t (having
+// run ahead settling queries) are left where they are. Cluster advance
+// leases are issued in this form — every site converges on the
+// coordinator's lease target, which is what keeps the distributed clocks
+// within one lease quantum of each other.
 func (n *Network) RunUntilTime(t simtime.Time) {
-	n.eachShard(func(s *shard) { s.advanceTo(t) })
+	n.runMu.Lock()
+	defer n.runMu.Unlock()
+	n.runTo(t)
+}
+
+// runTo advances every domain to target. The standing rounds due by
+// target are sealed once, up front; each domain then walks its share of
+// their instants — runs to the instant and gathers its motes there, after
+// every event at the instant has fired, exactly where a cluster site
+// gathers — and finishes at target. A domain already past an instant (it
+// ran ahead settling a rendezvous) gathers at its own clock, as a site
+// does. No domain waits on another: a round merges on whichever worker
+// delivers its last partial. A shard closed before its walk leaves its
+// rounds unmerged, but Close has aborted every stream by then. Caller
+// holds runMu.
+func (n *Network) runTo(target simtime.Time) {
+	due := n.dueGathers(target)
+	n.eachShard(func(s *shard) {
+		if due != nil {
+			for _, g := range due[s.slot] {
+				s.advanceTo(g.fold.round.At)
+				gatherSpec(s, g.fold.spec, g.motes, nil, g.fold.deliver)
+			}
+		}
+		s.advanceTo(target)
+	})
 }
 
 // eachShard runs fn on every shard's worker in parallel and waits for
@@ -395,12 +422,13 @@ func (n *Network) Now() simtime.Time {
 // a finalizer.
 func (n *Network) Close() {
 	n.closeOnce.Do(func() {
+		n.standing.Close()
 		for _, s := range n.shards {
 			s.shutdown()
 		}
-		// A standing spec's re-arm event sits in the anchor kernel's queue
-		// and points back at n; the collector never frees a cycle through
-		// an object with a finalizer, so drop it now that its job is done.
+		// Close has done the finalizer's job. Clearing it lets the
+		// collector free n in one cycle rather than two — and an object
+		// with a finalizer that is part of a cycle is never freed at all.
 		runtime.SetFinalizer(n, nil)
 	})
 }

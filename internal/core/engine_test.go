@@ -212,9 +212,10 @@ func hostStandingSpec(t *testing.T, freed chan struct{}) {
 }
 
 func TestClosedNetworkIsCollected(t *testing.T) {
-	// A standing spec leaves its re-arm event in the anchor kernel's
-	// queue, pointing back at the Network: a cycle through an object with
-	// a finalizer, which the collector never frees. Close must break it.
+	// A standing spec keeps a delivery goroutine and a cancellation
+	// watcher alive, and its routing points at the Network's domains.
+	// Close must end the stream so nothing left running roots the closed
+	// Network.
 	freed := make(chan struct{})
 	hostStandingSpec(t, freed)
 	deadline := time.After(10 * time.Second)

@@ -11,7 +11,7 @@ import (
 	"presto/internal/simtime"
 )
 
-// AblationModels isolates the model-family choice (DESIGN.md §6): at a
+// AblationModels isolates the model-family choice (A1 in All): at a
 // fixed delta, how often does each model family force a push, and what is
 // the proxy-side RMSE? Uses model.Evaluate directly (pure replay, no
 // radio) so the comparison is exactly about predictive power.

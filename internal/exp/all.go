@@ -7,7 +7,8 @@ type Experiment struct {
 	Run  func(Scale) (*Table, error)
 }
 
-// All returns every experiment in DESIGN.md §4 order, plus the ablations.
+// All returns every experiment — the paper's table and figure, then the
+// derived experiments E3–E16 — plus the ablations, in presto-bench order.
 func All() []Experiment {
 	return []Experiment{
 		{"T1", "Table 1: feature comparison, measured", Table1},

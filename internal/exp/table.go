@@ -2,8 +2,8 @@
 // figure in the paper (plus derived experiments for each quantitative
 // claim in the prose), each returning a Table whose rows mirror what the
 // paper reports. cmd/presto-bench runs them all; bench_test.go exposes
-// each as a testing.B benchmark. See DESIGN.md §4 for the experiment
-// index and EXPERIMENTS.md for paper-vs-measured results.
+// each as a testing.B benchmark. All is the experiment index; README's
+// "Quick start" shows how to run them.
 package exp
 
 import (

@@ -167,9 +167,8 @@ func decodeMotes(r *creader) []radio.NodeID {
 
 // AppendScatterHead packs the window-independent part of a scatter
 // payload: the spec fields minus the concrete [T0, T1] window, plus the
-// resolved target motes. The window goes last (AppendScatterWindow) so a
-// standing spec's head + motes encode once and get reused across every
-// round — per round the coordinator appends only two varints.
+// resolved target motes. The window goes last: one round's
+// (AppendScatterWindow) or a batch's (AppendScatterRounds).
 func AppendScatterHead(buf []byte, spec Spec, motes []radio.NodeID) []byte {
 	buf = append(buf, byte(spec.Type), byte(spec.Agg))
 	buf = appendF64(buf, spec.Precision)

@@ -251,8 +251,6 @@ type resultWire struct {
 	Entries  []entryWire `json:"entries,omitempty"`
 	IssuedAt Dur         `json:"issued_at,omitempty"`
 	DoneAt   Dur         `json:"done_at,omitempty"`
-	Error    string      `json:"error,omitempty"`
-	Code     string      `json:"code,omitempty"`
 }
 
 type entryWire struct {
@@ -291,9 +289,6 @@ func EncodeSetResultJSON(r SetResult) ([]byte, error) {
 			Source:   res.Answer.Source.String(),
 			IssuedAt: Dur(res.Answer.IssuedAt),
 			DoneAt:   Dur(res.Answer.DoneAt),
-		}
-		if res.Err != nil {
-			rw.Error, rw.Code = res.Err.Error(), ErrCode(res.Err)
 		}
 		for _, e := range res.Answer.Entries {
 			rw.Entries = append(rw.Entries, entryWire{
@@ -370,7 +365,6 @@ func DecodeSetResultJSON(b []byte) (SetResult, error) {
 				IssuedAt: simtime.Time(rw.IssuedAt),
 				DoneAt:   simtime.Time(rw.DoneAt),
 			},
-			Err: codeErr(rw.Code, rw.Error),
 		}
 		for _, ew := range rw.Entries {
 			esrc, err := parseCacheSource(ew.Source)

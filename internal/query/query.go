@@ -132,8 +132,6 @@ func (q Query) Validate() error {
 type Result struct {
 	Query  Query
 	Answer proxy.Answer
-	// Err flags a query that completed without a usable answer.
-	Err error
 }
 
 // Latency returns the response time.

@@ -63,9 +63,9 @@ func (s Selector) Resolve(all []radio.NodeID) []radio.NodeID {
 	return out
 }
 
-// Continuous turns a Spec into a standing query: the engine re-arms it on
-// the simulation clock and pushes one incremental result down the stream
-// every period.
+// Continuous turns a Spec into a standing query: the engine fires a
+// round at every period instant of the simulation clock and pushes one
+// incremental result down the stream per round.
 type Continuous struct {
 	// Every is the virtual-time period between deliveries.
 	Every time.Duration
