@@ -317,7 +317,7 @@ func (s *Store) readSegment(seg segment) ([]Record, error) {
 	recs := make([]Record, 0, seg.count)
 	base := seg.block * s.geo.PagesPerBlock
 	for p := 0; p < seg.pages; p++ {
-		buf, err := s.dev.Read(base + p)
+		buf, err := s.dev.Read(base+p, nil)
 		if err != nil {
 			return nil, fmt.Errorf("archive: segment read: %w", err)
 		}

@@ -109,8 +109,10 @@ func (d *Device) Write(page int, data []byte) error {
 	return nil
 }
 
-// Read returns a copy of a previously written page's contents.
-func (d *Device) Read(page int) ([]byte, error) {
+// Read copies a previously written page's contents into dst's storage
+// (growing it when too small) and returns the filled slice; pass nil for
+// a fresh copy. Either way the read costs one page read.
+func (d *Device) Read(page int, dst []byte) ([]byte, error) {
 	if page < 0 || page >= d.geo.NumPages() {
 		return nil, ErrOutOfRange
 	}
@@ -119,7 +121,7 @@ func (d *Device) Read(page int) ([]byte, error) {
 	}
 	d.reads++
 	d.charge(energy.FlashRead, float64(d.geo.PageSize)*d.params.FlashReadJPerByte)
-	return append([]byte(nil), d.pages[page]...), nil
+	return append(dst[:0], d.pages[page]...), nil
 }
 
 // Written reports whether a page currently holds data.

@@ -2,6 +2,7 @@ package flash
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -43,7 +44,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err := d.Write(7, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.Read(7)
+	got, err := d.Read(7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +59,46 @@ func TestWriteReadRoundTrip(t *testing.T) {
 func TestReadReturnsCopy(t *testing.T) {
 	d := newDev(t)
 	d.Write(0, []byte{1, 2, 3})
-	got, _ := d.Read(0)
+	got, _ := d.Read(0, nil)
 	got[0] = 99
-	again, _ := d.Read(0)
+	again, _ := d.Read(0, nil)
 	if again[0] != 1 {
 		t.Fatal("Read exposed internal buffer")
+	}
+}
+
+func TestReadIntoCallerBuffer(t *testing.T) {
+	// A read into a caller's buffer reuses its storage and costs exactly
+	// what a fresh-copy read costs: one read op, one page of energy.
+	var m energy.Meter
+	p := energy.DefaultParams()
+	d, err := New(DefaultGeometry(), p, &m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Write(0, []byte{1, 2, 3})
+	d.Write(1, []byte{4, 5})
+	buf := make([]byte, 0, d.Geometry().PageSize)
+	got, err := d.Read(0, buf)
+	if err != nil || !bytes.Equal(got, []byte{1, 2, 3}) {
+		t.Fatalf("read into buffer: %v %v", got, err)
+	}
+	if &got[0] != &buf[:1][0] {
+		t.Fatal("read did not reuse the caller's buffer")
+	}
+	got, _ = d.Read(1, got)
+	if !bytes.Equal(got, []byte{4, 5}) {
+		t.Fatalf("second read into buffer: %v", got)
+	}
+	if n := testing.AllocsPerRun(10, func() { got, _ = d.Read(0, got) }); n != 0 {
+		t.Fatalf("read into a large-enough buffer allocated %.0f times", n)
+	}
+	r, _, _ := d.Stats()
+	if want := uint64(2 + 11); r != want {
+		t.Fatalf("reads %d, want %d", r, want)
+	}
+	if e, want := m.Get(energy.FlashRead), float64(r)*float64(d.Geometry().PageSize)*p.FlashReadJPerByte; math.Abs(e-want) > 1e-12*want {
+		t.Fatalf("read energy %g, want %g", e, want)
 	}
 }
 
@@ -71,7 +107,7 @@ func TestWriteCopiesInput(t *testing.T) {
 	data := []byte{1, 2, 3}
 	d.Write(0, data)
 	data[0] = 99
-	got, _ := d.Read(0)
+	got, _ := d.Read(0, nil)
 	if got[0] != 1 {
 		t.Fatal("Write aliased caller's buffer")
 	}
@@ -102,10 +138,10 @@ func TestErrors(t *testing.T) {
 	if err := d.Write(g.NumPages(), nil); err != ErrOutOfRange {
 		t.Error("past-end page write")
 	}
-	if _, err := d.Read(-1); err != ErrOutOfRange {
+	if _, err := d.Read(-1, nil); err != ErrOutOfRange {
 		t.Error("negative page read")
 	}
-	if _, err := d.Read(3); err != ErrNeverWritten {
+	if _, err := d.Read(3, nil); err != ErrNeverWritten {
 		t.Error("unwritten read")
 	}
 	if err := d.Write(0, make([]byte, g.PageSize+1)); err != ErrPageSize {
@@ -135,7 +171,7 @@ func TestEraseClearsWholeBlock(t *testing.T) {
 			t.Fatalf("page %d survived erase", p)
 		}
 	}
-	got, err := d.Read(g.PagesPerBlock)
+	got, err := d.Read(g.PagesPerBlock, nil)
 	if err != nil || got[0] != 0xAA {
 		t.Fatal("erase spilled into next block")
 	}
@@ -144,8 +180,8 @@ func TestEraseClearsWholeBlock(t *testing.T) {
 func TestWearAndStats(t *testing.T) {
 	d := newDev(t)
 	d.Write(0, []byte{1})
-	d.Read(0)
-	d.Read(0)
+	d.Read(0, nil)
+	d.Read(0, nil)
 	d.EraseBlock(0)
 	d.EraseBlock(0)
 	r, w, e := d.Stats()
@@ -168,7 +204,7 @@ func TestEnergyCharged(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Write(0, []byte{1})
-	d.Read(0)
+	d.Read(0, nil)
 	d.EraseBlock(0)
 	wantW := float64(d.Geometry().PageSize) * p.FlashWriteJPerByte
 	wantR := float64(d.Geometry().PageSize) * p.FlashReadJPerByte
@@ -211,7 +247,7 @@ func TestPropertyPageIsolation(t *testing.T) {
 			want[page] = w
 		}
 		for page, v := range want {
-			got, err := d.Read(page)
+			got, err := d.Read(page, nil)
 			if err != nil || len(got) != 1 || got[0] != v {
 				return false
 			}

@@ -336,34 +336,45 @@ func summarizeChunk(m radio.NodeID, recs []Record, frac float64) (waveletChunk, 
 func decodeChunks(buf []byte) ([]flashRec, error) {
 	var out []flashRec
 	for len(buf) > 0 {
-		if len(buf) < chunkHeaderSize {
-			return nil, fmt.Errorf("store: truncated wavelet chunk header (%d bytes)", len(buf))
-		}
-		m := radio.NodeID(binary.LittleEndian.Uint32(buf[0:]))
-		n := int(binary.LittleEndian.Uint32(buf[4:]))
-		bound := float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[8:])))
-		if n < 0 || n > 1<<24 {
-			return nil, fmt.Errorf("store: implausible wavelet chunk count %d", n)
-		}
-		ts, rest, err := compress.TimestampDecode(buf[chunkHeaderSize:], n)
+		m, ts, recon, bound, rest, err := decodeChunk(buf)
 		if err != nil {
 			return nil, err
 		}
-		sp, spLen, err := wavelet.UnmarshalSparsePrefix(rest)
-		if err != nil {
-			return nil, err
+		for i, t := range ts {
+			out = append(out, flashRec{m: m, r: Record{T: simtime.Time(t), V: recon[i], ErrBound: bound}})
 		}
-		recon, err := wavelet.Decompress(sp)
-		if err != nil {
-			return nil, err
-		}
-		if len(recon) != n {
-			return nil, fmt.Errorf("store: wavelet chunk reconstructs %d records, header says %d", len(recon), n)
-		}
-		for i := 0; i < n; i++ {
-			out = append(out, flashRec{m: m, r: Record{T: simtime.Time(ts[i]), V: recon[i], ErrBound: bound}})
-		}
-		buf = rest[spLen:]
+		buf = rest
 	}
 	return out, nil
+}
+
+// decodeChunk decodes the chunk at the head of buf: its mote, its
+// timestamps with their reconstructed values, the widened bound every
+// reconstruction carries, and the bytes after the chunk.
+func decodeChunk(buf []byte) (m radio.NodeID, ts []int64, recon []float64, bound float64, rest []byte, err error) {
+	if len(buf) < chunkHeaderSize {
+		return 0, nil, nil, 0, nil, fmt.Errorf("store: truncated wavelet chunk header (%d bytes)", len(buf))
+	}
+	m = radio.NodeID(binary.LittleEndian.Uint32(buf[0:]))
+	n := int(binary.LittleEndian.Uint32(buf[4:]))
+	bound = float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[8:])))
+	if n < 0 || n > 1<<24 {
+		return 0, nil, nil, 0, nil, fmt.Errorf("store: implausible wavelet chunk count %d", n)
+	}
+	ts, rest, err = compress.TimestampDecode(buf[chunkHeaderSize:], n)
+	if err != nil {
+		return 0, nil, nil, 0, nil, err
+	}
+	sp, spLen, err := wavelet.UnmarshalSparsePrefix(rest)
+	if err != nil {
+		return 0, nil, nil, 0, nil, err
+	}
+	recon, err = wavelet.Decompress(sp)
+	if err != nil {
+		return 0, nil, nil, 0, nil, err
+	}
+	if len(recon) != n {
+		return 0, nil, nil, 0, nil, fmt.Errorf("store: wavelet chunk reconstructs %d records, header says %d", len(recon), n)
+	}
+	return m, ts, recon, bound, rest[spLen:], nil
 }

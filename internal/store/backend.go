@@ -13,8 +13,15 @@ package store
 // implementations ship: MemBackend (sorted in-memory runs, the seed
 // behaviour) and FlashBackend (flashbackend.go — a log-structured store on
 // simulated NAND, the paper's flash-archival proxy design).
+//
+// A range read is a set operation: the store asks for all of a round's
+// archive-gated motes in one QueryRanges call, and each backend fills the
+// caller's reusable per-mote buffers. The mem backend copies each mote's
+// run; the flash backend decodes every page it touches once for the whole
+// round, however many motes' records share it.
 
 import (
+	"fmt"
 	"io"
 	"sort"
 
@@ -40,7 +47,7 @@ type BackendStats struct {
 	// backend cannot afford a read per append, so duplicate-timestamp
 	// backfills count until a compaction's dedupe retires them.
 	Records     uint64
-	QueryRanges uint64 // QueryRange calls served
+	QueryRanges uint64 // per-mote range reads served (one per requested mote)
 	LatestReads uint64 // Latest calls served
 
 	// Log-structured device accounting (FlashBackend only).
@@ -91,8 +98,14 @@ type Backend interface {
 	// Append archives one confirmed observation. Out-of-order timestamps
 	// are legal (pull responses backfill history).
 	Append(m radio.NodeID, r Record) error
-	// QueryRange returns archived records with t0 <= T <= t1 in time
-	// order, deduplicated by timestamp (tightest error bound wins).
+	// QueryRanges is the range read: for every i it sets out[i] to mote
+	// ms[i]'s archived records with lo[i] <= T <= hi[i], in time order,
+	// deduplicated by timestamp (tightest error bound wins), reusing
+	// out[i]'s storage. The slices must have equal lengths; a mote may
+	// appear more than once.
+	QueryRanges(ms []radio.NodeID, lo, hi []simtime.Time, out [][]Record) error
+	// QueryRange is the one-mote case of QueryRanges, returning a fresh
+	// slice.
 	QueryRange(m radio.NodeID, t0, t1 simtime.Time) ([]Record, error)
 	// Latest returns the newest archived record for a mote.
 	Latest(m radio.NodeID) (Record, bool)
@@ -106,13 +119,26 @@ type Backend interface {
 	Restore(r io.Reader) error
 }
 
-// RangeScanner is an optional Backend fast path: visit the records in
-// [t0, t1] in time order without materializing a fresh slice per query.
-// The store's aggregate push-down uses it to fill a reusable scratch
-// buffer. MemBackend implements it; the log-structured flash backend
-// decodes into fresh slices anyway and sticks to QueryRange.
-type RangeScanner interface {
-	ScanRange(m radio.NodeID, t0, t1 simtime.Time, visit func(Record)) error
+// checkRanges validates the shape of a QueryRanges request.
+func checkRanges(ms []radio.NodeID, lo, hi []simtime.Time, out [][]Record) error {
+	if len(lo) != len(ms) || len(hi) != len(ms) || len(out) != len(ms) {
+		return fmt.Errorf("store: range read with %d motes, %d/%d bounds, %d outputs", len(ms), len(lo), len(hi), len(out))
+	}
+	for i := range ms {
+		if hi[i] < lo[i] {
+			return fmt.Errorf("store: inverted range [%v, %v]", lo[i], hi[i])
+		}
+	}
+	return nil
+}
+
+// queryOne is QueryRange on top of a backend's QueryRanges.
+func queryOne(b Backend, m radio.NodeID, t0, t1 simtime.Time) ([]Record, error) {
+	out := [][]Record{nil}
+	if err := b.QueryRanges([]radio.NodeID{m}, []simtime.Time{t0}, []simtime.Time{t1}, out); err != nil {
+		return nil, err
+	}
+	return out[0], nil
 }
 
 // MemBackend archives records in per-mote time-sorted slices.
@@ -146,31 +172,26 @@ func (b *MemBackend) Append(m radio.NodeID, r Record) error {
 	return nil
 }
 
-// QueryRange returns the archived records in [t0, t1].
+// QueryRange returns the archived records in [t0, t1] in a fresh slice.
 func (b *MemBackend) QueryRange(m radio.NodeID, t0, t1 simtime.Time) ([]Record, error) {
-	b.stats.QueryRanges++
-	s := b.series[m]
-	lo := sort.Search(len(s), func(i int) bool { return s[i].T >= t0 })
-	hi := sort.Search(len(s), func(i int) bool { return s[i].T > t1 })
-	out := make([]Record, hi-lo)
-	copy(out, s[lo:hi])
-	b.stats.RecordsScanned += uint64(len(out))
-	b.stats.RecordsMatched += uint64(len(out))
-	return out, nil
+	return queryOne(b, m, t0, t1)
 }
 
-// ScanRange visits the archived records in [t0, t1] in time order,
-// without allocating. Accounted identically to QueryRange.
-func (b *MemBackend) ScanRange(m radio.NodeID, t0, t1 simtime.Time, visit func(Record)) error {
-	b.stats.QueryRanges++
-	s := b.series[m]
-	lo := sort.Search(len(s), func(i int) bool { return s[i].T >= t0 })
-	hi := sort.Search(len(s), func(i int) bool { return s[i].T > t1 })
-	for i := lo; i < hi; i++ {
-		visit(s[i])
+// QueryRanges copies each requested window of a mote's sorted run into
+// out[i]; allocation-free once out's buffers have grown.
+func (b *MemBackend) QueryRanges(ms []radio.NodeID, lo, hi []simtime.Time, out [][]Record) error {
+	if err := checkRanges(ms, lo, hi, out); err != nil {
+		return err
 	}
-	b.stats.RecordsScanned += uint64(hi - lo)
-	b.stats.RecordsMatched += uint64(hi - lo)
+	for i, m := range ms {
+		s := b.series[m]
+		a := sort.Search(len(s), func(j int) bool { return s[j].T >= lo[i] })
+		z := sort.Search(len(s), func(j int) bool { return s[j].T > hi[i] })
+		out[i] = append(out[i][:0], s[a:z]...)
+		b.stats.QueryRanges++
+		b.stats.RecordsScanned += uint64(z - a)
+		b.stats.RecordsMatched += uint64(z - a)
+	}
 	return nil
 }
 

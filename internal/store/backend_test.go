@@ -8,6 +8,7 @@ import (
 	"presto/internal/energy"
 	"presto/internal/flash"
 	"presto/internal/index"
+	"presto/internal/obs"
 	"presto/internal/proxy"
 	"presto/internal/query"
 	"presto/internal/radio"
@@ -567,4 +568,67 @@ func TestFlashBackendShedAccounting(t *testing.T) {
 			t.Fatalf("pending buffer unbounded: %d records", len(fb.pending))
 		}
 	})
+}
+
+// countingBackend records every range read a store makes.
+type countingBackend struct {
+	*MemBackend
+	reads [][]radio.NodeID
+}
+
+func (c *countingBackend) QueryRanges(ms []radio.NodeID, lo, hi []simtime.Time, out [][]Record) error {
+	c.reads = append(c.reads, append([]radio.NodeID(nil), ms...))
+	return c.MemBackend.QueryRanges(ms, lo, hi, out)
+}
+
+func TestArchiveReadOncePerRound(t *testing.T) {
+	// A PAST round gates every mote on RAM-only checks, reads the archive
+	// once for the motes that passed, and answers in mote order: the
+	// first pass's trace routes follow mote order whatever the verdicts.
+	sim, p, st := moteLessRig(t)
+	cb := &countingBackend{MemBackend: NewMemBackend()}
+	st.SetBackend(cb)
+	fill := func(m radio.NodeID, last int, hole int) {
+		for i := 0; i <= last; i++ {
+			if i != hole {
+				if err := cb.Append(m, Record{T: simtime.Time(i) * simtime.Minute, V: float64(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	for m := radio.NodeID(2); m <= 4; m++ {
+		p.Register(m, time.Minute, 1.0)
+		st.AdoptMote(m, 0, time.Minute)
+	}
+	fill(1, 60, -1) // covered and fresh: served
+	fill(2, 50, -1) // newest record 11 min old: stale bypass
+	fill(3, 57, -1) // fresh, but cannot reach the last slot: declined unread
+	fill(4, 60, 45) // read, then declined for the hole
+	sim.RunFor(61 * time.Minute)
+
+	tr := obs.NewTrace()
+	spec := query.Spec{Type: query.Past, T0: 30 * simtime.Minute, T1: 60 * simtime.Minute, Precision: 1, MaxStaleness: 5 * time.Minute}
+	served := 0
+	if failed := st.Execute(spec, []radio.NodeID{1, 2, 3, 4}, nil, tr, func(r query.Result) {
+		if r.Answer.Source == proxy.FromArchive {
+			served++
+		}
+	}); failed != 0 {
+		t.Fatalf("%d motes failed to route", failed)
+	}
+	if !reflect.DeepEqual(cb.reads, [][]radio.NodeID{{1, 4}}) {
+		t.Fatalf("archive reads %v, want one read of motes [1 4]", cb.reads)
+	}
+	routes := tr.Routes()
+	if len(routes) < 2 || routes[0].Mote != 1 || routes[0].Kind != obs.RouteArchiveHit ||
+		routes[1].Mote != 2 || routes[1].Kind != obs.RouteStaleBypass {
+		t.Fatalf("first-pass routes %+v, want mote 1 archive-hit then mote 2 stale-bypass", routes)
+	}
+	if rs := st.RoutingStats(); served != 1 || rs.ArchiveServed != 1 || rs.ArchiveStale != 1 || rs.Routed != 3 {
+		t.Fatalf("served %d, routing stats %+v; want 1 served, 1 stale, 3 routed", served, rs)
+	}
+	if s := cb.Stats(); s.QueryRanges != 2 || s.LatestReads != 7 {
+		t.Fatalf("backend stats %+v, want 2 range reads and 7 latest reads", s)
+	}
 }

@@ -9,18 +9,24 @@ package store
 // page-append write pattern that makes flash archival two orders of
 // magnitude cheaper per byte than radio. One erase block is one segment; a
 // compact in-RAM index tracks, per segment, the [minT, maxT] span of each
-// mote's records, so queries only read the pages of segments that can
-// overlap. Because arrival order interleaves motes, young segments exhibit
+// mote's records, and per raw page the [minT, maxT] of the records on it.
+// A range read is a set operation over a round's motes (QueryRanges): it
+// walks the segment list once, touches only segments some requested mote
+// overlaps, reads only pages whose span meets the round's window, and
+// decodes each page once, routing every record to the motes that asked.
+// Because arrival order interleaves motes, young segments still exhibit
 // read amplification (records decoded per record returned — see
 // BackendStats.ReadAmp); when the device runs out of erased blocks, a
 // compaction pass rewrites the oldest segments clustered by mote and
 // coarsened in time, reclaiming blocks and repairing locality at once.
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"presto/internal/energy"
@@ -67,9 +73,8 @@ const (
 
 // chunkDirEntry locates one wavelet chunk inside a segment's byte
 // stream: which mote it summarizes, where its bytes live, and the time
-// span it reconstructs. The directory lets a single-mote QueryRange
-// decode only that mote's chunks instead of reconstructing the whole
-// segment.
+// span it reconstructs. The directory lets a range read decode only the
+// requested motes' chunks instead of reconstructing the whole segment.
 type chunkDirEntry struct {
 	m          radio.NodeID
 	off, size  int // byte range within the segment stream
@@ -88,6 +93,23 @@ type flashSegment struct {
 	// dir is the per-chunk directory of a segWavelet segment, in stream
 	// order.
 	dir []chunkDirEntry
+	// pageSpans holds, per page of a segRaw segment, the time span of the
+	// records on it, so a range read skips pages outside its window.
+	// Wavelet segments have none (their directory serves that purpose).
+	pageSpans []pageSpan
+}
+
+// pageSpan is the [minT, maxT] of the records on one raw page.
+type pageSpan struct{ minT, maxT simtime.Time }
+
+// spanOf returns the time span of a page's worth of records.
+func spanOf(recs []flashRec) pageSpan {
+	sp := pageSpan{minT: recs[0].r.T, maxT: recs[0].r.T}
+	for _, fr := range recs[1:] {
+		sp.minT = min(sp.minT, fr.r.T)
+		sp.maxT = max(sp.maxT, fr.r.T)
+	}
+	return sp
 }
 
 func (seg *flashSegment) note(m radio.NodeID, t simtime.Time) {
@@ -133,6 +155,7 @@ type FlashBackend struct {
 
 	latest map[radio.NodeID]Record
 	stats  BackendStats
+	rr     rangeRead
 }
 
 // NewFlashBackend creates a backend on a fresh device with the given
@@ -171,6 +194,7 @@ func NewFlashBackendPolicy(geo flash.Geometry, pol AgingPolicy) (*FlashBackend, 
 		pol:     pol.normalized(),
 		cur:     -1,
 		latest:  make(map[radio.NodeID]Record),
+		rr:      rangeRead{first: make(map[radio.NodeID]int)},
 	}
 	for blk := geo.NumBlocks - 1; blk >= 0; blk-- {
 		b.free = append(b.free, blk)
@@ -266,6 +290,7 @@ func (b *FlashBackend) flushPage() error {
 	}
 	seg.count += n
 	seg.pages++
+	seg.pageSpans = append(seg.pageSpans, spanOf(b.pending[:n]))
 	b.curPages++
 	b.pending = b.pending[n:]
 	if b.curPages == b.geo.PagesPerBlock {
@@ -495,6 +520,7 @@ func (b *FlashBackend) planUniform(order []radio.NodeID, perMote map[radio.NodeI
 			}
 			b.stats.PagesWritten++
 			seg.pages++
+			seg.pageSpans = append(seg.pageSpans, spanOf(batch))
 		}
 		return nil
 	}
@@ -672,151 +698,245 @@ func coarsenRecords(recs []Record, factor int) []Record {
 	return out
 }
 
-// readSegment decodes every record in a segment, paying the page reads.
-// Wavelet segments reconstruct their records from the stored summary
-// chunks: every summarized timestamp comes back, carrying the chunk's
-// widened error bound.
+// readPage reads one device page into the backend's reusable page buffer.
+func (b *FlashBackend) readPage(page int) error {
+	buf, err := b.dev.Read(page, b.rr.page)
+	if err != nil {
+		return fmt.Errorf("store: segment read: %w", err)
+	}
+	b.rr.page = buf
+	b.stats.PagesRead++
+	return nil
+}
+
+// rawRecord decodes slot i of a raw page; ok is false for padding.
+func rawRecord(page []byte, i int) (fr flashRec, ok bool) {
+	off := i * flashRecSize
+	rawT := binary.LittleEndian.Uint64(page[off+4:])
+	if rawT == math.MaxUint64 {
+		return flashRec{}, false
+	}
+	return flashRec{
+		m: radio.NodeID(binary.LittleEndian.Uint32(page[off:])),
+		r: Record{
+			T:        simtime.Time(rawT),
+			V:        float64(math.Float32frombits(binary.LittleEndian.Uint32(page[off+12:]))),
+			ErrBound: float64(math.Float32frombits(binary.LittleEndian.Uint32(page[off+16:]))),
+		},
+	}, true
+}
+
+// slots returns how many record slots a raw page read holds.
+func (b *FlashBackend) slots(page []byte) int {
+	return min(b.perPage, len(page)/flashRecSize)
+}
+
+// readSegment decodes every record in a segment, paying the page reads —
+// compaction's input. Wavelet segments reconstruct their records from the
+// stored summary chunks: every summarized timestamp comes back, carrying
+// the chunk's widened error bound.
 func (b *FlashBackend) readSegment(seg *flashSegment) ([]flashRec, error) {
 	base := seg.block * b.geo.PagesPerBlock
 	if seg.kind == segWavelet {
 		var stream []byte
 		for p := 0; p < seg.pages; p++ {
-			buf, err := b.dev.Read(base + p)
-			if err != nil {
-				return nil, fmt.Errorf("store: segment read: %w", err)
+			if err := b.readPage(base + p); err != nil {
+				return nil, err
 			}
-			b.stats.PagesRead++
-			stream = append(stream, buf...)
+			stream = append(stream, b.rr.page...)
 		}
 		return decodeChunks(stream)
 	}
 	out := make([]flashRec, 0, seg.count)
 	for p := 0; p < seg.pages; p++ {
-		buf, err := b.dev.Read(base + p)
-		if err != nil {
-			return nil, fmt.Errorf("store: segment read: %w", err)
+		if err := b.readPage(base + p); err != nil {
+			return nil, err
 		}
-		b.stats.PagesRead++
-		for i := 0; i < b.perPage; i++ {
-			off := i * flashRecSize
-			rawT := binary.LittleEndian.Uint64(buf[off+4:])
-			if rawT == math.MaxUint64 {
-				continue // padding
+		for i := 0; i < b.slots(b.rr.page); i++ {
+			if fr, ok := rawRecord(b.rr.page, i); ok {
+				out = append(out, fr)
 			}
-			out = append(out, flashRec{
-				m: radio.NodeID(binary.LittleEndian.Uint32(buf[off:])),
-				r: Record{
-					T:        simtime.Time(rawT),
-					V:        float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[off+12:]))),
-					ErrBound: float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[off+16:]))),
-				},
-			})
 		}
 	}
 	return out, nil
 }
 
-// queryWaveletSegment answers one mote's range query from a wavelet
-// segment using its per-chunk directory: only the pages holding that
-// mote's overlapping chunks are read, and only those chunks are decoded.
-// Records in the segment's other chunks are counted as skipped — the
-// read amplification the directory avoided.
-func (b *FlashBackend) queryWaveletSegment(seg *flashSegment, m radio.NodeID, t0, t1 simtime.Time) ([]Record, error) {
-	base := seg.block * b.geo.PagesPerBlock
-	pages := make(map[int][]byte)
-	readPage := func(p int) ([]byte, error) {
-		if buf, ok := pages[p]; ok {
-			return buf, nil
-		}
-		buf, err := b.dev.Read(base + p)
-		if err != nil {
-			return nil, fmt.Errorf("store: segment read: %w", err)
-		}
-		b.stats.PagesRead++
-		pages[p] = buf
-		return buf, nil
+// rangeRead is a FlashBackend's reusable set-read state: the page buffer,
+// the bytes of the wavelet chunk being decoded, and, for the duration of
+// one QueryRanges call, its requests plus the index that routes a decoded
+// record to every request for its mote.
+type rangeRead struct {
+	page, chunk []byte
+	first       map[radio.NodeID]int // mote → its last request
+	next        []int                // request → the previous one for its mote, -1 ends
+	lo, hi      []simtime.Time
+	out         [][]Record
+}
+
+// head returns m's last request, -1 when m was not asked for.
+func (rr *rangeRead) head(m radio.NodeID) int {
+	if i, ok := rr.first[m]; ok {
+		return i
 	}
-	var out []Record
-	decoded := 0
-	for _, de := range seg.dir {
-		if de.m != m || de.maxT < t0 || de.minT > t1 {
+	return -1
+}
+
+// wants reports whether some request for m overlaps [t0, t1].
+func (rr *rangeRead) wants(m radio.NodeID, t0, t1 simtime.Time) bool {
+	for i := rr.head(m); i >= 0; i = rr.next[i] {
+		if rr.lo[i] <= t1 && rr.hi[i] >= t0 {
+			return true
+		}
+	}
+	return false
+}
+
+// route appends a decoded record to every request in the chain from
+// head (its mote's, see head) whose window holds it.
+func (rr *rangeRead) route(head int, r Record) {
+	for i := head; i >= 0; i = rr.next[i] {
+		if r.T >= rr.lo[i] && r.T <= rr.hi[i] {
+			rr.out[i] = append(rr.out[i], r)
+		}
+	}
+}
+
+// QueryRange returns m's records in [t0, t1] in a fresh slice: the
+// one-mote case of QueryRanges.
+func (b *FlashBackend) QueryRange(m radio.NodeID, t0, t1 simtime.Time) ([]Record, error) {
+	return queryOne(b, m, t0, t1)
+}
+
+// QueryRanges is the flash backend's one range read, a set operation: it
+// walks the segment list once and touches a segment only when some
+// requested mote's span there overlaps that mote's window. A raw segment
+// reads only the pages whose span meets the union of the windows, each
+// page once, decoding records in place from one reused page buffer. A
+// wavelet segment decodes, at most once, each directory chunk some request
+// wants, reading each page at most once. The unflushed tail is scanned
+// once. PagesRead and RecordsScanned count that work; QueryRanges and
+// RecordsMatched count per mote.
+func (b *FlashBackend) QueryRanges(ms []radio.NodeID, lo, hi []simtime.Time, out [][]Record) error {
+	if err := checkRanges(ms, lo, hi, out); err != nil || len(ms) == 0 {
+		return err
+	}
+	rr := &b.rr
+	clear(rr.first)
+	rr.next = rr.next[:0]
+	rr.lo, rr.hi, rr.out = lo, hi, out
+	wlo, whi := lo[0], hi[0]
+	for i, m := range ms {
+		out[i] = out[i][:0]
+		rr.next = append(rr.next, rr.head(m))
+		rr.first[m] = i
+		wlo, whi = min(wlo, lo[i]), max(whi, hi[i])
+	}
+	err := b.scanRanges(ms, wlo, whi)
+	rr.lo, rr.hi, rr.out = nil, nil, nil
+	if err != nil {
+		return err
+	}
+	for i := range out {
+		slices.SortFunc(out[i], byTime)
+		out[i] = dedupeSorted(out[i])
+		b.stats.QueryRanges++
+		b.stats.RecordsMatched += uint64(len(out[i]))
+	}
+	return nil
+}
+
+// scanRanges is QueryRanges' walk: segments oldest first, then the
+// pending tail, routing each matching record in decode order.
+func (b *FlashBackend) scanRanges(ms []radio.NodeID, wlo, whi simtime.Time) error {
+	rr := &b.rr
+	for _, seg := range b.segs {
+		touched := false
+		for i, m := range ms {
+			if seg.overlaps(m, rr.lo[i], rr.hi[i]) {
+				touched = true
+				break
+			}
+		}
+		if !touched {
 			continue
 		}
-		chunk := make([]byte, 0, de.size)
-		for off := de.off; off < de.off+de.size; {
-			buf, err := readPage(off / b.geo.PageSize)
-			if err != nil {
-				return nil, err
+		if seg.kind == segWavelet {
+			if err := b.scanWavelet(seg); err != nil {
+				return err
 			}
-			in := off % b.geo.PageSize
-			n := b.geo.PageSize - in
-			if rest := de.off + de.size - off; n > rest {
-				n = rest
+			continue
+		}
+		base := seg.block * b.geo.PagesPerBlock
+		for p, ps := range seg.pageSpans {
+			if ps.maxT < wlo || ps.minT > whi {
+				continue
 			}
-			chunk = append(chunk, buf[in:in+n]...)
+			if err := b.readPage(base + p); err != nil {
+				return err
+			}
+			for i := 0; i < b.slots(rr.page); i++ {
+				if fr, ok := rawRecord(rr.page, i); ok {
+					b.stats.RecordsScanned++
+					rr.route(rr.head(fr.m), fr.r)
+				}
+			}
+		}
+	}
+	b.stats.RecordsScanned += uint64(len(b.pending))
+	for _, fr := range b.pending {
+		rr.route(rr.head(fr.m), fr.r)
+	}
+	return nil
+}
+
+// scanWavelet decodes the chunks of a wavelet segment that some request
+// wants. The directory is in stream order, so a page shared by two
+// wanted chunks is still in the page buffer when the second needs it.
+// Records in the chunks left undecoded count as skipped — the read
+// amplification the directory avoided.
+func (b *FlashBackend) scanWavelet(seg *flashSegment) error {
+	rr := &b.rr
+	base := seg.block * b.geo.PagesPerBlock
+	ps := b.geo.PageSize
+	inBuf := -1 // page held in rr.page
+	decoded := 0
+	for _, de := range seg.dir {
+		if !rr.wants(de.m, de.minT, de.maxT) {
+			continue
+		}
+		rr.chunk = rr.chunk[:0]
+		for off, end := de.off, de.off+de.size; off < end; {
+			if p := off / ps; p != inBuf {
+				if err := b.readPage(base + p); err != nil {
+					return err
+				}
+				inBuf = p
+			}
+			in := off % ps
+			n := min(ps-in, end-off)
+			if in+n > len(rr.page) {
+				return fmt.Errorf("store: wavelet chunk at %d+%d runs past its page", de.off, de.size)
+			}
+			rr.chunk = append(rr.chunk, rr.page[in:in+n]...)
 			off += n
 		}
-		recs, err := decodeChunks(chunk)
+		_, ts, recon, bound, _, err := decodeChunk(rr.chunk)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		decoded += len(recs)
-		for _, fr := range recs {
-			if fr.r.T >= t0 && fr.r.T <= t1 {
-				out = append(out, fr.r)
-			}
+		decoded += len(ts)
+		head := rr.head(de.m)
+		for i, t := range ts {
+			rr.route(head, Record{T: simtime.Time(t), V: recon[i], ErrBound: bound})
 		}
 	}
 	b.stats.RecordsScanned += uint64(decoded)
 	b.stats.RecordsSkipped += uint64(seg.count - decoded)
-	return out, nil
+	return nil
 }
 
-// QueryRange scans the segments whose per-mote index overlaps [t0, t1],
-// plus the unflushed tail, and returns m's records in time order.
-// Wavelet segments carry a per-chunk directory, so only the target
-// mote's chunks are read and decoded; raw segments interleave motes
-// within pages and must be scanned whole.
-func (b *FlashBackend) QueryRange(m radio.NodeID, t0, t1 simtime.Time) ([]Record, error) {
-	if t1 < t0 {
-		return nil, fmt.Errorf("store: inverted range [%v, %v]", t0, t1)
-	}
-	b.stats.QueryRanges++
-	var out []Record
-	for _, seg := range b.segs {
-		if !seg.overlaps(m, t0, t1) {
-			continue
-		}
-		if seg.kind == segWavelet && len(seg.dir) > 0 {
-			recs, err := b.queryWaveletSegment(seg, m, t0, t1)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, recs...)
-			continue
-		}
-		recs, err := b.readSegment(seg)
-		if err != nil {
-			return nil, err
-		}
-		b.stats.RecordsScanned += uint64(len(recs))
-		for _, fr := range recs {
-			if fr.m == m && fr.r.T >= t0 && fr.r.T <= t1 {
-				out = append(out, fr.r)
-			}
-		}
-	}
-	for _, fr := range b.pending {
-		b.stats.RecordsScanned++
-		if fr.m == m && fr.r.T >= t0 && fr.r.T <= t1 {
-			out = append(out, fr.r)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].T < out[j].T })
-	out = dedupeSorted(out)
-	b.stats.RecordsMatched += uint64(len(out))
-	return out, nil
-}
+// byTime orders records by timestamp.
+func byTime(a, b Record) int { return cmp.Compare(a.T, b.T) }
 
 // Latest returns the newest record appended for a mote (tracked in RAM —
 // the log's tail is always hot).

@@ -136,7 +136,7 @@ func (b *MemBackend) Restore(r io.Reader) error {
 }
 
 // Snapshot externalizes the log-structured backend: the in-RAM segment
-// directory (spans and wavelet chunk directories), free list, open
+// directory (spans, wavelet chunk directories, raw page spans), free list, open
 // block, pending buffer, per-mote latest records and counters — then the
 // flash device itself. Everything is read by direct field access, never
 // through device reads, so a snapshot charges nothing and perturbs no
@@ -169,6 +169,11 @@ func (b *FlashBackend) Snapshot(w io.Writer) error {
 			e.I64(int64(ce.minT))
 			e.I64(int64(ce.maxT))
 		}
+		e.Uvarint(uint64(len(seg.pageSpans)))
+		for _, ps := range seg.pageSpans {
+			e.I64(int64(ps.minT))
+			e.I64(int64(ps.maxT))
+		}
 	}
 	e.Uvarint(uint64(len(b.free)))
 	for _, blk := range b.free {
@@ -199,15 +204,17 @@ func (b *FlashBackend) Snapshot(w io.Writer) error {
 }
 
 // Restore overwrites the backend (and its device) with state captured by
-// Snapshot.
+// Snapshot. The segment table is checked before it is installed: a table
+// that would make a later append or read index outside the device or the
+// segment list is refused with an error, leaving the backend as it was.
 func (b *FlashBackend) Restore(r io.Reader) error {
 	body, err := snap.ReadBlock(r, snap.TagBackend)
 	if err != nil {
 		return err
 	}
 	d := snap.NewDec(body)
-	b.stats = decodeBackendStats(d)
-	b.segs = nil
+	stats := decodeBackendStats(d)
+	var segs []*flashSegment
 	nSegs := d.Uvarint()
 	for i := uint64(0); i < nSegs && d.Err() == nil; i++ {
 		seg := &flashSegment{
@@ -238,31 +245,91 @@ func (b *FlashBackend) Restore(r io.Reader) error {
 				maxT:  simtime.Time(d.I64()),
 			})
 		}
-		b.segs = append(b.segs, seg)
+		nPages := d.Uvarint()
+		for j := uint64(0); j < nPages && d.Err() == nil; j++ {
+			seg.pageSpans = append(seg.pageSpans, pageSpan{minT: simtime.Time(d.I64()), maxT: simtime.Time(d.I64())})
+		}
+		segs = append(segs, seg)
 	}
-	b.free = nil
+	var free []int
 	nFree := d.Uvarint()
 	for i := uint64(0); i < nFree && d.Err() == nil; i++ {
-		b.free = append(b.free, int(d.Uvarint()))
+		free = append(free, int(d.Uvarint()))
 	}
-	b.cur = int(d.I64())
-	b.curPages = int(d.Uvarint())
-	b.pending = nil
+	cur := int(d.I64())
+	curPages := int(d.Uvarint())
+	var pending []flashRec
 	nPending := d.Uvarint()
 	for i := uint64(0); i < nPending && d.Err() == nil; i++ {
-		b.pending = append(b.pending, flashRec{
+		pending = append(pending, flashRec{
 			m: radio.NodeID(d.I64()),
 			r: Record{T: simtime.Time(d.I64()), V: d.F64(), ErrBound: d.F64()},
 		})
 	}
-	b.latest = make(map[radio.NodeID]Record)
+	latest := make(map[radio.NodeID]Record)
 	nLatest := d.Uvarint()
 	for i := uint64(0); i < nLatest && d.Err() == nil; i++ {
 		id := radio.NodeID(d.I64())
-		b.latest[id] = Record{T: simtime.Time(d.I64()), V: d.F64(), ErrBound: d.F64()}
+		latest[id] = Record{T: simtime.Time(d.I64()), V: d.F64(), ErrBound: d.F64()}
 	}
 	if err := d.Done(); err != nil {
 		return fmt.Errorf("store: flash backend: %w", err)
 	}
+	if err := b.checkTable(segs, free, cur, curPages); err != nil {
+		return fmt.Errorf("store: flash backend: %w", err)
+	}
+	b.stats, b.segs, b.free, b.cur, b.curPages, b.pending, b.latest = stats, segs, free, cur, curPages, pending, latest
 	return b.dev.Restore(r)
+}
+
+// checkTable validates a restored segment table against the backend's
+// geometry: the open block is in range and is the last segment's (with
+// that segment's page count), every segment's block and page count fit
+// the device, every chunk lies within its segment's pages, every raw
+// segment carries one page span per page, and every free block is in
+// range.
+func (b *FlashBackend) checkTable(segs []*flashSegment, free []int, cur, curPages int) error {
+	g := b.geo
+	if cur < -1 || cur >= g.NumBlocks {
+		return fmt.Errorf("open block %d outside [-1, %d)", cur, g.NumBlocks)
+	}
+	if cur >= 0 {
+		if len(segs) == 0 || segs[len(segs)-1].block != cur {
+			return fmt.Errorf("open block %d is not the last segment's", cur)
+		}
+		if last := segs[len(segs)-1]; curPages != last.pages || curPages >= g.PagesPerBlock {
+			return fmt.Errorf("open block has %d pages, its segment %d (block of %d)", curPages, last.pages, g.PagesPerBlock)
+		}
+	}
+	for i, seg := range segs {
+		if seg.block < 0 || seg.block >= g.NumBlocks {
+			return fmt.Errorf("segment %d on block %d outside [0, %d)", i, seg.block, g.NumBlocks)
+		}
+		if seg.pages < 0 || seg.pages > g.PagesPerBlock {
+			return fmt.Errorf("segment %d has %d pages (block of %d)", i, seg.pages, g.PagesPerBlock)
+		}
+		wantSpans := seg.pages
+		switch seg.kind {
+		case segRaw:
+		case segWavelet:
+			wantSpans = 0
+		default:
+			return fmt.Errorf("segment %d of unknown kind %d", i, seg.kind)
+		}
+		if len(seg.pageSpans) != wantSpans {
+			return fmt.Errorf("segment %d has %d page spans for %d pages", i, len(seg.pageSpans), seg.pages)
+		}
+		bytes := seg.pages * g.PageSize
+		for _, de := range seg.dir {
+			if de.off < 0 || de.size < 0 || de.off > bytes || de.size > bytes-de.off {
+				return fmt.Errorf("segment %d chunk at %d+%d outside its %d pages", i, de.off, de.size, seg.pages)
+			}
+		}
+	}
+	for _, blk := range free {
+		if blk < 0 || blk >= g.NumBlocks {
+			return fmt.Errorf("free block %d outside [0, %d)", blk, g.NumBlocks)
+		}
+	}
+	return nil
 }

@@ -50,15 +50,17 @@ type Store struct {
 	backend   Backend
 	intervals map[radio.NodeID]simtime.Time // per-mote sample interval
 
-	// scratch is the reusable record buffer for archive range reads;
-	// scratchVisit is the append closure bound once so
-	// the per-query ScanRange call allocates nothing. Stores are confined
-	// to their shard worker, so a single buffer suffices.
-	scratch      []Record
-	scratchVisit func(Record)
 	// declined collects, per Execute call, the motes neither replica nor
 	// archive answered, for the proxy pass.
 	declined []declinedMote
+	// gated holds a PAST/AGG round's per-mote gate verdicts; reqMotes,
+	// reqLo, reqHi and reqOut are the round's one archive read, whose
+	// per-mote record buffers are reused round to round. Stores are
+	// confined to their shard worker, so one set suffices.
+	gated        []gatedMote
+	reqMotes     []radio.NodeID
+	reqLo, reqHi []simtime.Time
+	reqOut       [][]Record
 
 	// domain is the global index of the simulation domain this store
 	// serves; routing decisions annotated onto a query's trace carry it.
@@ -70,15 +72,13 @@ type Store struct {
 // New creates the store of global simulation domain `domain` over an
 // index, with an in-memory archive backend.
 func New(ix *index.Index, domain int) *Store {
-	s := &Store{
+	return &Store{
 		ix:        ix,
 		domain:    domain,
 		proxies:   make(map[index.ProxyID]*proxy.Proxy),
 		backend:   NewMemBackend(),
 		intervals: make(map[radio.NodeID]simtime.Time),
 	}
-	s.scratchVisit = func(r Record) { s.scratch = append(s.scratch, r) }
-	return s
 }
 
 // SetBackend swaps the archive backend (per-domain configuration; see
@@ -164,6 +164,21 @@ type declinedMote struct {
 	p    *proxy.Proxy
 }
 
+// Archive gate verdicts for one PAST/AGG mote.
+const (
+	gateDecline = iota // declined on RAM-only checks: no archive read
+	gateStale          // declined for a stale tail (traced as a stale bypass)
+	gateRead           // in the round's archive read
+)
+
+// gatedMote is one PAST/AGG mote between the archive gate and its answer.
+type gatedMote struct {
+	mote    radio.NodeID
+	pid     index.ProxyID
+	step    simtime.Time // sample interval, for gateRead
+	verdict int
+}
+
 // Execute routes one round of a spec: every mote in motes once, in two
 // passes. cb fires exactly once per mote that could be routed —
 // synchronously, or later from the owning kernel when the proxy pays a
@@ -176,10 +191,13 @@ type declinedMote struct {
 // low-latency replication) — unless the spec carries a freshness bound the
 // replica's snapshot cannot meet. PAST and AGG motes are served from the
 // domain's archive backend when the archived records cover every sample
-// slot of the span within the requested precision; the archive is
-// consulted once per mote either way. A freshness bound applies to them
-// too when the window tail overlaps "now": an archive whose newest record
-// for the mote is staler than MaxStaleness declines (ArchiveStale).
+// slot of the span within the requested precision, and the archive is read
+// once per round, in three steps: every mote is gated on RAM-only checks
+// (index lookup, freshness bound, newest-record pre-check), one
+// Backend.QueryRanges call reads the motes that passed, and the answers
+// follow in mote order. A freshness bound applies when the window tail
+// overlaps "now": an archive whose newest record for the mote is staler
+// than MaxStaleness declines (ArchiveStale).
 //
 // The second pass hands each declined mote to its managing proxy (cache /
 // model / mote rendezvous, bounds enforced by QueryNowBounded and
@@ -200,21 +218,19 @@ func (s *Store) Execute(spec query.Spec, motes []radio.NodeID, fold *query.Parti
 		return len(motes)
 	}
 	s.declined = s.declined[:0]
-	for _, m := range motes {
-		pid, err := s.ix.ProxyFor(m)
-		if err != nil {
-			failed++
-			continue
+	if spec.Type == query.Now {
+		for _, m := range motes {
+			pid, err := s.ix.ProxyFor(m)
+			if err != nil {
+				failed++
+				continue
+			}
+			if !s.serveReplica(spec.QueryFor(m), pid, tr, cb) {
+				failed += s.decline(m, pid)
+			}
 		}
-		if s.serveDirect(spec.QueryFor(m), pid, fold, tr, cb) {
-			continue
-		}
-		p, ok := s.proxies[pid]
-		if !ok {
-			failed++
-			continue
-		}
-		s.declined = append(s.declined, declinedMote{mote: m, p: p})
+	} else {
+		failed = s.serveArchive(spec, motes, fold, tr, cb)
 	}
 	if len(s.declined) == 0 {
 		return failed
@@ -241,105 +257,135 @@ func (s *Store) Execute(spec query.Spec, motes []radio.NodeID, fold *query.Parti
 	return failed
 }
 
-// serveDirect is Execute's first pass for one mote: the wired replica for
-// NOW, the archive for PAST/AGG. It reports whether the mote was answered.
-func (s *Store) serveDirect(q query.Query, pid index.ProxyID, fold *query.Partial, tr *obs.Trace, cb func(query.Result)) bool {
-	if q.Type == query.Now {
-		rp, ok := s.replica(pid)
-		if !ok {
-			return false
-		}
-		s.rstats.ReplicaRouted++ // replica was tried (the routing decision)
-		if q.MaxStaleness > 0 && !rp.FreshWithin(q.Mote, rp.Now(), q.MaxStaleness) {
-			s.rstats.ReplicaStale++
-			tr.Route(int64(q.Mote), s.domain, obs.RouteStaleBypass)
-			return false // snapshot too stale: the managing proxy decides
-		}
-		a, ok := rp.QueryLocal(q.Mote, rp.Now(), q.Precision)
-		if !ok {
-			return false
-		}
-		tr.Route(int64(q.Mote), s.domain, obs.RouteReplicaHit)
-		cb(query.Result{Query: q, Answer: a})
-		return true
+// decline queues a mote for the proxy pass, reporting 1 when its
+// managing proxy is not attached (the mote fails).
+func (s *Store) decline(m radio.NodeID, pid index.ProxyID) int {
+	p, ok := s.proxies[pid]
+	if !ok {
+		return 1
 	}
-	recs, step, ok := s.archiveRecords(q, pid, tr)
+	s.declined = append(s.declined, declinedMote{mote: m, p: p})
+	return 0
+}
+
+// serveReplica is Execute's first pass for one NOW mote: the managing
+// proxy's wired replica. It reports whether the mote was answered.
+func (s *Store) serveReplica(q query.Query, pid index.ProxyID, tr *obs.Trace, cb func(query.Result)) bool {
+	rp, ok := s.replica(pid)
 	if !ok {
 		return false
 	}
-	a, ok := s.archiveAnswer(q, pid, recs, step, fold)
+	s.rstats.ReplicaRouted++ // replica was tried (the routing decision)
+	if q.MaxStaleness > 0 && !rp.FreshWithin(q.Mote, rp.Now(), q.MaxStaleness) {
+		s.rstats.ReplicaStale++
+		tr.Route(int64(q.Mote), s.domain, obs.RouteStaleBypass)
+		return false // snapshot too stale: the managing proxy decides
+	}
+	a, ok := rp.QueryLocal(q.Mote, rp.Now(), q.Precision)
 	if !ok {
 		return false
 	}
-	s.rstats.ArchiveServed++
-	tr.Route(int64(q.Mote), s.domain, obs.RouteArchiveHit)
+	tr.Route(int64(q.Mote), s.domain, obs.RouteReplicaHit)
 	cb(query.Result{Query: q, Answer: a})
 	return true
 }
 
-// archiveRecords runs the archive-serving gates for a range query and,
-// when they pass, fetches the candidate records around [T0-step, T1+step]
-// — into the store's reusable scratch when the backend can scan, else
-// through the allocating QueryRange. Returns ok=false when the archive
-// must decline (no backend, unknown interval, stale tail, uncoverable
-// span, or nothing archived).
-func (s *Store) archiveRecords(q query.Query, pid index.ProxyID, tr *obs.Trace) ([]Record, simtime.Time, bool) {
+// serveArchive is Execute's first pass for a PAST/AGG round: gate every
+// mote, read the archive once for the motes that passed, then answer in
+// mote order — a stale bypass is traced where its mote falls, so the
+// trace's route sequence is the mote order. Motes the archive does not
+// serve are queued for the proxy pass. Returns the motes that failed.
+func (s *Store) serveArchive(spec query.Spec, motes []radio.NodeID, fold *query.Partial, tr *obs.Trace, cb func(query.Result)) (failed int) {
+	s.gated = s.gated[:0]
+	s.reqMotes, s.reqLo, s.reqHi = s.reqMotes[:0], s.reqLo[:0], s.reqHi[:0]
+	for _, m := range motes {
+		pid, err := s.ix.ProxyFor(m)
+		if err != nil {
+			failed++
+			continue
+		}
+		g := gatedMote{mote: m, pid: pid}
+		g.step, g.verdict = s.archiveGate(spec.QueryFor(m), pid)
+		if g.verdict == gateRead {
+			// Candidates around [T0-step, T1+step]: the slots at either
+			// end may be covered by a record just outside the window.
+			s.reqMotes = append(s.reqMotes, m)
+			s.reqLo = append(s.reqLo, max(spec.T0-g.step, 0))
+			s.reqHi = append(s.reqHi, spec.T1+g.step)
+		}
+		s.gated = append(s.gated, g)
+	}
+	var readErr error
+	if n := len(s.reqMotes); n > 0 {
+		for len(s.reqOut) < n {
+			s.reqOut = append(s.reqOut, nil)
+		}
+		readErr = s.backend.QueryRanges(s.reqMotes, s.reqLo, s.reqHi, s.reqOut[:n])
+	}
+	k := 0
+	for _, g := range s.gated {
+		switch g.verdict {
+		case gateStale:
+			tr.Route(int64(g.mote), s.domain, obs.RouteStaleBypass)
+		case gateRead:
+			recs := s.reqOut[k]
+			k++
+			if readErr != nil || len(recs) == 0 {
+				break
+			}
+			q := spec.QueryFor(g.mote)
+			if a, ok := s.archiveAnswer(q, g.pid, recs, g.step, fold); ok {
+				s.rstats.ArchiveServed++
+				tr.Route(int64(g.mote), s.domain, obs.RouteArchiveHit)
+				cb(query.Result{Query: q, Answer: a})
+				continue
+			}
+		}
+		failed += s.decline(g.mote, g.pid)
+	}
+	return failed
+}
+
+// archiveGate runs a range query's archive gates, all RAM only, and
+// returns the mote's sample interval with the verdict. The archive
+// declines without a read when there is no backend, the interval is
+// unknown, the tail is stale, or the newest archived record cannot reach
+// the last sample slot.
+func (s *Store) archiveGate(q query.Query, pid index.ProxyID) (simtime.Time, int) {
 	if s.backend == nil {
-		return nil, 0, false
+		return 0, gateDecline
 	}
 	step := s.intervals[q.Mote]
 	if step <= 0 {
-		return nil, 0, false
+		return 0, gateDecline
 	}
 	// A freshness-bounded query whose window tail overlaps "now" (the tail
 	// sits within MaxStaleness of the present) must not be answered from a
 	// snapshot older than the bound: the archive may simply not have heard
-	// about the tail yet, and the sample-slot coverage check below cannot
-	// see records that never arrived. If the archive's newest record for
-	// the mote is too old, decline — the managing proxy enforces the bound
-	// end to end (proxy.QueryRange pays the rendezvous).
+	// about the tail yet, and the sample-slot coverage check cannot see
+	// records that never arrived. If the archive's newest record for the
+	// mote is too old, decline — the managing proxy enforces the bound end
+	// to end (proxy.QueryRange pays the rendezvous).
 	if q.MaxStaleness > 0 {
 		if p, ok := s.proxies[pid]; ok {
 			now := p.Now()
 			if q.T1+simtime.Time(q.MaxStaleness) >= now {
 				if last, ok := s.backend.Latest(q.Mote); !ok || now-last.T > simtime.Time(q.MaxStaleness) {
 					s.rstats.ArchiveStale++
-					tr.Route(int64(q.Mote), s.domain, obs.RouteStaleBypass)
-					return nil, 0, false
+					return 0, gateStale
 				}
 			}
 		}
 	}
 	// Cheap pre-check: if the newest archived record cannot cover the last
 	// sample slot (the slot grid is T0-based, so it may stop short of T1),
-	// the span is uncoverable — skip the (flash page-read) range scan
-	// entirely.
+	// the span is uncoverable — leave the mote out of the (flash
+	// page-reading) range read entirely.
 	lastSlot := q.T0 + (q.T1-q.T0)/step*step
 	if last, ok := s.backend.Latest(q.Mote); !ok || last.T+step/2 < lastSlot {
-		return nil, 0, false
+		return 0, gateDecline
 	}
-	lo := q.T0 - step
-	if lo < 0 {
-		lo = 0
-	}
-	var recs []Record
-	if sc, ok := s.backend.(RangeScanner); ok {
-		s.scratch = s.scratch[:0]
-		if err := sc.ScanRange(q.Mote, lo, q.T1+step, s.scratchVisit); err != nil {
-			return nil, 0, false
-		}
-		recs = s.scratch
-	} else {
-		var err error
-		recs, err = s.backend.QueryRange(q.Mote, lo, q.T1+step)
-		if err != nil {
-			return nil, 0, false
-		}
-	}
-	if len(recs) == 0 {
-		return nil, 0, false
-	}
-	return recs, step, true
+	return step, gateRead
 }
 
 // slotCover walks the T0-based sample-slot grid over time-sorted recs,
@@ -402,7 +448,7 @@ func (s *Store) archiveAnswer(q query.Query, pid index.ProxyID, recs []Record, s
 		// Coverage first, fold after: fold must stay untouched unless the
 		// whole span is covered, and a fold into a temporary merged after
 		// the fact would change the float accumulation order. The records
-		// are already in scratch, so the second walk is cache-hot.
+		// were just read, so the second walk is cache-hot.
 		if !slotCover(recs, q.T0, q.T1, step, q.Precision, nil) {
 			return proxy.Answer{}, false
 		}
