@@ -3,7 +3,8 @@ package cluster
 import (
 	"context"
 	"errors"
-
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -168,9 +169,10 @@ func TestClusterAggBitIdentical(t *testing.T) {
 }
 
 // TestClusterPastResultsMatch: per-mote PAST results — entries, bounds,
-// provenance — survive the wire and merge identically to single-process.
+// provenance — survive the wire and merge identically to single-process,
+// and so do a one-site coordinator's, which has no joined site at all.
 func TestClusterPastResultsMatch(t *testing.T) {
-	const proxies, motesPer, shards, sites = 4, 2, 4, 2
+	const proxies, motesPer, shards = 4, 2, 4
 	runFor := 3 * time.Hour
 
 	cfg := testConfig(t, proxies, motesPer, shards)
@@ -188,33 +190,37 @@ func TestClusterPastResultsMatch(t *testing.T) {
 	}
 	single.Close()
 
-	co, shutdown := startCluster(t, NewLoopback(), testConfig(t, proxies, motesPer, shards), sites)
-	defer shutdown()
-	ctx := context.Background()
-	if err := co.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := co.Run(ctx, runFor); err != nil {
-		t.Fatal(err)
-	}
-	res, err := co.Client().QueryOne(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Results) != len(ref.Results) {
-		t.Fatalf("%d per-mote results, single-process had %d", len(res.Results), len(ref.Results))
-	}
-	for i, r := range res.Results {
-		w := ref.Results[i]
-		if r.Query.Mote != w.Query.Mote || r.Answer.Source != w.Answer.Source ||
-			len(r.Answer.Entries) != len(w.Answer.Entries) {
-			t.Fatalf("result %d shape differs: %+v vs %+v", i, r.Answer, w.Answer)
-		}
-		for j, e := range r.Answer.Entries {
-			if e != w.Answer.Entries[j] {
-				t.Fatalf("mote %d entry %d: %+v != %+v", r.Query.Mote, j, e, w.Answer.Entries[j])
+	for _, sites := range []int{1, 2} {
+		t.Run(fmt.Sprintf("sites=%d", sites), func(t *testing.T) {
+			co, shutdown := startCluster(t, NewLoopback(), testConfig(t, proxies, motesPer, shards), sites)
+			defer shutdown()
+			ctx := context.Background()
+			if err := co.Start(ctx); err != nil {
+				t.Fatal(err)
 			}
-		}
+			if err := co.Run(ctx, runFor); err != nil {
+				t.Fatal(err)
+			}
+			res, err := co.Client().QueryOne(ctx, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Results) != len(ref.Results) {
+				t.Fatalf("%d per-mote results, single-process had %d", len(res.Results), len(ref.Results))
+			}
+			for i, r := range res.Results {
+				w := ref.Results[i]
+				if r.Query.Mote != w.Query.Mote || r.Answer.Source != w.Answer.Source ||
+					len(r.Answer.Entries) != len(w.Answer.Entries) {
+					t.Fatalf("result %d shape differs: %+v vs %+v", i, r.Answer, w.Answer)
+				}
+				for j, e := range r.Answer.Entries {
+					if e != w.Answer.Entries[j] {
+						t.Fatalf("mote %d entry %d: %+v != %+v", r.Query.Mote, j, e, w.Answer.Entries[j])
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -223,7 +229,8 @@ func TestClusterPastResultsMatch(t *testing.T) {
 // [now-d, now] — counts stay roughly constant instead of growing with
 // history, and Until closes the stream by itself. The same spec on an
 // in-process build of the same deployment fires on the same round clock,
-// so every round is bit-identical to the cluster's.
+// so every round is bit-identical to the cluster's — with one joined
+// site, and with the coordinator as the only site.
 func TestClusterContinuousTrailing(t *testing.T) {
 	spec := query.Spec{
 		Type: query.Agg, Agg: query.Mean, Precision: 0.5,
@@ -247,52 +254,56 @@ func TestClusterContinuousTrailing(t *testing.T) {
 		want = append(want, res)
 	}
 
-	co, shutdown := startCluster(t, NewLoopback(), testConfig(t, 4, 2, 4), 2)
-	defer shutdown()
-	ctx := context.Background()
-	if err := co.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := co.Run(ctx, 2*time.Hour); err != nil {
-		t.Fatal(err)
-	}
+	for _, sites := range []int{1, 2} {
+		t.Run(fmt.Sprintf("sites=%d", sites), func(t *testing.T) {
+			co, shutdown := startCluster(t, NewLoopback(), testConfig(t, 4, 2, 4), sites)
+			defer shutdown()
+			ctx := context.Background()
+			if err := co.Start(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if err := co.Run(ctx, 2*time.Hour); err != nil {
+				t.Fatal(err)
+			}
 
-	stream, err := co.Client().Query(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := co.Run(ctx, 3*time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	var rounds []query.SetResult
-	for res := range stream.Results() {
-		rounds = append(rounds, res)
-	}
-	if len(rounds) != 4 || len(want) != 4 {
-		t.Fatalf("delivered %d rounds (in-process %d), want 4 (Until/Every)", len(rounds), len(want))
-	}
-	for i, r := range rounds {
-		if w := want[i]; r.Seq != w.Seq || r.At != w.At || r.Value != w.Value || r.ErrBound != w.ErrBound || r.Count != w.Count {
-			t.Fatalf("round %d: cluster seq %d at %v = %v ± %v (n=%d), in-process seq %d at %v = %v ± %v (n=%d)",
-				i, r.Seq, r.At, r.Value, r.ErrBound, r.Count, w.Seq, w.At, w.Value, w.ErrBound, w.Count)
-		}
-		if r.Seq != i {
-			t.Fatalf("round %d has seq %d", i, r.Seq)
-		}
-		if r.Err != nil || r.Failed != 0 || len(r.SiteErrs) != 0 {
-			t.Fatalf("round %d not clean: %+v", i, r)
-		}
-		if r.Count == 0 {
-			t.Fatalf("round %d: empty trailing window", i)
-		}
-		if i > 0 && r.At != rounds[i-1].At+30*simtime.Minute {
-			t.Fatalf("round %d at %v, want exact %v cadence", i, r.At, 30*simtime.Minute)
-		}
-		// A trailing 1h window over 1-minute sampling holds ~60 samples
-		// per mote; a fixed-from-zero window would grow past that.
-		if perMote := r.Count / 8; perMote > 70 {
-			t.Fatalf("round %d: %d samples/mote — window not trailing", i, r.Count/8)
-		}
+			stream, err := co.Client().Query(ctx, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := co.Run(ctx, 3*time.Hour); err != nil {
+				t.Fatal(err)
+			}
+			var rounds []query.SetResult
+			for res := range stream.Results() {
+				rounds = append(rounds, res)
+			}
+			if len(rounds) != 4 || len(want) != 4 {
+				t.Fatalf("delivered %d rounds (in-process %d), want 4 (Until/Every)", len(rounds), len(want))
+			}
+			for i, r := range rounds {
+				if w := want[i]; r.Seq != w.Seq || r.At != w.At || r.Value != w.Value || r.ErrBound != w.ErrBound || r.Count != w.Count {
+					t.Fatalf("round %d: cluster seq %d at %v = %v ± %v (n=%d), in-process seq %d at %v = %v ± %v (n=%d)",
+						i, r.Seq, r.At, r.Value, r.ErrBound, r.Count, w.Seq, w.At, w.Value, w.ErrBound, w.Count)
+				}
+				if r.Seq != i {
+					t.Fatalf("round %d has seq %d", i, r.Seq)
+				}
+				if r.Err != nil || r.Failed != 0 || len(r.SiteErrs) != 0 {
+					t.Fatalf("round %d not clean: %+v", i, r)
+				}
+				if r.Count == 0 {
+					t.Fatalf("round %d: empty trailing window", i)
+				}
+				if i > 0 && r.At != rounds[i-1].At+30*simtime.Minute {
+					t.Fatalf("round %d at %v, want exact %v cadence", i, r.At, 30*simtime.Minute)
+				}
+				// A trailing 1h window over 1-minute sampling holds ~60 samples
+				// per mote; a fixed-from-zero window would grow past that.
+				if perMote := r.Count / 8; perMote > 70 {
+					t.Fatalf("round %d: %d samples/mote — window not trailing", i, r.Count/8)
+				}
+			}
+		})
 	}
 }
 
@@ -385,6 +396,45 @@ func TestClusterSiteDropMidScatter(t *testing.T) {
 	}
 	if len(res2.SiteErrs) != 1 || len(res2.Results) != 4 {
 		t.Fatalf("subsequent round: %+v", res2)
+	}
+}
+
+// TestClusterUnjoinedSite: from Listen on, a site that has not joined is
+// a member like any other that fails every call with a typed error, the
+// way a dead site does — Start reports it, Run skips it, Health reports
+// it dead, a query answers with its motes Failed and a SiteErrs entry,
+// and a migration to it is refused with the domain left where it was.
+func TestClusterUnjoinedSite(t *testing.T) {
+	co, err := Listen(NewLoopback(), "", testConfig(t, 4, 2, 4), Options{Sites: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	ctx := context.Background()
+	if err := co.Start(ctx); !errors.Is(err, errNotJoined) {
+		t.Fatalf("Start with an unjoined site: %v", err)
+	}
+	if err := co.Run(ctx, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if h := co.Health(); len(h.Sites) != 2 || !h.Sites[0].Alive || h.Sites[1].Alive {
+		t.Fatalf("health before join: %+v", h)
+	}
+	res, err := co.Client().QueryOne(ctx, query.Spec{Type: query.Agg, Agg: query.Mean, T1: simtime.Hour, Precision: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.SiteErrs) != 1 || res.SiteErrs[0].Site != 1 || !errors.Is(res.SiteErrs[0].Err, errNotJoined) {
+		t.Fatalf("want one not-joined error for site 1, got %+v", res.SiteErrs)
+	}
+	if res.Failed != 4 || res.Count == 0 {
+		t.Fatalf("want site 1's 4 motes failed and site 0's answered: %+v", res)
+	}
+	if err := co.MigrateDomain(ctx, 0, 1); !errors.Is(err, errNotJoined) {
+		t.Fatalf("migration to an unjoined site: %v", err)
+	}
+	if h := co.Health(); h.Migrations != 0 || !slices.Equal(h.Sites[0].Domains, []int{0, 1}) {
+		t.Fatalf("health after refused migration: %+v", h)
 	}
 }
 

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -27,9 +26,10 @@ const DefaultQuantum = 10 * time.Second
 
 // Options tunes a cluster coordinator.
 type Options struct {
-	// Sites is the total process count, including the coordinator
-	// (which always hosts the first window of domains — and with it the
-	// wired replica). Must be >= 1 and <= the deployment's domain count.
+	// Sites is the total site count, the coordinator included: it is
+	// site 0 of N, hosting the first window of domains (and with it the
+	// wired replica) and driving them through the same calls as every
+	// joined site. Must be >= 1 and <= the deployment's domain count.
 	Sites int
 	// Quantum is the advance-lease size in virtual time (default
 	// DefaultQuantum). Continuous rounds fire at the first lease
@@ -43,16 +43,18 @@ type Options struct {
 
 // siteTargets is one site's share of a spec's resolved motes.
 type siteTargets struct {
-	site  int // 0 = the coordinator's local window
+	site  int
 	motes []radio.NodeID
 }
 
-// Coordinator runs a deployment across cluster sites: it hosts the
-// first window of domains itself, owns the global virtual clock
-// (advance leases), scatters specs one frame per remote site, and
-// merges the sites' partials with the engine's honest-bounds merge
-// stage. It implements core.SpecSubmitter, so core.Client front-ends a
-// cluster exactly as it does an in-process Network.
+// Coordinator runs a deployment across cluster sites. It is site 0 of
+// N: it hosts the first window of domains itself and reaches them
+// through the same member calls as every joined site. It owns the global
+// virtual clock (advance leases), gathers each spec once per site (one
+// scatter frame per joined site), and merges the sites' partials with
+// the engine's honest-bounds merge stage. It implements
+// core.SpecSubmitter, so core.Client front-ends a cluster exactly as it
+// does an in-process Network.
 type Coordinator struct {
 	cfg core.Config
 	lay core.Layout
@@ -64,18 +66,25 @@ type Coordinator struct {
 	// once at Listen and reused read-only by every resolveTargets call
 	// with a zero selector.
 	allGroups []siteTargets
-	local     *core.Network
+	local     *core.Network // site 0's domains, for introspection and the replica bridge
 	lis       Listener
-	sites     []*siteLink // remote sites; index i serves site i+1
+	// accepting is the listener Accept in flight, if any: a join whose
+	// ctx ends leaves it for the next join to collect, so a joiner
+	// arriving in between is never dropped. Guarded by runMu.
+	accepting chan accepted
 
-	seq    atomic.Uint64
+	seq    atomic.Uint64 // request seqs, shared by every site link
 	leases atomic.Uint64 // advance leases issued (one per quantum step, all sites)
 
 	runMu sync.Mutex // serializes Run (one lease-issuer at a time)
 
-	mu     sync.Mutex // guards vnow, closed, elasticity state
+	mu     sync.Mutex // guards vnow, closed, sites, elasticity state
 	vnow   simtime.Time
 	closed bool
+	// sites holds one member per site, indexed by site number; a site
+	// that has not joined is a member that fails every call. AcceptSites
+	// and Rejoin replace links in place, so reads go through member.
+	sites []member
 
 	// standing holds the continuous specs the lease loop fires; each
 	// stream's Route is its site grouping.
@@ -91,26 +100,20 @@ type Coordinator struct {
 	closeOnce sync.Once
 }
 
-// siteFor returns the live link for remote site i (1-based). Rejoin
-// replaces links in place, so every post-startup read goes through mu.
-func (co *Coordinator) siteFor(i int) *siteLink {
+// member returns site i's handle.
+func (co *Coordinator) member(i int) member {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	return co.sites[i-1]
-}
-
-// remotes snapshots the remote-site link slice under mu.
-func (co *Coordinator) remotes() []*siteLink {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return append([]*siteLink(nil), co.sites...)
+	return co.sites[i]
 }
 
 // Listen creates a cluster coordinator: it validates the global config,
 // builds the coordinator's own domain window, and binds the transport
 // listener — but does not accept joiners yet. Read Addr for the bound
 // address (":0" TCP listens pick a port), then call AcceptSites to
-// block until every site has joined and been assigned its window.
+// block until every site has joined and been assigned its window. Until
+// a site joins, every call to it fails with a "has not joined" error,
+// the way a dead site's calls do.
 func Listen(t Transport, addr string, cfg core.Config, opt Options) (*Coordinator, error) {
 	if cfg.SiteShards != 0 || cfg.FirstShard != 0 {
 		return nil, errors.New("cluster: the coordinator assigns shard windows; leave them zero")
@@ -149,7 +152,13 @@ func Listen(t Transport, addr string, cfg core.Config, opt Options) (*Coordinato
 			domainSite[d] = s
 		}
 	}
-	co := &Coordinator{cfg: cfg, lay: lay, opt: opt, domainSite: domainSite, local: local, lis: lis}
+	co := &Coordinator{cfg: cfg, lay: lay, opt: opt, domainSite: domainSite, local: local, lis: lis,
+		sites: []member{localSite{local}}}
+	for s := 1; s < opt.Sites; s++ {
+		l := newSiteLink(s, nil, &co.seq)
+		l.fail(fmt.Errorf("cluster: site %d %w", s, errNotJoined))
+		co.sites = append(co.sites, l)
+	}
 	co.allGroups, err = co.groupBySite(lay.AllMotes())
 	if err != nil {
 		local.Close()
@@ -179,64 +188,18 @@ func siteWindow(nShards, nSites, site int) (first, count int) {
 // Addr returns the listener's bound address for joiners to Dial.
 func (co *Coordinator) Addr() string { return co.lis.Addr() }
 
-// AcceptSites blocks until every remote site has joined: each joiner's
+// AcceptSites blocks until every other site has joined: each joiner's
 // hello is checked against the coordinator's protocol version and config
 // fingerprint, answered with its window assignment (in join order), and
 // its connection handed to a demultiplexer. Cancel ctx to abort.
 func (co *Coordinator) AcceptSites(ctx context.Context) error {
-	type accepted struct {
-		conn Conn
-		err  error
-	}
-	hash := configHash(co.cfg)
+	co.runMu.Lock()
+	defer co.runMu.Unlock()
 	for site := 1; site < co.opt.Sites; site++ {
-		ch := make(chan accepted, 1)
-		go func() {
-			c, err := co.lis.Accept()
-			ch <- accepted{c, err}
-		}()
-		var conn Conn
-		select {
-		case a := <-ch:
-			if a.err != nil {
-				return a.err
-			}
-			conn = a.conn
-		case <-ctx.Done():
-			co.lis.Close()
-			return ctx.Err()
-		}
-		f, err := conn.Recv()
-		if err != nil {
-			conn.Close()
-			return fmt.Errorf("cluster: site %d hello: %w", site, err)
-		}
-		hello, err := wire.DecodeHello(f.Payload)
-		if f.Kind != wire.FrameHello || err != nil {
-			conn.Close()
-			return fmt.Errorf("cluster: site %d: bad hello", site)
-		}
-		if hello.Version != wire.ProtoVersion {
-			conn.Close()
-			return fmt.Errorf("cluster: site %d speaks protocol %d, want %d", site, hello.Version, wire.ProtoVersion)
-		}
-		if hello.ConfigHash != hash {
-			conn.Close()
-			return fmt.Errorf("cluster: site %d runs a different deployment (config hash mismatch)", site)
-		}
 		first, count := siteWindow(co.lay.Shards, co.opt.Sites, site)
-		if err := conn.Send(wire.Frame{Kind: wire.FrameAssign, Payload: wire.EncodeAssign(wire.Assign{
-			Site: site, Sites: co.opt.Sites, FirstShard: first, Shards: count, ConfigHash: hash,
-		})}); err != nil {
-			conn.Close()
+		if _, err := co.join(ctx, site, first, count); err != nil {
 			return err
 		}
-		l := newSiteLink(site, first, count, conn)
-		for d := first; d < first+count; d++ {
-			l.motes = append(l.motes, co.lay.DomainMotes(d)...)
-		}
-		co.sites = append(co.sites, l)
-		go l.demux(co)
 	}
 	return nil
 }
@@ -249,23 +212,26 @@ func (co *Coordinator) Network() *core.Network { return co.local }
 // Client wraps the coordinator in the standard query facade.
 func (co *Coordinator) Client() *core.Client { return core.NewClient(co) }
 
-// SiteStats returns per-remote-site frame counters, indexed by site-1.
-// The one-frame-per-site property reads straight off SentKind.
+// SiteStats returns per-joined-site frame counters, indexed by site-1
+// (site 0 has no connection). The one-frame-per-site property reads
+// straight off SentKind.
 func (co *Coordinator) SiteStats() []ConnStats {
-	links := co.remotes()
-	out := make([]ConnStats, len(links))
-	for i, l := range links {
-		out[i] = l.conn.Stats()
+	out := make([]ConnStats, co.opt.Sites-1)
+	for i := range out {
+		out[i] = co.linkStats(i + 1)
 	}
 	return out
 }
+
+// linkStats reads joined site i's connection counters.
+func (co *Coordinator) linkStats(i int) ConnStats { return co.member(i).(*siteLink).stats() }
 
 // Leases reports how many advance leases the coordinator has issued.
 func (co *Coordinator) Leases() uint64 { return co.leases.Load() }
 
 // RegisterMetrics registers the coordinator's elasticity and transport
 // counters into an obs registry: the lease clock, migration/rejoin
-// history, and each remote site's per-frame-kind wire traffic.
+// history, and each joined site's per-frame-kind wire traffic.
 func (co *Coordinator) RegisterMetrics(reg *obs.Registry) {
 	// The coordinator hosts the first window of domains itself; their
 	// engine/proxy/store series belong in the same registry.
@@ -281,16 +247,14 @@ func (co *Coordinator) RegisterMetrics(reg *obs.Registry) {
 		defer co.mu.Unlock()
 		return co.rejoins
 	})
-	for site := 1; site <= len(co.remotes()); site++ {
-		site := site
+	for site := 1; site < co.opt.Sites; site++ {
 		siteLabel := fmt.Sprintf("%d", site)
-		stats := func() ConnStats { return co.siteFor(site).conn.Stats() }
+		stats := func() ConnStats { return co.linkStats(site) }
 		reg.CounterFunc("presto_cluster_wire_frames_sent_total", "Frames sent to a site.",
 			obs.L("site", siteLabel), func() uint64 { return stats().Sent })
 		reg.CounterFunc("presto_cluster_wire_frames_recv_total", "Frames received from a site.",
 			obs.L("site", siteLabel), func() uint64 { return stats().Recv })
 		for k := wire.FrameKind(1); k <= wire.FrameKindMax; k++ {
-			k := k
 			kindLabels := obs.Labels{{K: "site", V: siteLabel}, {K: "kind", V: k.String()}}
 			reg.CounterFunc("presto_cluster_wire_sent_bytes_total", "Wire bytes sent to a site by frame kind.",
 				kindLabels, func() uint64 { return stats().SentKindBytes[k] })
@@ -308,105 +272,97 @@ func (co *Coordinator) Now() simtime.Time {
 	return co.vnow
 }
 
-// Close tears the cluster down: sites see their connection close and
-// exit Serve cleanly; the local window shuts its workers down. Standing
-// streams abort.
+// Close tears the cluster down: joined sites see their connection close
+// and exit Serve cleanly; the coordinator's own window shuts its workers
+// down. Standing streams abort.
 func (co *Coordinator) Close() {
 	co.closeOnce.Do(func() {
 		co.mu.Lock()
 		co.closed = true
 		co.mu.Unlock()
 		co.standing.Close()
-		for _, l := range co.remotes() {
-			l.conn.Close()
-		}
 		co.lis.Close()
-		co.local.Close()
+		// Last site first: site 0's window outlives the links whose
+		// demultiplexers feed its replica bridge.
+		for i := range co.opt.Sites {
+			co.member(co.opt.Sites - 1 - i).close()
+		}
 	})
 }
 
 // ---------------------------------------------------------------------------
 // Cluster-wide operations
 
+// fanOut runs fn on every site concurrently and waits for all of them.
+// The calling goroutine takes the first site's share itself.
+func (co *Coordinator) fanOut(fn func(i int, m member)) {
+	var wg sync.WaitGroup
+	for i := 1; i < co.opt.Sites; i++ {
+		m := co.member(i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(i, m)
+		}()
+	}
+	fn(0, co.member(0))
+	wg.Wait()
+}
+
+// firstErr returns the first failure in site order, naming its site.
+func firstErr(op string, errs []error) error {
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("cluster: site %d %s: %w", i, op, err)
+		}
+	}
+	return nil
+}
+
 // Bootstrap runs the two-phase startup on every site concurrently and
 // waits for all of them; the coordinator's clock then starts at the
 // common post-bootstrap instant.
 func (co *Coordinator) Bootstrap(ctx context.Context, trainFor time.Duration, bins int, delta float64) error {
-	payload := wire.EncodeBootstrap(wire.Bootstrap{TrainFor: simtime.Time(trainFor), Bins: bins, Delta: delta})
-	links := co.remotes()
-	errs := make(chan error, len(links))
-	for _, l := range links {
-		l := l
-		go func() {
-			f, err := l.rpc(ctx, co.nextSeq(), wire.FrameBootstrap, payload)
-			if err == nil {
-				_, err = decodeReply(f)
-			}
-			if err != nil {
-				err = fmt.Errorf("cluster: site %d bootstrap: %w", l.idx, err)
-			}
-			errs <- err
-		}()
-	}
-	_, lerr := co.local.Bootstrap(trainFor, bins, delta)
-	for range links {
-		if err := <-errs; err != nil && lerr == nil {
-			lerr = err
-		}
-	}
+	ats, errs := make([]simtime.Time, co.opt.Sites), make([]error, co.opt.Sites)
+	co.fanOut(func(i int, m member) { ats[i], errs[i] = m.bootstrap(ctx, trainFor, bins, delta) })
 	co.mu.Lock()
-	co.vnow = co.local.Now()
+	co.vnow = slices.Max(ats)
 	co.mu.Unlock()
-	return lerr
+	return firstErr("bootstrap", errs)
 }
 
 // Start begins sampling on every site's motes without the two-phase
 // bootstrap (raw-push workloads; Bootstrap implies it).
 func (co *Coordinator) Start(ctx context.Context) error {
-	links := co.remotes()
-	errs := make(chan error, len(links))
-	for _, l := range links {
-		l := l
-		go func() {
-			f, err := l.rpc(ctx, co.nextSeq(), wire.FrameStart, nil)
-			if err == nil {
-				_, err = decodeReply(f)
-			}
-			if err != nil {
-				err = fmt.Errorf("cluster: site %d start: %w", l.idx, err)
-			}
-			errs <- err
-		}()
-	}
-	co.local.Start()
-	var first error
-	for range links {
-		if err := <-errs; err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	errs := make([]error, co.opt.Sites)
+	co.fanOut(func(i int, m member) { errs[i] = m.start(ctx) })
+	return firstErr("start", errs)
 }
 
 // Run advances the whole cluster by d of virtual time, in lease-sized
-// steps: every site (and the local window) converges on each absolute
-// lease target before the next is issued, so no domain runs more than
-// one quantum ahead of another — the distributed analogue of the
-// in-process bridge-drain chunking.
+// steps: every site, the coordinator's own window included, converges on
+// each absolute lease target before the next is issued, so no domain
+// runs more than one quantum ahead of another — the distributed analogue
+// of the in-process bridge-drain chunking. Dead and unjoined sites are
+// skipped: their absence is reported per round via SiteErrs, not by
+// wedging the clock.
 //
-// Continuous rounds are pipelined: the scatters for rounds sealed by a
+// Continuous rounds are pipelined: the gathers for rounds sealed by a
 // lease step are issued right after it converges, and the next lease
 // goes out while those rounds are still being computed and collected.
-// The per-connection frame FIFO keeps this correct without quiescing —
-// a site enqueues a scatter's gathers before it acts on any later
-// advance frame, which pins the round to the clock it was sealed at.
+// Per-site FIFO keeps this correct without quiescing — a site enqueues a
+// round's gathers before it acts on any later lease (site 0 enqueues
+// them before fireDue returns; a joined site before it reads the next
+// frame on its connection), which pins the round to the clock it was
+// sealed at.
 func (co *Coordinator) Run(ctx context.Context, d time.Duration) error {
 	co.runMu.Lock()
 	defer co.runMu.Unlock()
 	target := co.Now() + simtime.Time(d)
 	for now := co.Now(); now < target; now = co.Now() {
 		next := min(now+simtime.Time(co.opt.Quantum), target)
-		co.advanceAll(ctx, next)
+		co.leases.Add(1)
+		co.fanOut(func(_ int, m member) { _ = m.advance(ctx, next) }) // dead sites fail fast
 		co.mu.Lock()
 		co.vnow = next
 		co.mu.Unlock()
@@ -418,58 +374,31 @@ func (co *Coordinator) Run(ctx context.Context, d time.Duration) error {
 	return nil
 }
 
-// advanceAll issues one absolute lease to every site and the local
-// window and waits for convergence. Dead sites are skipped — their
-// absence is reported per-round via SiteErrs, not by wedging the clock.
-func (co *Coordinator) advanceAll(ctx context.Context, target simtime.Time) {
-	co.leases.Add(1)
-	payload := wire.EncodeAdvance(target)
-	var wg sync.WaitGroup
-	for _, l := range co.remotes() {
-		l := l
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if f, err := l.rpc(ctx, co.nextSeq(), wire.FrameAdvance, payload); err == nil {
-				// Acked time >= target always holds (RunUntilTime
-				// converges or overshoots settling queries); a lagging ack
-				// would mean a diverged site — treat as dead.
-				if at, err := advanceAckTime(f); err != nil || at < target {
-					l.fail(fmt.Errorf("cluster: site %d acked %v for lease %v", l.idx, at, target))
-				}
-			}
-		}()
-	}
-	co.local.RunUntilTime(target)
-	wg.Wait()
-}
-
 // fireDue seals every continuous round whose instant has been reached
-// and launches its scatter without waiting for the answers: the local
-// gathers are enqueued and the remote frames sent before fireDue
-// returns (so they land ahead of the next lease on each connection),
-// while collection and merge run on a per-batch collector goroutine.
+// and launches its gathers without waiting for the answers: every site's
+// share is enqueued or on the wire before fireDue returns (so it lands
+// ahead of the next lease), while collection and merge run on a
+// per-batch collector goroutine.
 func (co *Coordinator) fireDue() {
 	for _, b := range co.standing.Due(co.Now()) {
 		bounds := make([]query.Spec, len(b.Rounds))
 		for k, r := range b.Rounds {
 			bounds[k] = b.Spec.BindWindow(r.At)
 		}
-		sc := co.scatterRounds(b.Route, bounds, nil)
+		gs := co.scatterRounds(b.Route, bounds, nil)
 		go func() {
-			for k, res := range co.collectBatch(b.Context(), bounds, b.Rounds, sc) {
+			for k, res := range co.collectBatch(b.Context(), bounds, b.Rounds, gs) {
 				b.Rounds[k].Deliver(res)
 			}
 		}()
 	}
 }
 
-func (co *Coordinator) nextSeq() uint64 { return co.seq.Add(1) }
-
 // ---------------------------------------------------------------------------
 // Scatter-gather
 
-// groupBySite groups resolved target motes by hosting site.
+// groupBySite groups resolved target motes by hosting site, in site
+// order.
 func (co *Coordinator) groupBySite(targets []radio.NodeID) ([]siteTargets, error) {
 	bySite := make(map[int][]radio.NodeID)
 	for _, m := range targets {
@@ -505,87 +434,28 @@ func (co *Coordinator) resolveTargets(spec query.Spec) ([]siteTargets, error) {
 	return co.groupBySite(targets)
 }
 
-// pendingSite is one remote site's in-flight share of a round batch.
-type pendingSite struct {
-	l     *siteLink
-	site  int
-	motes int
-	seq   uint64
-	batch bool
-	// tr is non-nil when the scatter carried trace context: the reply
-	// must append a route section, grafted here at decode.
-	tr  *obs.Trace
-	ch  chan wire.Frame
-	err error
+// gathering is one site's in-flight share of a round batch.
+type gathering struct {
+	site, motes int
+	collect     collectFunc
 }
 
-// sendScatter issues one site's scatter frame for a batch: the spec's
-// head (the spec sans window, plus the site's motes) and this step's
-// window(s). A single due round keeps the plain one-round scatter frame;
-// two or more pack into a batch frame. A non-nil tr (one-shot rounds
-// only) appends the protocol-v4 trace section, asking the site to return
-// its routing decisions.
-func (co *Coordinator) sendScatter(g siteTargets, bounds []query.Spec, tr *obs.Trace) pendingSite {
-	buf := make([]byte, 0, 48+2*len(g.motes)+4+16*len(bounds))
-	buf = query.AppendScatterHead(buf, bounds[0], g.motes)
-	kind := wire.FrameScatter
-	batch := false
-	if len(bounds) == 1 {
-		buf = query.AppendScatterWindow(buf, bounds[0].T0, bounds[0].T1)
-		if tr != nil {
-			buf = query.AppendScatterTrace(buf, tr.ID())
-		}
-	} else {
-		kind = wire.FrameScatterBatch
-		batch = true
-		tr = nil // batched rounds never carry trace context
-		buf = query.AppendScatterRounds(buf, windows(bounds))
-	}
-	l := co.siteFor(g.site)
-	p := pendingSite{l: l, site: g.site, motes: len(g.motes), seq: co.nextSeq(), batch: batch, tr: tr}
-	p.ch, p.err = l.rpcSend(p.seq, kind, buf)
-	return p
-}
-
-// roundScatter is a batch of rounds in flight: the local window's
-// gathers (one partials channel per round) and each remote site's
-// pending reply.
-type roundScatter struct {
-	localMotes  int
-	localParts  []<-chan query.RoundPartial
-	localExpect []int
-	localErr    error
-	pend        []pendingSite
-}
-
-// scatterRounds enqueues the local window's gathers for a batch — one
-// round per spec in bounds, each bound at its round's instant — and sends
-// one scatter frame per remote site: all that must order before the next
-// advance lease; collectBatch assembles the answers. A non-nil tr
-// (one-shot rounds) collects each target mote's routing decision, locally
-// and across the wire.
-func (co *Coordinator) scatterRounds(groups []siteTargets, bounds []query.Spec, tr *obs.Trace) roundScatter {
-	sc := roundScatter{pend: make([]pendingSite, 0, len(groups))}
-	for _, g := range groups {
-		if g.site != 0 {
-			sc.pend = append(sc.pend, co.sendScatter(g, bounds, tr))
-			continue
-		}
-		// Gathers already enqueued when a later round fails keep running
-		// into their own buffered channels and are dropped.
-		sc.localMotes = len(g.motes)
-		sc.localParts, sc.localExpect = make([]<-chan query.RoundPartial, len(bounds)), make([]int, len(bounds))
-		for k, bound := range bounds {
-			sc.localParts[k], sc.localExpect[k], sc.localErr = co.local.GatherStart(bound, g.motes, tr)
-			if sc.localErr != nil {
-				break
-			}
-		}
+// scatterRounds starts a batch on every site it targets — one round per
+// spec in bounds, each bound at its round's instant: site 0's gathers are
+// enqueued and each joined site's scatter frame is sent, all that must
+// order before the next advance lease; collectBatch assembles the
+// answers. A non-nil tr (one-shot rounds) collects each target mote's
+// routing decision: site 0's annotate tr directly, a joined site's ride
+// back in its partials and graft under its site number.
+func (co *Coordinator) scatterRounds(groups []siteTargets, bounds []query.Spec, tr *obs.Trace) []gathering {
+	gs := make([]gathering, len(groups))
+	for i, g := range groups {
+		gs[i] = gathering{site: g.site, motes: len(g.motes), collect: co.member(g.site).gather(bounds, g.motes, tr)}
 	}
 	if tr != nil { // gate the Sprintf, not just the span: untraced rounds must not allocate
-		tr.Span("cluster-scatter", fmt.Sprintf("%d sites, %d remote", len(groups), len(sc.pend)))
+		tr.Span("cluster-scatter", fmt.Sprintf("%d sites", len(groups)))
 	}
-	return sc
+	return gs
 }
 
 // collectBatch waits for every site's share of a batch, merges each
@@ -593,32 +463,16 @@ func (co *Coordinator) scatterRounds(groups []siteTargets, bounds []query.Spec, 
 // fire order. Sites that fail mid-batch contribute an explicit
 // SiteError and their motes count as Failed on every round — a partial
 // answer, never a hang.
-func (co *Coordinator) collectBatch(ctx context.Context, bounds []query.Spec, rounds []core.Round, sc roundScatter) []query.SetResult {
+func (co *Coordinator) collectBatch(ctx context.Context, bounds []query.Spec, rounds []core.Round, gs []gathering) []query.SetResult {
 	parts := make([][]query.RoundPartial, len(rounds))
-	var siteErrs []query.SiteError
+	var siteErrs []query.SiteError // in site order, as groups are
 	failed := 0
-	if sc.localErr != nil {
-		siteErrs = append(siteErrs, query.SiteError{Site: 0, Err: sc.localErr})
-		failed += sc.localMotes
-	} else {
-		for k, ch := range sc.localParts { // none without a local group
-			for i := 0; i < sc.localExpect[k]; i++ {
-				parts[k] = append(parts[k], <-ch)
-			}
+	for _, g := range gs {
+		if err := g.collect(ctx, parts); err != nil {
+			siteErrs = append(siteErrs, query.SiteError{Site: g.site, Err: err})
+			failed += g.motes
 		}
 	}
-	for _, p := range sc.pend {
-		got, err := co.awaitScatter(ctx, bounds, p)
-		if err != nil {
-			siteErrs = append(siteErrs, query.SiteError{Site: p.site, Err: err})
-			failed += p.motes
-			continue
-		}
-		for k := range got {
-			parts[k] = append(parts[k], got[k]...)
-		}
-	}
-	slices.SortFunc(siteErrs, func(a, b query.SiteError) int { return cmp.Compare(a.Site, b.Site) })
 	results := make([]query.SetResult, len(rounds))
 	for k, r := range rounds {
 		res := query.MergeRounds(bounds[k], r.Seq, r.At, parts[k])
@@ -627,38 +481,6 @@ func (co *Coordinator) collectBatch(ctx context.Context, bounds []query.Spec, ro
 		results[k] = res
 	}
 	return results
-}
-
-// awaitScatter blocks for one site's reply to a batch and decodes it
-// back into per-round partials.
-func (co *Coordinator) awaitScatter(ctx context.Context, bounds []query.Spec, p pendingSite) ([][]query.RoundPartial, error) {
-	if p.err != nil {
-		return nil, p.err
-	}
-	f, err := p.l.rpcAwait(ctx, p.seq, p.ch)
-	if err != nil {
-		return nil, err
-	}
-	body, err := decodeReply(f)
-	if err != nil {
-		return nil, err
-	}
-	if !p.batch {
-		if p.tr != nil {
-			parts, routes, err := query.DecodeRoundPartialsTraced(bounds[0], body)
-			if err != nil {
-				return nil, err
-			}
-			p.tr.AddRoutes(p.site, routes)
-			return [][]query.RoundPartial{parts}, nil
-		}
-		parts, err := query.DecodeRoundPartials(bounds[0], body)
-		if err != nil {
-			return nil, err
-		}
-		return [][]query.RoundPartial{parts}, nil
-	}
-	return query.DecodeRoundPartialsBatch(bounds[0], windows(bounds), body)
 }
 
 // windows lists a batch's per-round windows, as batch frames carry them.
@@ -673,7 +495,7 @@ func windows(bounds []query.Spec) []query.RoundWindow {
 // SubmitSpec implements core.SpecSubmitter over the cluster: one-shot
 // specs scatter immediately (sites settle their own kernels, so no Run
 // needs to be in flight); continuous specs register with the lease loop
-// and fire during Run, one scatter frame per site per lease step. The
+// and fire during Run, one gather per site per lease step. The
 // trailing-window form re-binds [now-d, now] at each round's instant,
 // coordinator-side, so every site evaluates the same window.
 func (co *Coordinator) SubmitSpec(ctx context.Context, spec query.Spec) (<-chan query.SetResult, error) {
@@ -696,10 +518,7 @@ func (co *Coordinator) SubmitSpec(ctx context.Context, spec query.Spec) (<-chan 
 		out := make(chan query.SetResult, 1)
 		go func() {
 			defer close(out)
-			// An explain/slow-query trace rides the context. Local-window
-			// routing decisions annotate straight onto it (site 0); each
-			// traced remote scatter carries the trace id across the wire
-			// and grafts the site's route section back at collect.
+			// An explain/slow-query trace rides the context.
 			tr := obs.TraceFrom(ctx)
 			bounds := []query.Spec{spec.BindWindow(now)}
 			res := co.collectBatch(ctx, bounds, []core.Round{{At: now}}, co.scatterRounds(groups, bounds, tr))[0]
@@ -718,16 +537,117 @@ func (co *Coordinator) SubmitSpec(ctx context.Context, spec query.Spec) (<-chan 
 }
 
 // ---------------------------------------------------------------------------
-// Site links
+// Sites
 
-// siteLink is the coordinator's handle on one remote site: a connection,
-// a demultiplexer routing responses to waiting RPCs by seq, and a dead
-// latch that fails everything outstanding when the site drops.
+// member is the coordinator's handle on one site: localSite for site 0
+// (the coordinator's own window), a siteLink for every joined site. It
+// holds exactly what a cluster operation asks of one site, so each
+// operation is written once, over all sites.
+type member interface {
+	// gather enqueues one round per bound over motes now — ahead of the
+	// site's next lease — and returns the collect half.
+	gather(bounds []query.Spec, motes []radio.NodeID, tr *obs.Trace) collectFunc
+	// advance runs the site to the absolute lease target.
+	advance(ctx context.Context, target simtime.Time) error
+	// bootstrap runs the two-phase startup; it returns the site's clock
+	// after it, or zero when the site's ack carries none.
+	bootstrap(ctx context.Context, trainFor time.Duration, bins int, delta float64) (simtime.Time, error)
+	start(ctx context.Context) error
+	// snapshot captures hosted domain d's blob; drop also stops hosting it.
+	snapshot(ctx context.Context, d int, drop bool) ([]byte, error)
+	// install hosts domain d (adopting it if need be) restored from blob.
+	install(ctx context.Context, d int, blob []byte) error
+	// lastErr is nil while the site is alive.
+	lastErr() error
+	close()
+}
+
+// collectFunc waits for one site's share of a gathered batch and appends
+// round k's partials to parts[k]; on error it has appended nothing.
+type collectFunc func(ctx context.Context, parts [][]query.RoundPartial) error
+
+// errNotJoined fails every call to a site that has not joined yet.
+var errNotJoined = errors.New("has not joined")
+
+// accepted is one listener Accept's outcome.
+type accepted struct {
+	conn Conn
+	err  error
+}
+
+// acceptOne accepts the next joiner off the cluster listener, aborting on
+// ctx. An aborted call leaves its Accept in flight for the next call to
+// collect. Caller holds runMu.
+func (co *Coordinator) acceptOne(ctx context.Context) (Conn, error) {
+	if co.accepting == nil {
+		ch := make(chan accepted, 1)
+		go func() {
+			c, err := co.lis.Accept()
+			ch <- accepted{c, err}
+		}()
+		co.accepting = ch
+	}
+	select {
+	case a := <-co.accepting:
+		co.accepting = nil
+		return a.conn, a.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// join admits the next joiner as site idx, serving domain window
+// [first, first+count): it validates the hello, answers with the
+// assignment, and installs the link in place of the site's old one.
+// Caller holds runMu.
+func (co *Coordinator) join(ctx context.Context, idx, first, count int) (*siteLink, error) {
+	conn, err := co.acceptOne(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if err := co.handshake(conn, idx, first, count); err != nil {
+		conn.Close()
+		return nil, err
+	}
+	l := newSiteLink(idx, conn, &co.seq)
+	co.mu.Lock()
+	co.sites[idx] = l
+	co.mu.Unlock()
+	go l.demux(co)
+	return l, nil
+}
+
+// handshake validates a joiner's hello and answers with its assignment.
+func (co *Coordinator) handshake(conn Conn, idx, first, count int) error {
+	hash := configHash(co.cfg)
+	f, err := conn.Recv()
+	if err != nil {
+		return fmt.Errorf("cluster: site %d hello: %w", idx, err)
+	}
+	hello, err := wire.DecodeHello(f.Payload)
+	if f.Kind != wire.FrameHello || err != nil {
+		return fmt.Errorf("cluster: site %d: bad hello", idx)
+	}
+	if hello.Version != wire.ProtoVersion {
+		return fmt.Errorf("cluster: site %d speaks protocol %d, want %d", idx, hello.Version, wire.ProtoVersion)
+	}
+	if hello.ConfigHash != hash {
+		return fmt.Errorf("cluster: site %d runs a different deployment (config hash mismatch)", idx)
+	}
+	return conn.Send(wire.Frame{Kind: wire.FrameAssign, Payload: wire.EncodeAssign(wire.Assign{
+		Site: idx, Sites: co.opt.Sites, FirstShard: first, Shards: count, ConfigHash: hash,
+	})})
+}
+
+// siteLink is the coordinator's member for one joined site: a
+// connection, a demultiplexer routing responses to waiting RPCs by seq,
+// and a dead latch that fails everything outstanding when the site
+// drops. A site that has not joined is a link with no connection,
+// latched dead from the start.
 type siteLink struct {
-	idx          int
-	first, count int
-	motes        []radio.NodeID
-	conn         Conn
+	idx  int
+	conn Conn
+	seq  *atomic.Uint64
 
 	mu      sync.Mutex
 	waiters map[uint64]chan wire.Frame
@@ -739,13 +659,124 @@ type siteLink struct {
 	dead    chan struct{}
 }
 
-// newSiteLink builds a link for remote site idx serving domain window
-// [first, first+count).
-func newSiteLink(idx, first, count int, conn Conn) *siteLink {
-	return &siteLink{idx: idx, first: first, count: count, conn: conn,
+// newSiteLink builds the link for site idx over conn, drawing request
+// seqs from seq.
+func newSiteLink(idx int, conn Conn, seq *atomic.Uint64) *siteLink {
+	return &siteLink{idx: idx, conn: conn, seq: seq,
 		waiters: make(map[uint64]chan wire.Frame),
 		streams: make(map[uint64]chan wire.Frame),
 		dead:    make(chan struct{})}
+}
+
+// gather sends the batch's scatter frame: the spec's head (the spec sans
+// window, plus the site's motes) and the window(s). A single round keeps
+// the plain one-round scatter frame; two or more pack into a batch
+// frame. A non-nil tr (one-shot rounds only) appends the protocol-v4
+// trace section, asking the site to return its routing decisions, which
+// collect grafts under the site's number.
+func (l *siteLink) gather(bounds []query.Spec, motes []radio.NodeID, tr *obs.Trace) collectFunc {
+	buf := make([]byte, 0, 48+2*len(motes)+4+16*len(bounds))
+	buf = query.AppendScatterHead(buf, bounds[0], motes)
+	kind := wire.FrameScatter
+	if len(bounds) == 1 {
+		buf = query.AppendScatterWindow(buf, bounds[0].T0, bounds[0].T1)
+		if tr != nil {
+			buf = query.AppendScatterTrace(buf, tr.ID())
+		}
+	} else {
+		kind = wire.FrameScatterBatch
+		buf = query.AppendScatterRounds(buf, windows(bounds))
+	}
+	seq := l.seq.Add(1)
+	ch, err := l.rpcSend(seq, kind, buf)
+	return func(ctx context.Context, parts [][]query.RoundPartial) error {
+		if err != nil {
+			return err
+		}
+		f, err := l.rpcAwait(ctx, seq, ch)
+		if err != nil {
+			return err
+		}
+		body, err := decodeReply(f)
+		if err != nil {
+			return err
+		}
+		var got []query.RoundPartial
+		switch {
+		case kind == wire.FrameScatterBatch:
+			batch, err := query.DecodeRoundPartialsBatch(bounds[0], windows(bounds), body)
+			if err != nil {
+				return err
+			}
+			for k := range batch {
+				parts[k] = append(parts[k], batch[k]...)
+			}
+			return nil
+		case tr != nil:
+			var routes []obs.Route
+			if got, routes, err = query.DecodeRoundPartialsTraced(bounds[0], body); err == nil {
+				tr.AddRoutes(l.idx, routes)
+			}
+		default:
+			got, err = query.DecodeRoundPartials(bounds[0], body)
+		}
+		if err != nil {
+			return err
+		}
+		parts[0] = append(parts[0], got...)
+		return nil
+	}
+}
+
+// advance issues one absolute lease and checks the ack.
+func (l *siteLink) advance(ctx context.Context, target simtime.Time) error {
+	f, err := l.rpc(ctx, l.seq.Add(1), wire.FrameAdvance, wire.EncodeAdvance(target))
+	if err != nil {
+		return err
+	}
+	// Acked time >= target always holds (RunUntilTime converges or
+	// overshoots settling queries); a lagging ack would mean a diverged
+	// site — treat as dead.
+	if at, err := wire.DecodeAdvance(f.Payload); err != nil || at < target {
+		err = fmt.Errorf("cluster: site %d acked %v for lease %v", l.idx, at, target)
+		l.fail(err)
+		return err
+	}
+	return nil
+}
+
+func (l *siteLink) bootstrap(ctx context.Context, trainFor time.Duration, bins int, delta float64) (simtime.Time, error) {
+	_, err := l.call(ctx, wire.FrameBootstrap,
+		wire.EncodeBootstrap(wire.Bootstrap{TrainFor: simtime.Time(trainFor), Bins: bins, Delta: delta}))
+	return 0, err
+}
+
+func (l *siteLink) start(ctx context.Context) error {
+	_, err := l.call(ctx, wire.FrameStart, nil)
+	return err
+}
+
+// call is one ok-prefixed request/response exchange.
+func (l *siteLink) call(ctx context.Context, kind wire.FrameKind, payload []byte) ([]byte, error) {
+	f, err := l.rpc(ctx, l.seq.Add(1), kind, payload)
+	if err != nil {
+		return nil, err
+	}
+	return decodeReply(f)
+}
+
+func (l *siteLink) close() {
+	if l.conn != nil {
+		l.conn.Close()
+	}
+}
+
+// stats reads the connection's counters (zero before the site joins).
+func (l *siteLink) stats() ConnStats {
+	if l.conn == nil {
+		return ConnStats{}
+	}
+	return l.conn.Stats()
 }
 
 // lastErr reports the link's latched failure, if any.
@@ -818,6 +849,18 @@ func (l *siteLink) fail(err error) {
 	}
 }
 
+// send puts one frame on the wire; a send failure latches the link dead.
+func (l *siteLink) send(f wire.Frame) error {
+	if err := l.lastErr(); err != nil {
+		return err
+	}
+	if err := l.conn.Send(f); err != nil {
+		l.fail(err)
+		return err
+	}
+	return nil
+}
+
 // rpcSend registers a response waiter for seq and sends the request
 // frame; pair with rpcAwait. Splitting send from await is what lets the
 // coordinator put many requests on the wire before blocking on any —
@@ -825,16 +868,10 @@ func (l *siteLink) fail(err error) {
 func (l *siteLink) rpcSend(seq uint64, kind wire.FrameKind, payload []byte) (chan wire.Frame, error) {
 	ch := make(chan wire.Frame, 1)
 	l.mu.Lock()
-	if l.err != nil {
-		err := l.err
-		l.mu.Unlock()
-		return nil, err
-	}
 	l.waiters[seq] = ch
 	l.mu.Unlock()
-	if err := l.conn.Send(wire.Frame{Kind: kind, Seq: seq, Payload: payload}); err != nil {
+	if err := l.send(wire.Frame{Kind: kind, Seq: seq, Payload: payload}); err != nil {
 		l.unregister(seq)
-		l.fail(err)
 		return nil, err
 	}
 	return ch, nil
@@ -848,10 +885,7 @@ func (l *siteLink) rpcAwait(ctx context.Context, seq uint64, ch chan wire.Frame)
 		return f, nil
 	case <-l.dead:
 		l.unregister(seq)
-		l.mu.Lock()
-		err := l.err
-		l.mu.Unlock()
-		return wire.Frame{}, err
+		return wire.Frame{}, l.lastErr()
 	case <-ctx.Done():
 		l.unregister(seq)
 		return wire.Frame{}, ctx.Err()

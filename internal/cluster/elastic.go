@@ -9,13 +9,13 @@ package cluster
 // core.DropDomain / core.SnapshotDomain require.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"presto/internal/core"
@@ -25,22 +25,21 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Snapshot plumbing (coordinator side)
+// Snapshot plumbing (joined sites)
 
-// fetchSnapshot pulls domain d's blob from a remote site as a chunk
-// stream; drop additionally makes the site stop hosting the domain.
-func (co *Coordinator) fetchSnapshot(ctx context.Context, l *siteLink, d int, drop bool) ([]byte, error) {
-	seq := co.nextSeq()
+// snapshot pulls domain d's blob from the site as a chunk stream; drop
+// additionally makes the site stop hosting the domain.
+func (l *siteLink) snapshot(ctx context.Context, d int, drop bool) ([]byte, error) {
+	seq := l.seq.Add(1)
 	ch, err := l.openStream(seq)
 	if err != nil {
 		return nil, err
 	}
 	defer l.closeStream(seq)
-	if err := l.conn.Send(wire.Frame{
+	if err := l.send(wire.Frame{
 		Kind: wire.FrameSnapshotReq, Seq: seq,
 		Payload: wire.EncodeSnapshotReq(wire.SnapshotReq{Domain: d, Drop: drop}),
 	}); err != nil {
-		l.fail(err)
 		return nil, err
 	}
 	var blob []byte
@@ -78,76 +77,62 @@ func (co *Coordinator) fetchSnapshot(ctx context.Context, l *siteLink, d int, dr
 	}
 }
 
-// installSnapshot streams a domain blob to a remote site as chunks and
-// waits for the site's adopt+restore ack.
-func (co *Coordinator) installSnapshot(ctx context.Context, l *siteLink, d int, blob []byte) error {
-	seq := co.nextSeq()
-	ch := make(chan wire.Frame, 1)
-	l.mu.Lock()
-	if l.err != nil {
-		err := l.err
-		l.mu.Unlock()
+// install streams a domain blob to the site as chunks under one seq and
+// waits for the site's adopt+restore ack, which answers the final chunk.
+func (l *siteLink) install(ctx context.Context, d int, blob []byte) error {
+	seq := l.seq.Add(1)
+	var ack wire.Frame
+	err := eachChunk(d, blob, func(c wire.SnapshotChunk) (err error) {
+		f := wire.Frame{Kind: wire.FrameSnapshotChunk, Seq: seq, Payload: wire.EncodeSnapshotChunk(c)}
+		if !c.Final {
+			return l.send(f)
+		}
+		ack, err = l.rpc(ctx, seq, f.Kind, f.Payload)
 		return err
-	}
-	l.waiters[seq] = ch
-	l.mu.Unlock()
-	for b := blob; ; {
-		n := len(b)
-		if n > wire.SnapshotChunkSize {
-			n = wire.SnapshotChunkSize
-		}
-		chunk := wire.SnapshotChunk{Domain: d, Final: n == len(b), Data: b[:n]}
-		if err := l.conn.Send(wire.Frame{
-			Kind: wire.FrameSnapshotChunk, Seq: seq, Payload: wire.EncodeSnapshotChunk(chunk),
-		}); err != nil {
-			l.unregister(seq)
-			l.fail(err)
-			return err
-		}
-		if chunk.Final {
-			break
-		}
-		b = b[n:]
-	}
-	f, err := l.rpcAwait(ctx, seq, ch)
+	})
 	if err != nil {
 		return err
 	}
-	if f.Kind != wire.FrameSnapshotAck {
-		return fmt.Errorf("cluster: expected snapshot ack, got %v", f.Kind)
+	if ack.Kind != wire.FrameSnapshotAck {
+		return fmt.Errorf("cluster: expected snapshot ack, got %v", ack.Kind)
 	}
-	_, err = decodeReply(f)
+	_, err = decodeReply(ack)
 	return err
 }
 
-// snapshotLocal captures one coordinator-hosted domain.
-func (co *Coordinator) snapshotLocal(d int) ([]byte, error) {
-	var b bytes.Buffer
-	if err := co.local.SnapshotDomain(d, &b); err != nil {
-		return nil, err
+// eachChunk splits a domain blob into wire-sized snapshot chunks, the
+// last marked Final, and hands them to fn in order.
+func eachChunk(d int, blob []byte, fn func(wire.SnapshotChunk) error) error {
+	for {
+		n := min(len(blob), wire.SnapshotChunkSize)
+		c := wire.SnapshotChunk{Domain: d, Final: n == len(blob), Data: blob[:n]}
+		if err := fn(c); err != nil || c.Final {
+			return err
+		}
+		blob = blob[n:]
 	}
-	return b.Bytes(), nil
 }
 
 // ---------------------------------------------------------------------------
 // Domain migration
 
 // MigrateDomain moves hosted domain d from its current site to toSite
-// (0 = the coordinator's own window) at a lease boundary: the source
-// quiesces and streams the domain's blob, the target adopts and restores
-// it bit-identically, the scatter router and every standing stream's
-// site grouping re-point, and the next advance lease picks the domain up
-// at its new home. Bridge traffic re-points with it — an adopted
-// domain's replica tap rides the target's uplink (or lands directly when
-// the target hosts the replica's domain). Answers before and after are
-// bit-identical: the blob format guarantees the domain resumes exactly
-// where it stopped.
+// (any site, the coordinator's own site 0 included) at a lease boundary:
+// the source quiesces and snapshots the domain with a drop, the target
+// adopts and restores the blob bit-identically, the scatter router and
+// every standing stream's site grouping re-point, and the next advance
+// lease picks the domain up at its new home. Bridge traffic re-points
+// with it — an adopted domain's replica tap rides the target's uplink
+// (or lands directly when the target hosts the replica's domain).
+// Answers before and after are bit-identical: the blob format guarantees
+// the domain resumes exactly where it stopped.
 //
 // Migration must not race rounds that are still settling; call it
-// between Run calls, after in-flight continuous batches have drained.
-// On a mid-migration failure the domain may be left un-hosted (dropped
-// at the source but never installed) — Health reports it and a
-// checkpoint restore is the recovery path.
+// between Run calls, after in-flight continuous batches have drained. A
+// dead or unjoined target is refused before anything moves. On a
+// mid-migration failure the domain may be left un-hosted (dropped at the
+// source but never installed) — Health reports it and a checkpoint
+// restore is the recovery path.
 func (co *Coordinator) MigrateDomain(ctx context.Context, d, toSite int) error {
 	co.runMu.Lock()
 	defer co.runMu.Unlock()
@@ -169,32 +154,16 @@ func (co *Coordinator) MigrateDomain(ctx context.Context, d, toSite int) error {
 	if from == toSite {
 		return fmt.Errorf("cluster: domain %d already hosted by site %d", d, toSite)
 	}
-
-	var blob []byte
-	var err error
-	if from == 0 {
-		if blob, err = co.snapshotLocal(d); err != nil {
-			return err
-		}
-		if err = co.local.DropDomain(d); err != nil {
-			return err
-		}
-	} else {
-		if blob, err = co.fetchSnapshot(ctx, co.siteFor(from), d, true); err != nil {
-			return fmt.Errorf("cluster: migrating domain %d off site %d: %w", d, from, err)
-		}
+	to := co.member(toSite)
+	if err := to.lastErr(); err != nil {
+		return fmt.Errorf("cluster: migrating domain %d to site %d: %w", d, toSite, err)
 	}
-	if toSite == 0 {
-		if err := co.local.AdoptDomain(d); err != nil {
-			return err
-		}
-		if err := co.local.RestoreDomain(d, bytes.NewReader(blob)); err != nil {
-			return err
-		}
-	} else {
-		if err := co.installSnapshot(ctx, co.siteFor(toSite), d, blob); err != nil {
-			return fmt.Errorf("cluster: installing domain %d at site %d: %w", d, toSite, err)
-		}
+	blob, err := co.member(from).snapshot(ctx, d, true)
+	if err != nil {
+		return fmt.Errorf("cluster: migrating domain %d off site %d: %w", d, from, err)
+	}
+	if err := to.install(ctx, d, blob); err != nil {
+		return fmt.Errorf("cluster: installing domain %d at site %d: %w", d, toSite, err)
 	}
 	co.mu.Lock()
 	co.domainSite[d] = toSite
@@ -257,8 +226,7 @@ type StreamState struct {
 }
 
 // CheckpointDomains captures every domain's state at the current lease
-// instant — local domains directly, remote ones over snapshot-req/chunk
-// streams (without dropping anything) — plus the assignment and
+// instant — a snapshot from each domain's site, dropping nothing — plus the assignment and
 // standing-stream state. The checkpoint is retained as the re-join
 // restore source. Every site must be alive; checkpoint before expecting
 // failures, not after them.
@@ -294,17 +262,8 @@ func (co *Coordinator) CheckpointDomains(ctx context.Context) (*Checkpoint, erro
 	})
 	co.mu.Unlock()
 
-	for d := 0; d < co.lay.Shards; d++ {
-		site := ck.DomainSite[d]
-		if site == 0 {
-			blob, err := co.snapshotLocal(d)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: checkpointing domain %d: %w", d, err)
-			}
-			ck.Blobs[d] = blob
-			continue
-		}
-		blob, err := co.fetchSnapshot(ctx, co.siteFor(site), d, false)
+	for d, site := range ck.DomainSite {
+		blob, err := co.member(site).snapshot(ctx, d, false)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: checkpointing domain %d (site %d): %w", d, site, err)
 		}
@@ -429,19 +388,14 @@ func (co *Coordinator) Rejoin(ctx context.Context) error {
 		return errors.New("cluster: no checkpoint to restore a re-joining site from (call CheckpointDomains while all sites are alive)")
 	}
 
-	// Find the dead link; its index is what the joiner inherits.
-	var old *siteLink
-	for _, l := range co.remotes() {
-		if l.lastErr() != nil {
-			old = l
-			break
-		}
-	}
-	if old == nil {
+	// Find the dead site; its index is what the joiner inherits.
+	co.mu.Lock()
+	idx := slices.IndexFunc(co.sites, func(m member) bool { return m.lastErr() != nil })
+	co.mu.Unlock()
+	if idx == -1 {
 		return errors.New("cluster: no dead site to re-admit")
 	}
-	old.conn.Close()
-	idx := old.idx
+	co.member(idx).close()
 
 	// The dead site's current domain set; Assign expresses contiguous
 	// windows only, which migrations may have broken.
@@ -469,23 +423,13 @@ func (co *Coordinator) Rejoin(ctx context.Context) error {
 		}
 	}
 
-	conn, err := co.acceptOne(ctx)
+	l, err := co.join(ctx, idx, first, count)
 	if err != nil {
 		return err
 	}
-	if err := co.handshake(conn, idx, first, count); err != nil {
-		conn.Close()
-		return err
-	}
-	l := newSiteLink(idx, first, count, conn)
-	for d := first; d < first+count; d++ {
-		l.motes = append(l.motes, co.lay.DomainMotes(d)...)
-	}
 	co.mu.Lock()
-	co.sites[idx-1] = l
 	co.rejoins++
 	co.mu.Unlock()
-	go l.demux(co)
 
 	// Restore the window from the checkpoint, then replay to now. The
 	// freshly built site is at virtual time 0; each install rewinds its
@@ -493,62 +437,16 @@ func (co *Coordinator) Rejoin(ctx context.Context) error {
 	// and models included), and the single absolute lease re-runs the
 	// deterministic path the dead site would have taken.
 	for d := first; d < first+count; d++ {
-		if err := co.installSnapshot(ctx, l, d, ck.Blobs[d]); err != nil {
+		if err := l.install(ctx, d, ck.Blobs[d]); err != nil {
 			return fmt.Errorf("cluster: restoring domain %d on re-joined site %d: %w", d, idx, err)
 		}
 	}
 	if vnow > ck.At {
-		f, err := l.rpc(ctx, co.nextSeq(), wire.FrameAdvance, wire.EncodeAdvance(vnow))
-		if err != nil {
+		if err := l.advance(ctx, vnow); err != nil {
 			return fmt.Errorf("cluster: replaying re-joined site %d: %w", idx, err)
-		}
-		if at, err := advanceAckTime(f); err != nil || at < vnow {
-			return fmt.Errorf("cluster: re-joined site %d replayed to %v, want %v", idx, at, vnow)
 		}
 	}
 	return nil
-}
-
-// acceptOne accepts a single connection off the cluster listener,
-// aborting on ctx.
-func (co *Coordinator) acceptOne(ctx context.Context) (Conn, error) {
-	type accepted struct {
-		conn Conn
-		err  error
-	}
-	ch := make(chan accepted, 1)
-	go func() {
-		c, err := co.lis.Accept()
-		ch <- accepted{c, err}
-	}()
-	select {
-	case a := <-ch:
-		return a.conn, a.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// handshake validates a joiner's hello and answers with its assignment.
-func (co *Coordinator) handshake(conn Conn, idx, first, count int) error {
-	hash := configHash(co.cfg)
-	f, err := conn.Recv()
-	if err != nil {
-		return fmt.Errorf("cluster: site %d hello: %w", idx, err)
-	}
-	hello, err := wire.DecodeHello(f.Payload)
-	if f.Kind != wire.FrameHello || err != nil {
-		return fmt.Errorf("cluster: site %d: bad hello", idx)
-	}
-	if hello.Version != wire.ProtoVersion {
-		return fmt.Errorf("cluster: site %d speaks protocol %d, want %d", idx, hello.Version, wire.ProtoVersion)
-	}
-	if hello.ConfigHash != hash {
-		return fmt.Errorf("cluster: site %d runs a different deployment (config hash mismatch)", idx)
-	}
-	return conn.Send(wire.Frame{Kind: wire.FrameAssign, Payload: wire.EncodeAssign(wire.Assign{
-		Site: idx, Sites: co.opt.Sites, FirstShard: first, Shards: count, ConfigHash: hash,
-	})})
 }
 
 // ---------------------------------------------------------------------------
@@ -590,12 +488,8 @@ func (co *Coordinator) Health() Health {
 	for d, s := range co.domainSite {
 		domains[s] = append(domains[s], d)
 	}
-	for s := 0; s < co.opt.Sites; s++ {
-		sh := SiteHealth{Site: s, Domains: domains[s], Alive: true}
-		if s > 0 {
-			sh.Alive = co.sites[s-1].lastErr() == nil
-		}
-		h.Sites = append(h.Sites, sh)
+	for s, m := range co.sites {
+		h.Sites = append(h.Sites, SiteHealth{Site: s, Domains: domains[s], Alive: m.lastErr() == nil})
 	}
 	return h
 }

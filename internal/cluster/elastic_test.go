@@ -264,3 +264,59 @@ func TestClusterKillRejoinConverges(t *testing.T) {
 		t.Errorf("re-joined site exited with %v", err)
 	}
 }
+
+// TestClusterRejoinAfterCancelledRejoin: a Rejoin whose ctx ends before
+// any joiner arrives leaves its Accept for the next Rejoin to collect, so
+// a site restarted in between is admitted by the retry instead of being
+// swallowed.
+func TestClusterRejoinAfterCancelledRejoin(t *testing.T) {
+	ctx := context.Background()
+	tr := NewLoopback()
+	cfg := testConfig(t, 4, 2, 4)
+	co, err := Listen(tr, "", cfg, Options{Sites: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	siteCtx, killSite := context.WithCancel(ctx)
+	firstServe := make(chan error, 1)
+	go func() { firstServe <- Serve(siteCtx, tr, co.Addr(), cfg) }()
+	if err := co.AcceptSites(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := co.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := co.Run(ctx, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := co.CheckpointDomains(ctx); err != nil {
+		t.Fatal(err)
+	}
+	killSite()
+	<-firstServe
+	if err := co.Run(ctx, time.Hour); err != nil { // the lease finds site 1 dead
+		t.Fatal(err)
+	}
+
+	short, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+	err = co.Rejoin(short)
+	cancel()
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Rejoin with no joiner: %v", err)
+	}
+	secondServe := make(chan error, 1)
+	go func() { secondServe <- Serve(ctx, tr, co.Addr(), cfg) }()
+	retry, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	if err := co.Rejoin(retry); err != nil {
+		t.Fatalf("retried Rejoin: %v", err)
+	}
+	if h := co.Health(); !h.Sites[1].Alive || h.Rejoins != 1 {
+		t.Fatalf("health after re-join: %+v", h)
+	}
+	co.Close()
+	if err := <-secondServe; err != nil {
+		t.Errorf("re-joined site exited with %v", err)
+	}
+}

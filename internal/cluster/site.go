@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"time"
 
 	"presto/internal/core"
@@ -126,7 +127,7 @@ func Serve(ctx context.Context, t Transport, addr string, cfg core.Config) error
 		}
 	}()
 
-	site := &site{n: n, conn: conn}
+	site := &site{localSite: localSite{n}, conn: conn}
 	if sc, ok := conn.(SendCopier); ok {
 		site.copies = sc.SendIsCopy()
 	}
@@ -144,15 +145,89 @@ func Serve(ctx context.Context, t Transport, addr string, cfg core.Config) error
 			// The coordinator hanging up is how a cluster run ends.
 			return nil
 		}
-		if err := site.handle(f); err != nil {
+		if err := site.handle(ctx, f); err != nil {
 			return err
 		}
 	}
 }
 
-// site is the serving side of one joined process.
+// localSite is a member over domains hosted in this process: the
+// coordinator's own site 0, and the body a joined site's serve loop
+// answers each coordinator frame with.
+type localSite struct{ n *core.Network }
+
+// gather enqueues one round per bound on the hosted domains now and
+// returns the collect half. Gathers already enqueued when a later round
+// fails keep running into their own buffered channels and are dropped.
+func (s localSite) gather(bounds []query.Spec, motes []radio.NodeID, tr *obs.Trace) collectFunc {
+	rounds := make([]struct {
+		ch <-chan query.RoundPartial
+		n  int
+	}, len(bounds))
+	for k, b := range bounds {
+		var err error
+		if rounds[k].ch, rounds[k].n, err = s.n.GatherStart(b, motes, tr); err != nil {
+			return func(context.Context, [][]query.RoundPartial) error { return err }
+		}
+	}
+	return func(_ context.Context, parts [][]query.RoundPartial) error {
+		for k, r := range rounds {
+			parts[k] = slices.Grow(parts[k], r.n)
+			for range r.n {
+				parts[k] = append(parts[k], <-r.ch)
+			}
+		}
+		return nil
+	}
+}
+
+func (s localSite) advance(_ context.Context, target simtime.Time) error {
+	s.n.RunUntilTime(target)
+	return nil
+}
+
+func (s localSite) bootstrap(_ context.Context, trainFor time.Duration, bins int, delta float64) (simtime.Time, error) {
+	_, err := s.n.Bootstrap(trainFor, bins, delta)
+	return s.n.Now(), err
+}
+
+func (s localSite) start(context.Context) error {
+	s.n.Start()
+	return nil
+}
+
+func (s localSite) snapshot(_ context.Context, d int, drop bool) ([]byte, error) {
+	var b bytes.Buffer
+	if err := s.n.SnapshotDomain(d, &b); err != nil {
+		return nil, err
+	}
+	if drop {
+		if err := s.n.DropDomain(d); err != nil {
+			return nil, err
+		}
+	}
+	return b.Bytes(), nil
+}
+
+// install adopts d unless it is already hosted here (a re-joined site
+// restoring its own window), then restores it.
+func (s localSite) install(_ context.Context, d int, blob []byte) error {
+	if !s.n.HostsDomain(d) {
+		if err := s.n.AdoptDomain(d); err != nil {
+			return err
+		}
+	}
+	return s.n.RestoreDomain(d, bytes.NewReader(blob))
+}
+
+func (s localSite) lastErr() error { return nil }
+func (s localSite) close()         { s.n.Close() }
+
+// site is the serving side of one joined process: a scatter, snapshot
+// or install frame runs the same localSite call the coordinator makes on
+// its own window.
 type site struct {
-	n    *core.Network
+	localSite
 	conn Conn
 	// copies records whether conn.Send copies payloads out (SendCopier):
 	// only then may pooled reply arenas be recycled after Send.
@@ -168,7 +243,7 @@ type site struct {
 // what makes an advance lease a barrier — a scatter behind it executes
 // at (or after) the leased instant, exactly like a command drained by an
 // in-process worker mid-advance.
-func (s *site) handle(f wire.Frame) error {
+func (s *site) handle(ctx context.Context, f wire.Frame) error {
 	switch f.Kind {
 	case wire.FrameBootstrap:
 		b, err := wire.DecodeBootstrap(f.Payload)
@@ -186,48 +261,41 @@ func (s *site) handle(f wire.Frame) error {
 		return s.conn.Send(wire.Frame{
 			Kind: wire.FrameAdvanceAck, Seq: f.Seq, Payload: wire.EncodeAdvance(s.n.Now()),
 		})
-	case wire.FrameScatter:
-		spec, motes, traceID, err := query.DecodeScatter(f.Payload)
-		if err != nil {
-			return err
-		}
-		// A scatter carrying trace context (protocol v4) gathers under a
-		// site-local trace adopting the coordinator's id; the routing
-		// decisions it collects ride back as the reply's route section.
+	case wire.FrameScatter, wire.FrameScatterBatch:
+		var bounds []query.Spec
+		var motes []radio.NodeID
 		var tr *obs.Trace
-		if traceID != 0 {
-			tr = obs.NewTraceID(traceID)
-		}
-		// Enqueue the round's gathers synchronously — they must hit the
-		// shard queues before a later advance frame's commands, which is
-		// what pins the round to the leased clock — then collect, encode
-		// and reply off the serve loop, so the loop can take the next
-		// lease while the round executes (lease pipelining's site half).
-		parts, expect, gerr := s.n.GatherStart(spec, motes, tr)
-		if gerr != nil {
-			return s.reply(wire.FramePartials, f.Seq, nil, gerr)
-		}
-		go s.replyRound(f.Seq, parts, expect, tr)
-		return nil
-	case wire.FrameScatterBatch:
-		base, motes, wins, err := query.DecodeScatterBatch(f.Payload)
-		if err != nil {
-			return err
-		}
-		chans := make([]<-chan query.RoundPartial, len(wins))
-		expects := make([]int, len(wins))
-		for i, w := range wins {
-			spec := base
-			spec.T0, spec.T1 = w.T0, w.T1
-			parts, expect, gerr := s.n.GatherStart(spec, motes, nil)
-			if gerr != nil {
-				// Gathers already enqueued keep running into their own
-				// buffered channels; the whole batch answers with the error.
-				return s.reply(wire.FramePartialsBatch, f.Seq, nil, gerr)
+		reply := wire.FramePartials
+		if f.Kind == wire.FrameScatter {
+			spec, ms, traceID, err := query.DecodeScatter(f.Payload)
+			if err != nil {
+				return err
 			}
-			chans[i], expects[i] = parts, expect
+			// A scatter carrying trace context (protocol v4) gathers under
+			// a site-local trace adopting the coordinator's id; the routing
+			// decisions it collects ride back as the reply's route section.
+			if traceID != 0 {
+				tr = obs.NewTraceID(traceID)
+			}
+			bounds, motes = []query.Spec{spec}, ms
+		} else {
+			base, ms, wins, err := query.DecodeScatterBatch(f.Payload)
+			if err != nil {
+				return err
+			}
+			bounds, motes, reply = make([]query.Spec, len(wins)), ms, wire.FramePartialsBatch
+			for i, w := range wins {
+				bounds[i] = base
+				bounds[i].T0, bounds[i].T1 = w.T0, w.T1
+			}
 		}
-		go s.replyRoundBatch(f.Seq, chans, expects)
+		// Enqueue the rounds' gathers synchronously — they must hit the
+		// shard queues before a later advance frame's commands, which is
+		// what pins the rounds to the leased clock — then collect, encode
+		// and reply off the serve loop, so the loop can take the next
+		// lease while the rounds execute (lease pipelining's site half).
+		collect := s.gather(bounds, motes, tr)
+		go s.replyRounds(ctx, reply, f.Seq, len(bounds), collect, tr)
 		return nil
 	case wire.FrameStart:
 		s.n.Start()
@@ -249,13 +317,13 @@ func (s *site) handle(f wire.Frame) error {
 		if err != nil {
 			return err
 		}
-		return s.streamSnapshot(f.Seq, req)
+		return s.streamSnapshot(ctx, f.Seq, req)
 	case wire.FrameSnapshotChunk:
 		c, err := wire.DecodeSnapshotChunk(f.Payload)
 		if err != nil {
 			return err
 		}
-		return s.installChunk(f.Seq, c)
+		return s.installChunk(ctx, f.Seq, c)
 	default:
 		return fmt.Errorf("cluster: unexpected frame %v from coordinator", f.Kind)
 	}
@@ -268,40 +336,19 @@ func (s *site) handle(f wire.Frame) error {
 // Failure answers with an err-carrying FrameSnapshotAck instead of
 // chunks. Runs synchronously on the serve loop: a migration is a
 // cluster-wide barrier, nothing else should interleave.
-func (s *site) streamSnapshot(seq uint64, req wire.SnapshotReq) error {
-	var blob bytes.Buffer
-	if err := s.n.SnapshotDomain(req.Domain, &blob); err != nil {
+func (s *site) streamSnapshot(ctx context.Context, seq uint64, req wire.SnapshotReq) error {
+	blob, err := s.snapshot(ctx, req.Domain, req.Drop)
+	if err != nil {
 		return s.reply(wire.FrameSnapshotAck, seq, nil, err)
 	}
-	if req.Drop {
-		if err := s.n.DropDomain(req.Domain); err != nil {
-			return s.reply(wire.FrameSnapshotAck, seq, nil, err)
-		}
-	}
-	b := blob.Bytes()
-	for {
-		n := len(b)
-		if n > wire.SnapshotChunkSize {
-			n = wire.SnapshotChunkSize
-		}
-		chunk := wire.SnapshotChunk{Domain: req.Domain, Final: n == len(b), Data: b[:n]}
-		if err := s.conn.Send(wire.Frame{
-			Kind: wire.FrameSnapshotChunk, Seq: seq, Payload: wire.EncodeSnapshotChunk(chunk),
-		}); err != nil {
-			return err
-		}
-		if chunk.Final {
-			return nil
-		}
-		b = b[n:]
-	}
+	return eachChunk(req.Domain, blob, func(c wire.SnapshotChunk) error {
+		return s.conn.Send(wire.Frame{Kind: wire.FrameSnapshotChunk, Seq: seq, Payload: wire.EncodeSnapshotChunk(c)})
+	})
 }
 
 // installChunk assembles a coordinator-sent domain blob; the final chunk
-// adopts the domain (unless this process already hosts it — a re-joined
-// site restoring its own window) and restores its state, answering with
-// FrameSnapshotAck.
-func (s *site) installChunk(seq uint64, c wire.SnapshotChunk) error {
+// installs it, answering with FrameSnapshotAck.
+func (s *site) installChunk(ctx context.Context, seq uint64, c wire.SnapshotChunk) error {
 	if s.installs == nil {
 		s.installs = make(map[uint64][]byte)
 	}
@@ -311,14 +358,7 @@ func (s *site) installChunk(seq uint64, c wire.SnapshotChunk) error {
 		return nil
 	}
 	delete(s.installs, seq)
-	var err error
-	if !s.n.HostsDomain(c.Domain) {
-		err = s.n.AdoptDomain(c.Domain)
-	}
-	if err == nil {
-		err = s.n.RestoreDomain(c.Domain, bytes.NewReader(buf))
-	}
-	return s.reply(wire.FrameSnapshotAck, seq, nil, err)
+	return s.reply(wire.FrameSnapshotAck, seq, nil, s.install(ctx, c.Domain, buf))
 }
 
 // reply sends a response frame whose payload starts with an ok byte:
@@ -333,46 +373,32 @@ func (s *site) reply(kind wire.FrameKind, seq uint64, payload []byte, err error)
 	return s.conn.Send(wire.Frame{Kind: kind, Seq: seq, Payload: body})
 }
 
-// replyRound collects one scattered round's local partials and answers
-// with a pooled-arena encode. Runs off the serve loop. A non-nil tr
-// means the scatter was traced: every routing decision has been
-// recorded by the time the last partial lands (decisions precede each
-// partial's delivery), so the route section appends after the partials.
-func (s *site) replyRound(seq uint64, parts <-chan query.RoundPartial, expect int, tr *obs.Trace) {
-	out := make([]query.RoundPartial, 0, expect)
-	for i := 0; i < expect; i++ {
-		out = append(out, <-parts)
+// replyRounds collects a scatter frame's n gathered rounds and answers
+// with a pooled-arena encode of reply kind: FramePartials carries a
+// plain scatter's one round (with the route section when tr is non-nil
+// — every routing decision is recorded by the time the last partial
+// lands), FramePartialsBatch a batch's rounds in scatter order. Runs off
+// the serve loop.
+func (s *site) replyRounds(ctx context.Context, kind wire.FrameKind, seq uint64, n int, collect collectFunc, tr *obs.Trace) {
+	rounds := make([][]query.RoundPartial, n)
+	if err := collect(ctx, rounds); err != nil {
+		_ = s.reply(kind, seq, nil, err)
+		return
 	}
-	query.SortRoundPartials(out)
+	for _, r := range rounds {
+		query.SortRoundPartials(r)
+	}
 	arena := query.GetArena()
 	body := append((*arena)[:0], 1)
-	body = query.AppendRoundPartials(body, out)
-	if tr != nil {
-		body = query.AppendTraceRoutes(body, tr.Routes())
-	}
-	_ = s.conn.Send(wire.Frame{Kind: wire.FramePartials, Seq: seq, Payload: body})
-	*arena = body
-	if s.copies {
-		query.PutArena(arena)
-	}
-}
-
-// replyRoundBatch collects each batched round's partials in scatter
-// order and answers them all in one frame.
-func (s *site) replyRoundBatch(seq uint64, chans []<-chan query.RoundPartial, expects []int) {
-	rounds := make([][]query.RoundPartial, len(chans))
-	for i, ch := range chans {
-		out := make([]query.RoundPartial, 0, expects[i])
-		for k := 0; k < expects[i]; k++ {
-			out = append(out, <-ch)
+	if kind == wire.FramePartials {
+		body = query.AppendRoundPartials(body, rounds[0])
+		if tr != nil {
+			body = query.AppendTraceRoutes(body, tr.Routes())
 		}
-		query.SortRoundPartials(out)
-		rounds[i] = out
+	} else {
+		body = query.EncodeRoundPartialsBatch(body, rounds)
 	}
-	arena := query.GetArena()
-	body := append((*arena)[:0], 1)
-	body = query.EncodeRoundPartialsBatch(body, rounds)
-	_ = s.conn.Send(wire.Frame{Kind: wire.FramePartialsBatch, Seq: seq, Payload: body})
+	_ = s.conn.Send(wire.Frame{Kind: kind, Seq: seq, Payload: body})
 	*arena = body
 	if s.copies {
 		query.PutArena(arena)
@@ -392,9 +418,4 @@ func decodeReply(f wire.Frame) ([]byte, error) {
 		return nil, err
 	}
 	return nil, fmt.Errorf("cluster: site error: %s", msg)
-}
-
-// advanceAckTime is used by the coordinator to sanity-check a lease ack.
-func advanceAckTime(f wire.Frame) (simtime.Time, error) {
-	return wire.DecodeAdvance(f.Payload)
 }
