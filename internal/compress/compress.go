@@ -63,15 +63,11 @@ func DeltaDecode(buf []byte) ([]float64, error) {
 	if n < 0 || n > 1<<28 {
 		return nil, fmt.Errorf("compress: implausible sample count %d", n)
 	}
-	// Cap the preallocation: the header's count is untrusted (it arrived
-	// over the radio), so a hostile value must not force a huge alloc —
-	// the varint loop below fails fast on truncated input anyway.
-	capHint := n
-	if capHint > 4096 {
-		capHint = 4096
-	}
-	out := make([]float64, 0, capHint)
+	// The header's count is untrusted (it arrived over the radio), so the
+	// preallocation is capped by the bytes left: every sample takes at
+	// least one varint byte, and the loop below fails fast on truncation.
 	rest := buf[8:]
+	out := make([]float64, 0, min(n, len(rest)))
 	ticks := int64(0)
 	for i := 0; i < n; i++ {
 		d, sz := binary.Varint(rest)
@@ -133,6 +129,12 @@ const (
 	tagRaw     = 0x01
 	tagDelta   = 0x02
 	tagWavelet = 0x03
+
+	// maxWaveletBatch bounds the samples a wavelet batch may decompress
+	// to: a dozen header bytes could otherwise claim 2^31 and allocate
+	// 16 GiB. It sits 16x above the longest batch any experiment sends
+	// (2,116 one-minute samples, padded to 4,096).
+	maxWaveletBatch = 1 << 16
 )
 
 // Encode compresses one batch of samples into wire bytes.
@@ -197,6 +199,9 @@ func Decode(buf []byte) ([]float64, error) {
 		s, err := wavelet.UnmarshalSparse(buf[1:])
 		if err != nil {
 			return nil, err
+		}
+		if s.PaddedN > maxWaveletBatch {
+			return nil, fmt.Errorf("compress: implausible wavelet batch length %d", s.PaddedN)
 		}
 		return wavelet.Decompress(s)
 	default:

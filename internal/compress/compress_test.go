@@ -198,6 +198,11 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := Decode([]byte{0x01, 10, 0, 0, 0}); err == nil {
 		t.Fatal("raw with missing samples should fail")
 	}
+	// A bare wavelet header (N 1, PaddedN 2^31, no coefficients) must be
+	// refused, not decompressed into 16 GiB.
+	if _, err := Decode([]byte{tagWavelet, 1, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0}); err == nil {
+		t.Fatal("wavelet batch claiming 2^31 samples should fail")
+	}
 }
 
 func TestModeString(t *testing.T) {

@@ -1,10 +1,13 @@
 package index
 
 import (
+	"bytes"
+	"errors"
 	"sort"
 	"testing"
 
 	"presto/internal/simtime"
+	"presto/internal/snap"
 )
 
 func TestMoteRouting(t *testing.T) {
@@ -137,5 +140,22 @@ func TestHopsAccrue(t *testing.T) {
 	ix.ScanDetections(0, 200*simtime.Second)
 	if ix.Hops() == 0 {
 		t.Fatal("scan accrued no hops")
+	}
+}
+
+func TestRestoreRejectsHugeCount(t *testing.T) {
+	// A block whose pair count claims 2^62 elements must be refused as
+	// corrupt before anything is sized by it.
+	var e snap.Enc
+	for i := 0; i < 6; i++ {
+		e.U64(0) // published, hops, generator state
+	}
+	e.Uvarint(1 << 62)
+	var buf bytes.Buffer
+	if err := snap.WriteBlock(&buf, snap.TagIndex, e.Data()); err != nil {
+		t.Fatal(err)
+	}
+	if err := New(1).Restore(&buf); !errors.Is(err, snap.ErrCorrupt) {
+		t.Fatalf("Restore = %v, want an error wrapping snap.ErrCorrupt", err)
 	}
 }

@@ -63,13 +63,13 @@ func (ix *Index) Restore(r io.Reader) error {
 	for i := range st {
 		st[i] = d.U64()
 	}
-	n := d.Uvarint()
+	n := d.Count()
 	type pair struct {
 		key uint64
 		det Detection
 	}
 	pairs := make([]pair, 0, n)
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
+	for i := 0; i < n && d.Err() == nil; i++ {
 		var p pair
 		p.key = d.U64()
 		p.det.T = simtime.Time(d.I64())

@@ -18,12 +18,13 @@ package query
 // re-evaluation of the predicate.
 //
 // Like every decoder that parses bytes from another process, these must
-// error on arbitrary input, never panic (covered by the wire package's
-// garbage-robustness suite).
+// error on arbitrary input, never panic, and allocate no more than the
+// input's length warrants: they read through snap.Dec, whose counts never
+// exceed the bytes left (covered by the wire package's garbage-robustness
+// suite and fuzz targets).
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -34,10 +35,8 @@ import (
 	"presto/internal/proxy"
 	"presto/internal/radio"
 	"presto/internal/simtime"
+	"presto/internal/snap"
 )
-
-// errCodec is the shared malformed-buffer error for the cluster codecs.
-var errCodec = errors.New("query: truncated or malformed codec buffer")
 
 // Decode-side sanity bounds: a frame claiming more elements than these is
 // garbage (or hostile), not a deployment we run.
@@ -50,79 +49,26 @@ const (
 	maxCodecRounds  = 1 << 12
 )
 
-// creader is a bounds-checked cursor over a codec buffer: every read
-// reports underflow through err instead of slicing past the end.
-type creader struct {
-	b   []byte
-	err error
-}
-
-func (r *creader) fail() {
-	if r.err == nil {
-		r.err = errCodec
-	}
-}
-
-func (r *creader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *creader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *creader) f64() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 8 {
-		r.fail()
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
-	r.b = r.b[8:]
-	return v
-}
-
-func (r *creader) byte() byte {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) == 0 {
-		r.fail()
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-// count reads a length prefix and validates it against max.
-func (r *creader) count(max uint64) int {
-	n := r.uvarint()
+// count reads an element count no larger than max (and, like every
+// count, no larger than the bytes left).
+func count(d *snap.Dec, max int) int {
+	n := d.Count()
 	if n > max {
-		r.fail()
+		d.Fail()
 		return 0
 	}
-	return int(n)
+	return n
+}
+
+// finish reports a failed decode, or bytes left after the named payload.
+func finish(d *snap.Dec, what string) error {
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("query: malformed %s payload: %w", what, err)
+	}
+	if d.Len() != 0 {
+		return fmt.Errorf("query: %d trailing bytes after %s payload", d.Len(), what)
+	}
+	return nil
 }
 
 func appendF64(buf []byte, v float64) []byte {
@@ -147,17 +93,14 @@ func EncodeMotes(buf []byte, ids []radio.NodeID) []byte {
 	return buf
 }
 
-// decodeMotes reads a mote list from the cursor.
-func decodeMotes(r *creader) []radio.NodeID {
-	n := r.count(maxCodecMotes)
+// decodeMotes reads a mote list.
+func decodeMotes(d *snap.Dec) []radio.NodeID {
+	n := count(d, maxCodecMotes)
 	ids := make([]radio.NodeID, 0, n)
 	prev := int64(0)
 	for i := 0; i < n; i++ {
-		prev += r.varint()
+		prev += d.Varint()
 		ids = append(ids, radio.NodeID(prev))
-	}
-	if r.err != nil {
-		return nil
 	}
 	return ids
 }
@@ -195,15 +138,15 @@ func EncodeScatter(spec Spec, motes []radio.NodeID) []byte {
 }
 
 // decodeScatterHead reads the shared head: spec sans window, plus motes.
-func decodeScatterHead(r *creader) (Spec, []radio.NodeID) {
+func decodeScatterHead(d *snap.Dec) (Spec, []radio.NodeID) {
 	spec := Spec{
-		Type:      Type(r.byte()),
-		Agg:       AggKind(r.byte()),
-		Precision: r.f64(),
+		Type:         Type(d.U8()),
+		Agg:          AggKind(d.U8()),
+		Precision:    d.F64(),
+		Deadline:     time.Duration(d.Varint()),
+		MaxStaleness: time.Duration(d.Varint()),
 	}
-	spec.Deadline = time.Duration(r.varint())
-	spec.MaxStaleness = time.Duration(r.varint())
-	return spec, decodeMotes(r)
+	return spec, decodeMotes(d)
 }
 
 // AppendScatterTrace appends the optional trace-context section to a
@@ -222,25 +165,21 @@ func AppendScatterTrace(buf []byte, traceID uint64) []byte {
 // must gather under a local trace and return the route section in its
 // partials reply.
 func DecodeScatter(buf []byte) (Spec, []radio.NodeID, uint64, error) {
-	r := &creader{b: buf}
-	spec, motes := decodeScatterHead(r)
-	spec.T0 = simtime.Time(r.varint())
-	spec.T1 = spec.T0 + simtime.Time(r.varint())
+	d := snap.NewDec(buf)
+	spec, motes := decodeScatterHead(d)
+	spec.T0 = simtime.Time(d.Varint())
+	spec.T1 = spec.T0 + simtime.Time(d.Varint())
 	var traceID uint64
-	if r.err == nil && len(r.b) != 0 {
-		if r.byte() != 1 {
-			return Spec{}, nil, 0, errCodec
+	if d.Err() == nil && d.Len() != 0 {
+		if d.U8() != 1 {
+			d.Fail()
 		}
-		traceID = r.uvarint()
-		if r.err == nil && traceID == 0 {
-			return Spec{}, nil, 0, errCodec
+		if traceID = d.Uvarint(); traceID == 0 {
+			d.Fail()
 		}
 	}
-	if r.err != nil {
-		return Spec{}, nil, 0, r.err
-	}
-	if len(r.b) != 0 {
-		return Spec{}, nil, 0, fmt.Errorf("query: %d trailing bytes after scatter payload", len(r.b))
+	if err := finish(d, "scatter"); err != nil {
+		return Spec{}, nil, 0, err
 	}
 	if err := spec.Validate(); err != nil {
 		return Spec{}, nil, 0, err
@@ -289,25 +228,22 @@ func AppendScatterRounds(buf []byte, wins []RoundWindow) []byte {
 // poisons the whole frame, which is the right failure mode for bytes
 // from another process.
 func DecodeScatterBatch(buf []byte) (Spec, []radio.NodeID, []RoundWindow, error) {
-	r := &creader{b: buf}
-	spec, motes := decodeScatterHead(r)
-	n := r.count(maxCodecRounds)
+	d := snap.NewDec(buf)
+	spec, motes := decodeScatterHead(d)
+	n := count(d, maxCodecRounds)
+	if n == 0 {
+		d.Fail()
+	}
 	wins := make([]RoundWindow, 0, n)
 	prev := int64(0)
 	for i := 0; i < n; i++ {
-		t0 := prev + r.varint()
-		t1 := t0 + r.varint()
+		t0 := prev + d.Varint()
+		t1 := t0 + d.Varint()
 		wins = append(wins, RoundWindow{T0: simtime.Time(t0), T1: simtime.Time(t1)})
 		prev = t0
 	}
-	if r.err != nil {
-		return Spec{}, nil, nil, r.err
-	}
-	if len(r.b) != 0 {
-		return Spec{}, nil, nil, fmt.Errorf("query: %d trailing bytes after scatter batch payload", len(r.b))
-	}
-	if len(wins) == 0 {
-		return Spec{}, nil, nil, errCodec
+	if err := finish(d, "scatter batch"); err != nil {
+		return Spec{}, nil, nil, err
 	}
 	for _, w := range wins {
 		round := spec
@@ -354,17 +290,17 @@ func appendPartial(buf []byte, p Partial) []byte {
 	return buf
 }
 
-func decodePartial(r *creader) Partial {
+func decodePartial(d *snap.Dec) Partial {
 	p := Partial{
-		Count:  int(r.uvarint()),
-		Sum:    r.f64(),
-		Min:    r.f64(),
-		Max:    r.f64(),
-		SumErr: r.f64(),
-		MaxErr: r.f64(),
+		Count:    int(d.Uvarint()),
+		Sum:      d.F64(),
+		Min:      d.F64(),
+		Max:      d.F64(),
+		SumErr:   d.F64(),
+		MaxErr:   d.F64(),
+		BinWidth: d.F64(),
 	}
-	p.BinWidth = r.f64()
-	n := r.count(maxCodecBins)
+	n := count(d, maxCodecBins)
 	if n > 0 {
 		// Lazy histogram: only Mode partials carry bins, so the common
 		// aggregates decode without the map allocation.
@@ -372,16 +308,16 @@ func decodePartial(r *creader) Partial {
 	}
 	prev := int64(0)
 	for i := 0; i < n; i++ {
-		prev += r.varint()
-		c := r.uvarint()
+		prev += d.Varint()
+		c := d.Uvarint()
 		if c > maxCodecEntries {
-			r.fail()
+			d.Fail()
 			return Partial{}
 		}
 		p.Hist[prev] = int(c)
 	}
 	if p.Count < 0 || p.Count > maxCodecEntries {
-		r.fail()
+		d.Fail()
 	}
 	return p
 }
@@ -407,21 +343,21 @@ func appendResult(buf []byte, res Result) []byte {
 	return buf
 }
 
-func decodeResult(r *creader, spec Spec) Result {
-	mote := radio.NodeID(r.uvarint())
+func decodeResult(d *snap.Dec, spec Spec) Result {
+	mote := radio.NodeID(d.Uvarint())
 	res := Result{Query: spec.QueryFor(mote)}
 	res.Answer = proxy.Answer{
 		Mote:     mote,
-		Source:   proxy.Source(r.byte()),
-		IssuedAt: simtime.Time(r.varint()),
-		DoneAt:   simtime.Time(r.varint()),
+		Source:   proxy.Source(d.U8()),
+		IssuedAt: simtime.Time(d.Varint()),
+		DoneAt:   simtime.Time(d.Varint()),
 	}
-	n := r.count(maxCodecEntries)
+	n := count(d, maxCodecEntries)
 	prev := simtime.Time(0)
 	for i := 0; i < n; i++ {
-		prev += simtime.Time(r.varint())
-		e := cache.Entry{T: prev, V: r.f64(), ErrBound: r.f64(), Source: cache.Source(r.byte())}
-		if r.err != nil {
+		prev += simtime.Time(d.Varint())
+		e := cache.Entry{T: prev, V: d.F64(), ErrBound: d.F64(), Source: cache.Source(d.U8())}
+		if d.Err() != nil {
 			return Result{}
 		}
 		res.Answer.Entries = append(res.Answer.Entries, e)
@@ -455,48 +391,33 @@ func AppendRoundPartials(buf []byte, parts []RoundPartial) []byte {
 	return buf
 }
 
-// decodeRoundPartialsFrom reads one round's partials section from the
-// cursor (no trailing-bytes check — batch payloads continue after it).
-func decodeRoundPartialsFrom(r *creader, spec Spec) ([]RoundPartial, error) {
-	n := r.count(maxCodecParts)
+// decodeRoundPartialsFrom reads one round's partials section (no
+// trailing-bytes check — batch payloads continue after it).
+func decodeRoundPartialsFrom(d *snap.Dec, spec Spec) []RoundPartial {
+	n := count(d, maxCodecParts)
 	parts := make([]RoundPartial, 0, n)
-	for i := 0; i < n; i++ {
-		p := RoundPartial{Domain: int(r.uvarint())}
-		p.Partial = decodePartial(r)
-		p.Failed = int(r.uvarint())
-		nr := r.count(maxCodecResults)
-		for j := 0; j < nr; j++ {
-			res := decodeResult(r, spec)
-			if r.err != nil {
-				return nil, r.err
-			}
-			p.Results = append(p.Results, res)
-		}
-		if r.err != nil {
-			return nil, r.err
+	for i := 0; i < n && d.Err() == nil; i++ {
+		p := RoundPartial{Domain: int(d.Uvarint()), Partial: decodePartial(d), Failed: int(d.Uvarint())}
+		nr := count(d, maxCodecResults)
+		for j := 0; j < nr && d.Err() == nil; j++ {
+			p.Results = append(p.Results, decodeResult(d, spec))
 		}
 		if p.Failed < 0 || p.Failed > maxCodecMotes || p.Domain > maxCodecParts {
-			return nil, errCodec
+			d.Fail()
 		}
 		parts = append(parts, p)
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	return parts, nil
+	return parts
 }
 
 // DecodeRoundPartials unpacks a partials payload. Each Result.Query is
 // rebuilt from spec (the round the coordinator scattered), so the caller
 // must pass the same bound spec it encoded into the scatter frame.
 func DecodeRoundPartials(spec Spec, buf []byte) ([]RoundPartial, error) {
-	r := &creader{b: buf}
-	parts, err := decodeRoundPartialsFrom(r, spec)
-	if err != nil {
+	d := snap.NewDec(buf)
+	parts := decodeRoundPartialsFrom(d, spec)
+	if err := finish(d, "partials"); err != nil {
 		return nil, err
-	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("query: %d trailing bytes after partials payload", len(r.b))
 	}
 	return parts, nil
 }
@@ -519,22 +440,22 @@ func AppendTraceRoutes(buf []byte, routes []obs.Route) []byte {
 	return buf
 }
 
-// decodeTraceRoutes reads a route section from the cursor.
-func decodeTraceRoutes(r *creader) []obs.Route {
-	n := r.count(maxCodecResults)
+// decodeTraceRoutes reads a route section.
+func decodeTraceRoutes(d *snap.Dec) []obs.Route {
+	n := count(d, maxCodecResults)
 	routes := make([]obs.Route, 0, n)
 	prev := int64(0)
 	for i := 0; i < n; i++ {
-		prev += r.varint()
-		d := r.uvarint()
-		k := r.byte()
-		if d > maxCodecParts {
-			r.fail()
+		prev += d.Varint()
+		dom := d.Uvarint()
+		k := d.U8()
+		if dom > maxCodecParts {
+			d.Fail()
 		}
-		if r.err != nil {
+		if d.Err() != nil {
 			return nil
 		}
-		routes = append(routes, obs.Route{Mote: prev, Domain: int(d), Kind: obs.RouteKind(k)})
+		routes = append(routes, obs.Route{Mote: prev, Domain: int(dom), Kind: obs.RouteKind(k)})
 	}
 	return routes
 }
@@ -544,17 +465,11 @@ func decodeTraceRoutes(r *creader) []obs.Route {
 // coordinator knows which replies are traced (it attached the trace
 // context), so there is no in-band flag to spoof.
 func DecodeRoundPartialsTraced(spec Spec, buf []byte) ([]RoundPartial, []obs.Route, error) {
-	r := &creader{b: buf}
-	parts, err := decodeRoundPartialsFrom(r, spec)
-	if err != nil {
+	d := snap.NewDec(buf)
+	parts := decodeRoundPartialsFrom(d, spec)
+	routes := decodeTraceRoutes(d)
+	if err := finish(d, "traced partials"); err != nil {
 		return nil, nil, err
-	}
-	routes := decodeTraceRoutes(r)
-	if r.err != nil {
-		return nil, nil, r.err
-	}
-	if len(r.b) != 0 {
-		return nil, nil, fmt.Errorf("query: %d trailing bytes after traced partials payload", len(r.b))
 	}
 	return parts, routes, nil
 }
@@ -575,26 +490,19 @@ func EncodeRoundPartialsBatch(buf []byte, rounds [][]RoundPartial) []byte {
 // each round's Results rebuild their Query from the spec bound to that
 // round's window.
 func DecodeRoundPartialsBatch(base Spec, wins []RoundWindow, buf []byte) ([][]RoundPartial, error) {
-	r := &creader{b: buf}
-	n := r.count(maxCodecRounds)
-	if r.err != nil {
-		return nil, r.err
-	}
-	if n != len(wins) {
+	d := snap.NewDec(buf)
+	n := count(d, maxCodecRounds)
+	if d.Err() == nil && n != len(wins) {
 		return nil, fmt.Errorf("query: partials batch has %d rounds, scatter had %d", n, len(wins))
 	}
 	out := make([][]RoundPartial, 0, n)
 	for i := 0; i < n; i++ {
 		spec := base
 		spec.T0, spec.T1 = wins[i].T0, wins[i].T1
-		parts, err := decodeRoundPartialsFrom(r, spec)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, parts)
+		out = append(out, decodeRoundPartialsFrom(d, spec))
 	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("query: %d trailing bytes after partials batch payload", len(r.b))
+	if err := finish(d, "partials batch"); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -1,11 +1,14 @@
 package radio
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 	"time"
 
 	"presto/internal/energy"
 	"presto/internal/simtime"
+	"presto/internal/snap"
 )
 
 func newMedium(t *testing.T, cfg Config) (*simtime.Simulator, *Medium) {
@@ -309,5 +312,24 @@ func TestDeterministicDelivery(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("delivery %d at %v vs %v", i, a[i], b[i])
 		}
+	}
+}
+
+func TestMediumRestoreRejectsHugeCount(t *testing.T) {
+	// A block whose flight count claims 2^62 elements must be refused as
+	// corrupt before anything is sized by it.
+	_, m := newMedium(t, lossless())
+	var e snap.Enc
+	for i := 0; i < 4; i++ {
+		e.U64(0) // sent, delivered, lost, retried
+	}
+	e.Uvarint(0)
+	e.Uvarint(1 << 62)
+	var buf bytes.Buffer
+	if err := snap.WriteBlock(&buf, snap.TagMedium, e.Data()); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Restore(&buf); !errors.Is(err, snap.ErrCorrupt) {
+		t.Fatalf("Restore = %v, want an error wrapping snap.ErrCorrupt", err)
 	}
 }

@@ -84,9 +84,9 @@ func (m *Medium) Restore(r io.Reader) error {
 	}
 
 	m.flights = nil
-	nFlights := d.Uvarint()
+	nFlights := d.Count()
 	flights := make([]*flight, 0, nFlights)
-	for i := uint64(0); i < nFlights && d.Err() == nil; i++ {
+	for i := 0; i < nFlights && d.Err() == nil; i++ {
 		fl := &flight{deliverAt: simtime.Time(d.I64())}
 		fl.pkt = decodePacket(d)
 		flights = append(flights, fl)

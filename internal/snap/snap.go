@@ -1,17 +1,21 @@
-// Package snap is the serialization substrate for the Snapshot/Restore
-// seam that runs through every stateful layer of the system (simtime,
-// radio, flash, archive, cache, mote, proxy, index, store, core). It
-// deliberately depends on nothing but the standard library so any layer
-// can import it.
+// Package snap is the program's one byte reader and the serialization
+// substrate for the Snapshot/Restore seam that runs through every
+// stateful layer of the system (simtime, radio, flash, archive, cache,
+// mote, proxy, index, store, core). It deliberately depends on nothing
+// but the standard library so any layer can import it.
 //
 // The format primitives are:
 //
 //   - Enc/Dec: an append-only encoder and a sticky-error decoder over
-//     fixed-width little-endian integers, IEEE-754 floats, uvarints and
+//     fixed-width little-endian integers, IEEE-754 floats, varints and
 //     length-prefixed byte strings. Encoding the same state always
 //     produces the same bytes — snapshot determinism (same domain, same
 //     instant → same blob) is the mechanism the whole seam is verified
-//     by.
+//     by. Dec reads every byte that comes from outside the process:
+//     radio and cluster frames (internal/wire), query payloads
+//     (internal/query) and snapshot blocks. Its rule is that a count
+//     never exceeds the bytes left (Dec.Count), so allocation is bounded
+//     by input length in this one type.
 //   - WriteBlock/ReadBlock: tagged, length-prefixed framing so a
 //     composed stream (core.Domain.Snapshot) can concatenate per-layer
 //     blocks and restore can detect a mis-ordered or truncated stream
@@ -30,6 +34,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // ErrCorrupt reports a malformed or truncated snapshot stream.
@@ -38,6 +43,10 @@ var ErrCorrupt = errors.New("snap: corrupt snapshot stream")
 // maxBlockLen bounds a single block so a corrupt length prefix cannot
 // drive a huge allocation.
 const maxBlockLen = 1 << 30
+
+// blockReadStep is ReadBlock's first buffer: blocks up to this size are
+// allocated exactly; longer ones grow as their bytes arrive.
+const blockReadStep = 1 << 20
 
 // Block tags: one per layer, so a composed stream self-describes which
 // layer each block belongs to and restore fails fast on disorder.
@@ -161,7 +170,16 @@ func (d *Dec) F64() float64 { return math.Float64frombits(d.U64()) }
 // F32 reads an IEEE-754 single.
 func (d *Dec) F32() float32 { return math.Float32frombits(d.U32()) }
 
-// Uvarint reads a varint-encoded count.
+// U8 reads one byte.
+func (d *Dec) U8() byte {
+	p := d.take(1)
+	if p == nil {
+		return 0
+	}
+	return p[0]
+}
+
+// Uvarint reads an unsigned varint.
 func (d *Dec) Uvarint() uint64 {
 	if d.err != nil {
 		return 0
@@ -175,21 +193,39 @@ func (d *Dec) Uvarint() uint64 {
 	return v
 }
 
+// Varint reads a zig-zag signed varint.
+func (d *Dec) Varint() int64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(d.b[d.off:])
+	if n <= 0 {
+		d.fail()
+		return 0
+	}
+	d.off += n
+	return v
+}
+
+// Count reads a uvarint element count. Every element takes at least one
+// byte, so a count above Len() can only be corrupt: it fails the decoder
+// and returns 0, before the caller sizes anything by it.
+func (d *Dec) Count() int {
+	n := d.Uvarint()
+	if n > uint64(d.Len()) {
+		d.fail()
+		return 0
+	}
+	return int(n)
+}
+
 // Bool reads one byte as a boolean (only 0 and 1 are valid).
 func (d *Dec) Bool() bool {
-	p := d.take(1)
-	if p == nil {
-		return false
-	}
-	switch p[0] {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
+	b := d.U8()
+	if b > 1 {
 		d.fail()
-		return false
 	}
+	return b == 1
 }
 
 // Bytes reads a uvarint length prefix and returns that many bytes
@@ -206,6 +242,15 @@ func (d *Dec) Bytes() []byte {
 // String reads a uvarint length prefix and returns that many bytes as a
 // string.
 func (d *Dec) String() string { return string(d.Bytes()) }
+
+// Rest consumes and returns every remaining byte: an unprefixed payload
+// tail (a sub-slice of the decoder's buffer — copy if retaining). It is
+// nil once the decoder has failed.
+func (d *Dec) Rest() []byte { return d.take(d.Len()) }
+
+// Fail marks the decoder failed, for a value that decoded but is out of
+// range: like any malformed read, every later read returns zero.
+func (d *Dec) Fail() { d.fail() }
 
 // Len reports how many undecoded bytes remain.
 func (d *Dec) Len() int { return len(d.b) - d.off }
@@ -255,9 +300,19 @@ func ReadBlock(r io.Reader, wantTag byte) ([]byte, error) {
 	if n > maxBlockLen {
 		return nil, fmt.Errorf("%w: block length %d exceeds %d", ErrCorrupt, n, maxBlockLen)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("%w: block body: %v", ErrCorrupt, err)
+	// Read in steps, doubling the buffer only once the reader has filled
+	// it, so a corrupt length costs the bytes actually supplied (plus one
+	// step), not the length it claims.
+	body := make([]byte, 0, min(n, blockReadStep))
+	for uint64(len(body)) < n {
+		if len(body) == cap(body) {
+			body = slices.Grow(body, int(min(n-uint64(len(body)), uint64(len(body)))))
+		}
+		k, err := io.ReadFull(r, body[len(body):min(uint64(cap(body)), n)])
+		body = body[:len(body)+k]
+		if err != nil {
+			return nil, fmt.Errorf("%w: block body: %v", ErrCorrupt, err)
+		}
 	}
 	return body, nil
 }

@@ -2,7 +2,10 @@ package snap
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -49,6 +52,41 @@ func TestEncDecRoundTrip(t *testing.T) {
 	}
 	if err := d.Done(); err != nil {
 		t.Fatalf("Done: %v", err)
+	}
+}
+
+func TestDecUnprefixedReads(t *testing.T) {
+	buf := []byte{0x7f}
+	buf = binary.AppendVarint(buf, -300)
+	buf = binary.AppendUvarint(buf, 2)
+	buf = append(buf, 'a', 'b')
+	d := NewDec(buf)
+	if got := d.U8(); got != 0x7f {
+		t.Errorf("U8 = %#x", got)
+	}
+	if got := d.Varint(); got != -300 {
+		t.Errorf("Varint = %d", got)
+	}
+	if got := d.Count(); got != 2 {
+		t.Errorf("Count = %d", got)
+	}
+	if got := d.Rest(); string(got) != "ab" {
+		t.Errorf("Rest = %q", got)
+	}
+	if err := d.Done(); err != nil {
+		t.Fatalf("Done: %v", err)
+	}
+
+	// A count larger than the bytes left fails before the caller can
+	// size anything by it; so does a range check the caller fails.
+	d = NewDec(binary.AppendUvarint(nil, 3))
+	if got := d.Count(); got != 0 || !errors.Is(d.Err(), ErrCorrupt) {
+		t.Fatalf("Count over 0 bytes left = %d, %v", got, d.Err())
+	}
+	d = NewDec([]byte{1})
+	d.Fail()
+	if d.U8() != 0 || d.Rest() != nil || !errors.Is(d.Err(), ErrCorrupt) {
+		t.Fatal("reads after Fail returned data")
 	}
 }
 
@@ -149,6 +187,22 @@ func TestBlockHugeLength(t *testing.T) {
 	}
 	if _, err := ReadBlock(bytes.NewReader(raw), TagKernel); err == nil {
 		t.Fatal("huge length accepted")
+	}
+
+	// The largest accepted length, with no body behind it: the read
+	// fails, and what it allocated tracks the bytes supplied, not the
+	// 1 GiB claimed.
+	raw[0] = TagKernel
+	binary.LittleEndian.PutUint64(raw[1:], maxBlockLen)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadBlock(bytes.NewReader(raw), TagKernel)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("ReadBlock = %v, want an error wrapping ErrCorrupt", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
+		t.Fatalf("ReadBlock allocated %d bytes for a bodiless %d-byte claim", got, maxBlockLen)
 	}
 }
 

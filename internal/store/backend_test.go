@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -13,6 +15,7 @@ import (
 	"presto/internal/query"
 	"presto/internal/radio"
 	"presto/internal/simtime"
+	"presto/internal/snap"
 )
 
 // both runs a subtest against a mem and a flash backend.
@@ -630,5 +633,22 @@ func TestArchiveReadOncePerRound(t *testing.T) {
 	}
 	if s := cb.Stats(); s.QueryRanges != 2 || s.LatestReads != 7 {
 		t.Fatalf("backend stats %+v, want 2 range reads and 7 latest reads", s)
+	}
+}
+
+func TestMemRestoreRejectsHugeCount(t *testing.T) {
+	// A block whose record count claims 2^62 elements must be refused as
+	// corrupt before anything is sized by it.
+	var e snap.Enc
+	encodeBackendStats(&e, BackendStats{})
+	e.Uvarint(1)
+	e.I64(7)
+	e.Uvarint(1 << 62)
+	var buf bytes.Buffer
+	if err := snap.WriteBlock(&buf, snap.TagBackend, e.Data()); err != nil {
+		t.Fatal(err)
+	}
+	if err := NewMemBackend().Restore(&buf); !errors.Is(err, snap.ErrCorrupt) {
+		t.Fatalf("Restore = %v, want an error wrapping snap.ErrCorrupt", err)
 	}
 }

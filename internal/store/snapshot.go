@@ -119,12 +119,12 @@ func (b *MemBackend) Restore(r io.Reader) error {
 	d := snap.NewDec(body)
 	b.stats = decodeBackendStats(d)
 	b.series = make(map[radio.NodeID][]Record)
-	n := d.Uvarint()
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
+	n := d.Count()
+	for i := 0; i < n && d.Err() == nil; i++ {
 		id := radio.NodeID(d.I64())
-		cnt := d.Uvarint()
+		cnt := d.Count()
 		recs := make([]Record, 0, cnt)
-		for j := uint64(0); j < cnt && d.Err() == nil; j++ {
+		for j := 0; j < cnt && d.Err() == nil; j++ {
 			recs = append(recs, Record{T: simtime.Time(d.I64()), V: d.F64(), ErrBound: d.F64()})
 		}
 		b.series[id] = recs

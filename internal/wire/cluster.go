@@ -26,6 +26,7 @@ import (
 
 	"presto/internal/radio"
 	"presto/internal/simtime"
+	"presto/internal/snap"
 )
 
 // FrameKind discriminates cluster frames.
@@ -155,20 +156,14 @@ func EncodeFrame(f Frame) []byte {
 // DecodeFrame deserializes a frame body. The returned frame's payload
 // aliases buf — callers that outlive buf must copy.
 func DecodeFrame(buf []byte) (Frame, error) {
-	if len(buf) < 1 {
-		return Frame{}, ErrShort
+	d := snap.NewDec(buf)
+	f := Frame{Kind: FrameKind(d.U8())}
+	if d.Err() == nil && (f.Kind == 0 || f.Kind > FrameKindMax) {
+		return Frame{}, fmt.Errorf("wire: unknown frame kind %d", uint8(f.Kind))
 	}
-	f := Frame{Kind: FrameKind(buf[0])}
-	if f.Kind == 0 || f.Kind > FrameKindMax {
-		return Frame{}, fmt.Errorf("wire: unknown frame kind %d", buf[0])
-	}
-	seq, n := binary.Uvarint(buf[1:])
-	if n <= 0 {
-		return Frame{}, ErrShort
-	}
-	f.Seq = seq
-	f.Payload = buf[1+n:]
-	return f, nil
+	f.Seq = d.Uvarint()
+	f.Payload = d.Rest()
+	return read(d, f)
 }
 
 // FrameSize is a frame's on-the-wire size: length prefix + kind byte +
@@ -237,7 +232,7 @@ func ReadFrameBuf(r io.Reader, buf []byte) (Frame, []byte, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return Frame{}, buf, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := snap.NewDec(hdr[:]).U32()
 	if n == 0 || n > maxFrameLen {
 		return Frame{}, buf, fmt.Errorf("wire: implausible frame length %d", n)
 	}
@@ -285,13 +280,8 @@ func EncodeHello(h Hello) []byte {
 
 // DecodeHello deserializes a hello.
 func DecodeHello(buf []byte) (Hello, error) {
-	if len(buf) < 12 {
-		return Hello{}, ErrShort
-	}
-	return Hello{
-		Version:    binary.LittleEndian.Uint32(buf),
-		ConfigHash: binary.LittleEndian.Uint64(buf[4:]),
-	}, nil
+	d := snap.NewDec(buf)
+	return read(d, Hello{Version: d.U32(), ConfigHash: d.U64()})
 }
 
 // Assign answers a hello: the joining process is site Site of Sites and
@@ -318,21 +308,23 @@ func EncodeAssign(a Assign) []byte {
 
 // DecodeAssign deserializes an assignment.
 func DecodeAssign(buf []byte) (Assign, error) {
-	var a Assign
-	fields := []*int{&a.Site, &a.Sites, &a.FirstShard, &a.Shards}
-	for _, f := range fields {
-		v, n := binary.Uvarint(buf)
-		if n <= 0 || v > 1<<20 {
-			return Assign{}, ErrShort
-		}
-		*f = int(v)
-		buf = buf[n:]
+	d := snap.NewDec(buf)
+	return read(d, Assign{
+		Site:       int(atMost(d, 1<<20)),
+		Sites:      int(atMost(d, 1<<20)),
+		FirstShard: int(atMost(d, 1<<20)),
+		Shards:     int(atMost(d, 1<<20)),
+		ConfigHash: d.U64(),
+	})
+}
+
+// atMost reads a uvarint and fails d if it exceeds max.
+func atMost(d *snap.Dec, max uint64) uint64 {
+	v := d.Uvarint()
+	if v > max {
+		d.Fail()
 	}
-	if len(buf) < 8 {
-		return Assign{}, ErrShort
-	}
-	a.ConfigHash = binary.LittleEndian.Uint64(buf)
-	return a, nil
+	return v
 }
 
 // ---------------------------------------------------------------------------
@@ -357,24 +349,12 @@ func EncodeBootstrap(b Bootstrap) []byte {
 
 // DecodeBootstrap deserializes a bootstrap command.
 func DecodeBootstrap(buf []byte) (Bootstrap, error) {
-	t, n := binary.Varint(buf)
-	if n <= 0 {
-		return Bootstrap{}, ErrShort
+	d := snap.NewDec(buf)
+	b := Bootstrap{TrainFor: simtime.Time(d.Varint()), Bins: int(d.Varint()), Delta: d.F64()}
+	if b.Bins < 0 || b.Bins > 1<<20 {
+		d.Fail()
 	}
-	buf = buf[n:]
-	bins, n := binary.Varint(buf)
-	if n <= 0 || bins < 0 || bins > 1<<20 {
-		return Bootstrap{}, ErrShort
-	}
-	buf = buf[n:]
-	if len(buf) < 8 {
-		return Bootstrap{}, ErrShort
-	}
-	return Bootstrap{
-		TrainFor: simtime.Time(t),
-		Bins:     int(bins),
-		Delta:    math.Float64frombits(binary.LittleEndian.Uint64(buf)),
-	}, nil
+	return read(d, b)
 }
 
 // EncodeAdvance serializes an advance lease (or its ack): the absolute
@@ -387,10 +367,8 @@ func EncodeAdvance(target simtime.Time) []byte {
 
 // DecodeAdvance deserializes an advance lease.
 func DecodeAdvance(buf []byte) (simtime.Time, error) {
-	if len(buf) < 8 {
-		return 0, ErrShort
-	}
-	return simtime.Time(binary.LittleEndian.Uint64(buf)), nil
+	d := snap.NewDec(buf)
+	return read(d, simtime.Time(d.I64()))
 }
 
 // ---------------------------------------------------------------------------
@@ -405,11 +383,11 @@ func EncodeErrString(msg string) []byte {
 
 // DecodeErrString unpacks an error message.
 func DecodeErrString(buf []byte) (string, error) {
-	n, w := binary.Uvarint(buf)
-	if w <= 0 || n > 1<<16 || int(n) > len(buf[w:]) {
-		return "", ErrShort
+	d := snap.NewDec(buf)
+	if msg := d.Bytes(); d.Err() == nil && len(msg) <= 1<<16 {
+		return string(msg), nil
 	}
-	return string(buf[w : w+int(n)]), nil
+	return "", ErrShort
 }
 
 // ---------------------------------------------------------------------------
@@ -429,33 +407,14 @@ func EncodeBridgeMsg(m radio.BridgeMsg) []byte {
 
 // DecodeBridgeMsg deserializes a bridge message.
 func DecodeBridgeMsg(buf []byte) (radio.BridgeMsg, error) {
-	var m radio.BridgeMsg
-	src, n := binary.Varint(buf)
-	if n <= 0 {
-		return radio.BridgeMsg{}, ErrShort
-	}
-	buf = buf[n:]
-	dst, n := binary.Varint(buf)
-	if n <= 0 {
-		return radio.BridgeMsg{}, ErrShort
-	}
-	buf = buf[n:]
-	mote, n := binary.Uvarint(buf)
-	if n <= 0 || mote > 1<<32 {
-		return radio.BridgeMsg{}, ErrShort
-	}
-	buf = buf[n:]
-	kind, n := binary.Uvarint(buf)
-	if n <= 0 || kind > 1<<16 {
-		return radio.BridgeMsg{}, ErrShort
-	}
-	buf = buf[n:]
-	m.Src = radio.DomainID(src)
-	m.Dst = radio.DomainID(dst)
-	m.Mote = radio.NodeID(mote)
-	m.Kind = radio.Kind(kind)
-	m.Payload = append([]byte(nil), buf...)
-	return m, nil
+	d := snap.NewDec(buf)
+	return read(d, radio.BridgeMsg{
+		Src:     radio.DomainID(d.Varint()),
+		Dst:     radio.DomainID(d.Varint()),
+		Mote:    radio.NodeID(atMost(d, 1<<32)),
+		Kind:    radio.Kind(atMost(d, 1<<16)),
+		Payload: append([]byte(nil), d.Rest()...),
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -486,15 +445,8 @@ func EncodeSnapshotReq(r SnapshotReq) []byte {
 
 // DecodeSnapshotReq deserializes a snapshot request.
 func DecodeSnapshotReq(buf []byte) (SnapshotReq, error) {
-	d, n := binary.Uvarint(buf)
-	if n <= 0 || d > 1<<20 {
-		return SnapshotReq{}, ErrShort
-	}
-	buf = buf[n:]
-	if len(buf) < 1 || buf[0] > 1 {
-		return SnapshotReq{}, ErrShort
-	}
-	return SnapshotReq{Domain: int(d), Drop: buf[0] == 1}, nil
+	d := snap.NewDec(buf)
+	return read(d, SnapshotReq{Domain: int(atMost(d, 1<<20)), Drop: d.Bool()})
 }
 
 // SnapshotChunk is one ordered slice of a domain snapshot blob; the last
@@ -521,17 +473,10 @@ func EncodeSnapshotChunk(c SnapshotChunk) []byte {
 // of buf (receivers assemble chunks across many frames, outliving any
 // reused read buffer).
 func DecodeSnapshotChunk(buf []byte) (SnapshotChunk, error) {
-	d, n := binary.Uvarint(buf)
-	if n <= 0 || d > 1<<20 {
-		return SnapshotChunk{}, ErrShort
-	}
-	buf = buf[n:]
-	if len(buf) < 1 || buf[0] > 1 {
-		return SnapshotChunk{}, ErrShort
-	}
-	return SnapshotChunk{
-		Domain: int(d),
-		Final:  buf[0] == 1,
-		Data:   append([]byte(nil), buf[1:]...),
-	}, nil
+	d := snap.NewDec(buf)
+	return read(d, SnapshotChunk{
+		Domain: int(atMost(d, 1<<20)),
+		Final:  d.Bool(),
+		Data:   append([]byte(nil), d.Rest()...),
+	})
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"presto/internal/cache"
+	"presto/internal/obs"
 	"presto/internal/proxy"
 	"presto/internal/query"
 	"presto/internal/radio"
@@ -21,16 +22,11 @@ import (
 	"presto/internal/wire"
 )
 
-func clusterDecoders() []struct {
-	name string
-	fn   func([]byte)
-} {
+// clusterDecoders is every cluster frame and query payload decoder.
+func clusterDecoders() []decoder {
 	spec := query.Spec{Type: query.Agg, T1: simtime.Hour, Agg: query.Mean, Precision: 0.5}
 	wins := []query.RoundWindow{{T0: 0, T1: simtime.Hour}, {T0: simtime.Hour, T1: 2 * simtime.Hour}}
-	return []struct {
-		name string
-		fn   func([]byte)
-	}{
+	return []decoder{
 		{"DecodeFrame", func(b []byte) { _, _ = wire.DecodeFrame(b) }},
 		{"DecodeHello", func(b []byte) { _, _ = wire.DecodeHello(b) }},
 		{"DecodeAssign", func(b []byte) { _, _ = wire.DecodeAssign(b) }},
@@ -44,13 +40,13 @@ func clusterDecoders() []struct {
 		{"query.DecodeScatterBatch", func(b []byte) { _, _, _, _ = query.DecodeScatterBatch(b) }},
 		{"query.DecodeRoundPartials", func(b []byte) { _, _ = query.DecodeRoundPartials(spec, b) }},
 		{"query.DecodeRoundPartialsBatch", func(b []byte) { _, _ = query.DecodeRoundPartialsBatch(spec, wins, b) }},
+		{"query.DecodeRoundPartialsTraced", func(b []byte) { _, _, _ = query.DecodeRoundPartialsTraced(spec, b) }},
 	}
 }
 
 // validClusterFrames returns real encodings of every cluster message, so
 // the mutation pass flips bits in buffers that start out parseable.
-func validClusterFrames(t *testing.T) [][]byte {
-	t.Helper()
+func validClusterFrames() [][]byte {
 	p := query.NewPartial(0.5)
 	p.Observe(20.5, 0.25)
 	p.Observe(21.5, 0.5)
@@ -82,6 +78,9 @@ func validClusterFrames(t *testing.T) [][]byte {
 		}),
 		query.EncodeRoundPartials(parts),
 		query.EncodeRoundPartialsBatch(nil, [][]query.RoundPartial{parts, parts[:1]}),
+		query.AppendTraceRoutes(query.EncodeRoundPartials(parts), []obs.Route{
+			{Mote: 3, Domain: 0, Kind: obs.RouteCacheHit}, {Mote: 5, Domain: 2, Kind: obs.RouteRendezvous},
+		}),
 	}
 }
 
@@ -89,37 +88,7 @@ func validClusterFrames(t *testing.T) [][]byte {
 // robustness suite for the cluster frame codecs: pure random buffers and
 // mutated/truncated valid frames must produce errors, never panics.
 func TestClusterDecodersNeverPanicOnGarbage(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	decoders := clusterDecoders()
-	guard := func(name string, fn func([]byte), buf []byte) {
-		defer func() {
-			if r := recover(); r != nil {
-				t.Fatalf("%s panicked on %d bytes: %v", name, len(buf), r)
-			}
-		}()
-		fn(buf)
-	}
-	for trial := 0; trial < 500; trial++ {
-		buf := make([]byte, rng.Intn(300))
-		rng.Read(buf)
-		for _, d := range decoders {
-			guard(d.name, d.fn, buf)
-		}
-	}
-	for _, base := range validClusterFrames(t) {
-		for trial := 0; trial < 200; trial++ {
-			buf := append([]byte(nil), base...)
-			for k := 0; k < 1+rng.Intn(4); k++ {
-				buf[rng.Intn(len(buf))] ^= byte(1 << rng.Intn(8))
-			}
-			if rng.Intn(2) == 0 {
-				buf = buf[:rng.Intn(len(buf)+1)]
-			}
-			for _, d := range decoders {
-				guard(d.name, d.fn, buf)
-			}
-		}
-	}
+	neverPanics(t, clusterDecoders(), garbage(rand.New(rand.NewSource(77)), validClusterFrames()))
 }
 
 // TestClusterCodecRoundTrips pins the codecs' fidelity: what a site

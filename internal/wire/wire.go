@@ -2,6 +2,8 @@
 // compact payload encodings. Every byte encoded here is charged to the
 // radio energy model, so encodings are deliberately tight (varint deltas,
 // float32 values) — the same engineering a real mote protocol would use.
+// Every decoder reads through snap.Dec, and a buffer too short for the
+// fields it must hold fails with ErrShort.
 package wire
 
 import (
@@ -13,6 +15,7 @@ import (
 	"presto/internal/compress"
 	"presto/internal/radio"
 	"presto/internal/simtime"
+	"presto/internal/snap"
 )
 
 // Message kinds.
@@ -38,6 +41,16 @@ const (
 // Errors.
 var ErrShort = errors.New("wire: short buffer")
 
+// read finishes a decode on d: v, or ErrShort if any read ran past the
+// end of the buffer or d failed a range check.
+func read[T any](d *snap.Dec, v T) (T, error) {
+	if d.Err() != nil {
+		var zero T
+		return zero, ErrShort
+	}
+	return v, nil
+}
+
 // Push is a single-record push.
 type Push struct {
 	T simtime.Time
@@ -54,13 +67,8 @@ func EncodePush(p Push) []byte {
 
 // DecodePush deserializes a push.
 func DecodePush(buf []byte) (Push, error) {
-	if len(buf) < 12 {
-		return Push{}, ErrShort
-	}
-	return Push{
-		T: simtime.Time(binary.LittleEndian.Uint64(buf)),
-		V: float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[8:]))),
-	}, nil
+	d := snap.NewDec(buf)
+	return read(d, Push{T: simtime.Time(d.I64()), V: float64(d.F32())})
 }
 
 // Batch is a regularly-spaced run of observations compressed with one of
@@ -91,19 +99,17 @@ func EncodeBatch(b Batch, codec compress.Batch) ([]byte, error) {
 
 // DecodeBatch deserializes a batch (any codec; self-describing).
 func DecodeBatch(buf []byte) (Batch, error) {
-	if len(buf) < 16 {
-		return Batch{}, ErrShort
-	}
-	vals, err := compress.Decode(buf[16:])
+	d := snap.NewDec(buf)
+	b, err := read(d, Batch{Start: simtime.Time(d.I64()), Interval: simtime.Time(d.I64())})
 	if err != nil {
+		return Batch{}, err
+	}
+	inner := d.Rest()
+	if b.Values, err = compress.Decode(inner); err != nil {
 		return Batch{}, fmt.Errorf("wire: batch payload: %w", err)
 	}
-	return Batch{
-		ErrBound: compress.DecodeBound(buf[16:]),
-		Start:    simtime.Time(binary.LittleEndian.Uint64(buf)),
-		Interval: simtime.Time(binary.LittleEndian.Uint64(buf[8:])),
-		Values:   vals,
-	}, nil
+	b.ErrBound = compress.DecodeBound(inner)
+	return b, nil
 }
 
 // ModelUpdate ships trained model parameters and the push threshold.
@@ -122,13 +128,8 @@ func EncodeModelUpdate(m ModelUpdate) []byte {
 
 // DecodeModelUpdate deserializes a model update.
 func DecodeModelUpdate(buf []byte) (ModelUpdate, error) {
-	if len(buf) < 8 {
-		return ModelUpdate{}, ErrShort
-	}
-	return ModelUpdate{
-		Delta:  math.Float64frombits(binary.LittleEndian.Uint64(buf)),
-		Params: append([]byte(nil), buf[8:]...),
-	}, nil
+	d := snap.NewDec(buf)
+	return read(d, ModelUpdate{Delta: d.F64(), Params: append([]byte(nil), d.Rest()...)})
 }
 
 // PullReq asks for archived records in [T0, T1].
@@ -152,15 +153,8 @@ func EncodePullReq(r PullReq) []byte {
 
 // DecodePullReq deserializes a pull request.
 func DecodePullReq(buf []byte) (PullReq, error) {
-	if len(buf) < 24 {
-		return PullReq{}, ErrShort
-	}
-	return PullReq{
-		ID:      binary.LittleEndian.Uint32(buf),
-		T0:      simtime.Time(binary.LittleEndian.Uint64(buf[4:])),
-		T1:      simtime.Time(binary.LittleEndian.Uint64(buf[12:])),
-		Quantum: float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[20:]))),
-	}, nil
+	d := snap.NewDec(buf)
+	return read(d, PullReq{ID: d.U32(), T0: simtime.Time(d.I64()), T1: simtime.Time(d.I64()), Quantum: float64(d.F32())})
 }
 
 // Rec is one irregularly-timed record in a pull response.
@@ -201,29 +195,22 @@ func EncodePullResp(r PullResp) []byte {
 
 // DecodePullResp deserializes a pull response.
 func DecodePullResp(buf []byte) (PullResp, error) {
-	if len(buf) < 12 {
-		return PullResp{}, ErrShort
+	d := snap.NewDec(buf)
+	id, count := d.U32(), int(d.U32())
+	r, err := read(d, PullResp{ID: id, ErrBound: float64(d.F32())})
+	if err != nil {
+		return PullResp{}, err
 	}
-	r := PullResp{
-		ID:       binary.LittleEndian.Uint32(buf),
-		ErrBound: float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[8:]))),
-	}
-	count := int(binary.LittleEndian.Uint32(buf[4:]))
-	if count < 0 || count > 1<<26 {
+	if count > 1<<26 {
 		return PullResp{}, fmt.Errorf("wire: implausible record count %d", count)
 	}
-	rest := buf[12:]
 	prev := simtime.Time(0)
 	for i := 0; i < count; i++ {
-		dt, n := binary.Varint(rest)
-		if n <= 0 || len(rest) < n+4 {
+		prev += simtime.Time(d.Varint())
+		r.Records = append(r.Records, Rec{T: prev, V: float64(d.F32())})
+		if d.Err() != nil {
 			return PullResp{}, fmt.Errorf("wire: truncated pull response at record %d", i)
 		}
-		rest = rest[n:]
-		prev += simtime.Time(dt)
-		v := math.Float32frombits(binary.LittleEndian.Uint32(rest))
-		rest = rest[4:]
-		r.Records = append(r.Records, Rec{T: prev, V: float64(v)})
 	}
 	return r, nil
 }
@@ -255,17 +242,19 @@ func EncodeConfig(c Config) []byte {
 }
 
 // DecodeConfig deserializes a config.
+// The 7 spare bytes must be present even though nothing reads them yet.
 func DecodeConfig(buf []byte) (Config, error) {
 	if len(buf) < 49 {
 		return Config{}, ErrShort
 	}
-	return Config{
-		LPLInterval:    simtime.Time(binary.LittleEndian.Uint64(buf[0:])),
-		SampleInterval: simtime.Time(binary.LittleEndian.Uint64(buf[8:])),
-		BatchInterval:  simtime.Time(binary.LittleEndian.Uint64(buf[16:])),
-		BatchMode:      buf[24],
-		Quantum:        math.Float64frombits(binary.LittleEndian.Uint64(buf[25:])),
-		Threshold:      math.Float64frombits(binary.LittleEndian.Uint64(buf[33:])),
-		StreamAll:      buf[41],
-	}, nil
+	d := snap.NewDec(buf)
+	return read(d, Config{
+		LPLInterval:    simtime.Time(d.I64()),
+		SampleInterval: simtime.Time(d.I64()),
+		BatchInterval:  simtime.Time(d.I64()),
+		BatchMode:      d.U8(),
+		Quantum:        d.F64(),
+		Threshold:      d.F64(),
+		StreamAll:      d.U8(),
+	})
 }
