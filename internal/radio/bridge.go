@@ -40,19 +40,12 @@ type BridgeMsg struct {
 
 // bridgeDomain is the receive side of one domain.
 type bridgeDomain struct {
-	sim     *simtime.Simulator
+	bridge  *Bridge
 	handler func(BridgeMsg)
 	inbox   []BridgeMsg
-	// flights tracks messages Drain has scheduled onto the kernel but
-	// not yet delivered, in schedule order — the serializable mirror of
-	// the delivery closures, like Medium.flights.
-	flights []*bridgeFlight
-}
-
-// bridgeFlight is one drained message awaiting kernel delivery.
-type bridgeFlight struct {
-	deliverAt simtime.Time
-	msg       BridgeMsg
+	// flights holds messages Drain has scheduled onto the domain's kernel
+	// but not yet delivered, like Medium.flights.
+	flights inAir[BridgeMsg]
 }
 
 // Bridge carries wired traffic between partitioned simulation domains.
@@ -87,7 +80,9 @@ func (b *Bridge) Latency() time.Duration { return b.latency }
 func (b *Bridge) AttachDomain(d DomainID, sim *simtime.Simulator, h func(BridgeMsg)) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.domains[d] = &bridgeDomain{sim: sim, handler: h}
+	dom := &bridgeDomain{bridge: b, handler: h}
+	dom.flights = inAir[BridgeMsg]{sim: sim, land: dom.deliver}
+	b.domains[d] = dom
 }
 
 // SetUplink installs a forwarder for messages addressed to domains not
@@ -139,28 +134,20 @@ func (b *Bridge) Drain(d DomainID) int {
 	dom.inbox = nil
 	b.mu.Unlock()
 
-	at := dom.sim.Now() + simtime.Time(b.latency)
+	at := dom.flights.sim.Now() + simtime.Time(b.latency)
 	for _, msg := range pending {
-		dom.launch(b, &bridgeFlight{deliverAt: at, msg: msg})
+		dom.flights.launch(at, msg)
 	}
 	return len(pending)
 }
 
-// launch registers a drained message and schedules its delivery. Only
-// the goroutine driving the domain's simulator touches dom.flights (the
-// same discipline as Drain), so no lock is needed.
-func (dom *bridgeDomain) launch(b *Bridge, fl *bridgeFlight) {
-	dom.flights = append(dom.flights, fl)
-	dom.sim.ScheduleAt(fl.deliverAt, func() {
-		for i, f := range dom.flights {
-			if f == fl {
-				dom.flights = append(dom.flights[:i], dom.flights[i+1:]...)
-				break
-			}
-		}
-		b.delivered.Add(1)
-		dom.handler(fl.msg)
-	})
+// deliver lands the drained message in slot. Only the goroutine driving
+// the domain's simulator touches dom.flights (the same discipline as
+// Drain), so no lock is needed.
+func (dom *bridgeDomain) deliver(slot uint64) {
+	msg := dom.flights.take(slot)
+	dom.bridge.delivered.Add(1)
+	dom.handler(msg)
 }
 
 // Attached reports whether domain d currently has a bridge inbox here.

@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 	"time"
@@ -96,5 +97,60 @@ func TestBridgeConcurrentSenders(t *testing.T) {
 	sim.RunFor(10 * time.Millisecond)
 	if count != 400 {
 		t.Fatalf("delivered %d, want 400", count)
+	}
+}
+
+func TestBridgeSnapshotLaunchOrderAcrossSlotReuse(t *testing.T) {
+	const lat = 10 * time.Millisecond
+	b := NewBridge(lat)
+	sim := simtime.New(1)
+	var landed []byte
+	b.AttachDomain(0, sim, func(m BridgeMsg) { landed = append(landed, m.Payload[0]) })
+	send := func(c byte) { b.Send(BridgeMsg{Src: 1, Dst: 0, Mote: NodeID(c), Payload: []byte{c}}) }
+
+	send('a')
+	b.Drain(0)
+	sim.RunFor(lat / 2)
+	send('b')
+	send('c')
+	b.Drain(0)
+	sim.RunFor(lat / 2) // 'a' lands, freeing slot 0
+	if string(landed) != "a" {
+		t.Fatalf("landed %q, want a", landed)
+	}
+	send('d')
+	b.Drain(0)
+	dom := b.domains[0]
+	if dom.flights.slots[0].msg.Payload[0] != 'd' {
+		t.Fatal("the fourth flight did not reuse the landed flight's slot")
+	}
+	send('e') // stays in the inbox
+
+	var snapA bytes.Buffer
+	if err := b.SnapshotDomain(0, &snapA); err != nil {
+		t.Fatal(err)
+	}
+	b2 := NewBridge(lat)
+	sim2 := simtime.New(1)
+	var order []byte
+	b2.AttachDomain(0, sim2, func(m BridgeMsg) { order = append(order, m.Payload[0]) })
+	if err := b2.RestoreDomain(0, bytes.NewReader(snapA.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	for i, fl := range b2.domains[0].flights.slots {
+		if want := "bcd"[i]; fl.msg.Payload[0] != want {
+			t.Fatalf("restored flight %d carries %q, want %q (launch order)", i, fl.msg.Payload[0], want)
+		}
+	}
+	var snapB bytes.Buffer
+	if err := b2.SnapshotDomain(0, &snapB); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snapA.Bytes(), snapB.Bytes()) {
+		t.Fatal("snapshot → restore → snapshot changed the bytes")
+	}
+	sim2.RunUntil(simtime.Second)
+	if string(order) != "bcd" {
+		t.Fatalf("restored flights landed %q, want bcd", order)
 	}
 }

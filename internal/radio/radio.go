@@ -104,18 +104,68 @@ type Medium struct {
 	params energy.Params
 	nodes  map[NodeID]*Endpoint
 
-	// flights tracks undelivered messages in insertion order. Deliveries
-	// are also kernel events, but closures cannot be serialized — this
-	// list is what Snapshot records and Restore re-schedules.
-	flights []*flight
+	flights inAir[Packet] // undelivered messages, as Snapshot records them
+	slab    []byte        // append-only arena for small payload copies
 
 	sent, delivered, lost, retried uint64
 }
 
-// flight is one in-air message awaiting delivery.
-type flight struct {
-	deliverAt simtime.Time
-	pkt       Packet
+// inAir is the slot table of messages awaiting kernel delivery, behind
+// Medium and each bridge domain. A delivery is a kernel event naming its
+// slot, so landing frees the slot in O(1) and builds no closure; a launch
+// sequence keeps launch order, which snapshots record, across slot reuse.
+type inAir[T any] struct {
+	sim   *simtime.Simulator
+	land  func(uint64) // the owner's deliver method, bound once
+	slots []inFlight[T]
+	free  []uint64 // vacant slot indexes
+	seq   uint64
+}
+
+// inFlight is one slot. seq is its launch number; 0 marks it vacant.
+type inFlight[T any] struct {
+	at  simtime.Time
+	seq uint64
+	msg T
+}
+
+// launch puts msg in a vacant slot and schedules its landing at at.
+func (a *inAir[T]) launch(at simtime.Time, msg T) {
+	var slot uint64
+	if n := len(a.free); n > 0 {
+		slot, a.free = a.free[n-1], a.free[:n-1]
+	} else {
+		slot = uint64(len(a.slots))
+		a.slots = append(a.slots, inFlight[T]{})
+	}
+	a.seq++
+	a.slots[slot] = inFlight[T]{at: at, seq: a.seq, msg: msg}
+	a.sim.ScheduleCall(at, a.land, slot)
+}
+
+// take vacates a landing slot and returns its message.
+func (a *inAir[T]) take(slot uint64) T {
+	msg := a.slots[slot].msg
+	a.slots[slot] = inFlight[T]{}
+	a.free = append(a.free, slot)
+	return msg
+}
+
+const slabSize = 16 << 10 // payloads above an eighth of it get their own
+
+// copyPayload copies p into the slab, capped so that a holder's append
+// cannot clobber a neighbour. A full slab is left to the garbage
+// collector, never reused, so a holder may keep the slice.
+func (m *Medium) copyPayload(p []byte) []byte {
+	if len(p) == 0 || len(p) > slabSize/8 {
+		return append([]byte(nil), p...)
+	}
+	if cap(m.slab)-len(m.slab) < len(p) {
+		m.slab = make([]byte, 0, slabSize)
+	}
+	start := len(m.slab)
+	m.slab = append(m.slab, p...)
+	return m.slab[start:len(m.slab):len(m.slab)]
 }
 
 // NewMedium creates a medium on the simulator.
@@ -126,7 +176,9 @@ func NewMedium(sim *simtime.Simulator, cfg Config, params energy.Params) (*Mediu
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	return &Medium{sim: sim, cfg: cfg, params: params, nodes: make(map[NodeID]*Endpoint)}, nil
+	m := &Medium{sim: sim, cfg: cfg, params: params, nodes: make(map[NodeID]*Endpoint)}
+	m.flights = inAir[Packet]{sim: sim, land: m.deliver}
+	return m, nil
 }
 
 // Stats reports medium-wide counters: application sends, deliveries,
@@ -232,6 +284,8 @@ func (e *Endpoint) Stats() (txMsgs, rxMsgs, txBytes, rxBytes uint64) {
 // resolved per attempt; after MaxRetries failures the message is dropped
 // and the sender has still paid for every attempt. Delivery, if any,
 // happens after propagation + serialization + LPL rendezvous delay.
+// The payload is copied (small ones into a per-medium append-only slab),
+// so the caller may reuse its buffer and a handler may keep the copy.
 func (e *Endpoint) Send(dst NodeID, kind Kind, payload []byte) error {
 	if e.detached {
 		return ErrDetached
@@ -283,36 +337,25 @@ func (e *Endpoint) Send(dst NodeID, kind Kind, payload []byte) error {
 		jitter = time.Duration(m.sim.Rand().Int63n(int64(m.cfg.JitterMax)))
 	}
 	delay := m.cfg.PropDelay + rendezvous + serialization + jitter
-	pkt := Packet{Src: e.id, Dst: dst, Kind: kind, Payload: append([]byte(nil), payload...), SentAt: m.sim.Now()}
-	m.launch(&flight{deliverAt: m.sim.Now() + simtime.Time(delay), pkt: pkt})
+	pkt := Packet{Src: e.id, Dst: dst, Kind: kind, Payload: m.copyPayload(payload), SentAt: m.sim.Now()}
+	m.flights.launch(m.sim.Now()+simtime.Time(delay), pkt)
 	return nil
 }
 
-// launch registers an in-air message and schedules its delivery.
-func (m *Medium) launch(fl *flight) {
-	m.flights = append(m.flights, fl)
-	m.sim.ScheduleAt(fl.deliverAt, func() { m.deliver(fl) })
-}
-
-// deliver lands one flight: it leaves the in-air list and is handed to
+// deliver lands the flight in slot: it leaves the table and is handed to
 // the receiver, which may have detached or retuned while in flight.
-func (m *Medium) deliver(fl *flight) {
-	for i, f := range m.flights {
-		if f == fl {
-			m.flights = append(m.flights[:i], m.flights[i+1:]...)
-			break
-		}
-	}
-	cur, ok := m.nodes[fl.pkt.Dst]
+func (m *Medium) deliver(slot uint64) {
+	pkt := m.flights.take(slot)
+	cur, ok := m.nodes[pkt.Dst]
 	if !ok {
 		m.lost++
 		return
 	}
-	cur.charge(energy.RadioRx, m.params.RxCost(len(fl.pkt.Payload)))
+	cur.charge(energy.RadioRx, m.params.RxCost(len(pkt.Payload)))
 	cur.rxMsgs++
-	cur.rxBytes += uint64(len(fl.pkt.Payload))
+	cur.rxBytes += uint64(len(pkt.Payload))
 	m.delivered++
 	if cur.handler != nil {
-		cur.handler(fl.pkt)
+		cur.handler(pkt)
 	}
 }

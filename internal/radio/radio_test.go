@@ -333,3 +333,73 @@ func TestMediumRestoreRejectsHugeCount(t *testing.T) {
 		t.Fatalf("Restore = %v, want an error wrapping snap.ErrCorrupt", err)
 	}
 }
+
+func TestSnapshotLaunchOrderAcrossSlotReuse(t *testing.T) {
+	sim, m := newMedium(t, lossless())
+	var landed []byte
+	m.Attach(1, nil, 0, nil)
+	m.Attach(2, nil, 0, func(p Packet) { landed = append(landed, p.Payload[0]) })
+	src := m.nodes[1]
+	// Serialization time grows with payload size: 'b' lands first.
+	src.Send(2, 0, bytes.Repeat([]byte{'a'}, 100))
+	src.Send(2, 0, []byte{'b'})
+	src.Send(2, 0, bytes.Repeat([]byte{'c'}, 100))
+	for len(landed) == 0 {
+		sim.Step()
+	}
+	if string(landed) != "b" {
+		t.Fatalf("landed %q first, want b", landed)
+	}
+	src.Send(2, 0, bytes.Repeat([]byte{'d'}, 100))
+	if m.flights.slots[1].msg.Payload[0] != 'd' {
+		t.Fatal("the fourth flight did not reuse the landed flight's slot")
+	}
+
+	var a bytes.Buffer
+	if err := m.Snapshot(&a); err != nil {
+		t.Fatal(err)
+	}
+	sim2, m2 := newMedium(t, lossless())
+	m2.Attach(1, nil, 0, nil)
+	var order []byte
+	m2.Attach(2, nil, 0, func(p Packet) { order = append(order, p.Payload[0]) })
+	if err := m2.Restore(bytes.NewReader(a.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	for i, fl := range m2.flights.slots {
+		if want := "acd"[i]; fl.msg.Payload[0] != want {
+			t.Fatalf("restored flight %d carries %q, want %q (launch order)", i, fl.msg.Payload[0], want)
+		}
+	}
+	var b bytes.Buffer
+	if err := m2.Snapshot(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("snapshot → restore → snapshot changed the bytes")
+	}
+	sim2.Run()
+	if string(order) != "acd" {
+		t.Fatalf("restored flights landed %q, want acd", order)
+	}
+}
+
+func TestSendDeliverAllocs(t *testing.T) {
+	sim, m := newMedium(t, lossless())
+	m.Attach(1, nil, 0, nil)
+	m.Attach(2, nil, 0, func(Packet) {})
+	src := m.nodes[1]
+	payload := make([]byte, 16)
+	src.Send(2, 0, payload)
+	sim.Run()
+	const frames = 1000
+	per := testing.AllocsPerRun(10, func() {
+		for i := 0; i < frames; i++ {
+			src.Send(2, 0, payload)
+			sim.Run()
+		}
+	}) / frames
+	if per > 0.05 {
+		t.Fatalf("a small-payload send and delivery allocates %.3f objects per frame, want ≤ 0.05", per)
+	}
+}

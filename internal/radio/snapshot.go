@@ -12,10 +12,10 @@ import (
 
 // Snapshot externalizes the medium's mutable state: the medium-wide
 // counters, every attached endpoint's tunables and counters (sorted by
-// node id for deterministic bytes), and the in-air flights in insertion
-// order. Config and energy params are construction inputs, not state —
-// the restoring side rebuilds the medium from the same deployment
-// config.
+// node id for deterministic bytes), and the in-air flights in launch
+// order, which slot reuse in the flight table does not disturb. Config
+// and energy params are construction inputs, not state — the restoring
+// side rebuilds the medium from the same deployment config.
 func (m *Medium) Snapshot(w io.Writer) error {
 	var e snap.Enc
 	e.U64(m.sent)
@@ -40,11 +40,7 @@ func (m *Medium) Snapshot(w io.Writer) error {
 		e.U64(ep.rxBytes)
 	}
 
-	e.Uvarint(uint64(len(m.flights)))
-	for _, fl := range m.flights {
-		e.I64(int64(fl.deliverAt))
-		encodePacket(&e, fl.pkt)
-	}
+	m.flights.encode(&e, encodePacket)
 	return snap.WriteBlock(w, snap.TagMedium, e.Data())
 }
 
@@ -83,14 +79,7 @@ func (m *Medium) Restore(r io.Reader) error {
 		ep.rxBytes = d.U64()
 	}
 
-	m.flights = nil
-	nFlights := d.Count()
-	flights := make([]*flight, 0, nFlights)
-	for i := 0; i < nFlights && d.Err() == nil; i++ {
-		fl := &flight{deliverAt: simtime.Time(d.I64())}
-		fl.pkt = decodePacket(d)
-		flights = append(flights, fl)
-	}
+	flights := decodeFlights(d, decodePacket)
 	if err := d.Done(); err != nil {
 		return fmt.Errorf("radio: medium: %w", err)
 	}
@@ -108,10 +97,44 @@ func (m *Medium) Restore(r io.Reader) error {
 		ep.Detach()
 	}
 
-	for _, fl := range flights {
-		m.launch(fl)
-	}
+	m.flights.relaunch(flights)
 	return nil
+}
+
+// encode writes the flights in launch order, each message by enc.
+func (a *inAir[T]) encode(e *snap.Enc, enc func(*snap.Enc, T)) {
+	var live []inFlight[T]
+	for _, f := range a.slots {
+		if f.seq != 0 {
+			live = append(live, f)
+		}
+	}
+	sort.Slice(live, func(i, j int) bool { return live[i].seq < live[j].seq })
+	e.Uvarint(uint64(len(live)))
+	for _, f := range live {
+		e.I64(int64(f.at))
+		enc(e, f.msg)
+	}
+}
+
+// decodeFlights reads flights written by encode.
+func decodeFlights[T any](d *snap.Dec, dec func(*snap.Dec) T) []inFlight[T] {
+	n := d.Count()
+	out := make([]inFlight[T], 0, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		at := simtime.Time(d.I64())
+		out = append(out, inFlight[T]{at: at, msg: dec(d)})
+	}
+	return out
+}
+
+// relaunch replaces the table's flights with fls, launched in order at
+// their original instants; no randomness is consumed.
+func (a *inAir[T]) relaunch(fls []inFlight[T]) {
+	a.slots, a.free = a.slots[:0], a.free[:0]
+	for _, f := range fls {
+		a.launch(f.at, f.msg)
+	}
 }
 
 func encodePacket(e *snap.Enc, p Packet) {
@@ -135,8 +158,8 @@ func decodePacket(d *snap.Dec) Packet {
 }
 
 // SnapshotDomain externalizes one domain's receive-side bridge state:
-// the undrained inbox and the drained-but-undelivered flights. The
-// bridge-wide sent/delivered counters are process-level stats shared by
+// the undrained inbox and the drained-but-undelivered flights in launch
+// order. The bridge-wide sent/delivered counters are process-level stats shared by
 // every domain and are not part of any one domain's state. Only the
 // goroutine driving the domain's simulator may call this (the same rule
 // as Drain), since it reads the flight list that goroutine owns.
@@ -157,11 +180,7 @@ func (b *Bridge) SnapshotDomain(d DomainID, w io.Writer) error {
 	for _, msg := range inbox {
 		encodeBridgeMsg(&e, msg)
 	}
-	e.Uvarint(uint64(len(dom.flights)))
-	for _, fl := range dom.flights {
-		e.I64(int64(fl.deliverAt))
-		encodeBridgeMsg(&e, fl.msg)
-	}
+	dom.flights.encode(&e, encodeBridgeMsg)
 	return snap.WriteBlock(w, snap.TagBridge, e.Data())
 }
 
@@ -187,13 +206,7 @@ func (b *Bridge) RestoreDomain(d DomainID, r io.Reader) error {
 	for i := uint64(0); i < nInbox && dec.Err() == nil; i++ {
 		inbox = append(inbox, decodeBridgeMsg(dec))
 	}
-	var flights []*bridgeFlight
-	nFlights := dec.Uvarint()
-	for i := uint64(0); i < nFlights && dec.Err() == nil; i++ {
-		fl := &bridgeFlight{deliverAt: simtime.Time(dec.I64())}
-		fl.msg = decodeBridgeMsg(dec)
-		flights = append(flights, fl)
-	}
+	flights := decodeFlights(dec, decodeBridgeMsg)
 	if err := dec.Done(); err != nil {
 		return fmt.Errorf("radio: bridge: %w", err)
 	}
@@ -201,10 +214,7 @@ func (b *Bridge) RestoreDomain(d DomainID, r io.Reader) error {
 	b.mu.Lock()
 	dom.inbox = inbox
 	b.mu.Unlock()
-	dom.flights = nil
-	for _, fl := range flights {
-		dom.launch(b, fl)
-	}
+	dom.flights.relaunch(flights)
 	return nil
 }
 

@@ -4,11 +4,15 @@
 // pops events from a binary heap ordered by (time, sequence number). The
 // sequence number tie-break makes runs bit-for-bit reproducible for a given
 // seed, which every experiment in this repository relies on.
+//
+// Steady-state scheduling allocates nothing: spent events are recycled
+// through a per-Simulator free list, and a Ticker re-arms its own event.
 package simtime
 
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync/atomic"
 	"time"
@@ -51,16 +55,19 @@ func (t Time) String() string { return time.Duration(t).String() }
 func FromDuration(d time.Duration) Time { return Time(d) }
 
 // Handle identifies a scheduled event and allows cancellation.
-// The zero Handle is invalid.
+// The zero Handle is invalid. A Handle is generation-checked: once its
+// event has fired or been reaped it is stale for good, neither Pending nor
+// cancellable, even after the recycled event is scheduled again.
 type Handle struct {
-	ev *event
+	ev  *event
+	gen uint64
 }
 
 // Cancel prevents the event from firing. Cancelling an already-fired or
 // already-cancelled event is a no-op. It reports whether the event was
 // still pending.
 func (h Handle) Cancel() bool {
-	if h.ev == nil || h.ev.cancelled || h.ev.fired {
+	if !h.Pending() {
 		return false
 	}
 	h.ev.cancelled = true
@@ -69,15 +76,19 @@ func (h Handle) Cancel() bool {
 
 // Pending reports whether the event is still scheduled to fire.
 func (h Handle) Pending() bool {
-	return h.ev != nil && !h.ev.cancelled && !h.ev.fired
+	return h.ev != nil && h.ev.gen == h.gen && !h.ev.cancelled
 }
 
 type event struct {
-	at        Time
-	seq       uint64
+	at  Time
+	seq uint64
+	// Exactly one of fn and call is set; call receives arg.
 	fn        func()
+	call      func(uint64)
+	arg       uint64
+	gen       uint64 // advanced each time the event leaves the queue
 	cancelled bool
-	fired     bool
+	ticker    bool // a Ticker's own event, never put on the free list
 }
 
 type eventHeap []*event
@@ -106,6 +117,7 @@ func (h *eventHeap) Pop() interface{} {
 type Simulator struct {
 	now       Time
 	events    eventHeap
+	free      []*event // events out of the queue, ready for reuse
 	seq       uint64
 	rng       *rand.Rand
 	src       *snap.RNG // the serializable source behind rng
@@ -116,6 +128,9 @@ type Simulator struct {
 	// (sharded deployments publish each domain's clock through it).
 	nowSnapshot atomic.Int64
 }
+
+// maxTime is the latest instant; relative delays saturate there.
+const maxTime Time = math.MaxInt64
 
 // New returns a simulator whose random source is seeded with seed. The
 // source is a serializable xoshiro256** generator so Snapshot/Restore
@@ -140,6 +155,14 @@ func (s *Simulator) setNow(t Time) {
 	s.nowSnapshot.Store(int64(t))
 }
 
+// after returns now+d, saturated at maxTime.
+func (s *Simulator) after(d Time) Time {
+	if d > maxTime-s.now {
+		return maxTime
+	}
+	return s.now + d
+}
+
 // Rand returns the simulator's deterministic random source.
 func (s *Simulator) Rand() *rand.Rand { return s.rng }
 
@@ -152,12 +175,13 @@ func (s *Simulator) Pending() int { return len(s.events) }
 
 // Schedule arranges for fn to run after delay d. A negative delay is
 // treated as zero (fires at the current time, after already-queued events
-// for that time).
+// for that time); one that would overflow the clock saturates at the
+// latest representable instant.
 func (s *Simulator) Schedule(d time.Duration, fn func()) Handle {
 	if d < 0 {
 		d = 0
 	}
-	return s.ScheduleAt(s.now+Time(d), fn)
+	return s.ScheduleAt(s.after(Time(d)), fn)
 }
 
 // ScheduleAt arranges for fn to run at absolute virtual time t.
@@ -166,31 +190,78 @@ func (s *Simulator) ScheduleAt(t Time, fn func()) Handle {
 	if fn == nil {
 		panic("simtime: ScheduleAt with nil function")
 	}
+	return s.enqueue(t, fn, nil, 0)
+}
+
+// ScheduleCall arranges for call(arg) to run at absolute virtual time t,
+// clamped to the present like ScheduleAt. It allocates nothing in steady
+// state when call is a func value built once and kept (not a method value
+// evaluated per call) and arg names the caller's pending work.
+func (s *Simulator) ScheduleCall(t Time, call func(uint64), arg uint64) Handle {
+	if call == nil {
+		panic("simtime: ScheduleCall with nil function")
+	}
+	return s.enqueue(t, nil, call, arg)
+}
+
+// enqueue queues an event from the free list (or a new one).
+func (s *Simulator) enqueue(t Time, fn func(), call func(uint64), arg uint64) Handle {
+	var ev *event
+	if n := len(s.free); n > 0 {
+		ev, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		ev = new(event)
+	}
+	ev.fn, ev.call, ev.arg = fn, call, arg
+	return s.push(ev, t)
+}
+
+// push queues ev at t (clamped to the present) under the next sequence
+// number and returns a Handle for this occupancy.
+func (s *Simulator) push(ev *event, t Time) Handle {
 	if t < s.now {
 		t = s.now
 	}
 	s.seq++
-	ev := &event{at: t, seq: s.seq, fn: fn}
+	ev.at, ev.seq, ev.cancelled = t, s.seq, false
 	heap.Push(&s.events, ev)
-	return Handle{ev: ev}
+	return Handle{ev: ev, gen: ev.gen}
 }
 
-// Step fires the next event, advancing virtual time. It reports false when
-// no events remain.
-func (s *Simulator) Step() bool {
+// step fires the next live event due at or before t, reaping cancelled
+// ones, and reports false when there is none. A popped event is recycled
+// before its callback runs, which may schedule into the same struct.
+func (s *Simulator) step(t Time) bool {
 	for len(s.events) > 0 {
-		ev := heap.Pop(&s.events).(*event)
+		ev := s.events[0]
+		if !ev.cancelled && ev.at > t {
+			return false
+		}
+		heap.Pop(&s.events)
+		ev.gen++
+		fn, call, arg := ev.fn, ev.call, ev.arg
+		if !ev.ticker {
+			ev.fn, ev.call = nil, nil
+			s.free = append(s.free, ev)
+		}
 		if ev.cancelled {
 			continue
 		}
 		s.setNow(ev.at)
-		ev.fired = true
 		s.processed++
-		ev.fn()
+		if fn != nil {
+			fn()
+		} else {
+			call(arg)
+		}
 		return true
 	}
 	return false
 }
+
+// Step fires the next event, advancing virtual time. It reports false when
+// no events remain.
+func (s *Simulator) Step() bool { return s.step(maxTime) }
 
 // Run fires events until none remain.
 func (s *Simulator) Run() {
@@ -211,35 +282,23 @@ func (s *Simulator) RunUntil(t Time) {
 	}
 	s.running = true
 	defer func() { s.running = false }()
-	for len(s.events) > 0 {
-		// Peek at the next non-cancelled event.
-		ev := s.events[0]
-		if ev.cancelled {
-			heap.Pop(&s.events)
-			continue
-		}
-		if ev.at > t {
-			break
-		}
-		heap.Pop(&s.events)
-		s.setNow(ev.at)
-		ev.fired = true
-		s.processed++
-		ev.fn()
+	for s.step(t) {
 	}
 	if s.now < t {
 		s.setNow(t)
 	}
 }
 
-// RunFor advances the simulation by duration d.
-func (s *Simulator) RunFor(d time.Duration) { s.RunUntil(s.now + Time(d)) }
+// RunFor advances the simulation by duration d, saturating at maxTime.
+func (s *Simulator) RunFor(d time.Duration) { s.RunUntil(s.after(Time(d))) }
 
-// Ticker fires a callback at a fixed period until stopped.
+// Ticker fires a callback at a fixed period until stopped. It owns its
+// event and re-arms it in place, so a firing allocates nothing.
 type Ticker struct {
 	sim     *Simulator
 	period  Time
 	fn      func()
+	ev      event
 	handle  Handle
 	stopped bool
 	// fireings is atomic so aggregate handles (core.RetrainTicker) can
@@ -254,9 +313,7 @@ func (s *Simulator) Every(period time.Duration, fn func()) *Ticker {
 	if period <= 0 {
 		panic(fmt.Sprintf("simtime: Every with non-positive period %v", period))
 	}
-	t := &Ticker{sim: s, period: Time(period), fn: fn}
-	t.arm()
-	return t
+	return s.every(s.after(Time(period)), Time(period), fn)
 }
 
 // EveryFrom behaves like Every but fires the first tick after initial delay.
@@ -267,9 +324,7 @@ func (s *Simulator) EveryFrom(initial, period time.Duration, fn func()) *Ticker 
 	if initial < 0 {
 		initial = 0
 	}
-	t := &Ticker{sim: s, period: Time(period), fn: fn}
-	t.handle = s.Schedule(initial, t.tick)
-	return t
+	return s.every(s.after(Time(initial)), Time(period), fn)
 }
 
 // EveryAt behaves like Every but arms the first firing at absolute
@@ -279,13 +334,16 @@ func (s *Simulator) EveryAt(next Time, period Time, fn func()) *Ticker {
 	if period <= 0 {
 		panic(fmt.Sprintf("simtime: EveryAt with non-positive period %v", period))
 	}
-	t := &Ticker{sim: s, period: period, fn: fn}
-	t.handle = s.ScheduleAt(next, t.tick)
-	return t
+	return s.every(next, period, fn)
 }
 
-func (t *Ticker) arm() {
-	t.handle = t.sim.Schedule(time.Duration(t.period), t.tick)
+// every builds a ticker, its tick method value made once, firing at next.
+func (s *Simulator) every(next, period Time, fn func()) *Ticker {
+	t := &Ticker{sim: s, period: period, fn: fn}
+	t.ev.ticker = true
+	t.ev.fn = t.tick
+	t.handle = s.push(&t.ev, next)
+	return t
 }
 
 func (t *Ticker) tick() {
@@ -295,7 +353,7 @@ func (t *Ticker) tick() {
 	t.fireings.Add(1)
 	t.fn()
 	if !t.stopped {
-		t.arm()
+		t.handle = t.sim.push(&t.ev, t.sim.after(t.period))
 	}
 }
 
@@ -324,7 +382,7 @@ func (t *Ticker) NextFire() Time {
 	if t.stopped || !t.handle.Pending() {
 		return -1
 	}
-	return t.handle.ev.at
+	return t.ev.at
 }
 
 // RestoreFirings reinstalls a snapshotted firing count.

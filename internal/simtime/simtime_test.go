@@ -312,6 +312,7 @@ func TestPropertyCancelSubset(t *testing.T) {
 }
 
 func BenchmarkScheduleRun(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s := New(1)
 		for j := 0; j < 1000; j++ {
