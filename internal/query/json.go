@@ -19,8 +19,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"sync"
 	"time"
+	"unicode/utf8"
 
 	"presto/internal/cache"
 	"presto/internal/proxy"
@@ -39,8 +42,20 @@ func (d Dur) MarshalJSON() ([]byte, error) {
 	return json.Marshal(time.Duration(d).String())
 }
 
-// UnmarshalJSON accepts "90m"-style strings and nanosecond numbers.
+// UnmarshalJSON accepts "90m"-style strings and nanosecond numbers. A
+// string without escapes and in valid UTF-8 reads the same raw as
+// decoded, so it is parsed in place; any other string takes the general
+// decode.
 func (d *Dur) UnmarshalJSON(b []byte) error {
+	if n := len(b); n >= 2 && b[0] == '"' && b[n-1] == '"' &&
+		bytes.IndexByte(b, '\\') < 0 && utf8.Valid(b) {
+		v, err := time.ParseDuration(string(b[1 : n-1]))
+		if err != nil {
+			return fmt.Errorf("query: bad duration %q: %w", string(b[1:n-1]), err)
+		}
+		*d = Dur(v)
+		return nil
+	}
 	if len(b) > 0 && b[0] == '"' {
 		var s string
 		if err := json.Unmarshal(b, &s); err != nil {
@@ -141,14 +156,27 @@ func EncodeSpecJSON(s Spec) ([]byte, error) {
 	return json.Marshal(w)
 }
 
+// specScratch is the reader and wire form one spec decode reuses.
+type specScratch struct {
+	r bytes.Reader
+	w specWire
+}
+
+var specPool = sync.Pool{New: func() any { return new(specScratch) }}
+
 // DecodeSpecJSON parses the JSON wire form back into a validated Spec.
 // Unknown fields are rejected — a typoed "staleness" must not silently
-// turn into an unbounded query.
+// turn into an unbounded query — and so is anything but whitespace after
+// the object: two concatenated specs are not one. The returned Spec
+// shares no memory with the decoder's pooled scratch.
 func DecodeSpecJSON(b []byte) (Spec, error) {
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	var w specWire
-	if err := dec.Decode(&w); err != nil {
+	sc := specPool.Get().(*specScratch)
+	defer specPool.Put(sc)
+	sc.r.Reset(b)
+	defer sc.r.Reset(nil) // the pool must not pin the caller's bytes
+	sc.w = specWire{Motes: sc.w.Motes[:0]}
+	w := &sc.w
+	if err := decodeStrict(&sc.r, b, w); err != nil {
 		return Spec{}, fmt.Errorf("query: bad spec JSON: %w", err)
 	}
 	typ, err := ParseType(w.Type)
@@ -174,8 +202,11 @@ func DecodeSpecJSON(b []byte) (Spec, error) {
 	} else if w.Agg != "" {
 		return Spec{}, fmt.Errorf("query: %q spec with an aggregate operator", w.Type)
 	}
-	for _, m := range w.Motes {
-		s.Select.Motes = append(s.Select.Motes, radio.NodeID(m))
+	if len(w.Motes) > 0 {
+		s.Select.Motes = make([]radio.NodeID, len(w.Motes))
+		for i, m := range w.Motes {
+			s.Select.Motes[i] = radio.NodeID(m)
+		}
 	}
 	if w.Continuous != nil {
 		s.Continuous = &Continuous{
@@ -187,6 +218,24 @@ func DecodeSpecJSON(b []byte) (Spec, error) {
 		return Spec{}, err
 	}
 	return s, nil
+}
+
+// decodeStrict decodes the one JSON object in b, read through r, into v:
+// unknown fields and any non-whitespace byte after the object are errors.
+func decodeStrict(r io.Reader, b []byte, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	for i := dec.InputOffset(); i < int64(len(b)); i++ {
+		switch b[i] {
+		case ' ', '\t', '\n', '\r':
+		default:
+			return fmt.Errorf("trailing data after the object at offset %d", i)
+		}
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -298,7 +347,11 @@ func EncodeSetResultJSON(r SetResult) ([]byte, error) {
 		w.Results = append(w.Results, rw)
 	}
 	for _, se := range r.SiteErrs {
-		w.SiteErrs = append(w.SiteErrs, siteErrWire{Site: se.Site, Error: se.Err.Error(), Code: ErrCode(se.Err)})
+		sw := siteErrWire{Site: se.Site, Code: ErrCode(se.Err)}
+		if se.Err != nil { // a site failure with no error has no message
+			sw.Error = se.Err.Error()
+		}
+		w.SiteErrs = append(w.SiteErrs, sw)
 	}
 	if r.Err != nil {
 		w.Error, w.Code = r.Err.Error(), ErrCode(r.Err)
@@ -331,10 +384,8 @@ func parseCacheSource(s string) (cache.Source, error) {
 // posed — and typed errors come back as their sentinels, so errors.Is
 // keeps working on the client side of the wire.
 func DecodeSetResultJSON(b []byte) (SetResult, error) {
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
 	var w setResultWire
-	if err := dec.Decode(&w); err != nil {
+	if err := decodeStrict(bytes.NewReader(b), b, &w); err != nil {
 		return SetResult{}, fmt.Errorf("query: bad result JSON: %w", err)
 	}
 	r := SetResult{

@@ -1,11 +1,13 @@
 package query
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -75,6 +77,10 @@ func TestSpecJSONErrors(t *testing.T) {
 		`{"type":"now","trailing":"1h"}`,          // trailing on NOW
 		`{"type":"now","continuous":{"every":0}}`, // non-positive period
 		`not json`,
+		`{"type":"now"} garbage`,       // trailing bytes
+		`{"type":"now"}]`,              // trailing bracket
+		`{"type":"now"}{"type":"agg"}`, // two specs are not one
+		`{"type":"now"}` + "\n" + `{}`, // a second object after whitespace
 	}
 	for _, c := range cases {
 		if _, err := DecodeSpecJSON([]byte(c)); err == nil {
@@ -206,4 +212,163 @@ func TestSetResultJSONSiteErrors(t *testing.T) {
 	if !errors.Is(got.SiteErrs[1].Err, ErrNoMotes) {
 		t.Fatalf("typed site error lost its sentinel: %v", got.SiteErrs[1].Err)
 	}
+}
+
+// TestSpecJSONTrailingWhitespace: whitespace after the object is not
+// trailing data — curl and most clients end a body with a newline.
+func TestSpecJSONTrailingWhitespace(t *testing.T) {
+	s, err := DecodeSpecJSON([]byte("{\"type\":\"now\"} \t\r\n"))
+	if err != nil || s.Type != Now {
+		t.Fatalf("decoded %+v, %v", s, err)
+	}
+}
+
+// TestSetResultJSONTrailingData: the result decoder is as strict as the
+// spec decoder about bytes after the object.
+func TestSetResultJSONTrailingData(t *testing.T) {
+	for _, c := range []string{
+		`{"seq":0,"at":"1h"}{"x":1}`,
+		`{"seq":0,"at":"1h"} garbage`,
+		`{"seq":0,"at":"1h"}]`,
+	} {
+		if _, err := DecodeSetResultJSON([]byte(c)); err == nil {
+			t.Errorf("DecodeSetResultJSON(%s) accepted", c)
+		}
+	}
+	r, err := DecodeSetResultJSON([]byte(`{"seq":0,"at":"1h"}` + "\n"))
+	if err != nil || r.At != simtime.Hour {
+		t.Fatalf("decoded %+v, %v", r, err)
+	}
+}
+
+// TestDurJSONForms pins Dur's decoding: plain strings parse in place,
+// escaped strings and numbers take the general path to the same value,
+// and a bad duration keeps its error text.
+func TestDurJSONForms(t *testing.T) {
+	for in, want := range map[string]time.Duration{
+		`"90m"`:           90 * time.Minute,
+		`"1h30m"`:         90 * time.Minute,
+		`"1.5µs"`:         1500 * time.Nanosecond,
+		`"\u0039\u0030m"`: 90 * time.Minute,
+		`5400000000000`:   90 * time.Minute,
+	} {
+		var d Dur
+		if err := json.Unmarshal([]byte(in), &d); err != nil || time.Duration(d) != want {
+			t.Errorf("Dur(%s) = %v, %v; want %v", in, time.Duration(d), err, want)
+		}
+	}
+	for in, msg := range map[string]string{
+		`"bogus"`:      `query: bad duration "bogus": time: invalid duration "bogus"`,
+		`"b\u006fgus"`: `query: bad duration "bogus": time: invalid duration "bogus"`,
+	} {
+		var d Dur
+		if err := d.UnmarshalJSON([]byte(in)); err == nil || err.Error() != msg {
+			t.Errorf("Dur(%s) error %v, want %q", in, err, msg)
+		}
+	}
+}
+
+// TestDecodeSpecJSONNoAliasing: the decoder reuses pooled scratch, so a
+// spec it returned must share none of it — a second decode must not
+// change the first spec's motes.
+func TestDecodeSpecJSONNoAliasing(t *testing.T) {
+	first, err := DecodeSpecJSON([]byte(`{"type":"now","motes":[1,2,3]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := DecodeSpecJSON([]byte(`{"type":"now","motes":[7,8,9,10]}`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := []radio.NodeID{1, 2, 3}; !reflect.DeepEqual(first.Select.Motes, want) {
+		t.Fatalf("first spec's motes became %v, want %v", first.Select.Motes, want)
+	}
+}
+
+// TestDecodeSpecJSONConcurrent: decodes racing through the shared pool
+// each get their own spec back.
+func TestDecodeSpecJSONConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			body := []byte(fmt.Sprintf(`{"type":"now","motes":[%d,%d,%d],"max_staleness":"%dm"}`, g, g+1, g+2, g+1))
+			want := []radio.NodeID{radio.NodeID(g), radio.NodeID(g + 1), radio.NodeID(g + 2)}
+			for i := 0; i < 200; i++ {
+				s, err := DecodeSpecJSON(body)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(s.Select.Motes, want) || s.MaxStaleness != time.Duration(g+1)*time.Minute {
+					t.Errorf("goroutine %d decoded %+v", g, s)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestDecodeSpecJSONAllocs guards the decode's scratch reuse: an 8-mote
+// trailing aggregate — the serving tier's common shape — costs at most
+// 12 allocations.
+func TestDecodeSpecJSONAllocs(t *testing.T) {
+	body := []byte(`{"type":"agg","motes":[1,2,3,4,5,6,7,8],"trailing":"1h","agg":"mean","precision":0.5,"max_staleness":"30m"}`)
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := DecodeSpecJSON(body); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 12 {
+		t.Fatalf("DecodeSpecJSON of an 8-mote trailing AGG: %v allocs, want <= 12", allocs)
+	}
+}
+
+// FuzzDecodeSpecJSON: the spec decoder never panics on hostile bytes,
+// and any spec it accepts survives encode then decode as an equal spec
+// asking the same question (equal shape keys).
+func FuzzDecodeSpecJSON(f *testing.F) {
+	for _, seed := range []string{
+		// The README's curl examples.
+		`{"type":"now","precision":1.0,"max_staleness":"6h"}`,
+		`{"type":"agg","agg":"mean","t0":"2h","t1":"8h","precision":0.5,"max_staleness":"6h"}`,
+		`{"type":"agg","agg":"mean","t0":"2h","t1":"8h","precision":2.0,"max_staleness":"6h"}`,
+		`{"type":"now","precision":2,"continuous":{"every":"30m","until":"2h"}}`,
+		// The serving tier's test bodies.
+		`{"type":"now","precision":2,"max_staleness":"6h"}`,
+		`{"type":"agg","agg":"mean","t0":"1h","t1":"3h","precision":0.5,"max_staleness":"6h"}`,
+		`{"type":"agg","agg":"mean","t0":0,"t1":"1h","precision":1}`,
+		`{"type":"now","precision":2,"continuous":{"every":"15m","until":"1h"}}`,
+		`{"type":"now","precision":1,"max_staleness":"1h"}`,
+		`{"type":"past","motes":[3,1,2,1],"t0":3600000000000,"t1":"2h","deadline":"5s"}`,
+		`{"type":"agg","agg":"mode","motes":[5,4],"trailing":"90m","precision":0.25}`,
+		`{"type":"now","staleness":"1h"}`,
+		`{"type":"now"}{"type":"agg"}`,
+		`not json`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		s, err := DecodeSpecJSON(b)
+		if err != nil {
+			return
+		}
+		enc, err := EncodeSpecJSON(s)
+		if err != nil {
+			t.Fatalf("accepted %q but cannot encode it: %v", b, err)
+		}
+		again, err := DecodeSpecJSON(enc)
+		if err != nil {
+			t.Fatalf("cannot decode our own encoding %s: %v", enc, err)
+		}
+		if !reflect.DeepEqual(again, s) {
+			t.Fatalf("decode(encode(s)) != s\n got %+v\nwant %+v\nwire %s", again, s, enc)
+		}
+		if k1, k2 := s.AppendShapeKey(nil), again.AppendShapeKey(nil); !bytes.Equal(k1, k2) {
+			t.Fatalf("shape keys differ after a round trip: %x vs %x", k1, k2)
+		}
+	})
 }

@@ -13,9 +13,11 @@ package query
 // costs one engine submission, not N.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -160,6 +162,48 @@ func (s Spec) QueryFor(m radio.NodeID) Query {
 		Type: s.Type, Mote: m, T0: s.T0, T1: s.T1, Agg: s.Agg,
 		Precision: s.Precision, Deadline: s.Deadline, MaxStaleness: s.MaxStaleness,
 	}
+}
+
+// AppendShapeKey appends the canonical byte form of the question a spec
+// asks to dst and returns the extended slice: type, operator, Mode bin
+// width, T0, T1 and Trailing at eight bytes each, then the target mote
+// ids sorted (duplicates kept), eight bytes each; no ids targets all
+// motes. Requested precision — except Mode's, whose answer is binned at
+// it — Deadline and MaxStaleness are contracts, not part of the
+// question, and Continuous and Where are not encoded: two one-shot,
+// predicate-free specs ask the same question exactly when their keys are
+// equal. The key is exact, not a hash. Appending to a caller's stack
+// buffer allocates nothing unless the key outgrows it or more than 64
+// unsorted ids need a sort.
+func (s Spec) AppendShapeKey(dst []byte) []byte {
+	var agg AggKind
+	var bin float64
+	if s.Type == Agg {
+		agg = s.Agg
+		if s.Agg == Mode {
+			bin = s.Precision
+		}
+	}
+	if bin == 0 {
+		bin = 0 // -0 and +0 are the same bin width
+	}
+	be := binary.BigEndian
+	dst = be.AppendUint64(dst, uint64(s.Type))
+	dst = be.AppendUint64(dst, uint64(agg))
+	dst = be.AppendUint64(dst, math.Float64bits(bin))
+	dst = be.AppendUint64(dst, uint64(s.T0))
+	dst = be.AppendUint64(dst, uint64(s.T1))
+	dst = be.AppendUint64(dst, uint64(s.Trailing))
+	ids := s.Select.Motes
+	if !slices.IsSorted(ids) {
+		var scratch [64]radio.NodeID
+		ids = append(scratch[:0], ids...)
+		slices.Sort(ids)
+	}
+	for _, id := range ids {
+		dst = be.AppendUint64(dst, uint64(id))
+	}
+	return dst
 }
 
 // ---------------------------------------------------------------------------

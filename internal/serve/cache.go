@@ -12,9 +12,7 @@ package serve
 // lifted to whole answers at the serving tier.
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"math"
 	"sync"
 	"time"
 
@@ -58,24 +56,25 @@ func (s CacheStats) HitRatio() float64 {
 }
 
 // cacheKey identifies the shape of a question: which motes, which window
-// shape, which operator. Requested precision and staleness are NOT part
-// of the key — they are contracts checked against the cached answer's
-// achieved bound and age at lookup time. The one exception is Mode,
-// whose answer is binned at the requested precision, so different
-// precisions genuinely ask different questions there.
-type cacheKey struct {
-	typ      query.Type
-	agg      query.AggKind
-	modeBin  float64 // Mode only: histogram bin width
-	motes    string  // canonical sorted id list; "" targets all motes
-	t0, t1   simtime.Time
-	trailing time.Duration
-}
+// shape, which operator — query.Spec.AppendShapeKey's canonical bytes.
+// Requested precision and staleness are NOT part of the key — they are
+// contracts checked against the cached answer's achieved bound and age
+// at lookup time. The one exception is Mode, whose answer is binned at
+// the requested precision, so different precisions genuinely ask
+// different questions there.
+type cacheKey string
 
-// entry is one cached answer with the contract it achieved.
+// keyStack sizes the stack buffer a lookup builds its key in: the 48-byte
+// header plus 26 mote ids before the key spills to the heap.
+const keyStack = 256
+
+// entry is one cached answer, kept as the bytes a response writes, with
+// the contract it achieved.
 type entry struct {
 	key cacheKey
-	res query.SetResult
+	// body is the answer's JSON encoding with its trailing newline,
+	// shared read-only with every response that serves it.
+	body []byte
 	// bound is the worst-case error the answer actually carries: the
 	// merged ErrBound for aggregates, the worst per-entry bound for
 	// NOW/PAST snapshots.
@@ -95,8 +94,10 @@ type entry struct {
 	prev, next *entry // LRU list, most recent at head
 }
 
-// AnswerCache is a bounded, staleness-aware semantic answer cache. Safe
-// for concurrent use.
+// AnswerCache is a bounded, staleness-aware semantic answer cache. It
+// stores each answer encoded, as the response body a hit writes, keyed by
+// the question's shape (cacheKey) and tagged with the bound and age the
+// answer achieved. Safe for concurrent use.
 type AnswerCache struct {
 	mu      sync.Mutex
 	cfg     CacheConfig
@@ -124,45 +125,21 @@ func NewAnswerCache(cfg CacheConfig) *AnswerCache {
 }
 
 // cacheable reports whether a spec's answers can live in the cache at
-// all: one-shot, no closure selector (no canonical key), and — for Mode
-// — a positive precision to pin the bin width.
+// all: one-shot and no closure selector (a closure has no canonical
+// key). A Mode spec with a NaN precision has no bin width to key by.
 func cacheable(spec query.Spec) bool {
 	if spec.Continuous != nil || spec.Select.Where != nil {
 		return false
 	}
-	return true
+	return !(spec.Type == query.Agg && spec.Agg == query.Mode && math.IsNaN(spec.Precision))
 }
 
-// keyFor canonicalizes a spec into its cache key. Mote order is
-// irrelevant to the answer (results sort by mote, merges fold in domain
-// order), so the key sorts ids.
+// keyFor materializes a spec's cache key. Mote order is irrelevant to the
+// answer (results sort by mote, merges fold in domain order), so the key
+// sorts ids.
 func keyFor(spec query.Spec) cacheKey {
-	k := cacheKey{typ: spec.Type, t0: spec.T0, t1: spec.T1, trailing: spec.Trailing}
-	if spec.Type == query.Agg {
-		k.agg = spec.Agg
-		if spec.Agg == query.Mode {
-			// Mode's value is the densest histogram bin's center at the
-			// requested granularity — a different precision is a
-			// different question.
-			k.modeBin = spec.Precision
-		}
-	}
-	if len(spec.Select.Motes) > 0 {
-		ids := make([]int, len(spec.Select.Motes))
-		for i, m := range spec.Select.Motes {
-			ids[i] = int(m)
-		}
-		sort.Ints(ids)
-		var b strings.Builder
-		for i, id := range ids {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, "%d", id)
-		}
-		k.motes = b.String()
-	}
-	return k
+	var buf [keyStack]byte
+	return cacheKey(spec.AppendShapeKey(buf[:0]))
 }
 
 // achievedBound is the worst-case error the answer carries: the merged
@@ -185,9 +162,12 @@ func achievedBound(res query.SetResult) (float64, bool) {
 	return worst, any
 }
 
-// Lookup returns a cached answer that satisfies the spec's contract, if
-// one exists: the cached answer's achieved bound must be within the
-// spec's precision, and its age within the spec's staleness allowance.
+// Lookup returns the encoded body of a cached answer that satisfies the
+// spec's contract, if one exists: the cached answer's achieved bound must
+// be within the spec's precision, and its age within the spec's
+// staleness allowance. The body is the cache's own copy, shared with
+// every other hit: write it, never modify it. The key is built on the
+// stack, so a hit allocates nothing.
 //
 // Age rules, mirroring the engine's freshness semantics:
 //   - NOW and trailing windows re-bind to "now" every execution, so a
@@ -201,13 +181,15 @@ func achievedBound(res query.SetResult) (float64, bool) {
 //     hits. While the tail still overlaps the horizon, the engine itself
 //     would refuse a snapshot older than the bound, so the cache does
 //     too.
-func (c *AnswerCache) Lookup(spec query.Spec, now simtime.Time) (query.SetResult, bool) {
+func (c *AnswerCache) Lookup(spec query.Spec, now simtime.Time) ([]byte, bool) {
 	if c == nil || c.cfg.MaxEntries < 0 || !cacheable(spec) {
-		return query.SetResult{}, false
+		return nil, false
 	}
+	var buf [keyStack]byte
+	key := spec.AppendShapeKey(buf[:0])
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[keyFor(spec)]
+	e, ok := c.entries[cacheKey(key)]
 	if ok && c.clock().Sub(e.stored) > c.cfg.TTL {
 		c.remove(e)
 		c.stats.Evictions++
@@ -215,11 +197,11 @@ func (c *AnswerCache) Lookup(spec query.Spec, now simtime.Time) (query.SetResult
 	}
 	if !ok || !satisfies(e, spec, now) {
 		c.stats.Misses++
-		return query.SetResult{}, false
+		return nil, false
 	}
 	c.moveToFront(e)
 	c.stats.Hits++
-	return e.res, true
+	return e.body, true
 }
 
 // satisfies checks the spec's contract against the entry's achieved one.
@@ -246,23 +228,31 @@ func satisfies(e *entry, spec query.Spec, now simtime.Time) bool {
 	return age <= allowed
 }
 
-// Insert stores a clean answer with the contract it achieved. Rounds
-// with errors, failed motes or dead sites are never cached — a partial
-// answer must not masquerade as the fleet's.
-func (c *AnswerCache) Insert(spec query.Spec, res query.SetResult) {
+// Insert encodes a round's answer once and returns the body to write:
+// its JSON encoding with a trailing newline. A clean answer is kept, as
+// those same bytes, with the contract it achieved. Rounds with errors,
+// failed motes or dead sites are never cached — a partial answer must
+// not masquerade as the fleet's — and neither are shapes the cache does
+// not key; their body is returned all the same.
+func (c *AnswerCache) Insert(spec query.Spec, res query.SetResult) ([]byte, error) {
+	body, err := query.EncodeSetResultJSON(res)
+	if err != nil {
+		return nil, err
+	}
+	body = append(body, '\n')
 	if c == nil || c.cfg.MaxEntries < 0 || !cacheable(spec) {
-		return
+		return body, nil
 	}
 	if res.Err != nil || res.Failed > 0 || len(res.SiteErrs) > 0 {
-		return
+		return body, nil
 	}
 	bound, ok := achievedBound(res)
 	if !ok {
-		return
+		return body, nil
 	}
 	e := &entry{
 		key:    keyFor(spec),
-		res:    res,
+		body:   body,
 		bound:  bound,
 		at:     res.At,
 		fixed:  spec.Trailing == 0 && spec.Type != query.Now,
@@ -281,6 +271,7 @@ func (c *AnswerCache) Insert(spec query.Spec, res query.SetResult) {
 		c.remove(c.tail)
 		c.stats.Evictions++
 	}
+	return body, nil
 }
 
 // Stats snapshots the counters.

@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -252,5 +255,151 @@ func TestCacheLRUAndTTL(t *testing.T) {
 	st := c.Stats()
 	if st.Evictions < 2 {
 		t.Fatalf("evictions=%d, want >=2 (one LRU, one TTL)", st.Evictions)
+	}
+}
+
+// TestCacheHitAllocs: a hit builds its key on the stack and returns the
+// stored bytes, so it allocates nothing — sorted or unsorted motes.
+func TestCacheHitAllocs(t *testing.T) {
+	c := NewAnswerCache(CacheConfig{})
+	now := 2 * simtime.Hour
+	for _, motes := range [][]radio.NodeID{
+		nil,
+		{1, 2, 3, 4, 5, 6, 7, 8},
+		{8, 3, 5, 1, 7, 2, 6, 4},
+	} {
+		spec := query.Spec{Type: query.Agg, Agg: query.Mean, Select: query.SelectMotes(motes...),
+			Trailing: time.Hour, Precision: 1, MaxStaleness: time.Hour}
+		if _, err := c.Insert(spec, mkAggResult(now, 20, 0.5)); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, ok := c.Lookup(spec, now); !ok {
+				t.Fatal("lookup missed")
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("hit on motes %v: %v allocs, want 0", motes, allocs)
+		}
+	}
+}
+
+// TestCacheConcurrentHits: hits share one stored body across goroutines
+// while other keys are inserted and evicted around them.
+func TestCacheConcurrentHits(t *testing.T) {
+	c := NewAnswerCache(CacheConfig{MaxEntries: 4})
+	now := 2 * simtime.Hour
+	hot := query.Spec{Type: query.Agg, Agg: query.Mean, T0: 0, T1: simtime.Hour, Precision: 1}
+	want, err := c.Insert(hot, mkAggResult(now, 21, 0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = bytes.Clone(want)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				if body, ok := c.Lookup(hot, now); ok && !bytes.Equal(body, want) {
+					t.Errorf("goroutine %d: hit body %q, want %q", g, body, want)
+					return
+				}
+				cold := hot
+				cold.T1 = simtime.Time(2+g*1000+i) * simtime.Hour
+				if _, err := c.Insert(cold, mkAggResult(now, float64(i), 0.5)); err != nil {
+					t.Error(err)
+					return
+				}
+				if g == 0 { // re-plant what eviction took
+					if _, err := c.Insert(hot, mkAggResult(now, 21, 0.5)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestCacheInsertReturnsServedBody: Insert hands back the body it
+// encoded — for a cached and an uncacheable round alike — and a hit
+// returns those very bytes.
+func TestCacheInsertReturnsServedBody(t *testing.T) {
+	c := NewAnswerCache(CacheConfig{})
+	now := 2 * simtime.Hour
+	spec := query.Spec{Type: query.Now, Select: query.SelectMotes(1), Precision: 1}
+	res := mkNowResult(now, 0.5)
+	body, err := c.Insert(spec, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := query.EncodeSetResultJSON(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append(enc, '\n'); !bytes.Equal(body, want) {
+		t.Fatalf("Insert returned %q, want %q", body, want)
+	}
+	hit, ok := c.Lookup(spec, now)
+	if !ok || !bytes.Equal(hit, body) {
+		t.Fatalf("hit %q (ok=%v), want the inserted body", hit, ok)
+	}
+	dirty, err := c.Insert(spec, query.SetResult{At: now, Err: query.ErrNoMotes})
+	if err != nil || !bytes.HasSuffix(dirty, []byte("\n")) || !bytes.Contains(dirty, []byte(query.CodeNoMotes)) {
+		t.Fatalf("uncached round's body %q, %v", dirty, err)
+	}
+}
+
+// TestCacheKeySeparatesQuestions: the byte key tells apart exactly the
+// questions that differ in shape, and only those.
+func TestCacheKeySeparatesQuestions(t *testing.T) {
+	base := query.Spec{Type: query.Agg, Agg: query.Mean, Select: query.SelectMotes(2, 1),
+		T0: simtime.Hour, T1: 2 * simtime.Hour, Precision: 1}
+	same := []func(*query.Spec){
+		func(s *query.Spec) { s.Select = query.SelectMotes(1, 2) },
+		func(s *query.Spec) { s.Precision = 3 },
+		func(s *query.Spec) { s.MaxStaleness = time.Hour },
+		func(s *query.Spec) { s.Deadline = time.Second },
+	}
+	differ := []func(*query.Spec){
+		func(s *query.Spec) { s.Type = query.Past },
+		func(s *query.Spec) { s.Agg = query.Max },
+		func(s *query.Spec) { s.T0 = 0 },
+		func(s *query.Spec) { s.T1 = 3 * simtime.Hour },
+		func(s *query.Spec) { s.T0, s.T1, s.Trailing = 0, 0, time.Hour },
+		func(s *query.Spec) { s.Select = query.SelectMotes(1) },
+		func(s *query.Spec) { s.Select = query.SelectMotes(1, 2, 2) },
+		func(s *query.Spec) { s.Select = query.SelectAll() },
+		func(s *query.Spec) { s.Agg = query.Mode },
+	}
+	for i, f := range same {
+		s := base
+		f(&s)
+		if keyFor(s) != keyFor(base) {
+			t.Errorf("same-question edit %d changed the key", i)
+		}
+	}
+	for i, f := range differ {
+		s := base
+		f(&s)
+		if keyFor(s) == keyFor(base) {
+			t.Errorf("different-question edit %d kept the key", i)
+		}
+	}
+	mode := base
+	mode.Agg = query.Mode
+	tighter := mode
+	tighter.Precision = 0.5
+	if keyFor(mode) == keyFor(tighter) {
+		t.Error("Mode keys ignore the bin width")
+	}
+	negZero := mode
+	negZero.Precision = math.Copysign(0, -1)
+	zero := mode
+	zero.Precision = 0
+	if keyFor(negZero) != keyFor(zero) {
+		t.Error("Mode bin widths -0 and +0 keyed apart")
 	}
 }

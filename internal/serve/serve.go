@@ -241,15 +241,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	started := time.Now()
-	if res, ok := s.cache.Lookup(spec, s.eng.Now()); ok {
+	if answer, ok := s.cache.Lookup(spec, s.eng.Now()); ok {
 		s.queries.Add(1)
 		s.observeQuery(spec, started)
 		if explain {
 			tr.Span("cache", "hit")
-			s.writeExplain(w, res, "hit", tr)
+			writeExplain(w, answer, "hit", tr)
 			return
 		}
-		s.writeResult(w, res, "hit")
+		writeAnswer(w, answer, hdrHit)
 		return
 	}
 	tr.Span("cache", "miss")
@@ -274,7 +274,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	s.queries.Add(1)
 	s.observeQuery(spec, started)
-	s.cache.Insert(spec, res)
+	answer, err := s.cache.Insert(spec, res)
+	if err != nil {
+		s.fail(w, http.StatusInternalServerError, "encode", err)
+		return
+	}
 	if tr != nil {
 		if wall := time.Since(started); s.cfg.SlowQuery > 0 && wall > s.cfg.SlowQuery {
 			s.slow.Add(1)
@@ -283,11 +287,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 				tr.ID(), spanSummary(tr), routeSummary(tr))
 		}
 		if explain {
-			s.writeExplain(w, res, "miss", tr)
+			writeExplain(w, answer, "miss", tr)
 			return
 		}
 	}
-	s.writeResult(w, res, "miss")
+	writeAnswer(w, answer, hdrMiss)
 }
 
 // observeQuery books one answered one-shot query into the latency and
@@ -362,16 +366,11 @@ type ExplainBody struct {
 	Trace  ExplainTrace    `json:"trace"`
 }
 
-// writeExplain answers an ?explain=1 query: the result wrapped with the
-// trace's spans and every mote's routing decision.
-func (s *Server) writeExplain(w http.ResponseWriter, res query.SetResult, cacheState string, tr *obs.Trace) {
-	buf, err := query.EncodeSetResultJSON(res)
-	if err != nil {
-		s.fail(w, http.StatusInternalServerError, "encode", err)
-		return
-	}
+// writeExplain answers an ?explain=1 query: the encoded answer wrapped
+// with the trace's spans and every mote's routing decision.
+func writeExplain(w http.ResponseWriter, answer []byte, cacheState string, tr *obs.Trace) {
 	body := ExplainBody{
-		Result: json.RawMessage(buf),
+		Result: json.RawMessage(answer),
 		Cache:  cacheState,
 		Trace:  ExplainTrace{ID: tr.ID(), Spans: tr.Spans(), Routes: tr.Routes()},
 	}
@@ -389,16 +388,22 @@ func (s *Server) writeExplain(w http.ResponseWriter, res query.SetResult, cacheS
 	_ = enc.Encode(body)
 }
 
-func (s *Server) writeResult(w http.ResponseWriter, res query.SetResult, cacheState string) {
-	buf, err := query.EncodeSetResultJSON(res)
-	if err != nil {
-		s.fail(w, http.StatusInternalServerError, "encode", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Presto-Cache", cacheState)
+// Header values every answer carries, shared by all responses so that
+// writing one allocates nothing; net/http only reads header values.
+var (
+	hdrJSON = []string{"application/json"}
+	hdrHit  = []string{"hit"}
+	hdrMiss = []string{"miss"}
+)
+
+// writeAnswer writes an encoded answer as it is: a hit writes the cache's
+// bytes without encoding anything.
+func writeAnswer(w http.ResponseWriter, answer []byte, cacheState []string) {
+	h := w.Header()
+	h["Content-Type"] = hdrJSON
+	h["X-Presto-Cache"] = cacheState
 	w.WriteHeader(http.StatusOK)
-	w.Write(append(buf, '\n'))
+	w.Write(answer)
 }
 
 // streamRounds serves a Continuous spec as server-sent events: one

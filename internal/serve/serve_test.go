@@ -316,12 +316,18 @@ func TestServeTypedErrors(t *testing.T) {
 			`{"type":"sum"}`,
 			`{"type":"agg"}`,
 			`{"type":"now","staleness":"1h"}`,
+			`{"type":"now"}{"type":"agg"}`, // two specs in one body
+			`{"type":"now"} garbage`,
 		} {
 			resp := postSpec(t, ts.URL, body)
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("POST %s: status %d, want 400", body, resp.StatusCode)
+			var eb errorBody
+			if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+				t.Fatal(err)
 			}
 			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || eb.Code != "bad_spec" {
+				t.Fatalf("POST %s: status %d code %q, want 400 bad_spec", body, resp.StatusCode, eb.Code)
+			}
 		}
 		if resp, err := http.Get(ts.URL + "/v1/query"); err == nil {
 			if resp.StatusCode != http.StatusMethodNotAllowed {
@@ -445,5 +451,61 @@ func TestStatszClusterSection(t *testing.T) {
 	defer plain.Close()
 	if s := plain.Snapshot(); s.Cluster != nil {
 		t.Fatalf("plain engine grew a cluster section: %+v", s.Cluster)
+	}
+}
+
+// TestServeHitWritesMissBody: the cache keeps the bytes its miss wrote,
+// so a hit's body is byte-identical to the miss's, and ?explain=1 on a
+// hit embeds those same bytes as its result.
+func TestServeHitWritesMissBody(t *testing.T) {
+	eng := &fakeEngine{res: query.SetResult{At: simtime.Hour, Value: 20.125, ErrBound: 0.25, Count: 4}, now: simtime.Hour}
+	srv := New(eng, Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	post := func(path string) ([]byte, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json",
+			strings.NewReader(`{"type":"agg","agg":"mean","motes":[3,1,2],"t0":0,"t1":"1h","precision":1}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: status %d, %v: %s", path, resp.StatusCode, err, body)
+		}
+		return body, resp.Header.Get("X-Presto-Cache")
+	}
+	miss, state := post("/v1/query")
+	if state != "miss" {
+		t.Fatalf("first ask: cache %q", state)
+	}
+	hit, state := post("/v1/query")
+	if state != "hit" {
+		t.Fatalf("repeat: cache %q", state)
+	}
+	if !bytes.Equal(hit, miss) {
+		t.Fatalf("hit body differs from its miss\n hit %q\nmiss %q", hit, miss)
+	}
+
+	explained, state := post("/v1/query?explain=1")
+	if state != "hit" {
+		t.Fatalf("explained repeat: cache %q", state)
+	}
+	var eb ExplainBody
+	if err := json.Unmarshal(explained, &eb); err != nil {
+		t.Fatal(err)
+	}
+	var got, want bytes.Buffer
+	if err := json.Compact(&got, eb.Result); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Compact(&want, miss); err != nil {
+		t.Fatal(err)
+	}
+	if eb.Cache != "hit" || !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("explained hit (cache %q) embeds %s, want %s", eb.Cache, got.Bytes(), want.Bytes())
 	}
 }
