@@ -230,81 +230,118 @@ func TestClusterPastResultsMatch(t *testing.T) {
 // history, and Until closes the stream by itself. The same spec on an
 // in-process build of the same deployment fires on the same round clock,
 // so every round is bit-identical to the cluster's — with one joined
-// site, and with the coordinator as the only site.
+// site, and with the coordinator as the only site. A 95 s cadence does
+// not divide the lease quantum: its rounds still gather at their own
+// instants on every site, for an aggregate and for a NOW snapshot alike.
 func TestClusterContinuousTrailing(t *testing.T) {
-	spec := query.Spec{
-		Type: query.Agg, Agg: query.Mean, Precision: 0.5,
-		Trailing:   time.Hour,
-		Continuous: &query.Continuous{Every: 30 * time.Minute, Until: 2 * time.Hour},
+	cases := []struct {
+		name   string
+		spec   query.Spec
+		run    time.Duration // after posing the spec
+		every  time.Duration
+		rounds int
+	}{
+		{"agg-every-30m", query.Spec{Type: query.Agg, Agg: query.Mean, Precision: 0.5, Trailing: time.Hour,
+			Continuous: &query.Continuous{Every: 30 * time.Minute, Until: 2 * time.Hour}}, 3 * time.Hour, 30 * time.Minute, 4},
+		{"agg-every-95s", query.Spec{Type: query.Agg, Agg: query.Mean, Precision: 0.5, Trailing: time.Hour,
+			Continuous: &query.Continuous{Every: 95 * time.Second, Until: 20 * time.Minute}}, 30 * time.Minute, 95 * time.Second, 12},
+		{"now-every-95s", query.Spec{Type: query.Now, Precision: 2,
+			Continuous: &query.Continuous{Every: 95 * time.Second, Until: 20 * time.Minute}}, 30 * time.Minute, 95 * time.Second, 12},
 	}
-	single, err := core.Build(testConfig(t, 4, 2, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer single.Close()
-	single.Start()
-	single.Run(2 * time.Hour)
-	ref, err := single.Client().Query(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single.Run(3 * time.Hour)
-	var want []query.SetResult
-	for res := range ref.Results() {
-		want = append(want, res)
+	// The in-process reference rounds, per case.
+	want := make([][]query.SetResult, len(cases))
+	for i, c := range cases {
+		single, err := core.Build(testConfig(t, 4, 2, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		single.Start()
+		single.Run(2 * time.Hour)
+		ref, err := single.Client().Query(context.Background(), c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		single.Run(c.run)
+		for res := range ref.Results() {
+			want[i] = append(want[i], res)
+		}
+		single.Close()
 	}
 
 	for _, sites := range []int{1, 2} {
 		t.Run(fmt.Sprintf("sites=%d", sites), func(t *testing.T) {
-			co, shutdown := startCluster(t, NewLoopback(), testConfig(t, 4, 2, 4), sites)
-			defer shutdown()
-			ctx := context.Background()
-			if err := co.Start(ctx); err != nil {
-				t.Fatal(err)
-			}
-			if err := co.Run(ctx, 2*time.Hour); err != nil {
-				t.Fatal(err)
-			}
-
-			stream, err := co.Client().Query(ctx, spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := co.Run(ctx, 3*time.Hour); err != nil {
-				t.Fatal(err)
-			}
-			var rounds []query.SetResult
-			for res := range stream.Results() {
-				rounds = append(rounds, res)
-			}
-			if len(rounds) != 4 || len(want) != 4 {
-				t.Fatalf("delivered %d rounds (in-process %d), want 4 (Until/Every)", len(rounds), len(want))
-			}
-			for i, r := range rounds {
-				if w := want[i]; r.Seq != w.Seq || r.At != w.At || r.Value != w.Value || r.ErrBound != w.ErrBound || r.Count != w.Count {
-					t.Fatalf("round %d: cluster seq %d at %v = %v ± %v (n=%d), in-process seq %d at %v = %v ± %v (n=%d)",
-						i, r.Seq, r.At, r.Value, r.ErrBound, r.Count, w.Seq, w.At, w.Value, w.ErrBound, w.Count)
-				}
-				if r.Seq != i {
-					t.Fatalf("round %d has seq %d", i, r.Seq)
-				}
-				if r.Err != nil || r.Failed != 0 || len(r.SiteErrs) != 0 {
-					t.Fatalf("round %d not clean: %+v", i, r)
-				}
-				if r.Count == 0 {
-					t.Fatalf("round %d: empty trailing window", i)
-				}
-				if i > 0 && r.At != rounds[i-1].At+30*simtime.Minute {
-					t.Fatalf("round %d at %v, want exact %v cadence", i, r.At, 30*simtime.Minute)
-				}
-				// A trailing 1h window over 1-minute sampling holds ~60 samples
-				// per mote; a fixed-from-zero window would grow past that.
-				if perMote := r.Count / 8; perMote > 70 {
-					t.Fatalf("round %d: %d samples/mote — window not trailing", i, r.Count/8)
-				}
+			for i, c := range cases {
+				t.Run(c.name, func(t *testing.T) {
+					co, shutdown := startCluster(t, NewLoopback(), testConfig(t, 4, 2, 4), sites)
+					defer shutdown()
+					ctx := context.Background()
+					if err := co.Start(ctx); err != nil {
+						t.Fatal(err)
+					}
+					if err := co.Run(ctx, 2*time.Hour); err != nil {
+						t.Fatal(err)
+					}
+					stream, err := co.Client().Query(ctx, c.spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := co.Run(ctx, c.run); err != nil {
+						t.Fatal(err)
+					}
+					var rounds []query.SetResult
+					for res := range stream.Results() {
+						rounds = append(rounds, res)
+					}
+					if len(rounds) != c.rounds || len(want[i]) != c.rounds {
+						t.Fatalf("delivered %d rounds (in-process %d), want %d (Until/Every)", len(rounds), len(want[i]), c.rounds)
+					}
+					for k, r := range rounds {
+						if w := want[i][k]; r.Seq != w.Seq || r.At != w.At || r.Value != w.Value || r.ErrBound != w.ErrBound ||
+							r.Count != w.Count || !sameResults(r.Results, w.Results) {
+							t.Fatalf("round %d: cluster seq %d at %v = %v ± %v (n=%d) %v, in-process seq %d at %v = %v ± %v (n=%d) %v",
+								k, r.Seq, r.At, r.Value, r.ErrBound, r.Count, r.Results, w.Seq, w.At, w.Value, w.ErrBound, w.Count, w.Results)
+						}
+						if r.Seq != k {
+							t.Fatalf("round %d has seq %d", k, r.Seq)
+						}
+						if r.Err != nil || r.Failed != 0 || len(r.SiteErrs) != 0 {
+							t.Fatalf("round %d not clean: %+v", k, r)
+						}
+						if k > 0 && r.At != rounds[k-1].At+simtime.Time(c.every) {
+							t.Fatalf("round %d at %v, want exact %v cadence", k, r.At, c.every)
+						}
+						if c.spec.Type == query.Now {
+							if len(r.Results) != 8 {
+								t.Fatalf("round %d: %d per-mote results, want 8", k, len(r.Results))
+							}
+							continue
+						}
+						// A trailing 1h window over 1-minute sampling holds ~60
+						// samples per mote; a fixed-from-zero window would grow
+						// past that.
+						if r.Count == 0 || r.Count/8 > 70 {
+							t.Fatalf("round %d: %d samples over 8 motes — window empty or not trailing", k, r.Count)
+						}
+					}
+				})
 			}
 		})
 	}
+}
+
+// sameResults reports whether two rounds' per-mote answers are equal
+// entry for entry.
+func sameResults(a, b []query.Result) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Query.Mote != b[i].Query.Mote || a[i].Answer.Source != b[i].Answer.Source ||
+			!slices.Equal(a[i].Answer.Entries, b[i].Answer.Entries) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestClusterSiteDropMidScatter is the fault-injection acceptance: a

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,10 +16,11 @@ import (
 	"presto/internal/wire"
 )
 
-// DefaultQuantum is the advance-lease size: how much virtual time a site
-// may run ahead between coordinator barriers. It matches the in-process
-// engine's bridge-drain quantum — the same bound the single-process
-// replica freshness story is built on.
+// DefaultQuantum is the largest advance lease: how much virtual time a
+// site may run ahead between coordinator barriers (a lease due at a
+// round's instant stops short of it). It matches the domain workers'
+// bridge-drain quantum — the same bound the single-process replica
+// freshness story is built on. Only a coordinator has a quantum.
 const DefaultQuantum = 10 * time.Second
 
 // Options tunes a cluster coordinator.
@@ -31,80 +30,48 @@ type Options struct {
 	// wired replica) and driving them through the same calls as every
 	// joined site. Must be >= 1 and <= the deployment's domain count.
 	Sites int
-	// Quantum is the advance-lease size in virtual time (default
-	// DefaultQuantum). Continuous rounds fire at the first lease
-	// boundary at or after their nominal instant, with the query window
-	// still bound at the instant itself — cadences that divide the
-	// quantum (the usual case) fire exactly on time. A cadence faster
-	// than the quantum gets each step's due rounds batched into one
-	// scatter/partials frame pair per site.
+	// Quantum is the most virtual time one advance lease may step
+	// (default DefaultQuantum). A lease also never steps past the
+	// instant a continuous round is due, so every round gathers at its
+	// own instant whatever the cadence — a cadence that does not divide
+	// the quantum just adds a lease per round.
 	Quantum time.Duration
-}
-
-// siteTargets is one site's share of a spec's resolved motes.
-type siteTargets struct {
-	site  int
-	motes []radio.NodeID
 }
 
 // Coordinator runs a deployment across cluster sites. It is site 0 of
 // N: it hosts the first window of domains itself and reaches them
-// through the same member calls as every joined site. It owns the global
-// virtual clock (advance leases), gathers each spec once per site (one
-// scatter frame per joined site), and merges the sites' partials with
-// the engine's honest-bounds merge stage. It implements
-// core.SpecSubmitter, so core.Client front-ends a cluster exactly as it
-// does an in-process Network.
+// through the same Site calls as every joined site. It is the engine an
+// in-process Network runs (core.Engine) over its local site plus one
+// siteLink per joined process — the global virtual clock (advance
+// leases), one scatter frame per joined site per round, the honest-bounds
+// merge — plus the join handshake and the elastic operations. It
+// implements core.SpecSubmitter, so core.Client front-ends a cluster
+// exactly as it does an in-process Network.
 type Coordinator struct {
-	cfg core.Config
-	lay core.Layout
-	opt Options
-	// domainSite maps each global domain to its hosting site, indexed
-	// by domain — the scatter router's O(1) lookup.
-	domainSite []int
-	// allGroups is the all-motes selector's site grouping, computed
-	// once at Listen and reused read-only by every resolveTargets call
-	// with a zero selector.
-	allGroups []siteTargets
-	local     *core.Network // site 0's domains, for introspection and the replica bridge
-	lis       Listener
+	cfg   core.Config
+	lay   core.Layout
+	opt   Options
+	local *core.Network // site 0's domains, for introspection and the replica bridge
+	eng   *core.Engine
+	lis   Listener
 	// accepting is the listener Accept in flight, if any: a join whose
 	// ctx ends leaves it for the next join to collect, so a joiner
 	// arriving in between is never dropped. Guarded by runMu.
 	accepting chan accepted
 
-	seq    atomic.Uint64 // request seqs, shared by every site link
-	leases atomic.Uint64 // advance leases issued (one per quantum step, all sites)
+	seq atomic.Uint64 // request seqs, shared by every site link
 
-	runMu sync.Mutex // serializes Run (one lease-issuer at a time)
+	// runMu serializes Run with the elastic operations, so structural
+	// changes happen only at lease boundaries.
+	runMu sync.Mutex
 
-	mu     sync.Mutex // guards vnow, closed, sites, elasticity state
-	vnow   simtime.Time
-	closed bool
-	// sites holds one member per site, indexed by site number; a site
-	// that has not joined is a member that fails every call. AcceptSites
-	// and Rejoin replace links in place, so reads go through member.
-	sites []member
-
-	// standing holds the continuous specs the lease loop fires; each
-	// stream's Route is its site grouping.
-	standing core.Streams[[]siteTargets]
-
-	// Elasticity state (guarded by mu; structural changes additionally
-	// hold runMu, so they happen only at lease boundaries).
+	mu            sync.Mutex // guards the elasticity history
 	migrations    uint64
 	rejoins       uint64
 	lastMigration simtime.Time
 	lastCkpt      *Checkpoint
 
 	closeOnce sync.Once
-}
-
-// member returns site i's handle.
-func (co *Coordinator) member(i int) member {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return co.sites[i]
 }
 
 // Listen creates a cluster coordinator: it validates the global config,
@@ -152,19 +119,14 @@ func Listen(t Transport, addr string, cfg core.Config, opt Options) (*Coordinato
 			domainSite[d] = s
 		}
 	}
-	co := &Coordinator{cfg: cfg, lay: lay, opt: opt, domainSite: domainSite, local: local, lis: lis,
-		sites: []member{localSite{local}}}
+	co := &Coordinator{cfg: cfg, lay: lay, opt: opt, local: local, lis: lis}
+	links := make([]core.Site, 0, opt.Sites-1)
 	for s := 1; s < opt.Sites; s++ {
 		l := newSiteLink(s, nil, &co.seq)
 		l.fail(fmt.Errorf("cluster: site %d %w", s, errNotJoined))
-		co.sites = append(co.sites, l)
+		links = append(links, l)
 	}
-	co.allGroups, err = co.groupBySite(lay.AllMotes())
-	if err != nil {
-		local.Close()
-		lis.Close()
-		return nil, err
-	}
+	co.eng = core.NewEngine(local, opt.Quantum, domainSite, links...)
 	return co, nil
 }
 
@@ -224,18 +186,18 @@ func (co *Coordinator) SiteStats() []ConnStats {
 }
 
 // linkStats reads joined site i's connection counters.
-func (co *Coordinator) linkStats(i int) ConnStats { return co.member(i).(*siteLink).stats() }
+func (co *Coordinator) linkStats(i int) ConnStats { return co.eng.Site(i).(*siteLink).stats() }
 
 // Leases reports how many advance leases the coordinator has issued.
-func (co *Coordinator) Leases() uint64 { return co.leases.Load() }
+func (co *Coordinator) Leases() uint64 { return co.eng.Leases() }
 
 // RegisterMetrics registers the coordinator's elasticity and transport
 // counters into an obs registry: the lease clock, migration/rejoin
 // history, and each joined site's per-frame-kind wire traffic.
 func (co *Coordinator) RegisterMetrics(reg *obs.Registry) {
-	// The coordinator hosts the first window of domains itself; their
-	// engine/proxy/store series belong in the same registry.
-	co.local.RegisterMetrics(reg)
+	// The engine's series include its local site's: the first window of
+	// domains, which the coordinator hosts itself.
+	co.eng.RegisterMetrics(reg)
 	reg.CounterFunc("presto_cluster_leases_total", "Advance leases issued by the coordinator.", nil, co.Leases)
 	reg.CounterFunc("presto_cluster_migrations_total", "Domain migrations performed.", nil, func() uint64 {
 		co.mu.Lock()
@@ -266,305 +228,56 @@ func (co *Coordinator) RegisterMetrics(reg *obs.Registry) {
 
 // Now returns the coordinator's virtual clock: the latest advance-lease
 // floor every site has converged on.
-func (co *Coordinator) Now() simtime.Time {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return co.vnow
-}
+func (co *Coordinator) Now() simtime.Time { return co.eng.Now() }
 
 // Close tears the cluster down: joined sites see their connection close
 // and exit Serve cleanly; the coordinator's own window shuts its workers
 // down. Standing streams abort.
 func (co *Coordinator) Close() {
 	co.closeOnce.Do(func() {
-		co.mu.Lock()
-		co.closed = true
-		co.mu.Unlock()
-		co.standing.Close()
+		co.eng.Close()
 		co.lis.Close()
 		// Last site first: site 0's window outlives the links whose
 		// demultiplexers feed its replica bridge.
 		for i := range co.opt.Sites {
-			co.member(co.opt.Sites - 1 - i).close()
+			co.eng.Site(co.opt.Sites - 1 - i).Close()
 		}
 	})
-}
-
-// ---------------------------------------------------------------------------
-// Cluster-wide operations
-
-// fanOut runs fn on every site concurrently and waits for all of them.
-// The calling goroutine takes the first site's share itself.
-func (co *Coordinator) fanOut(fn func(i int, m member)) {
-	var wg sync.WaitGroup
-	for i := 1; i < co.opt.Sites; i++ {
-		m := co.member(i)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn(i, m)
-		}()
-	}
-	fn(0, co.member(0))
-	wg.Wait()
-}
-
-// firstErr returns the first failure in site order, naming its site.
-func firstErr(op string, errs []error) error {
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("cluster: site %d %s: %w", i, op, err)
-		}
-	}
-	return nil
 }
 
 // Bootstrap runs the two-phase startup on every site concurrently and
 // waits for all of them; the coordinator's clock then starts at the
 // common post-bootstrap instant.
 func (co *Coordinator) Bootstrap(ctx context.Context, trainFor time.Duration, bins int, delta float64) error {
-	ats, errs := make([]simtime.Time, co.opt.Sites), make([]error, co.opt.Sites)
-	co.fanOut(func(i int, m member) { ats[i], errs[i] = m.bootstrap(ctx, trainFor, bins, delta) })
-	co.mu.Lock()
-	co.vnow = slices.Max(ats)
-	co.mu.Unlock()
-	return firstErr("bootstrap", errs)
+	return co.eng.Bootstrap(ctx, trainFor, bins, delta)
 }
 
 // Start begins sampling on every site's motes without the two-phase
 // bootstrap (raw-push workloads; Bootstrap implies it).
-func (co *Coordinator) Start(ctx context.Context) error {
-	errs := make([]error, co.opt.Sites)
-	co.fanOut(func(i int, m member) { errs[i] = m.start(ctx) })
-	return firstErr("start", errs)
-}
+func (co *Coordinator) Start(ctx context.Context) error { return co.eng.Start(ctx) }
 
-// Run advances the whole cluster by d of virtual time, in lease-sized
-// steps: every site, the coordinator's own window included, converges on
-// each absolute lease target before the next is issued, so no domain
-// runs more than one quantum ahead of another — the distributed analogue
-// of the in-process bridge-drain chunking. Dead and unjoined sites are
-// skipped: their absence is reported per round via SiteErrs, not by
-// wedging the clock.
-//
-// Continuous rounds are pipelined: the gathers for rounds sealed by a
-// lease step are issued right after it converges, and the next lease
-// goes out while those rounds are still being computed and collected.
-// Per-site FIFO keeps this correct without quiescing — a site enqueues a
-// round's gathers before it acts on any later lease (site 0 enqueues
-// them before fireDue returns; a joined site before it reads the next
-// frame on its connection), which pins the round to the clock it was
-// sealed at.
+// Run advances the whole cluster by d of virtual time through the
+// engine's lease loop (core.Engine.Run): leases of at most one quantum
+// that never step past a continuous round's instant, every site — the
+// coordinator's own window included — converging on each before the
+// next is issued. Dead and unjoined sites are skipped: their absence is
+// reported per round via SiteErrs, not by wedging the clock.
 func (co *Coordinator) Run(ctx context.Context, d time.Duration) error {
 	co.runMu.Lock()
 	defer co.runMu.Unlock()
-	target := co.Now() + simtime.Time(d)
-	for now := co.Now(); now < target; now = co.Now() {
-		next := min(now+simtime.Time(co.opt.Quantum), target)
-		co.leases.Add(1)
-		co.fanOut(func(_ int, m member) { _ = m.advance(ctx, next) }) // dead sites fail fast
-		co.mu.Lock()
-		co.vnow = next
-		co.mu.Unlock()
-		co.fireDue()
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-	}
-	return nil
+	return co.eng.Run(ctx, d)
 }
 
-// fireDue seals every continuous round whose instant has been reached
-// and launches its gathers without waiting for the answers: every site's
-// share is enqueued or on the wire before fireDue returns (so it lands
-// ahead of the next lease), while collection and merge run on a
-// per-batch collector goroutine.
-func (co *Coordinator) fireDue() {
-	for _, b := range co.standing.Due(co.Now()) {
-		bounds := make([]query.Spec, len(b.Rounds))
-		for k, r := range b.Rounds {
-			bounds[k] = b.Spec.BindWindow(r.At)
-		}
-		gs := co.scatterRounds(b.Route, bounds, nil)
-		go func() {
-			for k, res := range co.collectBatch(b.Context(), bounds, b.Rounds, gs) {
-				b.Rounds[k].Deliver(res)
-			}
-		}()
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Scatter-gather
-
-// groupBySite groups resolved target motes by hosting site, in site
-// order.
-func (co *Coordinator) groupBySite(targets []radio.NodeID) ([]siteTargets, error) {
-	bySite := make(map[int][]radio.NodeID)
-	for _, m := range targets {
-		d, ok := co.lay.DomainOfMote(m)
-		if !ok {
-			return nil, fmt.Errorf("cluster: unknown mote %d", m)
-		}
-		bySite[co.domainSite[d]] = append(bySite[co.domainSite[d]], m)
-	}
-	groups := make([]siteTargets, 0, len(bySite))
-	for s, motes := range bySite {
-		groups = append(groups, siteTargets{site: s, motes: motes})
-	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i].site < groups[j].site })
-	return groups, nil
-}
-
-// resolveTargets applies a spec's selector to the global mote list and
-// groups the targets by hosting site. Predicates are evaluated here,
-// once — only explicit mote lists cross the wire. The all-motes
-// selector reuses the grouping computed at Listen (and recomputed by
-// every migration); mu orders those reads against regroup's writes.
-func (co *Coordinator) resolveTargets(spec query.Spec) ([]siteTargets, error) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	if spec.Select.Motes == nil && spec.Select.Where == nil {
-		return co.allGroups, nil
-	}
-	targets := spec.Select.Resolve(co.lay.AllMotes())
-	if len(targets) == 0 {
-		return nil, fmt.Errorf("cluster: %w", query.ErrNoMotes)
-	}
-	return co.groupBySite(targets)
-}
-
-// gathering is one site's in-flight share of a round batch.
-type gathering struct {
-	site, motes int
-	collect     collectFunc
-}
-
-// scatterRounds starts a batch on every site it targets — one round per
-// spec in bounds, each bound at its round's instant: site 0's gathers are
-// enqueued and each joined site's scatter frame is sent, all that must
-// order before the next advance lease; collectBatch assembles the
-// answers. A non-nil tr (one-shot rounds) collects each target mote's
-// routing decision: site 0's annotate tr directly, a joined site's ride
-// back in its partials and graft under its site number.
-func (co *Coordinator) scatterRounds(groups []siteTargets, bounds []query.Spec, tr *obs.Trace) []gathering {
-	gs := make([]gathering, len(groups))
-	for i, g := range groups {
-		gs[i] = gathering{site: g.site, motes: len(g.motes), collect: co.member(g.site).gather(bounds, g.motes, tr)}
-	}
-	if tr != nil { // gate the Sprintf, not just the span: untraced rounds must not allocate
-		tr.Span("cluster-scatter", fmt.Sprintf("%d sites", len(groups)))
-	}
-	return gs
-}
-
-// collectBatch waits for every site's share of a batch, merges each
-// round's partials in global domain order, and returns the rounds in
-// fire order. Sites that fail mid-batch contribute an explicit
-// SiteError and their motes count as Failed on every round — a partial
-// answer, never a hang.
-func (co *Coordinator) collectBatch(ctx context.Context, bounds []query.Spec, rounds []core.Round, gs []gathering) []query.SetResult {
-	parts := make([][]query.RoundPartial, len(rounds))
-	var siteErrs []query.SiteError // in site order, as groups are
-	failed := 0
-	for _, g := range gs {
-		if err := g.collect(ctx, parts); err != nil {
-			siteErrs = append(siteErrs, query.SiteError{Site: g.site, Err: err})
-			failed += g.motes
-		}
-	}
-	results := make([]query.SetResult, len(rounds))
-	for k, r := range rounds {
-		res := query.MergeRounds(bounds[k], r.Seq, r.At, parts[k])
-		res.Failed += failed
-		res.SiteErrs = siteErrs
-		results[k] = res
-	}
-	return results
-}
-
-// windows lists a batch's per-round windows, as batch frames carry them.
-func windows(bounds []query.Spec) []query.RoundWindow {
-	wins := make([]query.RoundWindow, len(bounds))
-	for k, b := range bounds {
-		wins[k] = query.RoundWindow{T0: b.T0, T1: b.T1}
-	}
-	return wins
-}
-
-// SubmitSpec implements core.SpecSubmitter over the cluster: one-shot
-// specs scatter immediately (sites settle their own kernels, so no Run
-// needs to be in flight); continuous specs register with the lease loop
-// and fire during Run, one gather per site per lease step. The
-// trailing-window form re-binds [now-d, now] at each round's instant,
-// coordinator-side, so every site evaluates the same window.
+// SubmitSpec implements core.SpecSubmitter over the cluster
+// (core.Engine.SubmitSpec): one-shot specs scatter immediately (sites
+// settle their own kernels, so no Run needs to be in flight); continuous
+// specs register with the lease loop and fire during Run.
 func (co *Coordinator) SubmitSpec(ctx context.Context, spec query.Spec) (<-chan query.SetResult, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	groups, err := co.resolveTargets(spec)
-	if err != nil {
-		return nil, err
-	}
-	co.mu.Lock()
-	if co.closed {
-		co.mu.Unlock()
-		return nil, core.ErrClosed
-	}
-	now := co.vnow
-	co.mu.Unlock()
-
-	if spec.Continuous == nil {
-		out := make(chan query.SetResult, 1)
-		go func() {
-			defer close(out)
-			// An explain/slow-query trace rides the context.
-			tr := obs.TraceFrom(ctx)
-			bounds := []query.Spec{spec.BindWindow(now)}
-			res := co.collectBatch(ctx, bounds, []core.Round{{At: now}}, co.scatterRounds(groups, bounds, tr))[0]
-			if tr != nil {
-				tr.Span("cluster-merge", fmt.Sprintf("%d results, %d failed", len(res.Results), res.Failed))
-			}
-			select {
-			case out <- res:
-			case <-ctx.Done():
-			}
-		}()
-		return out, nil
-	}
-
-	return co.standing.Open(ctx, spec, groups, now)
+	return co.eng.SubmitSpec(ctx, spec)
 }
 
 // ---------------------------------------------------------------------------
 // Sites
-
-// member is the coordinator's handle on one site: localSite for site 0
-// (the coordinator's own window), a siteLink for every joined site. It
-// holds exactly what a cluster operation asks of one site, so each
-// operation is written once, over all sites.
-type member interface {
-	// gather enqueues one round per bound over motes now — ahead of the
-	// site's next lease — and returns the collect half.
-	gather(bounds []query.Spec, motes []radio.NodeID, tr *obs.Trace) collectFunc
-	// advance runs the site to the absolute lease target.
-	advance(ctx context.Context, target simtime.Time) error
-	// bootstrap runs the two-phase startup; it returns the site's clock
-	// after it, or zero when the site's ack carries none.
-	bootstrap(ctx context.Context, trainFor time.Duration, bins int, delta float64) (simtime.Time, error)
-	start(ctx context.Context) error
-	// snapshot captures hosted domain d's blob; drop also stops hosting it.
-	snapshot(ctx context.Context, d int, drop bool) ([]byte, error)
-	// install hosts domain d (adopting it if need be) restored from blob.
-	install(ctx context.Context, d int, blob []byte) error
-	// lastErr is nil while the site is alive.
-	lastErr() error
-	close()
-}
-
-// collectFunc waits for one site's share of a gathered batch and appends
-// round k's partials to parts[k]; on error it has appended nothing.
-type collectFunc func(ctx context.Context, parts [][]query.RoundPartial) error
 
 // errNotJoined fails every call to a site that has not joined yet.
 var errNotJoined = errors.New("has not joined")
@@ -610,9 +323,7 @@ func (co *Coordinator) join(ctx context.Context, idx, first, count int) (*siteLi
 		return nil, err
 	}
 	l := newSiteLink(idx, conn, &co.seq)
-	co.mu.Lock()
-	co.sites[idx] = l
-	co.mu.Unlock()
+	co.eng.SetSite(idx, l)
 	go l.demux(co)
 	return l, nil
 }
@@ -639,7 +350,7 @@ func (co *Coordinator) handshake(conn Conn, idx, first, count int) error {
 	})})
 }
 
-// siteLink is the coordinator's member for one joined site: a
+// siteLink is the coordinator's core.Site for one joined site: a
 // connection, a demultiplexer routing responses to waiting RPCs by seq,
 // and a dead latch that fails everything outstanding when the site
 // drops. A site that has not joined is a link with no connection,
@@ -668,74 +379,57 @@ func newSiteLink(idx int, conn Conn, seq *atomic.Uint64) *siteLink {
 		dead:    make(chan struct{})}
 }
 
-// gather sends the batch's scatter frame: the spec's head (the spec sans
-// window, plus the site's motes) and the window(s). A single round keeps
-// the plain one-round scatter frame; two or more pack into a batch
-// frame. A non-nil tr (one-shot rounds only) appends the protocol-v4
-// trace section, asking the site to return its routing decisions, which
-// collect grafts under the site's number.
-func (l *siteLink) gather(bounds []query.Spec, motes []radio.NodeID, tr *obs.Trace) collectFunc {
-	buf := make([]byte, 0, 48+2*len(motes)+4+16*len(bounds))
-	buf = query.AppendScatterHead(buf, bounds[0], motes)
-	kind := wire.FrameScatter
-	if len(bounds) == 1 {
-		buf = query.AppendScatterWindow(buf, bounds[0].T0, bounds[0].T1)
-		if tr != nil {
-			buf = query.AppendScatterTrace(buf, tr.ID())
-		}
-	} else {
-		kind = wire.FrameScatterBatch
-		buf = query.AppendScatterRounds(buf, windows(bounds))
+// Gather sends the round's scatter frame: the spec's head (the spec sans
+// window, plus the site's motes) and its window. A non-nil tr (one-shot
+// rounds only) appends the protocol-v4 trace section, asking the site to
+// return its routing decisions, which Collect grafts under the site's
+// number.
+func (l *siteLink) Gather(bound query.Spec, motes []radio.NodeID, tr *obs.Trace) core.Pending {
+	buf := make([]byte, 0, 48+2*len(motes)+20)
+	buf = query.AppendScatterHead(buf, bound, motes)
+	buf = query.AppendScatterWindow(buf, bound.T0, bound.T1)
+	if tr != nil {
+		buf = query.AppendScatterTrace(buf, tr.ID())
 	}
 	seq := l.seq.Add(1)
-	ch, err := l.rpcSend(seq, kind, buf)
-	return func(ctx context.Context, parts [][]query.RoundPartial) error {
+	ch, err := l.rpcSend(seq, wire.FrameScatter, buf)
+	return collectFunc(func(ctx context.Context) ([]query.RoundPartial, error) {
 		if err != nil {
-			return err
+			return nil, err
 		}
 		f, err := l.rpcAwait(ctx, seq, ch)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		body, err := decodeReply(f)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		var got []query.RoundPartial
-		switch {
-		case kind == wire.FrameScatterBatch:
-			batch, err := query.DecodeRoundPartialsBatch(bounds[0], windows(bounds), body)
-			if err != nil {
-				return err
-			}
-			for k := range batch {
-				parts[k] = append(parts[k], batch[k]...)
-			}
-			return nil
-		case tr != nil:
-			var routes []obs.Route
-			if got, routes, err = query.DecodeRoundPartialsTraced(bounds[0], body); err == nil {
-				tr.AddRoutes(l.idx, routes)
-			}
-		default:
-			got, err = query.DecodeRoundPartials(bounds[0], body)
+		if tr == nil {
+			return query.DecodeRoundPartials(bound, body)
 		}
-		if err != nil {
-			return err
+		got, routes, err := query.DecodeRoundPartialsTraced(bound, body)
+		if err == nil {
+			tr.AddRoutes(l.idx, routes)
 		}
-		parts[0] = append(parts[0], got...)
-		return nil
-	}
+		return got, err
+	})
 }
 
-// advance issues one absolute lease and checks the ack.
-func (l *siteLink) advance(ctx context.Context, target simtime.Time) error {
+// collectFunc is a joined site's core.Pending: the await-and-decode half
+// of its scatter RPC.
+type collectFunc func(ctx context.Context) ([]query.RoundPartial, error)
+
+func (f collectFunc) Collect(ctx context.Context) ([]query.RoundPartial, error) { return f(ctx) }
+
+// Advance issues one absolute lease and checks the ack.
+func (l *siteLink) Advance(ctx context.Context, target simtime.Time) error {
 	f, err := l.rpc(ctx, l.seq.Add(1), wire.FrameAdvance, wire.EncodeAdvance(target))
 	if err != nil {
 		return err
 	}
-	// Acked time >= target always holds (RunUntilTime converges or
-	// overshoots settling queries); a lagging ack would mean a diverged
+	// Acked time >= target always holds (a lease converges or overshoots
+	// settling queries); a lagging ack would mean a diverged
 	// site — treat as dead.
 	if at, err := wire.DecodeAdvance(f.Payload); err != nil || at < target {
 		err = fmt.Errorf("cluster: site %d acked %v for lease %v", l.idx, at, target)
@@ -745,13 +439,13 @@ func (l *siteLink) advance(ctx context.Context, target simtime.Time) error {
 	return nil
 }
 
-func (l *siteLink) bootstrap(ctx context.Context, trainFor time.Duration, bins int, delta float64) (simtime.Time, error) {
+func (l *siteLink) Bootstrap(ctx context.Context, trainFor time.Duration, bins int, delta float64) (simtime.Time, error) {
 	_, err := l.call(ctx, wire.FrameBootstrap,
 		wire.EncodeBootstrap(wire.Bootstrap{TrainFor: simtime.Time(trainFor), Bins: bins, Delta: delta}))
 	return 0, err
 }
 
-func (l *siteLink) start(ctx context.Context) error {
+func (l *siteLink) Start(ctx context.Context) error {
 	_, err := l.call(ctx, wire.FrameStart, nil)
 	return err
 }
@@ -765,7 +459,7 @@ func (l *siteLink) call(ctx context.Context, kind wire.FrameKind, payload []byte
 	return decodeReply(f)
 }
 
-func (l *siteLink) close() {
+func (l *siteLink) Close() {
 	if l.conn != nil {
 		l.conn.Close()
 	}
@@ -779,8 +473,8 @@ func (l *siteLink) stats() ConnStats {
 	return l.conn.Stats()
 }
 
-// lastErr reports the link's latched failure, if any.
-func (l *siteLink) lastErr() error {
+// Err reports the link's latched failure, if any.
+func (l *siteLink) Err() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.err
@@ -851,7 +545,7 @@ func (l *siteLink) fail(err error) {
 
 // send puts one frame on the wire; a send failure latches the link dead.
 func (l *siteLink) send(f wire.Frame) error {
-	if err := l.lastErr(); err != nil {
+	if err := l.Err(); err != nil {
 		return err
 	}
 	if err := l.conn.Send(f); err != nil {
@@ -885,7 +579,7 @@ func (l *siteLink) rpcAwait(ctx context.Context, seq uint64, ch chan wire.Frame)
 		return f, nil
 	case <-l.dead:
 		l.unregister(seq)
-		return wire.Frame{}, l.lastErr()
+		return wire.Frame{}, l.Err()
 	case <-ctx.Done():
 		l.unregister(seq)
 		return wire.Frame{}, ctx.Err()

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"time"
 
 	"presto/internal/core"
@@ -27,9 +26,9 @@ import (
 // ---------------------------------------------------------------------------
 // Snapshot plumbing (joined sites)
 
-// snapshot pulls domain d's blob from the site as a chunk stream; drop
+// Snapshot pulls domain d's blob from the site as a chunk stream; drop
 // additionally makes the site stop hosting the domain.
-func (l *siteLink) snapshot(ctx context.Context, d int, drop bool) ([]byte, error) {
+func (l *siteLink) Snapshot(ctx context.Context, d int, drop bool) ([]byte, error) {
 	seq := l.seq.Add(1)
 	ch, err := l.openStream(seq)
 	if err != nil {
@@ -48,7 +47,7 @@ func (l *siteLink) snapshot(ctx context.Context, d int, drop bool) ([]byte, erro
 		select {
 		case f = <-ch:
 		case <-l.dead:
-			return nil, l.lastErr()
+			return nil, l.Err()
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -77,9 +76,9 @@ func (l *siteLink) snapshot(ctx context.Context, d int, drop bool) ([]byte, erro
 	}
 }
 
-// install streams a domain blob to the site as chunks under one seq and
+// Install streams a domain blob to the site as chunks under one seq and
 // waits for the site's adopt+restore ack, which answers the final chunk.
-func (l *siteLink) install(ctx context.Context, d int, blob []byte) error {
+func (l *siteLink) Install(ctx context.Context, d int, blob []byte) error {
 	seq := l.seq.Add(1)
 	var ack wire.Frame
 	err := eachChunk(d, blob, func(c wire.SnapshotChunk) (err error) {
@@ -136,67 +135,37 @@ func eachChunk(d int, blob []byte, fn func(wire.SnapshotChunk) error) error {
 func (co *Coordinator) MigrateDomain(ctx context.Context, d, toSite int) error {
 	co.runMu.Lock()
 	defer co.runMu.Unlock()
-	co.mu.Lock()
-	if co.closed {
-		co.mu.Unlock()
+	if co.eng.Closed() {
 		return core.ErrClosed
 	}
 	if d < 0 || d >= co.lay.Shards {
-		co.mu.Unlock()
 		return fmt.Errorf("cluster: domain %d outside the %d global domains", d, co.lay.Shards)
 	}
 	if toSite < 0 || toSite >= co.opt.Sites {
-		co.mu.Unlock()
 		return fmt.Errorf("cluster: site %d outside the %d sites", toSite, co.opt.Sites)
 	}
-	from := co.domainSite[d]
-	co.mu.Unlock()
+	from := co.eng.DomainSites()[d]
 	if from == toSite {
 		return fmt.Errorf("cluster: domain %d already hosted by site %d", d, toSite)
 	}
-	to := co.member(toSite)
-	if err := to.lastErr(); err != nil {
+	to := co.eng.Site(toSite)
+	if err := to.Err(); err != nil {
 		return fmt.Errorf("cluster: migrating domain %d to site %d: %w", d, toSite, err)
 	}
-	blob, err := co.member(from).snapshot(ctx, d, true)
+	blob, err := co.eng.Site(from).Snapshot(ctx, d, true)
 	if err != nil {
 		return fmt.Errorf("cluster: migrating domain %d off site %d: %w", d, from, err)
 	}
-	if err := to.install(ctx, d, blob); err != nil {
+	if err := to.Install(ctx, d, blob); err != nil {
 		return fmt.Errorf("cluster: installing domain %d at site %d: %w", d, toSite, err)
 	}
+	// Re-points the scatter router and every standing stream's grouping.
+	co.eng.Rehost(d, toSite)
 	co.mu.Lock()
-	co.domainSite[d] = toSite
 	co.migrations++
-	co.lastMigration = co.vnow
+	co.lastMigration = co.eng.Now()
 	co.mu.Unlock()
-	return co.regroup()
-}
-
-// regroup recomputes the all-motes site grouping and every standing
-// stream's Route after an assignment change.
-// Caller holds runMu (no batch launch reads a Route concurrently).
-func (co *Coordinator) regroup() error {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	groups, err := co.groupBySite(co.lay.AllMotes())
-	if err != nil {
-		return err
-	}
-	co.allGroups = groups
-	co.standing.Each(func(st *core.Stream[[]siteTargets]) {
-		if err != nil {
-			return
-		}
-		g := groups
-		if st.Spec.Select.Motes != nil || st.Spec.Select.Where != nil {
-			if g, err = co.groupBySite(st.Spec.Select.Resolve(co.lay.AllMotes())); err != nil {
-				return
-			}
-		}
-		st.Route = g
-	})
-	return err
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -233,19 +202,17 @@ type StreamState struct {
 func (co *Coordinator) CheckpointDomains(ctx context.Context) (*Checkpoint, error) {
 	co.runMu.Lock()
 	defer co.runMu.Unlock()
-	co.mu.Lock()
-	if co.closed {
-		co.mu.Unlock()
+	if co.eng.Closed() {
 		return nil, core.ErrClosed
 	}
 	ck := &Checkpoint{
-		At:         co.vnow,
+		At:         co.eng.Now(),
 		ConfigHash: configHash(co.cfg),
 		Quantum:    co.opt.Quantum,
-		DomainSite: append([]int(nil), co.domainSite...),
+		DomainSite: co.eng.DomainSites(),
 		Blobs:      make([][]byte, co.lay.Shards),
 	}
-	co.standing.Each(func(st *core.Stream[[]siteTargets]) {
+	co.eng.EachStream(func(st *core.Stream) {
 		spec := st.Spec
 		if spec.Select.Where != nil {
 			// Predicates have no serial form; persist the resolved motes.
@@ -260,10 +227,9 @@ func (co *Coordinator) CheckpointDomains(ctx context.Context) (*Checkpoint, erro
 			SpecJSON: sj, Every: every, Until: until, Next: next, Seq: seq,
 		})
 	})
-	co.mu.Unlock()
 
 	for d, site := range ck.DomainSite {
-		blob, err := co.member(site).snapshot(ctx, d, false)
+		blob, err := co.eng.Site(site).Snapshot(ctx, d, false)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: checkpointing domain %d (site %d): %w", d, site, err)
 		}
@@ -378,10 +344,9 @@ func (co *Coordinator) Rejoin(ctx context.Context) error {
 	defer co.runMu.Unlock()
 	co.mu.Lock()
 	ck := co.lastCkpt
-	vnow := co.vnow
-	closed := co.closed
 	co.mu.Unlock()
-	if closed {
+	vnow := co.eng.Now()
+	if co.eng.Closed() {
 		return core.ErrClosed
 	}
 	if ck == nil {
@@ -389,31 +354,32 @@ func (co *Coordinator) Rejoin(ctx context.Context) error {
 	}
 
 	// Find the dead site; its index is what the joiner inherits.
-	co.mu.Lock()
-	idx := slices.IndexFunc(co.sites, func(m member) bool { return m.lastErr() != nil })
-	co.mu.Unlock()
+	idx := -1
+	for i := range co.opt.Sites {
+		if co.eng.Site(i).Err() != nil {
+			idx = i
+			break
+		}
+	}
 	if idx == -1 {
 		return errors.New("cluster: no dead site to re-admit")
 	}
-	co.member(idx).close()
+	co.eng.Site(idx).Close()
 
 	// The dead site's current domain set; Assign expresses contiguous
 	// windows only, which migrations may have broken.
 	first, count := -1, 0
-	co.mu.Lock()
-	for d, s := range co.domainSite {
+	for d, s := range co.eng.DomainSites() {
 		if s != idx {
 			continue
 		}
 		if first < 0 {
 			first = d
 		} else if d != first+count {
-			co.mu.Unlock()
 			return fmt.Errorf("cluster: site %d's domains are not contiguous; migrate them adjacent before re-joining", idx)
 		}
 		count++
 	}
-	co.mu.Unlock()
 	if count == 0 {
 		return fmt.Errorf("cluster: site %d hosts no domains (all migrated away); nothing to re-join", idx)
 	}
@@ -437,12 +403,12 @@ func (co *Coordinator) Rejoin(ctx context.Context) error {
 	// and models included), and the single absolute lease re-runs the
 	// deterministic path the dead site would have taken.
 	for d := first; d < first+count; d++ {
-		if err := l.install(ctx, d, ck.Blobs[d]); err != nil {
+		if err := l.Install(ctx, d, ck.Blobs[d]); err != nil {
 			return fmt.Errorf("cluster: restoring domain %d on re-joined site %d: %w", d, idx, err)
 		}
 	}
 	if vnow > ck.At {
-		if err := l.advance(ctx, vnow); err != nil {
+		if err := l.Advance(ctx, vnow); err != nil {
 			return fmt.Errorf("cluster: replaying re-joined site %d: %w", idx, err)
 		}
 	}
@@ -473,23 +439,19 @@ type Health struct {
 
 // Health reports the current cluster health snapshot.
 func (co *Coordinator) Health() Health {
+	h := Health{Lease: co.eng.Now()}
 	co.mu.Lock()
-	defer co.mu.Unlock()
-	h := Health{
-		Lease:         co.vnow,
-		Migrations:    co.migrations,
-		Rejoins:       co.rejoins,
-		LastMigration: co.lastMigration,
-	}
+	h.Migrations, h.Rejoins, h.LastMigration = co.migrations, co.rejoins, co.lastMigration
 	if co.lastCkpt != nil {
 		h.LastCheckpoint = co.lastCkpt.At
 	}
+	co.mu.Unlock()
 	domains := make(map[int][]int)
-	for d, s := range co.domainSite {
+	for d, s := range co.eng.DomainSites() {
 		domains[s] = append(domains[s], d)
 	}
-	for s, m := range co.sites {
-		h.Sites = append(h.Sites, SiteHealth{Site: s, Domains: domains[s], Alive: m.lastErr() == nil})
+	for s := range co.opt.Sites {
+		h.Sites = append(h.Sites, SiteHealth{Site: s, Domains: domains[s], Alive: co.eng.Site(s).Err() == nil})
 	}
 	return h
 }

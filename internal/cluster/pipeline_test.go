@@ -12,12 +12,12 @@ import (
 	"presto/internal/wire"
 )
 
-// TestClusterRoundBatching: a standing spec whose cadence outruns the
-// advance quantum gets each lease step's due rounds packed into one
-// FrameScatterBatch/FramePartialsBatch pair per site — while delivery
-// order, dense seqs, exact At cadence and per-round cleanliness all
-// hold exactly as for singly-sent rounds.
-func TestClusterRoundBatching(t *testing.T) {
+// TestClusterFastCadence: a standing spec whose cadence outruns the
+// advance quantum gets a lease per round instant — a lease never steps
+// past a due round — so each round gathers at its instant with one
+// FrameScatter/FramePartials pair per site, while delivery order, dense
+// seqs, exact At cadence and per-round cleanliness all hold.
+func TestClusterFastCadence(t *testing.T) {
 	co, shutdown := startCluster(t, NewLoopback(), testConfig(t, 4, 2, 4), 2)
 	defer shutdown()
 	ctx := context.Background()
@@ -28,9 +28,10 @@ func TestClusterRoundBatching(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Every=2s against the 10s default quantum: each lease step seals 5
-	// rounds, so 40s of standing query is 20 rounds in 4 batch frames.
-	start := co.Now()
+	// Every=2s against the 10s default quantum: 40s of standing query
+	// is 20 rounds, 20 leases and 20 scatter frames per site.
+	start, leases := co.Now(), co.Leases()
+	scatters := co.SiteStats()[0].SentKind[wire.FrameScatter]
 	stream, err := co.Client().Query(ctx, query.Spec{
 		Type: query.Agg, Agg: query.Mean, Precision: 0.5,
 		Trailing:   30 * time.Minute,
@@ -63,18 +64,18 @@ func TestClusterRoundBatching(t *testing.T) {
 			t.Fatalf("round %d: empty trailing window", i)
 		}
 	}
+	if got := co.Leases() - leases; got != 20 {
+		t.Fatalf("%d leases for 20 round instants, want one each", got)
+	}
 	for i, st := range co.SiteStats() {
-		if got := st.SentKind[wire.FrameScatterBatch]; got != 4 {
-			t.Fatalf("site %d saw %d scatter-batch frames, want 4", i+1, got)
+		if got := st.SentKind[wire.FrameScatter] - scatters; got != 20 {
+			t.Fatalf("site %d saw %d scatter frames, want one per round", i+1, got)
 		}
-		if got := st.SentKind[wire.FrameScatter]; got != 0 {
-			t.Fatalf("site %d saw %d single scatter frames, want all rounds batched", i+1, got)
+		if got := st.SentKind[wire.FrameScatterBatch]; got != 0 {
+			t.Fatalf("site %d saw %d scatter-batch frames, want every round at its own lease", i+1, got)
 		}
-		if got := st.RecvKind[wire.FramePartialsBatch]; got != 4 {
-			t.Fatalf("site %d answered %d partials-batch frames, want 4", i+1, got)
-		}
-		if st.SentKindBytes[wire.FrameScatterBatch] == 0 || st.RecvKindBytes[wire.FramePartialsBatch] == 0 {
-			t.Fatalf("site %d: batch byte counters not accounted: %+v", i+1, st)
+		if got := st.RecvKind[wire.FramePartials]; got < 20 {
+			t.Fatalf("site %d answered %d partials frames, want at least 20", i+1, got)
 		}
 	}
 }

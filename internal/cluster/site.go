@@ -1,20 +1,17 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math"
-	"slices"
 	"time"
 
 	"presto/internal/core"
 	"presto/internal/obs"
 	"presto/internal/query"
 	"presto/internal/radio"
-	"presto/internal/simtime"
 	"presto/internal/wire"
 )
 
@@ -127,7 +124,7 @@ func Serve(ctx context.Context, t Transport, addr string, cfg core.Config) error
 		}
 	}()
 
-	site := &site{localSite: localSite{n}, conn: conn}
+	site := &site{Site: core.LocalSite(n), n: n, conn: conn}
 	if sc, ok := conn.(SendCopier); ok {
 		site.copies = sc.SendIsCopy()
 	}
@@ -151,83 +148,12 @@ func Serve(ctx context.Context, t Transport, addr string, cfg core.Config) error
 	}
 }
 
-// localSite is a member over domains hosted in this process: the
-// coordinator's own site 0, and the body a joined site's serve loop
-// answers each coordinator frame with.
-type localSite struct{ n *core.Network }
-
-// gather enqueues one round per bound on the hosted domains now and
-// returns the collect half. Gathers already enqueued when a later round
-// fails keep running into their own buffered channels and are dropped.
-func (s localSite) gather(bounds []query.Spec, motes []radio.NodeID, tr *obs.Trace) collectFunc {
-	rounds := make([]struct {
-		ch <-chan query.RoundPartial
-		n  int
-	}, len(bounds))
-	for k, b := range bounds {
-		var err error
-		if rounds[k].ch, rounds[k].n, err = s.n.GatherStart(b, motes, tr); err != nil {
-			return func(context.Context, [][]query.RoundPartial) error { return err }
-		}
-	}
-	return func(_ context.Context, parts [][]query.RoundPartial) error {
-		for k, r := range rounds {
-			parts[k] = slices.Grow(parts[k], r.n)
-			for range r.n {
-				parts[k] = append(parts[k], <-r.ch)
-			}
-		}
-		return nil
-	}
-}
-
-func (s localSite) advance(_ context.Context, target simtime.Time) error {
-	s.n.RunUntilTime(target)
-	return nil
-}
-
-func (s localSite) bootstrap(_ context.Context, trainFor time.Duration, bins int, delta float64) (simtime.Time, error) {
-	_, err := s.n.Bootstrap(trainFor, bins, delta)
-	return s.n.Now(), err
-}
-
-func (s localSite) start(context.Context) error {
-	s.n.Start()
-	return nil
-}
-
-func (s localSite) snapshot(_ context.Context, d int, drop bool) ([]byte, error) {
-	var b bytes.Buffer
-	if err := s.n.SnapshotDomain(d, &b); err != nil {
-		return nil, err
-	}
-	if drop {
-		if err := s.n.DropDomain(d); err != nil {
-			return nil, err
-		}
-	}
-	return b.Bytes(), nil
-}
-
-// install adopts d unless it is already hosted here (a re-joined site
-// restoring its own window), then restores it.
-func (s localSite) install(_ context.Context, d int, blob []byte) error {
-	if !s.n.HostsDomain(d) {
-		if err := s.n.AdoptDomain(d); err != nil {
-			return err
-		}
-	}
-	return s.n.RestoreDomain(d, bytes.NewReader(blob))
-}
-
-func (s localSite) lastErr() error { return nil }
-func (s localSite) close()         { s.n.Close() }
-
-// site is the serving side of one joined process: a scatter, snapshot
-// or install frame runs the same localSite call the coordinator makes on
-// its own window.
+// site is the serving side of one joined process: a lease, scatter,
+// snapshot or install frame runs the same core.LocalSite call the
+// coordinator makes on its own window.
 type site struct {
-	localSite
+	core.Site
+	n    *core.Network
 	conn Conn
 	// copies records whether conn.Send copies payloads out (SendCopier):
 	// only then may pooled reply arenas be recycled after Send.
@@ -257,45 +183,28 @@ func (s *site) handle(ctx context.Context, f wire.Frame) error {
 		if err != nil {
 			return err
 		}
-		s.n.RunUntilTime(target)
+		_ = s.Advance(ctx, target) // a local lease cannot fail
 		return s.conn.Send(wire.Frame{
 			Kind: wire.FrameAdvanceAck, Seq: f.Seq, Payload: wire.EncodeAdvance(s.n.Now()),
 		})
-	case wire.FrameScatter, wire.FrameScatterBatch:
-		var bounds []query.Spec
-		var motes []radio.NodeID
-		var tr *obs.Trace
-		reply := wire.FramePartials
-		if f.Kind == wire.FrameScatter {
-			spec, ms, traceID, err := query.DecodeScatter(f.Payload)
-			if err != nil {
-				return err
-			}
-			// A scatter carrying trace context (protocol v4) gathers under
-			// a site-local trace adopting the coordinator's id; the routing
-			// decisions it collects ride back as the reply's route section.
-			if traceID != 0 {
-				tr = obs.NewTraceID(traceID)
-			}
-			bounds, motes = []query.Spec{spec}, ms
-		} else {
-			base, ms, wins, err := query.DecodeScatterBatch(f.Payload)
-			if err != nil {
-				return err
-			}
-			bounds, motes, reply = make([]query.Spec, len(wins)), ms, wire.FramePartialsBatch
-			for i, w := range wins {
-				bounds[i] = base
-				bounds[i].T0, bounds[i].T1 = w.T0, w.T1
-			}
+	case wire.FrameScatter:
+		spec, motes, traceID, err := query.DecodeScatter(f.Payload)
+		if err != nil {
+			return err
 		}
-		// Enqueue the rounds' gathers synchronously — they must hit the
+		// A scatter carrying trace context (protocol v4) gathers under a
+		// site-local trace adopting the coordinator's id; the routing
+		// decisions it collects ride back as the reply's route section.
+		var tr *obs.Trace
+		if traceID != 0 {
+			tr = obs.NewTraceID(traceID)
+		}
+		// Enqueue the round's gathers synchronously — they must hit the
 		// shard queues before a later advance frame's commands, which is
-		// what pins the rounds to the leased clock — then collect, encode
+		// what pins the round to the leased clock — then collect, encode
 		// and reply off the serve loop, so the loop can take the next
-		// lease while the rounds execute (lease pipelining's site half).
-		collect := s.gather(bounds, motes, tr)
-		go s.replyRounds(ctx, reply, f.Seq, len(bounds), collect, tr)
+		// lease while the round executes (lease pipelining's site half).
+		go s.replyRound(ctx, f.Seq, s.Gather(spec, motes, tr), tr)
 		return nil
 	case wire.FrameStart:
 		s.n.Start()
@@ -337,7 +246,7 @@ func (s *site) handle(ctx context.Context, f wire.Frame) error {
 // chunks. Runs synchronously on the serve loop: a migration is a
 // cluster-wide barrier, nothing else should interleave.
 func (s *site) streamSnapshot(ctx context.Context, seq uint64, req wire.SnapshotReq) error {
-	blob, err := s.snapshot(ctx, req.Domain, req.Drop)
+	blob, err := s.Snapshot(ctx, req.Domain, req.Drop)
 	if err != nil {
 		return s.reply(wire.FrameSnapshotAck, seq, nil, err)
 	}
@@ -358,7 +267,7 @@ func (s *site) installChunk(ctx context.Context, seq uint64, c wire.SnapshotChun
 		return nil
 	}
 	delete(s.installs, seq)
-	return s.reply(wire.FrameSnapshotAck, seq, nil, s.install(ctx, c.Domain, buf))
+	return s.reply(wire.FrameSnapshotAck, seq, nil, s.Install(ctx, c.Domain, buf))
 }
 
 // reply sends a response frame whose payload starts with an ok byte:
@@ -373,32 +282,24 @@ func (s *site) reply(kind wire.FrameKind, seq uint64, payload []byte, err error)
 	return s.conn.Send(wire.Frame{Kind: kind, Seq: seq, Payload: body})
 }
 
-// replyRounds collects a scatter frame's n gathered rounds and answers
-// with a pooled-arena encode of reply kind: FramePartials carries a
-// plain scatter's one round (with the route section when tr is non-nil
-// — every routing decision is recorded by the time the last partial
-// lands), FramePartialsBatch a batch's rounds in scatter order. Runs off
-// the serve loop.
-func (s *site) replyRounds(ctx context.Context, kind wire.FrameKind, seq uint64, n int, collect collectFunc, tr *obs.Trace) {
-	rounds := make([][]query.RoundPartial, n)
-	if err := collect(ctx, rounds); err != nil {
-		_ = s.reply(kind, seq, nil, err)
+// replyRound collects a scatter frame's gathered round and answers with
+// a pooled-arena encode of its partials, plus the route section when tr
+// is non-nil — every routing decision is recorded by the time the last
+// partial lands. Runs off the serve loop.
+func (s *site) replyRound(ctx context.Context, seq uint64, p core.Pending, tr *obs.Trace) {
+	parts, err := p.Collect(ctx)
+	if err != nil {
+		_ = s.reply(wire.FramePartials, seq, nil, err)
 		return
 	}
-	for _, r := range rounds {
-		query.SortRoundPartials(r)
-	}
+	query.SortRoundPartials(parts)
 	arena := query.GetArena()
 	body := append((*arena)[:0], 1)
-	if kind == wire.FramePartials {
-		body = query.AppendRoundPartials(body, rounds[0])
-		if tr != nil {
-			body = query.AppendTraceRoutes(body, tr.Routes())
-		}
-	} else {
-		body = query.EncodeRoundPartialsBatch(body, rounds)
+	body = query.AppendRoundPartials(body, parts)
+	if tr != nil {
+		body = query.AppendTraceRoutes(body, tr.Routes())
 	}
-	_ = s.conn.Send(wire.Frame{Kind: kind, Seq: seq, Payload: body})
+	_ = s.conn.Send(wire.Frame{Kind: wire.FramePartials, Seq: seq, Payload: body})
 	*arena = body
 	if s.copies {
 		query.PutArena(arena)

@@ -93,11 +93,11 @@ func TestClusterTraceOverTCP(t *testing.T) {
 	// The merged trace names the pipeline stages...
 	var haveScatter, haveMerge bool
 	for _, sp := range tr.Spans() {
-		haveScatter = haveScatter || sp.Name == "cluster-scatter"
-		haveMerge = haveMerge || sp.Name == "cluster-merge"
+		haveScatter = haveScatter || sp.Name == "scatter"
+		haveMerge = haveMerge || sp.Name == "merge"
 	}
 	if !haveScatter || !haveMerge {
-		t.Fatalf("trace spans %+v lack cluster-scatter/cluster-merge", tr.Spans())
+		t.Fatalf("trace spans %+v lack scatter/merge", tr.Spans())
 	}
 
 	// ...and carries one routing decision per mote, each stamped with

@@ -1,29 +1,31 @@
 package core
 
-// The declarative client facade and the engine's scatter-gather stage.
+// The one query engine and the declarative client facade.
 //
-// A query.Spec targets a *set* of motes; the engine fans it out as one
-// command per owning simulation domain (not one per mote), each domain
-// worker routes each of its motes once through the domain's store and
-// folds the answers into a query.Partial, and a merge stage combines the per-domain partials into one answer
-// with honest combined error bounds. An N-mote aggregate spanning any
-// number of domains therefore costs exactly one engine submission.
+// A query.Spec targets a *set* of motes. The engine resolves its
+// selector, groups the targets by hosting site, scatters one gather per
+// site, collects the sites' per-domain partials and merges them, in
+// domain order, into one answer with honest combined error bounds. An
+// N-mote aggregate spanning any number of domains therefore costs one
+// gather per site. A Network is this engine over its own domains as one
+// local site (partials by reference); a cluster coordinator is the same
+// engine over its local site plus one Site per joined process.
 //
-// Continuous specs fire on the same round clock a cluster coordinator
-// uses (standing.go): each Run seals the rounds due by its target
-// instant, every domain runs to each round's instant and gathers its
-// share there, and the domain delivering a round's last partial merges
-// it and hands it to the stream, which delivers the rounds in sequence.
-// A domain therefore gathers exactly where a cluster site does — after
-// every event at the instant has fired — whatever the goroutine timing.
+// Continuous specs live in the engine's Streams (standing.go). Run steps
+// the clock in leases, and a lease never steps past the instant a
+// standing round is due: every round seals when a lease reaches its
+// instant and gathers there, after every event at the instant has fired,
+// on every site alike. Only a coordinator has a lease quantum as well;
+// an in-process engine leases to each round instant and to the target.
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"presto/internal/obs"
 	"presto/internal/query"
@@ -31,317 +33,237 @@ import (
 	"presto/internal/simtime"
 )
 
-// resolveRuns resolves a spec's selector against the hosted motes and
-// groups the targets by owning shard (see groupRuns). The all-motes
-// selector is the cached id list itself — no copy per submission.
-func (n *Network) resolveRuns(spec query.Spec) ([]shardRun, error) {
-	targets := n.moteIDs
-	if len(spec.Select.Motes) > 0 || spec.Select.Where != nil {
-		targets = spec.Select.Resolve(targets)
+// Engine is the one query engine: resolve → group by site → scatter →
+// collect → merge, the standing specs' round clock, and the lease loop
+// that steps the sites' clocks. Site 0 is always the local site.
+type Engine struct {
+	local *Network // site 0's domains
+	// quantum bounds a lease (a coordinator's Options.Quantum). Zero is
+	// an in-process engine: no quantum, and its clock is its domains'.
+	quantum  simtime.Time
+	standing *Streams // a pointer, so its goroutines never root the engine
+	leases   atomic.Uint64
+
+	mu     sync.Mutex // guards everything below
+	vnow   simtime.Time
+	closed bool
+	sites  []Site
+	// domainSite maps each global domain to its hosting site, -1 for a
+	// domain hosted nowhere.
+	domainSite []int
+	all        route // the all-motes selector's route
+}
+
+// siteTargets is one site's share of a round's motes.
+type siteTargets struct {
+	site  int
+	motes []radio.NodeID
+}
+
+// route is where a spec's motes live: resolved once, when the spec is
+// posed, and regrouped when a domain changes hosts.
+type route struct {
+	motes  []radio.NodeID // the resolved targets
+	groups []siteTargets  // by hosting site, in site order
+	// orphans counts targets whose domain is hosted nowhere (a standing
+	// spec's motes in a dropped domain); every round fails them.
+	orphans int
+}
+
+// NewEngine builds the engine over local (site 0) and remotes (sites 1
+// and up). domainSite maps each global domain to its hosting site (-1:
+// hosted nowhere); the engine owns it from here. A zero quantum makes an
+// in-process engine, whose clock is the local domains'.
+func NewEngine(local *Network, quantum time.Duration, domainSite []int, remotes ...Site) *Engine {
+	e := &Engine{local: local, quantum: simtime.Time(quantum), standing: &Streams{},
+		sites: append([]Site{LocalSite(local)}, remotes...), domainSite: domainSite}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.reroute()
+	return e
+}
+
+// Now returns the engine's clock: the lease floor every site has
+// converged on, or, in-process, the least-advanced local domain's clock.
+func (e *Engine) Now() simtime.Time {
+	if e.quantum == 0 {
+		return e.local.Now()
 	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.vnow
+}
+
+// Site returns site i's handle.
+func (e *Engine) Site(i int) Site {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.sites[i]
+}
+
+// SetSite replaces site i's handle (a joined or re-joined process).
+func (e *Engine) SetSite(i int, s Site) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.sites[i] = s
+}
+
+// eachSite runs fn on every site concurrently and waits for all of them.
+// The calling goroutine takes the local site's share itself.
+func (e *Engine) eachSite(fn func(i int, s Site)) {
+	var wg sync.WaitGroup
+	for i := 1; i < len(e.sites); i++ {
+		s := e.Site(i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(i, s)
+		}()
+	}
+	fn(0, e.Site(0))
+	wg.Wait()
+}
+
+// DomainSites returns a copy of the domain → hosting site map.
+func (e *Engine) DomainSites() []int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return slices.Clone(e.domainSite)
+}
+
+// Rehost records that domain d is now hosted by site (-1: nowhere) and
+// re-routes the all-motes selector and every standing spec. A standing
+// spec keeps the motes it resolved when posed: those of a domain hosted
+// nowhere fail in each of its rounds.
+func (e *Engine) Rehost(d, site int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.domainSite[d] = site
+	e.reroute()
+}
+
+// reroute recomputes the all-motes route and every stream's route from
+// domainSite. Caller holds mu.
+func (e *Engine) reroute() {
+	var all []radio.NodeID
+	for d, s := range e.domainSite {
+		if s >= 0 {
+			all = append(all, e.local.lay.DomainMotes(d)...)
+		}
+	}
+	e.all, _ = e.routeOf(all) // layout motes: cannot fail
+	e.standing.Each(func(st *Stream) { st.route, _ = e.routeOf(st.route.motes) })
+}
+
+// siteOf maps a mote to its hosting site (-1: hosted nowhere). Caller
+// holds mu.
+func (e *Engine) siteOf(m radio.NodeID) (int, error) {
+	d, ok := e.local.lay.DomainOfMote(m)
+	if !ok {
+		return 0, fmt.Errorf("core: unknown mote %d", m)
+	}
+	return e.domainSite[d], nil
+}
+
+// routeOf groups targets by hosting site, keeping target order within a
+// site. When one site hosts them all — every in-process spec — the group
+// aliases targets. Caller holds mu.
+func (e *Engine) routeOf(targets []radio.NodeID) (route, error) {
+	r := route{motes: targets}
+	first, mixed := -1, false
+	for _, m := range targets {
+		s, err := e.siteOf(m)
+		switch {
+		case err != nil:
+			return route{}, err
+		case s < 0:
+			r.orphans++
+		case first < 0:
+			first = s
+		case s != first:
+			mixed = true
+		}
+	}
+	if first >= 0 && !mixed && r.orphans == 0 {
+		r.groups = []siteTargets{{site: first, motes: targets}}
+		return r, nil
+	}
+	for site := range e.sites {
+		var ms []radio.NodeID
+		for _, m := range targets {
+			if s, _ := e.siteOf(m); s == site {
+				ms = append(ms, m)
+			}
+		}
+		if len(ms) > 0 {
+			r.groups = append(r.groups, siteTargets{site: site, motes: ms})
+		}
+	}
+	return r, nil
+}
+
+// resolve applies a spec's selector to the hosted motes and routes the
+// targets. Predicates are evaluated here, once — only explicit mote
+// lists reach the sites. Caller holds mu.
+func (e *Engine) resolve(spec query.Spec) (route, error) {
+	if len(spec.Select.Motes) == 0 && spec.Select.Where == nil {
+		return e.all, nil
+	}
+	targets := spec.Select.Resolve(e.all.motes)
 	if len(targets) == 0 {
-		return nil, fmt.Errorf("core: %w", query.ErrNoMotes)
+		return route{}, fmt.Errorf("core: %w", query.ErrNoMotes)
 	}
-	return n.groupRuns(targets)
-}
-
-// gatherSpec runs on a shard worker: it hands the round's motes to the
-// domain's unified store in one call and collects the answers into one
-// RoundPartial, handed to deliver (on this worker) when the last answer
-// lands. An AGG round gives the store its partial as the fold target
-// (aggregate push-down: archive and proxy alike fold each mote's entries
-// straight into it, in the order store.Execute documents); NOW and PAST
-// results come back through the round's one callback. Answers that need
-// a mote rendezvous resolve while the worker settles (or during the
-// remaining chunks of an in-progress advance); the per-domain pull
-// coalescing applies across the motes of the round as usual. When tr is
-// non-nil the store annotates every routing decision onto it as it is
-// made; nil tr — the common case — adds one predictable branch per mote.
-func gatherSpec(sh *shard, spec query.Spec, motes []radio.NodeID, tr *obs.Trace, deliver func(query.RoundPartial)) {
-	pq := &pendingQuery{
-		sp:  query.RoundPartial{Domain: sh.domain, Partial: query.NewPartialFor(spec)},
-		agg: spec.Type == query.Agg,
-		// One hold beyond the motes', released below: answers given while
-		// the store is still routing must not deliver a half-routed round.
-		remaining: len(motes) + 1,
-		deliver:   deliver,
+	r, err := e.routeOf(targets)
+	if err == nil && r.orphans > 0 {
+		err = fmt.Errorf("core: %d selected motes are hosted nowhere", r.orphans)
 	}
-	var fold *query.Partial
-	if pq.agg {
-		fold = &pq.sp.Partial
-	}
-	failed := sh.st.Execute(spec, motes, fold, tr, func(r query.Result) { pq.answer(sh, r) })
-	pq.sp.Failed += failed
-	pq.remaining -= failed + 1
-	if pq.remaining == 0 {
-		deliver(pq.sp)
-		return
-	}
-	// Rendezvous answers arrive as kernel events, none of which can run
-	// before this function returns: registering now loses nothing.
-	sh.pending[pq] = struct{}{}
-}
-
-// GatherLocal executes one bound round against the local domains owning
-// the given motes and blocks for their folded partials, tagged by global
-// domain index. It is how a cluster site serves a scatter frame: the
-// per-mote answers are folded here, in the process that owns the data
-// (push-down), and only what this returns crosses the transport. The
-// spec must already be concrete (BindWindow applied — a trailing window
-// must resolve against the coordinator's clock, not each site's); motes
-// not hosted by this process are an error, since the coordinator's
-// layout and the site's must agree.
-func (n *Network) GatherLocal(spec query.Spec, motes []radio.NodeID) ([]query.RoundPartial, error) {
-	parts, expect, err := n.GatherStart(spec, motes, nil)
-	if err != nil {
-		return nil, err
-	}
-	out := collect(parts, expect)
-	query.SortRoundPartials(out)
-	return out, nil
-}
-
-// GatherStart enqueues one concrete round against the local domains
-// owning motes and returns the channel their folded partials arrive on,
-// plus how many to expect (one per owning domain, in arrival order —
-// sort by Domain before merging). It is GatherLocal's non-blocking half:
-// the cluster coordinator uses it to enqueue a round's local gathers
-// before issuing the next advance lease, so the round executes while the
-// window advances instead of quiescing the engine. Each domain folds at
-// its clock when its worker picks the round up — after an advance lease,
-// the converged floor.
-//
-// A non-nil tr collects each target mote's routing decision as the
-// round executes — the cluster site threads the scatter frame's trace
-// context through here so the decisions ride back in the partials.
-func (n *Network) GatherStart(spec query.Spec, motes []radio.NodeID, tr *obs.Trace) (<-chan query.RoundPartial, int, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, 0, err
-	}
-	if spec.Trailing > 0 {
-		return nil, 0, errors.New("core: GatherLocal needs a concrete window (apply Spec.BindWindow at the coordinator)")
-	}
-	if len(motes) == 0 {
-		return nil, 0, fmt.Errorf("core: %w", query.ErrNoMotes)
-	}
-	runs, err := n.groupRuns(motes)
-	if err != nil {
-		return nil, 0, err
-	}
-	return n.scatter(spec, runs, tr), len(runs), nil
-}
-
-// scatter enqueues one bound round on every owning domain and returns
-// the channel their partials arrive on, buffered to the domain count so
-// workers never block. A domain that cannot accept work (engine closed)
-// contributes a failed partial at once.
-func (n *Network) scatter(spec query.Spec, runs []shardRun, tr *obs.Trace) <-chan query.RoundPartial {
-	n.queriesSubmitted.Add(1)
-	parts := make(chan query.RoundPartial, len(runs))
-	deliver := func(p query.RoundPartial) { parts <- p }
-	for _, g := range runs {
-		motes := g.motes
-		if !g.s.enqueue(shardCmd{fn: func(sh *shard) { gatherSpec(sh, spec, motes, tr, deliver) }}) {
-			parts <- failedPartial(spec, g)
-		}
-	}
-	return parts
-}
-
-// collect blocks for a round's expect partials. Workers always deliver —
-// queries that can never complete fail instead of wedging — so it
-// terminates.
-func collect(parts <-chan query.RoundPartial, expect int) []query.RoundPartial {
-	out := make([]query.RoundPartial, 0, expect)
-	for i := 0; i < expect; i++ {
-		out = append(out, <-parts)
-	}
-	return out
-}
-
-// failedPartial is the share of a domain that cannot gather: all its
-// motes failed.
-func failedPartial(spec query.Spec, g shardRun) query.RoundPartial {
-	return query.RoundPartial{Domain: g.s.domain, Partial: query.NewPartialFor(spec), Failed: len(g.motes)}
-}
-
-// shardRun is one owning domain's slice of a round's target motes.
-type shardRun struct {
-	s     *shard
-	motes []radio.NodeID
-}
-
-// groupRuns groups target motes by owning shard. Resolved mote lists are
-// ascending and domains partition the id space contiguously, so a
-// single pass over the list finds each domain's run without a map — and
-// the runs alias the input, so the common case allocates only the run
-// slice. An out-of-order list (an explicit selector like Motes(9, 2))
-// falls back to map grouping, preserving selector order within groups.
-func (n *Network) groupRuns(motes []radio.NodeID) ([]shardRun, error) {
-	runs := make([]shardRun, 0, 4)
-	start := 0
-	cur, err := n.shardFor(motes[0])
-	if err != nil {
-		return nil, err
-	}
-	for i := 1; i < len(motes); i++ {
-		if motes[i] < motes[i-1] {
-			return n.groupRunsUnsorted(motes)
-		}
-		s, err := n.shardFor(motes[i])
-		if err != nil {
-			return nil, err
-		}
-		if s != cur {
-			for _, g := range runs {
-				if g.s == s {
-					// Non-contiguous partition: a shard's motes must land
-					// in one group (one partial per domain), so runs can't
-					// represent this list.
-					return n.groupRunsUnsorted(motes)
-				}
-			}
-			runs = append(runs, shardRun{s: cur, motes: motes[start:i]})
-			cur, start = s, i
-		}
-	}
-	return append(runs, shardRun{s: cur, motes: motes[start:]}), nil
-}
-
-func (n *Network) groupRunsUnsorted(motes []radio.NodeID) ([]shardRun, error) {
-	groups := make(map[*shard][]radio.NodeID)
-	order := make([]*shard, 0, 4)
-	for _, m := range motes {
-		s, err := n.shardFor(m)
-		if err != nil {
-			return nil, err
-		}
-		if _, ok := groups[s]; !ok {
-			order = append(order, s)
-		}
-		groups[s] = append(groups[s], m)
-	}
-	runs := make([]shardRun, 0, len(order))
-	for _, s := range order {
-		runs = append(runs, shardRun{s: s, motes: groups[s]})
-	}
-	return runs, nil
-}
-
-// dueGather is one domain's share of a sealed standing round: run to the
-// round's instant, then gather motes into fold.
-type dueGather struct {
-	motes []radio.NodeID
-	fold  *roundFold
-}
-
-// roundFold collects one standing round's per-domain partials as the
-// domains deliver them; the domain delivering the last merges the round
-// (domain-ascending, so the fold is bit-identical to a cluster's
-// two-level merge of the same domains) and hands it to the stream.
-type roundFold struct {
-	spec      query.Spec // bound at the round's instant
-	round     Round
-	mu        sync.Mutex
-	parts     []query.RoundPartial
-	remaining int
-}
-
-func (f *roundFold) deliver(p query.RoundPartial) {
-	f.mu.Lock()
-	f.parts = append(f.parts, p)
-	f.remaining--
-	last := f.remaining == 0
-	f.mu.Unlock()
-	if last {
-		f.round.Deliver(query.MergeRounds(f.spec, f.round.Seq, f.round.At, f.parts))
-	}
-}
-
-// dueGathers seals the standing rounds due by target and lays them out
-// per hosted shard (indexed by slot; nil when none is due), each shard's
-// list in instant order and, within an instant, in stream order. A
-// round's share on a domain no longer hosted here fails at once.
-func (n *Network) dueGathers(target simtime.Time) [][]dueGather {
-	batches := n.standing.Due(target)
-	if len(batches) == 0 {
-		return nil
-	}
-	per := make([][]dueGather, len(n.shards))
-	for _, b := range batches {
-		for _, r := range b.Rounds {
-			n.queriesSubmitted.Add(1)
-			f := &roundFold{spec: b.Spec.BindWindow(r.At), round: r,
-				parts: make([]query.RoundPartial, 0, len(b.Route)), remaining: len(b.Route)}
-			for _, g := range b.Route {
-				if g.s.slot < len(n.shards) && n.shards[g.s.slot] == g.s {
-					per[g.s.slot] = append(per[g.s.slot], dueGather{motes: g.motes, fold: f})
-				} else {
-					f.deliver(failedPartial(f.spec, g))
-				}
-			}
-		}
-	}
-	for _, gs := range per {
-		slices.SortStableFunc(gs, func(a, b dueGather) int { return cmp.Compare(a.fold.round.At, b.fold.round.At) })
-	}
-	return per
+	return r, err
 }
 
 // SubmitSpec posts a declarative set query to the engine. The returned
 // channel yields one SetResult for a one-shot spec, then closes; a
-// Continuous spec yields a result every spec period of virtual time
-// until ctx is cancelled (or the Until horizon passes), then closes.
-// Each round is a single engine submission regardless of how many motes
-// or domains it spans.
+// Continuous spec yields a result every spec period of virtual time —
+// as Run reaches each period instant — until ctx is cancelled (or the
+// Until horizon passes), then closes. The trailing-window form binds
+// [now-d, now] at each round's instant, engine-side, so every site
+// evaluates the same window.
 //
 // Cancellation is prompt and leak-free: the driver goroutine exits on
 // ctx.Done even when no receiver drains the channel.
-func (n *Network) SubmitSpec(ctx context.Context, spec query.Spec) (<-chan query.SetResult, error) {
+func (e *Engine) SubmitSpec(ctx context.Context, spec query.Spec) (<-chan query.SetResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	runs, err := n.resolveRuns(spec)
+	e.mu.Lock()
+	r, err := e.resolve(spec)
+	closed := e.closed
+	e.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	// Fail fast after Close (Close shuts every shard down). A Close
-	// racing a submitted round is still safe: the round's motes are
-	// reported in SetResult.Failed instead.
-	if n.shards[0].isClosed() {
+	if closed {
 		return nil, ErrClosed
 	}
+	now := e.Now()
 	if spec.Continuous != nil {
-		// Standing query: its rounds fire as Run (or RunUntilTime) reaches
-		// each period instant. Virtual time standing still means no new
-		// rounds — no new data can exist either.
-		return n.standing.Open(ctx, spec, runs, n.Now())
+		return e.standing.Open(ctx, spec, r, now)
 	}
 	// An explain/slow-query trace rides the context; nil otherwise.
 	tr := obs.TraceFrom(ctx)
-	out := make(chan query.SetResult, 1)
-	// A one-shot NOW spec naming a single mote keeps the engine's
-	// wired-replica fast path (submitNow: cross-domain NOW queries served
-	// from the replica mirror when it meets precision and freshness).
-	// Scatter rounds execute at the owning domains instead: a set snapshot
+	// A one-shot NOW spec naming a single local mote keeps the wired-
+	// replica fast path (submitNow). A set snapshot scatters instead: it
 	// wants the authoritative data, and its per-domain partials cannot
 	// depend on another domain's replica decision. A traced query skips
 	// the bypass: the scatter path is the one that annotates each routing
 	// decision, and one query through it costs little.
-	if tr == nil && spec.Type == query.Now && len(runs) == 1 && len(runs[0].motes) == 1 {
-		if err := n.submitNow(spec, runs[0].s, runs[0].motes, out); err != nil {
-			return nil, err
-		}
-		return out, nil
+	if g := r.groups; tr == nil && spec.Type == query.Now && len(g) == 1 && g[0].site == 0 && len(g[0].motes) == 1 {
+		return e.local.submitNow(spec, g[0].motes)
 	}
+	out := make(chan query.SetResult, 1)
 	go func() {
 		defer close(out)
-		if tr != nil { // gate the Sprintf, not just the span: untraced rounds must not allocate
-			tr.Span("scatter", fmt.Sprintf("%d domains", len(runs)))
-		}
-		at := n.Now()
-		bound := spec.BindWindow(at)
-		res := query.MergeRounds(bound, 0, at, collect(n.scatter(bound, runs, tr), len(runs)))
+		bound := spec.BindWindow(now)
+		res := e.collect(ctx, r, bound, Round{At: now}, e.scatter(r, bound, tr))
 		if tr != nil {
 			tr.Span("merge", fmt.Sprintf("%d results, %d failed", len(res.Results), res.Failed))
 		}
@@ -353,14 +275,174 @@ func (n *Network) SubmitSpec(ctx context.Context, spec query.Spec) (<-chan query
 	return out, nil
 }
 
+// gathering is one site's share of a round in flight.
+type gathering struct {
+	site, motes int
+	Pending
+}
+
+// scatter starts a round, bound at its instant, on every site of r: all
+// that must order before the next lease is enqueued or on the wire when
+// it returns, and collect assembles the answers.
+func (e *Engine) scatter(r route, bound query.Spec, tr *obs.Trace) []gathering {
+	gs := make([]gathering, len(r.groups))
+	for i, g := range r.groups {
+		gs[i] = gathering{g.site, len(g.motes), e.Site(g.site).Gather(bound, g.motes, tr)}
+	}
+	if tr != nil { // gate the Sprintf, not just the span: untraced rounds must not allocate
+		tr.Span("scatter", fmt.Sprintf("%d sites", len(r.groups)))
+	}
+	return gs
+}
+
+// collect waits for every site's share of a round and merges the
+// partials in global domain order. A site that fails contributes an
+// explicit SiteError and its motes count as Failed — a partial answer,
+// never a hang — as do the route's orphans.
+func (e *Engine) collect(ctx context.Context, r route, bound query.Spec, rd Round, gs []gathering) query.SetResult {
+	var parts []query.RoundPartial
+	var siteErrs []query.SiteError // in site order, as groups are
+	failed := r.orphans
+	for _, g := range gs {
+		got, err := g.Collect(ctx)
+		if err != nil {
+			siteErrs = append(siteErrs, query.SiteError{Site: g.site, Err: err})
+			failed += g.motes
+			continue
+		}
+		if parts == nil {
+			parts = got // by reference: the site is done with it
+		} else {
+			parts = append(parts, got...)
+		}
+	}
+	res := query.MergeRounds(bound, rd.Seq, rd.At, parts)
+	res.Failed += failed
+	res.SiteErrs = siteErrs
+	return res
+}
+
+// Run advances every site by d of virtual time in absolute leases, each
+// site converging on a lease before the next is issued. A lease steps at
+// most one quantum (coordinators only) and never past the instant a
+// standing round is due, so every round seals and gathers at its
+// instant. A site that fails a lease is skipped: its absence shows per
+// round in SiteErrs, not by wedging the clock.
+//
+// Rounds are pipelined: a sealed round's gathers are enqueued (or sent)
+// right after its lease converges, and the next lease goes out while
+// they are still being computed and collected. Per-site FIFO keeps this
+// correct without quiescing — a site takes a round's gathers before any
+// later lease, which pins the round to the instant it was sealed at.
+// The caller serializes Run with everything else that moves the clock.
+func (e *Engine) Run(ctx context.Context, d time.Duration) error {
+	now := e.Now()
+	target := now + simtime.Time(d)
+	for now < target {
+		next := target
+		if e.quantum > 0 {
+			next = min(next, now+e.quantum)
+		}
+		if at, ok := e.standing.Next(); ok {
+			next = min(next, max(at, now))
+		}
+		if next > now {
+			e.leases.Add(1)
+			e.eachSite(func(_ int, s Site) { _ = s.Advance(ctx, next) }) // dead sites fail fast
+			e.mu.Lock()
+			e.vnow = next
+			e.mu.Unlock()
+		}
+		e.fire(next)
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		now = max(next, e.Now())
+	}
+	return nil
+}
+
+// fire seals every standing round due by at and launches its gathers
+// without waiting for the answers; a collector goroutine per round
+// merges and delivers it.
+func (e *Engine) fire(at simtime.Time) {
+	for _, b := range e.standing.Due(at) {
+		for _, rd := range b.Rounds {
+			bound := b.Spec.BindWindow(rd.At)
+			gs := e.scatter(b.route, bound, nil)
+			go func() { rd.Deliver(e.collect(b.ctx, b.route, bound, rd, gs)) }()
+		}
+	}
+}
+
+// Leases reports how many leases the engine has issued.
+func (e *Engine) Leases() uint64 { return e.leases.Load() }
+
+// EachStream calls fn on every live standing spec under the schedule
+// lock (checkpoints read the schedule).
+func (e *Engine) EachStream(fn func(*Stream)) { e.standing.Each(fn) }
+
+// Bootstrap runs the two-phase startup on every site concurrently and
+// waits for all of them; the lease clock then starts at the latest
+// post-bootstrap instant.
+func (e *Engine) Bootstrap(ctx context.Context, trainFor time.Duration, bins int, delta float64) error {
+	ats, errs := make([]simtime.Time, len(e.sites)), make([]error, len(e.sites))
+	e.eachSite(func(i int, s Site) { ats[i], errs[i] = s.Bootstrap(ctx, trainFor, bins, delta) })
+	e.mu.Lock()
+	e.vnow = slices.Max(ats)
+	e.mu.Unlock()
+	return firstErr("bootstrap", errs)
+}
+
+// Start begins sampling on every site's motes without the two-phase
+// bootstrap (raw-push workloads; Bootstrap implies it).
+func (e *Engine) Start(ctx context.Context) error {
+	errs := make([]error, len(e.sites))
+	e.eachSite(func(i int, s Site) { errs[i] = s.Start(ctx) })
+	return firstErr("start", errs)
+}
+
+// firstErr returns the first failure in site order, naming its site.
+func firstErr(op string, errs []error) error {
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("core: site %d %s: %w", i, op, err)
+		}
+	}
+	return nil
+}
+
+// Closed reports whether Close has been called.
+func (e *Engine) Closed() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.closed
+}
+
+// Close refuses further specs and aborts every standing stream. The
+// sites are their owner's to close.
+func (e *Engine) Close() {
+	e.mu.Lock()
+	e.closed = true
+	e.mu.Unlock()
+	e.standing.Close()
+}
+
+// RegisterMetrics registers the local site's series and the engine's
+// own into reg. Call once per registry (duplicate registration panics).
+func (e *Engine) RegisterMetrics(reg *obs.Registry) {
+	e.local.registerMetrics(reg)
+	reg.CounterFunc("presto_stream_rounds_skipped_total",
+		"Standing-spec rounds skipped because their reader was 256 rounds behind.", nil, e.standing.Skipped)
+}
+
 // ---------------------------------------------------------------------------
 // Client facade
 
-// SpecSubmitter is the engine seam the Client facade sits on: anything
-// that can scatter a declarative spec and stream back merged rounds. The
-// in-process Network implements it directly; cluster.Coordinator
-// implements it over a transport — the same Client (and therefore the
-// same application code) front-ends both.
+// SpecSubmitter is the seam the Client facade sits on: anything that can
+// scatter a declarative spec and stream back merged rounds. The
+// in-process Network and cluster.Coordinator both implement it with the
+// same Engine; wrappers and test fakes implement it too.
 type SpecSubmitter interface {
 	SubmitSpec(ctx context.Context, spec query.Spec) (<-chan query.SetResult, error)
 }
@@ -375,6 +457,12 @@ type Client struct {
 // NewClient wraps any spec engine — an in-process Network or a cluster
 // Coordinator — in the query facade.
 func NewClient(e SpecSubmitter) *Client { return &Client{e: e} }
+
+// SubmitSpec posts a declarative set query to the deployment's engine
+// (Engine.SubmitSpec).
+func (n *Network) SubmitSpec(ctx context.Context, spec query.Spec) (<-chan query.SetResult, error) {
+	return n.eng.SubmitSpec(ctx, spec)
+}
 
 // Client returns the deployment's query facade.
 func (n *Network) Client() *Client { return NewClient(n) }

@@ -11,9 +11,11 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"presto/internal/obs"
 	"presto/internal/query"
 	"presto/internal/radio"
 	"presto/internal/simtime"
@@ -399,6 +401,88 @@ func TestStandingRoundsReplay(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("round %d differs between two builds:\n%s\n%s", i, a[i], b[i])
 		}
+	}
+}
+
+// TestStandingRoundsAcrossDropDomain pins in-process elastic accounting:
+// a standing spec keeps the motes it resolved when posed, so after a
+// domain is dropped its rounds count that domain's motes as Failed — not
+// as a whole-round SiteErrs failure — and answer from the surviving
+// domain, while a one-shot spec with the same selector resolves against
+// the motes still hosted and fails none.
+func TestStandingRoundsAcrossDropDomain(t *testing.T) {
+	n := buildSharded(t, 2, 2, 2, nil)
+	n.Start()
+	n.Run(2 * time.Hour)
+	ctx := context.Background()
+	spec := query.Spec{Type: query.Agg, Agg: query.Mean, Trailing: time.Hour, Precision: 2}
+	cont := spec
+	cont.Continuous = &query.Continuous{Every: 30 * time.Minute}
+	st, err := n.Client().Query(ctx, cont)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	n.Run(30 * time.Minute)
+	if r := <-st.Results(); r.Seq != 0 || r.Failed != 0 || len(r.SiteErrs) != 0 || r.Count == 0 {
+		t.Fatalf("round 0 before the drop: %+v", r)
+	}
+	if err := n.DropDomain(1); err != nil {
+		t.Fatal(err)
+	}
+	n.Run(30 * time.Minute)
+	r := <-st.Results()
+	if r.Seq != 1 || r.Failed != 2 || len(r.SiteErrs) != 0 || r.Err != nil || r.Count != 122 {
+		t.Fatalf("round 1 after dropping domain 1: seq %d, %d failed, site errors %v, err %v, n=%d; want seq 1, 2 failed, none, nil, n=122",
+			r.Seq, r.Failed, r.SiteErrs, r.Err, r.Count)
+	}
+	one, err := n.Client().QueryOne(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one.Failed != 0 || len(one.SiteErrs) != 0 || one.Count != r.Count || one.Value != r.Value {
+		t.Fatalf("one-shot after the drop: %d failed, site errors %v, %v (n=%d); want the round's %v (n=%d) with none failed",
+			one.Failed, one.SiteErrs, one.Value, one.Count, r.Value, r.Count)
+	}
+}
+
+// TestStreamSkippedRoundsCounted: a reader that stalls for more than the
+// 256-round stream buffer loses rounds — sequence numbers stay dense —
+// and the engine counts every skipped round once, in
+// presto_stream_rounds_skipped_total.
+func TestStreamSkippedRoundsCounted(t *testing.T) {
+	n := buildSharded(t, 1, 1, 1, nil)
+	n.Start()
+	n.Run(time.Hour)
+	const every, rounds = time.Minute, 300
+	st, err := n.Client().Query(context.Background(), query.Spec{
+		Type: query.Now, Precision: 2, Continuous: &query.Continuous{Every: every, Until: rounds * every},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Run(rounds * every) // nobody reads
+	var seqs int
+	for r := range st.Results() {
+		if r.Seq != seqs {
+			t.Fatalf("delivery %d has seq %d: not dense", seqs, r.Seq)
+		}
+		seqs++
+	}
+	// The buffer holds 256 sealed rounds, and the delivery goroutine one
+	// more it is waiting to hand over.
+	if skipped := rounds - seqs; seqs != streamBuffer+1 || n.eng.standing.Skipped() != uint64(skipped) {
+		t.Fatalf("%d rounds delivered, %d counted skipped; want %d and %d",
+			seqs, n.eng.standing.Skipped(), streamBuffer+1, skipped)
+	}
+	reg := obs.NewRegistry()
+	n.RegisterMetrics(reg)
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("presto_stream_rounds_skipped_total %d\n", rounds-seqs); !strings.Contains(b.String(), want) {
+		t.Fatalf("metrics lack %q", want)
 	}
 }
 

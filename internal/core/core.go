@@ -12,9 +12,10 @@
 // are partitioned into independent simulation domains that advance
 // concurrently, one worker goroutine per domain, with a wired-replica
 // bridge carrying confirmed data and models between domains. See
-// engine.go for the query engine and worker model. With Shards <= 1 the
-// deployment is a single domain and behaves exactly like the unsharded
-// design, including bit-for-bit reproducible runs for a given seed.
+// client.go for the query engine and engine.go for the worker model.
+// With Shards <= 1 the deployment is a single domain and behaves exactly
+// like the unsharded design, including bit-for-bit reproducible runs for
+// a given seed.
 package core
 
 import (
@@ -278,7 +279,8 @@ func (l Layout) AllMotes() []radio.NodeID {
 }
 
 // Network is a running PRESTO deployment: one or more concurrent
-// simulation domains fronted by the async query engine (engine.go).
+// simulation domains fronted by the query engine (client.go) as its one
+// local site.
 // Public methods are safe for concurrent use — each domain is owned by
 // one worker goroutine and the engine routes work to it.
 //
@@ -314,12 +316,12 @@ type Network struct {
 	started   bool
 	closeOnce sync.Once
 
-	// runMu serializes Run and RunUntilTime: one caller advances the clock
-	// at a time.
+	// runMu serializes Run: one caller advances the clock at a time.
 	runMu sync.Mutex
-	// standing holds the continuous specs Run fires. A pointer, so its
-	// goroutines never keep an abandoned Network from its finalizer.
-	standing *Streams[[]shardRun]
+	// eng is the query engine over this process's domains as one local
+	// site; reap is what the finalizer shuts down if n is abandoned.
+	eng  *Engine
+	reap *reaper
 
 	queriesSubmitted atomic.Uint64
 	replicaServed    atomic.Uint64
@@ -353,8 +355,16 @@ func Build(cfg Config) (*Network, error) {
 		moteShard:  make(map[radio.NodeID]int),
 		moteHome:   make(map[radio.NodeID]*mote.Mote),
 		proxyShard: make(map[int]int),
-		standing:   &Streams[[]shardRun]{},
 	}
+	domainSite := make([]int, lay.Shards)
+	for d := range domainSite {
+		domainSite[d] = -1
+		if d >= first && d < first+count {
+			domainSite[d] = 0
+		}
+	}
+	n.eng = NewEngine(n, 0, domainSite)
+	n.reap = &reaper{standing: n.eng.standing}
 	// The bridge exists whenever the *global* deployment is multi-domain:
 	// a windowed build hosting a single domain still replicates over it —
 	// traffic for domains in other processes leaves through its uplink
@@ -403,7 +413,7 @@ func Build(cfg Config) (*Network, error) {
 	for _, s := range n.shards {
 		go s.loop()
 	}
-	runtime.SetFinalizer(n, (*Network).Close)
+	runtime.SetFinalizer(n.reap, (*reaper).reap)
 	return n, nil
 }
 

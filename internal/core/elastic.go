@@ -51,6 +51,7 @@ func (n *Network) AdoptDomain(d int) error {
 		n.wireShardReplication(s)
 	}
 	n.refreshViews()
+	n.eng.Rehost(d, 0)
 	if n.started {
 		for _, m := range s.motes {
 			m.Start()
@@ -106,6 +107,7 @@ func (n *Network) DropDomain(d int) error {
 		}
 	}
 	n.refreshViews()
+	n.eng.Rehost(d, -1)
 	return nil
 }
 
@@ -138,6 +140,7 @@ func (n *Network) refreshViews() {
 	}
 	sort.Slice(motes, func(i, j int) bool { return motes[i].ID() < motes[j].ID() })
 	n.Proxies, n.Motes = proxies, motes
+	n.reap.shards = n.shards
 	n.moteIDs = make([]radio.NodeID, len(motes))
 	for i, m := range motes {
 		n.moteIDs[i] = m.ID()

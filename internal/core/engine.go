@@ -1,24 +1,27 @@
 package core
 
-// The query engine: sharded, asynchronous, pull-coalescing.
+// The domain workers: sharded, asynchronous, pull-coalescing.
 //
 // A deployment is partitioned into shards — independent simulation
 // domains, each owning a group of proxies, their motes, an event kernel,
 // a radio medium, and a slice of the distributed index. One worker
 // goroutine per shard serializes all access to the domain, so shards
 // advance concurrently with no shared locks; the only cross-domain
-// channels are the wired-replica bridge (radio.Bridge) and the engine's
+// channels are the wired-replica bridge (radio.Bridge) and the workers'
 // command queues.
 //
-// Queries enter through SubmitSpec (client.go) and nowhere else: the
-// engine hands each owning shard its share of the spec's motes as one
-// command, the shard worker executes them against the domain's unified
-// store, and — when a query needs a mote rendezvous — steps the domain's
-// kernel until the answer resolves. Commands arriving while a rendezvous
-// is outstanding are picked up between steps, which is what lets the
-// proxy coalesce their pulls into the in-flight rendezvous.
+// Queries enter through the engine's SubmitSpec (client.go) and nowhere
+// else: the local site (site.go) hands each owning shard its share of a
+// round's motes as one command, the shard worker executes them against
+// the domain's unified store, and — when a query needs a mote rendezvous
+// — steps the domain's kernel until the answer resolves. Commands
+// arriving while a rendezvous is outstanding are picked up between
+// steps, which is what lets the proxy coalesce their pulls into the
+// in-flight rendezvous. A lease is a command too: every shard advances
+// to the absolute target, and a round enqueued behind it gathers there.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -244,14 +247,6 @@ func (s *shard) enqueue(c shardCmd) bool {
 	return true
 }
 
-// isClosed reports whether the shard has been shut down. Close shuts
-// down every shard, so any one shard answers for the whole engine.
-func (s *shard) isClosed() bool {
-	s.closeMu.RLock()
-	defer s.closeMu.RUnlock()
-	return s.closed
-}
-
 // shutdown flips the gate and wakes the worker for its final drain.
 func (s *shard) shutdown() {
 	s.closeMu.Lock()
@@ -290,7 +285,7 @@ func (n *Network) shardFor(m radio.NodeID) (*shard, error) {
 }
 
 // submitNow routes a one-shot NOW spec naming a single mote, delivering
-// its SetResult on out straight from the worker that resolves it. A mote
+// its SetResult straight from the worker that resolves it. A mote
 // in another domain is offered to the wired replica first when one
 // exists; everything the replica cannot answer within precision is
 // forwarded to the owning shard.
@@ -303,8 +298,13 @@ func (n *Network) shardFor(m radio.NodeID) (*shard, error) {
 // queries settle in the owning domain, where the managing proxy enforces
 // the bound end-to-end — paying a mote rendezvous if its own snapshot is
 // too old.
-func (n *Network) submitNow(spec query.Spec, target *shard, motes []radio.NodeID, out chan<- query.SetResult) error {
+func (n *Network) submitNow(spec query.Spec, motes []radio.NodeID) (<-chan query.SetResult, error) {
+	target, err := n.shardFor(motes[0])
+	if err != nil {
+		return nil, err
+	}
 	n.queriesSubmitted.Add(1)
+	out := make(chan query.SetResult, 1)
 	deliver := func(p query.RoundPartial) {
 		out <- query.SetResult{At: n.Now(), Results: p.Results, Failed: p.Failed} // buffered, and this is its only send
 		close(out)
@@ -312,9 +312,9 @@ func (n *Network) submitNow(spec query.Spec, target *shard, motes []radio.NodeID
 	atOwner := shardCmd{fn: func(ts *shard) { gatherSpec(ts, spec, motes, nil, deliver) }}
 	if !n.replicaFirst || target.domain == 0 {
 		if !target.enqueue(atOwner) {
-			return ErrClosed
+			return nil, ErrClosed
 		}
-		return nil
+		return out, nil
 	}
 	ok := n.shards[0].enqueue(shardCmd{fn: func(s *shard) {
 		q := spec.QueryFor(motes[0])
@@ -336,57 +336,21 @@ func (n *Network) submitNow(spec query.Spec, target *shard, motes []radio.NodeID
 		}
 	}})
 	if !ok {
-		return ErrClosed
+		return nil, ErrClosed
 	}
-	return nil
+	return out, nil
 }
 
-// Run advances every domain, concurrently, to Now()+d, firing the
-// standing specs' rounds due on the way (runTo). The target is absolute:
-// a domain that ran ahead settling a rendezvous stops there rather than
-// drifting further ahead. With one domain, Now() is that domain's clock.
-// The rounds are sealed when Run starts, so one Run spanning more rounds
-// of a stream than its buffer holds (256) skips the excess; step the
-// clock in shorter Runs to receive every round.
+// Run advances every domain, concurrently, to Now()+d through the
+// engine's lease loop, firing the standing specs' rounds on the way: one
+// lease per round instant, each round gathered at its instant, and one to
+// the target. The target is absolute: a domain that ran ahead settling a
+// rendezvous stops there rather than drifting further ahead. With one
+// domain, Now() is that domain's clock.
 func (n *Network) Run(d time.Duration) {
 	n.runMu.Lock()
 	defer n.runMu.Unlock()
-	n.runTo(n.Now() + simtime.Time(d))
-}
-
-// RunUntilTime advances every shard to absolute virtual time t, firing
-// due standing rounds as Run does; domains already at or past t (having
-// run ahead settling queries) are left where they are. Cluster advance
-// leases are issued in this form — every site converges on the
-// coordinator's lease target, which is what keeps the distributed clocks
-// within one lease quantum of each other.
-func (n *Network) RunUntilTime(t simtime.Time) {
-	n.runMu.Lock()
-	defer n.runMu.Unlock()
-	n.runTo(t)
-}
-
-// runTo advances every domain to target. The standing rounds due by
-// target are sealed once, up front; each domain then walks its share of
-// their instants — runs to the instant and gathers its motes there, after
-// every event at the instant has fired, exactly where a cluster site
-// gathers — and finishes at target. A domain already past an instant (it
-// ran ahead settling a rendezvous) gathers at its own clock, as a site
-// does. No domain waits on another: a round merges on whichever worker
-// delivers its last partial. A shard closed before its walk leaves its
-// rounds unmerged, but Close has aborted every stream by then. Caller
-// holds runMu.
-func (n *Network) runTo(target simtime.Time) {
-	due := n.dueGathers(target)
-	n.eachShard(func(s *shard) {
-		if due != nil {
-			for _, g := range due[s.slot] {
-				s.advanceTo(g.fold.round.At)
-				gatherSpec(s, g.fold.spec, g.motes, nil, g.fold.deliver)
-			}
-		}
-		s.advanceTo(target)
-	})
+	_ = n.eng.Run(context.Background(), d) // never cancelled
 }
 
 // eachShard runs fn on every shard's worker in parallel and waits for
@@ -422,15 +386,28 @@ func (n *Network) Now() simtime.Time {
 // a finalizer.
 func (n *Network) Close() {
 	n.closeOnce.Do(func() {
-		n.standing.Close()
-		for _, s := range n.shards {
-			s.shutdown()
-		}
-		// Close has done the finalizer's job. Clearing it lets the
-		// collector free n in one cycle rather than two — and an object
-		// with a finalizer that is part of a cycle is never freed at all.
-		runtime.SetFinalizer(n, nil)
+		n.eng.Close()
+		n.reap.reap()
+		// Close has done the finalizer's job.
+		runtime.SetFinalizer(n.reap, nil)
 	})
+}
+
+// reaper shuts the workers of a Network abandoned without Close down.
+// The finalizer hangs on it rather than on the Network, which its engine
+// points back at (an object with a finalizer that is part of a cycle is
+// never freed); only the Network points here, and nothing here points at
+// the Network.
+type reaper struct {
+	shards   []*shard // kept equal to Network.shards
+	standing *Streams
+}
+
+func (r *reaper) reap() {
+	r.standing.Close()
+	for _, s := range r.shards {
+		s.shutdown()
+	}
 }
 
 // EngineStats reports engine-level counters: queries submitted, queries

@@ -180,13 +180,13 @@ func TestCloseRejectsFurtherWork(t *testing.T) {
 }
 
 // hostStandingSpec builds a deployment, runs a standing spec on it,
-// closes it and returns holding no reference to it; freed closes when
-// the collector reclaims one of its traces. Its own frame (not
-// buildSharded, whose t.Cleanup would pin the network) so nothing in the
-// caller keeps the deployment reachable.
+// closes it unless abandon is set, and returns holding no reference to
+// it; freed closes when the collector reclaims one of its traces. Its own
+// frame (not buildSharded, whose t.Cleanup would pin the network) so
+// nothing in the caller keeps the deployment reachable.
 //
 //go:noinline
-func hostStandingSpec(t *testing.T, freed chan struct{}) {
+func hostStandingSpec(t *testing.T, freed chan struct{}, abandon bool) {
 	cfg := DefaultConfig()
 	cfg.Proxies = 2
 	cfg.MotesPerProxy = 1
@@ -208,25 +208,31 @@ func hostStandingSpec(t *testing.T, freed chan struct{}) {
 	if _, ok := <-st.Results(); !ok {
 		t.Fatal("standing spec delivered no round")
 	}
-	n.Close()
+	if !abandon {
+		n.Close()
+	}
 }
 
 func TestClosedNetworkIsCollected(t *testing.T) {
 	// A standing spec keeps a delivery goroutine and a cancellation
 	// watcher alive, and its routing points at the Network's domains.
 	// Close must end the stream so nothing left running roots the closed
-	// Network.
-	freed := make(chan struct{})
-	hostStandingSpec(t, freed)
-	deadline := time.After(10 * time.Second)
-	for {
-		runtime.GC() // workers exit asynchronously after Close: poll
-		select {
-		case <-freed:
-			return
-		case <-deadline:
-			t.Fatal("a closed Network that hosted a standing spec was never collected")
-		case <-time.After(10 * time.Millisecond):
+	// Network — and a Network abandoned without Close, whose engine
+	// points back at it, must still reach its finalizer.
+	for _, abandon := range []bool{false, true} {
+		freed := make(chan struct{})
+		hostStandingSpec(t, freed, abandon)
+		deadline := time.After(10 * time.Second)
+	poll:
+		for {
+			runtime.GC() // workers exit asynchronously after Close: poll
+			select {
+			case <-freed:
+				break poll
+			case <-deadline:
+				t.Fatalf("a Network that hosted a standing spec was never collected (abandoned: %v)", abandon)
+			case <-time.After(10 * time.Millisecond):
+			}
 		}
 	}
 }

@@ -46,10 +46,15 @@ func addProxyStats(dst *proxy.Stats, src proxy.Stats) {
 	}
 }
 
-// RegisterMetrics registers the deployment's counters into reg. Values
-// are read at scrape time, so registration is cheap and scrapes see
-// live state. Call once per registry (duplicate registration panics).
-func (n *Network) RegisterMetrics(reg *obs.Registry) {
+// RegisterMetrics registers the deployment's counters, and its engine's,
+// into reg. Values are read at scrape time, so registration is cheap and
+// scrapes see live state. Call once per registry (duplicate registration
+// panics).
+func (n *Network) RegisterMetrics(reg *obs.Registry) { n.eng.RegisterMetrics(reg) }
+
+// registerMetrics registers the hosted domains' counters: those of an
+// engine's local site.
+func (n *Network) registerMetrics(reg *obs.Registry) {
 	// Proxy routing outcomes — the paper's headline: how many answers
 	// each provenance produced, fleet-wide.
 	for s := 0; s < proxy.NumSources; s++ {

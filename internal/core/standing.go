@@ -1,18 +1,19 @@
 package core
 
-// Standing specs: one round clock for the in-process engine and the
-// cluster coordinator. A continuous spec fires a round every Every of
-// virtual time from the instant it was posed. Whoever drives the clock —
-// Network.Run, the coordinator's lease loop — asks Due which rounds the
-// instant it is about to reach seals, gathers each at exactly its
-// instant, and hands the merged result to the round's Deliver. The stream
-// owns the rest: sequence numbers, the Until horizon, in-order delivery,
+// Standing specs: the round clock of the one engine (client.go). A
+// continuous spec fires a round every Every of virtual time from the
+// instant it was posed. The engine's lease loop never steps past Next,
+// the earliest instant a live stream is due; once a lease reaches it, Due
+// seals the rounds there, the engine gathers each at its instant and
+// hands the merged result to the round's Deliver. The stream owns the
+// rest: sequence numbers, the Until horizon, in-order delivery,
 // cancellation and the buffer bound.
 
 import (
 	"context"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"presto/internal/query"
 	"presto/internal/simtime"
@@ -21,17 +22,17 @@ import (
 // streamBuffer bounds how many sealed rounds a standing stream holds
 // between sealing and delivery to its reader. A reader that falls this
 // far behind loses rounds: Due skips them — sealing none, so sequence
-// numbers stay dense — rather than stall a domain or a lease.
+// numbers stay dense — rather than stall a domain or a lease, and counts
+// them in Skipped.
 const streamBuffer = 256
 
 // Stream is one standing spec: its round schedule and the goroutine that
-// delivers its merged rounds in sequence. Route is the owner's routing
-// for the spec's motes (the engine's per-domain runs, the coordinator's
-// per-site targets). Route and the schedule are guarded by the owning
-// Streams' mutex.
-type Stream[R any] struct {
+// delivers its merged rounds in sequence. route is the engine's routing
+// for the spec's motes, resolved when the spec was posed; it and the
+// schedule are guarded by the owning Streams' mutex.
+type Stream struct {
 	Spec  query.Spec
-	Route R
+	route route
 
 	ctx   context.Context
 	every simtime.Time
@@ -49,17 +50,14 @@ type Stream[R any] struct {
 	aborted  bool          // stop closed
 }
 
-// Context returns the context the stream was opened with.
-func (st *Stream[R]) Context() context.Context { return st.ctx }
-
 // Schedule reports the stream's period, absolute horizon (0 = unbounded),
 // next round instant and next sequence number. Call it inside Each.
-func (st *Stream[R]) Schedule() (every, until, next simtime.Time, seq int) {
+func (st *Stream) Schedule() (every, until, next simtime.Time, seq int) {
 	return st.every, st.until, st.next, st.seq
 }
 
 // abort tears the stream down without draining.
-func (st *Stream[R]) abort() {
+func (st *Stream) abort() {
 	if !st.aborted {
 		st.aborted = true
 		close(st.stop)
@@ -68,7 +66,7 @@ func (st *Stream[R]) abort() {
 
 // deliver is the stream's delivery goroutine: it takes each sealed
 // round's result channel in seal order and forwards the round to out.
-func (st *Stream[R]) deliver() {
+func (st *Stream) deliver() {
 	defer close(st.done)
 	defer close(st.out)
 	for {
@@ -108,28 +106,32 @@ type Round struct {
 func (r Round) Deliver(res query.SetResult) { r.res <- res }
 
 // Batch is one stream's rounds sealed by a single Due call, in instant
-// order.
-type Batch[R any] struct {
-	*Stream[R]
+// order, with the stream's route as it stood then. More than one round
+// seals at once only when the clock is already past several of a
+// stream's instants: a stream posed while a lease was under way.
+type Batch struct {
+	*Stream
+	route  route
 	Rounds []Round
 }
 
 // Streams is the set of standing specs one round clock drives. The zero
 // value is ready to use.
-type Streams[R any] struct {
-	mu     sync.Mutex
-	list   []*Stream[R]
-	closed bool
+type Streams struct {
+	mu      sync.Mutex
+	list    []*Stream
+	closed  bool
+	skipped atomic.Uint64 // rounds skipped for readers streamBuffer behind
 }
 
 // Open registers a continuous spec posed at virtual time now: its first
 // round falls one period later, its last at or before now+Until. The
 // returned channel yields the merged rounds in sequence and closes after
 // the horizon, when ctx ends, or on Close.
-func (ss *Streams[R]) Open(ctx context.Context, spec query.Spec, route R, now simtime.Time) (<-chan query.SetResult, error) {
+func (ss *Streams) Open(ctx context.Context, spec query.Spec, r route, now simtime.Time) (<-chan query.SetResult, error) {
 	c := spec.Continuous
-	st := &Stream[R]{
-		Spec: spec, Route: route, ctx: ctx,
+	st := &Stream{
+		Spec: spec, route: r, ctx: ctx,
 		every:    simtime.Time(c.Every),
 		next:     now + simtime.Time(c.Every),
 		inflight: make(chan chan query.SetResult, streamBuffer),
@@ -168,10 +170,10 @@ func (ss *Streams[R]) Open(ctx context.Context, spec query.Spec, route R, now si
 // registration order. Streams whose context has ended are dropped;
 // streams whose horizon has passed finish: the rounds they sealed still
 // deliver, then their channel closes.
-func (ss *Streams[R]) Due(now simtime.Time) []Batch[R] {
+func (ss *Streams) Due(now simtime.Time) []Batch {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	var batches []Batch[R]
+	var batches []Batch
 	live := ss.list[:0]
 	for _, st := range ss.list {
 		if st.ctx.Err() != nil {
@@ -187,11 +189,13 @@ func (ss *Streams[R]) Due(now simtime.Time) []Batch[R] {
 				st.inflight <- res
 				rounds = append(rounds, Round{Seq: st.seq, At: st.next, res: res})
 				st.seq++
+			} else {
+				ss.skipped.Add(1)
 			}
 			st.next += st.every
 		}
 		if len(rounds) > 0 {
-			batches = append(batches, Batch[R]{st, rounds})
+			batches = append(batches, Batch{st, st.route, rounds})
 		}
 		if st.until > 0 && st.next > st.until {
 			// Horizon passed: the sealed rounds still deliver, then out
@@ -206,9 +210,29 @@ func (ss *Streams[R]) Due(now simtime.Time) []Batch[R] {
 	return batches
 }
 
-// Each calls fn on every live stream under the schedule lock: owners
-// rewrite Route after a topology change, or checkpoint the schedule.
-func (ss *Streams[R]) Each(fn func(*Stream[R])) {
+// Next reports the earliest instant a live stream is due, if any: the
+// furthest the engine's next lease may step.
+func (ss *Streams) Next() (simtime.Time, bool) {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	var next simtime.Time
+	ok := false
+	for _, st := range ss.list {
+		if st.ctx.Err() == nil && (!ok || st.next < next) {
+			next, ok = st.next, true
+		}
+	}
+	return next, ok
+}
+
+// Skipped reports how many rounds Due has skipped because their reader
+// was streamBuffer rounds behind.
+func (ss *Streams) Skipped() uint64 { return ss.skipped.Load() }
+
+// Each calls fn on every live stream under the schedule lock: the engine
+// re-routes streams after a topology change, owners checkpoint the
+// schedule.
+func (ss *Streams) Each(fn func(*Stream)) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	for _, st := range ss.list {
@@ -217,7 +241,7 @@ func (ss *Streams[R]) Each(fn func(*Stream[R])) {
 }
 
 // Close aborts every stream and refuses new ones.
-func (ss *Streams[R]) Close() {
+func (ss *Streams) Close() {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	ss.closed = true
@@ -227,7 +251,7 @@ func (ss *Streams[R]) Close() {
 	ss.list = nil
 }
 
-func (ss *Streams[R]) remove(st *Stream[R]) {
+func (ss *Streams) remove(st *Stream) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	if i := slices.Index(ss.list, st); i >= 0 {

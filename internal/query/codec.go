@@ -46,7 +46,6 @@ const (
 	maxCodecResults = 1 << 20
 	maxCodecEntries = 1 << 26
 	maxCodecBins    = 1 << 22
-	maxCodecRounds  = 1 << 12
 )
 
 // count reads an element count no larger than max (and, like every
@@ -110,8 +109,7 @@ func decodeMotes(d *snap.Dec) []radio.NodeID {
 
 // AppendScatterHead packs the window-independent part of a scatter
 // payload: the spec fields minus the concrete [T0, T1] window, plus the
-// resolved target motes. The window goes last: one round's
-// (AppendScatterWindow) or a batch's (AppendScatterRounds).
+// resolved target motes. The window goes last (AppendScatterWindow).
 func AppendScatterHead(buf []byte, spec Spec, motes []radio.NodeID) []byte {
 	buf = append(buf, byte(spec.Type), byte(spec.Agg))
 	buf = appendF64(buf, spec.Precision)
@@ -188,74 +186,6 @@ func DecodeScatter(buf []byte) (Spec, []radio.NodeID, uint64, error) {
 		return Spec{}, nil, 0, ErrNoMotes
 	}
 	return spec, motes, traceID, nil
-}
-
-// ---------------------------------------------------------------------------
-// Batched rounds
-
-// RoundWindow is one concrete round's [T0, T1] window inside a batched
-// scatter: several sealed rounds of the same standing spec packed into a
-// single frame pair, amortizing the per-frame length prefix and syscall
-// when a spec's cadence outruns the lease quantum.
-type RoundWindow struct {
-	T0, T1 simtime.Time
-}
-
-// EncodeScatterBatch packs several rounds of one continuous spec into a
-// single scatter payload: the shared head + motes, then each round's
-// window with T0 delta-encoded against the previous round's T0.
-func EncodeScatterBatch(buf []byte, spec Spec, motes []radio.NodeID, wins []RoundWindow) []byte {
-	buf = AppendScatterHead(buf, spec, motes)
-	return AppendScatterRounds(buf, wins)
-}
-
-// AppendScatterRounds appends a batch's round count and delta-encoded
-// windows after a (possibly cached) scatter head, completing a batched
-// scatter payload.
-func AppendScatterRounds(buf []byte, wins []RoundWindow) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(wins)))
-	prev := int64(0)
-	for _, w := range wins {
-		buf = binary.AppendVarint(buf, int64(w.T0)-prev)
-		buf = binary.AppendVarint(buf, int64(w.T1-w.T0))
-		prev = int64(w.T0)
-	}
-	return buf
-}
-
-// DecodeScatterBatch unpacks a batched scatter payload. Every round's
-// window is validated against the shared spec — one malformed round
-// poisons the whole frame, which is the right failure mode for bytes
-// from another process.
-func DecodeScatterBatch(buf []byte) (Spec, []radio.NodeID, []RoundWindow, error) {
-	d := snap.NewDec(buf)
-	spec, motes := decodeScatterHead(d)
-	n := count(d, maxCodecRounds)
-	if n == 0 {
-		d.Fail()
-	}
-	wins := make([]RoundWindow, 0, n)
-	prev := int64(0)
-	for i := 0; i < n; i++ {
-		t0 := prev + d.Varint()
-		t1 := t0 + d.Varint()
-		wins = append(wins, RoundWindow{T0: simtime.Time(t0), T1: simtime.Time(t1)})
-		prev = t0
-	}
-	if err := finish(d, "scatter batch"); err != nil {
-		return Spec{}, nil, nil, err
-	}
-	for _, w := range wins {
-		round := spec
-		round.T0, round.T1 = w.T0, w.T1
-		if err := round.Validate(); err != nil {
-			return Spec{}, nil, nil, err
-		}
-	}
-	if len(motes) == 0 {
-		return Spec{}, nil, nil, ErrNoMotes
-	}
-	return spec, motes, wins, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -472,39 +402,6 @@ func DecodeRoundPartialsTraced(spec Spec, buf []byte) ([]RoundPartial, []obs.Rou
 		return nil, nil, err
 	}
 	return parts, routes, nil
-}
-
-// EncodeRoundPartialsBatch packs one site's answer to a batched scatter:
-// a round count followed by each round's partials section, in the same
-// order as the scatter's windows.
-func EncodeRoundPartialsBatch(buf []byte, rounds [][]RoundPartial) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(rounds)))
-	for _, parts := range rounds {
-		buf = AppendRoundPartials(buf, parts)
-	}
-	return buf
-}
-
-// DecodeRoundPartialsBatch unpacks a batched partials payload. The round
-// count must match the windows the coordinator scattered (wins), since
-// each round's Results rebuild their Query from the spec bound to that
-// round's window.
-func DecodeRoundPartialsBatch(base Spec, wins []RoundWindow, buf []byte) ([][]RoundPartial, error) {
-	d := snap.NewDec(buf)
-	n := count(d, maxCodecRounds)
-	if d.Err() == nil && n != len(wins) {
-		return nil, fmt.Errorf("query: partials batch has %d rounds, scatter had %d", n, len(wins))
-	}
-	out := make([][]RoundPartial, 0, n)
-	for i := 0; i < n; i++ {
-		spec := base
-		spec.T0, spec.T1 = wins[i].T0, wins[i].T1
-		out = append(out, decodeRoundPartialsFrom(d, spec))
-	}
-	if err := finish(d, "partials batch"); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -63,14 +63,11 @@ const (
 	FrameStart
 	// FrameStartAck confirms sampling started.
 	FrameStartAck
-	// FrameScatterBatch carries several sealed rounds of one standing
-	// spec in a single frame (query.EncodeScatterBatch payload): shared
-	// spec head + mote list, then each round's window. Coordinator →
-	// site, only when more than one round is due inside a lease step.
+	// FrameScatterBatch and FramePartialsBatch carried several sealed
+	// rounds of one standing spec per frame. Retired in protocol 5, where
+	// a lease never steps past a round's instant and every round is its
+	// own scatter; the kinds stay reserved.
 	FrameScatterBatch
-	// FramePartialsBatch answers a scatter batch with each round's folded
-	// RoundPartials in scatter order (query.EncodeRoundPartialsBatch
-	// payload) or an error.
 	FramePartialsBatch
 	// FrameSnapshotReq asks a site to stream one hosted domain's state
 	// blob back as FrameSnapshotChunk frames, coordinator → site. With
@@ -259,7 +256,8 @@ func ReadFrameBuf(r io.Reader, buf []byte) (Frame, []byte, error) {
 // re-join. Version 4: optional trace context — a scatter may carry a
 // trace id after its window, and the partials answering it append a
 // per-mote route section; untraced frames are byte-identical to v3.
-const ProtoVersion = 4
+// Version 5: the batched-round frame pair is neither sent nor served.
+const ProtoVersion = 5
 
 // Hello opens a site's connection.
 type Hello struct {

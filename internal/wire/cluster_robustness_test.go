@@ -25,7 +25,6 @@ import (
 // clusterDecoders is every cluster frame and query payload decoder.
 func clusterDecoders() []decoder {
 	spec := query.Spec{Type: query.Agg, T1: simtime.Hour, Agg: query.Mean, Precision: 0.5}
-	wins := []query.RoundWindow{{T0: 0, T1: simtime.Hour}, {T0: simtime.Hour, T1: 2 * simtime.Hour}}
 	return []decoder{
 		{"DecodeFrame", func(b []byte) { _, _ = wire.DecodeFrame(b) }},
 		{"DecodeHello", func(b []byte) { _, _ = wire.DecodeHello(b) }},
@@ -37,9 +36,7 @@ func clusterDecoders() []decoder {
 		{"DecodeSnapshotReq", func(b []byte) { _, _ = wire.DecodeSnapshotReq(b) }},
 		{"DecodeSnapshotChunk", func(b []byte) { _, _ = wire.DecodeSnapshotChunk(b) }},
 		{"query.DecodeScatter", func(b []byte) { _, _, _, _ = query.DecodeScatter(b) }},
-		{"query.DecodeScatterBatch", func(b []byte) { _, _, _, _ = query.DecodeScatterBatch(b) }},
 		{"query.DecodeRoundPartials", func(b []byte) { _, _ = query.DecodeRoundPartials(spec, b) }},
-		{"query.DecodeRoundPartialsBatch", func(b []byte) { _, _ = query.DecodeRoundPartialsBatch(spec, wins, b) }},
 		{"query.DecodeRoundPartialsTraced", func(b []byte) { _, _, _ = query.DecodeRoundPartialsTraced(spec, b) }},
 	}
 }
@@ -62,6 +59,9 @@ func validClusterFrames() [][]byte {
 		{Domain: 2, Partial: query.NewPartial(0.5), Failed: 1},
 	}
 	spec := query.Spec{Type: query.Agg, T1: simtime.Hour, Agg: query.Mean, Precision: 0.5}
+	past := query.Spec{Type: query.Past, T0: simtime.Hour, T1: 2 * simtime.Hour, Precision: 0.25,
+		Deadline: 30 * time.Second, MaxStaleness: 5 * time.Minute}
+	traced := query.AppendScatterTrace(query.EncodeScatter(spec, []radio.NodeID{1, 2, 5}), 0x5eed)
 	return [][]byte{
 		wire.EncodeFrame(wire.Frame{Kind: wire.FrameScatter, Seq: 7, Payload: []byte{1, 2, 3}}),
 		wire.EncodeHello(wire.Hello{Version: wire.ProtoVersion, ConfigHash: 0xdeadbeef}),
@@ -73,14 +73,22 @@ func validClusterFrames() [][]byte {
 		wire.EncodeSnapshotReq(wire.SnapshotReq{Domain: 3, Drop: true}),
 		wire.EncodeSnapshotChunk(wire.SnapshotChunk{Domain: 3, Final: true, Data: []byte{0x50, 0x44, 0x53, 0x4e}}),
 		query.EncodeScatter(spec, []radio.NodeID{1, 2, 5}),
-		query.EncodeScatterBatch(nil, spec, []radio.NodeID{1, 2, 5}, []query.RoundWindow{
-			{T0: 0, T1: simtime.Hour}, {T0: simtime.Hour, T1: 2 * simtime.Hour},
-		}),
 		query.EncodeRoundPartials(parts),
-		query.EncodeRoundPartialsBatch(nil, [][]query.RoundPartial{parts, parts[:1]}),
 		query.AppendTraceRoutes(query.EncodeRoundPartials(parts), []obs.Route{
 			{Mote: 3, Domain: 0, Kind: obs.RouteCacheHit}, {Mote: 5, Domain: 2, Kind: obs.RouteRendezvous},
 		}),
+		// A traced scatter (protocol v4 trace context after the window),
+		// and a Past scatter carrying the per-mote deadline and staleness.
+		traced,
+		query.EncodeScatter(past, []radio.NodeID{4, 9}),
+		// Whole frame bodies as they cross the wire: the coordinator's
+		// traced scatter, a site's ok-prefixed partials reply, and a
+		// site's failed snapshot exchange (0 + error string).
+		wire.EncodeFrame(wire.Frame{Kind: wire.FrameScatter, Seq: 8, Payload: traced}),
+		wire.EncodeFrame(wire.Frame{Kind: wire.FramePartials, Seq: 8,
+			Payload: append([]byte{1}, query.EncodeRoundPartials(parts)...)}),
+		wire.EncodeFrame(wire.Frame{Kind: wire.FrameSnapshotAck, Seq: 9,
+			Payload: append([]byte{0}, wire.EncodeErrString("domain 3 not hosted")...)}),
 	}
 }
 
@@ -176,69 +184,6 @@ func TestClusterCodecRoundTrips(t *testing.T) {
 	b := query.MergeRounds(spec, 0, 0, got)
 	if a.Value != b.Value || a.ErrBound != b.ErrBound || a.Count != b.Count {
 		t.Fatalf("merged decoded partials differ: %+v vs %+v", b, a)
-	}
-
-	// Batched rounds: a cached head plus per-round windows decodes back
-	// to the same spec with each round's window restored, and a batched
-	// partials frame splits back into per-round partial sets that merge
-	// identically to their single-round encodings.
-	wins := []query.RoundWindow{
-		{T0: spec.T0, T1: spec.T1},
-		{T0: spec.T0 + simtime.Hour, T1: spec.T1 + simtime.Hour},
-		{T0: spec.T0 + 2*simtime.Hour, T1: spec.T1 + 2*simtime.Hour},
-	}
-	bSpec, bMotes, bWins, err := query.DecodeScatterBatch(query.EncodeScatterBatch(nil, spec, motes, wins))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bSpec.Type != spec.Type || bSpec.Agg != spec.Agg || bSpec.Precision != spec.Precision ||
-		bSpec.Deadline != spec.Deadline || bSpec.MaxStaleness != spec.MaxStaleness {
-		t.Fatalf("scatter batch spec round-trip: %+v != %+v", bSpec, spec)
-	}
-	if len(bMotes) != len(motes) || len(bWins) != len(wins) {
-		t.Fatalf("scatter batch shape: %d motes, %d wins", len(bMotes), len(bWins))
-	}
-	for i := range wins {
-		if bWins[i] != wins[i] {
-			t.Fatalf("scatter batch window %d: %+v != %+v", i, bWins[i], wins[i])
-		}
-	}
-	// The cached-head path (AppendScatterHead + AppendScatterRounds)
-	// produces byte-identical frames to the one-call encoder.
-	head := query.AppendScatterHead(nil, spec, motes)
-	split := query.AppendScatterRounds(head, wins)
-	whole := query.EncodeScatterBatch(nil, spec, motes, wins)
-	if string(split) != string(whole) {
-		t.Fatalf("cached-head batch encode differs from whole encode")
-	}
-
-	rounds := [][]query.RoundPartial{parts, parts[:1], nil}
-	gotRounds, err := query.DecodeRoundPartialsBatch(spec, wins, query.EncodeRoundPartialsBatch(nil, rounds))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotRounds) != len(rounds) {
-		t.Fatalf("partials batch round count: %d != %d", len(gotRounds), len(rounds))
-	}
-	for k := range rounds {
-		if len(gotRounds[k]) != len(rounds[k]) {
-			t.Fatalf("partials batch round %d: %d partials != %d", k, len(gotRounds[k]), len(rounds[k]))
-		}
-		roundSpec := spec
-		roundSpec.T0, roundSpec.T1 = wins[k].T0, wins[k].T1
-		for _, p := range gotRounds[k] {
-			for _, r := range p.Results {
-				if r.Query.T0 != wins[k].T0 || r.Query.T1 != wins[k].T1 {
-					t.Fatalf("partials batch round %d window not rebound: %+v", k, r.Query)
-				}
-			}
-		}
-		ma := query.MergeRounds(roundSpec, k, wins[k].T1, rounds[k])
-		mb := query.MergeRounds(roundSpec, k, wins[k].T1, gotRounds[k])
-		sameVal := ma.Value == mb.Value || (math.IsNaN(ma.Value) && math.IsNaN(mb.Value))
-		if !sameVal || ma.ErrBound != mb.ErrBound || ma.Count != mb.Count || ma.At != mb.At {
-			t.Fatalf("batched round %d merged differently: %+v vs %+v", k, mb, ma)
-		}
 	}
 }
 
