@@ -264,3 +264,32 @@ func TestCoarsenRecords(t *testing.T) {
 		t.Error("empty input should stay empty")
 	}
 }
+
+func TestAppendAllocatesOnlyThePageCopy(t *testing.T) {
+	// Steady-state appends (no aging) allocate only the device's copy of
+	// each page they program: the page image and the buffer are reused,
+	// so a record costs nothing and a page one allocation.
+	st, _ := newStore(t, flash.Geometry{PageSize: 252, PagesPerBlock: 64, NumBlocks: 8})
+	next := simtime.Time(0)
+	add := func() {
+		next += simtime.Minute
+		if err := st.Append(Record{T: next, V: float64(next % 7)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	page := func() {
+		for i := 0; i < st.log.PerPage(); i++ {
+			add()
+		}
+	}
+	page() // opens the first block
+	if n := testing.AllocsPerRun(30, page); n > 1 {
+		t.Fatalf("a page of appends allocated %.0f times, want at most 1", n)
+	}
+	if n := testing.AllocsPerRun(st.log.PerPage()-2, add); n != 0 {
+		t.Fatalf("an append that programs no page allocated %.0f times, want 0", n)
+	}
+	if st.Stats().AgePasses != 0 || st.log.Cur < 0 {
+		t.Fatal("workload left the first block; the bound is for steady state")
+	}
+}

@@ -8,34 +8,15 @@ import (
 	"presto/internal/snap"
 )
 
-// Snapshot externalizes the store's in-RAM state: the segment time
-// index, the free-block list, the partially filled block, buffered
-// records, and counters. The flash contents themselves are the device's
-// state — callers snapshot the flash.Device separately (mote.Snapshot
-// composes the two). Everything is read by direct field access, never
-// through device reads, so a snapshot charges no energy.
+// Snapshot externalizes the store's in-RAM state: the log's segment
+// table (time index, free list, open block, buffered records), then the
+// newest timestamp and counters. The flash contents themselves are the
+// device's state — callers snapshot the flash.Device separately
+// (mote.Snapshot composes the two). Nothing is read from the device, so
+// a snapshot charges no energy.
 func (s *Store) Snapshot(w io.Writer) error {
 	var e snap.Enc
-	e.Uvarint(uint64(len(s.segs)))
-	for _, sg := range s.segs {
-		e.Uvarint(uint64(sg.block))
-		e.Uvarint(uint64(sg.pages))
-		e.Uvarint(uint64(sg.count))
-		e.I64(int64(sg.minT))
-		e.I64(int64(sg.maxT))
-		e.Uvarint(uint64(sg.level))
-	}
-	e.Uvarint(uint64(len(s.free)))
-	for _, b := range s.free {
-		e.Uvarint(uint64(b))
-	}
-	e.I64(int64(s.cur))
-	e.Uvarint(uint64(s.curPages))
-	e.Uvarint(uint64(len(s.pending)))
-	for _, r := range s.pending {
-		e.I64(int64(r.T))
-		e.F64(r.V)
-	}
+	s.log.Save(&e)
 	e.I64(int64(s.newest))
 	e.Bool(s.hasNewest)
 	e.U64(s.appends)
@@ -46,44 +27,24 @@ func (s *Store) Snapshot(w io.Writer) error {
 
 // Restore overwrites the store's in-RAM state with state captured by
 // Snapshot. The underlying flash.Device must already hold the matching
-// restored contents.
+// restored contents. A malformed blob, or a segment table the device
+// geometry cannot hold, is refused with the store left as it was.
 func (s *Store) Restore(r io.Reader) error {
 	body, err := snap.ReadBlock(r, snap.TagArchive)
 	if err != nil {
 		return err
 	}
 	d := snap.NewDec(body)
-	s.segs = nil
-	nSegs := d.Uvarint()
-	for i := uint64(0); i < nSegs && d.Err() == nil; i++ {
-		s.segs = append(s.segs, segment{
-			block: int(d.Uvarint()),
-			pages: int(d.Uvarint()),
-			count: int(d.Uvarint()),
-			minT:  simtime.Time(d.I64()),
-			maxT:  simtime.Time(d.I64()),
-			level: int(d.Uvarint()),
-		})
-	}
-	s.free = nil
-	nFree := d.Uvarint()
-	for i := uint64(0); i < nFree && d.Err() == nil; i++ {
-		s.free = append(s.free, int(d.Uvarint()))
-	}
-	s.cur = int(d.I64())
-	s.curPages = int(d.Uvarint())
-	s.pending = nil
-	nPending := d.Uvarint()
-	for i := uint64(0); i < nPending && d.Err() == nil; i++ {
-		s.pending = append(s.pending, Record{T: simtime.Time(d.I64()), V: d.F64()})
-	}
-	s.newest = simtime.Time(d.I64())
-	s.hasNewest = d.Bool()
-	s.appends = d.U64()
-	s.agePasses = d.U64()
-	s.dropped = d.U64()
+	tab := s.log.Load(d)
+	newest, hasNewest := simtime.Time(d.I64()), d.Bool()
+	appends, agePasses, dropped := d.U64(), d.U64(), d.U64()
 	if err := d.Done(); err != nil {
 		return fmt.Errorf("archive: %w", err)
 	}
+	if err := s.log.Install(tab); err != nil {
+		return fmt.Errorf("archive: %w", err)
+	}
+	s.newest, s.hasNewest = newest, hasNewest
+	s.appends, s.agePasses, s.dropped = appends, agePasses, dropped
 	return nil
 }

@@ -4,9 +4,10 @@
 //
 // PRESTO motes carry "a significant amount of flash memory (1GB)" and the
 // architecture leans on the fact that local storage is roughly two orders
-// of magnitude cheaper than radio per byte. The archival store
-// (internal/archive) runs on this device, so every byte it logs, reads or
-// ages is accounted for in the same energy budget as the radio.
+// of magnitude cheaper than radio per byte. The segment log (log.go) runs
+// on this device for both the mote archive and the proxy's flash backend,
+// so every byte a mote logs, reads or ages is accounted for in the same
+// energy budget as the radio.
 package flash
 
 import (

@@ -309,10 +309,7 @@ func summarizeChunk(m radio.NodeID, recs []Record, frac float64) (waveletChunk, 
 			bound = b
 		}
 	}
-	wb := float32(bound)
-	if float64(wb) < bound {
-		wb = math.Nextafter32(wb, float32(math.Inf(1)))
-	}
+	wb := wireBound(0, bound) // bound rounded up to a float32
 
 	buf := make([]byte, chunkHeaderSize, chunkHeaderSize+n+sp.WireSize())
 	binary.LittleEndian.PutUint32(buf[0:], uint32(m))
@@ -331,23 +328,6 @@ func summarizeChunk(m radio.NodeID, recs []Record, frac float64) (waveletChunk, 
 	return waveletChunk{bytes: buf, recs: out}, nil
 }
 
-// decodeChunks reconstructs every record in a wavelet segment's byte
-// stream, in stream order (per-mote time order within a chunk).
-func decodeChunks(buf []byte) ([]flashRec, error) {
-	var out []flashRec
-	for len(buf) > 0 {
-		m, ts, recon, bound, rest, err := decodeChunk(buf)
-		if err != nil {
-			return nil, err
-		}
-		for i, t := range ts {
-			out = append(out, flashRec{m: m, r: Record{T: simtime.Time(t), V: recon[i], ErrBound: bound}})
-		}
-		buf = rest
-	}
-	return out, nil
-}
-
 // decodeChunk decodes the chunk at the head of buf: its mote, its
 // timestamps with their reconstructed values, the widened bound every
 // reconstruction carries, and the bytes after the chunk.
@@ -358,7 +338,7 @@ func decodeChunk(buf []byte) (m radio.NodeID, ts []int64, recon []float64, bound
 	m = radio.NodeID(binary.LittleEndian.Uint32(buf[0:]))
 	n := int(binary.LittleEndian.Uint32(buf[4:]))
 	bound = float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[8:])))
-	if n < 0 || n > 1<<24 {
+	if n < 0 || n > len(buf)-chunkHeaderSize { // every timestamp takes a byte
 		return 0, nil, nil, 0, nil, fmt.Errorf("store: implausible wavelet chunk count %d", n)
 	}
 	ts, rest, err = compress.TimestampDecode(buf[chunkHeaderSize:], n)
@@ -369,12 +349,12 @@ func decodeChunk(buf []byte) (m radio.NodeID, ts []int64, recon []float64, bound
 	if err != nil {
 		return 0, nil, nil, 0, nil, err
 	}
+	if sp.N != n || sp.PaddedN > 2*n { // checked before Decompress sizes a transform by it
+		return 0, nil, nil, 0, nil, fmt.Errorf("store: wavelet chunk reconstructs %d of %d records, header says %d", sp.N, sp.PaddedN, n)
+	}
 	recon, err = wavelet.Decompress(sp)
 	if err != nil {
 		return 0, nil, nil, 0, nil, err
-	}
-	if len(recon) != n {
-		return 0, nil, nil, 0, nil, fmt.Errorf("store: wavelet chunk reconstructs %d records, header says %d", len(recon), n)
 	}
 	return m, ts, recon, bound, rest[spLen:], nil
 }

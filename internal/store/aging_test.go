@@ -57,7 +57,7 @@ func TestCoarsenBoundPropertyIncludingPartialGroups(t *testing.T) {
 }
 
 func TestWaveletChunkRoundTrip(t *testing.T) {
-	// summarizeChunk -> decodeChunks must return every timestamp exactly,
+	// summarizeChunk -> decodeChunk must return every timestamp exactly,
 	// and each reconstructed value must sit within the chunk bound of the
 	// original — which in turn must be no tighter than any member's own
 	// bound.
@@ -77,9 +77,13 @@ func TestWaveletChunkRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := decodeChunks(ch.bytes)
-		if err != nil {
-			t.Fatal(err)
+		m, ts, recon, bound, rest, err := decodeChunk(ch.bytes)
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("decode: %v, %d bytes left", err, len(rest))
+		}
+		var got []flashRec
+		for i, t := range ts {
+			got = append(got, flashRec{m: m, r: Record{T: simtime.Time(t), V: recon[i], ErrBound: bound}})
 		}
 		if len(got) != len(recs) {
 			t.Fatalf("frac %v: %d records decoded, want %d", frac, len(got), len(recs))
@@ -228,8 +232,8 @@ func TestChunkDirectorySkipsOtherMotes(t *testing.T) {
 	if fb.Stats().WaveletChunks == 0 {
 		t.Fatal("no wavelet chunks written; test needs aged segments")
 	}
-	for _, seg := range fb.segs {
-		if seg.kind == segWavelet && len(seg.dir) == 0 {
+	for _, seg := range fb.log.Segs {
+		if seg.Meta.kind == segWavelet && len(seg.Meta.dir) == 0 {
 			t.Fatal("wavelet segment without a chunk directory")
 		}
 	}

@@ -207,7 +207,7 @@ func TestFlashBackendCompaction(t *testing.T) {
 		if st.Compactions == 0 {
 			t.Fatal("no compaction despite 3x capacity overwrite")
 		}
-		switch fb.AgingPolicy().Mode {
+		switch fb.pol.Mode {
 		case AgingUniform:
 			if st.Coarsened == 0 {
 				t.Fatal("uniform compaction coarsened nothing")
@@ -567,8 +567,8 @@ func TestFlashBackendShedAccounting(t *testing.T) {
 		}
 		// The pending buffer stays bounded even though the device is
 		// permanently full.
-		if len(fb.pending) > 4*fb.perPage+1 {
-			t.Fatalf("pending buffer unbounded: %d records", len(fb.pending))
+		if len(fb.log.Pending) > 4*fb.log.PerPage()+1 {
+			t.Fatalf("pending buffer unbounded: %d records", len(fb.log.Pending))
 		}
 	})
 }

@@ -1,24 +1,22 @@
 package store
 
-// FlashBackend: the paper's flash-archival proxy store as a log-structured
-// record log on simulated NAND (internal/flash).
+// FlashBackend: the paper's flash-archival proxy store, the segment log
+// of internal/flash configured for a domain's confirmed observations.
 //
-// Confirmed observations from every mote in the domain are appended to one
-// shared log in arrival order: records pack into page-sized buffers and
-// each full buffer costs exactly one page-program operation — the
-// page-append write pattern that makes flash archival two orders of
-// magnitude cheaper per byte than radio. One erase block is one segment; a
-// compact in-RAM index tracks, per segment, the [minT, maxT] span of each
-// mote's records, and per raw page the [minT, maxT] of the records on it.
-// A range read is a set operation over a round's motes (QueryRanges): it
-// walks the segment list once, touches only segments some requested mote
-// overlaps, reads only pages whose span meets the round's window, and
-// decodes each page once, routing every record to the motes that asked.
-// Because arrival order interleaves motes, young segments still exhibit
-// read amplification (records decoded per record returned — see
-// BackendStats.ReadAmp); when the device runs out of erased blocks, a
-// compaction pass rewrites the oldest segments clustered by mote and
-// coarsened in time, reclaiming blocks and repairing locality at once.
+// Every mote's records share one log in arrival order, 20 bytes each on
+// flash (mote, timestamp, float32 value, float32 bound). The log's index
+// hook keeps, per segment, the [minT, maxT] span of each mote's records
+// and, per raw page, the span of the records on it. Its aging hook
+// (compact) clusters the oldest segments' records by mote and ages them
+// under the AgingPolicy — wavelet chunks behind a per-segment chunk
+// directory, or legacy uniform means — reclaiming blocks and repairing
+// read locality at once; when even that cannot fit, appends shed the
+// oldest buffered page. A range read is a set operation over a round's
+// motes (QueryRanges): one walk of the segment list touches only segments
+// some requested mote overlaps, reads only pages whose span meets the
+// round's window, and decodes each page once, routing every record to the
+// motes that asked. Arrival order interleaves motes, so young segments
+// still show read amplification (BackendStats.ReadAmp).
 
 import (
 	"cmp"
@@ -33,6 +31,7 @@ import (
 	"presto/internal/flash"
 	"presto/internal/radio"
 	"presto/internal/simtime"
+	"presto/internal/snap"
 	"presto/internal/wavelet"
 )
 
@@ -53,6 +52,59 @@ var ErrBackendFull = errors.New("store: flash backend full")
 // shrink NumBlocks instead of writing gigabytes.
 func DefaultStoreGeometry() flash.Geometry {
 	return flash.Geometry{PageSize: 512, PagesPerBlock: 64, NumBlocks: 256}
+}
+
+// flashRec pairs a record with its mote for log encoding.
+type flashRec struct {
+	m radio.NodeID
+	r Record
+}
+
+// recCodec is the log's record codec; a snapshot carries a record (and a
+// Latest entry) as mote, timestamp, value and bound at full width.
+type recCodec struct{}
+
+func (recCodec) Layout() (size, timeOffset int) { return flashRecSize, 4 }
+
+func (recCodec) Put(slot []byte, fr flashRec) {
+	binary.LittleEndian.PutUint32(slot, uint32(fr.m))
+	binary.LittleEndian.PutUint64(slot[4:], uint64(fr.r.T))
+	binary.LittleEndian.PutUint32(slot[12:], math.Float32bits(float32(fr.r.V)))
+	binary.LittleEndian.PutUint32(slot[16:], math.Float32bits(wireBound(fr.r.V, fr.r.ErrBound)))
+}
+
+func (recCodec) Get(slot []byte) flashRec {
+	return flashRec{
+		m: radio.NodeID(binary.LittleEndian.Uint32(slot)),
+		r: Record{
+			T:        simtime.Time(binary.LittleEndian.Uint64(slot[4:])),
+			V:        float64(math.Float32frombits(binary.LittleEndian.Uint32(slot[12:]))),
+			ErrBound: float64(math.Float32frombits(binary.LittleEndian.Uint32(slot[16:]))),
+		},
+	}
+}
+
+func (recCodec) Save(e *snap.Enc, fr flashRec) {
+	e.I64(int64(fr.m))
+	e.I64(int64(fr.r.T))
+	e.F64(fr.r.V)
+	e.F64(fr.r.ErrBound)
+}
+
+func (recCodec) Load(d *snap.Dec) flashRec {
+	return flashRec{m: radio.NodeID(d.I64()), r: Record{T: simtime.Time(d.I64()), V: d.F64(), ErrBound: d.F64()}}
+}
+
+// wireBound widens a record's error bound to cover the float32
+// quantization of its value, so a decoded record still honors the
+// guarantee |V - truth| <= ErrBound that backend.go advertises.
+func wireBound(v, bound float64) float32 {
+	q := math.Abs(v - float64(float32(v)))
+	w := float32(bound + q)
+	if float64(w) < bound+q {
+		w = math.Nextafter32(w, float32(math.Inf(1)))
+	}
+	return w
 }
 
 // moteSpan is one mote's footprint inside a segment.
@@ -82,11 +134,12 @@ type chunkDirEntry struct {
 	minT, maxT simtime.Time
 }
 
-// flashSegment is one sealed-or-open erase block of the log.
-type flashSegment struct {
-	block int
-	pages int
-	count int // records decodable from the segment (reconstructed for wavelet)
+// pageSpan is the [minT, maxT] of the records on one raw page.
+type pageSpan struct{ minT, maxT simtime.Time }
+
+// segMeta is a segment's index. A segment's Count is the records
+// decodable from it (reconstructed, for a wavelet segment).
+type segMeta struct {
 	kind  int // segRaw or segWavelet
 	level int // aging level: 0 = raw, +1 per compaction survived
 	spans map[radio.NodeID]*moteSpan
@@ -99,59 +152,114 @@ type flashSegment struct {
 	pageSpans []pageSpan
 }
 
-// pageSpan is the [minT, maxT] of the records on one raw page.
-type pageSpan struct{ minT, maxT simtime.Time }
+type segment = flash.Segment[segMeta]
 
-// spanOf returns the time span of a page's worth of records.
-func spanOf(recs []flashRec) pageSpan {
-	sp := pageSpan{minT: recs[0].r.T, maxT: recs[0].r.T}
-	for _, fr := range recs[1:] {
-		sp.minT = min(sp.minT, fr.r.T)
-		sp.maxT = max(sp.maxT, fr.r.T)
+// Save encodes the index, spans in ascending mote order.
+func (sm segMeta) Save(e *snap.Enc) {
+	e.Uvarint(uint64(sm.kind))
+	e.Uvarint(uint64(sm.level))
+	ids := sortedMotes(sm.spans)
+	e.Uvarint(uint64(len(ids)))
+	for _, id := range ids {
+		sp := sm.spans[id]
+		e.I64(int64(id))
+		e.I64(int64(sp.minT))
+		e.I64(int64(sp.maxT))
+		e.Uvarint(uint64(sp.count))
 	}
-	return sp
+	e.Uvarint(uint64(len(sm.dir)))
+	for _, ce := range sm.dir {
+		e.I64(int64(ce.m))
+		e.Uvarint(uint64(ce.off))
+		e.Uvarint(uint64(ce.size))
+		e.Uvarint(uint64(ce.count))
+		e.I64(int64(ce.minT))
+		e.I64(int64(ce.maxT))
+	}
+	e.Uvarint(uint64(len(sm.pageSpans)))
+	for _, ps := range sm.pageSpans {
+		e.I64(int64(ps.minT))
+		e.I64(int64(ps.maxT))
+	}
 }
 
-func (seg *flashSegment) note(m radio.NodeID, t simtime.Time) {
-	sp, ok := seg.spans[m]
+// Load decodes an index written by Save.
+func (segMeta) Load(d *snap.Dec) segMeta {
+	sm := segMeta{kind: int(d.Uvarint()), level: int(d.Uvarint())}
+	n := d.Count()
+	sm.spans = make(map[radio.NodeID]*moteSpan, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		id := radio.NodeID(d.I64())
+		sm.spans[id] = &moteSpan{minT: simtime.Time(d.I64()), maxT: simtime.Time(d.I64()), count: int(d.Uvarint())}
+	}
+	n = d.Count()
+	for i := 0; i < n && d.Err() == nil; i++ {
+		sm.dir = append(sm.dir, chunkDirEntry{
+			m:     radio.NodeID(d.I64()),
+			off:   int(d.Uvarint()),
+			size:  int(d.Uvarint()),
+			count: int(d.Uvarint()),
+			minT:  simtime.Time(d.I64()),
+			maxT:  simtime.Time(d.I64()),
+		})
+	}
+	n = d.Count()
+	for i := 0; i < n && d.Err() == nil; i++ {
+		sm.pageSpans = append(sm.pageSpans, pageSpan{minT: simtime.Time(d.I64()), maxT: simtime.Time(d.I64())})
+	}
+	return sm
+}
+
+// Check validates a restored index against its segment's page count: a
+// known kind, one page span per page of a raw segment (none on a wavelet
+// one), and every chunk within the segment's pages.
+func (sm segMeta) Check(g flash.Geometry, pages int) error {
+	wantSpans := pages
+	switch sm.kind {
+	case segRaw:
+	case segWavelet:
+		wantSpans = 0
+	default:
+		return fmt.Errorf("of unknown kind %d", sm.kind)
+	}
+	if len(sm.pageSpans) != wantSpans {
+		return fmt.Errorf("has %d page spans for %d pages", len(sm.pageSpans), pages)
+	}
+	bytes := pages * g.PageSize
+	for _, de := range sm.dir {
+		if de.off < 0 || de.size < 0 || de.off > bytes || de.size > bytes-de.off {
+			return fmt.Errorf("chunk at %d+%d outside its %d pages", de.off, de.size, pages)
+		}
+	}
+	return nil
+}
+
+func (sm *segMeta) note(m radio.NodeID, t simtime.Time) {
+	sp, ok := sm.spans[m]
 	if !ok {
-		seg.spans[m] = &moteSpan{minT: t, maxT: t, count: 1}
+		if sm.spans == nil {
+			sm.spans = make(map[radio.NodeID]*moteSpan)
+		}
+		sm.spans[m] = &moteSpan{minT: t, maxT: t, count: 1}
 		return
 	}
-	if t < sp.minT {
-		sp.minT = t
-	}
-	if t > sp.maxT {
-		sp.maxT = t
-	}
+	sp.minT = min(sp.minT, t)
+	sp.maxT = max(sp.maxT, t)
 	sp.count++
 }
 
 // overlaps reports whether the segment can hold records for m in [t0, t1].
-func (seg *flashSegment) overlaps(m radio.NodeID, t0, t1 simtime.Time) bool {
-	sp, ok := seg.spans[m]
+func (sm *segMeta) overlaps(m radio.NodeID, t0, t1 simtime.Time) bool {
+	sp, ok := sm.spans[m]
 	return ok && sp.minT <= t1 && sp.maxT >= t0
-}
-
-// flashRec pairs a record with its mote for log encoding.
-type flashRec struct {
-	m radio.NodeID
-	r Record
 }
 
 // FlashBackend is the log-structured flash archive. Confined to one shard
 // worker; not safe for concurrent use.
 type FlashBackend struct {
-	dev     *flash.Device
-	geo     flash.Geometry
-	perPage int
-	pol     AgingPolicy
-
-	segs     []*flashSegment // oldest first; the last may be open
-	free     []int           // erased blocks (LIFO)
-	cur      int             // block being filled, -1 if none
-	curPages int
-	pending  []flashRec // records not yet flushed to a page
+	log *flash.Log[flashRec, segMeta]
+	dev *flash.Device
+	pol AgingPolicy
 
 	latest map[radio.NodeID]Record
 	stats  BackendStats
@@ -180,38 +288,28 @@ func NewFlashBackendPolicy(geo flash.Geometry, pol AgingPolicy) (*FlashBackend, 
 	if err != nil {
 		return nil, err
 	}
-	perPage := geo.PageSize / flashRecSize
-	if perPage < 1 {
-		return nil, fmt.Errorf("store: page size %d too small for one record", geo.PageSize)
-	}
 	if geo.NumBlocks < compactFanIn+2 {
 		return nil, fmt.Errorf("store: flash backend needs at least %d blocks", compactFanIn+2)
 	}
 	b := &FlashBackend{
-		dev:     dev,
-		geo:     geo,
-		perPage: perPage,
-		pol:     pol.normalized(),
-		cur:     -1,
-		latest:  make(map[radio.NodeID]Record),
-		rr:      rangeRead{first: make(map[radio.NodeID]int)},
+		dev:    dev,
+		pol:    pol.normalized(),
+		latest: make(map[radio.NodeID]Record),
+		rr:     rangeRead{first: make(map[radio.NodeID]int)},
 	}
-	for blk := geo.NumBlocks - 1; blk >= 0; blk-- {
-		b.free = append(b.free, blk)
+	b.log, err = flash.NewLog(dev, flash.LogConfig[flashRec, segMeta]{Codec: recCodec{}, Index: b.index, Age: b.compact})
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
 	return b, nil
 }
 
-// Device exposes the underlying simulated flash (tests inspect wear and
-// op counts).
+// Device exposes the underlying simulated flash.
 func (b *FlashBackend) Device() *flash.Device { return b.dev }
-
-// AgingPolicy returns the compaction aging policy in effect.
-func (b *FlashBackend) AgingPolicy() AgingPolicy { return b.pol }
 
 // OccupiedBlocks reports how many erase blocks currently hold data —
 // the device occupancy experiments equalize when comparing aging modes.
-func (b *FlashBackend) OccupiedBlocks() int { return b.geo.NumBlocks - len(b.free) }
+func (b *FlashBackend) OccupiedBlocks() int { return b.dev.Geometry().NumBlocks - len(b.log.Free) }
 
 // Append logs one confirmed observation.
 func (b *FlashBackend) Append(m radio.NodeID, r Record) error {
@@ -223,171 +321,83 @@ func (b *FlashBackend) Append(m radio.NodeID, r Record) error {
 		(r.T == last.T && r.ErrBound <= last.ErrBound) {
 		b.latest[m] = r
 	}
-	b.pending = append(b.pending, flashRec{m: m, r: r})
-	if len(b.pending) >= b.perPage {
-		if err := b.flushPage(); err != nil {
-			// Device full and compaction cannot reclaim space: shed the
-			// oldest buffered page so RAM stays bounded, and surface the
-			// error so the sink can count the drop. A mote whose only
-			// record was shed loses its Latest entry (conservative: the
-			// coverage pre-check then bails instead of trusting a phantom).
-			if len(b.pending) > 4*b.perPage {
-				shed := b.pending[:b.perPage]
-				b.pending = b.pending[b.perPage:]
-				b.stats.Records -= uint64(len(shed))
-				b.stats.Dropped += uint64(len(shed))
-				for _, fr := range shed {
-					if cur, ok := b.latest[fr.m]; ok && cur.T == fr.r.T && !b.survives(fr.m, fr.r.T) {
-						delete(b.latest, fr.m)
-					}
-				}
+	err := b.log.Append(flashRec{m: m, r: r})
+	if p, per := b.log.Pending, b.log.PerPage(); err != nil && len(p) > 4*per {
+		// Device full and compaction cannot reclaim space: shed the
+		// oldest buffered page so RAM stays bounded, and surface the
+		// error so the sink can count the drop. A mote whose only record
+		// was shed loses its Latest entry (conservative: the coverage
+		// pre-check then bails instead of trusting a phantom).
+		shed, kept := p[:per], p[per:]
+		b.stats.Records -= uint64(per)
+		b.stats.Dropped += uint64(per)
+		for _, fr := range shed {
+			if cur, ok := b.latest[fr.m]; ok && cur.T == fr.r.T && !survives(fr.m, fr.r.T, kept, b.log.Segs) {
+				delete(b.latest, fr.m)
 			}
-			return err
 		}
+		b.log.Pending = p[:copy(p, kept)]
 	}
-	return nil
+	return err
 }
 
-// survives reports whether mote m still holds a record at time >= t in
-// the flushed segments or the remaining pending buffer.
-func (b *FlashBackend) survives(m radio.NodeID, t simtime.Time) bool {
-	for _, fr := range b.pending {
+// survives reports whether mote m holds a record at time >= t in pending
+// or in segs.
+func survives(m radio.NodeID, t simtime.Time, pending []flashRec, segs []segment) bool {
+	for _, fr := range pending {
 		if fr.m == m && fr.r.T >= t {
 			return true
 		}
 	}
-	for _, seg := range b.segs {
-		if sp, ok := seg.spans[m]; ok && sp.maxT >= t {
+	for i := range segs {
+		if sp, ok := segs[i].Meta.spans[m]; ok && sp.maxT >= t {
 			return true
 		}
 	}
 	return false
 }
 
-// flushPage programs one page of pending records.
-func (b *FlashBackend) flushPage() error {
-	if len(b.pending) == 0 {
-		return nil
+// index is the log's per-page hook: it extends the segment's mote spans
+// over the page of recs just programmed and records the page's span.
+func (b *FlashBackend) index(seg *segment, recs []flashRec) {
+	ps := pageSpan{minT: recs[0].r.T, maxT: recs[0].r.T}
+	for _, fr := range recs {
+		seg.Meta.note(fr.m, fr.r.T)
+		ps.minT, ps.maxT = min(ps.minT, fr.r.T), max(ps.maxT, fr.r.T)
 	}
-	if b.cur < 0 {
-		if err := b.openBlock(); err != nil {
-			return err
-		}
-	}
-	n := len(b.pending)
-	if n > b.perPage {
-		n = b.perPage
-	}
-	buf := encodePage(b.geo.PageSize, b.perPage, b.pending[:n])
-	page := b.cur*b.geo.PagesPerBlock + b.curPages
-	if err := b.dev.Write(page, buf); err != nil {
-		return fmt.Errorf("store: flash page write: %w", err)
-	}
-	b.stats.PagesWritten++
-	seg := b.segs[len(b.segs)-1]
-	for _, fr := range b.pending[:n] {
-		seg.note(fr.m, fr.r.T)
-	}
-	seg.count += n
-	seg.pages++
-	seg.pageSpans = append(seg.pageSpans, spanOf(b.pending[:n]))
-	b.curPages++
-	b.pending = b.pending[n:]
-	if b.curPages == b.geo.PagesPerBlock {
-		b.cur = -1 // block sealed; next flush opens a new one
-	}
-	return nil
+	seg.Meta.pageSpans = append(seg.Meta.pageSpans, ps)
 }
 
-// encodePage packs records into one page image, padding unused slots with
-// a sentinel timestamp.
-func encodePage(pageSize, perPage int, recs []flashRec) []byte {
-	buf := make([]byte, pageSize)
-	for i := 0; i < perPage; i++ {
-		off := i * flashRecSize
-		if i < len(recs) {
-			binary.LittleEndian.PutUint32(buf[off:], uint32(recs[i].m))
-			binary.LittleEndian.PutUint64(buf[off+4:], uint64(recs[i].r.T))
-			binary.LittleEndian.PutUint32(buf[off+12:], math.Float32bits(float32(recs[i].r.V)))
-			binary.LittleEndian.PutUint32(buf[off+16:], math.Float32bits(wireBound(recs[i].r.V, recs[i].r.ErrBound)))
-		} else {
-			binary.LittleEndian.PutUint64(buf[off+4:], math.MaxUint64) // padding
-		}
+// compact is the log's aging hook: it rewrites the oldest compactFanIn
+// sealed segments into out, reclaiming fanIn-1 blocks and repairing the
+// read locality the arrival-order log lacks. Records are clustered by
+// mote, time-sorted and deduplicated, then aged per the backend's
+// AgingPolicy: wavelet mode (default) summarizes each mote's run as
+// multi-resolution coefficient chunks — every timestamp survives, value
+// detail decays with the segment's age level — while uniform mode merges
+// groups of consecutive records into widened-bound means (the legacy
+// behaviour). Either way the output's error bounds cover every record it
+// stands for.
+func (b *FlashBackend) compact(sealed []segment, out *segment) (int, error) {
+	if len(sealed) < compactFanIn {
+		return 0, ErrBackendFull
 	}
-	return buf
-}
-
-// wireBound widens a record's error bound to cover the float32
-// quantization of its value, so a decoded record still honors the
-// guarantee |V - truth| <= ErrBound that backend.go advertises.
-func wireBound(v, bound float64) float32 {
-	q := math.Abs(v - float64(float32(v)))
-	w := float32(bound + q)
-	if float64(w) < bound+q {
-		w = math.Nextafter32(w, float32(math.Inf(1)))
-	}
-	return w
-}
-
-// openBlock allocates a fresh block, compacting when the device runs low.
-// One block stays in reserve so compaction always has an output block.
-func (b *FlashBackend) openBlock() error {
-	if len(b.free) <= 1 {
-		if err := b.compact(); err != nil {
-			return err
-		}
-	}
-	if len(b.free) == 0 {
-		return ErrBackendFull
-	}
-	blk := b.free[len(b.free)-1]
-	b.free = b.free[:len(b.free)-1]
-	b.cur = blk
-	b.curPages = 0
-	b.segs = append(b.segs, &flashSegment{block: blk, spans: make(map[radio.NodeID]*moteSpan)})
-	return nil
-}
-
-// compact rewrites the oldest compactFanIn sealed segments into one block,
-// reclaiming fanIn-1 blocks and repairing the read locality the
-// arrival-order log lacks. Records are clustered by mote, time-sorted and
-// deduplicated, then aged per the backend's AgingPolicy: wavelet mode
-// (default) summarizes each mote's run as multi-resolution coefficient
-// chunks — every timestamp survives, value detail decays with the
-// segment's age level — while uniform mode merges groups of consecutive
-// records into widened-bound means (the legacy behaviour). Either way the
-// output's error bounds cover every record it stands for.
-func (b *FlashBackend) compact() error {
-	sealed := len(b.segs)
-	if b.cur >= 0 {
-		sealed--
-	}
-	if sealed < compactFanIn {
-		return ErrBackendFull
-	}
-	victims := b.segs[:compactFanIn]
 	perMote := make(map[radio.NodeID][]Record)
-	var order []radio.NodeID
 	rawTotal := 0
 	level := 0
-	for _, seg := range victims {
-		recs, err := b.readSegment(seg)
+	for i := range sealed[:compactFanIn] {
+		recs, err := b.readSegment(&sealed[i])
 		if err != nil {
-			return err
+			return 0, err
 		}
 		rawTotal += len(recs)
-		if seg.level > level {
-			level = seg.level
-		}
+		level = max(level, sealed[i].Meta.level)
 		for _, fr := range recs {
-			if _, ok := perMote[fr.m]; !ok {
-				order = append(order, fr.m)
-			}
 			perMote[fr.m] = append(perMote[fr.m], fr.r)
 		}
 	}
 	level++ // the rewritten segment is one aging step older than its inputs
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	order := sortedMotes(perMote)
 
 	var total int
 	for _, m := range order {
@@ -398,46 +408,24 @@ func (b *FlashBackend) compact() error {
 		total += len(s)
 	}
 
-	// Plan the aged output: the reconstructable records (for the index and
-	// Latest repair) plus a writer that lays them into the reserve block.
-	var out []flashRec
-	var write func(blk int, seg *flashSegment) error
+	// Age the survivors into the reserve block, keeping the
+	// reconstructable records for the Latest repair.
+	out.Meta.level = level
+	var recs []flashRec
 	var err error
 	if b.pol.Mode == AgingUniform {
-		out, write, err = b.planUniform(order, perMote, total)
+		if recs, err = b.planUniform(order, perMote, total); err == nil {
+			err = b.log.WriteRecords(out, recs)
+		}
 	} else {
-		out, write, err = b.planWavelet(order, perMote, level)
+		recs, err = b.writeWavelet(out, order, perMote, level)
 	}
 	if err != nil {
-		return err
+		return 0, err
 	}
 	// Everything that did not survive — coarsening-merged or duplicate
 	// timestamps collapsed by the dedupe — left the store.
-	merged := uint64(rawTotal - len(out))
-
-	// Write the aged survivors into the reserve block.
-	if len(b.free) == 0 {
-		return ErrBackendFull
-	}
-	blk := b.free[len(b.free)-1]
-	b.free = b.free[:len(b.free)-1]
-	seg := &flashSegment{block: blk, level: level, spans: make(map[radio.NodeID]*moteSpan)}
-	if err := write(blk, seg); err != nil {
-		return err
-	}
-	for _, fr := range out {
-		seg.note(fr.m, fr.r.T)
-	}
-	seg.count = len(out)
-
-	for _, v := range victims {
-		if err := b.dev.EraseBlock(v.block); err != nil {
-			return err
-		}
-		b.free = append(b.free, v.block)
-	}
-	rest := append([]*flashSegment(nil), b.segs[compactFanIn:]...)
-	b.segs = append([]*flashSegment{seg}, rest...)
+	merged := uint64(rawTotal - len(recs))
 	b.stats.Compactions++
 	b.stats.Coarsened += merged
 	b.stats.Records -= merged
@@ -451,30 +439,30 @@ func (b *FlashBackend) compact() error {
 	// survive, but the entry must carry the reconstructed value and bound
 	// that QueryRange will actually return.
 	newestOut := make(map[radio.NodeID]Record)
-	for _, fr := range out {
+	for _, fr := range recs {
 		if r, ok := newestOut[fr.m]; !ok || fr.r.T >= r.T {
 			newestOut[fr.m] = fr.r
 		}
 	}
+	rest := b.log.Segs[compactFanIn:]
 	for m := range perMote {
 		cur, ok := b.latest[m]
 		if !ok {
 			continue
 		}
-		if nr, ok := newestOut[m]; ok && nr.T == cur.T && !b.survivesElsewhere(m, cur.T) {
+		nr, aged := newestOut[m]
+		elsewhere := survives(m, cur.T, b.log.Pending, rest)
+		switch {
+		case aged && nr.T == cur.T && !elsewhere:
 			b.latest[m] = nr // same instant, now reconstructed
-			continue
-		}
-		if b.survives(m, cur.T) {
-			continue
-		}
-		if nr, ok := newestOut[m]; ok {
+		case elsewhere || (aged && nr.T >= cur.T):
+		case aged:
 			b.latest[m] = nr
-		} else {
+		default:
 			delete(b.latest, m)
 		}
 	}
-	return nil
+	return compactFanIn, nil
 }
 
 // planUniform coarsens each mote's run just enough that the merged output
@@ -482,8 +470,8 @@ func (b *FlashBackend) compact() error {
 // per-mote ceilings, so ceil(total/capacity) alone can overflow by up to
 // one record per mote on uneven interleaves — the factor grows until the
 // rounded total actually fits.
-func (b *FlashBackend) planUniform(order []radio.NodeID, perMote map[radio.NodeID][]Record, total int) ([]flashRec, func(int, *flashSegment) error, error) {
-	capacity := b.geo.PagesPerBlock * b.perPage
+func (b *FlashBackend) planUniform(order []radio.NodeID, perMote map[radio.NodeID][]Record, total int) ([]flashRec, error) {
+	capacity := b.dev.Geometry().PagesPerBlock * b.log.PerPage()
 	factor := (total + capacity - 1) / capacity
 	if factor < 2 {
 		factor = 2
@@ -505,26 +493,48 @@ func (b *FlashBackend) planUniform(order []radio.NodeID, perMote map[radio.NodeI
 		}
 	}
 	if len(out) > capacity {
-		return nil, nil, fmt.Errorf("store: compaction output %d exceeds block capacity %d", len(out), capacity)
+		return nil, fmt.Errorf("store: compaction output %d exceeds block capacity %d", len(out), capacity)
 	}
-	write := func(blk int, seg *flashSegment) error {
-		seg.kind = segRaw
-		for p := 0; p*b.perPage < len(out); p++ {
-			end := (p + 1) * b.perPage
-			if end > len(out) {
-				end = len(out)
-			}
-			batch := out[p*b.perPage : end]
-			if err := b.dev.Write(blk*b.geo.PagesPerBlock+p, encodePage(b.geo.PageSize, b.perPage, batch)); err != nil {
-				return fmt.Errorf("store: compaction write: %w", err)
-			}
-			b.stats.PagesWritten++
-			seg.pages++
-			seg.pageSpans = append(seg.pageSpans, spanOf(batch))
+	return out, nil
+}
+
+// writeWavelet lays the wavelet plan's chunks into out as one byte stream
+// across its pages, with their directory, and returns the records they
+// reconstruct.
+func (b *FlashBackend) writeWavelet(out *segment, order []radio.NodeID, perMote map[radio.NodeID][]Record, level int) ([]flashRec, error) {
+	chunks, recs, size, err := b.planWavelet(order, perMote, level)
+	if err != nil {
+		return nil, err
+	}
+	out.Meta.kind = segWavelet
+	stream := make([]byte, 0, size)
+	for _, ch := range chunks {
+		// Directory entry first: the chunk starts at the stream's current
+		// length. A chunk is one mote's time-ordered run, so first/last
+		// records bound it.
+		out.Meta.dir = append(out.Meta.dir, chunkDirEntry{
+			m:     ch.recs[0].m,
+			off:   len(stream),
+			size:  len(ch.bytes),
+			count: len(ch.recs),
+			minT:  ch.recs[0].r.T,
+			maxT:  ch.recs[len(ch.recs)-1].r.T,
+		})
+		stream = append(stream, ch.bytes...)
+	}
+	for len(stream) > 0 {
+		n := min(b.dev.Geometry().PageSize, len(stream))
+		if err := b.log.WritePage(out, stream[:n]); err != nil {
+			return nil, err
 		}
-		return nil
+		stream = stream[n:]
 	}
-	return out, write, nil
+	b.stats.WaveletChunks += uint64(len(chunks))
+	for _, fr := range recs {
+		out.Meta.note(fr.m, fr.r.T)
+	}
+	out.Count = len(recs)
+	return recs, nil
 }
 
 // planWavelet summarizes each mote's run as wavelet chunks at the level's
@@ -533,73 +543,34 @@ func (b *FlashBackend) planUniform(order []radio.NodeID, perMote map[radio.NodeI
 // couple of coefficients — by thinning the time grid onto an age-octave
 // pyramid (pyramidThin) whose base cell width doubles per round. Old data
 // thus degrades progressively, oldest-coarsest, instead of being
-// discarded wholesale.
-func (b *FlashBackend) planWavelet(order []radio.NodeID, perMote map[radio.NodeID][]Record, level int) ([]flashRec, func(int, *flashSegment) error, error) {
-	capBytes := b.geo.PagesPerBlock * b.geo.PageSize
+// discarded wholesale. It returns the chunks, the records they
+// reconstruct and the stream's size.
+func (b *FlashBackend) planWavelet(order []radio.NodeID, perMote map[radio.NodeID][]Record, level int) ([]waveletChunk, []flashRec, int, error) {
+	capBytes := b.dev.Geometry().PagesPerBlock * b.dev.Geometry().PageSize
 	// Infeasibility precheck: even one record per mote costs at least a
 	// chunk header, a timestamp byte and one coefficient. Failing fast
 	// here keeps a permanently-full device (Append keeps retrying
 	// compaction) from paying the whole shrink loop on every append.
 	const minChunkBytes = chunkHeaderSize + 1 + 12 + 8
 	if len(order)*minChunkBytes > capBytes {
-		return nil, nil, fmt.Errorf("store: wavelet compaction cannot fit %d motes in a %d-byte block", len(order), capBytes)
+		return nil, nil, 0, fmt.Errorf("store: wavelet compaction cannot fit %d motes in a %d-byte block", len(order), capBytes)
 	}
 	frac := b.pol.fraction(level)
 	window := b.pol.ChunkWindow
 	grid := perMote
 	maxLen := 0
 	for _, rs := range perMote {
-		if len(rs) > maxLen {
-			maxLen = len(rs)
-		}
+		maxLen = max(maxLen, len(rs))
 	}
 	// Halving frac below one kept coefficient per largest actual chunk is
 	// a no-op (short runs floor at k = 1 long before frac*window does) —
 	// gate on the real transform length so no byte-identical rebuild runs.
-	maxChunk := maxLen
-	if maxChunk > window {
-		maxChunk = window
-	}
+	maxChunk := min(maxLen, window)
 	round := 0
 	for {
 		chunks, out, size, err := b.buildWavelet(order, grid, frac, window)
-		if err != nil {
-			return nil, nil, err
-		}
-		if size <= capBytes {
-			write := func(blk int, seg *flashSegment) error {
-				seg.kind = segWavelet
-				stream := make([]byte, 0, size)
-				for _, ch := range chunks {
-					// Directory entry first: the chunk starts at the
-					// stream's current length. A chunk is one mote's
-					// time-ordered run, so first/last records bound it.
-					seg.dir = append(seg.dir, chunkDirEntry{
-						m:     ch.recs[0].m,
-						off:   len(stream),
-						size:  len(ch.bytes),
-						count: len(ch.recs),
-						minT:  ch.recs[0].r.T,
-						maxT:  ch.recs[len(ch.recs)-1].r.T,
-					})
-					stream = append(stream, ch.bytes...)
-				}
-				for p := 0; len(stream) > 0; p++ {
-					n := b.geo.PageSize
-					if n > len(stream) {
-						n = len(stream)
-					}
-					if err := b.dev.Write(blk*b.geo.PagesPerBlock+p, stream[:n]); err != nil {
-						return fmt.Errorf("store: compaction write: %w", err)
-					}
-					b.stats.PagesWritten++
-					seg.pages++
-					stream = stream[n:]
-				}
-				b.stats.WaveletChunks += uint64(len(chunks))
-				return nil
-			}
-			return out, write, nil
+		if err != nil || size <= capBytes {
+			return chunks, out, size, err
 		}
 		if frac*float64(wavelet.NextPow2(maxChunk)) > 2 {
 			frac /= 2 // drop more coefficients first
@@ -615,7 +586,7 @@ func (b *FlashBackend) planWavelet(order []radio.NodeID, perMote map[radio.NodeI
 		// round can shrink it.
 		round++
 		if 1<<round > 2*maxLen {
-			return nil, nil, fmt.Errorf("store: wavelet compaction output %d bytes exceeds block capacity %d", size, capBytes)
+			return nil, nil, 0, fmt.Errorf("store: wavelet compaction output %d bytes exceeds block capacity %d", size, capBytes)
 		}
 		thinned := make(map[radio.NodeID][]Record, len(perMote))
 		for m, rs := range perMote {
@@ -660,24 +631,6 @@ func (b *FlashBackend) buildWavelet(order []radio.NodeID, grid map[radio.NodeID]
 	return chunks, out, size, nil
 }
 
-// survivesElsewhere is survives restricted to the pending buffer and the
-// segments other than the just-written head — used to tell "this exact
-// record still exists raw somewhere" apart from "only the reconstruction
-// stands for it now".
-func (b *FlashBackend) survivesElsewhere(m radio.NodeID, t simtime.Time) bool {
-	for _, fr := range b.pending {
-		if fr.m == m && fr.r.T >= t {
-			return true
-		}
-	}
-	for _, seg := range b.segs[1:] {
-		if sp, ok := seg.spans[m]; ok && sp.maxT >= t {
-			return true
-		}
-	}
-	return false
-}
-
 // coarsenRecords merges each group of factor consecutive records into one
 // carrying the group mean and the group's first timestamp (so time
 // coverage never shrinks). The error bound must still guarantee
@@ -698,79 +651,33 @@ func coarsenRecords(recs []Record, factor int) []Record {
 	return out
 }
 
-// readPage reads one device page into the backend's reusable page buffer.
-func (b *FlashBackend) readPage(page int) error {
-	buf, err := b.dev.Read(page, b.rr.page)
-	if err != nil {
-		return fmt.Errorf("store: segment read: %w", err)
-	}
-	b.rr.page = buf
-	b.stats.PagesRead++
-	return nil
-}
-
-// rawRecord decodes slot i of a raw page; ok is false for padding.
-func rawRecord(page []byte, i int) (fr flashRec, ok bool) {
-	off := i * flashRecSize
-	rawT := binary.LittleEndian.Uint64(page[off+4:])
-	if rawT == math.MaxUint64 {
-		return flashRec{}, false
-	}
-	return flashRec{
-		m: radio.NodeID(binary.LittleEndian.Uint32(page[off:])),
-		r: Record{
-			T:        simtime.Time(rawT),
-			V:        float64(math.Float32frombits(binary.LittleEndian.Uint32(page[off+12:]))),
-			ErrBound: float64(math.Float32frombits(binary.LittleEndian.Uint32(page[off+16:]))),
-		},
-	}, true
-}
-
-// slots returns how many record slots a raw page read holds.
-func (b *FlashBackend) slots(page []byte) int {
-	return min(b.perPage, len(page)/flashRecSize)
-}
-
 // readSegment decodes every record in a segment, paying the page reads —
 // compaction's input. Wavelet segments reconstruct their records from the
 // stored summary chunks: every summarized timestamp comes back, carrying
 // the chunk's widened error bound.
-func (b *FlashBackend) readSegment(seg *flashSegment) ([]flashRec, error) {
-	base := seg.block * b.geo.PagesPerBlock
-	if seg.kind == segWavelet {
-		var stream []byte
-		for p := 0; p < seg.pages; p++ {
-			if err := b.readPage(base + p); err != nil {
-				return nil, err
+func (b *FlashBackend) readSegment(seg *segment) ([]flashRec, error) {
+	if seg.Meta.kind == segWavelet {
+		var out []flashRec
+		_, err := b.readChunks(seg, func(chunkDirEntry) bool { return true }, func(m radio.NodeID, ts []int64, recon []float64, bound float64) {
+			for i, t := range ts {
+				out = append(out, flashRec{m: m, r: Record{T: simtime.Time(t), V: recon[i], ErrBound: bound}})
 			}
-			stream = append(stream, b.rr.page...)
-		}
-		return decodeChunks(stream)
+		})
+		return out, err
 	}
-	out := make([]flashRec, 0, seg.count)
-	for p := 0; p < seg.pages; p++ {
-		if err := b.readPage(base + p); err != nil {
-			return nil, err
-		}
-		for i := 0; i < b.slots(b.rr.page); i++ {
-			if fr, ok := rawRecord(b.rr.page, i); ok {
-				out = append(out, fr)
-			}
-		}
-	}
-	return out, nil
+	return b.log.ReadSegment(seg, make([]flashRec, 0, min(seg.Count, seg.Pages*b.log.PerPage())))
 }
 
-// rangeRead is a FlashBackend's reusable set-read state: the page buffer,
-// the bytes of the wavelet chunk being decoded, and, for the duration of
-// one QueryRanges call, its requests plus the index that routes a decoded
-// record to every request for its mote.
+// rangeRead is a FlashBackend's reusable set-read state: the bytes of the
+// wavelet chunk being decoded and, for the duration of one QueryRanges
+// call, its requests plus the index that routes a decoded record to every
+// request for its mote.
 type rangeRead struct {
-	page, chunk []byte
-	first       map[radio.NodeID]int // mote → its last request
-	next        []int                // request → the previous one for its mote, -1 ends
-	lo, hi      []simtime.Time
-	out         [][]Record
+	chunk  []byte
+	first  map[radio.NodeID]int // mote → its last request
+	next   []int                // request → the previous one for its mote, -1 ends
+	lo, hi []simtime.Time
+	out    [][]Record
 }
 
 // head returns m's last request, -1 when m was not asked for.
@@ -849,10 +756,11 @@ func (b *FlashBackend) QueryRanges(ms []radio.NodeID, lo, hi []simtime.Time, out
 // pending tail, routing each matching record in decode order.
 func (b *FlashBackend) scanRanges(ms []radio.NodeID, wlo, whi simtime.Time) error {
 	rr := &b.rr
-	for _, seg := range b.segs {
+	for s := range b.log.Segs {
+		seg := &b.log.Segs[s]
 		touched := false
 		for i, m := range ms {
-			if seg.overlaps(m, rr.lo[i], rr.hi[i]) {
+			if seg.Meta.overlaps(m, rr.lo[i], rr.hi[i]) {
 				touched = true
 				break
 			}
@@ -860,79 +768,86 @@ func (b *FlashBackend) scanRanges(ms []radio.NodeID, wlo, whi simtime.Time) erro
 		if !touched {
 			continue
 		}
-		if seg.kind == segWavelet {
-			if err := b.scanWavelet(seg); err != nil {
+		if seg.Meta.kind == segWavelet {
+			// Decode the chunks some request wants; records in the others
+			// count as skipped, the read amplification the directory
+			// avoided.
+			decoded, err := b.readChunks(seg, func(de chunkDirEntry) bool { return rr.wants(de.m, de.minT, de.maxT) },
+				func(m radio.NodeID, ts []int64, recon []float64, bound float64) {
+					head := rr.head(m)
+					for i, t := range ts {
+						rr.route(head, Record{T: simtime.Time(t), V: recon[i], ErrBound: bound})
+					}
+				})
+			b.stats.RecordsScanned += uint64(decoded)
+			b.stats.RecordsSkipped += uint64(seg.Count - decoded)
+			if err != nil {
 				return err
 			}
 			continue
 		}
-		base := seg.block * b.geo.PagesPerBlock
-		for p, ps := range seg.pageSpans {
+		for p, ps := range seg.Meta.pageSpans {
 			if ps.maxT < wlo || ps.minT > whi {
 				continue
 			}
-			if err := b.readPage(base + p); err != nil {
+			page, err := b.log.ReadPage(seg.Block, p)
+			if err != nil {
 				return err
 			}
-			for i := 0; i < b.slots(rr.page); i++ {
-				if fr, ok := rawRecord(rr.page, i); ok {
+			for i := 0; i < b.log.PerPage(); i++ {
+				if slot, ok := b.log.Slot(page, i); ok {
+					fr := recCodec{}.Get(slot)
 					b.stats.RecordsScanned++
 					rr.route(rr.head(fr.m), fr.r)
 				}
 			}
 		}
 	}
-	b.stats.RecordsScanned += uint64(len(b.pending))
-	for _, fr := range b.pending {
+	b.stats.RecordsScanned += uint64(len(b.log.Pending))
+	for _, fr := range b.log.Pending {
 		rr.route(rr.head(fr.m), fr.r)
 	}
 	return nil
 }
 
-// scanWavelet decodes the chunks of a wavelet segment that some request
-// wants. The directory is in stream order, so a page shared by two
-// wanted chunks is still in the page buffer when the second needs it.
-// Records in the chunks left undecoded count as skipped — the read
-// amplification the directory avoided.
-func (b *FlashBackend) scanWavelet(seg *flashSegment) error {
+// readChunks decodes the chunks of a wavelet segment that want accepts,
+// reading each page at most once, and hands each to fn: the directory's
+// mote, the timestamps, their reconstructed values and the chunk's bound.
+// The directory is in stream order, so a page shared by two wanted
+// chunks is still in the page buffer when the second needs it.
+func (b *FlashBackend) readChunks(seg *segment, want func(chunkDirEntry) bool, fn func(radio.NodeID, []int64, []float64, float64)) (decoded int, err error) {
 	rr := &b.rr
-	base := seg.block * b.geo.PagesPerBlock
-	ps := b.geo.PageSize
-	inBuf := -1 // page held in rr.page
-	decoded := 0
-	for _, de := range seg.dir {
-		if !rr.wants(de.m, de.minT, de.maxT) {
+	ps := b.dev.Geometry().PageSize
+	var page []byte
+	inBuf := -1 // page held in page
+	for _, de := range seg.Meta.dir {
+		if !want(de) {
 			continue
 		}
 		rr.chunk = rr.chunk[:0]
 		for off, end := de.off, de.off+de.size; off < end; {
 			if p := off / ps; p != inBuf {
-				if err := b.readPage(base + p); err != nil {
-					return err
+				if page, err = b.log.ReadPage(seg.Block, p); err != nil {
+					return decoded, err
 				}
 				inBuf = p
 			}
 			in := off % ps
 			n := min(ps-in, end-off)
-			if in+n > len(rr.page) {
-				return fmt.Errorf("store: wavelet chunk at %d+%d runs past its page", de.off, de.size)
+			if in+n > len(page) {
+				return decoded, fmt.Errorf("store: wavelet chunk at %d+%d runs past its page", de.off, de.size)
 			}
-			rr.chunk = append(rr.chunk, rr.page[in:in+n]...)
+			rr.chunk = append(rr.chunk, page[in:in+n]...)
 			off += n
 		}
 		_, ts, recon, bound, _, err := decodeChunk(rr.chunk)
 		if err != nil {
-			return err
+			return decoded, err
 		}
 		decoded += len(ts)
-		head := rr.head(de.m)
-		for i, t := range ts {
-			rr.route(head, Record{T: simtime.Time(t), V: recon[i], ErrBound: bound})
-		}
+		fn(de.m, ts, recon, bound)
 	}
-	b.stats.RecordsScanned += uint64(decoded)
-	b.stats.RecordsSkipped += uint64(seg.count - decoded)
-	return nil
+	return decoded, nil
 }
 
 // byTime orders records by timestamp.
@@ -946,5 +861,10 @@ func (b *FlashBackend) Latest(m radio.NodeID) (Record, bool) {
 	return r, ok
 }
 
-// Stats returns cumulative counters.
-func (b *FlashBackend) Stats() BackendStats { return b.stats }
+// Stats returns cumulative counters. The page counts are the device's:
+// every page the backend programs or reads goes through its log.
+func (b *FlashBackend) Stats() BackendStats {
+	st := b.stats
+	st.PagesRead, st.PagesWritten, _ = b.dev.Stats()
+	return st
+}

@@ -6,12 +6,15 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"sort"
 	"strings"
 	"testing"
 
+	"presto/internal/archive"
+	"presto/internal/energy"
 	"presto/internal/flash"
 	"presto/internal/radio"
 	"presto/internal/simtime"
@@ -25,8 +28,9 @@ import (
 func referenceQueryRange(b *FlashBackend, m radio.NodeID, t0, t1 simtime.Time) ([]Record, error) {
 	b.stats.QueryRanges++
 	var out []Record
-	for _, seg := range b.segs {
-		if !seg.overlaps(m, t0, t1) {
+	for i := range b.log.Segs {
+		seg := &b.log.Segs[i]
+		if !seg.Meta.overlaps(m, t0, t1) {
 			continue
 		}
 		recs, err := b.readSegment(seg)
@@ -40,7 +44,7 @@ func referenceQueryRange(b *FlashBackend, m radio.NodeID, t0, t1 simtime.Time) (
 			}
 		}
 	}
-	for _, fr := range b.pending {
+	for _, fr := range b.log.Pending {
 		b.stats.RecordsScanned++
 		if fr.m == m && fr.r.T >= t0 && fr.r.T <= t1 {
 			out = append(out, fr.r)
@@ -84,7 +88,7 @@ func randomArchive(t *testing.T, rng *rand.Rand) (*FlashBackend, int, simtime.Ti
 		t.Fatal(err)
 	}
 	motes := 1 + rng.Intn(5)
-	capacity := fb.perPage * geo.PagesPerBlock * geo.NumBlocks
+	capacity := fb.log.PerPage() * geo.PagesPerBlock * geo.NumBlocks
 	n := capacity/2 + rng.Intn(3*capacity)
 	next := make([]simtime.Time, motes)
 	var seen [][]Record = make([][]Record, motes)
@@ -105,7 +109,7 @@ func randomArchive(t *testing.T, rng *rand.Rand) (*FlashBackend, int, simtime.Ti
 		seen[mi] = append(seen[mi], r)
 		_ = fb.Append(radio.NodeID(1+mi), r) // a full device sheds; the read must still agree
 	}
-	for len(fb.pending) == 0 {
+	for len(fb.log.Pending) == 0 {
 		mi := rng.Intn(motes)
 		_ = fb.Append(radio.NodeID(1+mi), Record{T: next[mi], V: 1})
 		next[mi] += simtime.Minute
@@ -180,7 +184,7 @@ func TestQueryRangesMatchesReference(t *testing.T) {
 			if err := fb.Snapshot(&buf); err != nil {
 				t.Fatal(err)
 			}
-			cp, err := NewFlashBackendPolicy(fb.geo, fb.pol)
+			cp, err := NewFlashBackendPolicy(fb.dev.Geometry(), fb.pol)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -224,8 +228,8 @@ func TestQueryRangesAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if fb.Stats().Compactions != 0 || len(fb.pending) == 0 {
-		t.Fatalf("want raw segments only plus a pending tail: %d compactions, %d pending", fb.Stats().Compactions, len(fb.pending))
+	if fb.Stats().Compactions != 0 || len(fb.log.Pending) == 0 {
+		t.Fatalf("want raw segments only plus a pending tail: %d compactions, %d pending", fb.Stats().Compactions, len(fb.log.Pending))
 	}
 	ms := []radio.NodeID{1, 2, 3, 1} // a mote may be asked twice
 	lo := []simtime.Time{1000 * simtime.Minute, 1000 * simtime.Minute, 1100 * simtime.Minute, 1900 * simtime.Minute}
@@ -248,94 +252,191 @@ func TestQueryRangesAllocFree(t *testing.T) {
 	}
 	// Record i sits on page i/perPage; the window's earliest record is
 	// 1000, and the flushed pages end where the pending tail begins.
-	if pages, span := after.PagesRead-before.PagesRead, uint64(2005/fb.perPage-1000/fb.perPage); pages > span {
+	if pages, span := after.PagesRead-before.PagesRead, uint64(2005/fb.log.PerPage()-1000/fb.log.PerPage()); pages > span {
 		t.Fatalf("read %d pages for a window spanning %d", pages, span)
 	}
 }
 
-func TestFlashRestoreRejectsBadTable(t *testing.T) {
-	// Each case snapshots a backend whose segment table has been bent out
-	// of shape, then restores it: Restore must refuse the blob instead of
-	// installing a table that panics on the next append or read, and the
-	// target backend must keep its own state.
-	geo := flash.Geometry{PageSize: 256, PagesPerBlock: 8, NumBlocks: 8}
-	build := func(t *testing.T) *FlashBackend {
-		t.Helper()
-		fb, err := NewFlashBackendPolicy(geo, AgingPolicy{Mode: AgingWavelet})
-		if err != nil {
+// bend is one way to bend a store's segment table out of shape before
+// it is snapshotted, and what Restore's refusal must name.
+type bend struct {
+	want  string
+	apply func()
+}
+
+// logBends bend the log's own table: every configuration of the log
+// refuses them.
+func logBends[R any, S flash.Meta[S]](l *flash.Log[R, S], geo flash.Geometry) map[string]bend {
+	return map[string]bend{
+		"open block without segments":     {"not the last segment", func() { l.Segs, l.Cur = nil, 0 }},
+		"open block past the device":      {"open block", func() { l.Cur = geo.NumBlocks }},
+		"open block below -1":             {"open block", func() { l.Cur = -2 }},
+		"open block not the last segment": {"not the last segment", func() { l.Cur = (l.Segs[len(l.Segs)-1].Block + 1) % geo.NumBlocks }},
+		"open block page count":           {"open block has", func() { l.CurPages++ }},
+		"segment block past the device":   {"outside", func() { l.Segs[0].Block = geo.NumBlocks }},
+		"segment with too many pages":     {"pages (block of", func() { l.Segs[0].Pages = geo.PagesPerBlock + 1 }},
+		"segment with negative count":     {"records", func() { l.Segs[0].Count = -1 }},
+		"free block past the device":      {"free block", func() { l.Free = append(l.Free, geo.NumBlocks) }},
+		"free list without reserve":       {"reserve", func() { l.Free = nil }},
+	}
+}
+
+// restoreRig is one configuration of the log, filled past several
+// reclaim passes and left with an open block and a pending tail.
+type restoreRig struct {
+	bends    map[string]bend
+	snapshot func(w io.Writer) error
+	restore  func(r io.Reader) error
+	read     func() (string, error) // every record, printed
+	fillPage func() error           // appends a page's worth and more
+}
+
+func backendRig(t *testing.T, geo flash.Geometry) restoreRig {
+	fb, err := NewFlashBackendPolicy(geo, AgingPolicy{Mode: AgingWavelet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	floodBackend(t, fb, geo, 2)
+	for i := 0; fb.log.Cur < 0 || len(fb.log.Pending) == 0; i++ {
+		if err := fb.Append(1, Record{T: simtime.Time(1<<40 + i)}); err != nil {
 			t.Fatal(err)
 		}
-		floodBackend(t, fb, geo, 2)
-		for i := 0; fb.cur < 0 || len(fb.pending) == 0; i++ {
-			if err := fb.Append(1, Record{T: simtime.Time(1<<40 + i)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return fb
 	}
-	openSeg := func(fb *FlashBackend) *flashSegment { return fb.segs[len(fb.segs)-1] }
-	firstWavelet := func(fb *FlashBackend) *flashSegment {
-		for _, seg := range fb.segs {
-			if seg.kind == segWavelet && len(seg.dir) > 0 {
+	bends := logBends(fb.log, geo)
+	openSeg := func() *segment { return &fb.log.Segs[len(fb.log.Segs)-1] }
+	firstWavelet := func() *segment {
+		for i := range fb.log.Segs {
+			if seg := &fb.log.Segs[i]; seg.Meta.kind == segWavelet && len(seg.Meta.dir) > 0 {
 				return seg
 			}
 		}
 		t.Fatal("no wavelet segment")
 		return nil
 	}
-	cases := []struct {
-		name, want string
-		bend       func(fb *FlashBackend)
-	}{
-		{"open block without segments", "not the last segment", func(fb *FlashBackend) { fb.segs, fb.cur = nil, 0 }},
-		{"open block past the device", "open block", func(fb *FlashBackend) { fb.cur = geo.NumBlocks }},
-		{"open block below -1", "open block", func(fb *FlashBackend) { fb.cur = -2 }},
-		{"open block not the last segment", "not the last segment", func(fb *FlashBackend) { fb.cur = (openSeg(fb).block + 1) % geo.NumBlocks }},
-		{"open block page count", "open block has", func(fb *FlashBackend) { fb.curPages++ }},
-		{"segment block past the device", "outside", func(fb *FlashBackend) { fb.segs[0].block = geo.NumBlocks }},
-		{"segment with too many pages", "pages (block of", func(fb *FlashBackend) { fb.segs[0].pages = geo.PagesPerBlock + 1 }},
-		{"segment of unknown kind", "unknown kind", func(fb *FlashBackend) { fb.segs[0].kind = 7 }},
-		{"chunk past its pages", "chunk at", func(fb *FlashBackend) {
-			seg := firstWavelet(fb)
-			seg.dir[len(seg.dir)-1].size = seg.pages*geo.PageSize + 1
-		}},
-		{"page spans short", "page spans", func(fb *FlashBackend) {
-			seg := openSeg(fb)
-			seg.pageSpans = seg.pageSpans[:len(seg.pageSpans)-1]
-		}},
-		{"page spans on a wavelet segment", "page spans", func(fb *FlashBackend) {
-			seg := firstWavelet(fb)
-			seg.pageSpans = make([]pageSpan, seg.pages)
-		}},
-		{"free block past the device", "free block", func(fb *FlashBackend) { fb.free = append(fb.free, geo.NumBlocks) }},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			src := build(t)
-			c.bend(src)
-			var blob bytes.Buffer
-			if err := src.Snapshot(&blob); err != nil {
-				t.Fatal(err)
-			}
-			dst := build(t)
-			want, err := dst.QueryRange(1, 0, 1<<62)
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = dst.Restore(&blob)
-			if err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Fatalf("Restore error %v, want one naming %q", err, c.want)
-			}
-			// The refused blob left dst whole: it still reads and appends
-			// through a full page.
-			got, err := dst.QueryRange(1, 0, 1<<62)
-			if err != nil || !sameRecords(got, want) {
-				t.Fatalf("backend changed by a refused restore: %v", err)
-			}
-			for i := 0; i <= dst.perPage; i++ {
-				if err := dst.Append(2, Record{T: simtime.Time(1<<41 + i)}); err != nil {
-					t.Fatal(err)
+	bends["segment of unknown kind"] = bend{"unknown kind", func() { fb.log.Segs[0].Meta.kind = 7 }}
+	bends["chunk past its pages"] = bend{"chunk at", func() {
+		seg := firstWavelet()
+		seg.Meta.dir[len(seg.Meta.dir)-1].size = seg.Pages*geo.PageSize + 1
+	}}
+	bends["page spans short"] = bend{"page spans", func() {
+		seg := openSeg()
+		seg.Meta.pageSpans = seg.Meta.pageSpans[:len(seg.Meta.pageSpans)-1]
+	}}
+	bends["page spans on a wavelet segment"] = bend{"page spans", func() {
+		seg := firstWavelet()
+		seg.Meta.pageSpans = make([]pageSpan, seg.Pages)
+	}}
+	return restoreRig{
+		bends:    bends,
+		snapshot: fb.Snapshot,
+		restore:  fb.Restore,
+		read: func() (string, error) {
+			recs, err := fb.QueryRange(1, 0, 1<<62)
+			return fmt.Sprint(recs), err
+		},
+		fillPage: func() error {
+			for i := 0; i <= fb.log.PerPage(); i++ {
+				if err := fb.Append(2, Record{T: simtime.Time(1<<41 + i)}); err != nil {
+					return err
 				}
+			}
+			return nil
+		},
+	}
+}
+
+func archiveRig(t *testing.T, geo flash.Geometry) restoreRig {
+	dev, err := flash.New(geo, energy.Params{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := archive.Open(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := st.Log()
+	next := simtime.Time(0)
+	add := func() error {
+		next += simtime.Minute
+		return st.Append(archive.Record{T: next, V: float64(next % 13)})
+	}
+	for i := 0; i < 2*geo.NumBlocks*geo.PagesPerBlock*l.PerPage() || l.Cur < 0 || len(l.Pending) == 0; i++ {
+		if err := add(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st.Stats().AgePasses == 0 {
+		t.Fatal("no aging pass; the rig needs aged segments")
+	}
+	return restoreRig{
+		bends:    logBends(l, geo),
+		snapshot: st.Snapshot,
+		restore:  st.Restore,
+		read: func() (string, error) {
+			recs, err := st.Query(0, 1<<62)
+			return fmt.Sprint(recs), err
+		},
+		fillPage: func() error {
+			for i := 0; i <= l.PerPage(); i++ {
+				if err := add(); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+	}
+}
+
+func TestFlashRestoreRejectsBadTable(t *testing.T) {
+	// Each case snapshots a store whose segment table has been bent out
+	// of shape, then restores it into a second store: Restore must refuse
+	// the blob instead of installing a table that panics on the next
+	// append or read, and the target must keep its own state. Both
+	// configurations of the log (the mote archive and the proxy backend)
+	// run every bend of the log's own table; the backend also runs the
+	// bends of its per-segment index.
+	geo := flash.Geometry{PageSize: 256, PagesPerBlock: 8, NumBlocks: 8}
+	configs := []struct {
+		name  string
+		build func(*testing.T, flash.Geometry) restoreRig
+	}{{"archive", archiveRig}, {"backend", backendRig}}
+	var names []string
+	for name := range backendRig(t, geo).bends {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			for _, c := range configs {
+				src := c.build(t, geo)
+				b, ok := src.bends[name]
+				if !ok {
+					continue
+				}
+				t.Run(c.name, func(t *testing.T) {
+					b.apply()
+					var blob bytes.Buffer
+					if err := src.snapshot(&blob); err != nil {
+						t.Fatal(err)
+					}
+					dst := c.build(t, geo)
+					want, err := dst.read()
+					if err != nil {
+						t.Fatal(err)
+					}
+					err = dst.restore(&blob)
+					if err == nil || !strings.Contains(err.Error(), b.want) {
+						t.Fatalf("Restore error %v, want one naming %q", err, b.want)
+					}
+					// The refused blob left dst whole: it still reads and
+					// appends through a full page.
+					if got, err := dst.read(); err != nil || got != want {
+						t.Fatalf("store changed by a refused restore: %v", err)
+					}
+					if err := dst.fillPage(); err != nil {
+						t.Fatal(err)
+					}
+				})
 			}
 		})
 	}
