@@ -1,84 +1,49 @@
-// Command prestod runs an interactive-ish PRESTO deployment simulation:
-// it builds a multi-proxy, multi-mote network over synthetic temperature
-// data, bootstraps the prediction models, advances virtual time while
-// issuing a configurable query mix, and reports energy, cache behaviour,
-// and query latency at the end.
+// Command prestod runs one PRESTO deployment: it builds the deployment,
+// bootstraps the prediction models, advances virtual time while posing a
+// query mix, and reports what the motes and proxies did.
 //
 // Usage:
 //
 //	prestod [-proxies N] [-motes N] [-shards N] [-days N] [-delta F]
-//	        [-queries N] [-precision F] [-loss F] [-seed N] [-v]
-//	        [-store mem|flash] [-aging wavelet[:tiers]|uniform]
-//	        [-max-staleness D] [-every D] [-http addr [-http-qps F]]
-//	        [-pprof] [-slow-query D] [-runtime-trace file]
-//	        [-listen addr -sites N [-wired] | -join addr [-wired]]
-//	        [-scenario file.json|preset]
+//	        [-loss F] [-seed N] [-store mem|flash] [-aging wavelet[:tiers]|uniform]
+//	        [-wired] [-scenario file.json|preset]
+//	        [-queries N] [-precision F] [-max-staleness D] [-every D] [-v]
+//	        [-listen addr [-sites N] [-quantum D] [-checkpoint dir] | -join addr]
+//	        [-http addr [-http-qps F] [-http-pace D] [-pprof] [-slow-query D]]
+//	        [-runtime-trace file]
 //
-// With -scenario the deployment comes from a scenario spec (a JSON file
-// written by presto-scenario, or a built-in preset name) instead of the
-// individual flags: the heterogeneous sensor mix, per-mote traces with
-// regional events, radio loss, store backend and day count are all
-// generated bit-reproducibly from the spec's seed. Cluster processes
-// booted from the same spec fingerprint-match automatically, and -sites
-// defaults to the spec's site count.
+// The deployment flags fill a scenario.Spec; -scenario loads one instead
+// (a JSON file written by presto-scenario, or a built-in preset name) and
+// the deployment flags are ignored. Either way scenario.Generate builds the
+// deployment, and the run prints its digest: the same flags, or the same
+// spec, give the same deployment in every mode and every process.
 //
-// With -http the process becomes a serving tier instead of running the
-// built-in query mix: after bootstrap it mounts the internal/serve
-// HTTP/JSON API (POST /v1/query, /healthz, /statsz) on the address,
-// advances the virtual clock to the -days horizon in the background,
-// then keeps serving with the clock frozen until SIGINT/SIGTERM.
-// Shutdown is graceful in every mode: streams end with an SSE shutdown
-// event, in-flight queries drain, cluster sites are stopped — no
-// kill -9 required. -http works in cluster mode too (give it to the
-// coordinator; sites need only -join).
+// -wired makes proxy 0 the wired replica of the others: their confirmed
+// data and models are mirrored to it, and NOW queries for their motes are
+// offered to it first. It is off by default in every mode, because its
+// cross-domain delivery depends on goroutine timing.
 //
-// Observability: the HTTP tier always serves Prometheus-text metrics at
-// GET /metricsz, and POST /v1/query?explain=1 returns the per-query
-// trace (spans plus every per-mote routing decision) alongside the
-// result. -slow-query additionally logs any query slower than the
-// given wall time with its trace; -pprof mounts net/http/pprof under
-// /debug/pprof/ on the same address; -runtime-trace captures a Go
-// execution trace of the whole run to a file (any mode, not just
-// -http).
+// The run has three modes over one schedule. By default the deployment
+// runs in this process. -listen makes this process the coordinator of a
+// cluster: it hosts the first window of the domains and waits for -sites-1
+// processes started with -join and the same deployment (a config
+// fingerprint refuses any other). Either way the schedule is: train for
+// min(36h, days/2), run half the remainder, print the trailing 2 h mean
+// AGG at full precision, write the -checkpoint (coordinator only), then
+// run the -queries mix and the -every standing query over the back half.
+// The report gives latency, answer sources and the error against the
+// generated traces; in-process runs add energy and store counters, and a
+// coordinator adds frame counts and site health. The run fails if an
+// answer exceeds its precision promise.
 //
-// With -shards > 1 the deployment is partitioned into that many
-// concurrent simulation domains (one worker per domain) and queries run
-// through the async engine, with NOW queries served by the wired replica
-// where possible.
+// With -http the process serves the internal/serve HTTP/JSON API
+// (POST /v1/query, /healthz, /statsz, /metricsz) after bootstrap instead,
+// advancing the clock to the horizon in the background (-http-pace paces
+// it), then serving with the clock frozen. -pprof mounts net/http/pprof on
+// the same address; -slow-query logs slow queries with their traces.
 //
-// -store selects each domain's archival store backend: "mem" (in-memory)
-// or "flash" (log-structured archive on simulated NAND; PAST queries the
-// archive covers within precision never touch the proxy query path).
-// -aging selects how flash compaction ages old segments: "wavelet"
-// (age-tiered multi-resolution summaries — every timestamp survives,
-// value detail decays per the tier schedule, e.g. wavelet:1/2,1/4,1/8) or
-// "uniform" (legacy widened-mean coarsening).
-// -max-staleness, when positive, attaches a per-query freshness bound:
-// NOW queries bypass replicas whose snapshot lags the owning domain by
-// more than the bound, a managing proxy whose own snapshot is too old
-// pays a mote rendezvous instead of answering from the model, and PAST
-// queries whose window tail overlaps "now" refuse stale archive/model
-// snapshots the same way.
-// -every, when positive, additionally runs a standing query — a
-// continuous all-motes NOW spec through the core.Client facade — that
-// delivers one fleet snapshot per that much virtual time for the whole
-// post-bootstrap run; each snapshot costs a single engine submission.
-//
-// Cluster mode runs ONE deployment across several OS processes
-// (internal/cluster). -listen starts the coordinator: it hosts the first
-// window of simulation domains, waits for -sites-1 joiners over TCP,
-// bootstraps, advances the cluster on virtual-time leases, poses a
-// trailing multi-site AGG (one scatter frame per site, partial
-// aggregates merged with honest bounds — printed with full float64
-// precision so runs can be diffed against a single-process run of the
-// same seed), and with -every also drives a standing fleet snapshot
-// query. -join starts a site: it must be launched with the SAME
-// deployment flags (enforced by a config fingerprint at join time),
-// receives its domain window from the coordinator, and serves until the
-// coordinator closes the session. -wired enables the wired replica in
-// cluster mode: remote sites' confirmed data rides the transport to
-// proxy 0 at the coordinator (replication timing is wall-clock
-// dependent, so leave it off when diffing against single-process runs).
+// SIGINT and SIGTERM drain every mode: standing queries end, in-flight
+// queries finish, cluster sites are stopped, and the report is printed.
 package main
 
 import (
@@ -86,7 +51,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"math"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -99,7 +67,6 @@ import (
 	"presto/internal/cluster"
 	"presto/internal/core"
 	"presto/internal/energy"
-	"presto/internal/gen"
 	"presto/internal/proxy"
 	"presto/internal/query"
 	"presto/internal/scenario"
@@ -112,335 +79,143 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("prestod: ")
-
-	proxies := flag.Int("proxies", 2, "number of proxies")
-	motes := flag.Int("motes", 10, "motes per proxy")
-	shards := flag.Int("shards", 1, "concurrent simulation domains (clamped to proxies)")
-	days := flag.Int("days", 7, "days of virtual time to run")
-	delta := flag.Float64("delta", 1.0, "model-driven push threshold")
-	queries := flag.Int("queries", 200, "queries to issue after bootstrap")
-	precision := flag.Float64("precision", 1.0, "query precision (error tolerance)")
-	loss := flag.Float64("loss", 0.02, "radio loss probability")
-	seed := flag.Int64("seed", 1, "random seed")
-	storeBackend := flag.String("store", "mem", "archival store backend per domain: mem or flash")
-	aging := flag.String("aging", "wavelet", "flash compaction aging policy: wavelet[:tiers] or uniform")
-	maxStale := flag.Duration("max-staleness", 0, "per-query freshness bound (0 = unbounded); PAST windows whose tail overlaps now honor it too")
-	every := flag.Duration("every", 0, "standing query period of virtual time (0 = no continuous query)")
-	listen := flag.String("listen", "", "cluster coordinator: TCP listen address (host:port; :0 picks a port)")
-	join := flag.String("join", "", "cluster site: coordinator address to join")
-	sites := flag.Int("sites", 2, "cluster total process count for -listen, coordinator included")
-	quantum := flag.Duration("quantum", cluster.DefaultQuantum, "cluster advance-lease quantum of virtual time")
-	ckptDir := flag.String("checkpoint", "", "cluster coordinator: write a cluster-wide domain checkpoint to this directory after the mid-run aggregate")
-	wired := flag.Bool("wired", false, "cluster mode: mirror remote sites onto proxy 0 over the transport (wired replica)")
-	scenarioFlag := flag.String("scenario", "", "boot a scenario instead of the flag-built deployment: a spec JSON file from presto-scenario, or a built-in preset name; overrides -proxies/-motes/-shards/-days/-delta/-loss/-seed/-store/-aging/-wired and the trace generator")
-	httpAddr := flag.String("http", "", "serve the HTTP/JSON query API on this address after bootstrap (e.g. :8080) instead of the built-in query mix")
-	httpQPS := flag.Float64("http-qps", 0, "per-tenant admission rate for the HTTP tier in queries/sec (0 = unlimited)")
-	httpPace := flag.Duration("http-pace", 0, "virtual time advanced per wall second in -http mode (0 = as fast as possible, then freeze at the horizon); standing queries need an advancing clock")
-	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the -http address")
-	rtTrace := flag.String("runtime-trace", "", "write a runtime/trace capture of the run to this file")
-	slowQuery := flag.Duration("slow-query", 0, "-http mode: log queries slower than this wall time with their trace (0 = off)")
-	verbose := flag.Bool("v", false, "print per-mote details")
-	flag.Parse()
-	httpPprof, httpSlowQuery = *pprofFlag, *slowQuery
-
-	if *rtTrace != "" {
-		f, err := os.Create(*rtTrace)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := rtrace.Start(f); err != nil {
-			log.Fatal(err)
-		}
-		defer func() {
-			rtrace.Stop()
-			f.Close()
-		}()
-	}
-
-	// One signal context for every mode: SIGINT/SIGTERM begin a graceful
-	// drain instead of killing the process mid-round.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	var cfg core.Config
-	if *scenarioFlag != "" {
-		spec, err := loadScenarioSpec(*scenarioFlag)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sc, err := scenario.Generate(spec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg = sc.Config
-		*days = spec.Deployment.Days
-		scenarioLabel = spec.Name
-		// Every process booting the same spec builds the same universe —
-		// cluster sites fingerprint-match the coordinator by construction.
-		if !flagWasSet("sites") {
-			*sites = spec.Deployment.Sites
-		}
-		fmt.Printf("scenario: %q (seed %d), %d motes, deployment digest %s\n",
-			spec.Name, spec.Seed, spec.Deployment.Motes(), sc.DeploymentDigest()[:12])
-	} else {
-		genCfg := gen.DefaultTempConfig()
-		genCfg.Sensors = *proxies * *motes
-		genCfg.Days = *days
-		genCfg.Seed = *seed
-		traces, err := gen.Temperature(genCfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-
-		cfg = core.DefaultConfig()
-		cfg.Seed = *seed
-		cfg.Proxies = *proxies
-		cfg.MotesPerProxy = *motes
-		cfg.Shards = *shards
-		cfg.Delta = *delta
-		cfg.Radio.LossProb = *loss
-		cfg.Traces = traces
-		cfg.WiredFirstProxy = *proxies > 1
-		cfg.StoreBackend = *storeBackend
-		cfg.StoreAging = *aging
-	}
-
-	if *listen != "" || *join != "" {
-		if *listen != "" && *join != "" {
-			log.Fatal("-listen and -join are mutually exclusive")
-		}
-		// Replication in cluster mode is opt-in: its bridge-drain timing
-		// is wall-clock dependent, and the default keeps cluster runs
-		// bit-diffable against single-process runs of the same seed.
-		// Scenario specs carry their own wired setting, identically at
-		// every process.
-		if *scenarioFlag == "" {
-			cfg.WiredFirstProxy = *wired
-		}
-		if *join != "" {
-			runClusterSite(ctx, *join, cfg)
-			return
-		}
-		runClusterCoordinator(ctx, *listen, cfg, *sites, *quantum, *days, cfg.Delta, *precision, *every, *ckptDir, *httpAddr, *httpQPS, *httpPace)
-		return
-	}
-
-	n, err := core.Build(cfg)
-	if err != nil {
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		log.Fatal(err)
-	}
-	defer n.Close()
-
-	fmt.Printf("deployment: %d proxies x %d motes, %d days, delta=%.2f, loss=%.1f%%, %d shard(s), %s store\n",
-		cfg.Proxies, cfg.MotesPerProxy, *days, cfg.Delta, cfg.Radio.LossProb*100, n.Shards(), storeName(cfg))
-
-	// Bootstrap: 36h training stream, then model-driven operation.
-	trainFor := 36 * time.Hour
-	if d := time.Duration(*days) * 24 * time.Hour; trainFor > d/2 {
-		trainFor = d / 2
-	}
-	fmt.Printf("bootstrap: streaming for %v, then training seasonal-anchored models...\n", trainFor)
-	models, err := n.Bootstrap(trainFor, 48, cfg.Delta)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("bootstrap: %d models trained and shipped\n", len(models))
-
-	remaining := time.Duration(*days)*24*time.Hour - trainFor
-
-	// Serve mode: front the deployment with the HTTP tier and block until
-	// a signal, advancing the virtual clock to the horizon in the
-	// background.
-	if *httpAddr != "" {
-		err := serveHTTP(ctx, n, *httpAddr, *httpQPS, *httpPace, remaining,
-			func(_ context.Context, d time.Duration) error { n.Run(d); return nil })
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("deployment: done after %v of virtual time\n", n.Now())
-		return
-	}
-
-	// Run the remaining time with a query mix sprinkled in, posed through
-	// the declarative client facade.
-	c := n.Client()
-	perQuery := remaining / time.Duration(*queries+1)
-
-	// Standing query: a bounded continuous NOW spec over every mote
-	// delivers one fleet snapshot per -every of virtual time; the stream
-	// closes itself after the run's horizon.
-	var snapshots int
-	var contDone chan struct{}
-	var contStream *core.ResultStream
-	if *every > 0 {
-		stream, err := c.Query(context.Background(), query.Spec{
-			Type: query.Now, Precision: *precision, MaxStaleness: *maxStale,
-			Continuous: &query.Continuous{Every: *every, Until: remaining},
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		contStream = stream
-		contDone = make(chan struct{})
-		go func() {
-			defer close(contDone)
-			for snap := range stream.Results() {
-				if snap.Failed == 0 {
-					snapshots++
-				}
-			}
-		}()
-	}
-
-	var latencies []float64
-	var errs []float64
-	bySource := map[proxy.Source]int{}
-	rng := n.Sim.Rand()
-	ids := n.MoteIDs()
-	interrupted := false
-	for i := 0; i < *queries; i++ {
-		if ctx.Err() != nil {
-			// Signal: stop issuing new queries; everything already posed
-			// drains below (the in-flight QueryOne runs on its own ctx).
-			interrupted = true
-			break
-		}
-		n.Run(perQuery)
-		id := ids[rng.Intn(len(ids))]
-		spec := query.Spec{Type: query.Now, Select: query.SelectMotes(id), Precision: *precision, MaxStaleness: *maxStale}
-		if rng.Float64() < 0.3 { // 30% PAST point queries
-			back := simtime.Time(time.Duration(1+rng.Intn(600)) * time.Minute)
-			at := n.Now() - back
-			if at < 0 {
-				at = 0
-			}
-			// PAST queries carry the bound too: it bites only when the
-			// window tail overlaps the staleness horizon.
-			spec = query.Spec{Type: query.Past, Select: query.SelectMotes(id), T0: at, T1: at, Precision: *precision, MaxStaleness: *maxStale}
-		}
-		set, err := c.QueryOne(context.Background(), spec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if len(set.Results) != 1 {
-			log.Fatalf("query for mote %d answered %d results (%d failed)", id, len(set.Results), set.Failed)
-		}
-		res := set.Results[0]
-		latencies = append(latencies, res.Latency().Seconds()*1000)
-		bySource[res.Answer.Source]++
-		if v, ok := res.Answer.Value(); ok {
-			at := res.Answer.Entries[0].T
-			truth, err := n.Truth(id, at)
-			if err == nil {
-				errs = append(errs, abs(v-truth))
-			}
-		}
-	}
-	if interrupted {
-		fmt.Println("\nsignal received: draining and reporting early")
-		if contStream != nil {
-			contStream.Close() // tear the standing query down cleanly
-		}
-	} else {
-		n.Run(remaining - perQuery*time.Duration(*queries))
-	}
-	if contDone != nil {
-		<-contDone
-	}
-
-	// Report.
-	fmt.Printf("\n=== after %v of virtual time ===\n", n.Now())
-	total := n.TotalMoteEnergy()
-	perMoteDay := total.Total() / float64(len(ids)) / float64(*days)
-	fmt.Printf("mote energy: %.2f J/day/mote (%s)\n", perMoteDay, total.String())
-	fmt.Printf("est. lifetime on 2xAA: %.0f days\n",
-		energy.Lifetime(energy.AABatteryJ, perMoteDay, 24*time.Hour).Hours()/24)
-
-	p50, _ := stats.Median(latencies)
-	p95, _ := stats.Quantile(latencies, 0.95)
-	fmt.Printf("query latency: p50=%.1f ms p95=%.1f ms over %d queries\n", p50, p95, len(latencies))
-	fmt.Printf("answers: cache=%d model=%d pull=%d timeout=%d archive=%d\n",
-		bySource[proxy.FromCache], bySource[proxy.FromModel], bySource[proxy.FromPull],
-		bySource[proxy.FromTimeout], bySource[proxy.FromArchive])
-	submitted, replicaServed, bridgeSent, bridgeDelivered := n.EngineStats()
-	fmt.Printf("engine: %d submitted, %d replica-served, %d replica-bypassed (stale), bridge %d/%d sent/delivered\n",
-		submitted, replicaServed, n.ReplicaBypassed(), bridgeSent, bridgeDelivered)
-	if *every > 0 {
-		fmt.Printf("standing query: %d fleet snapshots delivered (one per %v of virtual time, 1 submission each)\n",
-			snapshots, *every)
-		if snapshots == 0 && !interrupted {
-			fmt.Fprintln(os.Stderr, "prestod: standing query delivered no snapshots")
-			os.Exit(1)
-		}
-	}
-	ss := n.StoreStats()
-	bs := n.StoreBackendStats()
-	fmt.Printf("store: %d proxy-routed, %d replica-offered (%d stale-rejected), %d archive-served (%d stale-declined)\n",
-		ss.Routed, ss.ReplicaRouted, ss.ReplicaStale, ss.ArchiveServed, ss.ArchiveStale)
-	fmt.Printf("archive backend: %d records (%d appends, %d dropped), %d range reads, read-amp %.2f",
-		bs.Records, bs.Appends, bs.Dropped, bs.QueryRanges, bs.ReadAmp())
-	if cfg.StoreBackend == "flash" {
-		fmt.Printf(", %d pages written, %d pages read, %d compactions (%s aging, %d wavelet chunks)",
-			bs.PagesWritten, bs.PagesRead, bs.Compactions, cfg.StoreAging, bs.WaveletChunks)
-		if bs.RecordsSkipped > 0 {
-			fmt.Printf(", chunk directory skipped %d records (read-amp %.2f without it)",
-				bs.RecordsSkipped, bs.ReadAmpNoDir())
-		}
-	}
-	fmt.Println()
-	if len(errs) > 0 {
-		lo, hi, _ := stats.MinMax(errs)
-		fmt.Printf("answer error vs ground truth: mean=%.3f max=%.3f (min %.3f); precision=%.2f\n",
-			stats.Mean(errs), hi, lo, *precision)
-	}
-
-	if *verbose {
-		fmt.Println("\nper-mote detail:")
-		for _, id := range ids {
-			st, _ := n.MoteStats(id)
-			m, _ := n.MoteEnergy(id)
-			fmt.Printf("  mote %3d: samples=%d pushes=%d pulls=%d energy=%.2f J\n",
-				id, st.Samples, st.Pushes, st.PullsServed, m.Total())
-		}
-	}
-
-	// Exit non-zero if any query exceeded the precision promise (pull
-	// answers are exact; model answers bounded by delta<=precision).
-	// Cross-domain replica answers can additionally lag the wireless
-	// domain by up to one bridge drain quantum, so sharded runs tolerate
-	// one extra delta of staleness.
-	slack := *precision + 0.101 // small slack for float32 wire encoding
-	if n.Shards() > 1 {
-		// Cross-domain replica answers can lag by up to the pushing
-		// mote's own threshold; heterogeneous scenarios override it
-		// per mote.
-		maxDelta := cfg.Delta
-		for _, d := range cfg.MoteDeltas {
-			if d > maxDelta {
-				maxDelta = d
-			}
-		}
-		slack += maxDelta
-	}
-	for _, e := range errs {
-		if e > slack {
-			fmt.Fprintf(os.Stderr, "prestod: answer error %.3f exceeded precision %.2f\n", e, *precision)
-			os.Exit(1)
-		}
 	}
 }
 
-// scenarioLabel names the scenario this process booted (empty when the
-// deployment came from plain flags); it labels the HTTP tier's /statsz.
-var scenarioLabel string
+// options are the flags that shape a run rather than the deployment.
+type options struct {
+	queries                  int
+	precision                float64
+	maxStale, every          time.Duration
+	listen, join, checkpoint string
+	quantum                  time.Duration
+	httpAddr                 string
+	httpQPS                  float64
+	httpPace, slowQuery      time.Duration
+	pprof, verbose           bool
+	runtimeTrace             string
+}
 
-// HTTP-tier observability knobs, set once from flags in main and read
-// by serveHTTP — package-level like scenarioLabel so the cluster path
-// need not thread them through runClusterCoordinator.
-var (
-	httpPprof     bool
-	httpSlowQuery time.Duration
-)
+// run is the whole command: parse args, build the deployment, and drive
+// it until the schedule ends or ctx is cancelled.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	spec, o, err := parseArgs(args, stderr)
+	if err != nil {
+		return err
+	}
+	if o.runtimeTrace != "" {
+		f, err := os.Create(o.runtimeTrace)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		if err := rtrace.Start(f); err != nil {
+			return err
+		}
+		defer rtrace.Stop()
+	}
+	sc, err := scenario.Generate(spec)
+	if err != nil {
+		return err
+	}
+	d := spec.Deployment
+	fmt.Fprintf(stdout, "deployment %q (seed %d): %d proxies x %d motes in %d domain(s), %d days, wired=%t, digest %s\n",
+		spec.Name, spec.Seed, d.Proxies, d.MotesPerProxy, core.NewLayout(sc.Config).Shards, d.Days, d.Wired,
+		sc.DeploymentDigest())
+
+	var dep deployment
+	switch {
+	case o.join != "":
+		fmt.Fprintf(stdout, "cluster: joining coordinator at %s\n", o.join)
+		if err := cluster.Serve(ctx, cluster.TCP{}, o.join, sc.Config); err != nil && ctx.Err() == nil {
+			return err
+		}
+		fmt.Fprintln(stdout, "cluster: site done")
+		return nil
+	case o.listen != "":
+		co, err := cluster.Listen(cluster.TCP{}, o.listen, sc.Config, cluster.Options{Sites: d.Sites, Quantum: o.quantum})
+		if err != nil {
+			return err
+		}
+		defer co.Close()
+		fmt.Fprintf(stdout, "cluster: listening on %s, waiting for %d site(s)\n", co.Addr(), d.Sites-1)
+		if err := co.AcceptSites(ctx); err != nil {
+			return err
+		}
+		dep = coordinator{co}
+	default:
+		n, err := core.Build(sc.Config)
+		if err != nil {
+			return err
+		}
+		defer n.Close()
+		dep = network{n}
+	}
+	return drive(ctx, dep, sc, o, stdout)
+}
+
+// parseArgs maps the command line onto the deployment's scenario.Spec and
+// the run's options.
+func parseArgs(args []string, stderr io.Writer) (scenario.Spec, options, error) {
+	fs := flag.NewFlagSet("prestod", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	spec := scenario.Spec{Name: "flags"}
+	d := &spec.Deployment
+	fs.IntVar(&d.Proxies, "proxies", 2, "number of proxies")
+	fs.IntVar(&d.MotesPerProxy, "motes", 10, "motes per proxy")
+	fs.IntVar(&d.Shards, "shards", 1, "concurrent simulation domains (clamped to proxies)")
+	fs.IntVar(&d.Days, "days", 7, "days of virtual time to run")
+	fs.Float64Var(&d.Delta, "delta", 1.0, "model-driven push threshold")
+	fs.StringVar(&d.Store, "store", "mem", "archival store backend per domain: mem or flash")
+	fs.StringVar(&d.Aging, "aging", "wavelet", "flash compaction aging policy: wavelet[:tiers] or uniform")
+	fs.BoolVar(&d.Wired, "wired", false, "make proxy 0 the wired replica of the others (cross-domain delivery is timing-dependent)")
+	fs.Float64Var(&spec.Environment.RadioLoss, "loss", 0.02, "radio loss probability")
+	fs.Int64Var(&spec.Seed, "seed", 1, "random seed")
+	specArg := fs.String("scenario", "", "boot a scenario spec instead of the deployment flags: a spec JSON file from presto-scenario, or a built-in preset name")
+	sites := fs.Int("sites", 2, "cluster total process count for -listen, coordinator included (a -scenario spec sets its own)")
+
+	var o options
+	fs.IntVar(&o.queries, "queries", 200, "queries to pose over the back half of the run")
+	fs.Float64Var(&o.precision, "precision", 1.0, "query precision (error tolerance)")
+	fs.DurationVar(&o.maxStale, "max-staleness", 0, "per-query freshness bound (0 = unbounded); PAST windows whose tail overlaps now honor it too")
+	fs.DurationVar(&o.every, "every", 0, "standing query period of virtual time over the back half (0 = no continuous query)")
+	fs.StringVar(&o.listen, "listen", "", "cluster coordinator: TCP listen address (host:port; :0 picks a port)")
+	fs.StringVar(&o.join, "join", "", "cluster site: coordinator address to join")
+	fs.DurationVar(&o.quantum, "quantum", cluster.DefaultQuantum, "cluster advance-lease quantum of virtual time")
+	fs.StringVar(&o.checkpoint, "checkpoint", "", "cluster coordinator: write a cluster-wide domain checkpoint to this directory after the aggregate")
+	fs.StringVar(&o.httpAddr, "http", "", "serve the HTTP/JSON query API on this address after bootstrap (e.g. :8080) instead of the query mix")
+	fs.Float64Var(&o.httpQPS, "http-qps", 0, "per-tenant admission rate for the HTTP tier in queries/sec (0 = unlimited)")
+	fs.DurationVar(&o.httpPace, "http-pace", 0, "virtual time advanced per wall second in -http mode (0 = as fast as possible, then freeze at the horizon)")
+	fs.BoolVar(&o.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/ on the -http address")
+	fs.DurationVar(&o.slowQuery, "slow-query", 0, "-http mode: log queries slower than this wall time with their trace (0 = off)")
+	fs.StringVar(&o.runtimeTrace, "runtime-trace", "", "write a runtime/trace capture of the run to this file")
+	fs.BoolVar(&o.verbose, "v", false, "print per-mote details (in-process runs)")
+	if err := fs.Parse(args); err != nil {
+		return spec, o, err
+	}
+	switch {
+	case fs.NArg() > 0:
+		return spec, o, fmt.Errorf("unexpected arguments %q", fs.Args())
+	case o.listen != "" && o.join != "":
+		return spec, o, errors.New("-listen and -join are mutually exclusive")
+	case o.checkpoint != "" && (o.listen == "" || o.httpAddr != ""):
+		return spec, o, errors.New("-checkpoint needs -listen and no -http: a coordinator writes it after the aggregate")
+	}
+	if *specArg != "" {
+		s, err := loadScenarioSpec(*specArg)
+		return s, o, err
+	}
+	// Sites shapes a cluster only; an in-process spec leaves it unset.
+	if o.listen != "" {
+		d.Sites = *sites
+	}
+	return spec, o, nil
+}
 
 // loadScenarioSpec resolves -scenario: an existing JSON file wins,
 // otherwise the value names a built-in preset.
@@ -451,143 +226,113 @@ func loadScenarioSpec(v string) (scenario.Spec, error) {
 	return scenario.Preset(v)
 }
 
-// flagWasSet reports whether the named flag was given on the command
-// line (as opposed to resting at its default).
-func flagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
+// deployment is what drive needs of either mode: the serving
+// engine, a two-phase bootstrap and an advancing clock.
+type deployment interface {
+	serve.Engine
+	Bootstrap(ctx context.Context, trainFor time.Duration, bins int, delta float64) error
+	Run(ctx context.Context, d time.Duration) error
 }
 
-// storeName prints a config's archival backend, naming the default.
-func storeName(cfg core.Config) string {
-	if cfg.StoreBackend == "" {
-		return "mem"
+// network adapts an in-process *core.Network to the coordinator's
+// context-taking Bootstrap and Run.
+type network struct{ *core.Network }
+
+func (n network) Bootstrap(_ context.Context, trainFor time.Duration, bins int, delta float64) error {
+	_, err := n.Network.Bootstrap(trainFor, bins, delta)
+	return err
+}
+
+// Run advances d unless ctx is done; an in-process advance is not
+// cancelled midway.
+func (n network) Run(ctx context.Context, d time.Duration) error {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	return cfg.StoreBackend
+	n.Network.Run(d)
+	return nil
 }
 
-// runClusterSite joins a cluster and serves its assigned domain window
-// until the coordinator hangs up — or a signal asks the site to leave.
-func runClusterSite(ctx context.Context, addr string, cfg core.Config) {
-	fmt.Printf("cluster: joining coordinator at %s\n", addr)
-	if err := cluster.Serve(ctx, cluster.TCP{}, addr, cfg); err != nil {
-		if ctx.Err() != nil {
-			fmt.Println("cluster: signal received; site shut down")
-			return
-		}
-		log.Fatal(err)
+// coordinator is a cluster coordinator as a deployment; it also surfaces
+// its elasticity telemetry as the HTTP tier's /statsz cluster section.
+type coordinator struct{ *cluster.Coordinator }
+
+// drive bootstraps the deployment and either serves it over HTTP or runs
+// the schedule and prints the report. Both modes take this one path.
+func drive(ctx context.Context, dep deployment, sc *scenario.Scenario, o options, out io.Writer) error {
+	horizon := time.Duration(sc.Spec.Deployment.Days) * 24 * time.Hour
+	trainFor := min(36*time.Hour, horizon/2)
+	fmt.Fprintf(out, "bootstrap: streaming for %v, then training seasonal-anchored models...\n", trainFor)
+	if err := dep.Bootstrap(ctx, trainFor, 48, sc.Config.Delta); err != nil {
+		return err
 	}
-	fmt.Println("cluster: coordinator closed the session; site done")
+	if o.httpAddr != "" {
+		err := serveHTTP(ctx, dep, o, sc.Spec.Name, horizon-trainFor, out)
+		fmt.Fprintf(out, "done after %v of virtual time\n", dep.Now())
+		return err
+	}
+	t := tally{bySource: map[proxy.Source]int{}}
+	if err := schedule(ctx, dep, sc.Config, o, horizon-trainFor, out, &t); err != nil {
+		if ctx.Err() == nil {
+			return err
+		}
+		fmt.Fprintln(out, "\nsignal received: draining and reporting early")
+	}
+	return report(ctx, dep, sc, o, &t, out)
 }
 
-// runClusterCoordinator drives a whole cluster run: accept joiners,
-// bootstrap, advance on leases, pose a trailing multi-site AGG (printed
-// at full float64 precision for diffing against single-process runs),
-// then optionally a standing fleet-snapshot query. The schedule is
-// deterministic in the flags: train for min(36h, days/2), run half the
-// remaining time quietly, query, then run the other half (under the
-// standing query when -every is set).
-func runClusterCoordinator(ctx context.Context, addr string, cfg core.Config, sites int, quantum time.Duration, days int, delta, precision float64, every time.Duration, ckptDir, httpAddr string, httpQPS float64, httpPace time.Duration) {
-	co, err := cluster.Listen(cluster.TCP{}, addr, cfg, cluster.Options{Sites: sites, Quantum: quantum})
+// tally is what the schedule's queries saw.
+type tally struct {
+	latencies, errs []float64
+	bySource        map[proxy.Source]int
+	snapshots       int
+}
+
+// schedule runs the post-bootstrap part of a run: half the remaining time,
+// the trailing 2 h mean AGG, the checkpoint, then the query mix and the
+// standing query over the back half. It stops at the first error,
+// ctx's included.
+func schedule(ctx context.Context, dep deployment, cfg core.Config, o options, remaining time.Duration, out io.Writer, t *tally) (err error) {
+	back := remaining - remaining/2
+	if err := dep.Run(ctx, remaining/2); err != nil {
+		return err
+	}
+	c := core.NewClient(dep)
+	res, err := c.QueryOne(ctx, query.Spec{Type: query.Agg, Agg: query.Mean, Precision: o.precision, Trailing: 2 * time.Hour})
 	if err != nil {
-		log.Fatal(err)
-	}
-	defer co.Close()
-	fmt.Printf("cluster: listening on %s, waiting for %d site(s)\n", co.Addr(), sites-1)
-	if err := co.AcceptSites(ctx); err != nil {
-		log.Fatal(err)
-	}
-	lay := co.Network().Layout()
-	fmt.Printf("cluster: %d sites serving %d domains (%d motes)\n",
-		sites, lay.Shards, len(lay.AllMotes()))
-
-	trainFor := 36 * time.Hour
-	if d := time.Duration(days) * 24 * time.Hour; trainFor > d/2 {
-		trainFor = d / 2
-	}
-	fmt.Printf("cluster: bootstrapping (streaming %v, then model-driven)...\n", trainFor)
-	if err := co.Bootstrap(ctx, trainFor, 48, delta); err != nil {
-		log.Fatal(err)
-	}
-	remaining := time.Duration(days)*24*time.Hour - trainFor
-
-	// Serve mode: the coordinator itself is the engine behind the HTTP
-	// tier (it implements SubmitSpec and the cluster clock); the deferred
-	// Close stops the sites once the drain finishes.
-	if httpAddr != "" {
-		if err := serveHTTP(ctx, clusterEngine{co}, httpAddr, httpQPS, httpPace, remaining, co.Run); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("cluster: done after %v of virtual time\n", co.Now())
-		return
-	}
-
-	quiet := remaining / 2
-	if err := co.Run(ctx, quiet); err != nil {
-		if ctx.Err() != nil {
-			fmt.Println("cluster: signal received; shutting the sites down")
-			return
-		}
-		log.Fatal(err)
-	}
-
-	// The multi-site aggregate: one scatter frame per site, partials
-	// merged with honest bounds. Full precision so a single-process run
-	// of the same seed can be diffed bit-for-bit.
-	res, err := co.Client().QueryOne(ctx, query.Spec{
-		Type: query.Agg, Agg: query.Mean, Precision: precision, Trailing: 2 * time.Hour,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if res.Err != nil || res.Count == 0 {
-		log.Fatalf("cluster aggregate unusable: err=%v count=%d", res.Err, res.Count)
-	}
-	for _, se := range res.SiteErrs {
-		fmt.Fprintf(os.Stderr, "prestod: site %d failed the round: %v\n", se.Site, se.Err)
+		return err
 	}
 	if len(res.SiteErrs) > 0 {
-		os.Exit(1)
+		se := res.SiteErrs[0]
+		return fmt.Errorf("site %d failed the aggregate round: %w", se.Site, se.Err)
 	}
-	fmt.Printf("cluster agg: mean=%.17g bound=%.17g count=%d at=%v\n",
-		res.Value, res.ErrBound, res.Count, res.At)
+	if res.Err != nil || res.Count == 0 {
+		return fmt.Errorf("aggregate unusable: err=%v count=%d", res.Err, res.Count)
+	}
+	fmt.Fprintf(out, "agg: mean=%.17g bound=%.17g count=%d at=%v\n", res.Value, res.ErrBound, res.Count, res.At)
 
-	// -checkpoint: capture every domain at this lease instant (sites are
-	// quiescent between Runs) and persist it for warm failover / re-join.
-	if ckptDir != "" {
+	if co, ok := dep.(coordinator); ok && o.checkpoint != "" {
+		// Sites are quiescent between Runs: every domain is captured at
+		// this lease instant.
 		ck, err := co.CheckpointDomains(ctx)
+		if err == nil {
+			err = ck.WriteDir(o.checkpoint)
+		}
 		if err != nil {
-			log.Fatalf("checkpoint: %v", err)
+			return fmt.Errorf("checkpoint: %w", err)
 		}
-		if err := ck.WriteDir(ckptDir); err != nil {
-			log.Fatalf("checkpoint: %v", err)
-		}
-		bytes := 0
-		for _, b := range ck.Blobs {
-			bytes += len(b)
-		}
-		fmt.Printf("cluster checkpoint: %d domains (%d bytes) at %v written to %s\n",
-			len(ck.Blobs), bytes, ck.At, ckptDir)
+		fmt.Fprintf(out, "checkpoint: %d domains at %v written to %s\n", len(ck.Blobs), ck.At, o.checkpoint)
 	}
 
-	// Standing query over the back half of the run. A signal mid-run
-	// closes the stream (it rides ctx) and falls through to the report.
-	snapshots := 0
-	interrupted := false
-	if every > 0 {
-		stream, err := co.Client().Query(ctx, query.Spec{
-			Type: query.Now, Precision: precision,
-			Continuous: &query.Continuous{Every: every, Until: remaining - quiet},
+	if o.every > 0 {
+		stream, qerr := c.Query(ctx, query.Spec{
+			Type: query.Now, Precision: o.precision, MaxStaleness: o.maxStale,
+			Continuous: &query.Continuous{Every: o.every, Until: back},
 		})
-		if err != nil {
-			log.Fatal(err)
+		if qerr != nil {
+			return qerr
 		}
-		done := make(chan int, 1)
+		done := make(chan int)
 		go func() {
 			n := 0
 			for snap := range stream.Results() {
@@ -597,53 +342,150 @@ func runClusterCoordinator(ctx context.Context, addr string, cfg core.Config, si
 			}
 			done <- n
 		}()
-		if err := co.Run(ctx, remaining-quiet); err != nil {
-			if ctx.Err() == nil {
-				log.Fatal(err)
+		defer func() {
+			if err != nil { // a finished run's stream ends by itself
+				stream.Close()
 			}
-			interrupted = true
-			stream.Close()
-		}
-		snapshots = <-done
-	} else {
-		if err := co.Run(ctx, remaining-quiet); err != nil {
-			if ctx.Err() == nil {
-				log.Fatal(err)
-			}
-			interrupted = true
-		}
+			t.snapshots = <-done
+		}()
 	}
 
+	// Single-mote NOW queries, 30% of them PAST points up to 10 h back,
+	// spread evenly over the back half. PAST queries carry the freshness
+	// bound too: it bites only when the window tail overlaps it.
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	ids := core.NewLayout(cfg).AllMotes()
+	per := back / time.Duration(o.queries+1)
+	for range o.queries {
+		if err := dep.Run(ctx, per); err != nil {
+			return err
+		}
+		id := ids[rng.Intn(len(ids))]
+		spec := query.Spec{Type: query.Now, Select: query.SelectMotes(id), Precision: o.precision, MaxStaleness: o.maxStale}
+		if rng.Float64() < 0.3 {
+			ago := simtime.Time(time.Duration(1+rng.Intn(600)) * time.Minute)
+			spec.Type, spec.T0 = query.Past, max(dep.Now()-ago, 0)
+			spec.T1 = spec.T0
+		}
+		set, err := c.QueryOne(ctx, spec)
+		if err != nil {
+			return err
+		}
+		if len(set.Results) != 1 {
+			return fmt.Errorf("query for mote %d answered %d results (%d failed)", id, len(set.Results), set.Failed)
+		}
+		r := set.Results[0]
+		t.latencies = append(t.latencies, r.Latency().Seconds()*1000)
+		t.bySource[r.Answer.Source]++
+		if v, ok := r.Answer.Value(); ok {
+			truth := cfg.Traces[id-1].Value(r.Answer.Entries[0].T)
+			t.errs = append(t.errs, math.Abs(v-truth))
+		}
+	}
+	return dep.Run(ctx, back-per*time.Duration(o.queries))
+}
+
+// report prints what the run saw — the mode's own counters included — and
+// fails the run if the standing query delivered nothing or an answer broke
+// its precision promise.
+func report(ctx context.Context, dep deployment, sc *scenario.Scenario, o options, t *tally, out io.Writer) error {
+	fmt.Fprintf(out, "\n=== after %v of virtual time ===\n", dep.Now())
+	p50, _ := stats.Median(t.latencies)
+	p95, _ := stats.Quantile(t.latencies, 0.95)
+	fmt.Fprintf(out, "query latency: p50=%.1f ms p95=%.1f ms over %d queries\n", p50, p95, len(t.latencies))
+	fmt.Fprintf(out, "answers: cache=%d model=%d pull=%d timeout=%d archive=%d\n",
+		t.bySource[proxy.FromCache], t.bySource[proxy.FromModel], t.bySource[proxy.FromPull],
+		t.bySource[proxy.FromTimeout], t.bySource[proxy.FromArchive])
+	if len(t.errs) > 0 {
+		lo, hi, _ := stats.MinMax(t.errs)
+		fmt.Fprintf(out, "answer error vs ground truth: mean=%.3f max=%.3f (min %.3f); precision=%.2f\n",
+			stats.Mean(t.errs), hi, lo, o.precision)
+	}
+	if o.every > 0 {
+		fmt.Fprintf(out, "standing query: %d fleet snapshots delivered (one per %v of virtual time)\n", t.snapshots, o.every)
+	}
+	switch dep := dep.(type) {
+	case network:
+		reportNetwork(out, dep.Network, sc, o.verbose)
+	case coordinator:
+		reportCluster(out, dep)
+	}
+
+	if o.every > 0 && t.snapshots == 0 && ctx.Err() == nil {
+		return errors.New("standing query delivered no snapshots")
+	}
+	// Pull answers are exact and model answers bounded by delta <=
+	// precision; float32 wire encoding needs a little slack. Replica
+	// answers across domains can lag by up to the pushing mote's own
+	// threshold, which heterogeneous scenarios set per mote.
+	cfg := sc.Config
+	slack := o.precision + 0.101
+	if cfg.WiredFirstProxy && core.NewLayout(cfg).Shards > 1 {
+		maxDelta := cfg.Delta
+		for _, d := range cfg.MoteDeltas {
+			maxDelta = max(maxDelta, d)
+		}
+		slack += maxDelta
+	}
+	for _, e := range t.errs {
+		if e > slack {
+			return fmt.Errorf("answer error %.3f exceeded precision %.2f", e, o.precision)
+		}
+	}
+	return nil
+}
+
+// reportNetwork prints an in-process run's energy and store counters.
+func reportNetwork(out io.Writer, n *core.Network, sc *scenario.Scenario, verbose bool) {
+	total := n.TotalMoteEnergy()
+	perMoteDay := total.Total() / float64(sc.Spec.Deployment.Motes()) / float64(sc.Spec.Deployment.Days)
+	fmt.Fprintf(out, "mote energy: %.2f J/day/mote (%s)\n", perMoteDay, total.String())
+	fmt.Fprintf(out, "est. lifetime on 2xAA: %.0f days\n",
+		energy.Lifetime(energy.AABatteryJ, perMoteDay, 24*time.Hour).Hours()/24)
+	submitted, replicaServed, bridgeSent, bridgeDelivered := n.EngineStats()
+	fmt.Fprintf(out, "engine: %d submitted, %d replica-served, %d replica-bypassed (stale), bridge %d/%d sent/delivered\n",
+		submitted, replicaServed, n.ReplicaBypassed(), bridgeSent, bridgeDelivered)
+	ss, bs := n.StoreStats(), n.StoreBackendStats()
+	fmt.Fprintf(out, "store: %d proxy-routed, %d replica-offered (%d stale-rejected), %d archive-served (%d stale-declined)\n",
+		ss.Routed, ss.ReplicaRouted, ss.ReplicaStale, ss.ArchiveServed, ss.ArchiveStale)
+	fmt.Fprintf(out, "archive backend: %d records (%d appends, %d dropped), %d range reads, read-amp %.2f",
+		bs.Records, bs.Appends, bs.Dropped, bs.QueryRanges, bs.ReadAmp())
+	if sc.Config.StoreBackend == "flash" {
+		fmt.Fprintf(out, ", %d pages written, %d pages read, %d compactions (%s aging, %d wavelet chunks)",
+			bs.PagesWritten, bs.PagesRead, bs.Compactions, sc.Config.StoreAging, bs.WaveletChunks)
+		if bs.RecordsSkipped > 0 {
+			fmt.Fprintf(out, ", chunk directory skipped %d records (read-amp %.2f without it)",
+				bs.RecordsSkipped, bs.ReadAmpNoDir())
+		}
+	}
+	fmt.Fprintln(out)
+	if verbose {
+		fmt.Fprintln(out, "\nper-mote detail:")
+		for _, id := range n.MoteIDs() {
+			st, _ := n.MoteStats(id)
+			m, _ := n.MoteEnergy(id)
+			fmt.Fprintf(out, "  mote %3d: samples=%d pushes=%d pulls=%d energy=%.2f J\n",
+				id, st.Samples, st.Pushes, st.PullsServed, m.Total())
+		}
+	}
+}
+
+// reportCluster prints a coordinator's per-site frame counts and health.
+func reportCluster(out io.Writer, co coordinator) {
 	for i, st := range co.SiteStats() {
-		fmt.Printf("cluster frames: site %d sent=%d recv=%d scatter=%d partials=%d bridge=%d\n",
+		fmt.Fprintf(out, "cluster frames: site %d sent=%d recv=%d scatter=%d partials=%d bridge=%d\n",
 			i+1, st.Sent, st.Recv, st.SentKind[wire.FrameScatter],
 			st.RecvKind[wire.FramePartials], st.RecvKind[wire.FrameBridge])
 	}
-	if every > 0 {
-		fmt.Printf("cluster standing query: %d fleet snapshots (one per %v of virtual time)\n", snapshots, every)
-		if snapshots == 0 && !interrupted {
-			fmt.Fprintln(os.Stderr, "prestod: cluster standing query delivered no snapshots")
-			os.Exit(1)
-		}
-	}
-	h := co.Health()
-	alive := 0
-	for _, sh := range h.Sites {
-		if sh.Alive {
-			alive++
-		}
-	}
-	fmt.Printf("cluster health: %d/%d sites alive, %d migration(s), %d re-join(s)\n",
-		alive, len(h.Sites), h.Migrations, h.Rejoins)
-	fmt.Printf("cluster: done after %v of virtual time\n", co.Now())
+	h := co.ClusterHealth()
+	fmt.Fprintf(out, "cluster health: %d/%d sites alive, %d migration(s), %d re-join(s)\n",
+		h.SitesAlive, len(h.Sites), h.Migrations, h.Rejoins)
 }
 
-// clusterEngine fronts the HTTP tier with a cluster coordinator and
-// surfaces its elasticity telemetry as the /statsz cluster section.
-type clusterEngine struct{ *cluster.Coordinator }
-
-func (e clusterEngine) ClusterHealth() serve.ClusterHealth {
-	h := e.Coordinator.Health()
+// ClusterHealth surfaces the coordinator's elasticity telemetry as the
+// HTTP tier's /statsz cluster section.
+func (co coordinator) ClusterHealth() serve.ClusterHealth {
+	h := co.Health()
 	ch := serve.ClusterHealth{
 		LeaseInstant: h.Lease.String(),
 		Migrations:   h.Migrations,
@@ -655,7 +497,7 @@ func (e clusterEngine) ClusterHealth() serve.ClusterHealth {
 	if h.LastCheckpoint > 0 {
 		ch.LastCheckpoint = h.LastCheckpoint.String()
 	}
-	stats := e.Coordinator.SiteStats() // indexed site-1; site 0 has no connection
+	stats := co.SiteStats() // indexed site-1; site 0 has no connection
 	for _, sh := range h.Sites {
 		if sh.Alive {
 			ch.SitesAlive++
@@ -689,23 +531,22 @@ func kindBytes(a [wire.FrameKindMax + 1]uint64) map[string]uint64 {
 	return m
 }
 
-// serveHTTP fronts an engine with the internal/serve HTTP tier and
-// blocks until the signal context fires, then drains gracefully: SSE
-// streams end with a shutdown event, in-flight one-shot queries finish
-// through http.Server.Shutdown, and only then does the caller tear the
-// engine down. advance drives the engine's virtual clock; it is called
-// in small chunks until the horizon so standing queries keep firing
-// while requests land, then the clock freezes and the tier keeps
-// serving (deterministically, for cache demos) until a signal.
-func serveHTTP(ctx context.Context, eng serve.Engine, addr string, qps float64, pace, horizon time.Duration, advance func(context.Context, time.Duration) error) error {
-	srv := serve.New(eng, serve.Config{Admit: serve.AdmitConfig{QPS: qps}, Scenario: scenarioLabel, SlowQuery: httpSlowQuery})
-	lis, err := net.Listen("tcp", addr)
+// serveHTTP fronts the deployment with the internal/serve HTTP tier and
+// blocks until ctx is cancelled, then drains gracefully: SSE streams end
+// with a shutdown event, in-flight one-shot queries finish through
+// http.Server.Shutdown, and only then does the caller tear the deployment
+// down. The virtual clock advances in small chunks until the horizon, so
+// standing queries keep firing while requests land, then freezes and the
+// tier keeps serving (deterministically, for cache demos).
+func serveHTTP(ctx context.Context, dep deployment, o options, label string, horizon time.Duration, out io.Writer) error {
+	srv := serve.New(dep, serve.Config{Admit: serve.AdmitConfig{QPS: o.httpQPS}, Scenario: label, SlowQuery: o.slowQuery})
+	lis, err := net.Listen("tcp", o.httpAddr)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("http: serving on %s (virtual clock at %v, advancing %v)\n", lis.Addr(), eng.Now(), horizon)
+	fmt.Fprintf(out, "http: serving on %s (virtual clock at %v, advancing %v)\n", lis.Addr(), dep.Now(), horizon)
 	handler := srv.Handler()
-	if httpPprof {
+	if o.pprof {
 		// The serve mux owns everything else; pprof rides the same
 		// listener so one curl target covers metrics and profiles.
 		mux := http.NewServeMux()
@@ -716,7 +557,7 @@ func serveHTTP(ctx context.Context, eng serve.Engine, addr string, qps float64, 
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		handler = mux
-		fmt.Println("http: pprof mounted at /debug/pprof/")
+		fmt.Fprintln(out, "http: pprof mounted at /debug/pprof/")
 	}
 	hs := &http.Server{Handler: handler}
 	httpErr := make(chan error, 1)
@@ -728,21 +569,18 @@ func serveHTTP(ctx context.Context, eng serve.Engine, addr string, qps float64, 
 	go func() {
 		const chunk = 10 * time.Minute // virtual time per advance slice
 		var tick <-chan time.Time
-		if pace > 0 {
+		if o.httpPace > 0 {
 			// Real-time pacing: one chunk of virtual time per
 			// chunk/pace of wall time, so standing queries fire at a
 			// human-watchable rate instead of the horizon flashing by.
-			t := time.NewTicker(time.Duration(float64(chunk) / float64(pace) * float64(time.Second)))
+			t := time.NewTicker(time.Duration(float64(chunk) / float64(o.httpPace) * float64(time.Second)))
 			defer t.Stop()
 			tick = t.C
 		}
 		left := horizon
 		for left > 0 && drvCtx.Err() == nil {
-			d := chunk
-			if d > left {
-				d = left
-			}
-			if err := advance(drvCtx, d); err != nil {
+			d := min(chunk, left)
+			if err := dep.Run(drvCtx, d); err != nil {
 				drvDone <- err
 				return
 			}
@@ -760,7 +598,7 @@ func serveHTTP(ctx context.Context, eng serve.Engine, addr string, qps float64, 
 	var bail error
 	select {
 	case <-ctx.Done():
-		fmt.Println("http: signal received; draining")
+		fmt.Fprintln(out, "http: signal received; draining")
 	case err := <-httpErr:
 		bail = fmt.Errorf("http: serve: %w", err)
 	case err := <-drvDone:
@@ -773,7 +611,7 @@ func serveHTTP(ctx context.Context, eng serve.Engine, addr string, qps float64, 
 			drvDone <- nil
 			select {
 			case <-ctx.Done():
-				fmt.Println("http: signal received; draining")
+				fmt.Fprintln(out, "http: signal received; draining")
 			case err := <-httpErr:
 				bail = fmt.Errorf("http: serve: %w", err)
 			}
@@ -792,15 +630,8 @@ func serveHTTP(ctx context.Context, eng serve.Engine, addr string, qps float64, 
 	}
 
 	st := srv.Snapshot()
-	fmt.Printf("http: served %d queries (%d errors), cache %d/%d hit (ratio %.2f), %d SSE streams / %d rounds, %d throttled\n",
+	fmt.Fprintf(out, "http: served %d queries (%d errors), cache %d/%d hit (ratio %.2f), %d SSE streams / %d rounds, %d throttled\n",
 		st.Queries, st.Errors, st.Cache.Hits, st.Cache.Hits+st.Cache.Misses, st.CacheHitRatio,
 		st.SSE.Streams, st.SSE.Rounds, st.Admit.Throttled)
 	return bail
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"presto/internal/baseline"
 	"presto/internal/core"
 	"presto/internal/gen"
 	"presto/internal/query"
@@ -530,6 +531,50 @@ func TestClusterRejectsMismatchedDeployment(t *testing.T) {
 	}
 	if err := <-serveErr; err == nil {
 		t.Fatal("mismatched site joined successfully")
+	}
+}
+
+// TestConfigHashCoversDeployment changes one deployment-defining field
+// at a time: each change must move the join fingerprint, or a site
+// launched with it would join cleanly and diverge.
+func TestConfigHashCoversDeployment(t *testing.T) {
+	base := testConfig(t, 2, 2, 2)
+	streamAll := baseline.StreamAll()
+	for _, tc := range []struct {
+		name string
+		edit func(*core.Config)
+	}{
+		{"Seed", func(c *core.Config) { c.Seed++ }},
+		{"Proxies", func(c *core.Config) { c.Proxies++ }},
+		{"MotesPerProxy", func(c *core.Config) { c.MotesPerProxy++ }},
+		{"Shards", func(c *core.Config) { c.Shards++ }},
+		{"Radio", func(c *core.Config) { c.Radio.LossProb = 0.1 }},
+		{"SampleInterval", func(c *core.Config) { c.SampleInterval *= 2 }},
+		{"LPLInterval", func(c *core.Config) { c.LPLInterval *= 2 }},
+		{"Flash", func(c *core.Config) { c.Flash.NumBlocks *= 2 }},
+		{"Delta", func(c *core.Config) { c.Delta = 0.5 }},
+		{"MoteSampleIntervals", func(c *core.Config) { c.MoteSampleIntervals = make([]time.Duration, 4) }},
+		{"MoteDeltas", func(c *core.Config) { c.MoteDeltas = []float64{0, 0, 0, 2} }},
+		{"StoreBackend", func(c *core.Config) { c.StoreBackend = "flash" }},
+		{"StoreFlash", func(c *core.Config) { c.StoreFlash.NumBlocks = 64 }},
+		{"StoreAging", func(c *core.Config) { c.StoreAging = "uniform" }},
+		{"Preset", func(c *core.Config) { c.Preset = &streamAll }},
+		{"Traces", func(c *core.Config) { c.Traces = c.Traces[:3] }},
+		{"TraceValue", func(c *core.Config) {
+			tr := *c.Traces[0]
+			tr.Values = slices.Clone(tr.Values)
+			tr.Values[7]++
+			c.Traces = append([]*gen.Trace{&tr}, c.Traces[1:]...)
+		}},
+		{"WiredFirstProxy", func(c *core.Config) { c.WiredFirstProxy = true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base
+			tc.edit(&cfg)
+			if configHash(cfg) == configHash(base) {
+				t.Errorf("changing %s leaves the config hash at %x", tc.name, configHash(base))
+			}
+		})
 	}
 }
 

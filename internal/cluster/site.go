@@ -17,19 +17,23 @@ import (
 
 // configHash fingerprints the deployment-defining parts of a Config.
 // Coordinator and every site must be launched with the same deployment
-// (same seed, partition, radio, store, traces) or none of the cluster's
-// determinism guarantees hold; the hash turns a silent divergence into a
-// join-time refusal. Window fields are deliberately excluded — they are
+// (same seed, partition, radio, store, push preset, traces) or none of
+// the cluster's determinism guarantees hold; the hash turns a silent
+// divergence into a join-time refusal. A preset is identified by name. Window fields are deliberately excluded — they are
 // what the coordinator assigns. Trace contents are folded in (shape and
 // every sample), since two processes with equally-long but different
 // traces would otherwise join cleanly and diverge silently.
 func configHash(cfg core.Config) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%d|%d|%d|%v|%v|%v|%v|%g|%q|%q|%v|%+v|%+v|%t|%d",
+	preset := ""
+	if cfg.Preset != nil {
+		preset = cfg.Preset.Name
+	}
+	fmt.Fprintf(h, "%d|%d|%d|%d|%v|%v|%v|%g|%q|%q|%v|%+v|%q|%t|%d",
 		cfg.Seed, cfg.Proxies, cfg.MotesPerProxy, cfg.Shards,
-		cfg.SampleInterval, cfg.LPLInterval, cfg.BridgeLatency, cfg.Flash,
+		cfg.SampleInterval, cfg.LPLInterval, cfg.Flash,
 		cfg.Delta, cfg.StoreBackend, cfg.StoreAging, cfg.StoreFlash,
-		cfg.Radio, cfg.Energy, cfg.WiredFirstProxy, len(cfg.Traces))
+		cfg.Radio, preset, cfg.WiredFirstProxy, len(cfg.Traces))
 	// Per-mote heterogeneity overrides define the deployment as much as
 	// the global knobs: two sites disagreeing on one mote's cadence would
 	// diverge silently.

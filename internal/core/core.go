@@ -46,6 +46,10 @@ import (
 // proxyIDBase offsets proxy node ids above mote ids.
 const proxyIDBase = 10000
 
+// bridgeLatency is the one-way wired latency between simulation domains
+// (replica traffic).
+const bridgeLatency = 2 * time.Millisecond
+
 // Config describes a deployment.
 type Config struct {
 	Seed          int64
@@ -69,8 +73,7 @@ type Config struct {
 	FirstShard int
 	SiteShards int
 
-	Radio  radio.Config
-	Energy energy.Params
+	Radio radio.Config
 
 	SampleInterval time.Duration
 	LPLInterval    time.Duration
@@ -99,10 +102,6 @@ type Config struct {
 	// tier schedule), "uniform" for legacy widened-mean coarsening.
 	StoreAging string
 
-	// BridgeLatency is the one-way wired latency between simulation
-	// domains (replica traffic); zero means 2 ms.
-	BridgeLatency time.Duration
-
 	// Preset optionally overrides the mote push policy (baselines).
 	Preset *baseline.Preset
 
@@ -125,7 +124,6 @@ func DefaultConfig() Config {
 		MotesPerProxy:  4,
 		Shards:         1,
 		Radio:          radio.DefaultConfig(),
-		Energy:         energy.DefaultParams(),
 		SampleInterval: time.Minute,
 		LPLInterval:    500 * time.Millisecond,
 		Flash:          flash.Geometry{PageSize: 256, PagesPerBlock: 16, NumBlocks: 128},
@@ -371,11 +369,7 @@ func Build(cfg Config) (*Network, error) {
 	// (cluster.Site installs one; without an uplink such traffic drops,
 	// like radio loss).
 	if lay.Shards > 1 {
-		lat := cfg.BridgeLatency
-		if lat <= 0 {
-			lat = 2 * time.Millisecond
-		}
-		n.bridge = radio.NewBridge(lat)
+		n.bridge = radio.NewBridge(bridgeLatency)
 		// The replica NOW fast path runs where domain 0 (the wired proxy)
 		// is hosted.
 		n.replicaFirst = cfg.WiredFirstProxy && first == 0
@@ -426,7 +420,8 @@ func Build(cfg Config) (*Network, error) {
 func (n *Network) buildShard(si, slot, pi0, count int) (*shard, error) {
 	cfg := n.cfg
 	sim := simtime.New(cfg.Seed + int64(si))
-	med, err := radio.NewMedium(sim, cfg.Radio, cfg.Energy)
+	ep := energy.DefaultParams() // every medium and mote meters with the defaults
+	med, err := radio.NewMedium(sim, cfg.Radio, ep)
 	if err != nil {
 		return nil, err
 	}
@@ -481,7 +476,7 @@ func (n *Network) buildShard(si, slot, pi0, count int) (*shard, error) {
 			}
 			tr := cfg.Traces[mi]
 			sampler := func(t simtime.Time) float64 { return tr.Value(t) }
-			m, err := mote.New(sim, med, cfg.Energy, mc, sampler)
+			m, err := mote.New(sim, med, ep, mc, sampler)
 			if err != nil {
 				return nil, err
 			}
