@@ -17,9 +17,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"log"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -28,21 +32,40 @@ import (
 )
 
 func main() {
-	scale := flag.String("scale", "quick", "experiment scale: quick or paper")
-	shards := flag.Int("shards", 1, "concurrent simulation domains for multi-proxy deployments")
-	storeBackend := flag.String("store", "mem", "archival store backend per domain: mem or flash")
-	aging := flag.String("aging", "wavelet", "flash compaction aging policy: wavelet[:tiers] or uniform")
-	clusterSites := flag.Int("cluster", 0, "cluster-mode site count for E15 (0 = the experiment's default of 2)")
-	run := flag.String("run", "", "comma-separated experiment ids (default: all)")
-	list := flag.Bool("list", false, "list experiments and exit")
-	seed := flag.Int64("seed", 1, "random seed")
-	flag.Parse()
+	log.SetFlags(0)
+	log.SetPrefix("presto-bench: ")
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole command: every selected experiment runs, and an
+// experiment that fails is reported on stderr and fails the run. It takes
+// no context: an experiment cannot be stopped midway.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("presto-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var o exp.Scale // the flags that override the scale's defaults
+	scale := fs.String("scale", "quick", "experiment scale: quick or paper")
+	fs.IntVar(&o.Shards, "shards", 1, "concurrent simulation domains for multi-proxy deployments")
+	fs.StringVar(&o.Backend, "store", "mem", "archival store backend per domain: mem or flash")
+	fs.StringVar(&o.Aging, "aging", "wavelet", "flash compaction aging policy: wavelet[:tiers] or uniform")
+	fs.IntVar(&o.Sites, "cluster", 0, "cluster-mode site count for E15 (0 = the experiment's default of 2)")
+	fs.Int64Var(&o.Seed, "seed", 1, "random seed")
+	ids := fs.String("run", "", "comma-separated experiment ids (default: all)")
+	list := fs.Bool("list", false, "list experiments and exit")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q", fs.Args())
+	}
 
 	if *list {
 		for _, e := range exp.All() {
-			fmt.Printf("%-4s %s\n", e.ID, e.Desc)
+			fmt.Fprintf(stdout, "%-4s %s\n", e.ID, e.Desc)
 		}
-		return
+		return nil
 	}
 
 	var sc exp.Scale
@@ -52,42 +75,42 @@ func main() {
 	case "paper":
 		sc = exp.PaperScale()
 	default:
-		fmt.Fprintf(os.Stderr, "presto-bench: unknown scale %q (want quick or paper)\n", *scale)
-		os.Exit(2)
+		return fmt.Errorf("unknown scale %q (want quick or paper)", *scale)
 	}
-	sc.Seed = *seed
-	sc.Shards = *shards
-	sc.Backend = *storeBackend
-	if _, err := store.ParseAgingPolicy(*aging); err != nil {
-		fmt.Fprintf(os.Stderr, "presto-bench: %v\n", err)
-		os.Exit(2)
+	if _, err := store.ParseAgingPolicy(o.Aging); err != nil {
+		return err
 	}
-	sc.Aging = *aging
-	sc.Sites = *clusterSites
+	sc.Seed, sc.Shards, sc.Backend, sc.Aging, sc.Sites = o.Seed, o.Shards, o.Backend, o.Aging, o.Sites
 
+	all := exp.All()
 	want := map[string]bool{}
-	if *run != "" {
-		for _, id := range strings.Split(*run, ",") {
-			want[strings.TrimSpace(id)] = true
+	if *ids != "" {
+		for _, id := range strings.Split(*ids, ",") {
+			id = strings.TrimSpace(id)
+			if !slices.ContainsFunc(all, func(e exp.Experiment) bool { return e.ID == id }) {
+				return fmt.Errorf("unknown experiment %q in -run (see -list)", id)
+			}
+			want[id] = true
 		}
 	}
 
 	failed := 0
-	for _, e := range exp.All() {
+	for _, e := range all {
 		if len(want) > 0 && !want[e.ID] {
 			continue
 		}
 		start := time.Now()
 		tab, err := e.Run(sc)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "presto-bench: %s: %v\n", e.ID, err)
+			fmt.Fprintf(stderr, "presto-bench: %s: %v\n", e.ID, err)
 			failed++
 			continue
 		}
-		fmt.Println(tab)
-		fmt.Printf("(%s completed in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintln(stdout, tab)
+		fmt.Fprintf(stdout, "(%s completed in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 	if failed > 0 {
-		os.Exit(1)
+		return fmt.Errorf("%d experiment(s) failed", failed)
 	}
+	return nil
 }

@@ -24,30 +24,49 @@
 // scenario horizon onto -duration of wall time, and each arrival is
 // posed under its own tenant at its scheduled instant. Point the driver
 // at a prestod booted from the same spec and the whole pipeline — data,
-// deployment and load — derives from one seed.
+// deployment and load — derives from one seed. A replayed arrival's
+// latency counts from its scheduled instant, not from when a worker got
+// to it, so time spent queued behind busy workers is in the percentiles;
+// the report also counts the arrivals sent late.
 //
-// Exits non-zero if any request fails outright (429 throttling is
-// counted separately, not a failure).
+// SIGINT and SIGTERM end the burst early; requests in flight finish and
+// the report is printed. Exits non-zero if any request fails outright
+// (429 throttling is counted separately, not a failure).
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
 	"os"
+	"os/signal"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
+	"syscall"
 	"time"
 
 	"presto/internal/query"
 	"presto/internal/scenario"
+	"presto/internal/serve"
 	"presto/internal/stats"
 )
+
+func main() {
+	log.SetFlags(0)
+	log.SetPrefix("presto-load: ")
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
 
 // workload is the default rotating spec mix. Each pair of neighbouring
 // entries asks the same question at a different precision, so a full
@@ -62,256 +81,275 @@ var workload = []string{
 	`{"type":"past","t0":"2h","t1":"2h","precision":1.0,"max_staleness":"6h"}`,
 }
 
-// job is one request a worker should pose.
+// lateAfter is how long after its scheduled instant a replayed arrival
+// may be sent before it counts as late.
+const lateAfter = time.Millisecond
+
+// job is one request a worker should pose. due is a replayed arrival's
+// scheduled instant, zero in the closed-loop mix.
 type job struct {
-	body    string
-	tenant  string
-	explain bool
+	body, tenant string
+	explain      bool
+	due          time.Time
 }
 
-// counters aggregates the burst's client-side outcome.
-type counters struct {
-	sent      atomic.Uint64
-	hits      atomic.Uint64
-	throttled atomic.Uint64
-	failed    atomic.Uint64
-	explained atomic.Uint64
-	mu        sync.Mutex
-	latencies []float64
-	routes    map[string]uint64 // routing decisions from explained requests
+// loader poses requests against one tier and books what came back.
+type loader struct {
+	client       *http.Client
+	base         string
+	explainEvery int
+	stderr       io.Writer
+
+	mu                                          sync.Mutex
+	sent, hits, throttled, failed, late, traced int
+	latencies                                   []float64      // ms, answered requests only
+	routes                                      map[string]int // routing decisions from explained requests
 }
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("presto-load: ")
+// run is the whole command: parse args, run the burst until -duration
+// passes or ctx is cancelled, and report.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("presto-load", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", "http://127.0.0.1:8080", "base URL of the prestod -http tier")
+	duration := fs.Duration("duration", 5*time.Second, "wall-clock length of the burst")
+	concurrency := fs.Int("concurrency", 4, "concurrent client workers")
+	tenant := fs.String("tenant", "presto-load", "X-Presto-Tenant header value (default mix only; scenario arrivals carry their own)")
+	scenarioArg := fs.String("scenario", "", "replay this scenario's workload schedule: a spec JSON file from presto-scenario, or a built-in preset name")
+	explainEvery := fs.Int("explain", 0, "pose every Nth request with ?explain=1 and report the server's routing-decision mix (0 = never)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	switch {
+	case fs.NArg() > 0:
+		return fmt.Errorf("unexpected arguments %q", fs.Args())
+	case *concurrency < 1:
+		return fmt.Errorf("-concurrency %d: need at least one worker", *concurrency)
+	case *duration <= 0:
+		return fmt.Errorf("-duration %v: need a positive burst length", *duration)
+	}
 
-	addr := flag.String("addr", "http://127.0.0.1:8080", "base URL of the prestod -http tier")
-	duration := flag.Duration("duration", 5*time.Second, "wall-clock length of the burst")
-	concurrency := flag.Int("concurrency", 4, "concurrent client workers")
-	tenant := flag.String("tenant", "presto-load", "X-Presto-Tenant header value (default mix only; scenario arrivals carry their own)")
-	scenarioFlag := flag.String("scenario", "", "replay this scenario's workload schedule: a spec JSON file from presto-scenario, or a built-in preset name")
-	explainEvery := flag.Int("explain", 0, "pose every Nth request with ?explain=1 and report the server's routing-decision mix (0 = never)")
-	flag.Parse()
-
-	base := strings.TrimRight(*addr, "/")
-	client := &http.Client{Timeout: 30 * time.Second}
-	var ct counters
-
+	ld := &loader{
+		client:       &http.Client{Timeout: 30 * time.Second},
+		base:         strings.TrimRight(*addr, "/"),
+		explainEvery: *explainEvery,
+		stderr:       stderr,
+		routes:       map[string]int{},
+	}
 	replayed, scheduled := 0, 0
-	if *scenarioFlag != "" {
-		spec, err := loadSpec(*scenarioFlag)
+	if *scenarioArg != "" {
+		spec, err := scenario.Load(*scenarioArg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		arrivals, err := scenario.GenerateWorkload(spec)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if len(arrivals) == 0 {
-			log.Fatalf("scenario %q schedules no arrivals", spec.Name)
+			return fmt.Errorf("scenario %q schedules no arrivals", spec.Name)
 		}
 		scheduled = len(arrivals)
-		fmt.Printf("scenario: replaying %q — %d scheduled arrivals compressed onto %v\n",
+		fmt.Fprintf(stdout, "scenario: replaying %q — %d scheduled arrivals compressed onto %v\n",
 			spec.Name, scheduled, *duration)
-		replayed = replayScenario(client, base, arrivals, *duration, *concurrency, *explainEvery, &ct)
+		replayed = ld.replay(ctx, arrivals, *duration, *concurrency)
 	} else {
-		runMix(client, base, *tenant, *duration, *concurrency, *explainEvery, &ct)
+		ld.mix(ctx, *tenant, *duration, *concurrency)
 	}
 
-	n := ct.sent.Load()
-	fmt.Printf("burst: %d requests over %v from %d workers (%.0f queries/s)\n",
-		n, *duration, *concurrency, float64(len(ct.latencies))/duration.Seconds())
-	if scheduled > 0 && replayed < scheduled {
-		fmt.Printf("schedule: replayed %d of %d arrivals before the deadline\n", replayed, scheduled)
+	fmt.Fprintf(stdout, "burst: %d requests over %v from %d workers (%.0f queries/s)\n",
+		ld.sent, *duration, *concurrency, float64(len(ld.latencies))/duration.Seconds())
+	if scheduled > 0 {
+		fmt.Fprintf(stdout, "schedule: %d of %d arrivals replayed, %d sent late (over %v after their instant); latency counts from the instant\n",
+			replayed, scheduled, ld.late, lateAfter)
 	}
-	if len(ct.latencies) > 0 {
-		p50, _ := stats.Median(ct.latencies)
-		p95, _ := stats.Quantile(ct.latencies, 0.95)
-		fmt.Printf("latency: p50=%.2f ms p95=%.2f ms\n", p50, p95)
+	if len(ld.latencies) > 0 {
+		p50, _ := stats.Median(ld.latencies)
+		p95, _ := stats.Quantile(ld.latencies, 0.95)
+		p99, _ := stats.Quantile(ld.latencies, 0.99)
+		fmt.Fprintf(stdout, "latency: p50=%.2f ms p95=%.2f ms p99=%.2f ms\n", p50, p95, p99)
 	}
-	fmt.Printf("client-observed cache hits: %d/%d, throttled: %d, failed: %d\n",
-		ct.hits.Load(), n, ct.throttled.Load(), ct.failed.Load())
-	if explained := ct.explained.Load(); explained > 0 {
-		parts := make([]string, 0, len(ct.routes))
-		for _, k := range sortedKeys(ct.routes) {
-			parts = append(parts, fmt.Sprintf("%s=%d", k, ct.routes[k]))
+	fmt.Fprintf(stdout, "client-observed cache hits: %d/%d, throttled: %d, failed: %d\n",
+		ld.hits, ld.sent, ld.throttled, ld.failed)
+	if ld.traced > 0 {
+		var parts []string
+		for k, n := range ld.routes {
+			parts = append(parts, fmt.Sprintf("%s=%d", k, n))
 		}
-		fmt.Printf("explain: %d traced requests, routing decisions: %s\n",
-			explained, strings.Join(parts, " "))
+		sort.Strings(parts)
+		fmt.Fprintf(stdout, "explain: %d traced requests, routing decisions: %s\n",
+			ld.traced, strings.Join(parts, " "))
 	}
 
-	// The server's own view: cache ratio and admission counters.
-	if resp, err := client.Get(base + "/statsz"); err == nil {
-		var st struct {
-			Scenario      string  `json:"scenario"`
-			Queries       uint64  `json:"queries"`
-			CacheHitRatio float64 `json:"cache_hit_ratio"`
-			Cache         struct {
-				Hits   uint64 `json:"hits"`
-				Misses uint64 `json:"misses"`
-			} `json:"cache"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&st); err == nil {
+	// The server's own view: cache ratio and the scenario it was booted from.
+	if resp, err := ld.client.Get(ld.base + "/statsz"); err == nil {
+		var st serve.Stats
+		if json.NewDecoder(resp.Body).Decode(&st) == nil {
 			label := ""
 			if st.Scenario != "" {
 				label = fmt.Sprintf(" (scenario %q)", st.Scenario)
 			}
-			fmt.Printf("server%s: %d queries answered, cache %d/%d hit (ratio %.2f)\n",
+			fmt.Fprintf(stdout, "server%s: %d queries answered, cache %d/%d hit (ratio %.2f)\n",
 				label, st.Queries, st.Cache.Hits, st.Cache.Hits+st.Cache.Misses, st.CacheHitRatio)
 		}
 		resp.Body.Close()
 	}
 
-	if ct.failed.Load() > 0 {
-		os.Exit(1)
+	if ld.failed > 0 {
+		return fmt.Errorf("%d of %d requests failed", ld.failed, ld.sent)
 	}
+	return nil
 }
 
-// sortedKeys returns m's keys in stable order for the report line.
-func sortedKeys(m map[string]uint64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// loadSpec resolves -scenario: an existing JSON file wins, otherwise the
-// value names a built-in preset.
-func loadSpec(v string) (scenario.Spec, error) {
-	if _, err := os.Stat(v); err == nil {
-		return scenario.LoadFile(v)
-	}
-	return scenario.Preset(v)
-}
-
-// runMix is the default time-bounded burst: every worker rotates through
-// the workload mix until the deadline.
-func runMix(client *http.Client, base, tenant string, d time.Duration, workers, explainEvery int, ct *counters) {
+// mix is the default closed-loop burst: the workers rotate through the
+// workload mix until the deadline.
+func (ld *loader) mix(ctx context.Context, tenant string, d time.Duration, workers int) {
 	deadline := time.Now().Add(d)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; time.Now().Before(deadline); i++ {
-				explain := explainEvery > 0 && i%explainEvery == 0
-				post(client, base, job{body: workload[i%len(workload)], tenant: tenant, explain: explain}, ct)
-			}
-		}(w)
-	}
-	wg.Wait()
+	ld.burst(ctx, workers, func(i int) (job, bool) {
+		return job{body: workload[i%len(workload)], tenant: tenant}, time.Now().Before(deadline)
+	})
 }
 
-// replayScenario feeds the scenario's arrival schedule to the workers,
-// each arrival at its scheduled instant scaled from the scenario horizon
-// onto the burst duration, under the tenant the schedule assigned.
-// Returns how many arrivals were dispatched before the deadline.
-func replayScenario(client *http.Client, base string, arrivals []scenario.Arrival, d time.Duration, workers, explainEvery int, ct *counters) int {
+// replay hands the workers the scenario's arrivals, each due at its
+// scheduled instant scaled from the scenario horizon onto the burst
+// duration, under the tenant the schedule assigned. It returns how many
+// arrivals were handed out before the deadline.
+func (ld *loader) replay(ctx context.Context, arrivals []scenario.Arrival, d time.Duration, workers int) int {
 	span := arrivals[len(arrivals)-1].At
 	if span <= 0 {
-		span = time.Second
+		span = time.Second // every arrival is at zero
 	}
-	scale := float64(d) / float64(span)
+	start := time.Now()
+	return ld.burst(ctx, workers, func(i int) (job, bool) {
+		if i == len(arrivals) {
+			return job{}, false
+		}
+		a := arrivals[i]
+		due := start.Add(time.Duration(float64(a.At) * float64(d) / float64(span)))
+		select {
+		case <-ctx.Done():
+			return job{}, false
+		case <-time.After(time.Until(due)):
+		}
+		return job{body: string(a.SpecJSON), tenant: a.Tenant, due: due}, time.Since(start) <= d
+	})
+}
 
-	jobs := make(chan job, workers)
-	dispatched := 0
+// burst hands the jobs next makes, in order, to workers that pose them,
+// until next reports the burst over or ctx ends it; every -explain'th job
+// asks for its trace. It returns how many jobs were handed out; a job
+// waits for a free worker.
+func (ld *loader) burst(ctx context.Context, workers int, next func(i int) (job, bool)) int {
+	jobs := make(chan job)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				post(client, base, j, ct)
+				ld.post(j)
 			}
 		}()
 	}
-	start := time.Now()
-	for _, a := range arrivals {
-		at := time.Duration(float64(a.At) * scale)
-		if wait := at - time.Since(start); wait > 0 {
-			time.Sleep(wait)
+	defer wg.Wait()
+	defer close(jobs)
+	for i := 0; ; i++ {
+		j, ok := next(i)
+		if !ok {
+			return i
 		}
-		if time.Since(start) > d {
-			break
+		j.explain = ld.explainEvery > 0 && i%ld.explainEvery == 0
+		select {
+		case <-ctx.Done():
+			return i
+		case jobs <- j:
 		}
-		explain := explainEvery > 0 && dispatched%explainEvery == 0
-		jobs <- job{body: string(a.SpecJSON), tenant: a.Tenant, explain: explain}
-		dispatched++
 	}
-	close(jobs)
-	wg.Wait()
-	return dispatched
 }
 
-// post poses one query and books the outcome. Explained requests carry
-// ?explain=1 and unwrap the trace envelope: the inner result is checked
-// like any answer, and the per-mote routing decisions are tallied.
-func post(client *http.Client, base string, j job, ct *counters) {
+// errThrottled is a 429: admission control refused the request, which
+// the report counts apart from failures.
+var errThrottled = errors.New("throttled")
+
+// post poses one query and books the outcome. A replayed arrival's
+// latency runs from its due instant.
+func (ld *loader) post(j job) {
 	start := time.Now()
-	url := base + "/v1/query"
+	if j.due.IsZero() {
+		j.due = start
+	}
+	hit, routes, err := ld.pose(j)
+	lat := time.Since(j.due)
+	ld.mu.Lock()
+	defer ld.mu.Unlock()
+	ld.sent++
+	if start.Sub(j.due) > lateAfter {
+		ld.late++
+	}
+	switch {
+	case errors.Is(err, errThrottled):
+		ld.throttled++
+	case err != nil:
+		ld.failed++
+		fmt.Fprintf(ld.stderr, "presto-load: %s: %v\n", j.body, err)
+	default:
+		if hit {
+			ld.hits++
+		}
+		if j.explain {
+			ld.traced++
+			for _, r := range routes {
+				ld.routes[r]++
+			}
+		}
+		ld.latencies = append(ld.latencies, lat.Seconds()*1000)
+	}
+}
+
+// pose sends one query and checks its answer. Explained requests carry
+// ?explain=1 and unwrap the trace envelope: the inner result is checked
+// like any answer, and the per-mote routing decisions are returned.
+func (ld *loader) pose(j job) (hit bool, routes []string, err error) {
+	url := ld.base + "/v1/query"
 	if j.explain {
 		url += "?explain=1"
 	}
 	req, err := http.NewRequest("POST", url, strings.NewReader(j.body))
 	if err != nil {
-		log.Fatal(err)
+		return false, nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set("X-Presto-Tenant", j.tenant)
-	resp, err := client.Do(req)
+	resp, err := ld.client.Do(req)
 	if err != nil {
-		ct.failed.Add(1)
-		fmt.Fprintf(os.Stderr, "presto-load: %v\n", err)
-		return
+		return false, nil, err
 	}
-	buf, _ := io.ReadAll(resp.Body)
+	answer, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	ct.sent.Add(1)
 	switch {
-	case resp.StatusCode == http.StatusOK:
-		answer := buf
-		if j.explain {
-			var eb struct {
-				Result json.RawMessage `json:"result"`
-				Trace  struct {
-					Routes []struct {
-						Decision string `json:"decision"`
-					} `json:"routes"`
-				} `json:"trace"`
-			}
-			if err := json.Unmarshal(buf, &eb); err != nil {
-				ct.failed.Add(1)
-				fmt.Fprintf(os.Stderr, "presto-load: bad explain envelope for %s: %v\n", j.body, err)
-				return
-			}
-			answer = eb.Result
-			ct.explained.Add(1)
-			ct.mu.Lock()
-			if ct.routes == nil {
-				ct.routes = make(map[string]uint64)
-			}
-			for _, r := range eb.Trace.Routes {
-				ct.routes[r.Decision]++
-			}
-			ct.mu.Unlock()
-		}
-		if res, err := query.DecodeSetResultJSON(answer); err != nil || res.Err != nil {
-			ct.failed.Add(1)
-			fmt.Fprintf(os.Stderr, "presto-load: bad answer for %s: %v / %v\n", j.body, err, res.Err)
-			return
-		}
-		if resp.Header.Get("X-Presto-Cache") == "hit" {
-			ct.hits.Add(1)
-		}
-		ct.mu.Lock()
-		ct.latencies = append(ct.latencies, time.Since(start).Seconds()*1000)
-		ct.mu.Unlock()
 	case resp.StatusCode == http.StatusTooManyRequests:
-		ct.throttled.Add(1)
-	default:
-		ct.failed.Add(1)
-		fmt.Fprintf(os.Stderr, "presto-load: %s -> %d: %s\n", j.body, resp.StatusCode, buf)
+		return false, nil, errThrottled
+	case resp.StatusCode != http.StatusOK:
+		return false, nil, fmt.Errorf("status %d: %s", resp.StatusCode, answer)
+	case err != nil:
+		return false, nil, err
 	}
+	if j.explain {
+		var eb serve.ExplainBody
+		if err := json.Unmarshal(answer, &eb); err != nil {
+			return false, nil, fmt.Errorf("bad explain envelope: %w", err)
+		}
+		answer = eb.Result
+		for _, r := range eb.Trace.Routes {
+			routes = append(routes, r.Kind.String())
+		}
+	}
+	res, err := query.DecodeSetResultJSON(answer)
+	if err == nil {
+		err = res.Err
+	}
+	if err != nil {
+		return false, nil, fmt.Errorf("bad answer: %w", err)
+	}
+	return resp.Header.Get("X-Presto-Cache") == "hit", routes, nil
 }

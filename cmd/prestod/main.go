@@ -207,7 +207,7 @@ func parseArgs(args []string, stderr io.Writer) (scenario.Spec, options, error) 
 		return spec, o, errors.New("-checkpoint needs -listen and no -http: a coordinator writes it after the aggregate")
 	}
 	if *specArg != "" {
-		s, err := loadScenarioSpec(*specArg)
+		s, err := scenario.Load(*specArg)
 		return s, o, err
 	}
 	// Sites shapes a cluster only; an in-process spec leaves it unset.
@@ -215,15 +215,6 @@ func parseArgs(args []string, stderr io.Writer) (scenario.Spec, options, error) 
 		d.Sites = *sites
 	}
 	return spec, o, nil
-}
-
-// loadScenarioSpec resolves -scenario: an existing JSON file wins,
-// otherwise the value names a built-in preset.
-func loadScenarioSpec(v string) (scenario.Spec, error) {
-	if _, err := os.Stat(v); err == nil {
-		return scenario.LoadFile(v)
-	}
-	return scenario.Preset(v)
 }
 
 // deployment is what drive needs of either mode: the serving
@@ -518,15 +509,11 @@ func (co coordinator) ClusterHealth() serve.ClusterHealth {
 // kindBytes folds a per-frame-kind byte counter array into the JSON
 // map /statsz serves, keyed by kind name and omitting idle kinds.
 func kindBytes(a [wire.FrameKindMax + 1]uint64) map[string]uint64 {
-	var m map[string]uint64
+	m := map[string]uint64{}
 	for k := wire.FrameKind(1); k <= wire.FrameKindMax; k++ {
-		if a[k] == 0 {
-			continue
+		if a[k] > 0 {
+			m[k.String()] = a[k]
 		}
-		if m == nil {
-			m = make(map[string]uint64)
-		}
-		m[k.String()] = a[k]
 	}
 	return m
 }
@@ -565,8 +552,10 @@ func serveHTTP(ctx context.Context, dep deployment, o options, label string, hor
 
 	drvCtx, drvCancel := context.WithCancel(ctx)
 	defer drvCancel()
-	drvDone := make(chan error, 1)
+	var advErr error
+	advanced := make(chan struct{})
 	go func() {
+		defer close(advanced)
 		const chunk = 10 * time.Minute // virtual time per advance slice
 		var tick <-chan time.Time
 		if o.httpPace > 0 {
@@ -577,14 +566,10 @@ func serveHTTP(ctx context.Context, dep deployment, o options, label string, hor
 			defer t.Stop()
 			tick = t.C
 		}
-		left := horizon
-		for left > 0 && drvCtx.Err() == nil {
-			d := min(chunk, left)
-			if err := dep.Run(drvCtx, d); err != nil {
-				drvDone <- err
+		for left := horizon; left > 0 && drvCtx.Err() == nil; left -= chunk {
+			if advErr = dep.Run(drvCtx, min(chunk, left)); advErr != nil {
 				return
 			}
-			left -= d
 			if tick != nil {
 				select {
 				case <-tick:
@@ -592,30 +577,25 @@ func serveHTTP(ctx context.Context, dep deployment, o options, label string, hor
 				}
 			}
 		}
-		drvDone <- nil
 	}()
 
+	// Serve until a signal or a failure; once the horizon is reached the
+	// clock stays frozen and the tier keeps serving.
 	var bail error
-	select {
-	case <-ctx.Done():
-		fmt.Fprintln(out, "http: signal received; draining")
-	case err := <-httpErr:
-		bail = fmt.Errorf("http: serve: %w", err)
-	case err := <-drvDone:
-		if err != nil && drvCtx.Err() == nil {
-			bail = fmt.Errorf("http: advancing virtual time: %w", err)
-			drvDone <- nil // the final drain below re-reads this channel
-		} else {
-			// Horizon reached: keep serving with the clock frozen until a
-			// signal arrives.
-			drvDone <- nil
-			select {
-			case <-ctx.Done():
-				fmt.Fprintln(out, "http: signal received; draining")
-			case err := <-httpErr:
-				bail = fmt.Errorf("http: serve: %w", err)
+	for wait := advanced; bail == nil && ctx.Err() == nil; {
+		select {
+		case <-ctx.Done():
+		case err := <-httpErr:
+			bail = fmt.Errorf("http: serve: %w", err)
+		case <-wait:
+			wait = nil
+			if advErr != nil && ctx.Err() == nil {
+				bail = fmt.Errorf("http: advancing virtual time: %w", advErr)
 			}
 		}
+	}
+	if bail == nil {
+		fmt.Fprintln(out, "http: signal received; draining")
 	}
 
 	srv.Close() // end SSE streams first so Shutdown cannot hang on them
@@ -625,8 +605,9 @@ func serveHTTP(ctx context.Context, dep deployment, o options, label string, hor
 		bail = fmt.Errorf("http: shutdown: %w", err)
 	}
 	drvCancel()
-	if err := <-drvDone; err != nil && bail == nil && !errors.Is(err, context.Canceled) {
-		bail = err
+	<-advanced
+	if advErr != nil && bail == nil && !errors.Is(advErr, context.Canceled) {
+		bail = advErr
 	}
 
 	st := srv.Snapshot()

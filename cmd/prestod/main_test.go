@@ -128,6 +128,26 @@ func TestInProcessStandingQuery(t *testing.T) {
 	line(t, out, aggLine)
 }
 
+// TestFlashAgingFreshnessWired: the flash archive with a three-tier
+// wavelet schedule, a freshness bound and the wired replica together. The
+// bound also exercises the stale-replica bypass, and run fails if any
+// answer busts its precision.
+func TestFlashAgingFreshnessWired(t *testing.T) {
+	out := runSync(t, small("-days", "2", "-queries", "20", "-store", "flash",
+		"-aging", "wavelet:1/2,1/4,1/8", "-max-staleness", "30m", "-wired")...)
+	for _, pattern := range []string{
+		`wired=true`,
+		`over 20 queries`,
+		`(?m)^engine: 21 submitted, \d+ replica-served, \d+ replica-bypassed \(stale\)`,
+		`(?m)^archive backend: [1-9]\d* records .*\(wavelet:1/2,1/4,1/8 aging`,
+	} {
+		if !regexp.MustCompile(pattern).MatchString(out) {
+			t.Errorf("no %q in:\n%s", pattern, out)
+		}
+	}
+	line(t, out, aggLine)
+}
+
 // TestFlagsAndSpecSameDeployment: the flags and the spec they describe are
 // one deployment: same digest, same aggregate to the bit.
 func TestFlagsAndSpecSameDeployment(t *testing.T) {
@@ -201,12 +221,13 @@ func TestCheckpoint(t *testing.T) {
 	}
 }
 
-// TestHTTPServesAndDrains: the tier answers a NOW, then a cancelled
-// context drains it and run returns cleanly.
+// TestHTTPServesAndDrains: the tier answers a NOW, logs it as slow past
+// a 1 ns -slow-query, then a cancelled context drains it and run returns
+// cleanly.
 func TestHTTPServesAndDrains(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	out, done := started(ctx, small("-http", "127.0.0.1:0")...)
+	out, done := started(ctx, small("-http", "127.0.0.1:0", "-slow-query", "1ns")...)
 	addr := await(t, out, `http: serving on (\S+) `)[1]
 	resp, err := http.Post("http://"+addr+"/v1/query", "application/json",
 		strings.NewReader(`{"type":"now","precision":1.0,"max_staleness":"6h"}`))
@@ -220,6 +241,15 @@ func TestHTTPServesAndDrains(t *testing.T) {
 	resp.Body.Close()
 	if err != nil || resp.StatusCode != http.StatusOK || len(res.Results) != 4 {
 		t.Fatalf("NOW: status %d, %d results, %v", resp.StatusCode, len(res.Results), err)
+	}
+	resp, err = http.Get("http://" + addr + "/metricsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || !regexp.MustCompile(`(?m)^presto_http_slow_queries_total 1$`).Match(metrics) {
+		t.Errorf("the NOW is not counted slow: %v\n%s", err, metrics)
 	}
 	cancel()
 	if err := done(); err != nil {

@@ -16,8 +16,11 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"presto/internal/cache"
@@ -29,18 +32,23 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run is the whole example, printing to w.
+func run(w io.Writer) error {
 	// Two weeks of activity with exactly the anomaly rate we want.
 	actCfg := gen.DefaultActivityConfig()
 	actCfg.Days = 14
 	actCfg.AnomaliesPerWeek = 2
 	trace, err := gen.Activity(actCfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if len(trace.Events) == 0 {
-		log.Fatal("no anomalies generated; try another seed")
+		return errors.New("no anomalies generated; try another seed")
 	}
 
 	cfg := core.DefaultConfig()
@@ -50,22 +58,23 @@ func main() {
 	cfg.Traces = []*gen.Trace{trace}
 	net, err := core.Build(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	defer net.Close()
 
 	// Train on the first three days of routine.
 	if _, err := net.Bootstrap(72*time.Hour, 48, 15); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	net.Run(14*24*time.Hour - 72*time.Hour)
 
 	// How quickly did each post-training anomaly surface at the proxy?
 	p, err := net.ProxyFor(1)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	series, _ := p.Series(1)
-	fmt.Println("anomaly detection (unexpected inactivity):")
+	fmt.Fprintln(w, "anomaly detection (unexpected inactivity):")
 	detected := 0
 	for _, ev := range trace.Events {
 		start := trace.At(ev.Index)
@@ -82,14 +91,14 @@ func main() {
 		}
 		if lat >= 0 {
 			detected++
-			fmt.Printf("  anomaly at %v (%.0fh of inactivity): reported after %v\n",
+			fmt.Fprintf(w, "  anomaly at %v (%.0fh of inactivity): reported after %v\n",
 				start, float64(ev.Length)*actCfg.Interval.Hours(), lat)
 		} else {
-			fmt.Printf("  anomaly at %v: NOT detected\n", start)
+			fmt.Fprintf(w, "  anomaly at %v: NOT detected\n", start)
 		}
 	}
 	if detected == 0 {
-		log.Fatal("no anomalies detected after training")
+		return errors.New("no anomalies detected after training")
 	}
 
 	// The caregiver checks this morning's activity level: a declarative
@@ -99,21 +108,22 @@ func main() {
 		T0: net.Now() - 6*simtime.Hour, T1: net.Now(),
 		Precision: 15, Agg: query.Mean,
 	})
+	if err == nil {
+		err = res.Err
+	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if res.Err != nil {
-		log.Fatal(res.Err)
-	}
-	fmt.Printf("\nmean activity over the last 6h: %.1f ± %.1f steps/interval (%d samples)\n",
+	fmt.Fprintf(w, "\nmean activity over the last 6h: %.1f ± %.1f steps/interval (%d samples)\n",
 		res.Value, res.ErrBound, res.Count)
 
 	// Wearable battery story.
 	m, _ := net.MoteEnergy(1)
 	perDay := m.Total() / 14
-	fmt.Printf("wearable energy: %.2f J/day → ~%.0f days on 2xAA\n",
+	fmt.Fprintf(w, "wearable energy: %.2f J/day → ~%.0f days on 2xAA\n",
 		perDay, energy.Lifetime(energy.AABatteryJ, perDay, 24*time.Hour).Hours()/24)
 	st, _ := net.MoteStats(1)
-	fmt.Printf("radio messages: %d pushes over %d samples (%.2f%% of samples)\n",
+	fmt.Fprintf(w, "radio messages: %d pushes over %d samples (%.2f%% of samples)\n",
 		st.Pushes, st.Samples, 100*float64(st.Pushes)/float64(st.Samples))
+	return nil
 }

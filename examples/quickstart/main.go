@@ -14,7 +14,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"presto/internal/core"
@@ -24,7 +26,13 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole walkthrough, printing to w.
+func run(w io.Writer) error {
 	ctx := context.Background()
 
 	// 1. Synthetic workload: four co-located temperature sensors with a
@@ -34,7 +42,7 @@ func main() {
 	genCfg.Days = 4
 	traces, err := gen.Temperature(genCfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// 2. Deployment: one tethered proxy managing four motes.
@@ -43,16 +51,16 @@ func main() {
 	cfg.Traces = traces
 	net, err := core.Build(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer net.Close()
 
 	// 3. Bootstrap: motes stream for 36 hours, the proxy trains a
 	// seasonal-anchored model per mote and ships it with delta=1.0;
 	// thereafter motes push only when the model misses by more than 1°.
-	fmt.Println("bootstrapping (36h stream → train → model-driven push)...")
+	fmt.Fprintln(w, "bootstrapping (36h stream → train → model-driven push)...")
 	if _, err := net.Bootstrap(36*time.Hour, 48, 1.0); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// 4. Let the system run for another day of virtual time.
@@ -60,16 +68,15 @@ func main() {
 	c := net.Client()
 
 	// 5. NOW query: "what is sensor 2 reading, within 1 degree?"
-	now, err := c.QueryOne(ctx, query.Spec{
+	r, err := one(c.QueryOne(ctx, query.Spec{
 		Type: query.Now, Select: query.SelectMotes(2), Precision: 1.0,
-	})
+	}))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	r := one(now)
 	v, _ := r.Answer.Value()
 	truth, _ := net.Truth(2, r.Answer.DoneAt)
-	fmt.Printf("NOW  sensor 2: %.2f °C (truth %.2f) from %s in %v\n",
+	fmt.Fprintf(w, "NOW  sensor 2: %.2f °C (truth %.2f) from %s in %v\n",
 		v, truth, r.Answer.Source, r.Latency())
 
 	// 6. PAST query: an hour from the model-driven period (after the
@@ -80,21 +87,17 @@ func main() {
 		Type: query.Past, Select: query.SelectMotes(1),
 		T0: t0, T1: t0 + simtime.Hour, Precision: 0.1,
 	}
-	past, err := c.QueryOne(ctx, spec)
-	if err != nil {
-		log.Fatal(err)
+	if r, err = one(c.QueryOne(ctx, spec)); err != nil {
+		return err
 	}
-	r = one(past)
-	fmt.Printf("PAST sensor 1: %d samples from %s in %v\n",
+	fmt.Fprintf(w, "PAST sensor 1: %d samples from %s in %v\n",
 		len(r.Answer.Entries), r.Answer.Source, r.Latency())
 
 	// 7. The same range again now hits the refined cache.
-	past, err = c.QueryOne(ctx, spec)
-	if err != nil {
-		log.Fatal(err)
+	if r, err = one(c.QueryOne(ctx, spec)); err != nil {
+		return err
 	}
-	r = one(past)
-	fmt.Printf("PAST again   : %d samples from %s in %v (cache refined by the pull)\n",
+	fmt.Fprintf(w, "PAST again   : %d samples from %s in %v (cache refined by the pull)\n",
 		len(r.Answer.Entries), r.Answer.Source, r.Latency())
 
 	// 8. Set-valued query: the mean over the whole building for the last
@@ -104,26 +107,30 @@ func main() {
 		Type: query.Agg, Agg: query.Mean,
 		T0: net.Now() - 6*simtime.Hour, T1: net.Now(), Precision: 1.0,
 	})
+	if err == nil {
+		err = agg.Err
+	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if agg.Err != nil {
-		log.Fatal(agg.Err)
-	}
-	fmt.Printf("AGG  building mean over 6h: %.2f ± %.2f °C from %d observations (1 submission)\n",
+	fmt.Fprintf(w, "AGG  building mean over 6h: %.2f ± %.2f °C from %d observations (1 submission)\n",
 		agg.Value, agg.ErrBound, agg.Count)
 
 	// 9. What did all of this cost the motes?
 	total := net.TotalMoteEnergy()
 	days := net.Now().Hours() / 24
-	fmt.Printf("energy: %.2f J/day/mote — %s\n", total.Total()/4/days, total.String())
+	fmt.Fprintf(w, "energy: %.2f J/day/mote — %s\n", total.Total()/4/days, total.String())
+	return nil
 }
 
-// one unwraps the single result of a one-mote spec, failing loudly if
-// the query could not complete.
-func one(res query.SetResult) query.Result {
-	if len(res.Results) != 1 {
-		log.Fatalf("query answered %d results (%d motes failed)", len(res.Results), res.Failed)
+// one unwraps the single result of a one-mote spec, failing if the query
+// could not complete.
+func one(res query.SetResult, err error) (query.Result, error) {
+	if err == nil && len(res.Results) != 1 {
+		err = fmt.Errorf("query answered %d results (%d motes failed)", len(res.Results), res.Failed)
 	}
-	return res.Results[0]
+	if err != nil {
+		return query.Result{}, err
+	}
+	return res.Results[0], nil
 }

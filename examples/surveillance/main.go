@@ -16,8 +16,12 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
+	"strings"
 	"time"
 
 	"presto/internal/cache"
@@ -30,8 +34,13 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run is the whole example, printing to w.
+func run(w io.Writer) error {
 	// Motion-intensity workload: quiet baseline, strong rare events.
 	genCfg := gen.DefaultTempConfig()
 	genCfg.Sensors = 8
@@ -45,7 +54,7 @@ func main() {
 	genCfg.EventDur = 10 * time.Minute
 	traces, err := gen.Temperature(genCfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	cfg := core.DefaultConfig()
@@ -55,10 +64,11 @@ func main() {
 	cfg.WiredFirstProxy = true
 	net, err := core.Build(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	defer net.Close()
 	if _, err := net.Bootstrap(30*time.Hour, 48, 1.0); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Live alerting: a standing watch on every sensor fires the moment a
@@ -75,7 +85,7 @@ func main() {
 					firstAlertLatency = e.NotificationLatency()
 				}
 			}); err != nil {
-				log.Fatal(err)
+				return err
 			}
 		}
 	}
@@ -92,7 +102,7 @@ func main() {
 		Continuous: &query.Continuous{Every: time.Hour, Until: 3 * 24 * time.Hour},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	snapshots := 0
 	peak := 0.0
@@ -112,9 +122,9 @@ func main() {
 
 	net.Run(3 * 24 * time.Hour)
 	<-streamDone // the bounded stream delivers its last round and closes
-	fmt.Printf("live watch: %d alerts; first alert surfaced %v after the sample was taken\n",
+	fmt.Fprintf(w, "live watch: %d alerts; first alert surfaced %v after the sample was taken\n",
 		alerts, firstAlertLatency)
-	fmt.Printf("standing query: %d hourly fleet snapshots; peak intensity %.1f at %v\n",
+	fmt.Fprintf(w, "standing query: %d hourly fleet snapshots; peak intensity %.1f at %v\n",
 		snapshots, peak, peakAt)
 
 	// Every push the proxies received is a candidate detection; publish
@@ -131,22 +141,22 @@ func main() {
 						Kind: "intrusion", Value: e.V,
 					})
 					if err != nil {
-						log.Fatal(err)
+						return err
 					}
 					published++
 				}
 			}
 		}
 	}
-	fmt.Printf("published %d intrusion detections into the temporal index\n", published)
+	fmt.Fprintf(w, "published %d intrusion detections into the temporal index\n", published)
 
 	// The operator scans the global, time-ordered detection stream.
 	dets := net.Store.Detections(0, net.Now())
 	if len(dets) == 0 {
-		log.Fatal("no detections recorded")
+		return errors.New("no detections recorded")
 	}
 	first := dets[0]
-	fmt.Printf("earliest detection: mote %d via proxy %d at %v (intensity %.1f)\n",
+	fmt.Fprintf(w, "earliest detection: mote %d via proxy %d at %v (intensity %.1f)\n",
 		first.Mote, first.Proxy, first.T, first.Value)
 
 	// Postmortem: pull the full-resolution archive around the first
@@ -161,23 +171,21 @@ func main() {
 		Precision: 0.05,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if len(post.Results) != 1 {
-		log.Fatalf("postmortem answered %d results (%d motes failed)", len(post.Results), post.Failed)
+		return fmt.Errorf("postmortem answered %d results (%d motes failed)", len(post.Results), post.Failed)
 	}
 	res := post.Results[0]
-	fmt.Printf("postmortem: %d archive samples around the incident (source=%s, latency=%v)\n",
+	fmt.Fprintf(w, "postmortem: %d archive samples around the incident (source=%s, latency=%v)\n",
 		len(res.Answer.Entries), res.Answer.Source, res.Latency())
 
 	// Print the reconstructed intensity timeline around the onset.
-	fmt.Println("timeline (5-sample steps):")
+	fmt.Fprintln(w, "timeline (5-sample steps):")
 	for i := 0; i < len(res.Answer.Entries); i += 5 {
 		e := res.Answer.Entries[i]
-		bar := ""
-		for j := 0; j < int(e.V) && j < 40; j++ {
-			bar += "#"
-		}
-		fmt.Printf("  %8v  %6.2f %s\n", e.T, e.V, bar)
+		bar := strings.Repeat("#", max(0, min(int(e.V), 40)))
+		fmt.Fprintf(w, "  %8v  %6.2f %s\n", e.T, e.V, bar)
 	}
+	return nil
 }

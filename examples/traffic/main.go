@@ -17,7 +17,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"presto/internal/cache"
@@ -31,8 +33,13 @@ import (
 const roadSensors = 6
 
 func main() {
-	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run is the whole example, printing to w.
+func run(w io.Writer) error {
 	// One independent trace per road sensor (different seeds shift
 	// incident times).
 	traces := make([]*gen.Trace, roadSensors)
@@ -43,7 +50,7 @@ func main() {
 		c.IncidentsPerWeek = 2
 		tr, err := gen.Traffic(c)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		traces[i] = tr
 	}
@@ -57,10 +64,11 @@ func main() {
 	cfg.WiredFirstProxy = true
 	net, err := core.Build(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	defer net.Close()
 	if _, err := net.Bootstrap(48*time.Hour, 96, 25); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	net.Run(5 * 24 * time.Hour)
 
@@ -78,18 +86,18 @@ func main() {
 						T: e.T, Mote: moteID, Proxy: index.ProxyID(pi),
 						Kind: "incident", Value: e.V,
 					}); err != nil {
-						log.Fatal(err)
+						return err
 					}
 					published++
 				}
 			}
 		}
 	}
-	fmt.Printf("published %d incident detections from 2 proxies\n", published)
+	fmt.Fprintf(w, "published %d incident detections from 2 proxies\n", published)
 
 	// Cross-proxy, time-ordered incident review.
 	dets := net.Store.Detections(0, net.Now())
-	fmt.Printf("global incident timeline (%d entries, ordered across proxies):\n", len(dets))
+	fmt.Fprintf(w, "global incident timeline (%d entries, ordered across proxies):\n", len(dets))
 	shown := 0
 	var lastT simtime.Time = -1
 	for _, d := range dets {
@@ -98,7 +106,7 @@ func main() {
 			continue // collapse bursts for display
 		}
 		lastT = d.T
-		fmt.Printf("  %9v  sensor %d (proxy %d): flow %.0f veh/5min\n", d.T, d.Mote, d.Proxy, d.Value)
+		fmt.Fprintf(w, "  %9v  sensor %d (proxy %d): flow %.0f veh/5min\n", d.T, d.Mote, d.Proxy, d.Value)
 		shown++
 		if shown >= 8 {
 			break
@@ -108,21 +116,22 @@ func main() {
 	// Commuter NOW queries: one declarative spec over the three sensors
 	// on the commute — a single engine submission fans out per domain and
 	// the per-mote answers come back merged in mote order.
-	fmt.Println("\ncommuter query (current flow on 3 sensors, tolerance 25):")
+	fmt.Fprintln(w, "\ncommuter query (current flow on 3 sensors, tolerance 25):")
 	set, err := net.Client().QueryOne(context.Background(), query.Spec{
 		Type: query.Now, Select: query.SelectMotes(net.MoteIDs()[:3]...), Precision: 25,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for _, res := range set.Results {
 		v, _ := res.Answer.Value()
 		truth, _ := net.Truth(res.Query.Mote, res.Answer.DoneAt)
-		fmt.Printf("  sensor %d: %.0f veh/5min (truth %.0f) from %s in %v\n",
+		fmt.Fprintf(w, "  sensor %d: %.0f veh/5min (truth %.0f) from %s in %v\n",
 			res.Query.Mote, v, truth, res.Answer.Source, res.Latency())
 	}
 
 	total := net.TotalMoteEnergy()
-	fmt.Printf("\nmote energy over the week: %.2f J/day/mote\n",
+	fmt.Fprintf(w, "\nmote energy over the week: %.2f J/day/mote\n",
 		total.Total()/roadSensors/7)
+	return nil
 }

@@ -13,7 +13,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"presto/internal/baseline"
@@ -29,8 +31,13 @@ const (
 )
 
 func main() {
-	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run is the whole example, printing to w.
+func run(w io.Writer) error {
 	genCfg := gen.DefaultTempConfig()
 	genCfg.Sensors = sensors
 	genCfg.Days = days
@@ -38,113 +45,95 @@ func main() {
 	genCfg.SeasonalAmpC = 3
 	traces, err := gen.Temperature(genCfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("weather deployment: %d sensors, %d days\n\n", sensors, days)
-	fmt.Printf("%-28s %14s %12s\n", "policy", "J/day/mote", "msgs/day")
-	fmt.Printf("%-28s %14s %12s\n", "------", "----------", "--------")
+	fmt.Fprintf(w, "weather deployment: %d sensors, %d days\n\n", sensors, days)
+	fmt.Fprintf(w, "%-28s %14s %12s\n", "policy", "J/day/mote", "msgs/day")
+	fmt.Fprintf(w, "%-28s %14s %12s\n", "------", "----------", "--------")
 
-	// Baseline: stream everything.
-	streamJ, streamMsgs := runPolicy(traces, baseline.StreamAll(), false, 0)
-	fmt.Printf("%-28s %14.2f %12.0f\n", "stream-all", streamJ, streamMsgs)
-
-	// PRESTO at two precisions: looser queries → bigger delta → fewer
-	// pushes.
-	for _, delta := range []float64{0.5, 2.0} {
-		j, msgs := runPolicy(traces, baseline.ModelDriven(delta), true, delta)
-		name := fmt.Sprintf("PRESTO delta=%.1f", delta)
-		fmt.Printf("%-28s %14.2f %12.0f\n", name, j, msgs)
+	for _, p := range []struct {
+		name     string
+		preset   baseline.Preset
+		delta    float64       // 0 streams: no model to train
+		deadline time.Duration // > 0 matches the motes to queries that tolerate it
+	}{
+		// Baseline: stream everything.
+		{"stream-all", baseline.StreamAll(), 0, 0},
+		// PRESTO at two precisions: looser queries → bigger delta →
+		// fewer pushes.
+		{"PRESTO delta=0.5", baseline.ModelDriven(0.5), 0.5, 0},
+		{"PRESTO delta=2.0", baseline.ModelDriven(2.0), 2.0, 0},
+		// Query–sensor matching: queries tolerate an hour of latency, so
+		// the planner batches pushes and slows the duty cycle.
+		{"PRESTO matched (1h deadline)", baseline.ModelDriven(1.0), 1.0, time.Hour},
+	} {
+		j, msgs, err := measure(traces, p.preset, p.delta, p.deadline)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "%-28s %14.2f %12.0f\n", p.name, j, msgs)
 	}
 
-	// Query–sensor matching: queries tolerate an hour of latency, so the
-	// planner batches pushes and slows the duty cycle.
-	j, msgs := runMatched(traces, time.Hour)
-	fmt.Printf("%-28s %14.2f %12.0f\n", "PRESTO matched (1h deadline)", j, msgs)
-
-	fmt.Printf("\nstream-all vs PRESTO: the predictable diurnal pattern means the\n")
-	fmt.Printf("proxy can answer most queries from its model, so motes mostly sleep.\n")
+	fmt.Fprintf(w, "\nstream-all vs PRESTO: the predictable diurnal pattern means the\n")
+	fmt.Fprintf(w, "proxy can answer most queries from its model, so motes mostly sleep.\n")
+	return nil
 }
 
-// runPolicy measures one collection policy, returning steady-state
-// J/day/mote and messages/day/mote.
-func runPolicy(traces []*gen.Trace, preset baseline.Preset, bootstrap bool, delta float64) (float64, float64) {
+// measure runs one collection policy over the traces and returns its
+// steady-state J/day/mote and messages/day/mote, counted from the end of
+// the first two days (training, for a model-driven policy).
+func measure(traces []*gen.Trace, preset baseline.Preset, delta float64, deadline time.Duration) (float64, float64, error) {
 	cfg := core.DefaultConfig()
 	cfg.MotesPerProxy = sensors
 	cfg.Preset = &preset
 	cfg.Traces = traces
 	net, err := core.Build(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return 0, 0, err
 	}
-	if bootstrap {
-		if _, err := net.Bootstrap(48*time.Hour, 48, delta); err != nil {
-			log.Fatal(err)
-		}
-	} else {
+	defer net.Close()
+	if delta == 0 {
 		net.Start()
 		net.Run(48 * time.Hour)
+	} else if _, err := net.Bootstrap(48*time.Hour, 48, delta); err != nil {
+		return 0, 0, err
 	}
-	startJ := meterTotal(net)
-	startMsgs := msgTotal(net)
-	startT := net.Now()
-	net.Run(time.Duration(days)*24*time.Hour - time.Duration(startT))
-	d := (net.Now() - startT).Hours() / 24
-	return (meterTotal(net) - startJ) / d / sensors, float64(msgTotal(net)-startMsgs) / d / sensors
-}
-
-// runMatched applies the query–sensor matching plan after bootstrap.
-func runMatched(traces []*gen.Trace, deadline time.Duration) (float64, float64) {
-	preset := baseline.ModelDriven(1.0)
-	cfg := core.DefaultConfig()
-	cfg.MotesPerProxy = sensors
-	cfg.Preset = &preset
-	cfg.Traces = traces
-	net, err := core.Build(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := net.Bootstrap(48*time.Hour, 48, 1.0); err != nil {
-		log.Fatal(err)
-	}
-	w := predict.Workload{ArrivalPerHour: 4, Deadline: deadline, Precision: 1.0}
-	for _, id := range net.MoteIDs() {
-		if _, err := net.MatchWorkload(id, w); err != nil {
-			log.Fatal(err)
+	if deadline > 0 {
+		w := predict.Workload{ArrivalPerHour: 4, Deadline: deadline, Precision: 1.0}
+		for _, id := range net.MoteIDs() {
+			if _, err := net.MatchWorkload(id, w); err != nil {
+				return 0, 0, err
+			}
 		}
+		net.Run(time.Minute) // plans propagate
 	}
-	net.Run(time.Minute) // plans propagate
-	startJ := meterTotal(net)
-	startMsgs := msgTotal(net)
+	startJ, startMsgs := totals(net)
 	startT := net.Now()
 	net.Run(time.Duration(days)*24*time.Hour - time.Duration(startT))
 	d := (net.Now() - startT).Hours() / 24
+	endJ, endMsgs := totals(net)
+	j, msgs := (endJ-startJ)/d/sensors, float64(endMsgs-startMsgs)/d/sensors
+	if deadline == 0 {
+		return j, msgs, nil
+	}
 
-	// Sanity: the whole fleet still answers within precision — one NOW
+	// Sanity: the matched fleet still answers within precision — one NOW
 	// spec over every mote costs one engine submission.
 	res, err := net.Client().QueryOne(context.Background(), query.Spec{Type: query.Now, Precision: 1.0})
-	if err != nil {
-		log.Fatal(err)
+	if err == nil && (len(res.Results) != sensors || res.Failed != 0) {
+		err = fmt.Errorf("fleet query answered %d/%d motes (%d failed)", len(res.Results), sensors, res.Failed)
 	}
-	if len(res.Results) != sensors || res.Failed != 0 {
-		log.Fatalf("fleet query answered %d/%d motes (%d failed)", len(res.Results), sensors, res.Failed)
-	}
-	return (meterTotal(net) - startJ) / d / sensors, float64(msgTotal(net)-startMsgs) / d / sensors
+	return j, msgs, err
 }
 
-func meterTotal(n *core.Network) float64 {
-	m := n.TotalMoteEnergy()
-	return m.Total()
-}
-
-func msgTotal(n *core.Network) uint64 {
+// totals is what the fleet has spent so far: joules and radio messages.
+func totals(n *core.Network) (float64, uint64) {
 	var msgs uint64
 	for _, id := range n.MoteIDs() {
-		st, err := n.MoteStats(id)
-		if err != nil {
-			log.Fatal(err)
-		}
+		st, _ := n.MoteStats(id) // every id is the network's own
 		msgs += st.Pushes + st.Batches + st.PullsServed
 	}
-	return msgs
+	m := n.TotalMoteEnergy()
+	return m.Total(), msgs
 }

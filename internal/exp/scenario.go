@@ -40,15 +40,7 @@ func E16Scenarios(_ Scale) (*Table, error) {
 		if name == "smoke" {
 			smoke = sc
 		}
-		loose, events := 0, 0
-		for _, a := range sc.Arrivals {
-			if a.Loose {
-				loose++
-			}
-		}
-		for _, tr := range sc.Config.Traces {
-			events += len(tr.Events)
-		}
+		_, events, loose := sc.Totals()
 		t.AddRow(name,
 			fmt.Sprintf("%d", spec.Deployment.Motes()),
 			fmt.Sprintf("%d", spec.Deployment.Sites),

@@ -16,6 +16,25 @@ import (
 // distinguish "wrong column" from a malformed file.
 var ErrNoSamples = errors.New("gen: csv contained no parsable samples")
 
+// WriteCSV writes tr in the layout FromCSV reads: a header row, then one
+// row per sample with its index, its value at full precision (column 1,
+// so FromCSV(r, 1, tr.Interval) returns the same values bit for bit) and
+// 1 where an injected event is active. Start and Interval are not
+// written; FromCSV takes the interval as an argument.
+func WriteCSV(w io.Writer, tr *Trace) error {
+	cw := csv.NewWriter(w)
+	cw.Write([]string{"sample", "value", "event_active"})
+	for i, v := range tr.Values {
+		active := "0"
+		if tr.EventActive(i) {
+			active = "1"
+		}
+		cw.Write([]string{strconv.Itoa(i), strconv.FormatFloat(v, 'g', -1, 64), active})
+	}
+	cw.Flush()
+	return cw.Error()
+}
+
 // FromCSV reads a trace from CSV so real-world data (e.g. the Intel Lab
 // trace this repository's generator substitutes for) can drive the
 // simulator. Expected layout: a header row, then one sample per row with
@@ -39,33 +58,25 @@ func FromCSV(r io.Reader, valueCol int, interval time.Duration) (*Trace, error) 
 		return nil, fmt.Errorf("gen: csv needs a header and at least one sample row")
 	}
 	tr := &Trace{Interval: interval}
-	last := 0.0
-	have := false
-	skipped := 0
 	for _, row := range rows[1:] {
-		v := last
 		if valueCol < len(row) {
-			if parsed, err := strconv.ParseFloat(row[valueCol], 64); err == nil {
-				v = parsed
-				have = true
+			if v, err := strconv.ParseFloat(row[valueCol], 64); err == nil {
+				tr.Values = append(tr.Values, v)
+				continue
 			}
 		}
-		if !have {
-			// Leading gap before any valid sample: skip the rows rather
-			// than inventing zeros, but remember how many were dropped so
-			// the surviving samples keep their row-position timestamps.
-			skipped++
-			continue
+		// A gap repeats the previous sample. A leading gap is skipped
+		// rather than filled with invented zeros.
+		if n := len(tr.Values); n > 0 {
+			tr.Values = append(tr.Values, tr.Values[n-1])
 		}
-		tr.Values = append(tr.Values, v)
-		last = v
 	}
 	if len(tr.Values) == 0 {
 		return nil, fmt.Errorf("%w in column %d", ErrNoSamples, valueCol)
 	}
 	// Row i of the file stays at time i*interval even when leading rows
-	// were unparsable; otherwise every sample would silently shift earlier
+	// were skipped; otherwise every sample would silently shift earlier
 	// by the length of the leading gap.
-	tr.Start = simtime.Time(skipped) * simtime.Time(interval)
+	tr.Start = simtime.Time(len(rows)-1-len(tr.Values)) * simtime.Time(interval)
 	return tr, nil
 }

@@ -2,7 +2,7 @@ package gen
 
 import (
 	"errors"
-	"strconv"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -98,36 +98,36 @@ func TestFromCSVLeadingBadRowsKeepTimeBase(t *testing.T) {
 	}
 }
 
-func TestFromCSVRoundTripWithPrestogenFormat(t *testing.T) {
-	// The prestogen CSV format reads back in directly.
+// TestWriteCSVRoundTrip: what WriteCSV writes, FromCSV reads back bit
+// for bit, and the event column marks the injected events.
+func TestWriteCSVRoundTrip(t *testing.T) {
 	cfg := DefaultTempConfig()
 	cfg.Days = 1
+	cfg.EventsPerDay = 4
 	traces, err := Temperature(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := traces[0]
 	var b strings.Builder
-	b.WriteString("minute,sensor0_c,event_active\n")
-	for i, v := range traces[0].Values {
-		b.WriteString(strings.Join([]string{
-			itoa(i), ftoa(v), "0",
-		}, ","))
-		b.WriteByte('\n')
+	if err := WriteCSV(&b, want); err != nil {
+		t.Fatal(err)
 	}
-	tr, err := FromCSV(strings.NewReader(b.String()), 1, time.Minute)
+	got, err := FromCSV(strings.NewReader(b.String()), 1, want.Interval)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Values) != len(traces[0].Values) {
-		t.Fatalf("len %d vs %d", len(tr.Values), len(traces[0].Values))
+	if !slices.Equal(got.Values, want.Values) || got.Interval != want.Interval || got.Start != want.Start {
+		t.Fatalf("round trip changed the trace: %d values at %v from %v, want %d at %v from %v",
+			len(got.Values), got.Interval, got.Start, len(want.Values), want.Interval, want.Start)
 	}
-	for i := range tr.Values {
-		if d := tr.Values[i] - traces[0].Values[i]; d > 0.001 || d < -0.001 {
-			t.Fatalf("sample %d: %v vs %v", i, tr.Values[i], traces[0].Values[i])
+	active, err := FromCSV(strings.NewReader(b.String()), 2, want.Interval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range active.Values {
+		if (v == 1) != want.EventActive(i) {
+			t.Fatalf("sample %d: event column %v, trace says %t", i, v, want.EventActive(i))
 		}
 	}
 }
-
-func itoa(i int) string { return strconv.Itoa(i) }
-
-func ftoa(v float64) string { return strconv.FormatFloat(v, 'f', 3, 64) }

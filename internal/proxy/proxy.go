@@ -17,6 +17,7 @@ package proxy
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"presto/internal/cache"
@@ -373,12 +374,13 @@ func (p *Proxy) AbsorbReplica(mote radio.NodeID, kind radio.Kind, payload []byte
 	p.stats.ReplicaAbsorbed++
 }
 
-// Motes lists managed mote ids (stable order not guaranteed).
+// Motes lists managed mote ids in ascending order.
 func (p *Proxy) Motes() []radio.NodeID {
 	out := make([]radio.NodeID, 0, len(p.motes))
 	for id := range p.motes {
 		out = append(out, id)
 	}
+	slices.Sort(out)
 	return out
 }
 

@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -327,6 +328,20 @@ func TestQueryUnknownMote(t *testing.T) {
 	}
 	if _, ok := r.proxy.Series(99); ok {
 		t.Fatal("series for unknown mote")
+	}
+}
+
+// TestMotesAscending: callers that publish per mote get one order on
+// every run, whatever the map's iteration order.
+func TestMotesAscending(t *testing.T) {
+	r := newRig(t, nil, diurnalTrace(t, 1))
+	for _, id := range []radio.NodeID{9, 3, 7, 2, 5} {
+		r.proxy.Register(id, time.Minute, 1)
+	}
+	for i := 0; i < 5; i++ {
+		if got := r.proxy.Motes(); !slices.Equal(got, []radio.NodeID{1, 2, 3, 5, 7, 9}) {
+			t.Fatalf("Motes() = %v, want ascending ids", got)
+		}
 	}
 }
 

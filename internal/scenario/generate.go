@@ -457,6 +457,21 @@ func (s *Scenario) WorkloadDigest() string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
+// Totals counts what the scenario generated: trace samples, regional and
+// per-sensor event excursions, and loose-paired arrivals.
+func (s *Scenario) Totals() (samples, events, loose int) {
+	for _, tr := range s.Config.Traces {
+		samples += len(tr.Values)
+		events += len(tr.Events)
+	}
+	for _, a := range s.Arrivals {
+		if a.Loose {
+			loose++
+		}
+	}
+	return samples, events, loose
+}
+
 // Digest combines the deployment and workload fingerprints.
 func (s *Scenario) Digest() string {
 	h := sha256.New()

@@ -75,7 +75,8 @@ type SensorMix struct {
 	Delta          float64   `json:"delta,omitempty"`
 
 	// Path/Column select the value column of a CSV file for kind "csv"
-	// (the prestogen format reads back in directly).
+	// (what presto-scenario -traces writes reads back in directly, value
+	// in column 1).
 	Path   string `json:"path,omitempty"`
 	Column int    `json:"column,omitempty"`
 }
@@ -356,4 +357,13 @@ func LoadFile(path string) (Spec, error) {
 		return Spec{}, fmt.Errorf("scenario: %s: %w", path, err)
 	}
 	return s, nil
+}
+
+// Load resolves a command's -scenario value: an existing JSON file wins,
+// otherwise the value names a built-in preset.
+func Load(v string) (Spec, error) {
+	if _, err := os.Stat(v); err == nil {
+		return LoadFile(v)
+	}
+	return Preset(v)
 }
