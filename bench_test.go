@@ -525,13 +525,18 @@ func BenchmarkContinuousQuery(b *testing.B) {
 	b.ReportMetric(float64(rounds)/b.Elapsed().Seconds(), "queries/s")
 }
 
-// BenchmarkProxyRange prices the proxy's range assembly on its own — the
-// hot path of every PAST/AGG mote the archive declines: a 240-slot window
+// BenchmarkProxyRange prices the proxy's range walk on its own — the hot
+// path of every PAST/AGG mote the archive declines: a 240-slot window
 // over a sparse series (one push per ~20 slots, the value-driven common
 // case, so ~95% of the slots are model extrapolations) and over a dense
 // one (every slot cached, as for a streaming mote), answered folded into
 // a query.Partial (the AGG path: no entries materialised) and
-// materialised as an Answer (the PAST path: one exact-size slice).
+// materialised as an Answer (the PAST path: one exact-size slice). The
+// sparse window walks as 12 cached slots and 12 runs between them, so
+// its fold makes 24 calls, not 240. Against the per-slot assembly the
+// walk replaced (medians of 20 interleaved runs on a shared 2-vCPU VM):
+// sparse/fold 5.0 → 1.3 µs, sparse/materialise 5.8 → 3.3 µs,
+// dense/fold 4.1 → 4.1 µs, dense/materialise 5.2 → 5.6 µs.
 func BenchmarkProxyRange(b *testing.B) {
 	for _, series := range []struct {
 		name  string

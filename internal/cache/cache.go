@@ -171,6 +171,16 @@ func (c *Cursor) At(t simtime.Time, maxGap time.Duration) (Entry, bool) {
 	return nearest(c.entries, c.next, t, maxGap)
 }
 
+// Next returns the time of the first entry at or after the last time
+// passed to At, if there is one: where a stretch of slots that At found
+// no entry for ends.
+func (c *Cursor) Next() (simtime.Time, bool) {
+	if c.next == len(c.entries) {
+		return 0, false
+	}
+	return c.entries[c.next].T, true
+}
+
 // Shared returns the last <= limit confirmed entries with T <= t as model
 // records, oldest first — the shared history a prediction at t keys off
 // (see internal/model). The slice is the cursor's buffer: it is

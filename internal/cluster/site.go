@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -147,6 +148,11 @@ func Serve(ctx context.Context, t Transport, addr string, cfg core.Config) error
 			return nil
 		}
 		if err := site.handle(ctx, f); err != nil {
+			if errors.As(err, new(hungUp)) {
+				// A reply the coordinator hung up on ends the run the
+				// same way a failed Recv does.
+				return ctx.Err()
+			}
 			return err
 		}
 	}
@@ -188,7 +194,7 @@ func (s *site) handle(ctx context.Context, f wire.Frame) error {
 			return err
 		}
 		_ = s.Advance(ctx, target) // a local lease cannot fail
-		return s.conn.Send(wire.Frame{
+		return s.send(wire.Frame{
 			Kind: wire.FrameAdvanceAck, Seq: f.Seq, Payload: wire.EncodeAdvance(s.n.Now()),
 		})
 	case wire.FrameScatter:
@@ -255,7 +261,7 @@ func (s *site) streamSnapshot(ctx context.Context, seq uint64, req wire.Snapshot
 		return s.reply(wire.FrameSnapshotAck, seq, nil, err)
 	}
 	return eachChunk(req.Domain, blob, func(c wire.SnapshotChunk) error {
-		return s.conn.Send(wire.Frame{Kind: wire.FrameSnapshotChunk, Seq: seq, Payload: wire.EncodeSnapshotChunk(c)})
+		return s.send(wire.Frame{Kind: wire.FrameSnapshotChunk, Seq: seq, Payload: wire.EncodeSnapshotChunk(c)})
 	})
 }
 
@@ -283,7 +289,22 @@ func (s *site) reply(kind wire.FrameKind, seq uint64, payload []byte, err error)
 	} else {
 		body = append([]byte{1}, payload...)
 	}
-	return s.conn.Send(wire.Frame{Kind: kind, Seq: seq, Payload: body})
+	return s.send(wire.Frame{Kind: kind, Seq: seq, Payload: body})
+}
+
+// hungUp is a reply the connection refused: the coordinator has closed
+// it, which is how a cluster run ends.
+type hungUp struct{ err error }
+
+func (h hungUp) Error() string { return "cluster: reply not sent: " + h.err.Error() }
+func (h hungUp) Unwrap() error { return h.err }
+
+// send writes one reply frame, marking a failure as hungUp.
+func (s *site) send(f wire.Frame) error {
+	if err := s.conn.Send(f); err != nil {
+		return hungUp{err}
+	}
+	return nil
 }
 
 // replyRound collects a scatter frame's gathered round and answers with

@@ -76,6 +76,10 @@ func (m *AR) Predict(t simtime.Time, shared []Record) float64 {
 	return m.Mean + cur
 }
 
+// FlatUntil implements Model: the recursion is stepped per prediction,
+// so no slot shares another's.
+func (m *AR) FlatUntil(t simtime.Time) simtime.Time { return t + 1 }
+
 // Marshal implements Model. Layout: tag, u16 order, i64 interval, f64
 // mean, then order * f64 coefficients.
 func (m *AR) Marshal() []byte {

@@ -57,6 +57,11 @@ type Model interface {
 	// history ignore it. Predict must be a pure function of (params, t,
 	// shared) so that mote and proxy agree.
 	Predict(t simtime.Time, shared []Record) float64
+	// FlatUntil returns the first instant after t at which Predict may
+	// change for a fixed shared history: Predict(u, shared) is bit-equal
+	// to Predict(t, shared) for every u in [t, FlatUntil(t)). A range
+	// answer predicts once per such flat piece.
+	FlatUntil(t simtime.Time) simtime.Time
 	// Marshal serializes the parameters for proxy→mote transmission;
 	// the byte count is charged to the radio.
 	Marshal() []byte
@@ -70,6 +75,9 @@ const (
 	tagSeasonal         = 0x11
 	tagSeasonalAnchored = 0x12
 )
+
+// never is the latest instant: a FlatUntil that no t reaches.
+const never = simtime.Time(math.MaxInt64)
 
 // ErrShortBuffer is returned when unmarshalling truncated parameters.
 var ErrShortBuffer = errors.New("model: short parameter buffer")
@@ -92,6 +100,9 @@ func (ConstLast) Predict(_ simtime.Time, shared []Record) float64 {
 	}
 	return shared[len(shared)-1].V
 }
+
+// FlatUntil implements Model: the prediction never moves with t.
+func (ConstLast) FlatUntil(simtime.Time) simtime.Time { return never }
 
 // Marshal implements Model.
 func (ConstLast) Marshal() []byte { return []byte{tagConstLast} }
@@ -137,6 +148,27 @@ func (m *Seasonal) Predict(t simtime.Time, _ []Record) float64 {
 		return m.Base
 	}
 	return m.Base + float64(m.Bins[m.bin(t)]) + m.Trend*float64(t)
+}
+
+// FlatUntil implements Model: without a trend the prediction holds to the
+// end of t's bin (and, SeasonalAnchored's anchor being a function of the
+// shared history alone, so does its prediction).
+func (m *Seasonal) FlatUntil(t simtime.Time) simtime.Time {
+	switch {
+	case len(m.Bins) == 0:
+		return never // Predict is Base alone
+	case m.Trend != 0 || m.Period <= 0:
+		return t + 1
+	}
+	// Bin i covers the phases [ceil(i·P/n), ceil((i+1)·P/n)). A bin ends
+	// by the next multiple of the period, so no flat piece crosses time
+	// zero, where a zero trend's product with t changes sign.
+	phase := t % m.Period
+	if phase < 0 {
+		phase += m.Period
+	}
+	n, next := int64(len(m.Bins)), int64(m.bin(t))+1
+	return t - phase + simtime.Time((next*int64(m.Period)+n-1)/n)
 }
 
 // Marshal implements Model. Layout: tag, u16 bins, i64 period, f64 base,

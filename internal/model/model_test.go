@@ -1,7 +1,10 @@
 package model
 
 import (
+	"cmp"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"presto/internal/gen"
@@ -285,5 +288,97 @@ func BenchmarkPredictAnchored(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m.Predict(simtime.Time(i)*simtime.Minute, shared)
+	}
+}
+
+// randomModel draws one model of each family in turn: a ConstLast, a
+// Seasonal and a SeasonalAnchored with random bins over a random period
+// (trend zero or not), and an AR.
+func randomModel(rng *rand.Rand, i int) Model {
+	s := Seasonal{
+		Period: []simtime.Time{simtime.Day, 2 * simtime.Hour, 7*simtime.Minute + 3}[rng.Intn(3)],
+		Bins:   make([]float32, 1+rng.Intn(48)),
+		Base:   rng.NormFloat64() * 20,
+	}
+	for b := range s.Bins {
+		s.Bins[b] = float32(rng.NormFloat64())
+	}
+	if rng.Intn(2) == 0 {
+		s.Trend = rng.NormFloat64() * 1e-12
+	}
+	switch i % 4 {
+	case 0:
+		return ConstLast{}
+	case 1:
+		return &s
+	case 2:
+		return &SeasonalAnchored{Seasonal: s, Alpha: rng.Float64()}
+	default:
+		return &AR{Mean: 20, Coef: []float64{0.6, 0.3}, Interval: simtime.Minute}
+	}
+}
+
+// TestFlatUntilHoldsPrediction checks every model's FlatUntil against
+// Predict: for random shared histories, the prediction is bit-equal at
+// every instant of [t, FlatUntil(t)) it samples — t, the instant before
+// the cut, and random points — with t on either side of time zero.
+func TestFlatUntilHoldsPrediction(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 2000; i++ {
+		m := randomModel(rng, i)
+		var shared []Record
+		for range rng.Intn(4) {
+			shared = append(shared, Record{T: simtime.Time(rng.Int63n(int64(3 * simtime.Day))), V: rng.NormFloat64() * 10})
+		}
+		slices.SortFunc(shared, func(a, b Record) int { return cmp.Compare(a.T, b.T) })
+		at := simtime.Time(rng.Int63n(int64(4*simtime.Day))) - simtime.Day
+		end := m.FlatUntil(at)
+		if end <= at {
+			t.Fatalf("%s: FlatUntil(%d) = %d, not after it", m.Name(), at, end)
+		}
+		want := math.Float64bits(m.Predict(at, shared))
+		probes, span := []simtime.Time{at}, 3*simtime.Day
+		if end != never {
+			probes, span = append(probes, end-1), min(span, end-at)
+		}
+		for range 16 {
+			probes = append(probes, at+simtime.Time(rng.Int63n(int64(span))))
+		}
+		for _, u := range probes {
+			if got := math.Float64bits(m.Predict(u, shared)); got != want {
+				t.Fatalf("%s: Predict(%d) = %v but Predict(%d) = %v, inside FlatUntil = %d",
+					m.Name(), u, math.Float64frombits(got), at, math.Float64frombits(want), end)
+			}
+		}
+	}
+}
+
+// TestFlatUntilCutsAtBins pins where the seasonal family's flat pieces
+// end: at the next bin edge without a trend, at the next instant with
+// one, never for ConstLast.
+func TestFlatUntilCutsAtBins(t *testing.T) {
+	s := &Seasonal{Period: simtime.Day, Bins: make([]float32, 48)}
+	for _, c := range []struct{ at, want simtime.Time }{
+		{0, 30 * simtime.Minute},
+		{29 * simtime.Minute, 30 * simtime.Minute},
+		{30 * simtime.Minute, simtime.Hour},
+		{simtime.Day - 1, simtime.Day},
+		{-simtime.Day + 31*simtime.Minute, -simtime.Day + simtime.Hour},
+		{-simtime.Minute, 0},
+	} {
+		if got := s.FlatUntil(c.at); got != c.want {
+			t.Errorf("FlatUntil(%v) = %v, want %v", c.at, got, c.want)
+		}
+	}
+	a := &SeasonalAnchored{Seasonal: *s, Alpha: 0.5}
+	if got := a.FlatUntil(45 * simtime.Minute); got != simtime.Hour {
+		t.Errorf("anchored FlatUntil = %v, want the bin edge", got)
+	}
+	s.Trend = 1e-12
+	if got := s.FlatUntil(simtime.Minute); got != simtime.Minute+1 {
+		t.Errorf("trended FlatUntil = %v, want the next instant", got)
+	}
+	if got := (ConstLast{}).FlatUntil(simtime.Minute); got != never {
+		t.Errorf("ConstLast FlatUntil = %v, want never", got)
 	}
 }

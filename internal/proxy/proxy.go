@@ -112,10 +112,14 @@ func (a Answer) Value() (float64, bool) {
 }
 
 // Fold receives a range answer's entries, in time order, in place of an
-// Answer carrying them: the aggregate push-down target. *query.Partial is
-// the one implementation (the proxy cannot import query).
+// Answer carrying them: the aggregate push-down target. A slot served
+// from the cache arrives through Observe; a run of slots that share one
+// prediction arrives through one ObserveRun, which must leave the fold
+// exactly as n Observe calls would. *query.Partial is the one
+// implementation (the proxy cannot import query).
 type Fold interface {
 	Observe(v, errBound float64)
+	ObserveRun(v, errBound float64, n int)
 }
 
 // moteState is everything the proxy tracks per managed mote.
@@ -217,12 +221,9 @@ type Proxy struct {
 	watches   []*watch
 	nextWatch WatchID
 
-	// Query scratch, reused across queries (a proxy is confined to its
-	// domain's worker): shared backs the model's shared-history window,
-	// slots holds the range being assembled until it is folded or copied
-	// out.
+	// shared backs the model's shared-history window, reused across
+	// queries (a proxy is confined to its domain's worker).
 	shared []model.Record
-	slots  []cache.Entry
 }
 
 // New attaches a proxy to the medium. Proxies are tethered: their radio is
@@ -374,11 +375,14 @@ func (p *Proxy) AbsorbReplica(mote radio.NodeID, kind radio.Kind, payload []byte
 	p.stats.ReplicaAbsorbed++
 }
 
-// Motes lists managed mote ids in ascending order.
+// Motes lists managed mote ids in ascending order: the motes this proxy
+// has a radio path to, not the replicas it mirrors for another proxy.
 func (p *Proxy) Motes() []radio.NodeID {
 	out := make([]radio.NodeID, 0, len(p.motes))
-	for id := range p.motes {
-		out = append(out, id)
+	for id, st := range p.motes {
+		if !st.replicaOnly {
+			out = append(out, id)
+		}
 	}
 	slices.Sort(out)
 	return out
@@ -689,8 +693,8 @@ func (p *Proxy) QueryRange(id radio.NodeID, t0, t1 simtime.Time, precision float
 	}
 	if maxStale > 0 && t1+simtime.Time(maxStale) >= now && !p.FreshWithin(id, now, maxStale) {
 		p.stats.StalenessPulls++
-	} else if predicted := p.assembleRange(st, t0, t1, precision); predicted == 0 || st.delta <= precision {
-		p.finishRange(st, FromCache, predicted, now, fold, cb)
+	} else if st.delta <= precision || p.cached(st, t0, t1, precision) {
+		p.answerRange(st, t0, t1, precision, FromCache, now, fold, cb)
 		return
 	}
 	p.pullRange(st, t0, t1, precision, now, fold, cb)
@@ -717,48 +721,89 @@ func (p *Proxy) pullRange(st *moteState, t0, t1 simtime.Time, precision float64,
 		if timedOut {
 			src = FromTimeout
 		}
-		p.finishRange(st, src, p.assembleRange(st, t0, t1, precision), issued, fold, cb)
+		p.answerRange(st, t0, t1, precision, src, issued, fold, cb)
 	})
 }
 
-// assembleRange builds one entry per sample interval over [t0, t1] into
-// p.slots — from the cache where an entry sits within half a step and
-// meets the precision, from the model at bound delta elsewhere — and
-// returns how many slots it had to predict. One forward cursor serves
-// the whole window: no per-slot search, no allocation.
-func (p *Proxy) assembleRange(st *moteState, t0, t1 simtime.Time, precision float64) (predicted int) {
+// walkRange walks [t0, t1]'s slot grid, one slot per sample interval
+// from t0, over a mote's cache. A slot with an entry within half a step
+// is answered on its own: by that entry, picked as Series.At picks it,
+// or by the model at bound delta where the entry is looser than the
+// precision. A stretch of slots with no entry within half a step is
+// answered as one run: its first slot's prediction, held to the next
+// entry's reach or the end of the model's flat piece (model.FlatUntil).
+// No entry lies inside such a stretch, so the shared history, and with
+// it the prediction, holds across the run. One forward cursor serves the
+// whole window: no per-slot search, no allocation beyond the answer.
+//
+// Given a fold, the walk folds each cached slot through Observe and each
+// run through one ObserveRun. Else, to materialise, it returns the
+// window's entries in one exact-size slice. Else it decides a pull:
+// it stops at the first predicted slot. It reports how many slots the
+// window has and how many were predicted.
+func (p *Proxy) walkRange(st *moteState, t0, t1 simtime.Time, precision float64, fold Fold, materialise bool) (entries []cache.Entry, slots, predicted int) {
 	step := st.sampleInterval
 	if step <= 0 {
 		step = simtime.Minute
 	}
-	p.slots = p.slots[:0]
-	c := st.series.Cursor(t0, p.cfg.SharedHistory, p.shared)
-	for t := t0; t <= t1; t += step {
-		e, ok := c.At(t, time.Duration(step)/2)
-		if !ok || e.ErrBound > precision {
-			e = cache.Entry{T: t, V: st.mdl.Predict(t, c.Shared(t)), Source: cache.Predicted, ErrBound: st.delta}
-			predicted++
-		}
-		p.slots = append(p.slots, e)
+	half := step / 2
+	slots = int((t1-t0)/step) + 1
+	if materialise {
+		entries = make([]cache.Entry, 0, slots)
 	}
-	return predicted
+	c := st.series.Cursor(t0, p.cfg.SharedHistory, p.shared)
+	for t, left := t0, slots; left > 0; {
+		e, hit := c.At(t, time.Duration(half))
+		n := 1
+		if !hit || e.ErrBound > precision {
+			if fold == nil && !materialise {
+				return nil, slots, 1
+			}
+			if !hit {
+				n = left
+				if nt, ok := c.Next(); ok && nt-half <= t1 {
+					n = min(n, int((nt-half-t-1)/step)+1)
+				}
+				if f := st.mdl.FlatUntil(t); f <= t1 {
+					n = min(n, int((f-t-1)/step)+1)
+				}
+			}
+			e = cache.Entry{T: t, V: st.mdl.Predict(t, c.Shared(t)), Source: cache.Predicted, ErrBound: st.delta}
+			predicted += n
+		}
+		switch {
+		case materialise:
+			entries = append(entries, e)
+			for range n - 1 {
+				e.T += step
+				entries = append(entries, e)
+			}
+		case fold == nil: // a pull decision emits nothing
+		case n == 1:
+			fold.Observe(e.V, e.ErrBound)
+		default:
+			fold.ObserveRun(e.V, e.ErrBound, n)
+		}
+		left -= n
+		t += simtime.Time(n) * step
+	}
+	return entries, slots, predicted
 }
 
-// finishRange answers a range query with the slots assembleRange just
-// built: folded in place when the caller gave a fold target, else copied
-// out of the scratch once, at exact size.
-func (p *Proxy) finishRange(st *moteState, src Source, predicted int, issued simtime.Time, fold Fold, cb func(Answer)) {
-	a := Answer{Mote: st.id, Source: src, IssuedAt: issued, DoneAt: p.sim.Now()}
-	if fold == nil {
-		a.Entries = append(make([]cache.Entry, 0, len(p.slots)), p.slots...)
-	} else {
-		for _, e := range p.slots {
-			fold.Observe(e.V, e.ErrBound)
-		}
-	}
+// cached reports whether the cache alone answers every slot of [t0, t1]
+// at precision, so that no pull is due.
+func (p *Proxy) cached(st *moteState, t0, t1 simtime.Time, precision float64) bool {
+	_, _, predicted := p.walkRange(st, t0, t1, precision, nil, false)
+	return predicted == 0
+}
+
+// answerRange answers a range query from one walk, folded when the
+// caller gave a fold target, else materialised.
+func (p *Proxy) answerRange(st *moteState, t0, t1 simtime.Time, precision float64, src Source, issued simtime.Time, fold Fold, cb func(Answer)) {
+	entries, slots, predicted := p.walkRange(st, t0, t1, precision, fold, fold == nil)
 	p.stats.RangeSlotsPredicted += uint64(predicted)
-	p.stats.RangeSlotsCached += uint64(len(p.slots) - predicted)
-	p.finish(cb, a)
+	p.stats.RangeSlotsCached += uint64(slots - predicted)
+	p.finish(cb, Answer{Mote: st.id, Entries: entries, Source: src, IssuedAt: issued, DoneAt: p.sim.Now()})
 }
 
 // insertPulled refines the cache with archive records.

@@ -345,6 +345,20 @@ func TestMotesAscending(t *testing.T) {
 	}
 }
 
+// TestMotesSkipsReplicas: a wired replica's mirrors are another proxy's
+// motes, so callers that publish per managed mote do not see them twice.
+func TestMotesSkipsReplicas(t *testing.T) {
+	r := newRig(t, nil, diurnalTrace(t, 1))
+	r.proxy.RegisterReplica(4, time.Minute, 1)
+	r.proxy.Register(2, time.Minute, 1)
+	if got := r.proxy.Motes(); !slices.Equal(got, []radio.NodeID{1, 2}) {
+		t.Fatalf("Motes() = %v, want the managed motes 1 and 2 only", got)
+	}
+	if _, ok := r.proxy.Series(4); !ok {
+		t.Fatal("the replica's series is gone")
+	}
+}
+
 func TestQueryRangeInverted(t *testing.T) {
 	r := newRig(t, nil, diurnalTrace(t, 1))
 	done := false
@@ -448,7 +462,13 @@ func (f *sumFold) Observe(v, errBound float64) {
 	f.sumErr += errBound
 }
 
-// TestQueryRangeFoldAllocs pins range assembly's cost and its two ways
+func (f *sumFold) ObserveRun(v, errBound float64, n int) {
+	for range n {
+		f.Observe(v, errBound)
+	}
+}
+
+// TestQueryRangeFoldAllocs pins the range walk's cost and its two ways
 // out: a 240-slot window over a sparse series (a push every ~20 slots, so
 // ~95% of the slots are extrapolated — the value-driven common case) is
 // allocation-free when folded and costs exactly the exact-size entries
@@ -464,7 +484,7 @@ func TestQueryRangeFoldAllocs(t *testing.T) {
 
 	var ans Answer
 	keep := func(a Answer) { ans = a }
-	r.proxy.QueryRange(1, t0, t1, 1.0, 0, nil, keep) // first call sizes the scratch
+	r.proxy.QueryRange(1, t0, t1, 1.0, 0, nil, keep)
 	if len(ans.Entries) != 240 || cap(ans.Entries) != 240 {
 		t.Fatalf("materialised %d entries in a slice of %d, want 240 at exact size", len(ans.Entries), cap(ans.Entries))
 	}

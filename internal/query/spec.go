@@ -295,6 +295,32 @@ func (p *Partial) Observe(v, errBound float64) {
 	}
 }
 
+// ObserveRun folds n entries of one value and bound, bit-identical to n
+// Observe calls: Sum and SumErr take n additions, not one product, while
+// the extrema and the histogram bin are touched once.
+func (p *Partial) ObserveRun(v, errBound float64, n int) {
+	if n <= 0 {
+		return
+	}
+	p.Count += n
+	for range n {
+		p.Sum += v
+		p.SumErr += errBound
+	}
+	if v < p.Min {
+		p.Min = v
+	}
+	if v > p.Max {
+		p.Max = v
+	}
+	if errBound > p.MaxErr {
+		p.MaxErr = errBound
+	}
+	if p.Hist != nil {
+		p.Hist[int64(math.Floor(v/p.BinWidth))] += n
+	}
+}
+
 // ObserveResult folds a completed per-mote query result into the partial.
 func (p *Partial) ObserveResult(r Result) {
 	for _, e := range r.Answer.Entries {

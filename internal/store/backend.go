@@ -96,7 +96,8 @@ func (s BackendStats) ReadAmpNoDir() float64 {
 // for concurrent use.
 type Backend interface {
 	// Append archives one confirmed observation. Out-of-order timestamps
-	// are legal (pull responses backfill history).
+	// are legal (pull responses backfill history); negative ones are
+	// refused with a *NegativeTimeError.
 	Append(m radio.NodeID, r Record) error
 	// QueryRanges is the range read: for every i it sets out[i] to mote
 	// ms[i]'s archived records with lo[i] <= T <= hi[i], in time order,
@@ -117,6 +118,17 @@ type Backend interface {
 	// Restore overwrites the backend with state captured by Snapshot on
 	// a backend of the same kind and geometry.
 	Restore(r io.Reader) error
+}
+
+// NegativeTimeError is Append's refusal of a record timestamped before
+// time zero, which no backend archives.
+type NegativeTimeError struct {
+	Mote radio.NodeID
+	T    simtime.Time
+}
+
+func (e *NegativeTimeError) Error() string {
+	return fmt.Sprintf("store: mote %d record at negative time %d", e.Mote, e.T)
 }
 
 // checkRanges validates the shape of a QueryRanges request.
@@ -153,8 +165,12 @@ func NewMemBackend() *MemBackend {
 }
 
 // Append inserts in time order; a record at an existing timestamp replaces
-// the stored one only if its error bound is tighter (refinement).
+// the stored one only if its error bound is tighter (refinement). A
+// negative timestamp is refused, as FlashBackend refuses it.
 func (b *MemBackend) Append(m radio.NodeID, r Record) error {
+	if r.T < 0 {
+		return &NegativeTimeError{Mote: m, T: r.T}
+	}
 	b.stats.Appends++
 	s := b.series[m]
 	i := sort.Search(len(s), func(i int) bool { return s[i].T >= r.T })

@@ -254,6 +254,44 @@ func TestFlashBackendCompaction(t *testing.T) {
 	})
 }
 
+// TestNegativeTimeRefused: a record before time zero is refused before
+// it is buffered (compaction cannot encode one, and would fail on it at
+// every later append), so a full device fed one keeps appending and
+// compacting as if it had never been offered.
+func TestNegativeTimeRefused(t *testing.T) {
+	geo := flash.Geometry{PageSize: 256, PagesPerBlock: 8, NumBlocks: 8}
+	capacity := (geo.PageSize / flashRecSize) * geo.PagesPerBlock * geo.NumBlocks
+	neg := Record{T: -simtime.Minute, V: 1}
+	agingModes(t, geo, func(t *testing.T, fb *FlashBackend) {
+		i := 0
+		appendN := func(n int) {
+			t.Helper()
+			for end := i + n; i < end; i++ {
+				if err := fb.Append(radio.NodeID(1+i%2), Record{T: simtime.Time(i) * simtime.Minute, V: float64(i % 50)}); err != nil {
+					t.Fatalf("append %d: %v", i, err)
+				}
+			}
+		}
+		appendN(capacity)
+		before, pending := fb.Stats(), len(fb.log.Pending)
+		var nt *NegativeTimeError
+		if err := fb.Append(1, neg); !errors.As(err, &nt) || nt.Mote != 1 || nt.T != neg.T {
+			t.Fatalf("negative record: err %v, want a NegativeTimeError for mote 1", err)
+		}
+		if fb.Stats() != before || len(fb.log.Pending) != pending {
+			t.Fatalf("the refused record was counted or buffered: %+v, %d pending (was %+v, %d)", fb.Stats(), len(fb.log.Pending), before, pending)
+		}
+		appendN(2 * capacity)
+		if st := fb.Stats(); st.Compactions <= before.Compactions || st.Dropped != 0 {
+			t.Fatalf("after the refusal: %d compactions (was %d), %d dropped", st.Compactions, before.Compactions, st.Dropped)
+		}
+	})
+	var nt *NegativeTimeError
+	if err := NewMemBackend().Append(1, neg); !errors.As(err, &nt) {
+		t.Fatalf("mem backend took a negative record: %v", err)
+	}
+}
+
 func TestFlashBackendCompactionUnevenInterleave(t *testing.T) {
 	// Regression: the compaction fit logic must account for per-mote
 	// slack. An uneven interleave (one mote front-loaded, then two

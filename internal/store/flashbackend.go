@@ -311,8 +311,13 @@ func (b *FlashBackend) Device() *flash.Device { return b.dev }
 // the device occupancy experiments equalize when comparing aging modes.
 func (b *FlashBackend) OccupiedBlocks() int { return b.dev.Geometry().NumBlocks - len(b.log.Free) }
 
-// Append logs one confirmed observation.
+// Append logs one confirmed observation. A negative timestamp is refused
+// before anything is buffered: compaction cannot encode it and would fail
+// on it at every later append.
 func (b *FlashBackend) Append(m radio.NodeID, r Record) error {
+	if r.T < 0 {
+		return &NegativeTimeError{Mote: m, T: r.T}
+	}
 	b.stats.Appends++
 	b.stats.Records++
 	// Ties on timestamp keep the tighter bound, mirroring the query-path
