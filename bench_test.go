@@ -213,10 +213,9 @@ func BenchmarkQueryThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkFlashStore measures the per-domain archival store backends
-// head to head: each iteration appends an interleaved multi-mote record
-// stream and then answers range queries over it. The mem backend is the
-// in-RAM baseline; flash pays simulated page programs and reads;
+// BenchmarkFlashStore measures the flash archive backend: each iteration
+// appends an interleaved multi-mote record stream and then answers range
+// queries over it. flash pays simulated page programs and reads;
 // flash-compact shrinks the device until segment compaction runs in the
 // loop. Reports appended records/s and archive queries/s.
 func BenchmarkFlashStore(b *testing.B) {
@@ -229,7 +228,6 @@ func BenchmarkFlashStore(b *testing.B) {
 		name string
 		make func() (store.Backend, error)
 	}{
-		{"mem", func() (store.Backend, error) { return store.NewMemBackend(), nil }},
 		{"flash", func() (store.Backend, error) { return store.NewFlashBackend(flash.Geometry{}) }},
 		{"flash-compact", func() (store.Backend, error) {
 			// ~1.6k records of capacity: every iteration compacts.

@@ -48,7 +48,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var o exp.Scale // the flags that override the scale's defaults
 	scale := fs.String("scale", "quick", "experiment scale: quick or paper")
 	fs.IntVar(&o.Shards, "shards", 1, "concurrent simulation domains for multi-proxy deployments")
-	fs.StringVar(&o.Backend, "store", "mem", "archival store backend per domain: mem or flash")
+	fs.StringVar(&o.Backend, "store", "mem", "per-domain archive: mem (the proxy caches) or flash (adds a flash archive backend)")
 	fs.StringVar(&o.Aging, "aging", "wavelet", "flash compaction aging policy: wavelet[:tiers] or uniform")
 	fs.IntVar(&o.Sites, "cluster", 0, "cluster-mode site count for E15 (0 = the experiment's default of 2)")
 	fs.Int64Var(&o.Seed, "seed", 1, "random seed")

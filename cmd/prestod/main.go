@@ -171,7 +171,7 @@ func parseArgs(args []string, stderr io.Writer) (scenario.Spec, options, error) 
 	fs.IntVar(&d.Shards, "shards", 1, "concurrent simulation domains (clamped to proxies)")
 	fs.IntVar(&d.Days, "days", 7, "days of virtual time to run")
 	fs.Float64Var(&d.Delta, "delta", 1.0, "model-driven push threshold")
-	fs.StringVar(&d.Store, "store", "mem", "archival store backend per domain: mem or flash")
+	fs.StringVar(&d.Store, "store", "mem", "per-domain archive: mem (the proxy caches) or flash (adds a flash archive backend)")
 	fs.StringVar(&d.Aging, "aging", "wavelet", "flash compaction aging policy: wavelet[:tiers] or uniform")
 	fs.BoolVar(&d.Wired, "wired", false, "make proxy 0 the wired replica of the others (cross-domain delivery is timing-dependent)")
 	fs.Float64Var(&spec.Environment.RadioLoss, "loss", 0.02, "radio loss probability")
@@ -439,17 +439,16 @@ func reportNetwork(out io.Writer, n *core.Network, sc *scenario.Scenario, verbos
 	ss, bs := n.StoreStats(), n.StoreBackendStats()
 	fmt.Fprintf(out, "store: %d proxy-routed, %d replica-offered (%d stale-rejected), %d archive-served (%d stale-declined)\n",
 		ss.Routed, ss.ReplicaRouted, ss.ReplicaStale, ss.ArchiveServed, ss.ArchiveStale)
-	fmt.Fprintf(out, "archive backend: %d records (%d appends, %d dropped), %d range reads, read-amp %.2f",
-		bs.Records, bs.Appends, bs.Dropped, bs.QueryRanges, bs.ReadAmp())
-	if sc.Config.StoreBackend == "flash" {
-		fmt.Fprintf(out, ", %d pages written, %d pages read, %d compactions (%s aging, %d wavelet chunks)",
+	if sc.Config.StoreBackend == "flash" { // a mem domain has no backend: the proxy caches are its archive
+		fmt.Fprintf(out, "archive backend: %d records (%d appends, %d dropped), %d range reads, read-amp %.2f, %d pages written, %d pages read, %d compactions (%s aging, %d wavelet chunks)",
+			bs.Records, bs.Appends, bs.Dropped, bs.QueryRanges, bs.ReadAmp(),
 			bs.PagesWritten, bs.PagesRead, bs.Compactions, sc.Config.StoreAging, bs.WaveletChunks)
 		if bs.RecordsSkipped > 0 {
 			fmt.Fprintf(out, ", chunk directory skipped %d records (read-amp %.2f without it)",
 				bs.RecordsSkipped, bs.ReadAmpNoDir())
 		}
+		fmt.Fprintln(out)
 	}
-	fmt.Fprintln(out)
 	if verbose {
 		fmt.Fprintln(out, "\nper-mote detail:")
 		for _, id := range n.MoteIDs() {

@@ -8,11 +8,14 @@
 // the cache being filled up".
 //
 // Every entry carries provenance (pushed / pulled / predicted) and an
-// error bound: pushed and pulled values are exact (bound 0 for raw pulls,
-// the compression quantum for lossy pulls); predicted values carry the
-// model-driven-push threshold delta as their bound. Queries use the bound
-// to decide whether a cached or extrapolated answer meets the requested
-// precision — the mechanism behind experiment E6.
+// error bound: confirmed (pushed and pulled) values carry the bound of the
+// codec that delivered them (0 for raw samples, the codec's bound for
+// lossy batches and pulls); predicted values carry the model-driven-push
+// threshold delta as their bound. Queries use the bound to decide whether
+// a cached or extrapolated answer meets the requested precision — the
+// mechanism behind experiment E6. A series keeps one copy per timestamp,
+// the tightest confirmed one, so the confirmed entries are the proxy's
+// archive of everything its mote confirmed.
 package cache
 
 import (
@@ -28,8 +31,8 @@ import (
 // Source says how an entry got into the cache.
 type Source int
 
-// Provenance values, ordered by authority: a higher source may replace a
-// lower one at the same timestamp, never the reverse.
+// Provenance values, ordered by authority: at equal error bounds a higher
+// source may replace a lower one at the same timestamp, never the reverse.
 const (
 	Predicted Source = iota // proxy model extrapolation
 	Pulled                  // fetched from the mote archive (possibly lossy)
@@ -59,7 +62,8 @@ type Entry struct {
 }
 
 // Series is the cache for one sensor: entries sorted by time, deduplicated
-// by timestamp with provenance priority. Not safe for concurrent use.
+// by timestamp (tightest bound, then provenance). Not safe for concurrent
+// use.
 type Series struct {
 	entries []Entry
 
@@ -77,17 +81,16 @@ func (s *Series) find(t simtime.Time) int {
 	return sort.Search(len(s.entries), func(i int) bool { return s.entries[i].T >= t })
 }
 
-// Insert adds an entry, keeping time order. If an entry already exists at
-// the same timestamp, the stronger source wins (refinement); equal sources
-// overwrite (fresher data).
+// Insert adds an entry, keeping time order. At a timestamp already held,
+// replaces decides which copy stays.
 func (s *Series) Insert(e Entry) {
 	if e.ErrBound < 0 {
 		e.ErrBound = 0
 	}
 	i := s.find(e.T)
 	if i < len(s.entries) && s.entries[i].T == e.T {
-		if e.Source >= s.entries[i].Source {
-			if e.Source > s.entries[i].Source {
+		if old := s.entries[i]; replaces(e, old) {
+			if e.Source > old.Source {
 				s.refinements++
 			}
 			s.entries[i] = e
@@ -98,6 +101,19 @@ func (s *Series) Insert(e Entry) {
 	copy(s.entries[i+1:], s.entries[i:])
 	s.entries[i] = e
 	s.inserts++
+}
+
+// replaces reports whether e displaces old at the same timestamp. A
+// prediction never displaces a confirmed entry, and any confirmed entry
+// displaces a prediction. Between two confirmed copies the tighter bound
+// wins, so a lossy pull cannot blur an exact sample; at equal bounds the
+// stronger source wins. Equal sources at equal bounds overwrite (fresher
+// data).
+func replaces(e, old Entry) bool {
+	if e.Source != Predicted && old.Source != Predicted && e.ErrBound != old.ErrBound {
+		return e.ErrBound < old.ErrBound
+	}
+	return e.Source >= old.Source
 }
 
 // InsertBatch adds many entries (e.g. a decoded pull response).
@@ -139,7 +155,8 @@ func nearest(entries []Entry, i int, t simtime.Time, maxGap time.Duration) (Entr
 // the entries and the history window only ever move forward, so a window
 // of N slots costs O(N + entries) and allocates nothing. The times passed
 // to one cursor must not decrease, and the series must not change while
-// the cursor is in use.
+// the cursor is in use. A copy walks on its own, but copies share the
+// history buffer, so only one of them may call Shared.
 type Cursor struct {
 	entries []Entry
 	next    int // first entry with T >= the last time passed to At
@@ -233,18 +250,6 @@ func (s *Series) ConfirmedRange(t0, t1 simtime.Time) []model.Record {
 		}
 	}
 	return out
-}
-
-// Prune drops entries older than before, returning how many were removed.
-// Proxies bound their memory this way; older data lives in mote archives.
-func (s *Series) Prune(before simtime.Time) int {
-	i := s.find(before)
-	if i == 0 {
-		return 0
-	}
-	n := copy(s.entries, s.entries[i:])
-	s.entries = s.entries[:n]
-	return i
 }
 
 // Stats reports cache health.

@@ -63,6 +63,38 @@ func TestRefinementPriority(t *testing.T) {
 	}
 }
 
+// TestTightestConfirmedCopyWins: between two confirmed copies of one
+// sample the tighter bound stays, whatever arrives later; at equal bounds
+// provenance decides, and a prediction never displaces either.
+func TestTightestConfirmedCopyWins(t *testing.T) {
+	s := NewSeries()
+	tt := simtime.Minute
+	check := func(what string, v float64, src Source, bound float64) {
+		t.Helper()
+		e, ok := s.At(tt, 0)
+		if !ok || e.V != v || e.Source != src || e.ErrBound != bound {
+			t.Fatalf("%s: entry %+v, want V=%v %v bound %v", what, e, v, src, bound)
+		}
+	}
+	s.Insert(Entry{T: tt, V: 1, Source: Pulled})
+	s.Insert(Entry{T: tt, V: 2, Source: Pulled, ErrBound: 0.25})
+	check("lossy pull after an exact one", 1, Pulled, 0)
+	s.Insert(Entry{T: tt, V: 3, Source: Pushed, ErrBound: 0.025})
+	check("lossy batch after an exact pull", 1, Pulled, 0)
+	s.Insert(Entry{T: tt, V: 4, Source: Pushed})
+	check("exact push after an exact pull", 4, Pushed, 0)
+	s.Insert(Entry{T: tt, V: 5, Source: Pulled})
+	check("exact pull after an exact push", 4, Pushed, 0)
+	s.Insert(Entry{T: tt, V: 6, Source: Predicted})
+	check("prediction at bound 0", 4, Pushed, 0)
+
+	s.Insert(Entry{T: 2 * tt, V: 1, Source: Pushed, ErrBound: 0.025})
+	s.Insert(Entry{T: 2 * tt, V: 2, Source: Pulled, ErrBound: 0.0125})
+	if e, _ := s.At(2*tt, 0); e.V != 2 || e.Source != Pulled {
+		t.Fatalf("a tighter pull did not refine a lossy batch value: %+v", e)
+	}
+}
+
 func TestAtNearest(t *testing.T) {
 	s := NewSeries()
 	s.Insert(Entry{T: 10 * simtime.Minute, V: 10, Source: Pushed})
@@ -174,24 +206,6 @@ func TestConfirmedRange(t *testing.T) {
 	got := s.ConfirmedRange(0, simtime.Hour)
 	if len(got) != 1 || got[0].V != 1 {
 		t.Fatalf("ConfirmedRange=%+v", got)
-	}
-}
-
-func TestPrune(t *testing.T) {
-	s := NewSeries()
-	for i := 0; i < 10; i++ {
-		s.Insert(Entry{T: simtime.Time(i) * simtime.Minute, V: float64(i), Source: Pushed})
-	}
-	n := s.Prune(5 * simtime.Minute)
-	if n != 5 || s.Len() != 5 {
-		t.Fatalf("pruned %d, len %d", n, s.Len())
-	}
-	e, ok := s.At(5*simtime.Minute, 0)
-	if !ok || e.V != 5 {
-		t.Fatal("prune removed the boundary entry")
-	}
-	if s.Prune(0) != 0 {
-		t.Fatal("no-op prune removed entries")
 	}
 }
 

@@ -600,7 +600,7 @@ func TestSpecSubmitValidation(t *testing.T) {
 // contract store.Execute documents — one level above
 // store.TestAggFoldConsultsArchiveOnce: a domain whose three motes are
 // answered three ways (mote 3's delta makes it push every sample, so the
-// archive covers it; mote 2's delta meets the precision, so its proxy
+// domain's flash archive covers it; mote 2's delta meets the precision, so its proxy
 // answers on the spot from cache and model; mote 1's does not, so its
 // proxy pays a rendezvous — which times out, the mote being dead, and is
 // answered from the model) must fold archive → synchronous → rendezvous,
@@ -610,7 +610,7 @@ func TestSpecSubmitValidation(t *testing.T) {
 // Every mote is routed and counted once.
 func TestAggRoundFoldOrder(t *testing.T) {
 	build := func() *Network {
-		n := buildSmall(t, func(c *Config) { c.Proxies, c.MotesPerProxy = 1, 3 })
+		n := buildSmall(t, func(c *Config) { c.Proxies, c.MotesPerProxy, c.StoreBackend = 1, 3, "flash" })
 		t.Cleanup(n.Close)
 		// Trained seasonal models, so the extrapolated slots of motes 1
 		// and 2 are full-mantissa floats (wire values are float32: sums of

@@ -89,9 +89,10 @@ type Config struct {
 	// vehicle count needs a wider push threshold than a temperature).
 	MoteDeltas []float64
 
-	// StoreBackend selects each domain's archival store backend: "mem"
-	// (default, in-memory) or "flash" (log-structured archive on simulated
-	// NAND — the paper's flash-archival proxy design).
+	// StoreBackend selects each domain's archival store: "mem" (default:
+	// the proxy caches are the in-memory archive, with no backend behind
+	// them) or "flash" (adds a log-structured archive on simulated NAND —
+	// the paper's flash-archival proxy design).
 	StoreBackend string
 	// StoreFlash is the device geometry for the "flash" store backend
 	// (zero value = store.DefaultStoreGeometry()).

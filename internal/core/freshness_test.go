@@ -20,6 +20,7 @@ import (
 	"presto/internal/query"
 	"presto/internal/radio"
 	"presto/internal/simtime"
+	"presto/internal/store"
 )
 
 // freshnessNet builds a 2-proxy, 2-domain deployment with wired
@@ -195,6 +196,7 @@ func TestFreshnessBoundPastTail(t *testing.T) {
 	cfg.Radio.JitterMax = 0
 	cfg.Delta = 25 // model never misses by 25 °C: no pushes after bootstrap
 	cfg.Traces = traces
+	cfg.StoreBackend = "flash"
 	n, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -365,10 +367,12 @@ func TestWaveletAgedArchiveConcurrentQueries(t *testing.T) {
 }
 
 func TestArchiveServesCoveredRange(t *testing.T) {
-	// After a streamed bootstrap the domain archive covers the training
-	// window: a PAST range query inside it must be served whole from the
-	// backend (FromArchive) without touching the proxy query path — on
-	// both backends.
+	// After a streamed bootstrap the domain's archive covers the training
+	// window. On flash a PAST range query inside it is served whole from
+	// the backend (FromArchive) without touching the proxy query path; on
+	// mem the proxy cache is the archive, so the same query is a cache
+	// answer with the same entries.
+	answers := map[string]proxy.Answer{}
 	for _, backend := range []string{"mem", "flash"} {
 		t.Run(backend, func(t *testing.T) {
 			c := gen.DefaultTempConfig()
@@ -401,22 +405,28 @@ func TestArchiveServesCoveredRange(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if len(res.Answer.Entries) == 0 {
+				t.Fatal("answer has no entries")
+			}
+			answers[backend] = res.Answer
+			ss, bs := n.StoreStats(), n.StoreBackendStats()
+			if backend == "mem" {
+				if res.Answer.Source != proxy.FromCache {
+					t.Fatalf("answer from %v, want cache", res.Answer.Source)
+				}
+				if ss.ArchiveServed != 0 || bs != (store.BackendStats{}) {
+					t.Fatalf("a mem domain has a backend: %+v, %+v", ss, bs)
+				}
+				return
+			}
 			if res.Answer.Source != proxy.FromArchive {
 				t.Fatalf("answer from %v, want archive", res.Answer.Source)
 			}
-			if len(res.Answer.Entries) == 0 {
-				t.Fatal("archive answer has no entries")
-			}
-			ss := n.StoreStats()
 			if ss.ArchiveServed != 1 {
 				t.Fatalf("archive served %d, want 1", ss.ArchiveServed)
 			}
-			bs := n.StoreBackendStats()
-			if bs.Appends == 0 || bs.QueryRanges == 0 {
+			if bs.Appends == 0 || bs.QueryRanges == 0 || bs.PagesWritten == 0 {
 				t.Fatalf("backend stats not threaded: %+v", bs)
-			}
-			if backend == "flash" && bs.PagesWritten == 0 {
-				t.Fatalf("flash backend never wrote a page: %+v", bs)
 			}
 			// Ground truth check: archive answers are confirmed data.
 			for _, e := range res.Answer.Entries {
@@ -433,5 +443,16 @@ func TestArchiveServesCoveredRange(t *testing.T) {
 				}
 			}
 		})
+	}
+	// One archive, two homes: the cache answers with the records the
+	// flash archive holds, value for value and bound for bound.
+	mem, fl := answers["mem"].Entries, answers["flash"].Entries
+	if len(mem) != len(fl) {
+		t.Fatalf("cache answer has %d entries, archive answer %d", len(mem), len(fl))
+	}
+	for i := range mem {
+		if mem[i].T != fl[i].T || mem[i].V != fl[i].V || mem[i].ErrBound != fl[i].ErrBound {
+			t.Fatalf("entry %d: cache %+v, archive %+v", i, mem[i], fl[i])
+		}
 	}
 }

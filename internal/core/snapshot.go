@@ -28,7 +28,8 @@ import (
 )
 
 // domainSnapVersion is bumped whenever any layer's block format changes.
-const domainSnapVersion = 1
+// Version 2 drops the backend block from domains without a backend.
+const domainSnapVersion = 2
 
 var domainSnapMagic = []byte("PDSN")
 

@@ -2,10 +2,15 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"strings"
 	"testing"
 	"time"
 
 	"presto/internal/query"
+	"presto/internal/snap"
 )
 
 // runSmall bootstraps a deployment and advances it far enough that every
@@ -139,6 +144,36 @@ func TestDomainSnapshotRejectsCorruption(t *testing.T) {
 	// The pristine blob must still restore onto this same network.
 	if err := fresh.RestoreDomain(0, bytes.NewReader(b)); err != nil {
 		t.Fatalf("pristine blob rejected after corrupt attempts: %v", err)
+	}
+}
+
+// TestDomainSnapshotRefusesVersion1: a version-1 blob (whose mem
+// domains carried a backend block) is refused by its version byte, not
+// misread into a checksum or decode error further in.
+func TestDomainSnapshotRefusesVersion1(t *testing.T) {
+	n := buildSmall(t, nil)
+	defer n.Close()
+	runSmall(t, n)
+	var blob bytes.Buffer
+	if err := n.SnapshotDomain(0, &blob); err != nil {
+		t.Fatal(err)
+	}
+	// Re-seal the blob as version 1 under a valid checksum, so only the
+	// version byte is wrong.
+	old := blob.Bytes()
+	old[4] = 1
+	body := old[:len(old)-4]
+	cw := snap.NewWriter(io.Discard)
+	if _, err := cw.Write(body); err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(old[len(body):], cw.Sum32())
+
+	fresh := buildSmall(t, nil)
+	defer fresh.Close()
+	err := fresh.RestoreDomain(0, bytes.NewReader(old))
+	if err == nil || errors.Is(err, snap.ErrCorrupt) || !strings.Contains(err.Error(), "snapshot version 1, this build reads 2") {
+		t.Fatalf("version-1 blob: err %v, want the snapshot-version refusal", err)
 	}
 }
 

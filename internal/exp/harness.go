@@ -27,9 +27,9 @@ type Scale struct {
 	// simulation domains (cmd/presto-bench -shards); single-proxy
 	// experiments always run one domain.
 	Shards int
-	// Backend selects the per-domain archival store backend
-	// (cmd/presto-bench -store): "" or "mem" for in-memory, "flash" for
-	// the log-structured flash archive.
+	// Backend selects the per-domain archival store (cmd/presto-bench
+	// -store): "" or "mem" for the proxy caches alone, "flash" for the
+	// log-structured flash archive behind them.
 	Backend string
 	// Aging selects the flash backend's compaction aging policy
 	// (cmd/presto-bench -aging), in store.ParseAgingPolicy form: "" or

@@ -10,13 +10,14 @@ import (
 	"presto/internal/simtime"
 )
 
-// E12StoreBackends compares the per-domain archival store backends (the
-// paper's claim that proxies keep a full archival store and answer queries
-// from models plus a local archive): the same deployment and query mix
-// runs once per backend, reporting how many range queries the archive
-// served without touching the proxy query path, the archive-vs-model hit
-// split of the answers, and the flash backend's log-structured costs —
-// pages programmed/read, read amplification, compaction passes.
+// E12StoreBackends compares the per-domain archival stores (the paper's
+// claim that proxies keep a full archival store and answer queries from
+// models plus a local archive): the same deployment and query mix runs
+// once per store, reporting the answers' sources and the flash backend's
+// log-structured costs — pages programmed/read, read amplification,
+// compaction passes. On mem the proxy caches are the archive, so what the
+// flash archive serves without touching the proxy query path, mem serves
+// as cache answers.
 func E12StoreBackends(sc Scale) (*Table, error) {
 	t := &Table{
 		Title: "E12: Store backends — archive vs model hit ratio and flash costs",

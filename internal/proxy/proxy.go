@@ -43,8 +43,6 @@ type Config struct {
 	// PullTimeout bounds how long a query waits for a mote's archive
 	// before answering best-effort from the cache/model.
 	PullTimeout time.Duration
-	// CacheRetention prunes cache entries older than this (0 = keep all).
-	CacheRetention time.Duration
 	// SpatialExtrapolation enables answering a mote's queries from its
 	// co-located siblings' data when its own data is missing (§2).
 	SpatialExtrapolation bool
@@ -180,9 +178,10 @@ type queuedPull struct {
 type ReplicaTap func(mote radio.NodeID, kind radio.Kind, payload []byte)
 
 // ArchiveSink receives every confirmed observation a proxy accepts —
-// pushes, batches, event records, archive pull responses — so the domain's
-// archival store backend (internal/store) keeps a full copy. errBound is 0
-// for exact values and the compression quantum for lossy pulls.
+// pushes, batches, event records, archive pull responses — so a domain
+// with an archival store backend (internal/store's flash tier) keeps a
+// copy. errBound is 0 for exact values and the codec's bound for lossy
+// batches and pulls.
 type ArchiveSink func(mote radio.NodeID, t simtime.Time, v, errBound float64)
 
 // Stats counts proxy activity.
@@ -338,7 +337,7 @@ func (p *Proxy) AbsorbReplica(mote radio.NodeID, kind radio.Kind, payload []byte
 		st.lastHeard = p.sim.Now()
 		for i, v := range b.Values {
 			tt := b.Start + simtime.Time(i)*b.Interval
-			st.series.Insert(cache.Entry{T: tt, V: v, Source: cache.Pushed})
+			st.series.Insert(cache.Entry{T: tt, V: v, Source: cache.Pushed, ErrBound: b.ErrBound})
 		}
 	case wire.KindEvents:
 		resp, err := wire.DecodePullResp(payload)
@@ -469,14 +468,13 @@ func (p *Proxy) handle(pkt radio.Packet) {
 		p.stats.BatchesReceived++
 		st.lastHeard = p.sim.Now()
 		for i, v := range b.Values {
-			tt := b.Start + simtime.Time(i)*b.Interval
-			st.series.Insert(cache.Entry{T: tt, V: v, Source: cache.Pushed})
-			// Archive with the codec's real bound: delta-coded batches are
-			// lossy (quantum/2), and archive-served answers must honor the
-			// guaranteed-bound contract the coverage check rests on.
-			p.archive(pkt.Src, tt, v, b.ErrBound)
-			p.observeSpatial(pkt.Src, tt, v)
-			p.fireWatches(pkt.Src, cache.Entry{T: tt, V: v, Source: cache.Pushed})
+			// The codec's real bound: delta-coded batches are lossy
+			// (quantum/2), and cache and archive answers must honor it.
+			e := cache.Entry{T: b.Start + simtime.Time(i)*b.Interval, V: v, Source: cache.Pushed, ErrBound: b.ErrBound}
+			st.series.Insert(e)
+			p.archive(pkt.Src, e.T, v, b.ErrBound)
+			p.observeSpatial(pkt.Src, e.T, v)
+			p.fireWatches(pkt.Src, e)
 		}
 		p.forwardReplica(pkt.Src, pkt.Kind, pkt.Payload)
 	case wire.KindEvents:
@@ -503,7 +501,6 @@ func (p *Proxy) handle(pkt radio.Packet) {
 			p.forwardReplica(pkt.Src, pkt.Kind, pkt.Payload)
 		}
 	}
-	p.maybePrune()
 }
 
 // noteConfirmed appends to the shared confirmed-history ring (mirror of
@@ -512,20 +509,6 @@ func (p *Proxy) noteConfirmed(st *moteState, r model.Record) {
 	st.shared = append(st.shared, r)
 	if len(st.shared) > p.cfg.SharedHistory {
 		st.shared = st.shared[len(st.shared)-p.cfg.SharedHistory:]
-	}
-}
-
-// maybePrune enforces cache retention.
-func (p *Proxy) maybePrune() {
-	if p.cfg.CacheRetention <= 0 {
-		return
-	}
-	cutoff := p.sim.Now() - simtime.Time(p.cfg.CacheRetention)
-	if cutoff <= 0 {
-		return
-	}
-	for _, st := range p.motes {
-		st.series.Prune(cutoff)
 	}
 }
 
@@ -576,7 +559,7 @@ func (p *Proxy) pullPoint(st *moteState, t simtime.Time, issued simtime.Time, cb
 // predict extrapolates one instant from the mote's model and the confirmed
 // history up to it; the push contract bounds the error by delta.
 func (p *Proxy) predict(st *moteState, t simtime.Time) cache.Entry {
-	c := st.series.Cursor(t, p.cfg.SharedHistory, p.shared)
+	c := p.cursor(st, t)
 	return cache.Entry{T: t, V: st.mdl.Predict(t, c.Shared(t)), Source: cache.Predicted, ErrBound: st.delta}
 }
 
@@ -693,8 +676,8 @@ func (p *Proxy) QueryRange(id radio.NodeID, t0, t1 simtime.Time, precision float
 	}
 	if maxStale > 0 && t1+simtime.Time(maxStale) >= now && !p.FreshWithin(id, now, maxStale) {
 		p.stats.StalenessPulls++
-	} else if st.delta <= precision || p.cached(st, t0, t1, precision) {
-		p.answerRange(st, t0, t1, precision, FromCache, now, fold, cb)
+	} else if c := p.cursor(st, t0); st.delta <= precision || p.cached(st, c, t0, t1, precision) {
+		p.answerRange(st, c, t0, t1, precision, FromCache, now, fold, cb)
 		return
 	}
 	p.pullRange(st, t0, t1, precision, now, fold, cb)
@@ -721,7 +704,8 @@ func (p *Proxy) pullRange(st *moteState, t0, t1 simtime.Time, precision float64,
 		if timedOut {
 			src = FromTimeout
 		}
-		p.answerRange(st, t0, t1, precision, src, issued, fold, cb)
+		// The pull changed the cache: a cursor from before it is stale.
+		p.answerRange(st, p.cursor(st, t0), t0, t1, precision, src, issued, fold, cb)
 	})
 }
 
@@ -735,13 +719,14 @@ func (p *Proxy) pullRange(st *moteState, t0, t1 simtime.Time, precision float64,
 // No entry lies inside such a stretch, so the shared history, and with
 // it the prediction, holds across the run. One forward cursor serves the
 // whole window: no per-slot search, no allocation beyond the answer.
+// The walk advances its own copy of c, which must start at t0.
 //
 // Given a fold, the walk folds each cached slot through Observe and each
 // run through one ObserveRun. Else, to materialise, it returns the
 // window's entries in one exact-size slice. Else it decides a pull:
 // it stops at the first predicted slot. It reports how many slots the
 // window has and how many were predicted.
-func (p *Proxy) walkRange(st *moteState, t0, t1 simtime.Time, precision float64, fold Fold, materialise bool) (entries []cache.Entry, slots, predicted int) {
+func (p *Proxy) walkRange(st *moteState, c cache.Cursor, t0, t1 simtime.Time, precision float64, fold Fold, materialise bool) (entries []cache.Entry, slots, predicted int) {
 	step := st.sampleInterval
 	if step <= 0 {
 		step = simtime.Minute
@@ -751,7 +736,6 @@ func (p *Proxy) walkRange(st *moteState, t0, t1 simtime.Time, precision float64,
 	if materialise {
 		entries = make([]cache.Entry, 0, slots)
 	}
-	c := st.series.Cursor(t0, p.cfg.SharedHistory, p.shared)
 	for t, left := t0, slots; left > 0; {
 		e, hit := c.At(t, time.Duration(half))
 		n := 1
@@ -790,17 +774,25 @@ func (p *Proxy) walkRange(st *moteState, t0, t1 simtime.Time, precision float64,
 	return entries, slots, predicted
 }
 
+// cursor starts a walk of a mote's cache at t0, its shared-history
+// window in the proxy's reusable buffer.
+func (p *Proxy) cursor(st *moteState, t0 simtime.Time) cache.Cursor {
+	return st.series.Cursor(t0, p.cfg.SharedHistory, p.shared)
+}
+
 // cached reports whether the cache alone answers every slot of [t0, t1]
-// at precision, so that no pull is due.
-func (p *Proxy) cached(st *moteState, t0, t1 simtime.Time, precision float64) bool {
-	_, _, predicted := p.walkRange(st, t0, t1, precision, nil, false)
+// at precision, so that no pull is due. The decision walk stops before
+// its first prediction, so it never reads c's shared history and leaves
+// c, which it walks a copy of, ready for the answer.
+func (p *Proxy) cached(st *moteState, c cache.Cursor, t0, t1 simtime.Time, precision float64) bool {
+	_, _, predicted := p.walkRange(st, c, t0, t1, precision, nil, false)
 	return predicted == 0
 }
 
 // answerRange answers a range query from one walk, folded when the
 // caller gave a fold target, else materialised.
-func (p *Proxy) answerRange(st *moteState, t0, t1 simtime.Time, precision float64, src Source, issued simtime.Time, fold Fold, cb func(Answer)) {
-	entries, slots, predicted := p.walkRange(st, t0, t1, precision, fold, fold == nil)
+func (p *Proxy) answerRange(st *moteState, c cache.Cursor, t0, t1 simtime.Time, precision float64, src Source, issued simtime.Time, fold Fold, cb func(Answer)) {
+	entries, slots, predicted := p.walkRange(st, c, t0, t1, precision, fold, fold == nil)
 	p.stats.RangeSlotsPredicted += uint64(predicted)
 	p.stats.RangeSlotsCached += uint64(slots - predicted)
 	p.finish(cb, Answer{Mote: st.id, Entries: entries, Source: src, IssuedAt: issued, DoneAt: p.sim.Now()})

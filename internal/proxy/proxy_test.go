@@ -381,23 +381,6 @@ func TestShipModelUnknownMote(t *testing.T) {
 	}
 }
 
-func TestCacheRetention(t *testing.T) {
-	tr := diurnalTrace(t, 3)
-	r := newRig(t, func(c *mote.Config) { c.PushAll = true }, tr)
-	r.proxy.cfg.CacheRetention = 6 * time.Hour
-	r.mote.Start()
-	r.sim.RunFor(24 * time.Hour)
-	s, _ := r.proxy.Series(1)
-	entries := s.Range(0, 24*simtime.Hour)
-	if len(entries) == 0 {
-		t.Fatal("cache empty")
-	}
-	oldest := entries[0].T
-	if oldest < 17*simtime.Hour {
-		t.Fatalf("retention not enforced: oldest entry at %v", oldest)
-	}
-}
-
 func TestAnswersBySourceAccounting(t *testing.T) {
 	r := newRig(t, func(c *mote.Config) { c.Delta = 1.0 }, diurnalTrace(t, 1))
 	r.mote.Start()
@@ -447,6 +430,38 @@ func TestBatchedMoteFillsCache(t *testing.T) {
 	e, ok := s.At(90*simtime.Minute, time.Minute)
 	if !ok || e.Source != cache.Pushed {
 		t.Fatalf("entry %+v ok=%v", e, ok)
+	}
+}
+
+// TestBatchBoundReachesCache: delta-coded batch values are lossy by
+// quantum/2, so a range query tighter than that must not be answered
+// from them at bound 0 — it pays the rendezvous for exact records.
+func TestBatchBoundReachesCache(t *testing.T) {
+	r := newRig(t, func(c *mote.Config) {
+		c.PushAll = true
+		c.BatchInterval = 30 * time.Minute
+		c.Quantum = 0.05
+	}, diurnalTrace(t, 1))
+	r.mote.Start()
+	r.sim.RunFor(3*time.Hour + time.Minute)
+	s, _ := r.proxy.Series(1)
+	if e, ok := s.At(90*simtime.Minute, 0); !ok || float32(e.ErrBound) != 0.025 {
+		t.Fatalf("batch entry %+v ok=%v, want the delta codec's bound 0.025", e, ok)
+	}
+	var ans Answer
+	done := false
+	r.proxy.QueryRange(1, 60*simtime.Minute, 90*simtime.Minute, 0.01, 0, nil, func(a Answer) { ans = a; done = true })
+	if done {
+		t.Fatalf("answered synchronously from %v below the batch bound", ans.Source)
+	}
+	r.sim.RunFor(time.Minute)
+	if !done || ans.Source != FromPull {
+		t.Fatalf("done=%v source=%v, want a pull", done, ans.Source)
+	}
+	for _, e := range ans.Entries {
+		if e.ErrBound > 0.01 {
+			t.Fatalf("entry %+v looser than the precision", e)
+		}
 	}
 }
 

@@ -54,7 +54,10 @@ type Deployment struct {
 	// Zero means 1.0.
 	Delta float64 `json:"delta,omitempty"`
 
-	Store string `json:"store,omitempty"` // "", "mem" or "flash"
+	// Store is the per-domain archive: "" or "mem" (the proxy caches) or
+	// "flash" (a flash archive backend behind them); see
+	// core.Config.StoreBackend.
+	Store string `json:"store,omitempty"`
 	Aging string `json:"aging,omitempty"` // flash aging policy
 	Wired bool   `json:"wired,omitempty"` // proxy 0 is the wired replica
 

@@ -1,29 +1,29 @@
 package store
 
-// Per-domain archival backends. The paper's proxies "keep a full archival
-// store of mote data": every confirmed observation a proxy sees — pushes,
-// batches, event records, archive pull responses — is appended to the
-// domain's backend, and PAST/AGG queries whose span the archive covers
-// within precision are answered straight from it, without touching the
-// proxy cache or paying a mote rendezvous.
+// The per-domain archival backend. The paper's proxies "keep a full
+// archival store of mote data". In a "mem" deployment that store is the
+// proxies' caches: every confirmed observation a proxy sees — pushes,
+// batches, event records, archive pull responses — is kept there once,
+// at its tightest bound, and the proxy answers range queries from it. A
+// "flash" deployment adds a bounded, aged tier behind the caches: every
+// confirmed observation is also appended to the domain's FlashBackend
+// (flashbackend.go — a log-structured store on simulated NAND, the
+// paper's flash-archival proxy design), and PAST/AGG queries whose span
+// it covers within precision are answered straight from it, without
+// touching the proxy cache or paying a mote rendezvous.
 //
-// Backend is the seam PR 1 left behind the shard worker: each simulation
-// domain owns one backend instance, accessed only from that domain's
-// worker goroutine, so implementations need no internal locking. Two
-// implementations ship: MemBackend (sorted in-memory runs, the seed
-// behaviour) and FlashBackend (flashbackend.go — a log-structured store on
-// simulated NAND, the paper's flash-archival proxy design).
+// Backend is the seam behind the shard worker: each simulation domain
+// owns at most one backend instance, accessed only from that domain's
+// worker goroutine, so implementations need no internal locking.
 //
 // A range read is a set operation: the store asks for all of a round's
-// archive-gated motes in one QueryRanges call, and each backend fills the
-// caller's reusable per-mote buffers. The mem backend copies each mote's
-// run; the flash backend decodes every page it touches once for the whole
-// round, however many motes' records share it.
+// archive-gated motes in one QueryRanges call, and the flash backend
+// decodes every page it touches once for the whole round, however many
+// motes' records share it.
 
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"presto/internal/radio"
 	"presto/internal/simtime"
@@ -38,19 +38,18 @@ type Record struct {
 	ErrBound float64
 }
 
-// BackendStats counts backend activity. Flash-specific fields stay zero on
-// the in-memory backend.
+// BackendStats counts backend activity; all zero in a domain without a
+// backend.
 type BackendStats struct {
 	Appends uint64 // records appended
-	// Records is the stored-record count. The mem backend dedupes on
-	// append, so it counts unique timestamps; the log-structured flash
+	// Records is the stored-record count. The log-structured flash
 	// backend cannot afford a read per append, so duplicate-timestamp
 	// backfills count until a compaction's dedupe retires them.
 	Records     uint64
 	QueryRanges uint64 // per-mote range reads served (one per requested mote)
 	LatestReads uint64 // Latest calls served
 
-	// Log-structured device accounting (FlashBackend only).
+	// Log-structured device accounting.
 	PagesWritten   uint64 // flash pages programmed
 	PagesRead      uint64 // flash pages read back
 	RecordsScanned uint64 // records decoded while answering queries
@@ -144,90 +143,9 @@ func checkRanges(ms []radio.NodeID, lo, hi []simtime.Time, out [][]Record) error
 	return nil
 }
 
-// queryOne is QueryRange on top of a backend's QueryRanges.
-func queryOne(b Backend, m radio.NodeID, t0, t1 simtime.Time) ([]Record, error) {
-	out := [][]Record{nil}
-	if err := b.QueryRanges([]radio.NodeID{m}, []simtime.Time{t0}, []simtime.Time{t1}, out); err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
-
-// MemBackend archives records in per-mote time-sorted slices.
-type MemBackend struct {
-	series map[radio.NodeID][]Record
-	stats  BackendStats
-}
-
-// NewMemBackend returns an empty in-memory backend.
-func NewMemBackend() *MemBackend {
-	return &MemBackend{series: make(map[radio.NodeID][]Record)}
-}
-
-// Append inserts in time order; a record at an existing timestamp replaces
-// the stored one only if its error bound is tighter (refinement). A
-// negative timestamp is refused, as FlashBackend refuses it.
-func (b *MemBackend) Append(m radio.NodeID, r Record) error {
-	if r.T < 0 {
-		return &NegativeTimeError{Mote: m, T: r.T}
-	}
-	b.stats.Appends++
-	s := b.series[m]
-	i := sort.Search(len(s), func(i int) bool { return s[i].T >= r.T })
-	if i < len(s) && s[i].T == r.T {
-		if r.ErrBound <= s[i].ErrBound {
-			s[i] = r
-		}
-		return nil
-	}
-	s = append(s, Record{})
-	copy(s[i+1:], s[i:])
-	s[i] = r
-	b.series[m] = s
-	b.stats.Records++
-	return nil
-}
-
-// QueryRange returns the archived records in [t0, t1] in a fresh slice.
-func (b *MemBackend) QueryRange(m radio.NodeID, t0, t1 simtime.Time) ([]Record, error) {
-	return queryOne(b, m, t0, t1)
-}
-
-// QueryRanges copies each requested window of a mote's sorted run into
-// out[i]; allocation-free once out's buffers have grown.
-func (b *MemBackend) QueryRanges(ms []radio.NodeID, lo, hi []simtime.Time, out [][]Record) error {
-	if err := checkRanges(ms, lo, hi, out); err != nil {
-		return err
-	}
-	for i, m := range ms {
-		s := b.series[m]
-		a := sort.Search(len(s), func(j int) bool { return s[j].T >= lo[i] })
-		z := sort.Search(len(s), func(j int) bool { return s[j].T > hi[i] })
-		out[i] = append(out[i][:0], s[a:z]...)
-		b.stats.QueryRanges++
-		b.stats.RecordsScanned += uint64(z - a)
-		b.stats.RecordsMatched += uint64(z - a)
-	}
-	return nil
-}
-
-// Latest returns the newest record for a mote.
-func (b *MemBackend) Latest(m radio.NodeID) (Record, bool) {
-	b.stats.LatestReads++
-	s := b.series[m]
-	if len(s) == 0 {
-		return Record{}, false
-	}
-	return s[len(s)-1], true
-}
-
-// Stats returns cumulative counters.
-func (b *MemBackend) Stats() BackendStats { return b.stats }
-
 // dedupeSorted collapses records sharing a timestamp in a time-sorted
-// slice, keeping the tightest error bound. Used by backends whose storage
-// layout can hold both a pushed value and a lossy pulled copy of the same
-// sample.
+// slice, keeping the tightest error bound: the flash log can hold both a
+// pushed value and a lossy pulled copy of the same sample.
 func dedupeSorted(recs []Record) []Record {
 	if len(recs) < 2 {
 		return recs

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"reflect"
 	"testing"
@@ -15,24 +14,27 @@ import (
 	"presto/internal/query"
 	"presto/internal/radio"
 	"presto/internal/simtime"
-	"presto/internal/snap"
 )
 
-// both runs a subtest against a mem and a flash backend.
-func both(t *testing.T, fn func(t *testing.T, b Backend)) {
+// onFlash runs a Backend contract test as a subtest on a default-geometry
+// flash backend.
+func onFlash(t *testing.T, fn func(t *testing.T, b Backend)) {
 	t.Helper()
-	t.Run("mem", func(t *testing.T) { fn(t, NewMemBackend()) })
-	t.Run("flash", func(t *testing.T) {
-		fb, err := NewFlashBackend(flash.Geometry{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fn(t, fb)
-	})
+	t.Run("flash", func(t *testing.T) { fn(t, newFlash(t)) })
+}
+
+// newFlash returns an empty default-geometry flash backend.
+func newFlash(t *testing.T) *FlashBackend {
+	t.Helper()
+	fb, err := NewFlashBackend(flash.Geometry{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fb
 }
 
 func TestBackendRoundTrip(t *testing.T) {
-	both(t, func(t *testing.T, b Backend) {
+	onFlash(t, func(t *testing.T, b Backend) {
 		const motes = 3
 		for i := 0; i < 300; i++ {
 			m := radio.NodeID(1 + i%motes)
@@ -70,7 +72,7 @@ func TestBackendRoundTrip(t *testing.T) {
 }
 
 func TestBackendOutOfOrderAndDedupe(t *testing.T) {
-	both(t, func(t *testing.T, b Backend) {
+	onFlash(t, func(t *testing.T, b Backend) {
 		// Pushes land first, then a lossy pull backfills — including a
 		// duplicate timestamp with a looser bound, which must not replace
 		// the exact value.
@@ -112,6 +114,7 @@ func TestArchiveAnswerNoDuplicateEntries(t *testing.T) {
 	// contain that record once, not once per slot.
 	ix := index.New(1)
 	st := New(ix, 0)
+	st.SetBackend(newFlash(t))
 	st.AdoptMote(1, 0, time.Minute)
 	base := 10 * simtime.Minute
 	must := func(err error) {
@@ -119,8 +122,8 @@ func TestArchiveAnswerNoDuplicateEntries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	must(st.Backend().Append(1, Record{T: base - simtime.Minute, V: 1}))
-	must(st.Backend().Append(1, Record{T: base + simtime.Minute/2, V: 2}))
+	must(st.backend.Append(1, Record{T: base - simtime.Minute, V: 1}))
+	must(st.backend.Append(1, Record{T: base + simtime.Minute/2, V: 2}))
 	var got *query.Result
 	if failed := st.Execute(query.Spec{
 		Type: query.Past, T0: base, T1: base + simtime.Minute, Precision: 0.1,
@@ -286,10 +289,6 @@ func TestNegativeTimeRefused(t *testing.T) {
 			t.Fatalf("after the refusal: %d compactions (was %d), %d dropped", st.Compactions, before.Compactions, st.Dropped)
 		}
 	})
-	var nt *NegativeTimeError
-	if err := NewMemBackend().Append(1, neg); !errors.As(err, &nt) {
-		t.Fatalf("mem backend took a negative record: %v", err)
-	}
 }
 
 func TestFlashBackendCompactionUnevenInterleave(t *testing.T) {
@@ -324,8 +323,8 @@ func TestFlashBackendCompactionUnevenInterleave(t *testing.T) {
 }
 
 // moteLessRig is a store routing mote 1 (one-minute samples) to a proxy
-// that has registered it but has no mote on the medium: the archive is
-// whatever the test appends, and every pull the proxy pays times out.
+// that has registered it but has no mote on the medium: the flash archive
+// is whatever the test appends, and every pull the proxy pays times out.
 func moteLessRig(t *testing.T) (*simtime.Simulator, *proxy.Proxy, *Store) {
 	t.Helper()
 	sim := simtime.New(1)
@@ -336,6 +335,7 @@ func moteLessRig(t *testing.T) (*simtime.Simulator, *proxy.Proxy, *Store) {
 		t.Fatal(err)
 	}
 	st := New(index.New(1), 0)
+	st.SetBackend(newFlash(t))
 	p, err := proxy.New(sim, med, proxy.DefaultConfig(1000))
 	if err != nil {
 		t.Fatal(err)
@@ -359,11 +359,11 @@ func TestArchiveDeclinesStaleTail(t *testing.T) {
 	// grid of [30m, 60m] is fully covered (slot 60 by the 59.5m record),
 	// but the archive's knowledge horizon is 59.5m.
 	for i := 0; i < 60; i++ {
-		if err := st.Backend().Append(1, Record{T: simtime.Time(i) * simtime.Minute, V: float64(i)}); err != nil {
+		if err := st.backend.Append(1, Record{T: simtime.Time(i) * simtime.Minute, V: float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := st.Backend().Append(1, Record{T: 59*simtime.Minute + simtime.Minute/2, V: 59.5}); err != nil {
+	if err := st.backend.Append(1, Record{T: 59*simtime.Minute + simtime.Minute/2, V: 59.5}); err != nil {
 		t.Fatal(err)
 	}
 	sim.RunFor(61 * time.Minute) // now = 61m; newest archived = 59.5m
@@ -431,7 +431,7 @@ func TestAggFoldConsultsArchiveOnce(t *testing.T) {
 			continue
 		}
 		r := Record{T: simtime.Time(i) * simtime.Minute, V: 20 + float64(i)/3, ErrBound: float64(i%4) / 10}
-		if err := st.Backend().Append(1, r); err != nil {
+		if err := st.backend.Append(1, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -613,13 +613,13 @@ func TestFlashBackendShedAccounting(t *testing.T) {
 
 // countingBackend records every range read a store makes.
 type countingBackend struct {
-	*MemBackend
+	*FlashBackend
 	reads [][]radio.NodeID
 }
 
 func (c *countingBackend) QueryRanges(ms []radio.NodeID, lo, hi []simtime.Time, out [][]Record) error {
 	c.reads = append(c.reads, append([]radio.NodeID(nil), ms...))
-	return c.MemBackend.QueryRanges(ms, lo, hi, out)
+	return c.FlashBackend.QueryRanges(ms, lo, hi, out)
 }
 
 func TestArchiveReadOncePerRound(t *testing.T) {
@@ -627,7 +627,7 @@ func TestArchiveReadOncePerRound(t *testing.T) {
 	// once for the motes that passed, and answers in mote order: the
 	// first pass's trace routes follow mote order whatever the verdicts.
 	sim, p, st := moteLessRig(t)
-	cb := &countingBackend{MemBackend: NewMemBackend()}
+	cb := &countingBackend{FlashBackend: newFlash(t)}
 	st.SetBackend(cb)
 	fill := func(m radio.NodeID, last int, hole int) {
 		for i := 0; i <= last; i++ {
@@ -671,22 +671,5 @@ func TestArchiveReadOncePerRound(t *testing.T) {
 	}
 	if s := cb.Stats(); s.QueryRanges != 2 || s.LatestReads != 7 {
 		t.Fatalf("backend stats %+v, want 2 range reads and 7 latest reads", s)
-	}
-}
-
-func TestMemRestoreRejectsHugeCount(t *testing.T) {
-	// A block whose record count claims 2^62 elements must be refused as
-	// corrupt before anything is sized by it.
-	var e snap.Enc
-	encodeBackendStats(&e, BackendStats{})
-	e.Uvarint(1)
-	e.I64(7)
-	e.Uvarint(1 << 62)
-	var buf bytes.Buffer
-	if err := snap.WriteBlock(&buf, snap.TagBackend, e.Data()); err != nil {
-		t.Fatal(err)
-	}
-	if err := NewMemBackend().Restore(&buf); !errors.Is(err, snap.ErrCorrupt) {
-		t.Fatalf("Restore = %v, want an error wrapping snap.ErrCorrupt", err)
 	}
 }

@@ -716,7 +716,11 @@ func (rr *rangeRead) route(head int, r Record) {
 // QueryRange returns m's records in [t0, t1] in a fresh slice: the
 // one-mote case of QueryRanges.
 func (b *FlashBackend) QueryRange(m radio.NodeID, t0, t1 simtime.Time) ([]Record, error) {
-	return queryOne(b, m, t0, t1)
+	out := [][]Record{nil}
+	if err := b.QueryRanges([]radio.NodeID{m}, []simtime.Time{t0}, []simtime.Time{t1}, out); err != nil {
+		return nil, err
+	}
+	return out[0], nil
 }
 
 // QueryRanges is the flash backend's one range read, a set operation: it

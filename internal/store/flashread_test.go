@@ -202,7 +202,7 @@ func TestQueryRangesMatchesReference(t *testing.T) {
 }
 
 func TestQueryRangesRejectsBadShapes(t *testing.T) {
-	both(t, func(t *testing.T, b Backend) {
+	onFlash(t, func(t *testing.T, b Backend) {
 		one := []radio.NodeID{1}
 		if err := b.QueryRanges(one, []simtime.Time{0}, []simtime.Time{1}, nil); err == nil {
 			t.Fatal("mismatched output length accepted")

@@ -6,13 +6,13 @@ import (
 	"sort"
 
 	"presto/internal/radio"
-	"presto/internal/simtime"
 	"presto/internal/snap"
 )
 
 // Snapshot externalizes the store's routing counters and its archive
-// backend. The index, proxy attachments and per-mote intervals are
-// deployment topology, rebuilt identically by the restoring side.
+// backend, when it has one. The index, proxy attachments, per-mote
+// intervals and the backend's presence are deployment topology, rebuilt
+// identically by the restoring side.
 func (s *Store) Snapshot(w io.Writer) error {
 	var e snap.Enc
 	e.U64(s.rstats.Routed)
@@ -23,12 +23,15 @@ func (s *Store) Snapshot(w io.Writer) error {
 	if err := snap.WriteBlock(w, snap.TagStore, e.Data()); err != nil {
 		return err
 	}
+	if s.backend == nil {
+		return nil
+	}
 	return s.backend.Snapshot(w)
 }
 
 // Restore reinstalls state captured by Snapshot. The backend must be of
-// the same kind the snapshot was taken from (both sides build from the
-// same deployment config).
+// the same kind the snapshot was taken from, or absent on both sides
+// (both sides build from the same deployment config).
 func (s *Store) Restore(r io.Reader) error {
 	body, err := snap.ReadBlock(r, snap.TagStore)
 	if err != nil {
@@ -42,6 +45,9 @@ func (s *Store) Restore(r io.Reader) error {
 	s.rstats.ArchiveStale = d.U64()
 	if err := d.Done(); err != nil {
 		return fmt.Errorf("store: %w", err)
+	}
+	if s.backend == nil {
+		return nil
 	}
 	return s.backend.Restore(r)
 }
@@ -74,51 +80,6 @@ func sortedMotes[V any](m map[radio.NodeID]V) []radio.NodeID {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
-}
-
-// Snapshot externalizes the in-memory backend: per-mote record runs (in
-// ascending mote order for deterministic bytes) plus counters.
-func (b *MemBackend) Snapshot(w io.Writer) error {
-	var e snap.Enc
-	encodeBackendStats(&e, b.stats)
-	ids := sortedMotes(b.series)
-	e.Uvarint(uint64(len(ids)))
-	for _, id := range ids {
-		recs := b.series[id]
-		e.I64(int64(id))
-		e.Uvarint(uint64(len(recs)))
-		for _, rec := range recs {
-			e.I64(int64(rec.T))
-			e.F64(rec.V)
-			e.F64(rec.ErrBound)
-		}
-	}
-	return snap.WriteBlock(w, snap.TagBackend, e.Data())
-}
-
-// Restore overwrites the backend with state captured by Snapshot.
-func (b *MemBackend) Restore(r io.Reader) error {
-	body, err := snap.ReadBlock(r, snap.TagBackend)
-	if err != nil {
-		return err
-	}
-	d := snap.NewDec(body)
-	b.stats = decodeBackendStats(d)
-	b.series = make(map[radio.NodeID][]Record)
-	n := d.Count()
-	for i := 0; i < n && d.Err() == nil; i++ {
-		id := radio.NodeID(d.I64())
-		cnt := d.Count()
-		recs := make([]Record, 0, cnt)
-		for j := 0; j < cnt && d.Err() == nil; j++ {
-			recs = append(recs, Record{T: simtime.Time(d.I64()), V: d.F64(), ErrBound: d.F64()})
-		}
-		b.series[id] = recs
-	}
-	if err := d.Done(); err != nil {
-		return fmt.Errorf("store: mem backend: %w", err)
-	}
-	return nil
 }
 
 // Snapshot externalizes the log-structured backend: its counters, the

@@ -10,12 +10,13 @@
 // whether the answer came from the archive backend, cache, model, or a
 // mote archive pull, and the vagaries of the lossy sensor tier.
 //
-// Behind the routing layer every domain owns an archival Backend
-// (backend.go): proxies copy each confirmed observation into it, PAST and
-// AGG queries whose span the archive covers within precision are answered
-// straight from it, and NOW queries under a freshness bound
-// (query.Query.MaxStaleness) consult the replica's snapshot age before
-// accepting a replica answer.
+// The proxies' caches hold every confirmed observation once: in a "mem"
+// deployment they are the domain's in-memory archive. A "flash"
+// deployment also gives the domain an archival Backend (backend.go):
+// proxies copy each confirmed observation into it, and PAST and AGG
+// queries whose span it covers within precision are answered straight
+// from it. NOW queries under a freshness bound (query.Query.MaxStaleness)
+// consult the replica's snapshot age before accepting a replica answer.
 package store
 
 import (
@@ -70,29 +71,25 @@ type Store struct {
 }
 
 // New creates the store of global simulation domain `domain` over an
-// index, with an in-memory archive backend.
+// index, with no archive backend: the proxies' caches are the archive
+// until SetBackend installs one.
 func New(ix *index.Index, domain int) *Store {
 	return &Store{
 		ix:        ix,
 		domain:    domain,
 		proxies:   make(map[index.ProxyID]*proxy.Proxy),
-		backend:   NewMemBackend(),
 		intervals: make(map[radio.NodeID]simtime.Time),
 	}
 }
 
-// SetBackend swaps the archive backend (per-domain configuration; see
+// SetBackend installs the archive backend (per-domain configuration; see
 // core.Config.StoreBackend). Proxies attached before or after the swap
-// archive into whatever backend is current. Passing nil disables
-// archiving and archive-served answers.
+// archive into whatever backend is current. Passing nil leaves the
+// proxies' caches as the only archive, with no archive-served answers.
 func (s *Store) SetBackend(b Backend) { s.backend = b }
 
-// Backend returns the current archive backend (nil when archiving is
-// disabled).
-func (s *Store) Backend() Backend { return s.backend }
-
-// BackendStats returns the archive backend's counters (zero value when
-// archiving is disabled).
+// BackendStats returns the archive backend's counters (zero value
+// without a backend).
 func (s *Store) BackendStats() BackendStats {
 	if s.backend == nil {
 		return BackendStats{}
@@ -101,7 +98,7 @@ func (s *Store) BackendStats() BackendStats {
 }
 
 // AddProxy attaches a proxy under an index id and wires its confirmed
-// traffic into the domain archive.
+// traffic into the domain's archive backend, when it has one.
 func (s *Store) AddProxy(id index.ProxyID, p *proxy.Proxy, wired bool) {
 	s.proxies[id] = p
 	s.ix.RegisterProxy(id, wired)
