@@ -82,10 +82,16 @@ func (s *Series) find(t simtime.Time) int {
 }
 
 // Insert adds an entry, keeping time order. At a timestamp already held,
-// replaces decides which copy stays.
+// replaces decides which copy stays. An entry later than every other —
+// a stream's next sample — appends without a search.
 func (s *Series) Insert(e Entry) {
 	if e.ErrBound < 0 {
 		e.ErrBound = 0
+	}
+	if n := len(s.entries); n == 0 || e.T > s.entries[n-1].T {
+		s.entries = append(s.entries, e)
+		s.inserts++
+		return
 	}
 	i := s.find(e.T)
 	if i < len(s.entries) && s.entries[i].T == e.T {

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -272,5 +273,65 @@ func TestPropertyInsertInvariants(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(31))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// searchInsert is Insert without its tail fast path: every entry finds
+// its place by binary search.
+func searchInsert(s *Series, e Entry) {
+	if e.ErrBound < 0 {
+		e.ErrBound = 0
+	}
+	i := s.find(e.T)
+	if i < len(s.entries) && s.entries[i].T == e.T {
+		if old := s.entries[i]; replaces(e, old) {
+			if e.Source > old.Source {
+				s.refinements++
+			}
+			s.entries[i] = e
+		}
+		return
+	}
+	s.entries = append(s.entries, Entry{})
+	copy(s.entries[i+1:], s.entries[i:])
+	s.entries[i] = e
+	s.inserts++
+}
+
+// TestInsertMatchesSearchPath feeds Insert, InsertBatch and the
+// search-only reference the same mostly-ascending sequences — equal-T
+// copies of mixed source and bound at the tail, out-of-order entries
+// behind it — and wants identical entries and counters.
+func TestInsertMatchesSearchPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	bounds := []float64{-1, 0, 0, 0.25, 0.5}
+	for trial := 0; trial < 300; trial++ {
+		var es []Entry
+		tt := simtime.Time(rng.Intn(5))
+		for i := 0; i < 1+rng.Intn(200); i++ {
+			switch r := rng.Intn(10); {
+			case r < 6: // the stream's next sample
+				tt += simtime.Time(1 + rng.Intn(3))
+			case r < 8: // another copy at the tail's timestamp
+			default: // a late or backfilled entry
+				tt -= simtime.Time(rng.Intn(int(tt) + 1))
+			}
+			es = append(es, Entry{T: tt, V: rng.Float64(), Source: Source(rng.Intn(3)), ErrBound: bounds[rng.Intn(len(bounds))]})
+			if rng.Intn(4) == 0 { // resume ahead of everything so far
+				tt += simtime.Time(rng.Intn(50))
+			}
+		}
+		fast, batch, ref := NewSeries(), NewSeries(), NewSeries()
+		for _, e := range es {
+			fast.Insert(e)
+			searchInsert(ref, e)
+		}
+		batch.InsertBatch(es)
+		for name, s := range map[string]*Series{"Insert": fast, "InsertBatch": batch} {
+			if !slices.Equal(s.entries, ref.entries) || s.inserts != ref.inserts || s.refinements != ref.refinements {
+				t.Fatalf("trial %d: %s kept %v (inserts %d, refinements %d), search path %v (%d, %d)",
+					trial, name, s.entries, s.inserts, s.refinements, ref.entries, ref.inserts, ref.refinements)
+			}
+		}
 	}
 }

@@ -269,6 +269,9 @@ func TimestampEncode(buf []byte, ts []int64) ([]byte, error) {
 // TimestampDecode reverses TimestampEncode, reading exactly n timestamps
 // from the front of buf. It returns the timestamps and the unconsumed rest
 // of the buffer (the sequence is not self-delimiting: the caller carries n).
+// Like the encoder it yields only non-negative, non-decreasing timestamps:
+// bytes whose first value or running sum would pass math.MaxInt64 are
+// refused, not wrapped negative.
 func TimestampDecode(buf []byte, n int) ([]int64, []byte, error) {
 	if n <= 0 {
 		return nil, buf, nil
@@ -277,6 +280,9 @@ func TimestampDecode(buf []byte, n int) ([]int64, []byte, error) {
 	first, sz := binary.Uvarint(buf)
 	if sz <= 0 {
 		return nil, nil, errors.New("compress: truncated first timestamp")
+	}
+	if first > math.MaxInt64 {
+		return nil, nil, fmt.Errorf("compress: first timestamp %d overflows int64", first)
 	}
 	buf = buf[sz:]
 	out = append(out, int64(first))
@@ -299,6 +305,9 @@ func TimestampDecode(buf []byte, n int) ([]int64, []byte, error) {
 		}
 		if delta < 0 {
 			return nil, nil, fmt.Errorf("compress: negative delta at %d", i)
+		}
+		if delta > math.MaxInt64-out[i-1] {
+			return nil, nil, fmt.Errorf("compress: timestamp overflows int64 at %d", i)
 		}
 		out = append(out, out[i-1]+delta)
 	}

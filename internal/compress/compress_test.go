@@ -1,8 +1,11 @@
 package compress
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -346,6 +349,57 @@ func BenchmarkWaveletEncode1k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := enc.Encode(xs); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+func TestTimestampRoundTrip(t *testing.T) {
+	ts := []int64{0, 60, 120, 180, 400, 400, 401, math.MaxInt64 - 1, math.MaxInt64}
+	for n := 0; n <= len(ts); n++ {
+		buf, err := TimestampEncode([]byte{0xAA}, ts[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, rest, err := TimestampDecode(append(buf[1:], 0xBB), n)
+		if err != nil || !slices.Equal(got, ts[:n]) || !bytes.Equal(rest, []byte{0xBB}) {
+			t.Fatalf("n=%d: decoded %v rest %x err %v, want %v", n, got, rest, err, ts[:n])
+		}
+	}
+}
+
+// TestTimestampDecodeRefusesOverflow crafts bytes the encoder never
+// writes: a first timestamp past math.MaxInt64, and deltas whose running
+// sum passes it. Each would wrap to a negative timestamp.
+func TestTimestampDecodeRefusesOverflow(t *testing.T) {
+	uv := func(vs ...uint64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	dod := func(b []byte, vs ...int64) []byte {
+		for _, v := range vs {
+			b = binary.AppendVarint(b, v)
+		}
+		return b
+	}
+	for _, c := range []struct {
+		name string
+		buf  []byte
+		n    int
+		want string
+	}{
+		{"first above MaxInt64", uv(1 << 63), 1, "first timestamp"},
+		{"first at MaxUint64", uv(math.MaxUint64), 1, "first timestamp"},
+		{"first delta wraps", uv(5, 1<<63), 2, "negative delta"},
+		{"first delta overflows the sum", uv(math.MaxInt64-5, 6), 2, "overflows int64 at 1"},
+		{"growing deltas overflow the sum", dod(uv(1<<62, 1<<61), 1<<61), 3, "overflows int64 at 2"},
+		{"delta-of-delta wraps the delta", dod(uv(0, math.MaxInt64), math.MaxInt64), 3, "negative delta"},
+	} {
+		ts, _, err := TimestampDecode(c.buf, c.n)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: decoded %v, err %v; want an error mentioning %q", c.name, ts, err, c.want)
 		}
 	}
 }

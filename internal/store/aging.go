@@ -273,37 +273,94 @@ func pyramidThin(recs []Record, w simtime.Time) []Record {
 // chunkHeaderSize is the fixed prefix: mote, count, bound.
 const chunkHeaderSize = 12
 
-// waveletChunk is one encoded summary plus the reconstruction the encoder
-// already paid for (compaction reuses it for spans and Latest repair).
-type waveletChunk struct {
-	bytes []byte
-	recs  []flashRec
+// chunkPlan is one chunk of the time grid being sized: a mote's run of at
+// most ChunkWindow records, the Haar transform of its padded values, and
+// the counts that fix its encoded size at every coefficient fraction.
+type chunkPlan struct {
+	m      radio.NodeID
+	recs   []Record
+	coef   []float64 // the transform, NextPow2(len(recs)) long
+	tsLen  int       // bytes of the timestamps' compress.TimestampEncode
+	c0     bool      // the overall average is non-zero
+	detail int       // non-zero detail coefficients
 }
 
-// summarizeChunk encodes one mote's time-sorted records at the given
-// coefficient fraction, returning the chunk and its reconstruction.
-func summarizeChunk(m radio.NodeID, recs []Record, frac float64) (waveletChunk, error) {
+// size is the chunk's encoded length at fraction frac, found without
+// encoding: the header, the timestamps, and the sparse form of the
+// coefficients TopK leaves non-zero — the average when it is non-zero and
+// the largest k-1 details, of which only the non-zero ones count. A kept
+// coefficient that rounds to a float32 zero still counts: Quantize keeps
+// its index.
+func (c *chunkPlan) size(frac float64) int {
+	nnz := c.detail
+	if k := wavelet.KeepCount(frac, len(c.coef)); k < len(c.coef) {
+		nnz = min(k-1, c.detail)
+	}
+	if c.c0 {
+		nnz++
+	}
+	return chunkHeaderSize + c.tsLen + wavelet.WireSize(nnz)
+}
+
+// agingScratch is a FlashBackend's reusable chunk encoder state. Each
+// buffer holds one chunk at a time, so none outgrows one padded
+// ChunkWindow; the backend belongs to one domain worker, so the scratch
+// needs no lock.
+type agingScratch struct {
+	wv  wavelet.Scratch
+	ts  []int64
+	enc []byte // a chunk's encoded timestamps while it is sized
+}
+
+// times returns the records' timestamps in the scratch.
+func (w *agingScratch) times(recs []Record) []int64 {
+	w.ts = w.ts[:0]
+	for _, r := range recs {
+		w.ts = append(w.ts, int64(r.T))
+	}
+	return w.ts
+}
+
+// plan sizes one mote's time-sorted run of records as a chunk. It
+// transforms their values in coef (NextPow2(len(recs)) long), padded by
+// wavelet.Pad's repeat of the last sample, and counts what an encoding
+// at any fraction is made of.
+func (w *agingScratch) plan(m radio.NodeID, recs []Record, coef []float64) (chunkPlan, error) {
 	n := len(recs)
-	if n == 0 {
-		return waveletChunk{}, nil
+	for i := range coef {
+		coef[i] = recs[min(i, n-1)].V
 	}
-	vals := make([]float64, n)
-	ts := make([]int64, n)
-	for i, r := range recs {
-		vals[i] = r.V
-		ts[i] = int64(r.T)
+	if _, err := w.wv.Forward(coef); err != nil {
+		return chunkPlan{}, err
 	}
-	sp, err := wavelet.CompressFraction(vals, frac)
-	if err != nil {
-		return waveletChunk{}, err
+	c := chunkPlan{m: m, recs: recs, coef: coef, c0: coef[0] != 0}
+	for _, x := range coef[1:] {
+		if x != 0 {
+			c.detail++
+		}
 	}
+	var err error
+	if w.enc, err = compress.TimestampEncode(w.enc[:0], w.times(recs)); err != nil {
+		return chunkPlan{}, err
+	}
+	c.tsLen = len(w.enc)
+	return c, nil
+}
+
+// summarizeChunk encodes a planned chunk at coefficient fraction frac,
+// appending its bytes to dst and its reconstruction to out. It keeps the
+// top coefficients in the plan's own transform, so a plan encodes once.
+func (w *agingScratch) summarizeChunk(dst []byte, out []flashRec, c *chunkPlan, frac float64) ([]byte, []flashRec, error) {
+	n := len(c.recs)
+	w.wv.TopK(c.coef, wavelet.KeepCount(frac, len(c.coef)))
+	sp := w.wv.Sparse(c.coef, n)
 	sp.Quantize() // bound must cover what the wire bytes reconstruct
-	recon, err := wavelet.Decompress(sp)
+	recon, err := w.wv.Decompress(sp)
 	if err != nil {
-		return waveletChunk{}, err
+		return dst, out, err
 	}
 	var bound float64
-	for i, r := range recs {
+	for i, r := range c.recs {
 		miss := math.Abs(recon[i] - r.V)
 		if b := miss + r.ErrBound; b > bound {
 			bound = b
@@ -311,21 +368,17 @@ func summarizeChunk(m radio.NodeID, recs []Record, frac float64) (waveletChunk, 
 	}
 	wb := wireBound(0, bound) // bound rounded up to a float32
 
-	buf := make([]byte, chunkHeaderSize, chunkHeaderSize+n+sp.WireSize())
-	binary.LittleEndian.PutUint32(buf[0:], uint32(m))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(n))
-	binary.LittleEndian.PutUint32(buf[8:], math.Float32bits(wb))
-	buf, err = compress.TimestampEncode(buf, ts)
-	if err != nil {
-		return waveletChunk{}, err
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(c.m))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
+	dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(wb))
+	if dst, err = compress.TimestampEncode(dst, w.times(c.recs)); err != nil {
+		return dst, out, err
 	}
-	buf = append(buf, sp.Marshal()...)
-
-	out := make([]flashRec, n)
-	for i := range recs {
-		out[i] = flashRec{m: m, r: Record{T: recs[i].T, V: recon[i], ErrBound: float64(wb)}}
+	dst = sp.AppendMarshal(dst)
+	for i, r := range c.recs {
+		out = append(out, flashRec{m: c.m, r: Record{T: r.T, V: recon[i], ErrBound: float64(wb)}})
 	}
-	return waveletChunk{bytes: buf, recs: out}, nil
+	return dst, out, nil
 }
 
 // decodeChunk decodes the chunk at the head of buf: its mote, its

@@ -7,6 +7,7 @@ package store
 // factor.
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"presto/internal/flash"
 	"presto/internal/radio"
 	"presto/internal/simtime"
+	"presto/internal/wavelet"
 )
 
 func TestCoarsenBoundPropertyIncludingPartialGroups(t *testing.T) {
@@ -57,7 +59,7 @@ func TestCoarsenBoundPropertyIncludingPartialGroups(t *testing.T) {
 }
 
 func TestWaveletChunkRoundTrip(t *testing.T) {
-	// summarizeChunk -> decodeChunk must return every timestamp exactly,
+	// plan -> summarizeChunk -> decodeChunk must return every timestamp exactly,
 	// and each reconstructed value must sit within the chunk bound of the
 	// original — which in turn must be no tighter than any member's own
 	// bound.
@@ -73,11 +75,20 @@ func TestWaveletChunkRoundTrip(t *testing.T) {
 			}
 			recs = append(recs, Record{T: tt, V: 20 + 5*math.Sin(float64(i)/7) + rng.NormFloat64(), ErrBound: rng.Float64() / 2})
 		}
-		ch, err := summarizeChunk(7, recs, frac)
+		var w agingScratch
+		c, err := w.plan(7, recs, make([]float64, wavelet.NextPow2(len(recs))))
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, ts, recon, bound, rest, err := decodeChunk(ch.bytes)
+		size := c.size(frac)
+		chunk, enc, err := w.summarizeChunk(nil, nil, &c, frac)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(chunk) != size {
+			t.Fatalf("frac %v: chunk encodes to %d bytes, plan sized %d", frac, len(chunk), size)
+		}
+		m, ts, recon, bound, rest, err := decodeChunk(chunk)
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("decode: %v, %d bytes left", err, len(rest))
 		}
@@ -95,8 +106,8 @@ func TestWaveletChunkRoundTrip(t *testing.T) {
 			if fr.r.T != recs[i].T {
 				t.Fatalf("frac %v: record %d timestamp %v, want %v", frac, i, fr.r.T, recs[i].T)
 			}
-			if fr.r != ch.recs[i].r {
-				t.Fatalf("frac %v: decode %+v disagrees with encoder's reconstruction %+v", frac, fr.r, ch.recs[i].r)
+			if fr.r != enc[i].r {
+				t.Fatalf("frac %v: decode %+v disagrees with encoder's reconstruction %+v", frac, fr.r, enc[i].r)
 			}
 			if math.Abs(fr.r.V-recs[i].V)+recs[i].ErrBound > fr.r.ErrBound+1e-12 {
 				t.Fatalf("frac %v: record %d recon %v bound %v misses original %+v",
@@ -318,6 +329,40 @@ func TestParseAgingPolicy(t *testing.T) {
 		}
 		if back.Mode != pol.Mode {
 			t.Fatalf("String round trip changed mode: %q -> %q", pol.Mode, back.Mode)
+		}
+	}
+}
+
+// TestDecodeChunkRefusesHostileTimestamps crafts wavelet chunks, as a
+// restored blob could carry them, whose timestamps wrap negative through
+// int64: compaction could not re-encode such a record and would fail on it
+// at every later append, so the decoder refuses them.
+func TestDecodeChunkRefusesHostileTimestamps(t *testing.T) {
+	sp, err := wavelet.CompressFraction([]float64{20, 21}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, ts := range map[string][]uint64{
+		"first above MaxInt64":  {1 << 63, 0},
+		"sum above MaxInt64":    {math.MaxInt64 - 5, 6},
+		"sum at MaxInt64 holds": {math.MaxInt64 - 6, 6},
+	} {
+		buf := binary.LittleEndian.AppendUint32(nil, 3)
+		buf = binary.LittleEndian.AppendUint32(buf, 2)
+		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(0.5))
+		for _, v := range ts {
+			buf = binary.AppendUvarint(buf, v)
+		}
+		buf = sp.AppendMarshal(buf)
+		_, got, _, _, _, err := decodeChunk(buf)
+		if name == "sum at MaxInt64 holds" {
+			if err != nil || got[1] != math.MaxInt64 {
+				t.Errorf("%s: decoded %v, err %v", name, got, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: decoded timestamps %v, want an error", name, got)
 		}
 	}
 }

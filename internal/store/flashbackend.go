@@ -264,6 +264,7 @@ type FlashBackend struct {
 	latest map[radio.NodeID]Record
 	stats  BackendStats
 	rr     rangeRead
+	aging  agingScratch
 }
 
 // NewFlashBackend creates a backend on a fresh device with the given
@@ -507,26 +508,16 @@ func (b *FlashBackend) planUniform(order []radio.NodeID, perMote map[radio.NodeI
 // across its pages, with their directory, and returns the records they
 // reconstruct.
 func (b *FlashBackend) writeWavelet(out *segment, order []radio.NodeID, perMote map[radio.NodeID][]Record, level int) ([]flashRec, error) {
-	chunks, recs, size, err := b.planWavelet(order, perMote, level)
+	plans, frac, size, err := b.planWavelet(order, perMote, level)
+	if err != nil {
+		return nil, err
+	}
+	stream, dir, recs, err := b.buildWavelet(plans, frac, size)
 	if err != nil {
 		return nil, err
 	}
 	out.Meta.kind = segWavelet
-	stream := make([]byte, 0, size)
-	for _, ch := range chunks {
-		// Directory entry first: the chunk starts at the stream's current
-		// length. A chunk is one mote's time-ordered run, so first/last
-		// records bound it.
-		out.Meta.dir = append(out.Meta.dir, chunkDirEntry{
-			m:     ch.recs[0].m,
-			off:   len(stream),
-			size:  len(ch.bytes),
-			count: len(ch.recs),
-			minT:  ch.recs[0].r.T,
-			maxT:  ch.recs[len(ch.recs)-1].r.T,
-		})
-		stream = append(stream, ch.bytes...)
-	}
+	out.Meta.dir = dir
 	for len(stream) > 0 {
 		n := min(b.dev.Geometry().PageSize, len(stream))
 		if err := b.log.WritePage(out, stream[:n]); err != nil {
@@ -534,7 +525,7 @@ func (b *FlashBackend) writeWavelet(out *segment, order []radio.NodeID, perMote 
 		}
 		stream = stream[n:]
 	}
-	b.stats.WaveletChunks += uint64(len(chunks))
+	b.stats.WaveletChunks += uint64(len(dir))
 	for _, fr := range recs {
 		out.Meta.note(fr.m, fr.r.T)
 	}
@@ -542,15 +533,17 @@ func (b *FlashBackend) writeWavelet(out *segment, order []radio.NodeID, perMote 
 	return recs, nil
 }
 
-// planWavelet summarizes each mote's run as wavelet chunks at the level's
-// tier fraction, shrinking until the encoded stream fits one block: first
-// by halving the coefficient fraction, then — once chunks are down to a
-// couple of coefficients — by thinning the time grid onto an age-octave
-// pyramid (pyramidThin) whose base cell width doubles per round. Old data
-// thus degrades progressively, oldest-coarsest, instead of being
-// discarded wholesale. It returns the chunks, the records they
-// reconstruct and the stream's size.
-func (b *FlashBackend) planWavelet(order []radio.NodeID, perMote map[radio.NodeID][]Record, level int) ([]waveletChunk, []flashRec, int, error) {
+// planWavelet sizes each mote's run as wavelet chunks at the level's tier
+// fraction, shrinking until the stream fits one block: first by halving
+// the coefficient fraction, then — once chunks are down to a couple of
+// coefficients — by thinning the time grid onto an age-octave pyramid
+// (pyramidThin) whose base cell width doubles per round. Old data thus
+// degrades progressively, oldest-coarsest, instead of being discarded
+// wholesale. The search encodes nothing: each grid is transformed and
+// counted once (agingScratch.plan), after which a chunk's size at any
+// fraction is arithmetic (chunkPlan.size). It returns the plans of the
+// grid that fits, the fraction to encode them at and the stream's size.
+func (b *FlashBackend) planWavelet(order []radio.NodeID, perMote map[radio.NodeID][]Record, level int) ([]chunkPlan, float64, int, error) {
 	capBytes := b.dev.Geometry().PagesPerBlock * b.dev.Geometry().PageSize
 	// Infeasibility precheck: even one record per mote costs at least a
 	// chunk header, a timestamp byte and one coefficient. Failing fast
@@ -558,28 +551,36 @@ func (b *FlashBackend) planWavelet(order []radio.NodeID, perMote map[radio.NodeI
 	// compaction) from paying the whole shrink loop on every append.
 	const minChunkBytes = chunkHeaderSize + 1 + 12 + 8
 	if len(order)*minChunkBytes > capBytes {
-		return nil, nil, 0, fmt.Errorf("store: wavelet compaction cannot fit %d motes in a %d-byte block", len(order), capBytes)
+		return nil, 0, 0, fmt.Errorf("store: wavelet compaction cannot fit %d motes in a %d-byte block", len(order), capBytes)
 	}
 	frac := b.pol.fraction(level)
 	window := b.pol.ChunkWindow
 	grid := perMote
-	maxLen := 0
+	maxLen, total := 0, 0
 	for _, rs := range perMote {
 		maxLen = max(maxLen, len(rs))
+		total += len(rs)
 	}
 	// Halving frac below one kept coefficient per largest actual chunk is
 	// a no-op (short runs floor at k = 1 long before frac*window does) —
-	// gate on the real transform length so no byte-identical rebuild runs.
+	// gate on the real transform length so no size-identical round runs.
 	maxChunk := min(maxLen, window)
-	round := 0
-	for {
-		chunks, out, size, err := b.buildWavelet(order, grid, frac, window)
-		if err != nil || size <= capBytes {
-			return chunks, out, size, err
+	// A chunk's transform is under twice its length, and thinning only
+	// shortens runs, so every grid's transforms fit in 2*total.
+	coef := make([]float64, 2*total)
+	var plans []chunkPlan
+	for round := 0; ; {
+		var err error
+		if plans, err = b.planGrid(plans[:0], coef, order, grid, window); err != nil {
+			return nil, 0, 0, err
 		}
-		if frac*float64(wavelet.NextPow2(maxChunk)) > 2 {
+		size := planSize(plans, frac)
+		for size > capBytes && frac*float64(wavelet.NextPow2(maxChunk)) > 2 {
 			frac /= 2 // drop more coefficients first
-			continue
+			size = planSize(plans, frac)
+		}
+		if size <= capBytes {
+			return plans, frac, size, nil
 		}
 		// Coefficient floor: thin the time grid. Each round re-buckets
 		// the original records onto the pyramid at twice the previous
@@ -591,7 +592,7 @@ func (b *FlashBackend) planWavelet(order []radio.NodeID, perMote map[radio.NodeI
 		// round can shrink it.
 		round++
 		if 1<<round > 2*maxLen {
-			return nil, nil, 0, fmt.Errorf("store: wavelet compaction output %d bytes exceeds block capacity %d", size, capBytes)
+			return nil, 0, 0, fmt.Errorf("store: wavelet compaction output %d bytes exceeds block capacity %d", size, capBytes)
 		}
 		thinned := make(map[radio.NodeID][]Record, len(perMote))
 		for m, rs := range perMote {
@@ -610,30 +611,67 @@ func (b *FlashBackend) planWavelet(order []radio.NodeID, perMote map[radio.NodeI
 	}
 }
 
-// buildWavelet encodes every mote's run into chunks of at most window
-// records at the given coefficient fraction, returning the chunks, the
-// reconstructable records, and the total encoded size.
-func (b *FlashBackend) buildWavelet(order []radio.NodeID, grid map[radio.NodeID][]Record, frac float64, window int) ([]waveletChunk, []flashRec, int, error) {
-	var chunks []waveletChunk
-	var out []flashRec
-	size := 0
+// planGrid appends to plans every mote's run on grid as chunks of at most
+// window records, their transforms laid out in coef.
+func (b *FlashBackend) planGrid(plans []chunkPlan, coef []float64, order []radio.NodeID, grid map[radio.NodeID][]Record, window int) ([]chunkPlan, error) {
 	for _, m := range order {
 		rs := grid[m]
 		for i := 0; i < len(rs); i += window {
-			end := i + window
-			if end > len(rs) {
-				end = len(rs)
-			}
-			ch, err := summarizeChunk(m, rs[i:end], frac)
+			end := min(i+window, len(rs))
+			p := wavelet.NextPow2(end - i)
+			c, err := b.aging.plan(m, rs[i:end], coef[:p:p])
 			if err != nil {
-				return nil, nil, 0, err
+				return nil, err
 			}
-			chunks = append(chunks, ch)
-			out = append(out, ch.recs...)
-			size += len(ch.bytes)
+			plans = append(plans, c)
+			coef = coef[p:]
 		}
 	}
-	return chunks, out, size, nil
+	return plans, nil
+}
+
+// planSize is the stream length of plans encoded at fraction frac.
+func planSize(plans []chunkPlan, frac float64) int {
+	size := 0
+	for i := range plans {
+		size += plans[i].size(frac)
+	}
+	return size
+}
+
+// buildWavelet encodes every planned chunk once, at fraction frac, into
+// one stream of the planned size, returning the stream, its chunk
+// directory and the records the chunks reconstruct.
+func (b *FlashBackend) buildWavelet(plans []chunkPlan, frac float64, size int) ([]byte, []chunkDirEntry, []flashRec, error) {
+	stream := make([]byte, 0, size)
+	dir := make([]chunkDirEntry, 0, len(plans))
+	n := 0
+	for i := range plans {
+		n += len(plans[i].recs)
+	}
+	recs := make([]flashRec, 0, n)
+	for i := range plans {
+		c := &plans[i]
+		off := len(stream)
+		var err error
+		if stream, recs, err = b.aging.summarizeChunk(stream, recs, c, frac); err != nil {
+			return nil, nil, nil, err
+		}
+		// A chunk is one mote's time-ordered run, so its first and last
+		// records bound it.
+		dir = append(dir, chunkDirEntry{
+			m:     c.m,
+			off:   off,
+			size:  len(stream) - off,
+			count: len(c.recs),
+			minT:  c.recs[0].T,
+			maxT:  c.recs[len(c.recs)-1].T,
+		})
+	}
+	if len(stream) != size {
+		return nil, nil, nil, fmt.Errorf("store: wavelet plan sized %d bytes, encoded %d", size, len(stream))
+	}
+	return stream, dir, recs, nil
 }
 
 // coarsenRecords merges each group of factor consecutive records into one

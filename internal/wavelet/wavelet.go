@@ -14,11 +14,13 @@
 package wavelet
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
 // ErrNotPow2 is returned when a transform input is not a power-of-two
@@ -64,12 +66,17 @@ func Pad(xs []float64) ([]float64, int) {
 // xs. Layout: [approx | detail_level1 | detail_level2 | ... ] with the
 // single overall average first. Input length must be a power of two.
 func Forward(xs []float64) ([]float64, error) {
-	n := len(xs)
-	if !IsPow2(n) {
+	if !IsPow2(len(xs)) {
 		return nil, ErrNotPow2
 	}
-	tmp := make([]float64, n)
-	for length := n; length > 1; length /= 2 {
+	forward(xs, make([]float64, len(xs)))
+	return xs, nil
+}
+
+// forward is Forward on a power-of-two xs with a pass buffer tmp of the
+// same length.
+func forward(xs, tmp []float64) {
+	for length := len(xs); length > 1; length /= 2 {
 		half := length / 2
 		for i := 0; i < half; i++ {
 			a, b := xs[2*i], xs[2*i+1]
@@ -78,17 +85,21 @@ func Forward(xs []float64) ([]float64, error) {
 		}
 		copy(xs[:length], tmp[:length])
 	}
-	return xs, nil
 }
 
 // Inverse computes the inverse Haar DWT in place and returns xs.
 func Inverse(xs []float64) ([]float64, error) {
-	n := len(xs)
-	if !IsPow2(n) {
+	if !IsPow2(len(xs)) {
 		return nil, ErrNotPow2
 	}
-	tmp := make([]float64, n)
-	for length := 2; length <= n; length *= 2 {
+	inverse(xs, make([]float64, len(xs)))
+	return xs, nil
+}
+
+// inverse is Inverse on a power-of-two xs with a pass buffer tmp of the
+// same length.
+func inverse(xs, tmp []float64) {
+	for length := 2; length <= len(xs); length *= 2 {
 		half := length / 2
 		for i := 0; i < half; i++ {
 			a, d := xs[i], xs[half+i]
@@ -97,7 +108,6 @@ func Inverse(xs []float64) ([]float64, error) {
 		}
 		copy(xs[:length], tmp[:length])
 	}
-	return xs, nil
 }
 
 // Denoise hard-thresholds coefficients: any coefficient (except the overall
@@ -120,29 +130,50 @@ func Denoise(coeffs []float64, threshold float64) int {
 // TopK keeps the k largest-magnitude coefficients (always including index
 // 0, the overall average) and zeroes the rest, returning how many were
 // zeroed. This is the classic wavelet synopsis used for lossy compression
-// and aging.
+// and aging. The detail coefficients rank by magnitude, larger first, and
+// equal magnitudes by index, lower first; the first k-1 in that total order
+// survive. Any implementation must keep this order: the flash archive sizes
+// its aged chunks by counting what survives, and stored bytes depend on
+// which equal-magnitude coefficient is kept.
 func TopK(coeffs []float64, k int) int {
+	zeroed, _ := topK(coeffs, k, nil)
+	return zeroed
+}
+
+// ranked is one detail coefficient as TopK orders it.
+type ranked struct {
+	idx int
+	mag float64
+}
+
+// byRank is TopK's total order: larger magnitude first, then lower index.
+func byRank(a, b ranked) int {
+	if a.mag != b.mag {
+		if a.mag > b.mag {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.idx, b.idx)
+}
+
+// topK is TopK ranking in rest's storage, which it returns for reuse.
+func topK(coeffs []float64, k int, rest []ranked) (int, []ranked) {
 	n := len(coeffs)
 	if k >= n {
-		return 0
+		return 0, rest
 	}
 	if k < 1 {
 		k = 1
 	}
-	type ci struct {
-		idx int
-		mag float64
+	if cap(rest) < n-1 {
+		rest = make([]ranked, 0, n-1)
 	}
-	rest := make([]ci, 0, n-1)
+	rest = rest[:0]
 	for i := 1; i < n; i++ {
-		rest = append(rest, ci{i, math.Abs(coeffs[i])})
+		rest = append(rest, ranked{i, math.Abs(coeffs[i])})
 	}
-	sort.Slice(rest, func(a, b int) bool {
-		if rest[a].mag != rest[b].mag {
-			return rest[a].mag > rest[b].mag
-		}
-		return rest[a].idx < rest[b].idx
-	})
+	selectFirst(rest, k-1)
 	zeroed := 0
 	for _, c := range rest[k-1:] {
 		if coeffs[c.idx] != 0 {
@@ -150,7 +181,54 @@ func TopK(coeffs []float64, k int) int {
 		}
 		coeffs[c.idx] = 0
 	}
-	return zeroed
+	return zeroed, rest
+}
+
+// selectFirst reorders a so that a[:k] holds the first k elements in
+// byRank order, in no particular order among themselves: a quickselect
+// that sorts what is left once its partitions stop shrinking fast. The
+// order is total, so the set is the one a full sort would put first.
+func selectFirst(a []ranked, k int) {
+	lo, hi := 0, len(a)
+	for budget := 2 * bits.Len(uint(len(a))); hi-lo > 16 && budget > 0; budget-- {
+		// Everything in a[:lo] ranks before a[lo:hi], which ranks before
+		// a[hi:], and lo <= k <= hi.
+		p := lo + partition(a[lo:hi])
+		switch {
+		case p == k:
+			return
+		case p < k:
+			lo = p + 1
+		default:
+			hi = p
+		}
+	}
+	slices.SortFunc(a[lo:hi], byRank)
+}
+
+// partition moves the median of a's first, middle and last elements to
+// its final place in byRank order, everything ranking before it to its
+// left and the rest to its right, and returns its index.
+func partition(a []ranked) int {
+	m, last := len(a)/2, len(a)-1
+	if byRank(a[m], a[0]) < 0 {
+		a[m], a[0] = a[0], a[m]
+	}
+	if byRank(a[last], a[0]) < 0 {
+		a[last], a[0] = a[0], a[last]
+	}
+	if byRank(a[m], a[last]) < 0 {
+		a[m], a[last] = a[last], a[m]
+	}
+	pivot, i := a[last], 0
+	for j := range a[:last] {
+		if byRank(a[j], pivot) < 0 {
+			a[i], a[j] = a[j], a[i]
+			i++
+		}
+	}
+	a[i], a[last] = a[last], a[i]
+	return i
 }
 
 // Coarsen halves the resolution of a signal: it returns the approximation
@@ -201,14 +279,7 @@ func Compress(xs []float64, threshold float64) (Sparse, error) {
 		return Sparse{}, err
 	}
 	Denoise(padded, threshold)
-	s := Sparse{N: n, PaddedN: len(padded)}
-	for i, c := range padded {
-		if c != 0 {
-			s.Index = append(s.Index, uint32(i))
-			s.Value = append(s.Value, c)
-		}
-	}
-	return s, nil
+	return sparseOf(padded, n, nil, nil), nil
 }
 
 // CompressTopK is like Compress but keeps exactly the k largest
@@ -219,14 +290,20 @@ func CompressTopK(xs []float64, k int) (Sparse, error) {
 		return Sparse{}, err
 	}
 	TopK(padded, k)
-	s := Sparse{N: n, PaddedN: len(padded)}
-	for i, c := range padded {
+	return sparseOf(padded, n, nil, nil), nil
+}
+
+// sparseOf is the sparse form of a transform's non-zero coefficients for
+// a signal n long before padding, appended to idx and val.
+func sparseOf(coeffs []float64, n int, idx []uint32, val []float64) Sparse {
+	s := Sparse{N: n, PaddedN: len(coeffs), Index: idx, Value: val}
+	for i, c := range coeffs {
 		if c != 0 {
 			s.Index = append(s.Index, uint32(i))
 			s.Value = append(s.Value, c)
 		}
 	}
-	return s, nil
+	return s
 }
 
 // CompressFraction is like CompressTopK but keeps a fraction of the padded
@@ -235,15 +312,13 @@ func CompressTopK(xs []float64, k int) (Sparse, error) {
 // aging speaks in. frac is clamped to (0, 1]; at least one coefficient (the
 // overall average) always survives.
 func CompressFraction(xs []float64, frac float64) (Sparse, error) {
-	if frac > 1 {
-		frac = 1
-	}
-	n := NextPow2(len(xs))
-	k := int(math.Ceil(frac * float64(n)))
-	if k < 1 {
-		k = 1
-	}
-	return CompressTopK(xs, k)
+	return CompressTopK(xs, KeepCount(frac, NextPow2(len(xs))))
+}
+
+// KeepCount is the k CompressFraction passes to TopK for a transform n
+// long: frac (clamped to at most 1) of n, rounded up, and at least one.
+func KeepCount(frac float64, n int) int {
+	return max(1, int(math.Ceil(min(frac, 1)*float64(n))))
 }
 
 // Quantize rounds the coefficient values through float32 — exactly what
@@ -279,26 +354,40 @@ func Residual(s Sparse, orig []float64) (float64, error) {
 // Decompress reconstructs the (lossy) signal from its sparse form,
 // truncated back to the original length.
 func Decompress(s Sparse) ([]float64, error) {
-	if !IsPow2(s.PaddedN) {
-		return nil, ErrNotPow2
-	}
-	if s.N < 0 || s.N > s.PaddedN {
-		return nil, fmt.Errorf("wavelet: invalid lengths N=%d PaddedN=%d", s.N, s.PaddedN)
-	}
-	if len(s.Index) != len(s.Value) {
-		return nil, fmt.Errorf("wavelet: index/value length mismatch %d vs %d", len(s.Index), len(s.Value))
-	}
-	coeffs := make([]float64, s.PaddedN)
-	for i, idx := range s.Index {
-		if int(idx) >= s.PaddedN {
-			return nil, fmt.Errorf("wavelet: coefficient index %d out of range %d", idx, s.PaddedN)
-		}
-		coeffs[idx] = s.Value[i]
-	}
-	if _, err := Inverse(coeffs); err != nil {
+	if err := s.check(); err != nil {
 		return nil, err
 	}
-	return coeffs[:s.N], nil
+	return s.decompress(make([]float64, s.PaddedN), make([]float64, s.PaddedN)), nil
+}
+
+// check reports a sparse form Decompress cannot reconstruct.
+func (s Sparse) check() error {
+	if !IsPow2(s.PaddedN) {
+		return ErrNotPow2
+	}
+	if s.N < 0 || s.N > s.PaddedN {
+		return fmt.Errorf("wavelet: invalid lengths N=%d PaddedN=%d", s.N, s.PaddedN)
+	}
+	if len(s.Index) != len(s.Value) {
+		return fmt.Errorf("wavelet: index/value length mismatch %d vs %d", len(s.Index), len(s.Value))
+	}
+	for _, idx := range s.Index {
+		if int(idx) >= s.PaddedN {
+			return fmt.Errorf("wavelet: coefficient index %d out of range %d", idx, s.PaddedN)
+		}
+	}
+	return nil
+}
+
+// decompress is Decompress on a checked form, reconstructing in coeffs
+// with pass buffer tmp (both PaddedN long).
+func (s Sparse) decompress(coeffs, tmp []float64) []float64 {
+	clear(coeffs)
+	for i, idx := range s.Index {
+		coeffs[idx] = s.Value[i]
+	}
+	inverse(coeffs, tmp)
+	return coeffs[:s.N]
 }
 
 // Marshal encodes the sparse form as bytes: this is the exact payload size
@@ -306,15 +395,17 @@ func Decompress(s Sparse) ([]float64, error) {
 // count, then count * (u32 index, f32 value). Values are quantized to
 // float32 — ample for sensor data and half the bytes.
 func (s Sparse) Marshal() []byte {
-	buf := make([]byte, 12+8*len(s.Index))
-	binary.LittleEndian.PutUint32(buf[0:], uint32(s.N))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(s.PaddedN))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(len(s.Index)))
-	off := 12
+	return s.AppendMarshal(make([]byte, 0, s.WireSize()))
+}
+
+// AppendMarshal appends Marshal's encoding of s to buf.
+func (s Sparse) AppendMarshal(buf []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.N))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.PaddedN))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Index)))
 	for i := range s.Index {
-		binary.LittleEndian.PutUint32(buf[off:], s.Index[i])
-		binary.LittleEndian.PutUint32(buf[off+4:], math.Float32bits(float32(s.Value[i])))
-		off += 8
+		buf = binary.LittleEndian.AppendUint32(buf, s.Index[i])
+		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(float32(s.Value[i])))
 	}
 	return buf
 }
@@ -352,4 +443,64 @@ func UnmarshalSparsePrefix(buf []byte) (Sparse, int, error) {
 }
 
 // WireSize returns the Marshal size in bytes without allocating.
-func (s Sparse) WireSize() int { return 12 + 8*len(s.Index) }
+func (s Sparse) WireSize() int { return WireSize(len(s.Index)) }
+
+// WireSize is the Marshal size in bytes of a sparse form holding count
+// coefficients.
+func WireSize(count int) int { return 12 + 8*count }
+
+// Scratch holds the buffers Forward, TopK, the sparse form and Decompress
+// work in, so a loop over many signals (flash compaction ages hundreds of
+// chunks per pass) allocates them once. The zero value is ready to use.
+// A slice a method returns is valid until the next call of that method.
+// Not safe for concurrent use.
+type Scratch struct {
+	tmp   []float64
+	rest  []ranked
+	idx   []uint32
+	val   []float64
+	recon []float64
+}
+
+// Forward is the package's Forward without allocating.
+func (sc *Scratch) Forward(xs []float64) ([]float64, error) {
+	if !IsPow2(len(xs)) {
+		return nil, ErrNotPow2
+	}
+	sc.tmp = resize(sc.tmp, len(xs))
+	forward(xs, sc.tmp)
+	return xs, nil
+}
+
+// TopK is the package's TopK without allocating.
+func (sc *Scratch) TopK(coeffs []float64, k int) int {
+	zeroed, rest := topK(coeffs, k, sc.rest)
+	sc.rest = rest
+	return zeroed
+}
+
+// Sparse returns the sparse form of a transform's non-zero coefficients,
+// for a signal n long before padding.
+func (sc *Scratch) Sparse(coeffs []float64, n int) Sparse {
+	s := sparseOf(coeffs, n, sc.idx[:0], sc.val[:0])
+	sc.idx, sc.val = s.Index, s.Value
+	return s
+}
+
+// Decompress is the package's Decompress without allocating.
+func (sc *Scratch) Decompress(s Sparse) ([]float64, error) {
+	if err := s.check(); err != nil {
+		return nil, err
+	}
+	sc.recon = resize(sc.recon, s.PaddedN)
+	sc.tmp = resize(sc.tmp, s.PaddedN)
+	return s.decompress(sc.recon, sc.tmp), nil
+}
+
+// resize returns buf n long, reallocating only when it is too short.
+func resize(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
+}

@@ -3,6 +3,8 @@ package wavelet
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -355,5 +357,69 @@ func BenchmarkForward1024(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tmp := append([]float64(nil), xs...)
 		Forward(tmp)
+	}
+}
+
+// TestTopKKeepsRankOrder checks TopK and Scratch.TopK against a full sort
+// in TopK's documented order — magnitude descending, then index
+// ascending — on vectors full of equal magnitudes, signed pairs and zeros,
+// where any other tie rule keeps a different coefficient.
+func TestTopKKeepsRankOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	var sc Scratch
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(300)
+		xs := make([]float64, n)
+		levels := 1 + rng.Intn(6)
+		for i := range xs {
+			switch rng.Intn(4) {
+			case 0:
+				xs[i] = 0
+			case 1:
+				xs[i] = rng.NormFloat64()
+			default: // few distinct magnitudes, either sign
+				xs[i] = float64(rng.Intn(levels)) * float64(1-2*rng.Intn(2))
+			}
+		}
+		k := rng.Intn(n + 2)
+
+		// Reference: sort the details by (magnitude desc, index asc) and
+		// keep the first k-1.
+		want := append([]float64(nil), xs...)
+		wantZeroed := 0
+		if k < n {
+			idx := make([]int, 0, n-1)
+			for i := 1; i < n; i++ {
+				idx = append(idx, i)
+			}
+			sort.SliceStable(idx, func(a, b int) bool { return math.Abs(xs[idx[a]]) > math.Abs(xs[idx[b]]) })
+			for _, i := range idx[max(k, 1)-1:] {
+				if want[i] != 0 {
+					wantZeroed++
+				}
+				want[i] = 0
+			}
+		}
+		for name, topk := range map[string]func([]float64, int) int{"TopK": TopK, "Scratch.TopK": sc.TopK} {
+			got := append([]float64(nil), xs...)
+			if z := topk(got, k); z != wantZeroed || !slices.Equal(got, want) {
+				t.Fatalf("trial %d (n=%d k=%d): %s zeroed %d, kept %v; want %d, %v", trial, n, k, name, z, got, wantZeroed, want)
+			}
+		}
+	}
+}
+
+func TestKeepCount(t *testing.T) {
+	for _, c := range []struct {
+		frac float64
+		n    int
+		want int
+	}{
+		{1, 128, 128}, {2, 8, 8}, {0.5, 128, 64}, {0.3, 128, 39},
+		{0.125, 4, 1}, {0.01, 4, 1}, {0.5, 1, 1}, {0.25, 2, 1},
+	} {
+		if got := KeepCount(c.frac, c.n); got != c.want {
+			t.Errorf("KeepCount(%v, %d) = %d, want %d", c.frac, c.n, got, c.want)
+		}
 	}
 }
