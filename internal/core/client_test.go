@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"presto/internal/gen"
 	"presto/internal/obs"
 	"presto/internal/query"
 	"presto/internal/radio"
@@ -672,5 +673,65 @@ func TestAggRoundFoldOrder(t *testing.T) {
 			t.Errorf("%s round: routed %d, archive-served %d, proxy answers %d; want 2, 1, 2",
 				name, rs.Routed, rs.ArchiveServed, ps.QueriesAnswered)
 		}
+	}
+}
+
+// BenchmarkScatterGather prices declarative set-valued aggregates end to
+// end: one AGG(mean) Spec over 1, 8 and 64 motes on a 64-mote deployment
+// at 1 and 4 shards. However many motes and domains a spec spans, it
+// costs a single engine submission — per-domain partials merged by the
+// client — so specs/sec should degrade sublinearly in mote count and
+// gain from sharding. Reports specs/sec as queries/s.
+func BenchmarkScatterGather(b *testing.B) {
+	const proxies, motesPer = 4, 16
+	for _, shards := range []int{1, 4} {
+		c := gen.DefaultTempConfig()
+		c.Sensors = proxies * motesPer
+		c.Days = 4
+		c.Seed = 1
+		traces, err := gen.Temperature(c)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		cfg.Proxies = proxies
+		cfg.MotesPerProxy = motesPer
+		cfg.Shards = shards
+		cfg.Radio.LossProb = 0
+		cfg.Radio.JitterMax = 0
+		cfg.Traces = traces
+		n, err := Build(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n.Start()
+		n.Run(48 * time.Hour)
+		ids := n.MoteIDs()
+		for _, motes := range []int{1, 8, 64} {
+			spec := query.Spec{
+				Type: query.Agg, Agg: query.Mean,
+				Select: query.SelectMotes(ids[:motes]...),
+				T0:     2 * simtime.Hour, T1: 8 * simtime.Hour,
+				Precision: 2.0,
+			}
+			b.Run(fmt.Sprintf("shards=%d/motes=%d", shards, motes), func(b *testing.B) {
+				ctx := context.Background()
+				cl := n.Client()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					res, err := cl.QueryOne(ctx, spec)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if res.Err != nil || res.Count == 0 {
+						b.Fatalf("empty aggregate: %+v", res)
+					}
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
+			})
+		}
+		n.Close()
 	}
 }

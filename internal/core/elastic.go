@@ -111,17 +111,6 @@ func (n *Network) DropDomain(d int) error {
 	return nil
 }
 
-// HostedDomains lists the global domain indexes this process currently
-// hosts, ascending.
-func (n *Network) HostedDomains() []int {
-	out := make([]int, len(n.shards))
-	for i, s := range n.shards {
-		out[i] = s.domain
-	}
-	sort.Ints(out)
-	return out
-}
-
 // HostsDomain reports whether this process currently hosts domain d.
 func (n *Network) HostsDomain(d int) bool {
 	_, ok := n.localShard(d)

@@ -456,3 +456,71 @@ func TestArchiveServesCoveredRange(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkFreshnessBounds measures the cost of per-query freshness
+// bounds end to end on a sharded deployment: unbounded NOW queries ride
+// the wired replica, a loose bound still mostly does, and a tight bound
+// bypasses the replica and pays mote rendezvous in the owning domain.
+func BenchmarkFreshnessBounds(b *testing.B) {
+	bounds := []struct {
+		name  string
+		stale time.Duration
+	}{
+		{"unbounded", 0},
+		{"loose-6h", 6 * time.Hour},
+		{"tight-1s", time.Second},
+	}
+	for _, bd := range bounds {
+		b.Run(bd.name, func(b *testing.B) {
+			const proxies, motesPer = 2, 4
+			c := gen.DefaultTempConfig()
+			c.Sensors = proxies * motesPer
+			c.Days = 4
+			c.Seed = 1
+			traces, err := gen.Temperature(c)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := DefaultConfig()
+			cfg.Proxies = proxies
+			cfg.MotesPerProxy = motesPer
+			cfg.Shards = 2
+			cfg.Radio.LossProb = 0
+			cfg.Radio.JitterMax = 0
+			cfg.Traces = traces
+			cfg.WiredFirstProxy = true
+			n, err := Build(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer n.Close()
+			n.Start()
+			n.Run(24 * time.Hour)
+
+			// Remote motes only: the interesting path is the cross-domain
+			// replica decision.
+			var remote []radio.NodeID
+			for _, id := range n.MoteIDs() {
+				if id > motesPer {
+					remote = append(remote, id)
+				}
+			}
+			client, ctx := n.Client(), context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, id := range remote {
+					q := query.Spec{Type: query.Now, Select: query.SelectMotes(id), Precision: 2.0, MaxStaleness: bd.stale}
+					if res, err := client.QueryOne(ctx, q); err != nil || len(res.Results) != 1 {
+						b.Fatalf("mote %d: %d results, err %v", id, len(res.Results), err)
+					}
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.N*len(remote))/b.Elapsed().Seconds(), "queries/s")
+			_, served, _, _ := n.EngineStats()
+			b.ReportMetric(float64(served), "replica-served")
+			b.ReportMetric(float64(n.ReplicaBypassed()), "replica-bypassed")
+		})
+	}
+}

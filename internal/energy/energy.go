@@ -97,9 +97,6 @@ func (m *Meter) Get(c Category) float64 { return m.joules[c] }
 // Events returns how many charges were recorded for a category.
 func (m *Meter) Events(c Category) uint64 { return m.events[c] }
 
-// ByCategory returns a copy of all per-category totals.
-func (m *Meter) ByCategory() [NumCategories]float64 { return m.joules }
-
 // Reset zeroes the meter.
 func (m *Meter) Reset() { *m = Meter{} }
 

@@ -60,16 +60,6 @@ func TestFigure2Shape(t *testing.T) {
 	}
 }
 
-func TestFigure2TableRuns(t *testing.T) {
-	tab, err := Figure2(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != len(Figure2Intervals) {
-		t.Fatalf("rows=%d", len(tab.Rows))
-	}
-}
-
 func TestTable1Runs(t *testing.T) {
 	tab, err := Table1(tinyScale())
 	if err != nil {
@@ -260,19 +250,6 @@ func TestE8Runs(t *testing.T) {
 	}
 	if la >= fi {
 		t.Errorf("loose deadline energy %v not below tight deadline %v", la, fi)
-	}
-}
-
-func TestAblationsRun(t *testing.T) {
-	sc := tinyScale()
-	for _, fn := range []func(Scale) (*Table, error){AblationModels, AblationCompression, AblationRetrain, AblationLPL} {
-		tab, err := fn(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(tab.Rows) == 0 {
-			t.Fatalf("%s produced no rows", tab.Title)
-		}
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 )
 
 // Scale controls experiment cost: paper-scale runs for cmd/presto-bench,
-// smaller runs for go test -bench.
+// smaller runs for its -scale quick and for go test.
 type Scale struct {
 	Days   int // trace length
 	Motes  int // motes per deployment where applicable
@@ -47,7 +47,7 @@ type Scale struct {
 // multi-week Intel Lab trace; we run 28 days).
 func PaperScale() Scale { return Scale{Days: 28, Motes: 20, Events: 0.5, Seed: 1, Shards: 1} }
 
-// QuickScale keeps benchmarks fast while preserving shapes.
+// QuickScale is presto-bench -scale quick: fast, with every shape kept.
 func QuickScale() Scale { return Scale{Days: 7, Motes: 6, Events: 0.5, Seed: 1, Shards: 1} }
 
 // tempTraces generates n temperature traces at this scale.

@@ -1,9 +1,9 @@
 // Package exp contains the experiment harness: one function per table and
 // figure in the paper (plus derived experiments for each quantitative
 // claim in the prose), each returning a Table whose rows mirror what the
-// paper reports. cmd/presto-bench runs them all; bench_test.go exposes
-// each as a testing.B benchmark. All is the experiment index; README's
-// "Quick start" shows how to run them.
+// paper reports. cmd/presto-bench runs them all; go test pins each at
+// test scale against testdata/<ID>.golden. All is the experiment index;
+// README's "Quick start" shows how to run them.
 package exp
 
 import (

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"time"
 
@@ -39,8 +40,9 @@ func WriteCSV(w io.Writer, tr *Trace) error {
 // trace this repository's generator substitutes for) can drive the
 // simulator. Expected layout: a header row, then one sample per row with
 // the value in column valueCol. Rows are assumed regularly spaced at
-// interval; blank or unparsable values repeat the previous sample (the
-// Intel Lab trace has gaps and real deployments lose samples).
+// interval; blank, unparsable or non-finite values (NaN, ±Inf) repeat the
+// previous sample (the Intel Lab trace has gaps and real deployments lose
+// samples), and a leading one is skipped.
 func FromCSV(r io.Reader, valueCol int, interval time.Duration) (*Trace, error) {
 	if valueCol < 0 {
 		return nil, fmt.Errorf("gen: negative value column %d", valueCol)
@@ -60,7 +62,7 @@ func FromCSV(r io.Reader, valueCol int, interval time.Duration) (*Trace, error) 
 	tr := &Trace{Interval: interval}
 	for _, row := range rows[1:] {
 		if valueCol < len(row) {
-			if v, err := strconv.ParseFloat(row[valueCol], 64); err == nil {
+			if v, err := strconv.ParseFloat(row[valueCol], 64); err == nil && !math.IsNaN(v) && !math.IsInf(v, 0) {
 				tr.Values = append(tr.Values, v)
 				continue
 			}

@@ -1,7 +1,10 @@
 package gen
 
 import (
+	"bytes"
 	"errors"
+	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -24,17 +27,17 @@ func TestFromCSV(t *testing.T) {
 	}
 }
 
+// TestFromCSVGapsRepeatPrevious: a blank, unparsable or non-finite cell
+// (NaN and ±Inf parse as floats but are not samples; 1e400 overflows)
+// repeats the previous sample.
 func TestFromCSVGapsRepeatPrevious(t *testing.T) {
-	in := "epoch,temp\n0,20.5\n1,\n2,not-a-number\n3,21.0\n"
+	in := "epoch,temp\n0,20.5\n1,\n2,not-a-number\n3,NaN\n4,+Inf\n5,-infinity\n6,1e400\n7,21.0\n"
 	tr, err := FromCSV(strings.NewReader(in), 1, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []float64{20.5, 20.5, 20.5, 21.0}
-	for i, v := range want {
-		if tr.Values[i] != v {
-			t.Fatalf("values %v, want %v", tr.Values, want)
-		}
+	if want := []float64{20.5, 20.5, 20.5, 20.5, 20.5, 20.5, 20.5, 21.0}; !slices.Equal(tr.Values, want) {
+		t.Fatalf("values %v, want %v", tr.Values, want)
 	}
 }
 
@@ -59,17 +62,18 @@ func TestFromCSVErrors(t *testing.T) {
 	if _, err := FromCSV(strings.NewReader("header-only\n"), 0, time.Minute); err == nil {
 		t.Error("header-only csv accepted")
 	}
-	if _, err := FromCSV(strings.NewReader("h\nx\ny\n"), 0, time.Minute); !errors.Is(err, ErrNoSamples) {
+	if _, err := FromCSV(strings.NewReader("h\nx\nNaN\nInf\n"), 0, time.Minute); !errors.Is(err, ErrNoSamples) {
 		t.Errorf("no parsable samples: got %v, want ErrNoSamples", err)
 	}
 }
 
-// TestFromCSVLeadingBadRowsKeepTimeBase: blank/unparsable rows before the
-// first valid sample are skipped (no invented zeros), but the surviving
-// samples must keep the timestamps their row positions imply — row i of
-// the file lives at i*interval whether or not earlier rows parsed.
+// TestFromCSVLeadingBadRowsKeepTimeBase: blank, unparsable or non-finite
+// rows before the first valid sample are skipped (no invented zeros), but
+// the surviving samples must keep the timestamps their row positions
+// imply — row i of the file lives at i*interval whether or not earlier
+// rows parsed.
 func TestFromCSVLeadingBadRowsKeepTimeBase(t *testing.T) {
-	in := "epoch,temp\n0,\n1,not-a-number\n2,21.0\n3,21.5\n"
+	in := "epoch,temp\n0,\n1,not-a-number\n2,-Inf\n3,21.0\n4,21.5\n"
 	tr, err := FromCSV(strings.NewReader(in), 1, time.Minute)
 	if err != nil {
 		t.Fatal(err)
@@ -77,16 +81,16 @@ func TestFromCSVLeadingBadRowsKeepTimeBase(t *testing.T) {
 	if len(tr.Values) != 2 || tr.Values[0] != 21.0 || tr.Values[1] != 21.5 {
 		t.Fatalf("values %v, want [21 21.5]", tr.Values)
 	}
-	if want := 2 * simtime.Minute; tr.Start != want {
-		t.Fatalf("trace starts at %v, want %v (two leading rows skipped)", tr.Start, want)
+	if want := 3 * simtime.Minute; tr.Start != want {
+		t.Fatalf("trace starts at %v, want %v (three leading rows skipped)", tr.Start, want)
 	}
-	if got := tr.At(0); got != 2*simtime.Minute {
-		t.Fatalf("first sample at %v, want 2m", got)
+	if got := tr.At(0); got != 3*simtime.Minute {
+		t.Fatalf("first sample at %v, want 3m", got)
 	}
 	// Value() honours the shifted base: asking at the skipped rows' times
 	// clamps to the first real sample instead of reading a phantom zero.
-	if v := tr.Value(3 * simtime.Minute); v != 21.5 {
-		t.Fatalf("Value(3m) = %v, want 21.5", v)
+	if v := tr.Value(4 * simtime.Minute); v != 21.5 {
+		t.Fatalf("Value(4m) = %v, want 21.5", v)
 	}
 	// A file with no leading gap still starts at zero.
 	clean, err := FromCSV(strings.NewReader("epoch,temp\n0,20.0\n"), 1, time.Minute)
@@ -130,4 +134,65 @@ func TestWriteCSVRoundTrip(t *testing.T) {
 			t.Fatalf("sample %d: event column %v, trace says %t", i, v, want.EventActive(i))
 		}
 	}
+}
+
+// FuzzFromCSV: on any bytes FromCSV never panics, returns only finite
+// values, allocates in proportion to its input, and reads back bit for
+// bit what WriteCSV writes of any trace it returns.
+func FuzzFromCSV(f *testing.F) {
+	// A presto-scenario -traces file, cut to its first samples.
+	cfg := DefaultTempConfig()
+	cfg.Days = 1
+	cfg.EventsPerDay = 4
+	traces, err := Temperature(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	head := *traces[0]
+	head.Values = head.Values[:16]
+	var b strings.Builder
+	if err := WriteCSV(&b, &head); err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(b.String()), uint8(1))
+	f.Add([]byte(b.String()), uint8(2))
+	f.Add([]byte("s,v\n0,1\n1,NaN\n2,+Inf\n3,-infinity\n4,0x1p-2\n5,-0\n"), uint8(1))
+	f.Add([]byte("a,b,c\n1,20\n\"2\",\"21\",extra\n3\n"), uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, col uint8) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tr, err := FromCSV(bytes.NewReader(data), int(col%4), time.Minute)
+		runtime.ReadMemStats(&after)
+		// A one-byte row costs a record, its field slice and a sample: a
+		// few dozen bytes. 256 B per input byte plus 1 MiB for the
+		// reader's buffers and the fuzzing worker's own allocations
+		// trips only on a superlinear path.
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(256*len(data)+1<<20); got > limit {
+			t.Fatalf("%d input bytes allocated %d bytes (limit %d)", len(data), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		for i, v := range tr.Values {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("sample %d is %v", i, v)
+			}
+		}
+		var out strings.Builder
+		if err := WriteCSV(&out, tr); err != nil {
+			t.Fatal(err)
+		}
+		again, err := FromCSV(strings.NewReader(out.String()), 1, tr.Interval)
+		if err != nil {
+			t.Fatalf("cannot read back our own csv: %v\n%s", err, out.String())
+		}
+		if len(again.Values) != len(tr.Values) || again.Start != 0 {
+			t.Fatalf("read back %d samples from %v, want %d from 0", len(again.Values), again.Start, len(tr.Values))
+		}
+		for i, v := range tr.Values {
+			if math.Float64bits(again.Values[i]) != math.Float64bits(v) {
+				t.Fatalf("sample %d read back as %v, want %v", i, again.Values[i], v)
+			}
+		}
+	})
 }

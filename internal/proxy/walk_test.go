@@ -240,3 +240,60 @@ func TestRangeWalkFoldsRuns(t *testing.T) {
 		t.Fatalf("fold saw %d slots in %d calls, want 240 in at most 25", f.slots, f.calls)
 	}
 }
+
+// BenchmarkProxyRange prices the proxy's range walk on its own — the hot
+// path of every PAST/AGG mote the archive declines: a 240-slot window
+// over a sparse series (one push per ~20 slots, the value-driven common
+// case, so ~95% of the slots are model extrapolations) and over a dense
+// one (every slot cached, as for a streaming mote), answered folded into
+// a query.Partial (the AGG path: no entries materialised) and
+// materialised as an Answer (the PAST path: one exact-size slice). The
+// sparse window walks as 12 cached slots and 12 runs between them, so
+// its fold makes 24 calls, not 240. Against the per-slot assembly the
+// walk replaced (medians of 20 interleaved runs on a shared 2-vCPU VM):
+// sparse/fold 5.0 → 1.3 µs, sparse/materialise 5.8 → 3.3 µs,
+// dense/fold 4.1 → 4.1 µs, dense/materialise 5.2 → 5.6 µs.
+func BenchmarkProxyRange(b *testing.B) {
+	for _, series := range []struct {
+		name  string
+		every int
+	}{{"sparse", 20}, {"dense", 1}} {
+		sim := simtime.New(1)
+		med, err := radio.NewMedium(sim, radio.DefaultConfig(), energy.DefaultParams())
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := proxy.New(sim, med, proxy.DefaultConfig(100))
+		if err != nil {
+			b.Fatal(err)
+		}
+		p.Register(1, time.Minute, 1.0)
+		s, _ := p.Series(1)
+		for i := 0; i < 240; i += series.every {
+			s.Insert(cache.Entry{T: simtime.Time(i) * simtime.Minute, V: 20 + float64(i)/7, Source: cache.Pushed})
+		}
+		t0, t1 := simtime.Time(0), 239*simtime.Minute
+		slots := 0
+		count := func(a proxy.Answer) { slots += len(a.Entries) }
+		b.Run(series.name+"/fold", func(b *testing.B) {
+			fold := query.NewPartialFor(query.Spec{Type: query.Agg, Agg: query.Mean})
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p.QueryRange(1, t0, t1, 1.0, 0, &fold, count)
+			}
+			if fold.Count != 240*b.N {
+				b.Fatalf("folded %d entries over %d ranges", fold.Count, b.N)
+			}
+		})
+		b.Run(series.name+"/materialise", func(b *testing.B) {
+			slots = 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p.QueryRange(1, t0, t1, 1.0, 0, nil, count)
+			}
+			if slots != 240*b.N {
+				b.Fatalf("materialised %d entries over %d ranges", slots, b.N)
+			}
+		})
+	}
+}

@@ -330,27 +330,6 @@ func (s *Sparse) Quantize() {
 	}
 }
 
-// Residual returns the maximum absolute reconstruction error of the sparse
-// form against the original signal: max_i |Decompress(s)[i] - orig[i]|.
-// This is the dropped-coefficient residual an archive must add to a
-// record's error bound when it replaces the record with a summary.
-func Residual(s Sparse, orig []float64) (float64, error) {
-	recon, err := Decompress(s)
-	if err != nil {
-		return 0, err
-	}
-	if len(recon) < len(orig) {
-		return 0, fmt.Errorf("wavelet: reconstruction length %d < original %d", len(recon), len(orig))
-	}
-	worst := 0.0
-	for i, x := range orig {
-		if d := math.Abs(recon[i] - x); d > worst {
-			worst = d
-		}
-	}
-	return worst, nil
-}
-
 // Decompress reconstructs the (lossy) signal from its sparse form,
 // truncated back to the original length.
 func Decompress(s Sparse) ([]float64, error) {
