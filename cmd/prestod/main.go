@@ -186,7 +186,7 @@ func parseArgs(args []string, stderr io.Writer) (scenario.Spec, options, error) 
 	fs.DurationVar(&o.every, "every", 0, "standing query period of virtual time over the back half (0 = no continuous query)")
 	fs.StringVar(&o.listen, "listen", "", "cluster coordinator: TCP listen address (host:port; :0 picks a port)")
 	fs.StringVar(&o.join, "join", "", "cluster site: coordinator address to join")
-	fs.DurationVar(&o.quantum, "quantum", cluster.DefaultQuantum, "cluster advance-lease quantum of virtual time")
+	fs.DurationVar(&o.quantum, "quantum", cluster.DefaultQuantum, "cluster advance-lease quantum of virtual time; bounds a lease only with -wired (the replica bridge crosses sites)")
 	fs.StringVar(&o.checkpoint, "checkpoint", "", "cluster coordinator: write a cluster-wide domain checkpoint to this directory after the aggregate")
 	fs.StringVar(&o.httpAddr, "http", "", "serve the HTTP/JSON query API on this address after bootstrap (e.g. :8080) instead of the query mix")
 	fs.Float64Var(&o.httpQPS, "http-qps", 0, "per-tenant admission rate for the HTTP tier in queries/sec (0 = unlimited)")

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -642,6 +643,78 @@ func TestTransportBasics(t *testing.T) {
 				t.Fatal("Recv survived peer close")
 			}
 			server.Close()
+		})
+	}
+}
+
+// TestTCPRecvBackToBack: frames sent back to back read back in order
+// through one buffered reader, in both the reused-buffer and the
+// fresh-buffer modes — including a frame larger than the read buffer,
+// and, in fresh mode, earlier frames' payloads surviving later reads.
+func TestTCPRecvBackToBack(t *testing.T) {
+	frames := []wire.Frame{
+		{Kind: wire.FrameAdvance, Seq: 1, Payload: []byte{1}},
+		{Kind: wire.FrameScatter, Seq: 2, Payload: []byte("abc")},
+		{Kind: wire.FramePartials, Seq: 300, Payload: bytes.Repeat([]byte{9}, 3*tcpReadBuffer+5)},
+		{Kind: wire.FrameAdvanceAck, Seq: 301},
+		{Kind: wire.FrameBridge, Seq: 1 << 40, Payload: bytes.Repeat([]byte{4}, 700)},
+	}
+	for _, reuse := range []bool{true, false} {
+		t.Run(fmt.Sprintf("reuse=%v", reuse), func(t *testing.T) {
+			lis, err := TCP{}.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lis.Close()
+			sent := make(chan error, 1)
+			go func() {
+				c, err := TCP{}.Dial(lis.Addr())
+				if err != nil {
+					sent <- err
+					return
+				}
+				defer c.Close()
+				for _, f := range frames {
+					if err := c.Send(f); err != nil {
+						sent <- err
+						return
+					}
+				}
+				sent <- nil
+			}()
+			server, err := lis.Accept()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer server.Close()
+			if reuse {
+				server.(RecvBufReuser).ReuseRecvBuffer()
+			}
+			var got []wire.Frame
+			for i, want := range frames {
+				f, err := server.Recv()
+				if err != nil {
+					t.Fatalf("frame %d: %v", i, err)
+				}
+				if f.Kind != want.Kind || f.Seq != want.Seq || !bytes.Equal(f.Payload, want.Payload) {
+					t.Fatalf("frame %d: got %v/%d/%d bytes, want %v/%d/%d bytes",
+						i, f.Kind, f.Seq, len(f.Payload), want.Kind, want.Seq, len(want.Payload))
+				}
+				got = append(got, f)
+			}
+			if err := <-sent; err != nil {
+				t.Fatal(err)
+			}
+			if !reuse {
+				for i, f := range got {
+					if !bytes.Equal(f.Payload, frames[i].Payload) {
+						t.Fatalf("frame %d's payload changed under later reads", i)
+					}
+				}
+			}
+			if st := server.Stats(); st.Recv != uint64(len(frames)) {
+				t.Fatalf("counted %d frames received, want %d", st.Recv, len(frames))
+			}
 		})
 	}
 }

@@ -16,11 +16,14 @@ import (
 	"presto/internal/wire"
 )
 
-// DefaultQuantum is the largest advance lease: how much virtual time a
-// site may run ahead between coordinator barriers (a lease due at a
-// round's instant stops short of it). It matches the domain workers'
-// bridge-drain quantum — the same bound the single-process replica
-// freshness story is built on. Only a coordinator has a quantum.
+// DefaultQuantum is the largest advance lease in a deployment with a
+// wired-replica bridge: how much virtual time a site may run ahead
+// between coordinator barriers while replica traffic crosses sites (a
+// lease due at a round's instant stops short of it). It matches the
+// domain workers' bridge-drain quantum — the same bound the
+// single-process replica freshness story is built on. Without the bridge
+// nothing crosses sites between leases and no quantum applies. Only a
+// coordinator has a quantum.
 const DefaultQuantum = 10 * time.Second
 
 // Options tunes a cluster coordinator.
@@ -31,10 +34,13 @@ type Options struct {
 	// joined site. Must be >= 1 and <= the deployment's domain count.
 	Sites int
 	// Quantum is the most virtual time one advance lease may step
-	// (default DefaultQuantum). A lease also never steps past the
-	// instant a continuous round is due, so every round gathers at its
-	// own instant whatever the cadence — a cadence that does not divide
-	// the quantum just adds a lease per round.
+	// (default DefaultQuantum) when the deployment has a wired-replica
+	// bridge (WiredFirstProxy with more than one proxy); otherwise it is
+	// unused and a lease runs to the next round instant or the Run
+	// target. A lease also never steps past the instant a continuous
+	// round is due, so every round gathers at its own instant whatever
+	// the cadence — a cadence that does not divide the quantum just adds
+	// a lease per round.
 	Quantum time.Duration
 }
 
@@ -257,11 +263,12 @@ func (co *Coordinator) Bootstrap(ctx context.Context, trainFor time.Duration, bi
 func (co *Coordinator) Start(ctx context.Context) error { return co.eng.Start(ctx) }
 
 // Run advances the whole cluster by d of virtual time through the
-// engine's lease loop (core.Engine.Run): leases of at most one quantum
-// that never step past a continuous round's instant, every site — the
-// coordinator's own window included — converging on each before the
-// next is issued. Dead and unjoined sites are skipped: their absence is
-// reported per round via SiteErrs, not by wedging the clock.
+// engine's lease loop (core.Engine.Run): every site — the coordinator's
+// own window included — converges on each lease before the next is
+// issued. A lease never steps past a continuous round's instant and, in
+// a deployment with a wired-replica bridge, never more than one quantum.
+// Dead and unjoined sites are skipped: their absence is reported per
+// round via SiteErrs, not by wedging the clock.
 func (co *Coordinator) Run(ctx context.Context, d time.Duration) error {
 	co.runMu.Lock()
 	defer co.runMu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"presto/internal/core"
 	"presto/internal/query"
 	"presto/internal/simtime"
 	"presto/internal/wire"
@@ -197,5 +198,77 @@ func TestPooledCodecsConcurrentSites(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestClusterLeasesFollowBridge: a coordinator bounds a lease by its
+// quantum only when the deployment has a wired-replica bridge, whose
+// traffic crosses sites. An unwired 10-minute step with no round due is
+// one lease; the same step wired is one lease per 10 s quantum. Both
+// answer an AGG bit-identically to the in-process Network after the
+// same steps.
+func TestClusterLeasesFollowBridge(t *testing.T) {
+	const warmup, step = 2 * time.Hour, 10 * time.Minute
+	for _, tc := range []struct {
+		name   string
+		wired  bool
+		leases uint64
+	}{
+		{"unwired", false, 1},
+		{"wired", true, uint64(step / DefaultQuantum)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(t, 4, 2, 4)
+			cfg.WiredFirstProxy = tc.wired
+
+			single, err := core.Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer single.Close()
+			single.Start()
+			single.Run(warmup)
+			single.Run(step)
+			now := single.Now()
+			spec := query.Spec{
+				Type: query.Agg, Agg: query.Mean, Precision: 0.5,
+				T0: now - 90*simtime.Minute, T1: now - 30*simtime.Minute,
+			}
+			ref, err := single.Client().QueryOne(context.Background(), spec)
+			if err != nil || ref.Err != nil || ref.Count == 0 {
+				t.Fatalf("reference aggregate unusable: %+v, %v", ref, err)
+			}
+
+			co, shutdown := startCluster(t, NewLoopback(), cfg, 2)
+			defer shutdown()
+			ctx := context.Background()
+			if err := co.Start(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if err := co.Run(ctx, warmup); err != nil {
+				t.Fatal(err)
+			}
+			leases := co.Leases()
+			if err := co.Run(ctx, step); err != nil {
+				t.Fatal(err)
+			}
+			if got := co.Leases() - leases; got != tc.leases {
+				t.Fatalf("%v step issued %d leases, want %d", step, got, tc.leases)
+			}
+			if co.Now() != now {
+				t.Fatalf("cluster clock %v != single-process %v", co.Now(), now)
+			}
+			res, err := co.Client().QueryOne(ctx, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.SiteErrs) != 0 || res.Failed != 0 {
+				t.Fatalf("round not clean: %+v", res)
+			}
+			if res.Value != ref.Value || res.ErrBound != ref.ErrBound || res.Count != ref.Count {
+				t.Fatalf("cluster AGG (%v ± %v, n=%d) != single-process (%v ± %v, n=%d)",
+					res.Value, res.ErrBound, res.Count, ref.Value, ref.ErrBound, ref.Count)
+			}
+		})
 	}
 }

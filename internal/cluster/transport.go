@@ -25,6 +25,7 @@
 package cluster
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -325,12 +326,18 @@ type RecvBufReuser interface {
 	ReuseRecvBuffer()
 }
 
+// tcpReadBuffer sizes a TCP connection's read buffer: a scatter, a
+// lease or a round's partials arrive whole in one read, often with the
+// frames behind them; a larger frame reads through.
+const tcpReadBuffer = 16 << 10
+
 type tcpConn struct {
 	c      net.Conn
 	sendMu sync.Mutex
-	// readBuf/reuseBuf belong to the Recv goroutine (Conn.Recv is
+	// r, readBuf and reuseBuf belong to the Recv goroutine (Conn.Recv is
 	// single-goroutine by contract; call ReuseRecvBuffer from it, before
 	// the first Recv).
+	r        *bufio.Reader
 	readBuf  []byte
 	reuseBuf bool
 	connCounter
@@ -338,11 +345,11 @@ type tcpConn struct {
 
 func newTCPConn(c net.Conn) *tcpConn {
 	if tc, ok := c.(*net.TCPConn); ok {
-		// Frames are latency-sensitive RPCs; writes are already
-		// whole-frame, so Nagle only adds delay.
+		// Frames are latency-sensitive RPCs and WriteFrame puts each on
+		// the socket in one write, so Nagle only adds delay.
 		_ = tc.SetNoDelay(true)
 	}
-	return &tcpConn{c: c}
+	return &tcpConn{c: c, r: bufio.NewReaderSize(c, tcpReadBuffer)}
 }
 
 func (c *tcpConn) Send(f wire.Frame) error {
@@ -359,9 +366,9 @@ func (c *tcpConn) Recv() (wire.Frame, error) {
 	var f wire.Frame
 	var err error
 	if c.reuseBuf {
-		f, c.readBuf, err = wire.ReadFrameBuf(c.c, c.readBuf)
+		f, c.readBuf, err = wire.ReadFrameBuf(c.r, c.readBuf)
 	} else {
-		f, err = wire.ReadFrame(c.c)
+		f, err = wire.ReadFrame(c.r)
 	}
 	if err != nil {
 		return wire.Frame{}, err

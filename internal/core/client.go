@@ -15,8 +15,11 @@ package core
 // the clock in leases, and a lease never steps past the instant a
 // standing round is due: every round seals when a lease reaches its
 // instant and gathers there, after every event at the instant has fired,
-// on every site alike. Only a coordinator has a lease quantum as well;
-// an in-process engine leases to each round instant and to the target.
+// on every site alike. Only a coordinator has a lease quantum as well,
+// and it bounds a lease only when the deployment replicates over the
+// wired bridge, the one traffic that crosses sites between leases;
+// otherwise the coordinator, like an in-process engine, leases to each
+// round instant and to the target.
 
 import (
 	"context"
@@ -38,8 +41,9 @@ import (
 // that steps the sites' clocks. Site 0 is always the local site.
 type Engine struct {
 	local *Network // site 0's domains
-	// quantum bounds a lease (a coordinator's Options.Quantum). Zero is
-	// an in-process engine: no quantum, and its clock is its domains'.
+	// quantum bounds a lease (a coordinator's Options.Quantum) in a
+	// deployment that replicates over the bridge. Zero is an in-process
+	// engine: no quantum, and its clock is its domains'.
 	quantum  simtime.Time
 	standing *Streams // a pointer, so its goroutines never root the engine
 	leases   atomic.Uint64
@@ -323,11 +327,15 @@ func (e *Engine) collect(ctx context.Context, r route, bound query.Spec, rd Roun
 }
 
 // Run advances every site by d of virtual time in absolute leases, each
-// site converging on a lease before the next is issued. A lease steps at
-// most one quantum (coordinators only) and never past the instant a
-// standing round is due, so every round seals and gathers at its
-// instant. A site that fails a lease is skipped: its absence shows per
-// round in SiteErrs, not by wedging the clock.
+// site converging on a lease before the next is issued. A lease never
+// steps past the instant a standing round is due, so every round seals
+// and gathers at its instant. In a deployment that replicates over the
+// bridge a coordinator's lease also steps at most one quantum, so
+// replica traffic crossing sites lands within a quantum of when it was
+// sent; without the bridge nothing crosses sites between leases, and a
+// step with no round due is one lease. A site that fails a lease is
+// skipped: its absence shows per round in SiteErrs, not by wedging the
+// clock.
 //
 // Rounds are pipelined: a sealed round's gathers are enqueued (or sent)
 // right after its lease converges, and the next lease goes out while
@@ -336,12 +344,16 @@ func (e *Engine) collect(ctx context.Context, r route, bound query.Spec, rd Roun
 // later lease, which pins the round to the instant it was sealed at.
 // The caller serializes Run with everything else that moves the clock.
 func (e *Engine) Run(ctx context.Context, d time.Duration) error {
+	quantum := e.quantum
+	if !e.local.cfg.replicates() {
+		quantum = 0
+	}
 	now := e.Now()
 	target := now + simtime.Time(d)
 	for now < target {
 		next := target
-		if e.quantum > 0 {
-			next = min(next, now+e.quantum)
+		if quantum > 0 {
+			next = min(next, now+quantum)
 		}
 		if at, ok := e.standing.Next(); ok {
 			next = min(next, max(at, now))

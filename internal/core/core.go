@@ -180,6 +180,11 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// replicates reports whether proxy 0 mirrors the other proxies over the
+// wired-replica bridge: the only traffic that crosses domains between
+// leases.
+func (c Config) replicates() bool { return c.WiredFirstProxy && c.Proxies > 1 }
+
 // moteSampleInterval resolves mote mi's effective sampling period: the
 // per-mote override when one is set, the global interval otherwise.
 func (c Config) moteSampleInterval(mi int) time.Duration {
@@ -396,7 +401,7 @@ func Build(cfg Config) (*Network, error) {
 	// domain proxies tap straight into it; remote domains go over the
 	// bridge. The replica registers every remote mote in replica-only
 	// mode so it can absorb and serve their data.
-	if cfg.WiredFirstProxy && cfg.Proxies > 1 {
+	if cfg.replicates() {
 		n.wireReplication()
 	}
 

@@ -47,7 +47,7 @@ func (n *Network) AdoptDomain(d int) error {
 	for pi := lo; pi < hi; pi++ {
 		n.proxyShard[pi] = s.slot
 	}
-	if n.cfg.WiredFirstProxy && n.cfg.Proxies > 1 {
+	if n.cfg.replicates() {
 		n.wireShardReplication(s)
 	}
 	n.refreshViews()

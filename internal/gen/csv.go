@@ -52,16 +52,23 @@ func FromCSV(r io.Reader, valueCol int, interval time.Duration) (*Trace, error) 
 	}
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1 // ragged rows tolerated
-	rows, err := cr.ReadAll()
-	if err != nil {
+	cr.ReuseRecord = true   // one cell is read per row; no row outlives it
+	if _, err := cr.Read(); err != nil && err != io.EOF {
 		return nil, fmt.Errorf("gen: reading csv: %w", err)
 	}
-	if len(rows) < 2 {
-		return nil, fmt.Errorf("gen: csv needs a header and at least one sample row")
-	}
 	tr := &Trace{Interval: interval}
-	for _, row := range rows[1:] {
-		if valueCol < len(row) {
+	rows := 0 // sample rows read, the header excluded
+	for {
+		row, err := cr.Read()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("gen: reading csv: %w", err)
+		}
+		rows++
+		// A blank cell skips ParseFloat, whose error allocates.
+		if valueCol < len(row) && row[valueCol] != "" {
 			if v, err := strconv.ParseFloat(row[valueCol], 64); err == nil && !math.IsNaN(v) && !math.IsInf(v, 0) {
 				tr.Values = append(tr.Values, v)
 				continue
@@ -73,12 +80,15 @@ func FromCSV(r io.Reader, valueCol int, interval time.Duration) (*Trace, error) 
 			tr.Values = append(tr.Values, tr.Values[n-1])
 		}
 	}
+	if rows == 0 {
+		return nil, fmt.Errorf("gen: csv needs a header and at least one sample row")
+	}
 	if len(tr.Values) == 0 {
 		return nil, fmt.Errorf("%w in column %d", ErrNoSamples, valueCol)
 	}
 	// Row i of the file stays at time i*interval even when leading rows
 	// were skipped; otherwise every sample would silently shift earlier
 	// by the length of the leading gap.
-	tr.Start = simtime.Time(len(rows)-1-len(tr.Values)) * simtime.Time(interval)
+	tr.Start = simtime.Time(rows-len(tr.Values)) * simtime.Time(interval)
 	return tr, nil
 }

@@ -174,40 +174,35 @@ func FrameSize(f Frame) int {
 	return n
 }
 
-// frameBodyPool recycles WriteFrame's serialization buffer: the body is
+// framePool recycles WriteFrame's serialization buffer: the frame is
 // fully written out before WriteFrame returns, so the buffer is never
 // referenced after the call.
-var frameBodyPool = sync.Pool{
+var framePool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 1024); return &b },
 }
 
-// maxPooledBody bounds the capacity a pooled body buffer may retain.
-const maxPooledBody = 1 << 16
+// maxPooledFrame bounds the capacity a pooled frame buffer may retain.
+const maxPooledFrame = 1 << 16
 
-// WriteFrame writes one length-prefixed frame.
+// WriteFrame writes one length-prefixed frame with a single Write: the
+// length prefix and the body are laid out in one pooled buffer, so over
+// TCP a frame leaves in one syscall. A body over the frame limit is
+// refused before any byte is written.
 func WriteFrame(w io.Writer, f Frame) error {
-	bp := frameBodyPool.Get().(*[]byte)
-	body := append((*bp)[:0], byte(f.Kind))
-	body = binary.AppendUvarint(body, f.Seq)
-	body = append(body, f.Payload...)
-	err := writeBody(w, body)
-	if cap(body) <= maxPooledBody {
-		*bp = body[:0]
-		frameBodyPool.Put(bp)
+	n := FrameSize(f)
+	if n-4 > maxFrameLen {
+		return fmt.Errorf("wire: frame body %d bytes exceeds limit", n-4)
 	}
-	return err
-}
-
-func writeBody(w io.Writer, body []byte) error {
-	if len(body) > maxFrameLen {
-		return fmt.Errorf("wire: frame body %d bytes exceeds limit", len(body))
+	bp := framePool.Get().(*[]byte)
+	buf := binary.LittleEndian.AppendUint32((*bp)[:0], uint32(n-4))
+	buf = append(buf, byte(f.Kind))
+	buf = binary.AppendUvarint(buf, f.Seq)
+	buf = append(buf, f.Payload...)
+	_, err := w.Write(buf)
+	if cap(buf) <= maxPooledFrame {
+		*bp = buf[:0]
+		framePool.Put(bp)
 	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
 	return err
 }
 
@@ -225,11 +220,16 @@ func ReadFrame(r io.Reader) (Frame, error) {
 // reading the next (a site's serve loop); anything that hands frames to
 // other goroutines must use ReadFrame.
 func ReadFrameBuf(r io.Reader, buf []byte) (Frame, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The length prefix lands in buf too: a header array of its own
+	// would escape through the io.Reader call and cost a malloc a frame.
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	buf = buf[:4]
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return Frame{}, buf, err
 	}
-	n := snap.NewDec(hdr[:]).U32()
+	n := binary.LittleEndian.Uint32(buf)
 	if n == 0 || n > maxFrameLen {
 		return Frame{}, buf, fmt.Errorf("wire: implausible frame length %d", n)
 	}
