@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"presto/internal/wavelet"
 )
@@ -267,51 +268,54 @@ func TimestampEncode(buf []byte, ts []int64) ([]byte, error) {
 }
 
 // TimestampDecode reverses TimestampEncode, reading exactly n timestamps
-// from the front of buf. It returns the timestamps and the unconsumed rest
-// of the buffer (the sequence is not self-delimiting: the caller carries n).
-// Like the encoder it yields only non-negative, non-decreasing timestamps:
-// bytes whose first value or running sum would pass math.MaxInt64 are
-// refused, not wrapped negative.
-func TimestampDecode(buf []byte, n int) ([]int64, []byte, error) {
+// from the front of buf and appending them to dst, whose storage it
+// reuses when large enough (pass nil for a fresh slice). It returns the
+// extended dst and the unconsumed rest of the buffer (the sequence is
+// not self-delimiting: the caller carries n). Like the encoder it yields
+// only non-negative, non-decreasing timestamps: bytes whose first value
+// or running sum would pass math.MaxInt64 are refused, not wrapped
+// negative.
+func TimestampDecode(dst []int64, buf []byte, n int) ([]int64, []byte, error) {
 	if n <= 0 {
-		return nil, buf, nil
+		return dst, buf, nil
 	}
-	out := make([]int64, 0, n)
 	first, sz := binary.Uvarint(buf)
 	if sz <= 0 {
-		return nil, nil, errors.New("compress: truncated first timestamp")
+		return dst, nil, errors.New("compress: truncated first timestamp")
 	}
 	if first > math.MaxInt64 {
-		return nil, nil, fmt.Errorf("compress: first timestamp %d overflows int64", first)
+		return dst, nil, fmt.Errorf("compress: first timestamp %d overflows int64", first)
 	}
 	buf = buf[sz:]
-	out = append(out, int64(first))
-	delta := int64(0)
+	dst = slices.Grow(dst, n)
+	prev, delta := int64(first), int64(0)
+	dst = append(dst, prev)
 	for i := 1; i < n; i++ {
 		if i == 1 {
 			d, sz := binary.Uvarint(buf)
 			if sz <= 0 {
-				return nil, nil, errors.New("compress: truncated first delta")
+				return dst, nil, errors.New("compress: truncated first delta")
 			}
 			buf = buf[sz:]
 			delta = int64(d)
 		} else {
 			dod, sz := binary.Varint(buf)
 			if sz <= 0 {
-				return nil, nil, fmt.Errorf("compress: truncated delta-of-delta at %d", i)
+				return dst, nil, fmt.Errorf("compress: truncated delta-of-delta at %d", i)
 			}
 			buf = buf[sz:]
 			delta += dod
 		}
 		if delta < 0 {
-			return nil, nil, fmt.Errorf("compress: negative delta at %d", i)
+			return dst, nil, fmt.Errorf("compress: negative delta at %d", i)
 		}
-		if delta > math.MaxInt64-out[i-1] {
-			return nil, nil, fmt.Errorf("compress: timestamp overflows int64 at %d", i)
+		if delta > math.MaxInt64-prev {
+			return dst, nil, fmt.Errorf("compress: timestamp overflows int64 at %d", i)
 		}
-		out = append(out, out[i-1]+delta)
+		prev += delta
+		dst = append(dst, prev)
 	}
-	return out, buf, nil
+	return dst, buf, nil
 }
 
 // Ratio reports the compression ratio achieved on xs: encoded bytes divided

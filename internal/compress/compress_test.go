@@ -360,9 +360,17 @@ func TestTimestampRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, rest, err := TimestampDecode(append(buf[1:], 0xBB), n)
+		got, rest, err := TimestampDecode(nil, append(buf[1:], 0xBB), n)
 		if err != nil || !slices.Equal(got, ts[:n]) || !bytes.Equal(rest, []byte{0xBB}) {
 			t.Fatalf("n=%d: decoded %v rest %x err %v, want %v", n, got, rest, err, ts[:n])
+		}
+		// Decoding appends: a prefix in dst survives, and dst's storage is
+		// reused when it has room.
+		dst := make([]int64, 1, 1+len(ts))
+		dst[0] = -7
+		got, _, err = TimestampDecode(dst, buf[1:], n)
+		if err != nil || got[0] != -7 || !slices.Equal(got[1:], ts[:n]) || &got[0] != &dst[0] {
+			t.Fatalf("n=%d: appended %v err %v, want -7 then %v in dst's storage", n, got, err, ts[:n])
 		}
 	}
 }
@@ -397,7 +405,7 @@ func TestTimestampDecodeRefusesOverflow(t *testing.T) {
 		{"growing deltas overflow the sum", dod(uv(1<<62, 1<<61), 1<<61), 3, "overflows int64 at 2"},
 		{"delta-of-delta wraps the delta", dod(uv(0, math.MaxInt64), math.MaxInt64), 3, "negative delta"},
 	} {
-		ts, _, err := TimestampDecode(c.buf, c.n)
+		ts, _, err := TimestampDecode(nil, c.buf, c.n)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: decoded %v, err %v; want an error mentioning %q", c.name, ts, err, c.want)
 		}

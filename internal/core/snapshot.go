@@ -28,8 +28,9 @@ import (
 )
 
 // domainSnapVersion is bumped whenever any layer's block format changes.
-// Version 2 drops the backend block from domains without a backend.
-const domainSnapVersion = 2
+// Version 2 drops the backend block from domains without a backend;
+// version 3 drops each mote's shared history from the proxy block.
+const domainSnapVersion = 3
 
 var domainSnapMagic = []byte("PDSN")
 

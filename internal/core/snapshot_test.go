@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -148,8 +149,9 @@ func TestDomainSnapshotRejectsCorruption(t *testing.T) {
 }
 
 // TestDomainSnapshotRefusesVersion1: a version-1 blob (whose mem
-// domains carried a backend block) is refused by its version byte, not
-// misread into a checksum or decode error further in.
+// domains carried a backend block) and a version-2 blob (whose proxy
+// block carried each mote's shared history) are refused by their version
+// byte, not misread into a checksum or decode error further in.
 func TestDomainSnapshotRefusesVersion1(t *testing.T) {
 	n := buildSmall(t, nil)
 	defer n.Close()
@@ -158,22 +160,25 @@ func TestDomainSnapshotRefusesVersion1(t *testing.T) {
 	if err := n.SnapshotDomain(0, &blob); err != nil {
 		t.Fatal(err)
 	}
-	// Re-seal the blob as version 1 under a valid checksum, so only the
-	// version byte is wrong.
-	old := blob.Bytes()
-	old[4] = 1
-	body := old[:len(old)-4]
-	cw := snap.NewWriter(io.Discard)
-	if _, err := cw.Write(body); err != nil {
-		t.Fatal(err)
-	}
-	binary.LittleEndian.PutUint32(old[len(body):], cw.Sum32())
+	for _, v := range []byte{1, 2} {
+		// Re-seal the blob as version v under a valid checksum, so only
+		// the version byte is wrong.
+		old := bytes.Clone(blob.Bytes())
+		old[4] = v
+		body := old[:len(old)-4]
+		cw := snap.NewWriter(io.Discard)
+		if _, err := cw.Write(body); err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(old[len(body):], cw.Sum32())
 
-	fresh := buildSmall(t, nil)
-	defer fresh.Close()
-	err := fresh.RestoreDomain(0, bytes.NewReader(old))
-	if err == nil || errors.Is(err, snap.ErrCorrupt) || !strings.Contains(err.Error(), "snapshot version 1, this build reads 2") {
-		t.Fatalf("version-1 blob: err %v, want the snapshot-version refusal", err)
+		fresh := buildSmall(t, nil)
+		err := fresh.RestoreDomain(0, bytes.NewReader(old))
+		fresh.Close()
+		want := fmt.Sprintf("snapshot version %d, this build reads 3", v)
+		if err == nil || errors.Is(err, snap.ErrCorrupt) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version-%d blob: err %v, want the snapshot-version refusal", v, err)
+		}
 	}
 }
 

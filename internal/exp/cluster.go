@@ -121,8 +121,9 @@ func E15Cluster(sc Scale) (*Table, error) {
 	t := &Table{
 		Title: "E15: Multi-process cluster vs one process — same deployment, same answers",
 		Note: fmt.Sprintf("%d proxies x %d motes in %d domains; AGG(mean) over trailing 2h at t=%v; "+
-			"cluster = %d processes over loopback frames, advance-lease quantum %v.",
-			proxies, motesPer, shards, simtime.Time(runFor), sites, cluster.DefaultQuantum),
+			"cluster = %d processes over loopback frames, no wired-replica bridge, so each advance lease "+
+			"runs to the next standing-round instant or the Run target.",
+			proxies, motesPer, shards, simtime.Time(runFor), sites),
 		Headers: []string{"mode", "sites", "value", "+/-bound", "count", "scatter-frames", "cont-rounds", "ms"},
 	}
 	t.AddRow("in-process", "1", f2(ref.Value), f2(ref.ErrBound), fmt.Sprintf("%d", ref.Count), "-", "-", fmt.Sprintf("%.1f", singleMS))

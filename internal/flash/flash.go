@@ -54,17 +54,27 @@ func (g Geometry) NumPages() int { return g.PagesPerBlock * g.NumBlocks }
 // Capacity returns the device size in bytes.
 func (g Geometry) Capacity() int { return g.NumPages() * g.PageSize }
 
-// Device is a simulated NAND flash chip.
+// Device is a simulated NAND flash chip. It stores only what was
+// programmed: a block's pages live in one arena the block gets at its
+// first program, so a device that is mostly erased costs little more
+// than its block table.
 type Device struct {
 	geo    Geometry
 	params energy.Params
 	meter  *energy.Meter
 
-	pages   [][]byte // nil = erased & unwritten
-	written []bool
-	erases  []uint32 // per block
+	blocks []block
 
 	reads, writes, eraseOps uint64
+}
+
+// block is one erase block: its pages' bytes, page p at p*PageSize of
+// the arena, with each page's programmed length (-1 while erased), and
+// its wear count. arena and lens are nil until the block's first program.
+type block struct {
+	arena  []byte
+	lens   []int32
+	erases uint32
 }
 
 // New creates a device; meter may be nil for unmetered use (tests).
@@ -72,14 +82,7 @@ func New(geo Geometry, params energy.Params, meter *energy.Meter) (*Device, erro
 	if err := geo.Validate(); err != nil {
 		return nil, err
 	}
-	return &Device{
-		geo:     geo,
-		params:  params,
-		meter:   meter,
-		pages:   make([][]byte, geo.NumPages()),
-		written: make([]bool, geo.NumPages()),
-		erases:  make([]uint32, geo.NumBlocks),
-	}, nil
+	return &Device{geo: geo, params: params, meter: meter, blocks: make([]block, geo.NumBlocks)}, nil
 }
 
 // Geometry returns the device geometry.
@@ -91,20 +94,57 @@ func (d *Device) charge(c energy.Category, j float64) {
 	}
 }
 
+// locate returns a page's block and its index there, or nil for a page
+// out of range.
+func (d *Device) locate(page int) (*block, int) {
+	if page < 0 || page >= d.geo.NumPages() {
+		return nil, 0
+	}
+	return &d.blocks[page/d.geo.PagesPerBlock], page % d.geo.PagesPerBlock
+}
+
+// written reports whether page i of b holds data.
+func (b *block) written(i int) bool { return b.lens != nil && b.lens[i] >= 0 }
+
+// page returns page i's programmed bytes.
+func (b *block) page(i, pageSize int) []byte {
+	off := i * pageSize
+	return b.arena[off : off+int(b.lens[i])]
+}
+
+// program stores data as page i, giving the block its arena first if it
+// has none.
+func (b *block) program(i int, data []byte, geo Geometry) {
+	if b.lens == nil {
+		b.arena = make([]byte, geo.PagesPerBlock*geo.PageSize)
+		b.lens = make([]int32, geo.PagesPerBlock)
+		b.erase()
+	}
+	copy(b.arena[i*geo.PageSize:], data)
+	b.lens[i] = int32(len(data))
+}
+
+// erase marks every page of b erased, keeping its arena.
+func (b *block) erase() {
+	for p := range b.lens {
+		b.lens[p] = -1
+	}
+}
+
 // Write programs a page. The data must fit in one page and the page must
 // be in the erased state (NAND cannot overwrite in place).
 func (d *Device) Write(page int, data []byte) error {
-	if page < 0 || page >= d.geo.NumPages() {
+	b, i := d.locate(page)
+	if b == nil {
 		return ErrOutOfRange
 	}
 	if len(data) > d.geo.PageSize {
 		return ErrPageSize
 	}
-	if d.written[page] {
+	if b.written(i) {
 		return ErrNotErased
 	}
-	d.pages[page] = append([]byte(nil), data...)
-	d.written[page] = true
+	b.program(i, data, d.geo)
 	d.writes++
 	d.charge(energy.FlashWrite, float64(d.geo.PageSize)*d.params.FlashWriteJPerByte)
 	return nil
@@ -114,33 +154,34 @@ func (d *Device) Write(page int, data []byte) error {
 // (growing it when too small) and returns the filled slice; pass nil for
 // a fresh copy. Either way the read costs one page read.
 func (d *Device) Read(page int, dst []byte) ([]byte, error) {
-	if page < 0 || page >= d.geo.NumPages() {
+	b, i := d.locate(page)
+	if b == nil {
 		return nil, ErrOutOfRange
 	}
-	if !d.written[page] {
+	if !b.written(i) {
 		return nil, ErrNeverWritten
 	}
 	d.reads++
 	d.charge(energy.FlashRead, float64(d.geo.PageSize)*d.params.FlashReadJPerByte)
-	return append(dst[:0], d.pages[page]...), nil
+	return append(dst[:0], b.page(i, d.geo.PageSize)...), nil
 }
 
 // Written reports whether a page currently holds data.
 func (d *Device) Written(page int) bool {
-	return page >= 0 && page < d.geo.NumPages() && d.written[page]
+	b, i := d.locate(page)
+	return b != nil && b.written(i)
 }
 
 // EraseBlock clears every page in a block and bumps its wear counter.
+// The block keeps its arena: an erased block is programmed again soon,
+// in the segment log's steady state.
 func (d *Device) EraseBlock(block int) error {
 	if block < 0 || block >= d.geo.NumBlocks {
 		return ErrOutOfRange
 	}
-	base := block * d.geo.PagesPerBlock
-	for p := base; p < base+d.geo.PagesPerBlock; p++ {
-		d.pages[p] = nil
-		d.written[p] = false
-	}
-	d.erases[block]++
+	b := &d.blocks[block]
+	b.erase()
+	b.erases++
 	d.eraseOps++
 	d.charge(energy.FlashErase, d.params.FlashEraseJPerBlock)
 	return nil
@@ -151,7 +192,7 @@ func (d *Device) Erases(block int) uint32 {
 	if block < 0 || block >= d.geo.NumBlocks {
 		return 0
 	}
-	return d.erases[block]
+	return d.blocks[block].erases
 }
 
 // Stats reports cumulative operation counts.

@@ -3,10 +3,13 @@ package flash
 import (
 	"bytes"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"presto/internal/energy"
+	"presto/internal/snap"
 )
 
 func newDev(t *testing.T) *Device {
@@ -110,6 +113,124 @@ func TestWriteCopiesInput(t *testing.T) {
 	got, _ := d.Read(0, nil)
 	if got[0] != 1 {
 		t.Fatal("Write aliased caller's buffer")
+	}
+}
+
+// TestWriteIntoProgrammedBlockAllocFree: a block gets its arena at its
+// first program; every later page of it, and every page after an erase
+// (which keeps the arena), is programmed without allocating.
+func TestWriteIntoProgrammedBlockAllocFree(t *testing.T) {
+	d := newDev(t)
+	ppb := d.Geometry().PagesPerBlock
+	data := make([]byte, d.Geometry().PageSize)
+	if err := d.Write(0, data); err != nil {
+		t.Fatal(err)
+	}
+	next := 1
+	write := func() {
+		if err := d.Write(next, data); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	if n := testing.AllocsPerRun(ppb-2, write); n != 0 {
+		t.Fatalf("writing into a programmed block allocated %.1f times per page", n)
+	}
+	if err := d.EraseBlock(0); err != nil {
+		t.Fatal(err)
+	}
+	next = 0
+	if n := testing.AllocsPerRun(ppb-1, write); n != 0 {
+		t.Fatalf("writing into an erased block allocated %.1f times per page", n)
+	}
+}
+
+// TestNewAllocatesPerBlock: an unwritten device costs its block table,
+// however many pages its blocks hold.
+func TestNewAllocatesPerBlock(t *testing.T) {
+	newBytes := func(g Geometry) uint64 {
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			if _, err := New(g, energy.DefaultParams(), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	for _, g := range []Geometry{
+		{PageSize: 256, PagesPerBlock: 16, NumBlocks: 128},
+		{PageSize: 256, PagesPerBlock: 1024, NumBlocks: 128},
+		{PageSize: 256, PagesPerBlock: 16, NumBlocks: 1024},
+	} {
+		if got, limit := newBytes(g), uint64(64*g.NumBlocks+512); got > limit {
+			t.Errorf("New(%+v) allocated %d bytes, want at most %d for %d blocks", g, got, limit, g.NumBlocks)
+		}
+	}
+}
+
+// deviceBlob encodes a device snapshot of geometry g holding pages,
+// unworn and with no operations counted.
+func deviceBlob(t *testing.T, g Geometry, pages map[uint64][]byte) []byte {
+	t.Helper()
+	var e snap.Enc
+	e.Uvarint(uint64(g.PageSize))
+	e.Uvarint(uint64(g.PagesPerBlock))
+	e.Uvarint(uint64(g.NumBlocks))
+	e.U64(0)
+	e.U64(0)
+	e.U64(0)
+	e.Uvarint(uint64(len(pages)))
+	for p := range uint64(g.NumPages() + 1) {
+		if data, ok := pages[p]; ok {
+			e.Uvarint(p)
+			e.Bytes(data)
+		}
+	}
+	e.Uvarint(uint64(g.NumBlocks))
+	for range g.NumBlocks {
+		e.U32(0)
+	}
+	var blob bytes.Buffer
+	if err := snap.WriteBlock(&blob, snap.TagFlash, e.Data()); err != nil {
+		t.Fatal(err)
+	}
+	return blob.Bytes()
+}
+
+// TestRestoreRefusesWhatWriteRefuses: a snapshot page a Write could not
+// have programmed — longer than a page, or past the device — is refused;
+// a full page and an empty one restore.
+func TestRestoreRefusesWhatWriteRefuses(t *testing.T) {
+	g := Geometry{PageSize: 8, PagesPerBlock: 4, NumBlocks: 2}
+	for _, c := range []struct {
+		name  string
+		pages map[uint64][]byte
+		want  string // "" restores
+	}{
+		{"full and empty pages", map[uint64][]byte{0: make([]byte, 8), 5: {}}, ""},
+		{"page longer than a page", map[uint64][]byte{1: make([]byte, 9)}, "page size 8"},
+		{"page past the device", map[uint64][]byte{8: {1}}, "out of range"},
+	} {
+		d, err := New(g, energy.DefaultParams(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = d.Restore(bytes.NewReader(deviceBlob(t, g, c.pages)))
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: err %v, want one naming %q", c.name, err, c.want)
+		case c.want == "":
+			for p, data := range c.pages {
+				if got, err := d.Read(int(p), nil); err != nil || !bytes.Equal(got, data) {
+					t.Errorf("%s: page %d reads %v, %v; want %v", c.name, p, got, err, data)
+				}
+			}
+		}
 	}
 }
 

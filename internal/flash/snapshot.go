@@ -22,21 +22,26 @@ func (d *Device) Snapshot(w io.Writer) error {
 	e.U64(d.eraseOps)
 
 	var nWritten uint64
-	for _, ok := range d.written {
-		if ok {
-			nWritten++
+	for b := range d.blocks {
+		for i := range d.blocks[b].lens {
+			if d.blocks[b].written(i) {
+				nWritten++
+			}
 		}
 	}
 	e.Uvarint(nWritten)
-	for p, ok := range d.written {
-		if ok {
-			e.Uvarint(uint64(p))
-			e.Bytes(d.pages[p])
+	for b := range d.blocks {
+		blk := &d.blocks[b]
+		for i := range blk.lens {
+			if blk.written(i) {
+				e.Uvarint(uint64(b*d.geo.PagesPerBlock + i))
+				e.Bytes(blk.page(i, d.geo.PageSize))
+			}
 		}
 	}
-	e.Uvarint(uint64(len(d.erases)))
-	for _, n := range d.erases {
-		e.U32(n)
+	e.Uvarint(uint64(len(d.blocks)))
+	for b := range d.blocks {
+		e.U32(d.blocks[b].erases)
 	}
 	return snap.WriteBlock(w, snap.TagFlash, e.Data())
 }
@@ -58,25 +63,30 @@ func (d *Device) Restore(r io.Reader) error {
 	d.writes = dec.U64()
 	d.eraseOps = dec.U64()
 
-	for p := range d.pages {
-		d.pages[p] = nil
-		d.written[p] = false
+	for b := range d.blocks {
+		d.blocks[b].erase()
 	}
 	nWritten := dec.Uvarint()
 	for i := uint64(0); i < nWritten && dec.Err() == nil; i++ {
-		p := int(dec.Uvarint())
+		p := dec.Uvarint()
 		data := dec.Bytes()
-		if p < 0 || p >= len(d.pages) {
+		if dec.Err() != nil {
+			break
+		}
+		if p >= uint64(d.geo.NumPages()) {
 			return fmt.Errorf("flash: snapshot page %d out of range", p)
 		}
-		d.pages[p] = append([]byte(nil), data...)
-		d.written[p] = true
+		if len(data) > d.geo.PageSize {
+			return fmt.Errorf("flash: snapshot page %d holds %d bytes, page size %d", p, len(data), d.geo.PageSize)
+		}
+		blk, pi := d.locate(int(p))
+		blk.program(pi, data, d.geo)
 	}
-	if n := int(dec.Uvarint()); dec.Err() == nil && n != len(d.erases) {
-		return fmt.Errorf("flash: snapshot has %d blocks, want %d", n, len(d.erases))
+	if n := int(dec.Uvarint()); dec.Err() == nil && n != len(d.blocks) {
+		return fmt.Errorf("flash: snapshot has %d blocks, want %d", n, len(d.blocks))
 	}
-	for b := range d.erases {
-		d.erases[b] = dec.U32()
+	for b := range d.blocks {
+		d.blocks[b].erases = dec.U32()
 	}
 	if err := dec.Done(); err != nil {
 		return fmt.Errorf("flash: %w", err)

@@ -286,12 +286,18 @@ func (m *Mote) flushBatch() {
 	}
 }
 
-// noteConfirmed appends to the shared confirmed-history ring.
+// noteConfirmed appends to the shared confirmed-history ring, shifting
+// it in place once full, so the ring's storage is allocated once.
 func (m *Mote) noteConfirmed(r model.Record) {
-	m.shared = append(m.shared, r)
-	if len(m.shared) > m.cfg.SharedHistory {
-		m.shared = m.shared[len(m.shared)-m.cfg.SharedHistory:]
+	n := m.cfg.SharedHistory
+	if n <= 0 {
+		m.shared = m.shared[:0]
+		return
 	}
+	if len(m.shared) >= n {
+		m.shared = m.shared[:copy(m.shared, m.shared[len(m.shared)-n+1:])]
+	}
+	m.shared = append(m.shared, r)
 }
 
 // handle processes proxy → mote messages.

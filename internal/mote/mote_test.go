@@ -357,3 +357,38 @@ func TestStartIdempotent(t *testing.T) {
 		t.Fatalf("double Start double-sampled: %d", r.mote.Stats().Samples)
 	}
 }
+
+// TestNoteConfirmedAllocFree: the shared-history ring shifts in place
+// once full, keeping the newest SharedHistory records in order, and
+// allocates nothing per confirmation.
+func TestNoteConfirmedAllocFree(t *testing.T) {
+	r := newRig(t, nil, constSampler(20))
+	m := r.mote
+	n := m.cfg.SharedHistory
+	next := simtime.Time(0)
+	note := func() {
+		next += simtime.Minute
+		m.noteConfirmed(model.Record{T: next, V: float64(next)})
+	}
+	for range n + 3 {
+		note()
+	}
+	// AllocsPerRun rounds down per run: count over a hundred calls, so a
+	// ring that reallocates every few confirmations shows.
+	hundred := func() {
+		for range 100 {
+			note()
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, hundred); allocs != 0 {
+		t.Fatalf("noteConfirmed allocated %.0f times per 100 calls, want 0", allocs)
+	}
+	if len(m.shared) != n {
+		t.Fatalf("ring holds %d records, want %d", len(m.shared), n)
+	}
+	for i, rec := range m.shared {
+		if want := next - simtime.Time(n-1-i)*simtime.Minute; rec.T != want || rec.V != float64(want) {
+			t.Fatalf("ring[%d] = %+v, want T=%v", i, rec, want)
+		}
+	}
+}

@@ -38,7 +38,9 @@ import (
 // Config sets proxy behaviour.
 type Config struct {
 	ID radio.NodeID
-	// SharedHistory mirrors the motes' confirmed-history ring size.
+	// SharedHistory mirrors the motes' confirmed-history ring size: a
+	// cache walk predicts from that many confirmed entries before each
+	// slot, which the cache cursor keeps, so the proxy keeps no ring.
 	SharedHistory int
 	// PullTimeout bounds how long a query waits for a mote's archive
 	// before answering best-effort from the cache/model.
@@ -126,7 +128,6 @@ type moteState struct {
 	series         *cache.Series
 	mdl            model.Model
 	delta          float64
-	shared         []model.Record
 	sampleInterval simtime.Time
 	lastHeard      simtime.Time
 	spatial        *spatialState
@@ -327,7 +328,6 @@ func (p *Proxy) AbsorbReplica(mote radio.NodeID, kind radio.Kind, payload []byte
 		}
 		st.lastHeard = p.sim.Now()
 		st.series.Insert(cache.Entry{T: push.T, V: push.V, Source: cache.Pushed})
-		p.noteConfirmed(st, model.Record{T: push.T, V: push.V})
 		p.fireWatches(mote, cache.Entry{T: push.T, V: push.V, Source: cache.Pushed})
 	case wire.KindBatch:
 		b, err := wire.DecodeBatch(payload)
@@ -347,7 +347,6 @@ func (p *Proxy) AbsorbReplica(mote radio.NodeID, kind radio.Kind, payload []byte
 		st.lastHeard = p.sim.Now()
 		for _, r := range resp.Records {
 			st.series.Insert(cache.Entry{T: r.T, V: r.V, Source: cache.Pushed})
-			p.noteConfirmed(st, model.Record{T: r.T, V: r.V})
 		}
 	case wire.KindPullResp:
 		resp, err := wire.DecodePullResp(payload)
@@ -456,7 +455,6 @@ func (p *Proxy) handle(pkt radio.Packet) {
 		st.lastHeard = p.sim.Now()
 		st.series.Insert(cache.Entry{T: push.T, V: push.V, Source: cache.Pushed})
 		p.archive(pkt.Src, push.T, push.V, 0)
-		p.noteConfirmed(st, model.Record{T: push.T, V: push.V})
 		p.observeSpatial(pkt.Src, push.T, push.V)
 		p.fireWatches(pkt.Src, cache.Entry{T: push.T, V: push.V, Source: cache.Pushed})
 		p.forwardReplica(pkt.Src, pkt.Kind, pkt.Payload)
@@ -487,7 +485,6 @@ func (p *Proxy) handle(pkt radio.Packet) {
 		for _, r := range resp.Records {
 			st.series.Insert(cache.Entry{T: r.T, V: r.V, Source: cache.Pushed})
 			p.archive(pkt.Src, r.T, r.V, 0)
-			p.noteConfirmed(st, model.Record{T: r.T, V: r.V})
 			p.observeSpatial(pkt.Src, r.T, r.V)
 			p.fireWatches(pkt.Src, cache.Entry{T: r.T, V: r.V, Source: cache.Pushed})
 		}
@@ -500,15 +497,6 @@ func (p *Proxy) handle(pkt radio.Packet) {
 		if p.completePull(pkt.Src, resp) {
 			p.forwardReplica(pkt.Src, pkt.Kind, pkt.Payload)
 		}
-	}
-}
-
-// noteConfirmed appends to the shared confirmed-history ring (mirror of
-// the mote's ring; see internal/model for why both sides keep one).
-func (p *Proxy) noteConfirmed(st *moteState, r model.Record) {
-	st.shared = append(st.shared, r)
-	if len(st.shared) > p.cfg.SharedHistory {
-		st.shared = st.shared[len(st.shared)-p.cfg.SharedHistory:]
 	}
 }
 

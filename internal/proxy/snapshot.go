@@ -19,10 +19,10 @@ import (
 var ErrNotQuiescent = fmt.Errorf("proxy: snapshot requires a quiescent proxy (no in-flight pulls or watches)")
 
 // Snapshot externalizes the proxy's state: the pull-ID counter, stats,
-// and per-mote state (model, shared history, tunables, spatial
-// residuals) followed by each mote's summary cache — motes in ascending
-// id order for deterministic bytes. It fails with ErrNotQuiescent if any
-// asynchronous work is outstanding.
+// and per-mote state (model, tunables, spatial residuals) followed by
+// each mote's summary cache — motes in ascending id order for
+// deterministic bytes. It fails with ErrNotQuiescent if any asynchronous
+// work is outstanding.
 func (p *Proxy) Snapshot(w io.Writer) error {
 	if len(p.pulls) > 0 || len(p.watches) > 0 {
 		return ErrNotQuiescent
@@ -61,11 +61,6 @@ func (p *Proxy) Snapshot(w io.Writer) error {
 		e.I64(int64(id))
 		e.Bytes(st.mdl.Marshal())
 		e.F64(st.delta)
-		e.Uvarint(uint64(len(st.shared)))
-		for _, r := range st.shared {
-			e.I64(int64(r.T))
-			e.F64(r.V)
-		}
 		e.I64(int64(st.sampleInterval))
 		e.I64(int64(st.lastHeard))
 		e.Bool(st.replicaOnly)
@@ -139,11 +134,6 @@ func (p *Proxy) Restore(r io.Reader) error {
 		}
 		st.mdl = mdl
 		st.delta = d.F64()
-		st.shared = nil
-		nShared := d.Uvarint()
-		for j := uint64(0); j < nShared && d.Err() == nil; j++ {
-			st.shared = append(st.shared, model.Record{T: simtime.Time(d.I64()), V: d.F64()})
-		}
 		st.sampleInterval = simtime.Time(d.I64())
 		st.lastHeard = simtime.Time(d.I64())
 		st.replicaOnly = d.Bool()

@@ -297,16 +297,20 @@ func (p *Partial) Observe(v, errBound float64) {
 
 // ObserveRun folds n entries of one value and bound, bit-identical to n
 // Observe calls: Sum and SumErr take n additions, not one product, while
-// the extrema and the histogram bin are touched once.
+// the extrema and the histogram bin are touched once. The additions run
+// in locals, stored once: the same sequence, so the same bits, without a
+// store through p per entry.
 func (p *Partial) ObserveRun(v, errBound float64, n int) {
 	if n <= 0 {
 		return
 	}
 	p.Count += n
+	sum, sumErr := p.Sum, p.SumErr
 	for range n {
-		p.Sum += v
-		p.SumErr += errBound
+		sum += v
+		sumErr += errBound
 	}
+	p.Sum, p.SumErr = sum, sumErr
 	if v < p.Min {
 		p.Min = v
 	}

@@ -2,6 +2,7 @@ package query
 
 import (
 	"errors"
+	"maps"
 	"math"
 	"math/rand"
 	"testing"
@@ -132,6 +133,50 @@ func TestPartialMergeMatchesFlat(t *testing.T) {
 		for kind, want := range map[AggKind]float64{Min: lo, Max: hi, Mean: sum / float64(len(entries))} {
 			if fv, _, _ := flat.Final(kind); math.Abs(fv-want) > 1e-9 {
 				t.Fatalf("trial %d %v: partial %v vs direct %v", trial, kind, fv, want)
+			}
+		}
+	}
+}
+
+// TestObserveRunMatchesObserve: ObserveRun(v, bound, n) leaves a partial
+// bit for bit as n Observe calls do, from random starting partials whose
+// sums are large enough that each addition rounds, with and without a
+// histogram.
+func TestObserveRunMatchesObserve(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	mags := []float64{1, 1e3, 1e9, 1e15, 1e300}
+	for trial := 0; trial < 500; trial++ {
+		start := NewPartial([]float64{0, 0.25, 1}[rng.Intn(3)])
+		if rng.Intn(2) == 0 {
+			start.Hist = nil
+		}
+		for range rng.Intn(5) {
+			m := mags[rng.Intn(len(mags))]
+			start.Observe(rng.NormFloat64()*m, rng.Float64()*m)
+		}
+		m := mags[rng.Intn(len(mags))]
+		v, bound := rng.NormFloat64()*m, rng.Float64()*m/float64(1+rng.Intn(1000))
+		n := rng.Intn(1001)
+		if trial%50 == 0 {
+			n = []int{0, -1, 1, 1000}[trial/50%4]
+		}
+
+		want, got := start, start
+		want.Hist, got.Hist = maps.Clone(start.Hist), maps.Clone(start.Hist)
+		for range n {
+			want.Observe(v, bound)
+		}
+		got.ObserveRun(v, bound, n)
+		same := got.Count == want.Count && got.BinWidth == want.BinWidth
+		for _, f := range [][2]float64{{got.Sum, want.Sum}, {got.SumErr, want.SumErr}, {got.Min, want.Min}, {got.Max, want.Max}, {got.MaxErr, want.MaxErr}} {
+			same = same && math.Float64bits(f[0]) == math.Float64bits(f[1])
+		}
+		if !same || len(got.Hist) != len(want.Hist) || (got.Hist == nil) != (want.Hist == nil) {
+			t.Fatalf("trial %d: ObserveRun(%v, %v, %d) gave %+v, %d Observe calls %+v", trial, v, bound, n, got, n, want)
+		}
+		for bin, c := range want.Hist {
+			if got.Hist[bin] != c {
+				t.Fatalf("trial %d: bin %d holds %d, want %d", trial, bin, got.Hist[bin], c)
 			}
 		}
 	}

@@ -381,10 +381,11 @@ func (w *agingScratch) summarizeChunk(dst []byte, out []flashRec, c *chunkPlan, 
 	return dst, out, nil
 }
 
-// decodeChunk decodes the chunk at the head of buf: its mote, its
-// timestamps with their reconstructed values, the widened bound every
-// reconstruction carries, and the bytes after the chunk.
-func decodeChunk(buf []byte) (m radio.NodeID, ts []int64, recon []float64, bound float64, rest []byte, err error) {
+// decodeChunk decodes the chunk at the head of buf into the read state's
+// buffers: its mote, its timestamps with their reconstructed values (both
+// valid until the next decode), the widened bound every reconstruction
+// carries, and the bytes after the chunk.
+func (rr *rangeRead) decodeChunk(buf []byte) (m radio.NodeID, ts []int64, recon []float64, bound float64, rest []byte, err error) {
 	if len(buf) < chunkHeaderSize {
 		return 0, nil, nil, 0, nil, fmt.Errorf("store: truncated wavelet chunk header (%d bytes)", len(buf))
 	}
@@ -394,20 +395,18 @@ func decodeChunk(buf []byte) (m radio.NodeID, ts []int64, recon []float64, bound
 	if n < 0 || n > len(buf)-chunkHeaderSize { // every timestamp takes a byte
 		return 0, nil, nil, 0, nil, fmt.Errorf("store: implausible wavelet chunk count %d", n)
 	}
-	ts, rest, err = compress.TimestampDecode(buf[chunkHeaderSize:], n)
-	if err != nil {
+	if rr.ts, rest, err = compress.TimestampDecode(rr.ts[:0], buf[chunkHeaderSize:], n); err != nil {
 		return 0, nil, nil, 0, nil, err
 	}
-	sp, spLen, err := wavelet.UnmarshalSparsePrefix(rest)
+	sp, spLen, err := rr.wv.UnmarshalSparsePrefix(rest)
 	if err != nil {
 		return 0, nil, nil, 0, nil, err
 	}
 	if sp.N != n || sp.PaddedN > 2*n { // checked before Decompress sizes a transform by it
 		return 0, nil, nil, 0, nil, fmt.Errorf("store: wavelet chunk reconstructs %d of %d records, header says %d", sp.N, sp.PaddedN, n)
 	}
-	recon, err = wavelet.Decompress(sp)
-	if err != nil {
+	if recon, err = rr.wv.Decompress(sp); err != nil {
 		return 0, nil, nil, 0, nil, err
 	}
-	return m, ts, recon, bound, rest[spLen:], nil
+	return m, rr.ts, recon, bound, rest[spLen:], nil
 }

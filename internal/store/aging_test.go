@@ -64,6 +64,7 @@ func TestWaveletChunkRoundTrip(t *testing.T) {
 	// original — which in turn must be no tighter than any member's own
 	// bound.
 	rng := rand.New(rand.NewSource(5))
+	var rr rangeRead // one decoder for every fraction: its buffers are reused
 	for _, frac := range []float64{1, 0.5, 0.25, 0.125, 0.01} {
 		var recs []Record
 		tt := simtime.Time(0)
@@ -88,7 +89,7 @@ func TestWaveletChunkRoundTrip(t *testing.T) {
 		if len(chunk) != size {
 			t.Fatalf("frac %v: chunk encodes to %d bytes, plan sized %d", frac, len(chunk), size)
 		}
-		m, ts, recon, bound, rest, err := decodeChunk(chunk)
+		m, ts, recon, bound, rest, err := rr.decodeChunk(chunk)
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("decode: %v, %d bytes left", err, len(rest))
 		}
@@ -354,7 +355,7 @@ func TestDecodeChunkRefusesHostileTimestamps(t *testing.T) {
 			buf = binary.AppendUvarint(buf, v)
 		}
 		buf = sp.AppendMarshal(buf)
-		_, got, _, _, _, err := decodeChunk(buf)
+		_, got, _, _, _, err := new(rangeRead).decodeChunk(buf)
 		if name == "sum at MaxInt64 holds" {
 			if err != nil || got[1] != math.MaxInt64 {
 				t.Errorf("%s: decoded %v, err %v", name, got, err)

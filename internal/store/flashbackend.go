@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"presto/internal/energy"
 	"presto/internal/flash"
@@ -265,6 +264,7 @@ type FlashBackend struct {
 	stats  BackendStats
 	rr     rangeRead
 	aging  agingScratch
+	group  moteGroups
 }
 
 // NewFlashBackend creates a backend on a fresh device with the given
@@ -388,30 +388,33 @@ func (b *FlashBackend) compact(sealed []segment, out *segment) (int, error) {
 	if len(sealed) < compactFanIn {
 		return 0, ErrBackendFull
 	}
-	perMote := make(map[radio.NodeID][]Record)
-	rawTotal := 0
+	// The input is read into one buffer sized for this pass: every record
+	// takes at least a byte of its segment, whatever its Count claims.
+	// Kept between passes, it would hold a whole compaction's records.
+	n, pageSize := 0, b.dev.Geometry().PageSize
+	for i := range sealed[:compactFanIn] {
+		n += min(sealed[i].Count, sealed[i].Pages*pageSize)
+	}
+	in := make([]flashRec, 0, n)
 	level := 0
 	for i := range sealed[:compactFanIn] {
-		recs, err := b.readSegment(&sealed[i])
-		if err != nil {
+		var err error
+		if in, err = b.readSegment(&sealed[i], in); err != nil {
 			return 0, err
 		}
-		rawTotal += len(recs)
 		level = max(level, sealed[i].Meta.level)
-		for _, fr := range recs {
-			perMote[fr.m] = append(perMote[fr.m], fr.r)
-		}
 	}
 	level++ // the rewritten segment is one aging step older than its inputs
-	order := sortedMotes(perMote)
+	rawTotal := len(in)
+	g := &b.group
+	order, runs := g.group(in)
+	defer clear(runs) // the runs are this pass's records: keep none
 
 	var total int
-	for _, m := range order {
-		s := perMote[m]
-		sort.Slice(s, func(i, j int) bool { return s[i].T < s[j].T })
-		s = dedupeSorted(s)
-		perMote[m] = s
-		total += len(s)
+	for i, s := range runs {
+		slices.SortFunc(s, byTime)
+		runs[i] = dedupeSorted(s)
+		total += len(runs[i])
 	}
 
 	// Age the survivors into the reserve block, keeping the
@@ -420,11 +423,11 @@ func (b *FlashBackend) compact(sealed []segment, out *segment) (int, error) {
 	var recs []flashRec
 	var err error
 	if b.pol.Mode == AgingUniform {
-		if recs, err = b.planUniform(order, perMote, total); err == nil {
+		if recs, err = b.planUniform(order, runs, total); err == nil {
 			err = b.log.WriteRecords(out, recs)
 		}
 	} else {
-		recs, err = b.writeWavelet(out, order, perMote, level)
+		recs, err = b.writeWavelet(out, order, runs, level)
 	}
 	if err != nil {
 		return 0, err
@@ -444,14 +447,15 @@ func (b *FlashBackend) compact(sealed []segment, out *segment) (int, error) {
 	// victims keeps the entry valid); wavelet-summarized timestamps
 	// survive, but the entry must carry the reconstructed value and bound
 	// that QueryRange will actually return.
-	newestOut := make(map[radio.NodeID]Record)
+	newestOut := g.newest
+	clear(newestOut)
 	for _, fr := range recs {
 		if r, ok := newestOut[fr.m]; !ok || fr.r.T >= r.T {
 			newestOut[fr.m] = fr.r
 		}
 	}
 	rest := b.log.Segs[compactFanIn:]
-	for m := range perMote {
+	for _, m := range order {
 		cur, ok := b.latest[m]
 		if !ok {
 			continue
@@ -471,12 +475,80 @@ func (b *FlashBackend) compact(sealed []segment, out *segment) (int, error) {
 	return compactFanIn, nil
 }
 
+// moteGroups is a FlashBackend's reusable per-mote compaction state: the
+// dense mote index one pass groups its input by, and the newest aged
+// record per mote. Its buffers grow with the motes in a pass, not with
+// their records.
+type moteGroups struct {
+	ids    map[radio.NodeID]int    // mote → its dense index
+	seen   []radio.NodeID          // dense index → mote: motes by first appearance
+	place  []int                   // dense index → the mote's place in order
+	end    []int                   // per place: where its run ends
+	order  []radio.NodeID          // the motes ascending
+	runs   [][]Record              // per place: the mote's records
+	newest map[radio.NodeID]Record // per mote: its newest aged record
+}
+
+// group clusters in by mote as appending each record to its mote's slice
+// would: it returns the motes ascending and, per mote, its records in
+// read order, laid end to end in one slice the size of in. A counting
+// sort on a dense per-pass mote index does it with one map lookup per
+// record.
+func (g *moteGroups) group(in []flashRec) (order []radio.NodeID, runs [][]Record) {
+	if g.ids == nil {
+		g.ids = make(map[radio.NodeID]int)
+		g.newest = make(map[radio.NodeID]Record)
+	}
+	clear(g.ids)
+	g.seen = g.seen[:0]
+	key := make([]int, len(in)) // in[j]'s mote's dense index
+	for j, fr := range in {
+		k, ok := g.ids[fr.m]
+		if !ok {
+			k = len(g.seen)
+			g.ids[fr.m] = k
+			g.seen = append(g.seen, fr.m)
+		}
+		key[j] = k
+	}
+	g.order = append(g.order[:0], g.seen...)
+	slices.Sort(g.order)
+	g.place = g.place[:0]
+	for _, m := range g.seen {
+		i, _ := slices.BinarySearch(g.order, m)
+		g.place = append(g.place, i)
+	}
+	// end[i] counts place i's records, then becomes where its run
+	// begins, then, once every record is placed, where it ends.
+	g.end = append(g.end[:0], make([]int, len(g.order))...)
+	for _, k := range key {
+		g.end[g.place[k]]++
+	}
+	at := 0
+	for i, n := range g.end {
+		g.end[i], at = at, at+n
+	}
+	recs := make([]Record, len(in))
+	for j, fr := range in {
+		i := g.place[key[j]]
+		recs[g.end[i]] = fr.r
+		g.end[i]++
+	}
+	g.runs = g.runs[:0]
+	begin := 0
+	for _, end := range g.end {
+		g.runs = append(g.runs, recs[begin:end])
+		begin = end
+	}
+	return g.order, g.runs
+}
+
 // planUniform coarsens each mote's run just enough that the merged output
 // fits one block of fixed-size records. The output size is the sum of
 // per-mote ceilings, so ceil(total/capacity) alone can overflow by up to
 // one record per mote on uneven interleaves — the factor grows until the
 // rounded total actually fits.
-func (b *FlashBackend) planUniform(order []radio.NodeID, perMote map[radio.NodeID][]Record, total int) ([]flashRec, error) {
+func (b *FlashBackend) planUniform(order []radio.NodeID, runs [][]Record, total int) ([]flashRec, error) {
 	capacity := b.dev.Geometry().PagesPerBlock * b.log.PerPage()
 	factor := (total + capacity - 1) / capacity
 	if factor < 2 {
@@ -484,8 +556,8 @@ func (b *FlashBackend) planUniform(order []radio.NodeID, perMote map[radio.NodeI
 	}
 	coarseTotal := func(f int) int {
 		n := 0
-		for _, m := range order {
-			n += (len(perMote[m]) + f - 1) / f
+		for _, rs := range runs {
+			n += (len(rs) + f - 1) / f
 		}
 		return n
 	}
@@ -493,8 +565,8 @@ func (b *FlashBackend) planUniform(order []radio.NodeID, perMote map[radio.NodeI
 		factor++
 	}
 	var out []flashRec
-	for _, m := range order {
-		for _, r := range coarsenRecords(perMote[m], factor) {
+	for i, m := range order {
+		for _, r := range coarsenRecords(runs[i], factor) {
 			out = append(out, flashRec{m: m, r: r})
 		}
 	}
@@ -507,8 +579,8 @@ func (b *FlashBackend) planUniform(order []radio.NodeID, perMote map[radio.NodeI
 // writeWavelet lays the wavelet plan's chunks into out as one byte stream
 // across its pages, with their directory, and returns the records they
 // reconstruct.
-func (b *FlashBackend) writeWavelet(out *segment, order []radio.NodeID, perMote map[radio.NodeID][]Record, level int) ([]flashRec, error) {
-	plans, frac, size, err := b.planWavelet(order, perMote, level)
+func (b *FlashBackend) writeWavelet(out *segment, order []radio.NodeID, runs [][]Record, level int) ([]flashRec, error) {
+	plans, frac, size, err := b.planWavelet(order, runs, level)
 	if err != nil {
 		return nil, err
 	}
@@ -543,7 +615,7 @@ func (b *FlashBackend) writeWavelet(out *segment, order []radio.NodeID, perMote 
 // counted once (agingScratch.plan), after which a chunk's size at any
 // fraction is arithmetic (chunkPlan.size). It returns the plans of the
 // grid that fits, the fraction to encode them at and the stream's size.
-func (b *FlashBackend) planWavelet(order []radio.NodeID, perMote map[radio.NodeID][]Record, level int) ([]chunkPlan, float64, int, error) {
+func (b *FlashBackend) planWavelet(order []radio.NodeID, runs [][]Record, level int) ([]chunkPlan, float64, int, error) {
 	capBytes := b.dev.Geometry().PagesPerBlock * b.dev.Geometry().PageSize
 	// Infeasibility precheck: even one record per mote costs at least a
 	// chunk header, a timestamp byte and one coefficient. Failing fast
@@ -555,9 +627,9 @@ func (b *FlashBackend) planWavelet(order []radio.NodeID, perMote map[radio.NodeI
 	}
 	frac := b.pol.fraction(level)
 	window := b.pol.ChunkWindow
-	grid := perMote
+	grid := runs
 	maxLen, total := 0, 0
-	for _, rs := range perMote {
+	for _, rs := range runs {
 		maxLen = max(maxLen, len(rs))
 		total += len(rs)
 	}
@@ -594,10 +666,10 @@ func (b *FlashBackend) planWavelet(order []radio.NodeID, perMote map[radio.NodeI
 		if 1<<round > 2*maxLen {
 			return nil, 0, 0, fmt.Errorf("store: wavelet compaction output %d bytes exceeds block capacity %d", size, capBytes)
 		}
-		thinned := make(map[radio.NodeID][]Record, len(perMote))
-		for m, rs := range perMote {
+		thinned := make([][]Record, len(runs))
+		for i, rs := range runs {
 			if len(rs) < 2 {
-				thinned[m] = rs
+				thinned[i] = rs
 				continue
 			}
 			span := rs[len(rs)-1].T - rs[0].T
@@ -605,17 +677,18 @@ func (b *FlashBackend) planWavelet(order []radio.NodeID, perMote map[radio.NodeI
 			if w <= 0 {
 				w = 1
 			}
-			thinned[m] = pyramidThin(rs, w<<round)
+			thinned[i] = pyramidThin(rs, w<<round)
 		}
 		grid = thinned
 	}
 }
 
-// planGrid appends to plans every mote's run on grid as chunks of at most
-// window records, their transforms laid out in coef.
-func (b *FlashBackend) planGrid(plans []chunkPlan, coef []float64, order []radio.NodeID, grid map[radio.NodeID][]Record, window int) ([]chunkPlan, error) {
-	for _, m := range order {
-		rs := grid[m]
+// planGrid appends to plans every mote's run on grid (grid[i] is
+// order[i]'s) as chunks of at most window records, their transforms laid
+// out in coef.
+func (b *FlashBackend) planGrid(plans []chunkPlan, coef []float64, order []radio.NodeID, grid [][]Record, window int) ([]chunkPlan, error) {
+	for k, m := range order {
+		rs := grid[k]
 		for i := 0; i < len(rs); i += window {
 			end := min(i+window, len(rs))
 			p := wavelet.NextPow2(end - i)
@@ -694,29 +767,30 @@ func coarsenRecords(recs []Record, factor int) []Record {
 	return out
 }
 
-// readSegment decodes every record in a segment, paying the page reads —
-// compaction's input. Wavelet segments reconstruct their records from the
-// stored summary chunks: every summarized timestamp comes back, carrying
-// the chunk's widened error bound.
-func (b *FlashBackend) readSegment(seg *segment) ([]flashRec, error) {
+// readSegment appends every record in a segment to dst, paying the page
+// reads — compaction's input. Wavelet segments reconstruct their records
+// from the stored summary chunks: every summarized timestamp comes back,
+// carrying the chunk's widened error bound.
+func (b *FlashBackend) readSegment(seg *segment, dst []flashRec) ([]flashRec, error) {
 	if seg.Meta.kind == segWavelet {
-		var out []flashRec
 		_, err := b.readChunks(seg, func(chunkDirEntry) bool { return true }, func(m radio.NodeID, ts []int64, recon []float64, bound float64) {
 			for i, t := range ts {
-				out = append(out, flashRec{m: m, r: Record{T: simtime.Time(t), V: recon[i], ErrBound: bound}})
+				dst = append(dst, flashRec{m: m, r: Record{T: simtime.Time(t), V: recon[i], ErrBound: bound}})
 			}
 		})
-		return out, err
+		return dst, err
 	}
-	return b.log.ReadSegment(seg, make([]flashRec, 0, min(seg.Count, seg.Pages*b.log.PerPage())))
+	return b.log.ReadSegment(seg, dst)
 }
 
 // rangeRead is a FlashBackend's reusable set-read state: the bytes of the
-// wavelet chunk being decoded and, for the duration of one QueryRanges
-// call, its requests plus the index that routes a decoded record to every
-// request for its mote.
+// wavelet chunk being decoded and the buffers it decodes into and, for
+// the duration of one QueryRanges call, its requests plus the index that
+// routes a decoded record to every request for its mote.
 type rangeRead struct {
 	chunk  []byte
+	ts     []int64
+	wv     wavelet.Scratch
 	first  map[radio.NodeID]int // mote → its last request
 	next   []int                // request → the previous one for its mote, -1 ends
 	lo, hi []simtime.Time
@@ -887,7 +961,7 @@ func (b *FlashBackend) readChunks(seg *segment, want func(chunkDirEntry) bool, f
 			rr.chunk = append(rr.chunk, page[in:in+n]...)
 			off += n
 		}
-		_, ts, recon, bound, _, err := decodeChunk(rr.chunk)
+		_, ts, recon, bound, _, err := rr.decodeChunk(rr.chunk)
 		if err != nil {
 			return decoded, err
 		}

@@ -225,7 +225,11 @@ func TestWaveletPlanMatchesRebuild(t *testing.T) {
 		level := 1 + rng.Intn(4)
 
 		want := referencePlan(fb, order, perMote, level)
-		plans, frac, size, err := fb.planWavelet(order, perMote, level)
+		runs := make([][]Record, len(order))
+		for i, m := range order {
+			runs[i] = perMote[m]
+		}
+		plans, frac, size, err := fb.planWavelet(order, runs, level)
 		var stream []byte
 		var dir []chunkDirEntry
 		var recs []flashRec

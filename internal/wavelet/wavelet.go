@@ -389,36 +389,12 @@ func (s Sparse) AppendMarshal(buf []byte) []byte {
 	return buf
 }
 
-// UnmarshalSparse decodes the wire form produced by Marshal.
+// UnmarshalSparse decodes the wire form produced by Marshal into fresh
+// storage.
 func UnmarshalSparse(buf []byte) (Sparse, error) {
-	s, _, err := UnmarshalSparsePrefix(buf)
+	var sc Scratch
+	s, _, err := sc.UnmarshalSparsePrefix(buf)
 	return s, err
-}
-
-// UnmarshalSparsePrefix decodes one Marshal-encoded value from the front
-// of buf, also reporting how many bytes it consumed — for readers of
-// streams that concatenate sparse vectors with other data (the flash
-// archive's wavelet segments). The framing knowledge stays in this
-// package: only Marshal's counterpart knows where an encoding ends.
-func UnmarshalSparsePrefix(buf []byte) (Sparse, int, error) {
-	if len(buf) < 12 {
-		return Sparse{}, 0, fmt.Errorf("wavelet: short sparse buffer (%d bytes)", len(buf))
-	}
-	s := Sparse{
-		N:       int(binary.LittleEndian.Uint32(buf[0:])),
-		PaddedN: int(binary.LittleEndian.Uint32(buf[4:])),
-	}
-	count := int(binary.LittleEndian.Uint32(buf[8:]))
-	if count < 0 || len(buf) < 12+8*count {
-		return Sparse{}, 0, fmt.Errorf("wavelet: sparse buffer truncated: want %d bytes, have %d", 12+8*count, len(buf))
-	}
-	off := 12
-	for i := 0; i < count; i++ {
-		s.Index = append(s.Index, binary.LittleEndian.Uint32(buf[off:]))
-		s.Value = append(s.Value, float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[off+4:]))))
-		off += 8
-	}
-	return s, off, nil
 }
 
 // WireSize returns the Marshal size in bytes without allocating.
@@ -431,8 +407,9 @@ func WireSize(count int) int { return 12 + 8*count }
 // Scratch holds the buffers Forward, TopK, the sparse form and Decompress
 // work in, so a loop over many signals (flash compaction ages hundreds of
 // chunks per pass) allocates them once. The zero value is ready to use.
-// A slice a method returns is valid until the next call of that method.
-// Not safe for concurrent use.
+// A slice a method returns is valid until the next call of that method;
+// Sparse and UnmarshalSparsePrefix share one pair of buffers. Not safe
+// for concurrent use.
 type Scratch struct {
 	tmp   []float64
 	rest  []ranked
@@ -474,6 +451,36 @@ func (sc *Scratch) Decompress(s Sparse) ([]float64, error) {
 	sc.recon = resize(sc.recon, s.PaddedN)
 	sc.tmp = resize(sc.tmp, s.PaddedN)
 	return s.decompress(sc.recon, sc.tmp), nil
+}
+
+// UnmarshalSparsePrefix decodes one Marshal-encoded value from the front
+// of buf into the scratch's index and value buffers (the ones Sparse
+// fills), also reporting how many bytes it consumed — for readers of
+// streams that concatenate sparse vectors with other data (the flash
+// archive's wavelet segments). The framing knowledge stays in this
+// package: only Marshal's counterpart knows where an encoding ends.
+func (sc *Scratch) UnmarshalSparsePrefix(buf []byte) (Sparse, int, error) {
+	if len(buf) < 12 {
+		return Sparse{}, 0, fmt.Errorf("wavelet: short sparse buffer (%d bytes)", len(buf))
+	}
+	s := Sparse{
+		N:       int(binary.LittleEndian.Uint32(buf[0:])),
+		PaddedN: int(binary.LittleEndian.Uint32(buf[4:])),
+		Index:   sc.idx[:0],
+		Value:   sc.val[:0],
+	}
+	count := int(binary.LittleEndian.Uint32(buf[8:]))
+	if count < 0 || len(buf) < 12+8*count {
+		return Sparse{}, 0, fmt.Errorf("wavelet: sparse buffer truncated: want %d bytes, have %d", 12+8*count, len(buf))
+	}
+	off := 12
+	for i := 0; i < count; i++ {
+		s.Index = append(s.Index, binary.LittleEndian.Uint32(buf[off:]))
+		s.Value = append(s.Value, float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[off+4:]))))
+		off += 8
+	}
+	sc.idx, sc.val = s.Index, s.Value
+	return s, off, nil
 }
 
 // resize returns buf n long, reallocating only when it is too short.
