@@ -59,8 +59,10 @@ type Model interface {
 	Predict(t simtime.Time, shared []Record) float64
 	// FlatUntil returns the first instant after t at which Predict may
 	// change for a fixed shared history: Predict(u, shared) is bit-equal
-	// to Predict(t, shared) for every u in [t, FlatUntil(t)). A range
-	// answer predicts once per such flat piece.
+	// to Predict(t, shared) for every u in [t, FlatUntil(t)), and
+	// FlatUntil(u) == FlatUntil(t) for each such u: a piece ends where it
+	// ends whichever of its instants asks. A range answer predicts once
+	// per such flat piece.
 	FlatUntil(t simtime.Time) simtime.Time
 	// Marshal serializes the parameters for proxy→mote transmission;
 	// the byte count is charged to the radio.

@@ -321,7 +321,8 @@ func randomModel(rng *rand.Rand, i int) Model {
 // TestFlatUntilHoldsPrediction checks every model's FlatUntil against
 // Predict: for random shared histories, the prediction is bit-equal at
 // every instant of [t, FlatUntil(t)) it samples — t, the instant before
-// the cut, and random points — with t on either side of time zero.
+// the cut, and random points — with t on either side of time zero, and
+// FlatUntil names the same end from each of them.
 func TestFlatUntilHoldsPrediction(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 2000; i++ {
@@ -348,6 +349,9 @@ func TestFlatUntilHoldsPrediction(t *testing.T) {
 			if got := math.Float64bits(m.Predict(u, shared)); got != want {
 				t.Fatalf("%s: Predict(%d) = %v but Predict(%d) = %v, inside FlatUntil = %d",
 					m.Name(), u, math.Float64frombits(got), at, math.Float64frombits(want), end)
+			}
+			if got := m.FlatUntil(u); got != end {
+				t.Fatalf("%s: FlatUntil(%d) = %d but FlatUntil(%d) = %d, inside its piece", m.Name(), u, got, at, end)
 			}
 		}
 	}

@@ -724,6 +724,11 @@ func (p *Proxy) walkRange(st *moteState, c cache.Cursor, t0, t1 simtime.Time, pr
 	if materialise {
 		entries = make([]cache.Entry, 0, slots)
 	}
+	// piece is the index of the first slot past the model's current flat
+	// piece; 0 before the first run asks for one. FlatUntil is the same
+	// at every instant of a piece, so a later run inside it is cut where
+	// the piece ends without asking again.
+	piece := 0
 	for t, left := t0, slots; left > 0; {
 		e, hit := c.At(t, time.Duration(half))
 		n := 1
@@ -736,9 +741,14 @@ func (p *Proxy) walkRange(st *moteState, c cache.Cursor, t0, t1 simtime.Time, pr
 				if nt, ok := c.Next(); ok && nt-half <= t1 {
 					n = min(n, int((nt-half-t-1)/step)+1)
 				}
-				if f := st.mdl.FlatUntil(t); f <= t1 {
-					n = min(n, int((f-t-1)/step)+1)
+				k := slots - left // t's slot
+				if k >= piece {
+					piece = slots
+					if f := st.mdl.FlatUntil(t); f <= t1 {
+						piece = k + int((f-t-1)/step) + 1
+					}
 				}
+				n = min(n, piece-k)
 			}
 			e = cache.Entry{T: t, V: st.mdl.Predict(t, c.Shared(t)), Source: cache.Predicted, ErrBound: st.delta}
 			predicted += n

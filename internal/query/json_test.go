@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -268,11 +269,12 @@ func TestDurJSONForms(t *testing.T) {
 	}
 }
 
-// TestDecodeSpecJSONNoAliasing: the decoder reuses pooled scratch, so a
-// spec it returned must share none of it — a second decode must not
-// change the first spec's motes.
+// TestDecodeSpecJSONNoAliasing: a decoded spec shares no memory with
+// the body or with another decode — decoding again, or scribbling over
+// the body, must not change the first spec's motes.
 func TestDecodeSpecJSONNoAliasing(t *testing.T) {
-	first, err := DecodeSpecJSON([]byte(`{"type":"now","motes":[1,2,3]}`))
+	body := []byte(`{"type":"now","motes":[1,2,3]}`)
+	first, err := DecodeSpecJSON(body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,13 +283,16 @@ func TestDecodeSpecJSONNoAliasing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	for i := range body {
+		body[i] = '9'
+	}
 	if want := []radio.NodeID{1, 2, 3}; !reflect.DeepEqual(first.Select.Motes, want) {
 		t.Fatalf("first spec's motes became %v, want %v", first.Select.Motes, want)
 	}
 }
 
-// TestDecodeSpecJSONConcurrent: decodes racing through the shared pool
-// each get their own spec back.
+// TestDecodeSpecJSONConcurrent: decodes racing on many goroutines each
+// get their own spec back.
 func TestDecodeSpecJSONConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -312,9 +317,8 @@ func TestDecodeSpecJSONConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDecodeSpecJSONAllocs guards the decode's scratch reuse: an 8-mote
-// trailing aggregate — the serving tier's common shape — costs at most
-// 12 allocations.
+// TestDecodeSpecJSONAllocs: an 8-mote trailing aggregate — the serving
+// tier's common shape — costs one allocation, the spec's Motes slice.
 func TestDecodeSpecJSONAllocs(t *testing.T) {
 	body := []byte(`{"type":"agg","motes":[1,2,3,4,5,6,7,8],"trailing":"1h","agg":"mean","precision":0.5,"max_staleness":"30m"}`)
 	allocs := testing.AllocsPerRun(200, func() {
@@ -322,13 +326,347 @@ func TestDecodeSpecJSONAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 12 {
-		t.Fatalf("DecodeSpecJSON of an 8-mote trailing AGG: %v allocs, want <= 12", allocs)
+	if allocs > 1 {
+		t.Fatalf("DecodeSpecJSON of an 8-mote trailing AGG: %v allocs, want <= 1", allocs)
 	}
 }
 
-// FuzzDecodeSpecJSON: the spec decoder never panics on hostile bytes,
-// and any spec it accepts survives encode then decode as an equal spec
+// nowAnswer is a 16-mote NOW round as the serving tier answers it.
+func nowAnswer() SetResult {
+	r := SetResult{At: 48 * simtime.Hour}
+	for m := radio.NodeID(1); m <= 16; m++ {
+		r.Results = append(r.Results, Result{Query: Query{Mote: m}, Answer: proxy.Answer{
+			Mote: m, Source: proxy.FromModel, IssuedAt: 48 * simtime.Hour, DoneAt: 48 * simtime.Hour,
+			Entries: []cache.Entry{{T: 48 * simtime.Hour, V: 20 + float64(m)/7, ErrBound: 0.5, Source: cache.Predicted}},
+		}})
+	}
+	return r
+}
+
+// TestDecodeSetResultJSONAllocs: an aggregate answer decodes without
+// allocating, and a 16-mote NOW answer into two allocations: its
+// results and their entries.
+func TestDecodeSetResultJSONAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		r     SetResult
+		limit float64
+	}{
+		{"agg", SetResult{Seq: 2, At: 48 * simtime.Hour, Value: 21.25, ErrBound: 0.5, Count: 16}, 0},
+		{"now-16", nowAnswer(), 2},
+	} {
+		body, err := EncodeSetResultJSON(c.r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := DecodeSetResultJSON(body); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > c.limit {
+			t.Errorf("DecodeSetResultJSON of the %s answer: %v allocs, want <= %v", c.name, allocs, c.limit)
+		}
+	}
+}
+
+// TestEncodeJSONAllocs: encoding writes one buffer and returns one copy
+// of it.
+func TestEncodeJSONAllocs(t *testing.T) {
+	now := nowAnswer()
+	agg := SetResult{Seq: 2, At: 48 * simtime.Hour, Value: 21.25, ErrBound: 0.5, Count: 16}
+	spec := Spec{Type: Agg, Agg: Mean, Select: SelectMotes(1, 2, 3, 4, 5, 6, 7, 8), Trailing: time.Hour, Precision: 0.5}
+	for name, f := range map[string]func() error{
+		"now-16": func() error { _, err := EncodeSetResultJSON(now); return err },
+		"agg":    func() error { _, err := EncodeSetResultJSON(agg); return err },
+		"spec":   func() error { _, err := EncodeSpecJSON(spec); return err },
+	} {
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := f(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1 {
+			t.Errorf("encoding the %s: %v allocs, want <= 1", name, allocs)
+		}
+	}
+}
+
+// TestAppendDurationMatchesString: the appender writes every duration
+// as time.Duration.String does.
+func TestAppendDurationMatchesString(t *testing.T) {
+	ds := []time.Duration{0, 1, -1, 999, 1000, 1500, -1500, 999999, time.Millisecond, 1500 * time.Microsecond,
+		time.Second - 1, time.Second, 90 * time.Second, time.Hour, 48*time.Hour + 1, math.MaxInt64, math.MinInt64}
+	rng := rand.New(rand.NewSource(3))
+	for range 20000 {
+		ds = append(ds, time.Duration(rng.Int63n(1<<uint(rng.Intn(62)+1))*int64(1-2*rng.Intn(2))))
+	}
+	for _, d := range ds {
+		if got, want := string(appendDuration(nil, d)), d.String(); got != want {
+			t.Fatalf("appendDuration(%d) = %q, want %q", int64(d), got, want)
+		}
+	}
+}
+
+// TestEncodeJSONMatchesReference: the encoders write the bytes
+// encoding/json writes of the wire structs, and fail where it fails
+// with the same error, over 1,000 random rounds and specs. The fixed
+// cases come first, so every corner is covered whatever the draws.
+func TestEncodeJSONMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	rounds := []SetResult{
+		{At: simtime.Time(1500), Value: 1e-7, ErrBound: 1e21, Count: 1},    // exponent forms, 1.5µs
+		{At: -simtime.Hour, Value: math.Copysign(0, -1), ErrBound: 5e-324}, // -0, the least subnormal
+		{Value: math.NaN(), Err: ErrEmptyAggregate},
+		{Value: math.Inf(1), Count: 1},
+		{Value: 1, ErrBound: math.NaN(), Count: 1},
+		{Err: errors.New(`<b>"a" & 'b'</b>`), SiteErrs: []SiteError{{Site: 1, Err: errors.New("conn <reset> & \u2028 \xff")}, {Site: 2}}},
+		{Err: errors.New("")},
+	}
+	for len(rounds) < 1000 {
+		rounds = append(rounds, randomSetResult(rng))
+	}
+	for i, r := range rounds {
+		want, werr := refEncodeSetResultJSON(r)
+		got, err := EncodeSetResultJSON(r)
+		if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
+			t.Fatalf("round %d: error %v, reference %v", i, err, werr)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("round %d:\n got %s\nwant %s", i, got, want)
+		}
+		var uve *json.UnsupportedValueError
+		if werr != nil && !errors.As(err, &uve) {
+			t.Fatalf("round %d: error %T, want *json.UnsupportedValueError", i, err)
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		s := randomSpec(rng)
+		want, werr := refEncodeSpecJSON(s)
+		got, err := EncodeSpecJSON(s)
+		if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
+			t.Fatalf("spec %d: error %v, reference %v", i, err, werr)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("spec %d:\n got %s\nwant %s", i, got, want)
+		}
+	}
+}
+
+// randomFloat draws the values the float encoder must write alike:
+// zeros of both signs, both sides of the exponent-form cutoffs, the
+// extremes, integers and, rarely, what has no JSON form.
+func randomFloat(rng *rand.Rand) float64 {
+	switch rng.Intn(12) {
+	case 0:
+		return 0
+	case 1:
+		return math.Copysign(0, -1)
+	case 2:
+		return []float64{1e-6, 9.99e-7, 1e21, 9.99e20, 5e-324, math.MaxFloat64, -1e-7, -1e22}[rng.Intn(8)]
+	case 3:
+		return math.Float64frombits(rng.Uint64())
+	case 4:
+		return float64(rng.Intn(100))
+	case 5:
+		if rng.Intn(20) == 0 {
+			return []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)]
+		}
+	}
+	return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20))
+}
+
+// randomDur draws zero, sub-second, negative and day-scale durations.
+func randomDur(rng *rand.Rand) time.Duration {
+	switch rng.Intn(5) {
+	case 0:
+		return 0
+	case 1:
+		return time.Duration(rng.Int63n(int64(time.Second)))
+	case 2:
+		return -time.Duration(rng.Int63n(int64(100 * time.Hour)))
+	}
+	return time.Duration(rng.Int63n(int64(100 * time.Hour)))
+}
+
+// randomErr draws nil, the typed sentinels (bare and wrapped) and
+// messages that need escaping.
+func randomErr(rng *rand.Rand) error {
+	switch rng.Intn(7) {
+	case 0, 1:
+		return nil
+	case 2:
+		return ErrEmptyAggregate
+	case 3:
+		return fmt.Errorf("scatter: %w", ErrNoMotes)
+	case 4:
+		return errors.New("conn reset")
+	case 5:
+		return errors.New("")
+	}
+	return errors.New([]string{"a <tag> & more", "quote \" and \\", "ctl \x01\b\f\n\r\t", "µs \u2028\u2029", "bad \xff\xfe utf-8"}[rng.Intn(5)])
+}
+
+func randomSetResult(rng *rand.Rand) SetResult {
+	r := SetResult{Seq: rng.Intn(5) - 1, At: simtime.Time(randomDur(rng)), Value: randomFloat(rng), ErrBound: randomFloat(rng)}
+	if rng.Intn(2) == 0 {
+		r.Count = rng.Intn(100)
+	}
+	if rng.Intn(3) == 0 {
+		r.Failed = rng.Intn(4)
+	}
+	for range rng.Intn(4) {
+		res := Result{Query: Query{Mote: radio.NodeID(rng.Intn(200) - 2)}, Answer: proxy.Answer{
+			Source:   proxy.Source(rng.Intn(proxy.NumSources + 1)),
+			IssuedAt: simtime.Time(randomDur(rng)), DoneAt: simtime.Time(randomDur(rng)),
+		}}
+		for range rng.Intn(4) {
+			res.Answer.Entries = append(res.Answer.Entries, cache.Entry{T: simtime.Time(randomDur(rng)),
+				V: randomFloat(rng), ErrBound: randomFloat(rng), Source: cache.Source(rng.Intn(4))})
+		}
+		r.Results = append(r.Results, res)
+	}
+	if rng.Intn(4) == 0 {
+		for range rng.Intn(3) + 1 {
+			r.SiteErrs = append(r.SiteErrs, SiteError{Site: rng.Intn(4), Err: randomErr(rng)})
+		}
+	}
+	r.Err = randomErr(rng)
+	return r
+}
+
+func randomSpec(rng *rand.Rand) Spec {
+	s := Spec{Type: Type(rng.Intn(3)), Precision: math.Abs(randomFloat(rng)),
+		Deadline: randomDur(rng), MaxStaleness: time.Duration(rng.Int63n(int64(10 * time.Hour)))}
+	if s.Type != Now {
+		if rng.Intn(2) == 0 {
+			s.Trailing = time.Duration(rng.Int63n(int64(10 * time.Hour)))
+		} else {
+			s.T0 = simtime.Time(rng.Int63n(int64(10 * simtime.Hour)))
+			s.T1 = s.T0 + simtime.Time(rng.Int63n(int64(10*simtime.Hour)))
+		}
+	}
+	if s.Type == Agg {
+		s.Agg = AggKind(rng.Intn(4))
+	}
+	for range rng.Intn(6) {
+		s.Select.Motes = append(s.Select.Motes, radio.NodeID(rng.Intn(100)))
+	}
+	if rng.Intn(3) == 0 {
+		s.Continuous = &Continuous{Every: time.Duration(rng.Int63n(int64(time.Hour)) + 1)}
+		if rng.Intn(2) == 0 {
+			s.Continuous.Until = time.Duration(rng.Int63n(int64(10 * time.Hour)))
+		}
+	}
+	return s
+}
+
+// specCorners are the wire forms where encoding/json's behaviour is not
+// the obvious one: folded keys, repeated keys, null over each kind of
+// member, escapes and invalid UTF-8, number grammar and trailing bytes.
+var specCorners = []string{
+	`{"TYPE":"now"}`,
+	`{"Type":"agg","AGG":"Mean","trailing":"1h"}`,
+	`{"type":"now","max_ſtaleness":"1h"}`,
+	`{"type":"now","max_staleneſs":"1h","MAX_STALENESS":"2h"}`,
+	`{"\u0074ype":"now","t\u0030":null}`,
+	`{"type":"now","type":"past","t0":"1h","t1":"2h"}`,
+	`{"type":"now","continuous":{"every":"1h"},"continuous":{"until":"2h"}}`,
+	`{"type":"now","continuous":{"every":"1h"},"continuous":null,"continuous":{"until":"2h"}}`,
+	`{"type":"now","continuous":null}`,
+	`{"type":"now","continuous":{"every":"1h","EVERY":"2h"}}`,
+	`{"type":"past","t0":"1h","t0":null,"t1":"2h"}`,
+	`{"type":"now","precision":1,"precision":null}`,
+	`{"type":null,"type":"now"}`,
+	`{"type":"now","type":null}`,
+	`{"type":"now","motes":[1,2,3],"motes":[4,null]}`,
+	`{"type":"now","motes":[1,2,3],"motes":[],"motes":[null,null]}`,
+	`{"type":"now","motes":[1,2,3],"motes":null,"motes":[null,5]}`,
+	`{"type":"now","motes":[1,2,3],"motes":[4],"motes":[null,null,null]}`,
+	`{"type":"now","motes":[null]}`,
+	`{"type":"n\u006fw"}`,
+	"{\"type\":\"now\xff\"}",
+	"{\"type\xff\":\"now\"}",
+	`{"type":"now","t0":"\u0031h"}`,
+	`{"type":"now","deadline":"1.5µs"}`,
+	`{"type":"now","precision":-0}`,
+	`{"type":"now","precision":1e400}`,
+	`{"type":"now","precision":1E-2}`,
+	`{"type":"now","precision":.5}`,
+	`{"type":"now","precision":"1"}`,
+	`{"type":"now","deadline":1.5}`,
+	`{"type":"now","deadline":-0}`,
+	`{"type":"now","deadline":true}`,
+	`{"type":"now","motes":[01]}`,
+	`{"type":"now","motes":[1.0]}`,
+	`{"type":"now","motes":[1e2]}`,
+	`{"type":"now","motes":[-1]}`,
+	`{"type":"now","motes":[99999999999999999999]}`,
+	`{"type":"now","motes":{}}`,
+	`{"type":"now",}`,
+	`{"type":"now"`,
+	`{"type":"now"}null`,
+	`{"type":"now","":1}`,
+	` {"type" : "now" , "motes" : [ 1 , 2 ] } `,
+	"{\"type\":\"no\tw\"}",
+	`{"type":"now","motes":[1,2,]}`,
+	`null`,
+	` null `,
+	`nul`,
+	``,
+	`[]`,
+	`"now"`,
+}
+
+// resultCorners are the SetResult counterparts of specCorners, repeated
+// results and entries arrays (which decode over the earlier elements)
+// among them.
+var resultCorners = []string{
+	`null`,
+	`{}`,
+	`{"seq":1.5}`,
+	`{"seq":-0,"at":null}`,
+	`{"seq":1e2}`,
+	`{"SEQ":3,"ſeq":4,"AT":"1.5µs"}`,
+	`{"value":1,"value":null,"count":1}`,
+	`{"value":null,"code":"empty_aggregate"}`,
+	`{"value":1e400}`,
+	`{"err_bound":2,"ERR_BOUND":null}`,
+	`{"at":3600000000000,"value":-0,"err_bound":5e-324}`,
+	`{"results":[{"mote":1,"source":"cache","entries":[{"t":"1h","v":1,"source":"pushed"},{"t":"2h","v":2,"source":"pulled"}]}],"results":[{"mote":2}]}`,
+	`{"results":[{"mote":1,"source":"cache","entries":[{"t":"1h","v":1,"source":"pushed"},{"t":"2h","v":2,"source":"pulled"}]}],"results":[{"entries":[{"v":3}]}]}`,
+	`{"results":[{"mote":1,"source":"cache"},{"mote":2,"source":"model"}],"results":[null],"results":[null,null]}`,
+	`{"results":[{"mote":1,"source":"cache"},{"mote":2,"source":"model"}],"results":[],"results":[null,null]}`,
+	`{"results":[{"mote":1,"source":"cache"}],"results":null,"results":[null]}`,
+	`{"results":[{"mote":1,"source":"cache","entries":[{"t":"1h","v":1,"source":"pushed"},{"v":2,"source":"pushed"}]},{"mote":2,"source":"pull","entries":[{"v":5,"source":"predicted"}]}],` +
+		`"results":[{"entries":[null]},{"entries":[null,{"v":6,"source":"pushed"}]}],"results":[{"entries":[null,null]},{"entries":[null,null,{"source":"pulled"}]}]}`,
+	`{"results":[{"mote":1,"source":"cache","entries":[{"v":1,"source":"pushed"}]}],"results":[{"entries":null}]}`,
+	`{"results":[{"mote":1,"source":"cache","entries":[{"v":1,"v":null,"source":"pushed","err_bound":null}]}]}`,
+	`{"results":[{"mote":1,"source":"bogus"}]}`,
+	`{"results":[{"mote":1,"source":"bogus","source":"cache","issued_at":"1h","done_at":"2h"}]}`,
+	`{"results":[{"mote":1,"source":"cache","entries":[null]}]}`,
+	`{"results":[null]}`,
+	`{"results":[{"mote":1,"ſource":"ca\u0063he","entries":[{"T":"1h","V":1,"Source":"pushed"}]}]}`,
+	`{"site_errors":[{"site":1,"error":"x","code":"no_motes"},{"site":2,"error":"conn reset","code":"error"}]}`,
+	`{"site_errors":[{"site":1,"error":"x"},{"site":2}],"site_errors":[{"code":"error"}],"site_errors":[null,null]}`,
+	`{"site_errors":[{"site":1,"error":"\u003cb\u003e \u2028","code":"error"}],"site_errors":[]}`,
+	"{\"error\":\"bad \xff utf-8\",\"code\":\"error\"}",
+	`{"error":"\u003cb\u003e","code":"\u0065rror"}`,
+	`{"error":"x","code":"no_motes"}`,
+	`{"code":"error"}`,
+	`{"code":"e","code":null}`,
+	`{"seq":0,"at":"1h"}{"x":1}`,
+	`{"seq":0,"at":"1h"} garbage`,
+	`{"seq":0,"at":"1h","bogus":1}`,
+	`{"results":{}}`,
+	`{"results":[{"mote":"1"}]}`,
+	`[]`,
+	``,
+}
+
+// FuzzDecodeSpecJSON: the spec decoder accepts what encoding/json's
+// decode of the wire structs accepts, decodes it to the same spec, and
+// any spec it accepts survives encode then decode as an equal spec
 // asking the same question (equal shape keys).
 func FuzzDecodeSpecJSON(f *testing.F) {
 	for _, seed := range []string{
@@ -351,10 +689,20 @@ func FuzzDecodeSpecJSON(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
+	for _, seed := range specCorners {
+		f.Add([]byte(seed))
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		s, err := DecodeSpecJSON(b)
+		want, werr := refDecodeSpecJSON(b)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("decode %q: error %v, reference error %v", b, err, werr)
+		}
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(s, want) {
+			t.Fatalf("decode %q:\n got %+v\nwant %+v", b, s, want)
 		}
 		enc, err := EncodeSpecJSON(s)
 		if err != nil {
@@ -371,4 +719,304 @@ func FuzzDecodeSpecJSON(f *testing.F) {
 			t.Fatalf("shape keys differ after a round trip: %x vs %x", k1, k2)
 		}
 	})
+}
+
+// FuzzDecodeSetResultJSON: the round decoder accepts what encoding/json's
+// decode of the wire structs accepts and decodes it to the same round.
+func FuzzDecodeSetResultJSON(f *testing.F) {
+	rng := rand.New(rand.NewSource(5))
+	for range 16 {
+		if b, err := EncodeSetResultJSON(randomSetResult(rng)); err == nil {
+			f.Add(b)
+		}
+	}
+	for _, seed := range resultCorners {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r, err := DecodeSetResultJSON(b)
+		want, werr := refDecodeSetResultJSON(b)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("decode %q: error %v, reference error %v", b, err, werr)
+		}
+		if err == nil && !sameResult(r, want) {
+			t.Fatalf("decode %q:\n got %+v\nwant %+v", b, r, want)
+		}
+	})
+}
+
+// TestDecodeJSONCorners replays the corner seeds of both fuzz targets
+// against the reference outside fuzzing mode too, and checks that the
+// merges the corners exercise happen: a repeated key decodes over the
+// elements an earlier one left.
+func TestDecodeJSONCorners(t *testing.T) {
+	for _, c := range specCorners {
+		s, err := DecodeSpecJSON([]byte(c))
+		want, werr := refDecodeSpecJSON([]byte(c))
+		if (err == nil) != (werr == nil) || err == nil && !reflect.DeepEqual(s, want) {
+			t.Errorf("spec %q: got %+v, %v; reference %+v, %v", c, s, err, want, werr)
+		}
+	}
+	for _, c := range resultCorners {
+		r, err := DecodeSetResultJSON([]byte(c))
+		want, werr := refDecodeSetResultJSON([]byte(c))
+		if (err == nil) != (werr == nil) || err == nil && !sameResult(r, want) {
+			t.Errorf("result %q: got %+v, %v; reference %+v, %v", c, r, err, want, werr)
+		}
+	}
+	s, err := DecodeSpecJSON([]byte(`{"type":"now","motes":[1,2,3],"motes":[4,null],"continuous":{"every":"1h"},"Continuous":{"until":"2h"}}`))
+	if err != nil || !reflect.DeepEqual(s.Select.Motes, []radio.NodeID{4, 2}) || *s.Continuous != (Continuous{Every: time.Hour, Until: 2 * time.Hour}) {
+		t.Errorf("repeated keys decoded to %+v, %v", s, err)
+	}
+	r, err := DecodeSetResultJSON([]byte(resultCorners[16]))
+	if err != nil || len(r.Results) != 2 || len(r.Results[1].Answer.Entries) != 3 || r.Results[1].Answer.Entries[1].V != 6 {
+		t.Errorf("repeated results decoded to %+v, %v", r, err)
+	}
+}
+
+// sameResult is reflect.DeepEqual with an empty aggregate's NaN value
+// equal to itself.
+func sameResult(a, b SetResult) bool {
+	if math.IsNaN(a.Value) && math.IsNaN(b.Value) {
+		a.Value, b.Value = 0, 0
+	}
+	return reflect.DeepEqual(a, b)
+}
+
+// ---------------------------------------------------------------------------
+// Reference: the encoding/json codec the hand-written one replaced,
+// which defines the wire shape.
+
+type specWire struct {
+	Type         string    `json:"type"`
+	Motes        []int     `json:"motes,omitempty"`
+	T0           Dur       `json:"t0,omitempty"`
+	T1           Dur       `json:"t1,omitempty"`
+	Trailing     Dur       `json:"trailing,omitempty"`
+	Agg          string    `json:"agg,omitempty"`
+	Precision    float64   `json:"precision,omitempty"`
+	Deadline     Dur       `json:"deadline,omitempty"`
+	MaxStaleness Dur       `json:"max_staleness,omitempty"`
+	Continuous   *contWire `json:"continuous,omitempty"`
+}
+
+type contWire struct {
+	Every Dur `json:"every"`
+	Until Dur `json:"until,omitempty"`
+}
+
+type setResultWire struct {
+	Seq      int           `json:"seq"`
+	At       Dur           `json:"at"`
+	Value    *float64      `json:"value,omitempty"`
+	ErrBound *float64      `json:"err_bound,omitempty"`
+	Count    int           `json:"count,omitempty"`
+	Results  []resultWire  `json:"results,omitempty"`
+	Failed   int           `json:"failed,omitempty"`
+	SiteErrs []siteErrWire `json:"site_errors,omitempty"`
+	Error    string        `json:"error,omitempty"`
+	Code     string        `json:"code,omitempty"`
+}
+
+type resultWire struct {
+	Mote     int            `json:"mote"`
+	Source   string         `json:"source"`
+	Entries  []refEntryWire `json:"entries,omitempty"`
+	IssuedAt Dur            `json:"issued_at,omitempty"`
+	DoneAt   Dur            `json:"done_at,omitempty"`
+}
+
+type refEntryWire struct {
+	T        Dur     `json:"t"`
+	V        float64 `json:"v"`
+	ErrBound float64 `json:"err_bound,omitempty"`
+	Source   string  `json:"source"`
+}
+
+type siteErrWire struct {
+	Site  int    `json:"site"`
+	Error string `json:"error"`
+	Code  string `json:"code,omitempty"`
+}
+
+func refEncodeSpecJSON(s Spec) ([]byte, error) {
+	if s.Select.Where != nil {
+		return nil, errors.New("query: selector predicates have no JSON form (resolve to an explicit mote list first)")
+	}
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	w := specWire{
+		Type:         s.Type.String(),
+		T0:           Dur(s.T0),
+		T1:           Dur(s.T1),
+		Trailing:     Dur(s.Trailing),
+		Precision:    s.Precision,
+		Deadline:     Dur(s.Deadline),
+		MaxStaleness: Dur(s.MaxStaleness),
+	}
+	if s.Type == Agg {
+		w.Agg = s.Agg.String()
+	}
+	for _, m := range s.Select.Motes {
+		w.Motes = append(w.Motes, int(m))
+	}
+	if c := s.Continuous; c != nil {
+		w.Continuous = &contWire{Every: Dur(c.Every), Until: Dur(c.Until)}
+	}
+	return json.Marshal(w)
+}
+
+func refDecodeSpecJSON(b []byte) (Spec, error) {
+	var w specWire
+	if err := decodeStrict(b, &w); err != nil {
+		return Spec{}, fmt.Errorf("query: bad spec JSON: %w", err)
+	}
+	typ, err := ParseType(w.Type)
+	if err != nil {
+		return Spec{}, err
+	}
+	s := Spec{
+		Type:         typ,
+		T0:           simtime.Time(w.T0),
+		T1:           simtime.Time(w.T1),
+		Trailing:     time.Duration(w.Trailing),
+		Precision:    w.Precision,
+		Deadline:     time.Duration(w.Deadline),
+		MaxStaleness: time.Duration(w.MaxStaleness),
+	}
+	if typ == Agg {
+		if w.Agg == "" {
+			return Spec{}, errors.New("query: agg spec without an operator")
+		}
+		if s.Agg, err = ParseAggKind(w.Agg); err != nil {
+			return Spec{}, err
+		}
+	} else if w.Agg != "" {
+		return Spec{}, fmt.Errorf("query: %q spec with an aggregate operator", w.Type)
+	}
+	if len(w.Motes) > 0 {
+		s.Select.Motes = make([]radio.NodeID, len(w.Motes))
+		for i, m := range w.Motes {
+			s.Select.Motes[i] = radio.NodeID(m)
+		}
+	}
+	if w.Continuous != nil {
+		s.Continuous = &Continuous{
+			Every: time.Duration(w.Continuous.Every),
+			Until: time.Duration(w.Continuous.Until),
+		}
+	}
+	if err := s.Validate(); err != nil {
+		return Spec{}, err
+	}
+	return s, nil
+}
+
+// decodeStrict decodes the one JSON object in b into v: unknown fields
+// and any non-whitespace byte after the object are errors.
+func decodeStrict(b []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	for i := dec.InputOffset(); i < int64(len(b)); i++ {
+		switch b[i] {
+		case ' ', '\t', '\n', '\r':
+		default:
+			return fmt.Errorf("trailing data after the object at offset %d", i)
+		}
+	}
+	return nil
+}
+
+func refEncodeSetResultJSON(r SetResult) ([]byte, error) {
+	w := setResultWire{
+		Seq:    r.Seq,
+		At:     Dur(r.At),
+		Count:  r.Count,
+		Failed: r.Failed,
+	}
+	if !math.IsNaN(r.Value) && (r.Count > 0 || r.Value != 0 || r.ErrBound != 0) {
+		v, e := r.Value, r.ErrBound
+		w.Value, w.ErrBound = &v, &e
+	}
+	for _, res := range r.Results {
+		rw := resultWire{
+			Mote:     int(res.Query.Mote),
+			Source:   res.Answer.Source.String(),
+			IssuedAt: Dur(res.Answer.IssuedAt),
+			DoneAt:   Dur(res.Answer.DoneAt),
+		}
+		for _, e := range res.Answer.Entries {
+			rw.Entries = append(rw.Entries, refEntryWire{
+				T: Dur(e.T), V: e.V, ErrBound: e.ErrBound, Source: e.Source.String(),
+			})
+		}
+		w.Results = append(w.Results, rw)
+	}
+	for _, se := range r.SiteErrs {
+		sw := siteErrWire{Site: se.Site, Code: ErrCode(se.Err)}
+		if se.Err != nil {
+			sw.Error = se.Err.Error()
+		}
+		w.SiteErrs = append(w.SiteErrs, sw)
+	}
+	if r.Err != nil {
+		w.Error, w.Code = r.Err.Error(), ErrCode(r.Err)
+	}
+	return json.Marshal(w)
+}
+
+func refDecodeSetResultJSON(b []byte) (SetResult, error) {
+	var w setResultWire
+	if err := decodeStrict(b, &w); err != nil {
+		return SetResult{}, fmt.Errorf("query: bad result JSON: %w", err)
+	}
+	r := SetResult{
+		Seq:    w.Seq,
+		At:     simtime.Time(w.At),
+		Count:  w.Count,
+		Failed: w.Failed,
+	}
+	switch {
+	case w.Value != nil:
+		r.Value = *w.Value
+	case w.Code == CodeEmptyAggregate:
+		r.Value = math.NaN()
+	}
+	if w.ErrBound != nil {
+		r.ErrBound = *w.ErrBound
+	}
+	for _, rw := range w.Results {
+		src, err := parseProxySource([]byte(rw.Source))
+		if err != nil {
+			return SetResult{}, err
+		}
+		res := Result{
+			Query: Query{Mote: radio.NodeID(rw.Mote)},
+			Answer: proxy.Answer{
+				Mote:     radio.NodeID(rw.Mote),
+				Source:   src,
+				IssuedAt: simtime.Time(rw.IssuedAt),
+				DoneAt:   simtime.Time(rw.DoneAt),
+			},
+		}
+		for _, ew := range rw.Entries {
+			esrc, err := parseCacheSource([]byte(ew.Source))
+			if err != nil {
+				return SetResult{}, err
+			}
+			res.Answer.Entries = append(res.Answer.Entries, cache.Entry{
+				T: simtime.Time(ew.T), V: ew.V, ErrBound: ew.ErrBound, Source: esrc,
+			})
+		}
+		r.Results = append(r.Results, res)
+	}
+	for _, se := range w.SiteErrs {
+		r.SiteErrs = append(r.SiteErrs, SiteError{Site: se.Site, Err: codeErr(se.Code, se.Error)})
+	}
+	r.Err = codeErr(w.Code, w.Error)
+	return r, nil
 }

@@ -106,6 +106,11 @@ func (q Query) Validate() error {
 	switch q.Type {
 	case Now:
 	case Past, Agg:
+		// No mote existed before time zero: a window reaching back past
+		// it would be answered with invented values.
+		if q.T0 < 0 {
+			return fmt.Errorf("query: window [%v, %v] starts before time zero", q.T0, q.T1)
+		}
 		if q.T1 < q.T0 {
 			return fmt.Errorf("query: inverted range [%v, %v]", q.T0, q.T1)
 		}

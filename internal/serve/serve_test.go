@@ -141,6 +141,32 @@ func TestServeQueryAndSemanticHit(t *testing.T) {
 	hz.Body.Close()
 }
 
+// TestServeRefusesWindowBeforeTimeZero: a PAST or AGG window before
+// time zero is a 400 bad_spec, not a page of invented predictions.
+func TestServeRefusesWindowBeforeTimeZero(t *testing.T) {
+	n := buildNet(t, 2, 2)
+	n.Start()
+	n.Run(4 * time.Hour)
+	srv := New(n, Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, body := range []string{
+		`{"type":"past","t0":"-2h","t1":"-1h","precision":5}`,
+		`{"type":"agg","agg":"mean","t0":"-2h","t1":"-1h","precision":5}`,
+	} {
+		resp := postSpec(t, ts.URL, body)
+		var eb errorBody
+		if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || eb.Code != "bad_spec" {
+			t.Fatalf("POST %s: status %d code %q, want 400 bad_spec", body, resp.StatusCode, eb.Code)
+		}
+	}
+}
+
 // TestServeSSEContinuous streams a bounded standing query over SSE: one
 // data frame per round, then the end event when the horizon passes.
 func TestServeSSEContinuous(t *testing.T) {
